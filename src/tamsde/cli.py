@@ -220,18 +220,21 @@ def run_experiment(config):
         _run_verify_assumptions(config, model)
 
 
-def _add_common(parser, default_paths):
+def _add_common(parser):
+    # a flag left out is absent from the parsed namespace (argument_default
+    # SUPPRESS), so ExperimentConfig supplies its default; only defaults
+    # that differ from ExperimentConfig's are given here
     parser.add_argument("--model", required=True,
                         help="builtin model name or path to a model JSON file")
-    parser.add_argument("--paths", type=int, default=default_paths,
+    parser.add_argument("--paths", type=int,
                         help="Monte Carlo paths per cell")
-    parser.add_argument("--h0", type=float, default=1.0,
+    parser.add_argument("--h0", type=float,
                         help="step-size scale of the adaptive rule")
-    parser.add_argument("--l0", type=float, default=2.0,
+    parser.add_argument("--l0", type=float,
                         help="state-growth exponent of the adaptive rule")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=int,
                         help="base seed; all cells derive from it")
-    parser.add_argument("--out", default=".",
+    parser.add_argument("--out",
                         help="output directory (created if missing)")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="worker budget for path simulation")
@@ -243,64 +246,62 @@ def _build_parser():
         description="Adaptive tamed Milstein experiments for scalar SDEs")
     sub = parser.add_subparsers(dest="kind", required=True)
 
-    rate = sub.add_parser("rate", help="strong-error table and fitted rate")
-    _add_common(rate, default_paths=10_000)
-    rate.add_argument("--k-min", type=int, default=1)
-    rate.add_argument("--k-max", type=int, default=5)
-    rate.add_argument("--T", type=float, default=1.0, help="time horizon")
+    def subcommand(name, **kwargs):
+        return sub.add_parser(name, argument_default=argparse.SUPPRESS,
+                              **kwargs)
 
-    moments = sub.add_parser("moments", help="E|X_T|**p across horizons")
-    _add_common(moments, default_paths=1_000)
+    rate = subcommand("rate", help="strong-error table and fitted rate")
+    _add_common(rate)
+    rate.add_argument("--k-min", type=int)
+    rate.add_argument("--k-max", type=int)
+    rate.add_argument("--T", type=float, nargs=1, help="time horizon")
+
+    moments = subcommand("moments", help="E|X_T|**p across horizons")
+    _add_common(moments)
     moments.add_argument("--k", type=int, default=4,
                          help="level fixing the base step 2**-k")
-    moments.add_argument("--T", type=float, nargs="+", default=[1.0],
+    moments.add_argument("--T", type=float, nargs="+",
                          help="time horizons")
-    moments.add_argument("--p", type=float, nargs="+", default=[2.0],
+    moments.add_argument("--p", type=float, nargs="+",
                          help="moment orders")
 
-    compare = sub.add_parser(
+    compare = subcommand(
         "compare", help="error-versus-work curves for both schemes")
-    _add_common(compare, default_paths=1_000)
-    compare.add_argument("--k-min", type=int, default=1)
-    compare.add_argument("--k-max", type=int, default=5)
-    compare.add_argument("--T", type=float, nargs="+", default=[1.0],
+    _add_common(compare)
+    compare.add_argument("--k-min", type=int)
+    compare.add_argument("--k-max", type=int)
+    compare.add_argument("--T", type=float, nargs="+",
                          help="time horizons")
 
-    verify = sub.add_parser(
+    verify = subcommand(
         "verify-assumptions",
         help="sweep the dissipativity and one-sided Lipschitz margins")
     verify.add_argument("--model", required=True)
-    verify.add_argument("--grid", default="-50:50:10000",
-                        help="state grid as lo:hi:n")
-    verify.add_argument("--seed", type=int, default=0,
+    verify.add_argument("--grid", help="state grid as lo:hi:n")
+    verify.add_argument("--seed", type=int,
                         help="seed for the random pair sample")
-    verify.add_argument("--out", default=".")
+    verify.add_argument("--out")
 
+    # moments and compare default to fewer paths than ExperimentConfig
+    for costly in (moments, compare):
+        costly.set_defaults(paths=1_000)
     return parser
 
 
+# parsed flag name -> ExperimentConfig field, where the two differ
+_FIELDS = {"paths": "n_paths", "out": "out_dir", "T": "t_values",
+           "p": "p_values"}
+
+
 def _config_from_args(args):
-    if args.kind == "rate":
-        return ExperimentConfig(
-            kind="rate", model=args.model, k_min=args.k_min,
-            k_max=args.k_max, n_paths=args.paths, t_values=(args.T,),
-            h0=args.h0, l0=args.l0, seed=args.seed, out_dir=args.out,
-            threads=args.threads)
-    if args.kind == "moments":
-        return ExperimentConfig(
-            kind="moments", model=args.model, k_min=args.k, k_max=args.k,
-            n_paths=args.paths, t_values=tuple(args.T),
-            p_values=tuple(args.p), h0=args.h0, l0=args.l0, seed=args.seed,
-            out_dir=args.out, threads=args.threads)
-    if args.kind == "compare":
-        return ExperimentConfig(
-            kind="compare", model=args.model, k_min=args.k_min,
-            k_max=args.k_max, n_paths=args.paths, t_values=tuple(args.T),
-            h0=args.h0, l0=args.l0, seed=args.seed, out_dir=args.out,
-            threads=args.threads)
-    return ExperimentConfig(
-        kind="verify-assumptions", model=args.model, seed=args.seed,
-        out_dir=args.out, grid=args.grid)
+    fields = {}
+    for name, value in vars(args).items():
+        if name == "k":  # moments runs the single level k
+            fields["k_min"] = fields["k_max"] = value
+        else:
+            fields[_FIELDS.get(name, name)] = (
+                tuple(value) if isinstance(value, list) else value)
+    return ExperimentConfig(**fields)
 
 
 def _fold_grid_value(argv):
@@ -328,9 +329,6 @@ def main(argv=None):
     except EstimationError as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

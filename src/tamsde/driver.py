@@ -10,9 +10,11 @@ pending accumulators, and apply a scheme step for whichever leg's event
 fired (both, when they coincide).  Every drawn increment thus lands in both
 legs, and each leg's applied increments sum to the same W over [0, t_end].
 
-Pending increments are accumulated with compensated (Kahan) summation so
-the per-leg totals agree with the global Brownian sum to ~1e-12 over long
-horizons.
+One driver, _merge, does this for both schemes: it takes two
+(propose, advance) legs from the scheme module and never looks inside
+them.  Pending increments are accumulated with compensated (Kahan)
+summation so the per-leg totals agree with the global Brownian sum to
+~1e-12 over long horizons.
 """
 
 import math
@@ -20,14 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, PathExplosion
-from .model import _rpow
-from .scheme import DEFAULT_MAX_STEPS, _product, _require_l0, _TINY_STEP, SchemeConfig
+from .errors import InputError
+from .scheme import (DEFAULT_MAX_STEPS, SchemeConfig, _due, _require_l0,
+                     _stop, _tam_leg, _tm_leg)
 
 __all__ = ["NoiseSource", "CoupledSample", "simulate_coupled_pair",
            "simulate_coupled_tm_pair"]
 
 _BLOCK = 1024
+_INF = math.inf
+_sqrt = math.sqrt
 
 
 class NoiseSource:
@@ -46,20 +50,20 @@ class NoiseSource:
         self.seed = seed
         self.current_time = 0.0
         self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        self._buf = ()
-        self._idx = 0
+        self._buf = None
+        self._idx = _BLOCK  # the first draw fills the first block
 
     def gaussian_increment(self, duration):
         """One N(0, duration) draw; advances the source's clock by duration."""
-        if not duration > 0.0 or duration == math.inf:
+        if not 0.0 < duration < _INF:
             raise InputError(f"duration must be positive and finite, got {duration}")
         i = self._idx
-        if i == len(self._buf):
+        if i == _BLOCK:
             self._buf = self._gen.standard_normal(_BLOCK).tolist()
             i = 0
         self._idx = i + 1
         self.current_time += duration
-        return math.sqrt(duration) * self._buf[i]
+        return _sqrt(duration) * self._buf[i]
 
 
 @dataclass(frozen=True)
@@ -73,24 +77,6 @@ class CoupledSample:
     squared_diff: float
 
 
-@dataclass(frozen=True)
-class _MergeResult:
-    # CoupledSample plus the Brownian bookkeeping the coupling tests check
-    fine_terminal: float
-    coarse_terminal: float
-    fine_steps: int
-    coarse_steps: int
-    w_fine: float
-    w_coarse: float
-    w_total: float
-
-
-def _explode(leg, t, x, steps, why):
-    raise PathExplosion(
-        f"{leg} leg {why} at t={t} (state {x}, {steps} steps)",
-        time=t, state=x, steps=steps, leg=leg)
-
-
 def _check_pair_args(k, t_end):
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise InputError(f"k must be an integer >= 1, got {k!r}")
@@ -98,126 +84,67 @@ def _check_pair_args(k, t_end):
         raise InputError(f"t_end must be positive and finite, got {t_end}")
 
 
-def _merge_tam(model, h0, l0, k, t_end, noise, max_steps):
-    delta_f = 2.0 ** (-(k + 1))
-    delta_c = 2.0 ** (-k)
-    sqd_f = math.sqrt(delta_f)
-    sqd_c = math.sqrt(delta_c)
-    mu = model.drift
-    sig = model.diffusion
-    mup = model.drift_prime
-    sigp = model.diffusion_prime
+def _merge(fine, coarse, x0, t_end, noise, max_steps):
+    """Run two (propose, advance) legs from x0 to t_end on one Brownian path.
+
+    Returns a CoupledSample; raises PathExplosion tagged "fine" or
+    "coarse".  Fixed-step grids are dyadic, so last + delta is exactly the
+    next grid point and the coarse grid is nested in the fine one.
+    """
+    propose_f, advance_f = fine
+    propose_c, advance_c = coarse
     draw = noise.gaussian_increment
     isfinite = math.isfinite
-    square_penalty = l0 == 2.0
-
-    # a leg's coefficients change only when the leg itself steps, so each
-    # reschedule evaluates them once and stashes (mu, sigma, q) for the
-    # step that will eventually fire
-    def propose(x, sqd, delta):
-        m = mu(x)
-        s = sig(x)
-        mp = mup(x)
-        sp = sigp(x)
-        g = 0.0 if (s == 0.0 or sp == 0.0) else s * sp
-        if isfinite(g):
-            q = g / (1.0 + sqd * abs(g))
-        else:
-            q = math.copysign(1.0 / sqd, g)
-        s2 = s * s
-        sp2 = sp * sp
-        xl = x * x if square_penalty else _rpow(abs(x), l0)
-        base = 1.0 + m * m + abs(mp) + s2 * s2 + sp2 * sp2 + abs(q) + xl
-        step = (h0 / (base * base)) * delta
-        if step <= 0.0 or step != step:
-            step = _TINY_STEP
-        return step, m, s, q
-
-    def schedule(last, step):
-        if step >= t_end - last:
-            return t_end
-        due = last + step
-        if due >= t_end:
-            return t_end
-        return due  # due <= last is caught by the caller
-
-    x_f = x_c = model.x0
+    x_f = x_c = x0
     last_f = last_c = 0.0
-    step_f, m_f, s_f, q_f = propose(x_f, sqd_f, delta_f)
-    step_c, m_c, s_c, q_c = propose(x_c, sqd_c, delta_c)
-    due_f = schedule(0.0, step_f)
-    due_c = schedule(0.0, step_c)
-    # Kahan pairs: pending increment per leg, applied total per leg, global
+    due_f = _due(0.0, propose_f(x_f), t_end)
+    due_c = _due(0.0, propose_c(x_c), t_end)
+    # Kahan pair per leg: the increment pending since the leg last stepped
     pw_f = pc_f = pw_c = pc_c = 0.0
-    tw_f = tc_f = tw_c = tc_c = 0.0
-    wt = wt_c = 0.0
     steps_f = steps_c = 0
     t = 0.0
     while t < t_end:
         t_next = due_f if due_f < due_c else due_c
         dz = draw(t_next - t)
         y = dz - pc_f
-        s_ = pw_f + y
-        pc_f = (s_ - pw_f) - y
-        pw_f = s_
+        s = pw_f + y
+        pc_f = (s - pw_f) - y
+        pw_f = s
         y = dz - pc_c
-        s_ = pw_c + y
-        pc_c = (s_ - pw_c) - y
-        pw_c = s_
-        y = dz - wt_c
-        s_ = wt + y
-        wt_c = (s_ - wt) - y
-        wt = s_
+        s = pw_c + y
+        pc_c = (s - pw_c) - y
+        pw_c = s
         if due_f == t_next:
-            dt = due_f - last_f
-            dW = pw_f
-            x_f = x_f + m_f * dt + s_f * dW + 0.5 * q_f * (dW * dW - dt)
-            y = dW - tc_f
-            s_ = tw_f + y
-            tc_f = (s_ - tw_f) - y
-            tw_f = s_
+            x_f = advance_f(x_f, t_next - last_f, pw_f)
             pw_f = pc_f = 0.0
-            last_f = due_f
+            last_f = t_next
             steps_f += 1
-            if last_f < t_end:
-                if not isfinite(x_f):
-                    _explode("fine", last_f, x_f, steps_f, "became non-finite")
-                if steps_f >= max_steps:
-                    _explode("fine", last_f, x_f, steps_f, "exceeded max_steps")
-                step_f, m_f, s_f, q_f = propose(x_f, sqd_f, delta_f)
-                due_f = schedule(last_f, step_f)
-                if due_f <= last_f:
-                    _explode("fine", last_f, x_f, steps_f,
-                             "step collapsed below time resolution")
+            if t_next < t_end:
+                if steps_f >= max_steps or not isfinite(x_f):
+                    _stop("fine", t_next, x_f, steps_f, max_steps)
+                due_f = _due(t_next, propose_f(x_f), t_end)
+                if due_f <= t_next:
+                    _stop("fine", t_next, x_f, steps_f, max_steps)
         if due_c == t_next:
-            dt = due_c - last_c
-            dW = pw_c
-            x_c = x_c + m_c * dt + s_c * dW + 0.5 * q_c * (dW * dW - dt)
-            y = dW - tc_c
-            s_ = tw_c + y
-            tc_c = (s_ - tw_c) - y
-            tw_c = s_
+            x_c = advance_c(x_c, t_next - last_c, pw_c)
             pw_c = pc_c = 0.0
-            last_c = due_c
+            last_c = t_next
             steps_c += 1
-            if last_c < t_end:
-                if not isfinite(x_c):
-                    _explode("coarse", last_c, x_c, steps_c, "became non-finite")
-                if steps_c >= max_steps:
-                    _explode("coarse", last_c, x_c, steps_c, "exceeded max_steps")
-                step_c, m_c, s_c, q_c = propose(x_c, sqd_c, delta_c)
-                due_c = schedule(last_c, step_c)
-                if due_c <= last_c:
-                    _explode("coarse", last_c, x_c, steps_c,
-                             "step collapsed below time resolution")
+            if t_next < t_end:
+                if steps_c >= max_steps or not isfinite(x_c):
+                    _stop("coarse", t_next, x_c, steps_c, max_steps)
+                due_c = _due(t_next, propose_c(x_c), t_end)
+                if due_c <= t_next:
+                    _stop("coarse", t_next, x_c, steps_c, max_steps)
         t = t_next
     if not isfinite(x_f):
-        _explode("fine", t_end, x_f, steps_f, "became non-finite")
+        _stop("fine", t_end, x_f, steps_f, max_steps)
     if not isfinite(x_c):
-        _explode("coarse", t_end, x_c, steps_c, "became non-finite")
-    return _MergeResult(fine_terminal=x_f, coarse_terminal=x_c,
-                        fine_steps=steps_f, coarse_steps=steps_c,
-                        w_fine=tw_f, w_coarse=tw_c, w_total=wt)
+        _stop("coarse", t_end, x_c, steps_c, max_steps)
+    d = x_f - x_c
+    return CoupledSample(fine_terminal=x_f, coarse_terminal=x_c,
+                         fine_steps=steps_f, coarse_steps=steps_c,
+                         squared_diff=d * d)
 
 
 def simulate_coupled_pair(model, h0, l0, k, t_end, seed,
@@ -231,95 +158,14 @@ def simulate_coupled_pair(model, h0, l0, k, t_end, seed,
     # validates h0/l0 ranges and the model's l0 requirement
     _require_l0(model, SchemeConfig(delta=0.5, t_end=t_end, h0=h0, l0=l0,
                                     max_steps=max_steps))
-    noise = NoiseSource(seed)
-    res = _merge_tam(model, h0, l0, k, t_end, noise, max_steps)
-    d = res.fine_terminal - res.coarse_terminal
-    return CoupledSample(fine_terminal=res.fine_terminal,
-                         coarse_terminal=res.coarse_terminal,
-                         fine_steps=res.fine_steps,
-                         coarse_steps=res.coarse_steps,
-                         squared_diff=d * d)
-
-
-def _merge_tm(model, k, t_end, noise, max_steps):
-    # fixed-grid legs: the coarse grid k*2**-k is nested in the fine one,
-    # so the merged timeline is exactly the fine grid (clamped at t_end)
-    delta_f = 2.0 ** (-(k + 1))
-    delta_c = 2.0 ** (-k)
-    mu = model.drift
-    sig = model.diffusion
-    sigp = model.diffusion_prime
-    draw = noise.gaussian_increment
-    x_f = x_c = model.x0
-    pw = pc = 0.0
-    tw_f = tc_f = tw_c = tc_c = 0.0
-    wt = wt_c = 0.0
-    steps_f = steps_c = 0
-    last_c = 0.0
-    t = 0.0
-    i = 0
-    while t < t_end:
-        i += 1
-        t_next = i * delta_f
-        if t_next >= t_end:
-            t_next = t_end
-        dt = t_next - t
-        dW = draw(dt)
-        m = mu(x_f)
-        s = sig(x_f)
-        sp = sigp(x_f)
-        g = _product(s, sp)
-        x_f = x_f + (m * dt + s * dW + 0.5 * g * (dW * dW - dt)) / (1.0 + delta_f * (x_f * x_f))
-        steps_f += 1
-        y = dW - tc_f
-        s_ = tw_f + y
-        tc_f = (s_ - tw_f) - y
-        tw_f = s_
-        y = dW - wt_c
-        s_ = wt + y
-        wt_c = (s_ - wt) - y
-        wt = s_
-        y = dW - pc
-        s_ = pw + y
-        pc = (s_ - pw) - y
-        pw = s_
-        if i % 2 == 0 or t_next == t_end:
-            dt_c = t_next - last_c
-            dWc = pw
-            m = mu(x_c)
-            s = sig(x_c)
-            sp = sigp(x_c)
-            g = _product(s, sp)
-            x_c = x_c + (m * dt_c + s * dWc + 0.5 * g * (dWc * dWc - dt_c)) / (1.0 + delta_c * (x_c * x_c))
-            steps_c += 1
-            y = dWc - tc_c
-            s_ = tw_c + y
-            tc_c = (s_ - tw_c) - y
-            tw_c = s_
-            pw = pc = 0.0
-            last_c = t_next
-        if not (math.isfinite(x_f) and math.isfinite(x_c)):
-            leg = "fine" if not math.isfinite(x_f) else "coarse"
-            _explode(leg, t_next, x_f if leg == "fine" else x_c,
-                     steps_f if leg == "fine" else steps_c,
-                     "became non-finite")
-        if steps_f >= max_steps and t_next < t_end:
-            _explode("fine", t_next, x_f, steps_f, "exceeded max_steps")
-        t = t_next
-    return _MergeResult(fine_terminal=x_f, coarse_terminal=x_c,
-                        fine_steps=steps_f, coarse_steps=steps_c,
-                        w_fine=tw_f, w_coarse=tw_c, w_total=wt)
+    return _merge(_tam_leg(model, 2.0 ** (-(k + 1)), h0, l0),
+                  _tam_leg(model, 2.0 ** (-k), h0, l0),
+                  model.x0, t_end, NoiseSource(seed), max_steps)
 
 
 def simulate_coupled_tm_pair(model, k, t_end, seed,
                              max_steps=DEFAULT_MAX_STEPS):
     """Couple fixed-step runs at delta = 2**-(k+1) and 2**-k on one path."""
     _check_pair_args(k, t_end)
-    noise = NoiseSource(seed)
-    res = _merge_tm(model, k, t_end, noise, max_steps)
-    d = res.fine_terminal - res.coarse_terminal
-    return CoupledSample(fine_terminal=res.fine_terminal,
-                         coarse_terminal=res.coarse_terminal,
-                         fine_steps=res.fine_steps,
-                         coarse_steps=res.coarse_steps,
-                         squared_diff=d * d)
+    return _merge(_tm_leg(model, 2.0 ** (-(k + 1))), _tm_leg(model, 2.0 ** (-k)),
+                  model.x0, t_end, NoiseSource(seed), max_steps)

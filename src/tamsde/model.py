@@ -242,6 +242,18 @@ class PowerTerm:
         return -d if (p % 2 == 0 and x < 0.0) else d
 
 
+def _total(values):
+    # exact sum, made total: fsum raises where float addition would give
+    # nan (+inf and -inf terms) or overflow (finite partial sums beyond
+    # the float range)
+    try:
+        return math.fsum(values)
+    except ValueError:
+        return math.nan
+    except OverflowError:
+        return sum(values)
+
+
 @dataclass(frozen=True)
 class PowerSum:
     """Callable sum of PowerTerm values."""
@@ -249,7 +261,7 @@ class PowerSum:
     terms: tuple
 
     def __call__(self, x):
-        return math.fsum(t.value(x) for t in self.terms) if self.terms else 0.0
+        return _total([t.value(x) for t in self.terms])
 
 
 @dataclass(frozen=True)
@@ -259,7 +271,7 @@ class PowerSumDerivative:
     terms: tuple
 
     def __call__(self, x):
-        return math.fsum(t.derivative(x) for t in self.terms) if self.terms else 0.0
+        return _total([t.derivative(x) for t in self.terms])
 
 
 # --- built-in models -------------------------------------------------------

@@ -23,6 +23,14 @@ it should roughly double the number of steps on [0, t_end].
 The fixed-step baseline (tm_step) advances on the uniform grid k*delta and
 divides the whole Milstein increment, with untamed sigma*sigma', by
 1 + delta*|x|**2.
+
+Each scheme is written once, as a leg: a (propose, advance) pair built by
+_tam_leg or _tm_leg.  propose(x) evaluates the coefficients at the leg's
+state and returns the step it wants; advance(x, dt, dW) applies the update
+with those values.  _due is the one place a step is clamped to t_end.  The
+public one-step maps are thin wrappers over the legs, simulate_path drives
+one adaptive leg, and the driver module runs two legs of either scheme on
+one Brownian path.
 """
 
 import math
@@ -99,31 +107,122 @@ class Trajectory:
     step_count: int
 
 
-def _correction(g, sqrt_delta):
-    # g = sigma(x) * sigma'(x), possibly +-inf; the tamed value approaches
-    # +-1/sqrt(delta) as |g| grows
-    if math.isinf(g):
-        return math.copysign(1.0 / sqrt_delta, g)
-    return g / (1.0 + sqrt_delta * abs(g))
-
-
-def _product(s, sp):
-    # treat an exact zero factor as an exactly zero product so that an
-    # infinite other factor cannot produce a NaN
-    return 0.0 if (s == 0.0 or sp == 0.0) else s * sp
-
-
 def _check_delta(delta):
     if not 0.0 < delta < 1.0:
         raise InputError(f"delta must lie in (0, 1), got {delta}")
 
 
+def _tamed(s, sp, sqrt_delta):
+    # q = sigma sigma' / (1 + sqrt(delta) |sigma sigma'|).  An exact zero
+    # factor gives an exactly zero product, so an infinite other factor
+    # cannot produce a NaN; an infinite product saturates at the cap
+    # +-1/sqrt(delta) that the tamed value approaches.
+    g = 0.0 if (s == 0.0 or sp == 0.0) else s * sp
+    if math.isinf(g):
+        return math.copysign(1.0 / sqrt_delta, g)
+    return g / (1.0 + sqrt_delta * abs(g))
+
+
+def _tam_leg(model, delta, h0, l0):
+    """The adaptive scheme at base step delta, as a (propose, advance) pair.
+
+    propose(x) evaluates the four coefficients at x once, keeps
+    (mu, sigma, q) and returns the step h(x) * delta; advance(x, dt, dW)
+    applies the tamed Milstein update from x with the kept values.  A
+    leg's coefficients change only when the leg itself steps, so each
+    propose serves the advance that eventually follows it.
+    """
+    mu = model.drift
+    sig = model.diffusion
+    mup = model.drift_prime
+    sigp = model.diffusion_prime
+    sqd = math.sqrt(delta)
+    square_penalty = l0 == 2.0
+    m = s = q = 0.0
+
+    def propose(x):
+        nonlocal m, s, q
+        m = mu(x)
+        s = sig(x)
+        mp = mup(x)
+        sp = sigp(x)
+        q = _tamed(s, sp, sqd)
+        s2 = s * s
+        sp2 = sp * sp
+        xl = x * x if square_penalty else _rpow(abs(x), l0)
+        base = 1.0 + m * m + abs(mp) + s2 * s2 + sp2 * sp2 + abs(q) + xl
+        step = (h0 / (base * base)) * delta
+        if step <= 0.0 or step != step:
+            return _TINY_STEP
+        return step
+
+    def advance(x, dt, dW):
+        return x + m * dt + s * dW + 0.5 * q * (dW * dW - dt)
+
+    return propose, advance
+
+
+def _tm_leg(model, delta):
+    """The fixed-step baseline at step delta, as a (propose, advance) pair.
+
+    propose(x) keeps (mu, sigma, sigma sigma') at x and returns delta;
+    advance(x, dt, dW) divides the untamed Milstein increment by
+    1 + delta * x**2.
+    """
+    mu = model.drift
+    sig = model.diffusion
+    sigp = model.diffusion_prime
+    m = s = g = 0.0
+
+    def propose(x):
+        nonlocal m, s, g
+        m = mu(x)
+        s = sig(x)
+        sp = sigp(x)
+        g = 0.0 if (s == 0.0 or sp == 0.0) else s * sp  # zero rule of _tamed
+        return delta
+
+    def advance(x, dt, dW):
+        return x + (m * dt + s * dW + 0.5 * g * (dW * dW - dt)) / (1.0 + delta * (x * x))
+
+    return propose, advance
+
+
+def _due(last, step, t_end):
+    """Time of a leg's next event: last + step, landing exactly on t_end.
+
+    The sum can round past the horizon even when step < t_end - last, so
+    both are checked.  A result <= last means the step fell below time
+    resolution; the caller reports that.
+    """
+    if step >= t_end - last:
+        return t_end
+    due = last + step
+    return t_end if due >= t_end else due
+
+
+def _stop(leg, t, x, steps, max_steps):
+    """Raise the PathExplosion for a leg that cannot go on from x at time t.
+
+    The cause is the first that applies: a non-finite state, a spent step
+    budget, or else a step that collapsed below time resolution.  leg is
+    "fine" or "coarse" in a coupled pair and None for a single path.
+    """
+    if not math.isfinite(x):
+        why = "became non-finite"
+    elif steps >= max_steps:
+        why = f"exceeded max_steps={max_steps}"
+    else:
+        why = "step collapsed below time resolution"
+    who = f"{leg} leg" if leg else "path"
+    raise PathExplosion(f"{who} {why} at t={t} (state {x}, {steps} steps)",
+                        time=t, state=x, steps=steps, leg=leg)
+
+
 def tamed_correction(model, x, delta):
     """Tamed Milstein coefficient q(x) at base step delta."""
     _check_delta(delta)
-    s = model.diffusion(x)
-    sp = model.diffusion_prime(x)
-    return _correction(_product(s, sp), math.sqrt(delta))
+    return _tamed(model.diffusion(x), model.diffusion_prime(x), math.sqrt(delta))
 
 
 def adaptive_step(model, config, x):
@@ -132,47 +231,22 @@ def adaptive_step(model, config, x):
     Always positive: if the denominator overflows, the smallest positive
     normal double is returned instead of zero.
     """
-    m = model.drift(x)
-    s = model.diffusion(x)
-    mp = model.drift_prime(x)
-    sp = model.diffusion_prime(x)
-    sqd = math.sqrt(config.delta)
-    q = _correction(_product(s, sp), sqd)
-    l0 = config.l0
-    s2 = s * s
-    sp2 = sp * sp
-    xl = x * x if l0 == 2.0 else _rpow(abs(x), l0)
-    base = 1.0 + m * m + abs(mp) + s2 * s2 + sp2 * sp2 + abs(q) + xl
-    step = (config.h0 / (base * base)) * config.delta
-    if step <= 0.0 or step != step:
-        return _TINY_STEP
-    return step
-
-
-def _tam_increment(model, x, delta, dt, dW):
-    m = model.drift(x)
-    s = model.diffusion(x)
-    sp = model.diffusion_prime(x)
-    q = _correction(_product(s, sp), math.sqrt(delta))
-    return x + m * dt + s * dW + 0.5 * q * (dW * dW - dt)
+    propose, _ = _tam_leg(model, config.delta, config.h0, config.l0)
+    return propose(x)
 
 
 def tam_step(model, x, delta, dt, dW):
     """One tamed-adaptive Milstein step of duration dt from state x."""
-    _check_delta(delta)
     if not dt > 0.0:
         raise InputError(f"dt must be > 0, got {dt}")
-    return _tam_increment(model, x, delta, dt, dW)
+    return interpolate(model, x, 0.0, dt, delta, dW)
 
 
 def tm_step(model, x, delta, dW):
     """One fixed-step tamed Milstein step (duration delta) from state x."""
     _check_delta(delta)
-    m = model.drift(x)
-    s = model.diffusion(x)
-    sp = model.diffusion_prime(x)
-    g = _product(s, sp)
-    return x + (m * delta + s * dW + 0.5 * g * (dW * dW - delta)) / (1.0 + delta * (x * x))
+    propose, advance = _tm_leg(model, delta)
+    return advance(x, propose(x), dW)
 
 
 def interpolate(model, x_grid, t_grid, t, delta, dW):
@@ -186,7 +260,9 @@ def interpolate(model, x_grid, t_grid, t, delta, dW):
     _check_delta(delta)
     if t < t_grid:
         raise InputError(f"interpolation time {t} precedes grid time {t_grid}")
-    return _tam_increment(model, x_grid, delta, t - t_grid, dW)
+    propose, advance = _tam_leg(model, delta, 1.0, 2.0)
+    propose(x_grid)
+    return advance(x_grid, t - t_grid, dW)
 
 
 def _require_l0(model, config):
@@ -206,20 +282,15 @@ def simulate_path(model, config, noise):
     equal to the step's duration.
 
     Raises PathExplosion if the path exceeds config.max_steps, its state
-    stops being finite, or the step collapses below time resolution.
+    stops being finite (the terminal state included), or the step
+    collapses below time resolution.
     """
     _require_l0(model, config)
-    mu = model.drift
-    sig = model.diffusion
-    mup = model.drift_prime
-    sigp = model.diffusion_prime
-    delta = config.delta
-    h0 = config.h0
-    l0 = config.l0
+    propose, advance = _tam_leg(model, config.delta, config.h0, config.l0)
+    draw = noise.gaussian_increment
+    isfinite = math.isfinite
     t_end = config.t_end
     max_steps = config.max_steps
-    sqd = math.sqrt(delta)
-    square_penalty = l0 == 2.0
 
     x = model.x0
     t = 0.0
@@ -227,46 +298,24 @@ def simulate_path(model, config, noise):
     times = [0.0]
     values = [x]
     incs = []
-    while t < t_end:
-        if not math.isfinite(x):
-            raise PathExplosion(
-                f"state became non-finite at t={t} after {steps} steps",
-                time=t, state=x, steps=steps)
-        if steps >= max_steps:
-            raise PathExplosion(
-                f"exceeded max_steps={max_steps} at t={t} (state {x})",
-                time=t, state=x, steps=steps)
-        m = mu(x)
-        s = sig(x)
-        mp = mup(x)
-        sp = sigp(x)
-        q = _correction(_product(s, sp), sqd)
-        s2 = s * s
-        sp2 = sp * sp
-        xl = x * x if square_penalty else _rpow(abs(x), l0)
-        base = 1.0 + m * m + abs(mp) + s2 * s2 + sp2 * sp2 + abs(q) + xl
-        step = (h0 / (base * base)) * delta
-        if step <= 0.0 or step != step:
-            step = _TINY_STEP
-        if step >= t_end - t:
-            t_next = t_end
-        else:
-            t_next = t + step
-            if t_next >= t_end:
-                # the sum can round past the horizon even when
-                # step < t_end - t; land on it instead
-                t_next = t_end
-            elif t_next <= t:
-                raise PathExplosion(
-                    f"step size collapsed below time resolution at t={t} "
-                    f"(state {x})", time=t, state=x, steps=steps)
-        dt = t_next - t
-        dW = noise.gaussian_increment(dt)
-        x = x + m * dt + s * dW + 0.5 * q * (dW * dW - dt)
-        t = t_next
+    due = _due(0.0, propose(x), t_end)
+    while True:
+        dt = due - t
+        dW = draw(dt)
+        x = advance(x, dt, dW)
+        t = due
         steps += 1
         times.append(t)
         values.append(x)
         incs.append(dW)
+        if t >= t_end:
+            break
+        if steps >= max_steps or not isfinite(x):
+            _stop(None, t, x, steps, max_steps)
+        due = _due(t, propose(x), t_end)
+        if due <= t:
+            _stop(None, t, x, steps, max_steps)
+    if not isfinite(x):
+        _stop(None, t, x, steps, max_steps)
     return Trajectory(times=np.asarray(times), values=np.asarray(values),
                       increments=np.asarray(incs), step_count=steps)

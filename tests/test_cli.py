@@ -1,12 +1,15 @@
 """End-to-end runs of the command line interface."""
 
+import hashlib
 import json
 import math
+import os
 
 import pytest
 
 from tamsde import InputError
-from tamsde.cli import ExperimentConfig, main, run_experiment
+from tamsde.cli import (ExperimentConfig, _build_parser, _config_from_args,
+                        main, run_experiment)
 
 RATE_HEADER = "k,delta,n_paths,mse,log2_mse,std_error,mean_fine_steps,mean_coarse_steps"
 COMPARE_HEADER = "scheme,T,k,log2_NT,log2_mse"
@@ -211,8 +214,72 @@ class TestExperimentConfig:
         with pytest.raises(InputError):
             ExperimentConfig(kind="rate", model="model1", threads=0)
 
+    @pytest.mark.parametrize("kind, want", [
+        ("rate", dict(n_paths=10_000, k_min=1, k_max=5, t_values=(1.0,))),
+        ("moments", dict(n_paths=1_000, k_min=4, k_max=4, t_values=(1.0,),
+                         p_values=(2.0,))),
+        ("compare", dict(n_paths=1_000, k_min=1, k_max=5, t_values=(1.0,))),
+    ])
+    def test_flag_defaults(self, kind, want):
+        args = _build_parser().parse_args([kind, "--model", "m"])
+        assert _config_from_args(args) == ExperimentConfig(
+            kind=kind, model="m", h0=1.0, l0=2.0, seed=0, out_dir=".",
+            threads=os.cpu_count() or 1, **want)
+
+    def test_verify_flag_defaults(self):
+        args = _build_parser().parse_args(["verify-assumptions", "--model", "m"])
+        assert _config_from_args(args) == ExperimentConfig(
+            kind="verify-assumptions", model="m", seed=0, out_dir=".",
+            threads=1, grid="-50:50:10000")
+
     def test_run_experiment_is_public(self, tmp_path):
         cfg = ExperimentConfig(kind="verify-assumptions", model="gbm",
                                grid="-5:5:50", out_dir=str(tmp_path))
         run_experiment(cfg)
         assert (tmp_path / "assumptions.json").exists()
+
+
+# A model file with a Holder-1/2 diffusion derivative; rate runs it at l0=3,
+# so the clock takes the general |x|**l0 penalty rather than x*x.
+HOLDER_HALF = {
+    "name": "holder_half", "x0": 0.3,
+    "drift": [{"coeff": 0.5, "power": 1}, {"coeff": -1.0, "power": 3}],
+    "diffusion": [{"coeff": 0.2},
+                  {"coeff": 0.3, "power": 1, "abs_power": 0.5}],
+    "regularity": {"alpha": 0.5, "l": 2.0, "gamma": 1.0, "eta": 1.0,
+                   "lambda_os": 1.0, "p0": 14.0},
+}
+
+# sha256 of each data file.  Reruns agreeing with each other cannot show a
+# change in the numerics, the seed layout or the file format; these can.  A
+# change that alters bytes on purpose says so and updates them.  They assume
+# IEEE doubles and the platform's libm pow, as the byte-stability promise
+# does.
+PINNED_CELLS = [
+    (["rate", "--model", "model2", "--k-min", "1", "--k-max", "4", "--T",
+      "2", "--paths", "200", "--seed", "11"],
+     {"rate.csv": "ae52cfad704700521ddcfd0cc97e08af95b1e6a49fa014509d06481f5ed14fbf",
+      "rate.json": "881a1546605988e0b273ded4bcac3d657d3509f8b5ddfa8aa7ea4779d469096f"}),
+    (["compare", "--model", "model1", "--k-min", "1", "--k-max", "4", "--T",
+      "1", "5", "--paths", "150", "--seed", "12"],
+     {"compare.csv": "87d4b660d9c8c25fd895da50642076220732bc7b190ef80f86268daaabf95f55"}),
+    (["moments", "--model", "model1", "--k", "3", "--T", "1", "10", "30",
+      "--p", "1", "2", "--paths", "60", "--seed", "13"],
+     {"moments.csv": "f82a3a8ddbc1d226a80314e07bd3042a27c56b70761cfea0b873b2c6376ffc4a"}),
+    (["rate", "--model", "holder_half.json", "--l0", "3", "--k-min", "1",
+      "--k-max", "4", "--T", "2", "--paths", "200", "--seed", "14"],
+     {"rate.csv": "f7ae5aac5dda2c56501f75965c674438242bcf6a5f2ce09938f59a6df8dc3600",
+      "rate.json": "b0e044359124f9119954a83480cb6f127854f36d17a538170a133c59cf4151e5"}),
+]
+
+
+@pytest.mark.parametrize("argv, digests", PINNED_CELLS,
+                         ids=["rate-model2", "compare-model1",
+                              "moments-model1", "rate-json-l0"])
+def test_pinned_output_digests(tmp_path, monkeypatch, argv, digests):
+    (tmp_path / "holder_half.json").write_text(json.dumps(HOLDER_HALF))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--threads", "1", "--out", "out"]) == 0
+    for name, want in digests.items():
+        got = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        assert got == want, name

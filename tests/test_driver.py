@@ -7,7 +7,8 @@ import pytest
 
 from tamsde import (InputError, NoiseSource, PathExplosion, PowerTerm,
                     get_model, simulate_coupled_pair, simulate_coupled_tm_pair)
-from tamsde.driver import _merge_tam, _merge_tm
+from tamsde.driver import _merge
+from tamsde.scheme import _tam_leg, _tm_leg
 
 from test_scheme import make_term_model
 
@@ -70,6 +71,43 @@ class TestNoiseSource:
         assert np.std(long) / np.std(short) == pytest.approx(10.0, rel=1e-9)
 
 
+class RecordingNoise:
+    """NoiseSource stand-in that keeps every increment it hands out."""
+
+    def __init__(self, seed):
+        self._source = NoiseSource(seed)
+        self.draws = []
+
+    def gaussian_increment(self, duration):
+        dz = self._source.gaussian_increment(duration)
+        self.draws.append(dz)
+        return dz
+
+
+def recording(leg):
+    """Wrap a (propose, advance) leg; returns it and its applied increments."""
+    propose, advance = leg
+    applied = []
+
+    def recorded_advance(x, dt, dW):
+        applied.append(dW)
+        return advance(x, dt, dW)
+
+    return (propose, recorded_advance), applied
+
+
+def assert_brownian_sums_agree(fine, coarse, x0, t_end, seed):
+    # each leg's applied increments must reassemble the W_T that was drawn
+    fine, applied_f = recording(fine)
+    coarse, applied_c = recording(coarse)
+    noise = RecordingNoise(seed)
+    _merge(fine, coarse, x0, t_end, noise, 10 ** 8)
+    w_total = math.fsum(noise.draws)
+    assert len(applied_f) > len(applied_c) > 0
+    assert abs(math.fsum(applied_f) - w_total) <= 1e-12
+    assert abs(math.fsum(applied_c) - w_total) <= 1e-12
+
+
 class TestCoupledTam:
     def test_argument_validation(self):
         with pytest.raises(InputError):
@@ -112,12 +150,10 @@ class TestCoupledTam:
             assert cs.squared_diff <= 1e-24
 
     def test_brownian_sums_agree_between_legs(self):
-        # each leg's applied increments must reassemble the same W_T
         for model, seed in [(M1, 3), (M2, 4), (GBM, 5)]:
-            res = _merge_tam(model, 1.0, 2.0, 4, 10.0, NoiseSource(seed),
-                             10 ** 8)
-            assert abs(res.w_fine - res.w_total) <= 1e-12
-            assert abs(res.w_coarse - res.w_total) <= 1e-12
+            assert_brownian_sums_agree(_tam_leg(model, 2.0 ** -5, 1.0, 2.0),
+                                       _tam_leg(model, 2.0 ** -4, 1.0, 2.0),
+                                       model.x0, 10.0, seed)
 
     def test_error_decreases_with_level(self):
         coarse = [simulate_coupled_pair(GBM, 1.0, 2.0, 2, 1.0, s).squared_diff
@@ -162,9 +198,8 @@ class TestCoupledTm:
         # unlike the adaptive scheme, TM tames the diffusion term by
         # 1/(1 + delta x^2), so the legs do NOT coincide for dX = dW
         # unless x stays at 0; the Brownian bookkeeping still must agree
-        res = _merge_tm(M1, 4, 5.0, NoiseSource(21), 10 ** 8)
-        assert abs(res.w_fine - res.w_total) <= 1e-12
-        assert abs(res.w_coarse - res.w_total) <= 1e-12
+        assert_brownian_sums_agree(_tm_leg(M1, 2.0 ** -5), _tm_leg(M1, 2.0 ** -4),
+                                   M1.x0, 5.0, 21)
 
     def test_brownian_from_origin_exact(self):
         # x0 = 0 keeps the taming factor at 1 on the first step only;

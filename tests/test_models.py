@@ -282,6 +282,18 @@ class TestPowerTerms:
         assert t.value(-1e200) == -math.inf
         assert t.derivative(1e200) == math.inf
 
+    def test_power_sums_stay_total_when_terms_overflow(self):
+        # +inf and -inf terms sum to NaN rather than raising, so a
+        # diverging path is caught by the non-finite state checks
+        terms = (PowerTerm(coeff=1.0, power=5), PowerTerm(coeff=-2.0, power=6))
+        assert math.isnan(PowerSum(terms)(1e100))
+        assert math.isnan(PowerSumDerivative(terms)(1e100))
+        # finite terms whose sum leaves the float range give inf
+        big = (PowerTerm(coeff=1e308, power=1), PowerTerm(coeff=1e308, power=1))
+        assert PowerSum(big)(1.0) == math.inf
+        assert PowerSum(big)(-1.0) == -math.inf
+        assert PowerSum(())(3.0) == 0.0
+
     def test_validation(self):
         with pytest.raises(InputError):
             PowerTerm(coeff=1.0, power=-1)

@@ -156,6 +156,15 @@ class TestEstimateMoment:
         assert estimate_moment(M1, cfg, 2.0, 30, 9) == estimate_moment(
             M1, cfg, 2.0, 30, 9)
 
+    def test_nonfinite_terminal_state_counts_as_failure(self):
+        # every path overflows on its only step; the estimate must refuse,
+        # not report mean_abs_p = inf with no failures
+        hot = make_term_model("hot", [PowerTerm(coeff=1e150, power=3)], [],
+                              x0=1e80, l=3.0, p0=24.0)
+        cfg = SchemeConfig(delta=0.5, t_end=5e-324, l0=4.0)
+        with pytest.raises(EstimationError, match="3 of 3 paths exploded"):
+            estimate_moment(hot, cfg, 2.0, 3, 0)
+
     def test_worker_pool_matches_serial(self):
         cfg = SchemeConfig(delta=0.25, t_end=1.0)
         serial = estimate_moment(M1, cfg, 2.0, 40, 17, n_jobs=1)

@@ -297,6 +297,19 @@ class TestSimulatePath:
         with pytest.raises(PathExplosion):
             simulate_path(hot, cfg, NoiseSource(0))
 
+    def test_nonfinite_terminal_state_explosion(self):
+        # a horizon shorter than the first step: the one and only step
+        # lands on t_end with an overflowed state, which must not be
+        # returned as a terminal value
+        hot = make_term_model("hot", [PowerTerm(coeff=1e150, power=3)], [],
+                              x0=1e80, l=3.0, p0=24.0)
+        cfg = SchemeConfig(delta=0.5, t_end=5e-324, l0=4.0)
+        with pytest.raises(PathExplosion, match="non-finite") as err:
+            simulate_path(hot, cfg, NoiseSource(0))
+        assert err.value.time == 5e-324
+        assert err.value.steps == 1
+        assert err.value.state == math.inf
+
     def test_l0_below_model_requirement_rejected(self):
         steep = make_term_model("steep", [PowerTerm(coeff=1.0, power=7)], [],
                                 x0=0.0, l=6.0, p0=32.0)
