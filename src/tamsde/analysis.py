@@ -25,9 +25,8 @@ __all__ = [
     "compare_schemes",
 ]
 
-# Seed strides keeping Monte Carlo cells disjoint: paths within a cell use
-# consecutive seeds (base..base+n-1), so strides must dominate any
-# realistic path count.
+# Seed strides keeping Monte Carlo cells disjoint (see cell_seed): paths
+# within a cell use consecutive seeds (base..base+n-1).
 SEED_STRIDE_K = 2 ** 32
 SEED_STRIDE_T = 2 ** 40
 SEED_STRIDE_SCHEME = 2 ** 50
@@ -54,6 +53,30 @@ class ComparisonRow:
     k: int
     log2_nt: float
     log2_mse: float
+    n_failures: int = 0
+
+
+def cell_seed(base_seed, n_paths, index, t_idx, baseline=False):
+    """First seed of one Monte Carlo cell; path m of the cell uses + m.
+
+    index is the level k (rate, compare) or the moment-order index
+    (moments), t_idx the horizon index, and baseline selects the
+    fixed-step scheme of compare.  Cells stay disjoint only while a cell
+    holds at most 2**32 paths, index < 256 and t_idx < 1024, so anything
+    else raises InputError.
+    """
+    for what, value, limit in (
+            ("paths per cell", n_paths, SEED_STRIDE_K + 1),
+            ("level or moment-order index", index,
+             SEED_STRIDE_T // SEED_STRIDE_K),
+            ("horizon index", t_idx, SEED_STRIDE_SCHEME // SEED_STRIDE_T)):
+        if (isinstance(value, bool) or not isinstance(value, int)
+                or not 0 <= value < limit):
+            raise InputError(
+                f"{what} must be an integer in [0, {limit}) to keep seed "
+                f"cells disjoint, got {value!r}")
+    return (base_seed + index * SEED_STRIDE_K + t_idx * SEED_STRIDE_T
+            + (SEED_STRIDE_SCHEME if baseline else 0))
 
 
 def fit_convergence_rate(rows):
@@ -105,8 +128,9 @@ def compare_schemes(model, h0, l0, ks, n_paths, t_values, base_seed,
     the adaptive scheme, t_end/delta for the fixed-step baseline.
 
     Every (scheme, horizon, level) cell draws from a disjoint seed block
-    derived from base_seed, so single cells can be reproduced in
-    isolation and results do not depend on evaluation order.
+    derived from base_seed by cell_seed, so single cells can be reproduced
+    in isolation and results do not depend on evaluation order.  Each
+    row carries its cell's failure count.
     """
     ks = list(ks)
     t_values = list(t_values)
@@ -114,21 +138,22 @@ def compare_schemes(model, h0, l0, ks, n_paths, t_values, base_seed,
         raise InputError("at least one level k is required")
     if not t_values:
         raise InputError("at least one horizon t_end is required")
+    # every cell's seed is checked before the first cell runs
+    cells = [(t_end, k, cell_seed(base_seed, n_paths, k, t_idx),
+              cell_seed(base_seed, n_paths, k, t_idx, baseline=True))
+             for t_idx, t_end in enumerate(t_values) for k in ks]
     rows = []
-    for t_idx, t_end in enumerate(t_values):
-        for k in ks:
-            cell = base_seed + k * SEED_STRIDE_K + t_idx * SEED_STRIDE_T
-            tam = estimate_mse(model, h0, l0, k, n_paths, t_end, cell,
-                               n_jobs=n_jobs, max_steps=max_steps)
-            rows.append(ComparisonRow(
-                scheme="tam", t_end=t_end, k=k,
-                log2_nt=math.log2(tam.mean_coarse_steps),
-                log2_mse=tam.log2_mse))
-            tm = estimate_tm_mse(model, k, n_paths, t_end,
-                                 cell + SEED_STRIDE_SCHEME,
-                                 n_jobs=n_jobs, max_steps=max_steps)
-            rows.append(ComparisonRow(
-                scheme="tm", t_end=t_end, k=k,
-                log2_nt=math.log2(tm_step_count(t_end, 2.0 ** (-k))),
-                log2_mse=tm.log2_mse))
+    for t_end, k, tam_seed, tm_seed in cells:
+        tam = estimate_mse(model, h0, l0, k, n_paths, t_end, tam_seed,
+                           n_jobs=n_jobs, max_steps=max_steps)
+        rows.append(ComparisonRow(
+            scheme="tam", t_end=t_end, k=k,
+            log2_nt=math.log2(tam.mean_coarse_steps),
+            log2_mse=tam.log2_mse, n_failures=tam.n_failures))
+        tm = estimate_tm_mse(model, k, n_paths, t_end, tm_seed,
+                             n_jobs=n_jobs, max_steps=max_steps)
+        rows.append(ComparisonRow(
+            scheme="tm", t_end=t_end, k=k,
+            log2_nt=math.log2(tm_step_count(t_end, 2.0 ** (-k))),
+            log2_mse=tm.log2_mse, n_failures=tm.n_failures))
     return rows

@@ -14,9 +14,10 @@ Data goes to files under --out; progress and failure counts go to
 standard error.  All floats are written with round-trip precision, so a
 rerun with identical flags and seed reproduces every output byte.
 
-Seed layout: each level k draws paths from the block seed + k * 2**32,
-each horizon index shifts by 2**40 and the baseline scheme by 2**50, so
-enlarging the level range or horizon list never perturbs existing cells.
+Seed layout: every cell's first seed comes from analysis.cell_seed, so
+enlarging the level range or horizon list never perturbs existing cells,
+and a run whose cells could overlap exits with status 2 before any cell
+runs.
 """
 
 import argparse
@@ -28,8 +29,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .analysis import (SEED_STRIDE_K, SEED_STRIDE_T, compare_schemes,
-                       fit_convergence_rate)
+from .analysis import cell_seed, compare_schemes, fit_convergence_rate
 from .errors import Error, EstimationError, InputError
 from .model import check_dissipativity, check_one_sided_lipschitz, get_model
 from .montecarlo import estimate_moment, estimate_mse
@@ -67,8 +67,8 @@ class ExperimentConfig:
         if self.n_paths < 2:
             raise InputError(f"n_paths must be >= 2, got {self.n_paths}")
         for t_end in self.t_values:
-            if not t_end > 0.0:
-                raise InputError(f"T must be > 0, got {t_end}")
+            if not (t_end > 0.0 and math.isfinite(t_end)):
+                raise InputError(f"T must be finite and > 0, got {t_end}")
         if self.threads < 1:
             raise InputError(f"threads must be >= 1, got {self.threads}")
 
@@ -115,12 +115,13 @@ def _grid_points(lo, hi, n):
 
 
 def _run_rate(config, model):
+    ks = range(config.k_min, config.k_max + 1)
+    # every cell's seed is checked before the first cell runs
+    seeds = [cell_seed(config.seed, config.n_paths, k, 0) for k in ks]
     rows = []
-    for k in range(config.k_min, config.k_max + 1):
+    for k, seed in zip(ks, seeds):
         row = estimate_mse(model, config.h0, config.l0, k, config.n_paths,
-                           config.t_values[0],
-                           config.seed + k * SEED_STRIDE_K,
-                           n_jobs=config.threads)
+                           config.t_values[0], seed, n_jobs=config.threads)
         rows.append(row)
         print(f"[rate] k={k} log2_mse={row.log2_mse:.4f} "
               f"failures={row.n_failures}", file=sys.stderr)
@@ -146,19 +147,20 @@ def _run_rate(config, model):
 
 def _run_moments(config, model):
     delta = 2.0 ** (-config.k_min)
+    # every cell's seed is checked before the first cell runs
+    cells = [(t_end, p, cell_seed(config.seed, config.n_paths, p_idx, t_idx))
+             for t_idx, t_end in enumerate(config.t_values)
+             for p_idx, p in enumerate(config.p_values)]
     out_rows = []
-    for t_idx, t_end in enumerate(config.t_values):
+    for t_end, p, seed in cells:
         scheme_config = SchemeConfig(delta=delta, t_end=t_end,
                                      h0=config.h0, l0=config.l0)
-        for p_idx, p in enumerate(config.p_values):
-            est = estimate_moment(
-                model, scheme_config, p, config.n_paths,
-                config.seed + t_idx * SEED_STRIDE_T + p_idx * SEED_STRIDE_K,
-                n_jobs=config.threads)
-            out_rows.append((float(t_end), float(p), est.mean_abs_p,
-                             est.std_error))
-            print(f"[moments] T={t_end} p={p} mean={est.mean_abs_p:.6g} "
-                  f"failures={est.n_failures}", file=sys.stderr)
+        est = estimate_moment(model, scheme_config, p, config.n_paths, seed,
+                              n_jobs=config.threads)
+        out_rows.append((float(t_end), float(p), est.mean_abs_p,
+                         est.std_error))
+        print(f"[moments] T={t_end} p={p} mean={est.mean_abs_p:.6g} "
+              f"failures={est.n_failures}", file=sys.stderr)
     _write_csv(os.path.join(config.out_dir, "moments.csv"),
                ["T", "p", "mean_abs_p", "std_error"], out_rows)
 
@@ -172,7 +174,10 @@ def _run_compare(config, model):
                ["scheme", "T", "k", "log2_NT", "log2_mse"],
                [(r.scheme, float(r.t_end), r.k, r.log2_nt, r.log2_mse)
                 for r in rows])
-    print(f"[compare] wrote {len(rows)} rows", file=sys.stderr)
+    for r in rows:
+        print(f"[compare] scheme={r.scheme} T={r.t_end} k={r.k} "
+              f"log2_mse={r.log2_mse:.4f} failures={r.n_failures}",
+              file=sys.stderr)
 
 
 def _run_verify_assumptions(config, model):

@@ -401,6 +401,16 @@ def _parse_terms(raw, what):
     return tuple(terms)
 
 
+def _finite_number(raw, what):
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise InputError(f"model field '{what}' must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise InputError(f"model field '{what}' must be finite, got {raw!r}")
+    return value
+
+
 def load_model_file(path):
     """Build an SdeModel from a JSON description file.
 
@@ -433,9 +443,8 @@ def load_model_file(path):
     reg_missing = {"alpha", "l", "gamma", "eta", "lambda_os", "p0"} - set(reg_raw)
     if reg_missing:
         raise InputError(f"'regularity' is missing fields {sorted(reg_missing)}")
-    reg = RegularityConstants(alpha=float(reg_raw["alpha"]), l=float(reg_raw["l"]),
-                              gamma=float(reg_raw["gamma"]), eta=float(reg_raw["eta"]),
-                              lambda_os=float(reg_raw["lambda_os"]), p0=float(reg_raw["p0"]))
+    reg = RegularityConstants(**{name: _finite_number(reg_raw[name], f"regularity.{name}")
+                                 for name in ("alpha", "l", "gamma", "eta", "lambda_os", "p0")})
     drift_terms = _parse_terms(doc["drift"], "drift")
     diff_terms = _parse_terms(doc["diffusion"], "diffusion")
     return SdeModel(
@@ -445,7 +454,7 @@ def load_model_file(path):
         drift_prime=PowerSumDerivative(drift_terms),
         diffusion_prime=PowerSumDerivative(diff_terms),
         regularity=reg,
-        x0=float(doc["x0"]),
+        x0=_finite_number(doc["x0"], "x0"),
     )
 
 

@@ -10,15 +10,17 @@ All reductions go through math.fsum (exact summation), which makes every
 aggregate independent of chunking and scheduling order; a worker pool can
 only change how fast the answer arrives, never its bytes.
 
-Paths that raise PathExplosion are excluded from the averages and counted;
-once failures reach 1% of the requested paths the estimate is refused
-(EstimationError) rather than silently biased.
+Paths that raise PathExplosion (or whose |X_T|**p overflows) are excluded
+from the averages and counted; once failures reach 1% of the requested
+paths the estimate is refused (EstimationError) rather than silently
+biased.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+# the three path functions are looked up by name in _run_block
 from .driver import NoiseSource, simulate_coupled_pair, simulate_coupled_tm_pair
 from .errors import EstimationError, InputError, PathExplosion
 from .scheme import DEFAULT_MAX_STEPS, simulate_path
@@ -56,65 +58,55 @@ class MomentEstimate:
     n_failures: int = 0
 
 
-def _check_counts(n_paths, base_seed):
+def _run_block(args):
+    """Worker: one outcome per seed of a block, None for an exploded path.
+
+    Calls the path function `name`, looked up at call time, as
+    name(*head, seed, **options); simulate_path gets NoiseSource(seed).
+    A pair yields (squared_diff, fine_steps, coarse_steps), a path
+    (terminal state, step_count).
+    """
+    name, head, options, seeds = args
+    simulate = globals()[name]
+    out = []
+    for seed in seeds:
+        try:
+            if name == "simulate_path":
+                traj = simulate(*head, NoiseSource(seed), **options)
+                out.append((float(traj.values[-1]), traj.step_count))
+            else:
+                cs = simulate(*head, seed, **options)
+                out.append((cs.squared_diff, cs.fine_steps, cs.coarse_steps))
+        except PathExplosion:
+            out.append(None)
+    return out
+
+
+def _run_cell(name, head, options, n_paths, base_seed, n_jobs):
+    """Outcomes of seeds base_seed..base_seed+n_paths-1, in path order."""
     if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
         raise InputError(f"n_paths must be an integer >= 1, got {n_paths!r}")
     if isinstance(base_seed, bool) or not isinstance(base_seed, int) or base_seed < 0:
         raise InputError(f"base_seed must be a non-negative integer, got {base_seed!r}")
-
-
-def _run_pairs(args):
-    """Worker: simulate coupled pairs for a block of consecutive seeds.
-
-    Returns one entry per seed, in order: (squared_diff, fine_steps,
-    coarse_steps), or None for a path that exploded.
-    """
-    kind, model, h0, l0, k, t_end, seeds, max_steps = args
-    out = []
-    for seed in seeds:
-        try:
-            if kind == "tam":
-                cs = simulate_coupled_pair(model, h0, l0, k, t_end, seed,
-                                           max_steps=max_steps)
-            else:
-                cs = simulate_coupled_tm_pair(model, k, t_end, seed,
-                                              max_steps=max_steps)
-            out.append((cs.squared_diff, cs.fine_steps, cs.coarse_steps))
-        except PathExplosion:
-            out.append(None)
-    return out
-
-
-def _run_paths(args):
-    """Worker: uncoupled adaptive paths; (|X_T|**p, step_count) per seed."""
-    model, config, p, seeds = args
-    out = []
-    for seed in seeds:
-        try:
-            traj = simulate_path(model, config, NoiseSource(seed))
-            out.append((abs(float(traj.values[-1])) ** p, traj.step_count))
-        except PathExplosion:
-            out.append(None)
-    return out
-
-
-def _collect(worker, args_builder, n_paths, base_seed, n_jobs):
-    """Run the worker over seeds base_seed..base_seed+n_paths-1.
-
-    args_builder(seed_block) -> worker args.  Outcomes come back in path
-    order whatever the worker count, so aggregation downstream is
-    scheduling-independent.
-    """
     seeds = range(base_seed, base_seed + n_paths)
     if n_jobs <= 1 or n_paths < 2 * n_jobs:
-        return worker(args_builder(list(seeds)))
+        return _run_block((name, head, options, seeds))
     chunk = max(1, -(-n_paths // (4 * n_jobs)))
-    blocks = [list(seeds[i:i + chunk]) for i in range(0, n_paths, chunk)]
-    out = []
+    blocks = [(name, head, options, seeds[i:i + chunk])
+              for i in range(0, n_paths, chunk)]
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        for res in pool.map(worker, [args_builder(b) for b in blocks]):
-            out.extend(res)
-    return out
+        return [o for block in pool.map(_run_block, blocks) for o in block]
+
+
+def _survivors(outcomes, n_paths, what):
+    """Finished outcomes and the failure count; the one 1% gate."""
+    ok = [o for o in outcomes if o is not None]
+    n_failures = len(outcomes) - len(ok)
+    if n_failures * 100 >= n_paths:
+        raise EstimationError(
+            f"{n_failures} of {n_paths} paths exploded; the {what} would "
+            "not be trustworthy")
+    return ok, n_failures
 
 
 def _mean_and_stderr(values, n_ok):
@@ -126,12 +118,8 @@ def _mean_and_stderr(values, n_ok):
 
 
 def _aggregate_mse(k, delta, n_paths, outcomes):
-    n_failures = sum(1 for o in outcomes if o is None)
-    if n_failures * 100 >= n_paths:
-        raise EstimationError(
-            f"{n_failures} of {n_paths} paths exploded at level k={k}; "
-            "the estimate would not be trustworthy")
-    ok = [o for o in outcomes if o is not None]
+    ok, n_failures = _survivors(outcomes, n_paths,
+                                f"estimate at level k={k}")
     n_ok = len(ok)
     mse, std_error = _mean_and_stderr([o[0] for o in ok], n_ok)
     mean_fine = math.fsum(o[1] for o in ok) / n_ok
@@ -150,39 +138,36 @@ def estimate_mse(model, h0, l0, k, n_paths, t_end, base_seed, n_jobs=1,
     Couples base steps 2**-(k+1) and 2**-k on one Brownian path per
     sample, using seeds base_seed..base_seed+n_paths-1.
     """
-    _check_counts(n_paths, base_seed)
-    outcomes = _collect(
-        _run_pairs,
-        lambda seeds: ("tam", model, h0, l0, k, t_end, seeds, max_steps),
-        n_paths, base_seed, n_jobs)
+    outcomes = _run_cell("simulate_coupled_pair", (model, h0, l0, k, t_end),
+                         {"max_steps": max_steps}, n_paths, base_seed, n_jobs)
     return _aggregate_mse(k, 2.0 ** (-k), n_paths, outcomes)
 
 
 def estimate_tm_mse(model, k, n_paths, t_end, base_seed, n_jobs=1,
                     max_steps=DEFAULT_MAX_STEPS):
     """Strong-error row at level k for the fixed-step baseline."""
-    _check_counts(n_paths, base_seed)
-    outcomes = _collect(
-        _run_pairs,
-        lambda seeds: ("tm", model, 1.0, 2.0, k, t_end, seeds, max_steps),
-        n_paths, base_seed, n_jobs)
+    outcomes = _run_cell("simulate_coupled_tm_pair", (model, k, t_end),
+                         {"max_steps": max_steps}, n_paths, base_seed, n_jobs)
     return _aggregate_mse(k, 2.0 ** (-k), n_paths, outcomes)
+
+
+def _abs_power(outcome, p):
+    # a finite terminal state whose p-th power overflows counts as a failure
+    try:
+        return abs(outcome[0]) ** p
+    except OverflowError:
+        return None
 
 
 def estimate_moment(model, config, p, n_paths, base_seed, n_jobs=1):
     """Monte Carlo estimate of E|X_{t_end}|**p under the adaptive scheme."""
     if not p > 0.0:
         raise InputError(f"moment order p must be > 0, got {p}")
-    _check_counts(n_paths, base_seed)
-    outcomes = _collect(
-        _run_paths, lambda seeds: (model, config, p, seeds),
-        n_paths, base_seed, n_jobs)
-    n_failures = sum(1 for o in outcomes if o is None)
-    if n_failures * 100 >= n_paths:
-        raise EstimationError(
-            f"{n_failures} of {n_paths} paths exploded; the moment "
-            "estimate would not be trustworthy")
-    vals = [o[0] for o in outcomes if o is not None]
+    outcomes = _run_cell("simulate_path", (model, config), {}, n_paths,
+                         base_seed, n_jobs)
+    vals, n_failures = _survivors(
+        [None if o is None else _abs_power(o, p) for o in outcomes],
+        n_paths, "moment estimate")
     mean, std_error = _mean_and_stderr(vals, len(vals))
     return MomentEstimate(mean_abs_p=mean, std_error=std_error,
                           n_failures=n_failures)
@@ -190,17 +175,10 @@ def estimate_moment(model, config, p, n_paths, base_seed, n_jobs=1):
 
 def mean_step_count(model, config, n_paths, base_seed, n_jobs=1):
     """Monte Carlo mean of the adaptive scheme's step count on [0, t_end]."""
-    _check_counts(n_paths, base_seed)
-    outcomes = _collect(
-        _run_paths, lambda seeds: (model, config, 1.0, seeds),
-        n_paths, base_seed, n_jobs)
-    n_failures = sum(1 for o in outcomes if o is None)
-    if n_failures * 100 >= n_paths:
-        raise EstimationError(
-            f"{n_failures} of {n_paths} paths exploded; the step-count "
-            "mean would not be trustworthy")
-    counts = [o[1] for o in outcomes if o is not None]
-    return math.fsum(counts) / len(counts)
+    outcomes = _run_cell("simulate_path", (model, config), {}, n_paths,
+                         base_seed, n_jobs)
+    ok, _ = _survivors(outcomes, n_paths, "step-count mean")
+    return math.fsum(o[1] for o in ok) / len(ok)
 
 
 def tm_step_count(t_end, delta):

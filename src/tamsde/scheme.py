@@ -70,7 +70,7 @@ class SchemeConfig:
                convergence theory additionally wants
                l0 >= 4*l / (3*(1+alpha)) for the model it is paired with,
                which simulate_path enforces.
-    t_end      time horizon, > 0.
+    t_end      time horizon, finite and > 0.
     max_steps  step budget per path before the run is declared exploded.
     """
 
@@ -83,8 +83,8 @@ class SchemeConfig:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise InputError(f"delta must lie in (0, 1), got {self.delta}")
-        if not self.t_end > 0.0:
-            raise InputError(f"t_end must be > 0, got {self.t_end}")
+        if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
+            raise InputError(f"t_end must be finite and > 0, got {self.t_end}")
         if not self.h0 > 0.0:
             raise InputError(f"h0 must be > 0, got {self.h0}")
         if not self.l0 >= 2.0:

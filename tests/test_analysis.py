@@ -4,15 +4,30 @@ import math
 
 import pytest
 
-from tamsde import (ComparisonRow, InputError, MseRow, PowerTerm,
-                    RegressionError, compare_schemes, fit_convergence_rate,
-                    get_model)
+import tamsde.montecarlo
+from tamsde import (ComparisonRow, InputError, MseRow, PathExplosion,
+                    PowerTerm, RegressionError, compare_schemes,
+                    fit_convergence_rate, get_model)
+from tamsde.analysis import (SEED_STRIDE_K, SEED_STRIDE_SCHEME, SEED_STRIDE_T,
+                             cell_seed)
 
 from test_scheme import make_term_model
 
 M1 = get_model("model1")
 
 BROWNIAN = make_term_model("brownian", [], [PowerTerm(coeff=1.0)], x0=0.0)
+
+
+def explode_seed(monkeypatch, bad_seed):
+    """Make the adaptive pair with seed bad_seed explode, the rest run."""
+    original = tamsde.montecarlo.simulate_coupled_pair
+
+    def pair(model, h0, l0, k, t_end, seed, **kwargs):
+        if seed == bad_seed:
+            raise PathExplosion("forced", leg="fine")
+        return original(model, h0, l0, k, t_end, seed, **kwargs)
+
+    monkeypatch.setattr(tamsde.montecarlo, "simulate_coupled_pair", pair)
 
 
 def rows_from(points):
@@ -105,7 +120,6 @@ class TestCompareSchemes:
         rows = compare_schemes(M1, 1.0, 2.0, [2], 25, [1.0], 77)
         tam = [r for r in rows if r.scheme == "tam"][0]
         from tamsde import estimate_mse
-        from tamsde.analysis import SEED_STRIDE_K
         direct = estimate_mse(M1, 1.0, 2.0, 2, 25, 1.0,
                               77 + 2 * SEED_STRIDE_K)
         assert tam.log2_nt == math.log2(direct.mean_coarse_steps)
@@ -123,8 +137,38 @@ class TestCompareSchemes:
         tam = [r for r in rows if r.scheme == "tam"][0]
         assert tam.log2_mse < -79.0 or tam.log2_mse == -math.inf
 
+    def test_rows_carry_failure_counts(self, monkeypatch):
+        # force one adaptive pair of the k=2 cell to explode; 1 of 200 is
+        # below the 1% gate, so the row is kept and must say so
+        explode_seed(monkeypatch, cell_seed(77, 200, 2, 0))
+        rows = compare_schemes(M1, 1.0, 2.0, [1, 2], 200, [1.0], 77)
+        assert [(r.scheme, r.k, r.n_failures) for r in rows] == [
+            ("tam", 1, 0), ("tm", 1, 0), ("tam", 2, 1), ("tm", 2, 0)]
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(InputError):
             compare_schemes(M1, 1.0, 2.0, [], 10, [1.0], 0)
         with pytest.raises(InputError):
             compare_schemes(M1, 1.0, 2.0, [1], 10, [], 0)
+
+
+class TestCellSeed:
+    def test_layout(self):
+        assert cell_seed(7, 100, 3, 2) == (7 + 3 * SEED_STRIDE_K
+                                           + 2 * SEED_STRIDE_T)
+        assert cell_seed(7, 100, 3, 2, baseline=True) == (
+            cell_seed(7, 100, 3, 2) + SEED_STRIDE_SCHEME)
+
+    def test_largest_cells_end_where_the_next_stride_starts(self):
+        assert cell_seed(0, 2 ** 32, 255, 0) + 2 ** 32 == cell_seed(0, 1, 0, 1)
+        assert cell_seed(0, 2 ** 32, 255, 1023) + 2 ** 32 == cell_seed(
+            0, 1, 0, 0, baseline=True)
+
+    @pytest.mark.parametrize("n_paths, index, t_idx", [
+        (2 ** 32 + 1, 1, 0),   # runs into the next level's cell
+        (10, 256, 0),          # reaches the horizon stride
+        (10, 1, 1024),         # reaches the baseline offset
+        (10, -1, 0), (10, 1, -1), (10, 1.0, 0), (True, 1, 0)])
+    def test_overlapping_cells_rejected(self, n_paths, index, t_idx):
+        with pytest.raises(InputError, match="disjoint"):
+            cell_seed(0, n_paths, index, t_idx)

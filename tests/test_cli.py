@@ -4,12 +4,18 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import pytest
 
+import tamsde.analysis
+import tamsde.cli
 from tamsde import InputError
+from tamsde.analysis import cell_seed
 from tamsde.cli import (ExperimentConfig, _build_parser, _config_from_args,
                         main, run_experiment)
+
+from test_analysis import explode_seed
 
 RATE_HEADER = "k,delta,n_paths,mse,log2_mse,std_error,mean_fine_steps,mean_coarse_steps"
 COMPARE_HEADER = "scheme,T,k,log2_NT,log2_mse"
@@ -112,6 +118,20 @@ class TestCompareCommand:
         tm_row = lines[2].split(",")
         assert float(tm_row[3]) == math.log2(2.0)
 
+    def test_prints_failures_per_cell(self, tmp_path, capsys, monkeypatch):
+        # one forced explosion in the adaptive k=2 cell must reach stderr
+        explode_seed(monkeypatch, cell_seed(6, 200, 2, 0))
+        code = run(["compare", "--model", "model1", "--k-min", "1",
+                    "--k-max", "2", "--T", "1", "--paths", "200", "--seed",
+                    "6", "--threads", "1", "--out", tmp_path])
+        assert code == 0
+        line = re.compile(r"\[compare\] scheme=(\w+) T=1\.0 k=(\d) "
+                          r"log2_mse=\S+ failures=(\d+)")
+        lines = capsys.readouterr().err.strip().split("\n")
+        assert [line.fullmatch(ln).groups() for ln in lines] == [
+            ("tam", "1", "0"), ("tm", "1", "0"),
+            ("tam", "2", "1"), ("tm", "2", "0")]
+
 
 class TestVerifyAssumptionsCommand:
     def test_model1_report(self, tmp_path):
@@ -197,6 +217,51 @@ class TestErrorHandling:
                     "--threads", "1", "--out", tmp_path])
         assert code == 3
         assert "estimation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, regularity, x0", [
+        (["verify-assumptions"], {"alpha": "abc"}, 0.3),
+        (["moments", "--paths", "4", "--threads", "1"], {}, math.nan)],
+        ids=["non-numeric-alpha", "nan-x0"])
+    def test_malformed_model_file(self, tmp_path, capsys, argv, regularity,
+                                  x0):
+        doc = dict(HOLDER_HALF, x0=x0,
+                   regularity=dict(HOLDER_HALF["regularity"], **regularity))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(argv + ["--model", path, "--out", tmp_path]) == 2
+        assert "error: model field" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_cells(monkeypatch):
+    """Make any Monte Carlo cell that starts fail the test at once."""
+    def ran(*args, **kwargs):
+        raise AssertionError("a Monte Carlo cell ran")
+    for module, name in [(tamsde.cli, "estimate_mse"),
+                         (tamsde.cli, "estimate_moment"),
+                         (tamsde.analysis, "estimate_mse"),
+                         (tamsde.analysis, "estimate_tm_mse")]:
+        monkeypatch.setattr(module, name, ran)
+
+
+class TestRejectedBeforeAnyCell:
+    def test_infinite_horizon(self, tmp_path, capsys, no_cells):
+        code = run(["moments", "--model", "model1", "--T", "inf",
+                    "--paths", "4", "--threads", "1", "--out", tmp_path])
+        assert code == 2
+        assert "T must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--paths", "4294967297"],
+        ["moments", "--p"] + [str(p) for p in range(1, 258)],
+        ["compare", "--T"] + [str(t) for t in range(1, 1026)]],
+        ids=["paths-beyond-level-stride", "orders-beyond-horizon-stride",
+             "horizons-beyond-baseline-offset"])
+    def test_overlapping_seed_cells(self, tmp_path, capsys, no_cells, argv):
+        code = run(argv + ["--model", "model1", "--threads", "1",
+                           "--out", tmp_path])
+        assert code == 2
+        assert "disjoint" in capsys.readouterr().err
 
 
 class TestExperimentConfig:

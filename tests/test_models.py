@@ -373,6 +373,25 @@ class TestModelFiles:
         with pytest.raises(InputError, match="power"):
             load_model_file(str(path))
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", "abc"), ("p0", None), ("x0", "abc"), ("x0", [0.5])])
+    def test_non_numeric_field_rejected(self, tmp_path, field, value):
+        doc = self._doc()
+        (doc if field == "x0" else doc["regularity"])[field] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=field):
+            load_model_file(str(path))
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x0_rejected(self, tmp_path, x0):
+        doc = self._doc()
+        doc["x0"] = x0  # json writes NaN / Infinity, which json reads back
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match="x0"):
+            load_model_file(str(path))
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")

@@ -165,6 +165,14 @@ class TestEstimateMoment:
         with pytest.raises(EstimationError, match="3 of 3 paths exploded"):
             estimate_moment(hot, cfg, 2.0, 3, 0)
 
+    def test_overflowing_power_counts_as_failure(self):
+        # a finite terminal state whose p-th power leaves the float range
+        # is a failed path, not an OverflowError that ends the estimate
+        huge = make_term_model("huge", [], [], x0=1e200)
+        cfg = SchemeConfig(delta=0.5, t_end=5e-324)
+        with pytest.raises(EstimationError, match="3 of 3 paths exploded"):
+            estimate_moment(huge, cfg, 2.0, 3, 0)
+
     def test_worker_pool_matches_serial(self):
         cfg = SchemeConfig(delta=0.25, t_end=1.0)
         serial = estimate_moment(M1, cfg, 2.0, 40, 17, n_jobs=1)

@@ -53,6 +53,12 @@ class TestSchemeConfig:
         with pytest.raises(InputError, match="t_end"):
             SchemeConfig(delta=0.5, t_end=0.0)
 
+    def test_t_end_finite(self):
+        # an infinite horizon would run one path to its step budget while
+        # simulate_path stores every step
+        with pytest.raises(InputError, match="t_end"):
+            SchemeConfig(delta=0.5, t_end=math.inf)
+
     def test_h0_positive(self):
         with pytest.raises(InputError, match="h0"):
             SchemeConfig(delta=0.5, t_end=1.0, h0=0.0)
