@@ -63,8 +63,13 @@ def cell_seed(base_seed, n_paths, index, t_idx, baseline=False):
     (moments), t_idx the horizon index, and baseline selects the
     fixed-step scheme of compare.  Cells stay disjoint only while a cell
     holds at most 2**32 paths, index < 256 and t_idx < 1024, so anything
-    else raises InputError.
+    else raises InputError, as does a base_seed that is not a non-negative
+    integer (path seeds must be).
     """
+    if (isinstance(base_seed, bool) or not isinstance(base_seed, int)
+            or base_seed < 0):
+        raise InputError(
+            f"seed must be a non-negative integer, got {base_seed!r}")
     for what, value, limit in (
             ("paths per cell", n_paths, SEED_STRIDE_K + 1),
             ("level or moment-order index", index,

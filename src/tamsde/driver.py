@@ -15,6 +15,11 @@ One driver, _merge, does this for both schemes: it takes two
 them.  Pending increments are accumulated with compensated (Kahan)
 summation so the per-leg totals agree with the global Brownian sum to
 ~1e-12 over long horizons.
+
+For the built-in models both coupled-pair functions first offer the pair
+to the compiled kernel (kernel.run_pair), which runs the same loop in C
+with the same noise and returns the same bits; _merge runs every pair the
+kernel declines and is the reference the kernel is tested against.
 """
 
 import math
@@ -84,6 +89,13 @@ def _check_pair_args(k, t_end):
         raise InputError(f"t_end must be positive and finite, got {t_end}")
 
 
+def _sample(x_f, x_c, steps_f, steps_c):
+    d = x_f - x_c
+    return CoupledSample(fine_terminal=x_f, coarse_terminal=x_c,
+                         fine_steps=steps_f, coarse_steps=steps_c,
+                         squared_diff=d * d)
+
+
 def _merge(fine, coarse, x0, t_end, noise, max_steps):
     """Run two (propose, advance) legs from x0 to t_end on one Brownian path.
 
@@ -141,10 +153,16 @@ def _merge(fine, coarse, x0, t_end, noise, max_steps):
         _stop("fine", t_end, x_f, steps_f, max_steps)
     if not isfinite(x_c):
         _stop("coarse", t_end, x_c, steps_c, max_steps)
-    d = x_f - x_c
-    return CoupledSample(fine_terminal=x_f, coarse_terminal=x_c,
-                         fine_steps=steps_f, coarse_steps=steps_c,
-                         squared_diff=d * d)
+    return _sample(x_f, x_c, steps_f, steps_c)
+
+
+def _compiled(model, clock, fine, coarse, t_end, noise, max_steps):
+    """kernel.run_pair for this pair: its terminal data, or None."""
+    # imported by the first pair, not by import tamsde, which stays as fast
+    # as it was without the kernel
+    from . import kernel
+    return kernel.run_pair(model, clock, fine, coarse, t_end, noise._gen,
+                           max_steps)
 
 
 def simulate_coupled_pair(model, h0, l0, k, t_end, seed,
@@ -158,14 +176,23 @@ def simulate_coupled_pair(model, h0, l0, k, t_end, seed,
     # validates h0/l0 ranges and the model's l0 requirement
     _require_l0(model, SchemeConfig(delta=0.5, t_end=t_end, h0=h0, l0=l0,
                                     max_steps=max_steps))
-    return _merge(_tam_leg(model, 2.0 ** (-(k + 1)), h0, l0),
-                  _tam_leg(model, 2.0 ** (-k), h0, l0),
-                  model.x0, t_end, NoiseSource(seed), max_steps)
+    noise = NoiseSource(seed)
+    fine, coarse = 2.0 ** (-(k + 1)), 2.0 ** (-k)
+    out = _compiled(model, (h0, l0), fine, coarse, t_end, noise, max_steps)
+    if out is not None:
+        return _sample(*out)
+    return _merge(_tam_leg(model, fine, h0, l0), _tam_leg(model, coarse, h0, l0),
+                  model.x0, t_end, noise, max_steps)
 
 
 def simulate_coupled_tm_pair(model, k, t_end, seed,
                              max_steps=DEFAULT_MAX_STEPS):
     """Couple fixed-step runs at delta = 2**-(k+1) and 2**-k on one path."""
     _check_pair_args(k, t_end)
-    return _merge(_tm_leg(model, 2.0 ** (-(k + 1))), _tm_leg(model, 2.0 ** (-k)),
-                  model.x0, t_end, NoiseSource(seed), max_steps)
+    noise = NoiseSource(seed)
+    fine, coarse = 2.0 ** (-(k + 1)), 2.0 ** (-k)
+    out = _compiled(model, None, fine, coarse, t_end, noise, max_steps)
+    if out is not None:
+        return _sample(*out)
+    return _merge(_tm_leg(model, fine), _tm_leg(model, coarse),
+                  model.x0, t_end, noise, max_steps)

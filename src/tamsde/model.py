@@ -275,6 +275,9 @@ class PowerSumDerivative:
 
 
 # --- built-in models -------------------------------------------------------
+#
+# _pair.c repeats these coefficients in the same operation order, so the
+# compiled pair kernel computes the same bits; change both together.
 
 
 def _m1_drift(x):

@@ -17,7 +17,9 @@ biased.
 """
 
 import math
+import pickle
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 # the three path functions are looked up by name in _run_block
@@ -91,11 +93,21 @@ def _run_cell(name, head, options, n_paths, base_seed, n_jobs):
     seeds = range(base_seed, base_seed + n_paths)
     if n_jobs <= 1 or n_paths < 2 * n_jobs:
         return _run_block((name, head, options, seeds))
+    try:
+        pickle.dumps(head)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise InputError(
+            f"the model cannot be sent to {n_jobs} worker processes ({exc}); "
+            "use module-level coefficient functions or n_jobs=1") from None
     chunk = max(1, -(-n_paths // (4 * n_jobs)))
     blocks = [(name, head, options, seeds[i:i + chunk])
               for i in range(0, n_paths, chunk)]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        return [o for block in pool.map(_run_block, blocks) for o in block]
+    try:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            return [o for block in pool.map(_run_block, blocks) for o in block]
+    except BrokenProcessPool as exc:
+        raise EstimationError(
+            f"a worker process died before the cell finished ({exc})") from None
 
 
 def _survivors(outcomes, n_paths, what):

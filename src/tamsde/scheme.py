@@ -30,7 +30,10 @@ state and returns the step it wants; advance(x, dt, dW) applies the update
 with those values.  _due is the one place a step is clamped to t_end.  The
 public one-step maps are thin wrappers over the legs, simulate_path drives
 one adaptive leg, and the driver module runs two legs of either scheme on
-one Brownian path.
+one Brownian path.  For the built-in models, _pair.c (loaded by the kernel
+module) repeats _tamed, both legs and _due in C, operation for operation;
+a change to one must be made to the other, and tests/test_kernel.py
+checks that the two give identical bytes.
 """
 
 import math

@@ -172,3 +172,8 @@ class TestCellSeed:
     def test_overlapping_cells_rejected(self, n_paths, index, t_idx):
         with pytest.raises(InputError, match="disjoint"):
             cell_seed(0, n_paths, index, t_idx)
+
+    @pytest.mark.parametrize("base_seed", [-1, 1.0, True])
+    def test_base_seed_must_be_a_non_negative_integer(self, base_seed):
+        with pytest.raises(InputError, match="non-negative integer"):
+            cell_seed(base_seed, 10, 1, 0)

@@ -263,6 +263,14 @@ class TestRejectedBeforeAnyCell:
         assert code == 2
         assert "disjoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["rate", "moments", "compare"])
+    def test_negative_seed(self, tmp_path, capsys, no_cells, kind):
+        code = run([kind, "--model", "model1", "--seed", "-1", "--paths", "2",
+                    "--threads", "1", "--out", tmp_path])
+        assert code == 2
+        assert "seed must be a non-negative integer, got -1" in (
+            capsys.readouterr().err)
+
 
 class TestExperimentConfig:
     def test_validation(self):

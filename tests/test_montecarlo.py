@@ -1,6 +1,8 @@
 """Monte Carlo aggregation: MSE rows, moments, step counts, failures."""
 
+import dataclasses
 import math
+import os
 
 import pytest
 
@@ -17,6 +19,11 @@ GBM = get_model("gbm")
 
 BROWNIAN = make_term_model("brownian", [], [PowerTerm(coeff=1.0)], x0=0.0)
 FLAT_HALF = make_term_model("flat_half", [], [], x0=0.5)
+
+
+def _exit_process(x):
+    # a drift that kills the worker process evaluating it
+    os._exit(3)
 
 
 class TestEstimateMse:
@@ -65,6 +72,16 @@ class TestEstimateMse:
         serial = estimate_mse(M1, 1.0, 2.0, 2, 40, 1.0, 11, n_jobs=1)
         pooled = estimate_mse(M1, 1.0, 2.0, 2, 40, 1.0, 11, n_jobs=2)
         assert serial == pooled
+
+    def test_unpicklable_model_rejected_before_the_pool(self):
+        lam = dataclasses.replace(M1, drift=lambda x: 0.1 * (x - x * x * x))
+        with pytest.raises(InputError, match="worker processes"):
+            estimate_mse(lam, 1.0, 2.0, 2, 40, 1.0, 11, n_jobs=2)
+
+    def test_dead_worker_is_an_estimation_error(self):
+        dying = dataclasses.replace(M1, drift=_exit_process)
+        with pytest.raises(EstimationError, match="worker process died"):
+            estimate_mse(dying, 1.0, 2.0, 2, 40, 1.0, 11, n_jobs=2)
 
     def test_all_paths_exploding_raises(self):
         hot = make_term_model("hot", [PowerTerm(coeff=1e150, power=3)], [],
