@@ -16,10 +16,12 @@ them.  Pending increments are accumulated with compensated (Kahan)
 summation so the per-leg totals agree with the global Brownian sum to
 ~1e-12 over long horizons.
 
-For the built-in models both coupled-pair functions first offer the pair
-to the compiled kernel (kernel.run_pair), which runs the same loop in C
-with the same noise and returns the same bits; _merge runs every pair the
-kernel declines and is the reference the kernel is tested against.
+Both coupled-pair functions go through one runner, _run_pair, which
+checks the arguments once (SchemeConfig) and first offers the pair to the
+compiled kernel (kernel.run_pair).  The kernel takes every pair of a
+built-in model and runs the same loop in C with the same noise, returning
+the same bits; _merge runs every pair the kernel declines and is the
+reference the kernel is tested against.
 """
 
 import math
@@ -80,13 +82,6 @@ class CoupledSample:
     fine_steps: int
     coarse_steps: int
     squared_diff: float
-
-
-def _check_pair_args(k, t_end):
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise InputError(f"k must be an integer >= 1, got {k!r}")
-    if not t_end > 0.0 or not math.isfinite(t_end):
-        raise InputError(f"t_end must be positive and finite, got {t_end}")
 
 
 def _sample(x_f, x_c, steps_f, steps_c):
@@ -156,13 +151,32 @@ def _merge(fine, coarse, x0, t_end, noise, max_steps):
     return _sample(x_f, x_c, steps_f, steps_c)
 
 
-def _compiled(model, clock, fine, coarse, t_end, noise, max_steps):
-    """kernel.run_pair for this pair: its terminal data, or None."""
+def _run_pair(model, clock, k, t_end, seed, max_steps):
+    """One coupled pair at base steps 2**-(k+1) and 2**-k, either scheme.
+
+    clock is (h0, l0) for two tamed-adaptive legs and None for two
+    fixed-step legs.  The arguments are checked here, once, and the pair
+    goes to the compiled kernel if it takes the model, else to _merge.
+    """
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise InputError(f"k must be an integer >= 1, got {k!r}")
+    fine, coarse = math.ldexp(1.0, -(k + 1)), math.ldexp(1.0, -k)
+    config = SchemeConfig(fine, t_end, *(clock or ()), max_steps=max_steps)
+    if clock is not None:
+        _require_l0(model, config)
+    noise = NoiseSource(seed)
     # imported by the first pair, not by import tamsde, which stays as fast
     # as it was without the kernel
     from . import kernel
-    return kernel.run_pair(model, clock, fine, coarse, t_end, noise._gen,
-                           max_steps)
+    out = kernel.run_pair(model, config, clock is not None, coarse, noise._gen)
+    if out is not None:
+        return _sample(*out)
+    if clock is None:
+        legs = _tm_leg(model, fine), _tm_leg(model, coarse)
+    else:
+        legs = (_tam_leg(model, fine, config.h0, config.l0),
+                _tam_leg(model, coarse, config.h0, config.l0))
+    return _merge(*legs, model.x0, config.t_end, noise, config.max_steps)
 
 
 def simulate_coupled_pair(model, h0, l0, k, t_end, seed,
@@ -172,27 +186,10 @@ def simulate_coupled_pair(model, h0, l0, k, t_end, seed,
     Returns a CoupledSample; raises PathExplosion (tagged with the failing
     leg) when either leg exceeds max_steps or leaves the finite range.
     """
-    _check_pair_args(k, t_end)
-    # validates h0/l0 ranges and the model's l0 requirement
-    _require_l0(model, SchemeConfig(delta=0.5, t_end=t_end, h0=h0, l0=l0,
-                                    max_steps=max_steps))
-    noise = NoiseSource(seed)
-    fine, coarse = 2.0 ** (-(k + 1)), 2.0 ** (-k)
-    out = _compiled(model, (h0, l0), fine, coarse, t_end, noise, max_steps)
-    if out is not None:
-        return _sample(*out)
-    return _merge(_tam_leg(model, fine, h0, l0), _tam_leg(model, coarse, h0, l0),
-                  model.x0, t_end, noise, max_steps)
+    return _run_pair(model, (h0, l0), k, t_end, seed, max_steps)
 
 
 def simulate_coupled_tm_pair(model, k, t_end, seed,
                              max_steps=DEFAULT_MAX_STEPS):
     """Couple fixed-step runs at delta = 2**-(k+1) and 2**-k on one path."""
-    _check_pair_args(k, t_end)
-    noise = NoiseSource(seed)
-    fine, coarse = 2.0 ** (-(k + 1)), 2.0 ** (-k)
-    out = _compiled(model, None, fine, coarse, t_end, noise, max_steps)
-    if out is not None:
-        return _sample(*out)
-    return _merge(_tm_leg(model, fine), _tm_leg(model, coarse),
-                  model.x0, t_end, noise, max_steps)
+    return _run_pair(model, None, k, t_end, seed, max_steps)

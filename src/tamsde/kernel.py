@@ -2,11 +2,12 @@
 
 _pair.c runs one coupled pair of either scheme from start to finish,
 operation for operation as driver._merge does, so its results are
-byte-identical to the Python loop's.  The driver calls run_pair first and
-falls back to _merge, which stays the reference, whenever run_pair returns
-None: for a model other than the three built-ins (JSON term models and
-library callables), for an argument that is not a plain float or a
-64-bit integer, or when the kernel cannot be built here.
+byte-identical to the Python loop's.  The driver checks and normalises a
+pair's arguments (SchemeConfig), calls run_pair and falls back to _merge,
+which stays the reference, whenever run_pair returns None.  That depends
+on the model alone: run_pair declines a model other than the three
+built-ins (JSON term models and library callables), and every pair when
+the kernel cannot be built here.
 
 The kernel is compiled with the host's `cc` on the first coupled pair of a
 process, never at import, and cached outside the source tree in the
@@ -46,7 +47,9 @@ _BLOCK = 1024  # normals per call, as NoiseSource draws them
 _MODELS = ("model1", "model2", "gbm")
 # return codes of tamsde_pair_run other than DONE (0)
 _FINE_STOP, _COARSE_STOP, _NEED_NORMALS = range(1, 4)
-_INT64 = 2 ** 63
+# no pair can spend 2**63 - 1 steps, so a larger budget is never reached
+# either and is passed to C as this
+_INT64_MAX = 2 ** 63 - 1
 
 
 class _Leg(ctypes.Structure):
@@ -197,31 +200,26 @@ def library():
         return None
 
 
-def run_pair(model, clock, delta_fine, delta_coarse, t_end, normals,
-             max_steps):
-    """One coupled pair in C, or None when the kernel cannot run it exactly.
+def run_pair(model, config, adaptive, delta_coarse, normals):
+    """One coupled pair in C, or None when the kernel does not run the model.
 
-    clock is (h0, l0) for two tamed-adaptive legs and None for two
-    fixed-step legs; normals is the pair's numpy Generator.  Returns the
-    terminal (fine state, coarse state, fine steps, coarse steps), or
+    config is the pair's checked SchemeConfig, with the fine leg's delta;
+    adaptive picks two tamed-adaptive legs (h0 and l0 from config) over
+    two fixed-step legs; normals is the pair's numpy Generator.  Returns
+    the terminal (fine state, coarse state, fine steps, coarse steps), or
     raises the PathExplosion _merge would raise, through the same _stop.
     """
     number = _model_number(model)
     if number is None:
         return None
-    h0, l0 = clock or (0.0, 0.0)  # a fixed-step pair never reads them
-    values = (h0, l0, model.x0, t_end)
-    # plain floats only: a float subclass may bring its own arithmetic and **
-    if (any(type(v) is not float for v in values)
-            or type(max_steps) is not int
-            or not -_INT64 <= max_steps < _INT64):
-        return None
     lib = library()
     if lib is None:
         return None
     pair = _Pair()
-    lib.tamsde_pair_init(ctypes.byref(pair), number, int(clock is not None),
-                         delta_fine, delta_coarse, *values, max_steps)
+    lib.tamsde_pair_init(ctypes.byref(pair), number, int(adaptive),
+                         config.delta, delta_coarse, config.h0, config.l0,
+                         model.x0, config.t_end,
+                         min(config.max_steps, _INT64_MAX))
     buf = np.empty(_BLOCK)
     address = buf.ctypes.data
     run = lib.tamsde_pair_run
@@ -230,7 +228,8 @@ def run_pair(model, clock, delta_fine, delta_coarse, t_end, normals,
         normals.standard_normal(_BLOCK, out=buf)
         status = run(ctypes.byref(pair), address, _BLOCK)
     if status == _FINE_STOP:
-        _stop("fine", pair.t, pair.fine.x, pair.fine.steps, max_steps)
+        _stop("fine", pair.t, pair.fine.x, pair.fine.steps, config.max_steps)
     if status == _COARSE_STOP:
-        _stop("coarse", pair.t, pair.coarse.x, pair.coarse.steps, max_steps)
+        _stop("coarse", pair.t, pair.coarse.x, pair.coarse.steps,
+              config.max_steps)
     return pair.fine.x, pair.coarse.x, pair.fine.steps, pair.coarse.steps

@@ -17,6 +17,7 @@ analytically from that description, never by finite differences.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import InputError
@@ -37,6 +38,26 @@ __all__ = [
 ]
 
 _P0_SLACK = 1e-9  # float dust allowance in the p0 >= 4(l + alpha + 1) check
+
+
+def _real(value, what):
+    """value as a float; InputError unless it is a real number (not a bool)."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InputError(f"{what} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise InputError(f"{what} lies beyond the float range") from None
+    return value
+
+
+def _finite(value, what):
+    """_real(value, what), which must also be finite."""
+    value = _real(value, what)
+    if not math.isfinite(value):
+        raise InputError(f"{what} must be finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -80,6 +101,7 @@ class SdeModel:
     drift, diffusion, drift_prime and diffusion_prime are callables
     float -> float, total on the reals: any finite input yields a value
     (possibly +-inf for astronomically large arguments), never an exception.
+    x0 must be a finite real number and is stored as a float.
     """
 
     name: str
@@ -89,6 +111,9 @@ class SdeModel:
     diffusion_prime: object
     regularity: RegularityConstants
     x0: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "x0", _finite(self.x0, "model field 'x0'"))
 
 
 @dataclass(frozen=True)
@@ -221,10 +246,22 @@ class PowerTerm:
     abs_power: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.power, int) or self.power < 0:
-            raise InputError(f"power must be a non-negative integer, got {self.power}")
-        if self.abs_power < 0.0:
-            raise InputError(f"abs_power must be >= 0, got {self.abs_power}")
+        p = self.power
+        if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+            raise InputError(f"power must be a non-negative integer, got {p!r}")
+        coeff = _finite(self.coeff, "coeff")
+        q = _finite(self.abs_power, "abs_power")
+        if q < 0.0:
+            raise InputError(f"abs_power must be >= 0, got {q}")
+        # value and derivative take |x|**(p+q) and |x|**(p+q-1)
+        try:
+            total = p + q
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise InputError("power + abs_power must be a finite float")
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "abs_power", q)
 
     def value(self, x):
         # coeff * x**p * |x|**q == coeff * sign(x)**p * |x|**(p+q)
@@ -236,6 +273,9 @@ class PowerTerm:
         # d/dx [x**p |x|**q] = (p+q) * sign(x)**(p-1) * |x|**(p+q-1),
         # both product-rule pieces share the exponent p+q-1
         p, q = self.power, self.abs_power
+        if p + q == 0.0:
+            # a constant; |x|**-1 would overflow near 0 and give 0 * inf
+            return 0.0
         if x == 0.0:
             return self.coeff if (p == 1 and q == 0.0) else 0.0
         d = self.coeff * (p + q) * _rpow(abs(x), p + q - 1.0)
@@ -391,27 +431,13 @@ def _parse_terms(raw, what):
         extra = set(item) - {"coeff", "power", "abs_power"}
         if extra:
             raise InputError(f"term {i} of '{what}' has unknown fields {sorted(extra)}")
-        coeff = item["coeff"]
-        power = item.get("power", 0)
-        abs_power = item.get("abs_power", 0.0)
-        if not isinstance(coeff, (int, float)) or isinstance(coeff, bool):
-            raise InputError(f"term {i} of '{what}': coeff must be a number")
-        if isinstance(power, bool) or not isinstance(power, int):
-            raise InputError(f"term {i} of '{what}': power must be an integer")
-        if not isinstance(abs_power, (int, float)) or isinstance(abs_power, bool):
-            raise InputError(f"term {i} of '{what}': abs_power must be a number")
-        terms.append(PowerTerm(coeff=float(coeff), power=power, abs_power=float(abs_power)))
+        try:
+            terms.append(PowerTerm(coeff=item["coeff"],
+                                   power=item.get("power", 0),
+                                   abs_power=item.get("abs_power", 0.0)))
+        except InputError as exc:
+            raise InputError(f"model field '{what}', term {i}: {exc}") from None
     return tuple(terms)
-
-
-def _finite_number(raw, what):
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise InputError(f"model field '{what}' must be a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise InputError(f"model field '{what}' must be finite, got {raw!r}")
-    return value
 
 
 def load_model_file(path):
@@ -433,7 +459,7 @@ def load_model_file(path):
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read model file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past str's digit limit
         raise InputError(f"model file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"model file {path!r} must contain a JSON object")
@@ -446,7 +472,7 @@ def load_model_file(path):
     reg_missing = {"alpha", "l", "gamma", "eta", "lambda_os", "p0"} - set(reg_raw)
     if reg_missing:
         raise InputError(f"'regularity' is missing fields {sorted(reg_missing)}")
-    reg = RegularityConstants(**{name: _finite_number(reg_raw[name], f"regularity.{name}")
+    reg = RegularityConstants(**{name: _finite(reg_raw[name], f"model field 'regularity.{name}'")
                                  for name in ("alpha", "l", "gamma", "eta", "lambda_os", "p0")})
     drift_terms = _parse_terms(doc["drift"], "drift")
     diff_terms = _parse_terms(doc["diffusion"], "diffusion")
@@ -457,7 +483,7 @@ def load_model_file(path):
         drift_prime=PowerSumDerivative(drift_terms),
         diffusion_prime=PowerSumDerivative(diff_terms),
         regularity=reg,
-        x0=_finite_number(doc["x0"], "x0"),
+        x0=doc["x0"],
     )
 
 

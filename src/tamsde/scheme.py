@@ -37,13 +37,14 @@ checks that the two give identical bytes.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, PathExplosion
-from .model import _rpow, minimum_step_exponent
+from .model import _real, _rpow, minimum_step_exponent
 
 __all__ = [
     "SchemeConfig",
@@ -75,6 +76,10 @@ class SchemeConfig:
                which simulate_path enforces.
     t_end      time horizon, finite and > 0.
     max_steps  step budget per path before the run is declared exploded.
+
+    Each field must be a real number (not a bool); delta, t_end, h0 and l0
+    are stored as float and max_steps as int, and an integral float such
+    as 1e8 is accepted as a budget.
     """
 
     delta: float
@@ -84,6 +89,13 @@ class SchemeConfig:
     max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
+        for name in ("delta", "t_end", "h0", "l0"):
+            value = getattr(self, name)
+            if type(value) is not float:
+                object.__setattr__(self, name, _real(value, name))
+        if type(self.max_steps) is not int:
+            object.__setattr__(self, "max_steps",
+                               _whole(self.max_steps, "max_steps"))
         if not 0.0 < self.delta < 1.0:
             raise InputError(f"delta must lie in (0, 1), got {self.delta}")
         if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
@@ -94,6 +106,16 @@ class SchemeConfig:
             raise InputError(f"l0 must be >= 2, got {self.l0}")
         if self.max_steps < 1:
             raise InputError(f"max_steps must be >= 1, got {self.max_steps}")
+
+
+def _whole(value, what):
+    """value as an int; InputError unless it is an integer or an integral real."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    value = _real(value, what)
+    if not value.is_integer():
+        raise InputError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)

@@ -218,18 +218,32 @@ class TestErrorHandling:
         assert code == 3
         assert "estimation error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, regularity, x0", [
-        (["verify-assumptions"], {"alpha": "abc"}, 0.3),
-        (["moments", "--paths", "4", "--threads", "1"], {}, math.nan)],
-        ids=["non-numeric-alpha", "nan-x0"])
+    @pytest.mark.parametrize("argv, regularity, x0, drift", [
+        (["verify-assumptions"], {"alpha": "abc"}, 0.3, {}),
+        (["moments", "--paths", "4", "--threads", "1"], {}, math.nan, {}),
+        (["rate", "--paths", "4", "--threads", "1"], {}, 0.3,
+         {"power": 10 ** 400}),
+        # json writes inf as Infinity, which reads back as 1e400 would
+        (["verify-assumptions"], {}, 0.3, {"coeff": math.inf})],
+        ids=["non-numeric-alpha", "nan-x0", "huge-power", "infinite-coeff"])
     def test_malformed_model_file(self, tmp_path, capsys, argv, regularity,
-                                  x0):
+                                  x0, drift):
         doc = dict(HOLDER_HALF, x0=x0,
-                   regularity=dict(HOLDER_HALF["regularity"], **regularity))
+                   regularity=dict(HOLDER_HALF["regularity"], **regularity),
+                   drift=[dict(HOLDER_HALF["drift"][0], **drift)])
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert run(argv + ["--model", path, "--out", tmp_path]) == 2
         assert "error: model field" in capsys.readouterr().err
+
+    def test_constant_term_model_starting_near_zero(self, tmp_path):
+        # HOLDER_HALF has a constant diffusion term, whose derivative at
+        # 1e-310 must be 0, not nan
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(dict(HOLDER_HALF, x0=1e-310)))
+        assert run(["rate", "--model", path, "--k-min", "1", "--k-max", "2",
+                    "--paths", "20", "--T", "1", "--threads", "1",
+                    "--out", tmp_path]) == 0
 
 
 @pytest.fixture

@@ -121,6 +121,16 @@ class TestCoupledTam:
         with pytest.raises(InputError, match="l0"):
             simulate_coupled_pair(M1, 1.0, 1.0, 2, 1.0, 0)
 
+    @pytest.mark.parametrize("args", [
+        (None, 2.0, 2, 1.0, 0), (1.0, "2", 2, 1.0, 0), (1.0, 2.0, 2, "1", 0),
+        (1.0, 2.0, 2.0, 1.0, 0), (1.0, 2.0, 10 ** 400, 1.0, 0),
+        (1.0, 2.0, 2, 1.0, None)],
+        ids=["none-h0", "string-l0", "string-t_end", "float-k", "huge-k",
+             "none-seed"])
+    def test_malformed_arguments_are_input_errors(self, args):
+        with pytest.raises(InputError):
+            simulate_coupled_pair(M1, *args)
+
     def test_determinism(self):
         a = simulate_coupled_pair(M2, 1.0, 2.0, 3, 2.0, 77)
         b = simulate_coupled_pair(M2, 1.0, 2.0, 3, 2.0, 77)
@@ -225,6 +235,15 @@ class TestCoupledTm:
             simulate_coupled_tm_pair(M1, 0, 1.0, 0)
         with pytest.raises(InputError):
             simulate_coupled_tm_pair(M1, 2, -1.0, 0)
+
+    @pytest.mark.parametrize("max_steps", [0, -1, 1.5, "10", None])
+    def test_max_steps_checked_as_for_the_adaptive_pair(self, max_steps):
+        for run in (lambda: simulate_coupled_tm_pair(M1, 2, 1.0, 0,
+                                                     max_steps=max_steps),
+                    lambda: simulate_coupled_pair(M1, 1.0, 2.0, 2, 1.0, 0,
+                                                  max_steps=max_steps)):
+            with pytest.raises(InputError, match="max_steps"):
+                run()
 
     def test_max_steps_explosion(self):
         with pytest.raises(PathExplosion) as err:

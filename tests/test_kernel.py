@@ -138,8 +138,10 @@ class TestDispatch:
         dict(t_end=1), dict(x0=np.float64(0.1))],
         ids=["max_steps-2**63", "float-max_steps", "int-h0", "int-t_end",
              "numpy-x0"])
-    def test_arguments_outside_c_types_take_the_python_loop(self, merges,
-                                                            change):
+    def test_arguments_of_other_real_types_take_the_kernel(self, lib, merges,
+                                                           change):
+        # the pair is chosen by the model alone: SchemeConfig and SdeModel
+        # turn every real argument into the float or int the kernel takes
         args = dict(h0=1.0, t_end=1.0, max_steps=10 ** 8)
         args.update(change)
         model = dataclasses.replace(get_model("model2"),
@@ -147,15 +149,26 @@ class TestDispatch:
         clock = (args.pop("h0"), 2.0)
         got = outcome(pair, model, clock, 2, args["t_end"], 7,
                       args["max_steps"])
+        assert merges == []
         assert got == outcome(reference, model, clock, 2, args["t_end"], 7,
                               args["max_steps"])
-        assert len(merges) == 1
 
     def test_largest_int64_budget_takes_the_kernel(self, lib, merges):
         model = get_model("model2")
         got = outcome(pair, model, (1.0, 2.0), 2, 1.0, 7, 2 ** 63 - 1)
         assert got == outcome(reference, model, (1.0, 2.0), 2, 1.0, 7)
         assert merges == []
+
+
+def test_source_compiles_cleanly_as_c99(tmp_path):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    proc = subprocess.run(
+        [cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off",
+         "-O2", "-c", kernel._SOURCE, "-o", str(tmp_path / "_pair.o")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- the build cache, each case in fresh processes --------------------------

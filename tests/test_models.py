@@ -1,10 +1,12 @@
 """Model definitions, assumption checkers, and the model file format."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tamsde import (InputError, PowerSum, PowerSumDerivative, PowerTerm,
@@ -58,6 +60,18 @@ class TestBuiltinCoefficients:
 
     def test_x0_values(self):
         assert M1.x0 == 0.1 and M2.x0 == 0.1 and GBM.x0 == 1.0
+
+    @pytest.mark.parametrize("x0", [
+        "0.1", None, True, math.nan, math.inf,
+        pytest.param(10 ** 400, id="10**400")])
+    def test_malformed_x0_rejected(self, x0):
+        with pytest.raises(InputError, match="x0"):
+            dataclasses.replace(M1, x0=x0)
+
+    def test_x0_stored_as_float(self):
+        for x0 in (1, np.float64(0.25), np.int64(3)):
+            got = dataclasses.replace(M1, x0=x0).x0
+            assert type(got) is float and got == x0
 
     def test_nonfinite_x_rejected(self):
         with pytest.raises(InputError):
@@ -300,6 +314,28 @@ class TestPowerTerms:
         with pytest.raises(InputError):
             PowerTerm(coeff=1.0, abs_power=-0.5)
 
+    @pytest.mark.parametrize("x", [5e-324, 1e-310, -5e-324, -1e-310])
+    def test_constant_term_derivative_near_zero(self, x):
+        # |x|**-1 overflows there; the derivative of a constant is 0, not
+        # 0 * inf = nan
+        terms = (PowerTerm(coeff=-0.1), PowerTerm(coeff=0.3, power=1),
+                 PowerTerm(coeff=0.2, abs_power=0.5))
+        assert PowerTerm(coeff=-0.1).derivative(x) == 0.0
+        assert math.isfinite(PowerSumDerivative(terms)(x))
+        assert math.isfinite(PowerSumDerivative(terms[:1])(x))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(coeff=math.inf), dict(coeff=math.nan), dict(coeff="1"),
+        dict(coeff=None), dict(coeff=1.0, abs_power=math.inf),
+        dict(coeff=1.0, power=True), dict(coeff=1.0, power=10 ** 400),
+        dict(coeff=1.0, power=10 ** 308, abs_power=1e308)],
+        ids=["inf-coeff", "nan-coeff", "string-coeff", "none-coeff",
+             "inf-abs_power", "bool-power", "huge-power",
+             "overflowing-exponent"])
+    def test_out_of_range_term_rejected(self, kwargs):
+        with pytest.raises(InputError):
+            PowerTerm(**kwargs)
+
     def test_power_sum_matches_model2_drift(self):
         terms = (PowerTerm(coeff=-0.1), PowerTerm(coeff=-0.3, power=1),
                  PowerTerm(coeff=-0.1, power=1, abs_power=0.5))
@@ -374,13 +410,34 @@ class TestModelFiles:
             load_model_file(str(path))
 
     @pytest.mark.parametrize("field, value", [
-        ("alpha", "abc"), ("p0", None), ("x0", "abc"), ("x0", [0.5])])
+        ("alpha", "abc"), ("p0", None), ("x0", "abc"), ("x0", [0.5]),
+        # a term field is "<drift|diffusion>.<key>" of the first term; json
+        # writes inf as Infinity, which reads back as 1e400 would
+        pytest.param("drift.power", 10 ** 400, id="drift.power-10**400"),
+        pytest.param("drift.coeff", math.inf, id="drift.coeff-1e400"),
+        pytest.param("diffusion.abs_power", math.inf,
+                     id="diffusion.abs_power-1e400"),
+        pytest.param("drift.coeff", "0.1", id="drift.coeff-string")])
     def test_non_numeric_field_rejected(self, tmp_path, field, value):
         doc = self._doc()
-        (doc if field == "x0" else doc["regularity"])[field] = value
+        where, _, key = field.rpartition(".")
+        if where in ("drift", "diffusion"):
+            doc[where][0][key] = value
+        else:
+            (doc if field == "x0" else doc["regularity"])[field] = value
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(InputError, match=field):
+        with pytest.raises(InputError, match=key):
+            load_model_file(str(path))
+
+    @pytest.mark.parametrize("x0", [b"1" * 5000, b'"\xff"'],
+                             ids=["int-past-the-digit-limit", "not-utf-8"])
+    def test_undecodable_file_rejected(self, tmp_path, x0):
+        # both raise a ValueError that is not a JSONDecodeError
+        path = tmp_path / "m.json"
+        path.write_bytes(json.dumps(self._doc()).encode().replace(
+            b'"x0": 0.5', b'"x0": ' + x0))
+        with pytest.raises(InputError, match="JSON"):
             load_model_file(str(path))
 
     @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
@@ -401,3 +458,86 @@ class TestModelFiles:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(InputError, match="cannot read"):
             load_model_file(str(tmp_path / "absent.json"))
+
+
+# --- fuzzing the model file reader -----------------------------------------
+
+# a JSON number beyond the double range, which json reads as +-inf; written
+# into the text in place of this marker string
+_BEYOND = "__beyond_the_double_range__"
+_DELETE = object()
+
+_scalars = st.one_of(
+    st.integers(min_value=-10 ** 400, max_value=10 ** 400), st.floats(),
+    st.just(_BEYOND), st.text(max_size=3), st.none(), st.booleans())
+_values = st.recursive(
+    _scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=2),
+        st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=4)
+# plausible numbers too, so that many documents load and get evaluated
+_numbers = st.one_of(st.integers(min_value=0, max_value=4),
+                     st.floats(min_value=-10.0, max_value=10.0), _scalars)
+
+# a valid document and the places where a mutation may replace or delete a
+# value, () being the whole document; a model built from it must be total
+_BASE = {
+    "name": "fuzz", "x0": 0.5,
+    "drift": [{"coeff": 0.5, "power": 1}, {"coeff": -1.0, "power": 3}],
+    "diffusion": [{"coeff": 0.2}, {"coeff": 0.3, "power": 1, "abs_power": 0.5}],
+    "regularity": {"alpha": 0.5, "l": 2.0, "gamma": 1.0, "eta": 1.0,
+                   "lambda_os": 1.0, "p0": 14.0},
+}
+_PLACES = ([()] + [(k,) for k in _BASE]
+           + [(f, i, key) for f in ("drift", "diffusion") for i in (0, 1)
+              for key in ("coeff", "power", "abs_power", "slope")]
+           + [("regularity", key) for key in _BASE["regularity"]])
+
+
+def _mutated(mutations):
+    doc = json.loads(json.dumps(_BASE))
+    for place, value in mutations:
+        if not place:  # the document itself
+            doc = None if value is _DELETE else value
+            continue
+        *parents, last = place
+        node = doc
+        for key in parents:
+            try:
+                node = node[key]
+            except (KeyError, IndexError, TypeError):
+                node = None
+        if isinstance(node, dict) or (isinstance(node, list)
+                                      and isinstance(last, int)
+                                      and last < len(node)):
+            if value is not _DELETE:
+                node[last] = value
+            elif isinstance(node, dict):
+                node.pop(last, None)
+            else:
+                del node[last]
+    return doc
+
+
+_documents = st.lists(
+    st.tuples(st.sampled_from(_PLACES),
+              st.one_of(st.just(_DELETE), _numbers, _values)),
+    max_size=3).map(_mutated)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_documents)
+def test_fuzzed_model_files_load_or_raise_input_error(tmp_path, doc):
+    """A model file either is rejected with InputError or gives a model
+    whose coefficients evaluate without raising at 0, +-1e-310, +-1 and
+    +-1e10."""
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc).replace(f'"{_BEYOND}"', "1e400"))
+    try:
+        model = load_model_file(str(path))
+    except InputError:
+        return
+    assert type(model.x0) is float and math.isfinite(model.x0)
+    for x in (0.0, 1e-310, -1e-310, 1.0, -1.0, 1e10, -1e10):
+        evaluate_coefficients(model, x)

@@ -146,6 +146,12 @@ class TestTmMse:
         pooled = estimate_tm_mse(M1, 2, 40, 1.0, 3, n_jobs=2)
         assert serial == pooled
 
+    def test_zero_budget_is_an_input_error(self):
+        # a budget no pair can keep is a malformed argument, not ten
+        # exploded paths
+        with pytest.raises(InputError, match="max_steps"):
+            estimate_tm_mse(M1, 2, 10, 1.0, 0, max_steps=0)
+
 
 class TestEstimateMoment:
     def test_flat_model_exact(self):

@@ -1,6 +1,7 @@
 """One-step maps, the adaptive step rule, and single-path simulation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,6 +71,29 @@ class TestSchemeConfig:
     def test_max_steps_positive(self):
         with pytest.raises(InputError, match="max_steps"):
             SchemeConfig(delta=0.5, t_end=1.0, max_steps=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("delta", "0.5"), ("t_end", None), ("h0", True), ("l0", [3.0]),
+        pytest.param("t_end", 10 ** 400, id="t_end-10**400"),
+        ("max_steps", "10"), ("max_steps", None),
+        ("max_steps", 1.5), ("max_steps", math.inf), ("max_steps", False)])
+    def test_non_real_fields_rejected(self, field, value):
+        args = dict(delta=0.5, t_end=1.0)
+        args[field] = value
+        with pytest.raises(InputError, match=field):
+            SchemeConfig(**args)
+
+    def test_fields_normalised(self):
+        cfg = SchemeConfig(delta=np.float64(0.25), t_end=2, h0=Fraction(1, 2),
+                           l0=np.int64(3), max_steps=1e8)
+        assert (cfg.delta, cfg.t_end, cfg.h0, cfg.l0) == (0.25, 2.0, 0.5, 3.0)
+        assert all(type(v) is float for v in (cfg.delta, cfg.t_end, cfg.h0,
+                                              cfg.l0))
+        assert type(cfg.max_steps) is int and cfg.max_steps == 10 ** 8
+        assert SchemeConfig(delta=0.5, t_end=1.0,
+                            max_steps=np.int64(7)).max_steps == 7
+        assert SchemeConfig(delta=0.5, t_end=1.0,
+                            max_steps=2 ** 70).max_steps == 2 ** 70
 
 
 class TestTamedCorrection:
