@@ -10,20 +10,24 @@
  *   - every real power goes through libm pow, which CPython's float **
  *     calls (the special cases CPython handles before calling pow give the
  *     same values as pow for a non-negative base; an overflow, which
- *     model._rpow turns into inf, is inf here too).
+ *     model._rpow turns into inf, is inf here too);
+ *   - each normal is numpy's own random_standard_normal, linked from
+ *     numpy's libnpyrandom.a, drawn on the pair's own Philox: the function
+ *     Generator.standard_normal calls, so the pair reads NoiseSource's
+ *     numbers and leaves the generator where _merge's draws leave it.
  *
- * kernel.py builds and loads this file; struct pair is mirrored there as a
- * ctypes Structure, and tamsde_pair_size lets the loader check the layout.
- * Normals come from the pair's own numpy generator in blocks: run returns
- * NEED_NORMALS when the block is spent and is called again with the next
- * one, so no Python callback runs inside C.
+ * kernel.py builds and loads this file and makes one call per pair,
+ * tamsde_pair; the structs below are known only to this file.
  */
 #include <float.h>
 #include <math.h>
-#include <stddef.h>
+#include <numpy/random/bitgen.h>
+
+/* declared in numpy/random/distributions.h, which includes Python.h */
+double random_standard_normal(bitgen_t *bitgen_state);
 
 enum { MODEL1, MODEL2, GBM };
-enum { DONE, FINE_STOP, COARSE_STOP, NEED_NORMALS };
+enum { DONE, FINE_STOP, COARSE_STOP };
 
 struct leg {
     double delta;    /* base step */
@@ -40,7 +44,6 @@ struct leg {
 struct pair {
     struct leg fine, coarse;
     double h0, l0;
-    double t;        /* time of the last event; the stop time on a stop */
     double t_end;
     long long max_steps;
     int model;
@@ -168,65 +171,46 @@ static int fire(const struct pair *p, struct leg *leg, double t)
     return 0;
 }
 
-size_t tamsde_pair_size(void)
+/* driver._merge: the pair from x0 to t_end, one normal drawn from rng per
+   event.  Returns DONE with out = {fine x, coarse x, t_end}, or FINE_STOP
+   or COARSE_STOP with out[2] the stop time and that leg's state in out;
+   steps gets both legs' step counts. */
+int tamsde_pair(int model, int adaptive, double delta_fine,
+                double delta_coarse, double h0, double l0, double x0,
+                double t_end, long long max_steps, bitgen_t *rng,
+                double out[3], long long steps[2])
 {
-    return sizeof(struct pair);
-}
-
-void tamsde_pair_init(struct pair *p, int model, int adaptive,
-                      double delta_fine, double delta_coarse, double h0,
-                      double l0, double x0, double t_end, long long max_steps)
-{
-    struct leg *legs[2] = {&p->fine, &p->coarse};
-    double deltas[2] = {delta_fine, delta_coarse};
-    int i;
-    p->model = model;
-    p->adaptive = adaptive;
-    p->h0 = h0;
-    p->l0 = l0;
-    p->t = 0.0;
-    p->t_end = t_end;
-    p->max_steps = max_steps;
+    struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
+                     .max_steps = max_steps, .model = model,
+                     .adaptive = adaptive};
+    struct leg *legs[2] = {&p.fine, &p.coarse};
+    double deltas[2] = {delta_fine, delta_coarse}, t = 0.0;
+    int i, status = DONE;
     for (i = 0; i < 2; i++) {
-        struct leg *leg = legs[i];
-        leg->delta = deltas[i];
-        leg->sqd = sqrt(deltas[i]);
-        leg->x = x0;
-        leg->last = 0.0;
-        leg->pw = leg->pc = 0.0;
-        leg->steps = 0;
-        leg->due = due(0.0, propose(p, leg, x0), t_end);
+        legs[i]->delta = deltas[i];
+        legs[i]->sqd = sqrt(deltas[i]);
+        legs[i]->x = x0;
+        legs[i]->due = due(0.0, propose(&p, legs[i], x0), t_end);
     }
-}
-
-/* driver._merge's event loop from where the last call left it, drawing
-   from normals[0..n).  Returns DONE with both terminal states,
-   FINE_STOP or COARSE_STOP with that leg's state and p->t the stop time,
-   or NEED_NORMALS when the block is spent. */
-int tamsde_pair_run(struct pair *p, const double *normals, int n)
-{
-    int i = 0;
-    while (p->t < p->t_end) {
-        double t_next, dz;
-        if (i == n)
-            return NEED_NORMALS;
-        t_next = p->fine.due < p->coarse.due ? p->fine.due : p->coarse.due;
-        dz = sqrt(t_next - p->t) * normals[i++];
-        pend(&p->fine, dz);
-        pend(&p->coarse, dz);
-        if (p->fine.due == t_next && fire(p, &p->fine, t_next)) {
-            p->t = t_next;
-            return FINE_STOP;
-        }
-        if (p->coarse.due == t_next && fire(p, &p->coarse, t_next)) {
-            p->t = t_next;
-            return COARSE_STOP;
-        }
-        p->t = t_next;
+    while (t < t_end && status == DONE) {
+        double t_next = p.fine.due < p.coarse.due ? p.fine.due : p.coarse.due;
+        double dz = sqrt(t_next - t) * random_standard_normal(rng);
+        pend(&p.fine, dz);
+        pend(&p.coarse, dz);
+        t = t_next;
+        if (p.fine.due == t && fire(&p, &p.fine, t))
+            status = FINE_STOP;
+        else if (p.coarse.due == t && fire(&p, &p.coarse, t))
+            status = COARSE_STOP;
     }
-    if (!isfinite(p->fine.x))
-        return FINE_STOP;
-    if (!isfinite(p->coarse.x))
-        return COARSE_STOP;
-    return DONE;
+    if (status == DONE && !isfinite(p.fine.x))
+        status = FINE_STOP;
+    else if (status == DONE && !isfinite(p.coarse.x))
+        status = COARSE_STOP;
+    out[0] = p.fine.x;
+    out[1] = p.coarse.x;
+    out[2] = t;
+    steps[0] = p.fine.steps;
+    steps[1] = p.coarse.steps;
+    return status;
 }

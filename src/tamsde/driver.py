@@ -168,7 +168,8 @@ def _run_pair(model, clock, k, t_end, seed, max_steps):
     # imported by the first pair, not by import tamsde, which stays as fast
     # as it was without the kernel
     from . import kernel
-    out = kernel.run_pair(model, config, clock is not None, coarse, noise._gen)
+    out = kernel.run_pair(model, config, clock is not None, coarse,
+                          noise._gen.bit_generator)
     if out is not None:
         return _sample(*out)
     if clock is None:

@@ -1,24 +1,23 @@
 """Compiled coupled-pair kernel for the built-in models.
 
-_pair.c runs one coupled pair of either scheme from start to finish,
-operation for operation as driver._merge does, so its results are
-byte-identical to the Python loop's.  The driver checks and normalises a
-pair's arguments (SchemeConfig), calls run_pair and falls back to _merge,
-which stays the reference, whenever run_pair returns None.  That depends
-on the model alone: run_pair declines a model other than the three
-built-ins (JSON term models and library callables), and every pair when
-the kernel cannot be built here.
+_pair.c runs one coupled pair of either scheme in one call, operation for
+operation as driver._merge does, drawing each normal from the pair's own
+Philox as NoiseSource does, so its results are byte-identical to the
+Python loop's.  run_pair returns None, and the driver runs _merge, the
+reference, for a model other than the three built-ins (JSON term models
+and library callables) and for every pair when the kernel cannot be built.
 
-The kernel is compiled with the host's `cc` on the first coupled pair of a
-process, never at import, and cached outside the source tree in the
-first usable directory of $XDG_CACHE_HOME/tamsde, ~/.cache/tamsde and a
-per-user directory under tempfile.gettempdir(), under a name keyed by the
-sha256 of the source, the flags and the machine type.  A build goes to a
-temporary name first and is renamed into place, so processes that build
-at once do not see each other's half-written files.  A cached file that
-another user owns or can write is never loaded.  Loading is tried once per
-process; with no compiler, or when the build fails, every pair takes the
-Python loop.
+The kernel is built with the host's `cc` against numpy's bitgen.h and
+libnpyrandom.a on the first coupled pair of a process, never at import,
+and cached in the first usable directory of $XDG_CACHE_HOME/tamsde,
+~/.cache/tamsde and a per-user directory under tempfile.gettempdir(),
+under a name keyed by the sha256 of the source, the flags, the machine
+type and the numpy version, whose normals it links.  A build is renamed
+into place from a temporary name, so processes that build at once never
+see a half-written file, and a cached file that another user owns or can
+write is never loaded.  Loading is tried once per process; with no
+compiler, no numpy header or archive, or a failed build, every pair takes
+the Python loop.
 """
 
 import contextlib
@@ -39,31 +38,23 @@ from .scheme import _stop
 __all__ = ["library", "run_pair"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_pair.c")
+_INCLUDE = np.get_include()
+_HEADER = os.path.join(_INCLUDE, "numpy", "random", "bitgen.h")
+_ARCHIVE = os.path.join(os.path.dirname(np.__file__), "random", "lib",
+                        "libnpyrandom.a")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _BUILD_TIMEOUT_S = 120
-_BLOCK = 1024  # normals per call, as NoiseSource draws them
 
 # C model numbers are positions in this tuple (enum in _pair.c)
 _MODELS = ("model1", "model2", "gbm")
-# return codes of tamsde_pair_run other than DONE (0)
-_FINE_STOP, _COARSE_STOP, _NEED_NORMALS = range(1, 4)
 # no pair can spend 2**63 - 1 steps, so a larger budget is never reached
 # either and is passed to C as this
 _INT64_MAX = 2 ** 63 - 1
 
-
-class _Leg(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_double) for name in
-                ("delta", "sqd", "x", "last", "due", "m", "s", "q", "pw", "pc")]
-    _fields_ += [("steps", ctypes.c_longlong)]
-
-
-class _Pair(ctypes.Structure):
-    _fields_ = [("fine", _Leg), ("coarse", _Leg),
-                ("h0", ctypes.c_double), ("l0", ctypes.c_double),
-                ("t", ctypes.c_double), ("t_end", ctypes.c_double),
-                ("max_steps", ctypes.c_longlong),
-                ("model", ctypes.c_int), ("adaptive", ctypes.c_int)]
+# the bitgen_t of a numpy bit generator, from its capsule
+_bitgen = ctypes.pythonapi.PyCapsule_GetPointer
+_bitgen.restype = ctypes.c_void_p
+_bitgen.argtypes = [ctypes.py_object, ctypes.c_char_p]
 
 
 def _coefficients(model):
@@ -102,7 +93,7 @@ def _private(path):
 
 
 def _open(directory, name):
-    """The kernel directory/name, or None if absent, not private or not loadable."""
+    """tamsde_pair of directory/name; None if absent, not private or unloadable."""
     path = os.path.join(directory, name)
     try:
         if not (_private(directory) and _private(path)):
@@ -110,33 +101,30 @@ def _open(directory, name):
         lib = ctypes.CDLL(path)
     except OSError:
         return None
-    try:
-        lib.tamsde_pair_size.restype = ctypes.c_size_t
-        lib.tamsde_pair_size.argtypes = []
-        lib.tamsde_pair_init.restype = None
-        lib.tamsde_pair_init.argtypes = (
-            [ctypes.c_void_p, ctypes.c_int, ctypes.c_int]
-            + [ctypes.c_double] * 6 + [ctypes.c_longlong])
-        lib.tamsde_pair_run.restype = ctypes.c_int
-        lib.tamsde_pair_run.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
-                                        ctypes.c_int]
-    except AttributeError:  # a library of that name without our symbols
-        return None
-    if lib.tamsde_pair_size() != ctypes.sizeof(_Pair):
-        return None
-    return lib
+    # the default restype, int, is the return code's; None: a library of
+    # that name without our symbol
+    pair = getattr(lib, "tamsde_pair", None)
+    if pair is not None:
+        pair.argtypes = ([ctypes.c_int] * 2 + [ctypes.c_double] * 6
+                         + [ctypes.c_longlong] + [ctypes.c_void_p] * 3)
+    return pair
+
+
+def _command(cc, src, target):
+    """The build line of the kernel: src compiled and linked into target."""
+    return [cc, *_FLAGS, "-I", _INCLUDE, "-o", target, src, _ARCHIVE, "-lm"]
 
 
 def _compile(source, target):
     """Compile the source bytes into the shared library target; True if built."""
     cc = shutil.which("cc")
-    if cc is None:
+    if cc is None or not (os.path.isfile(_HEADER) and os.path.isfile(_ARCHIVE)):
         return False
     src = os.path.join(os.path.dirname(target), "_pair.c")
     with open(src, "wb") as fh:
         fh.write(source)
     try:
-        subprocess.run([cc, *_FLAGS, "-o", target, src, "-lm"],
+        subprocess.run(_command(cc, src, target),
                        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
                        stderr=subprocess.DEVNULL, timeout=_BUILD_TIMEOUT_S,
                        check=True)
@@ -166,7 +154,7 @@ def _install(built, directory, name):
 
 @functools.lru_cache(maxsize=None)
 def library():
-    """The loaded kernel, or None when it cannot be built here.
+    """The loaded kernel's tamsde_pair, or None when it cannot be built here.
 
     Tried once per process: the first call looks for a cached build and
     otherwise compiles one; later calls return the same answer.
@@ -178,7 +166,8 @@ def library():
             source = fh.read()
     except OSError:
         return None
-    key = hashlib.sha256(source + repr((_FLAGS, platform.machine())).encode())
+    key = hashlib.sha256(
+        source + repr((_FLAGS, platform.machine(), np.__version__)).encode())
     name = f"_pair-{key.hexdigest()[:16]}.so"
     try:
         dirs = list(_cache_dirs())
@@ -200,36 +189,32 @@ def library():
         return None
 
 
-def run_pair(model, config, adaptive, delta_coarse, normals):
+def run_pair(model, config, adaptive, delta_coarse, bit_generator):
     """One coupled pair in C, or None when the kernel does not run the model.
 
     config is the pair's checked SchemeConfig, with the fine leg's delta;
     adaptive picks two tamed-adaptive legs (h0 and l0 from config) over
-    two fixed-step legs; normals is the pair's numpy Generator.  Returns
-    the terminal (fine state, coarse state, fine steps, coarse steps), or
-    raises the PathExplosion _merge would raise, through the same _stop.
+    two fixed-step legs; bit_generator is the pair's numpy Philox, which
+    the kernel draws from.  Returns the terminal (fine state, coarse
+    state, fine steps, coarse steps), or raises the PathExplosion _merge
+    would raise, through the same _stop.
     """
     number = _model_number(model)
     if number is None:
         return None
-    lib = library()
-    if lib is None:
+    kernel = library()
+    if kernel is None:
         return None
-    pair = _Pair()
-    lib.tamsde_pair_init(ctypes.byref(pair), number, int(adaptive),
-                         config.delta, delta_coarse, config.h0, config.l0,
-                         model.x0, config.t_end,
-                         min(config.max_steps, _INT64_MAX))
-    buf = np.empty(_BLOCK)
-    address = buf.ctypes.data
-    run = lib.tamsde_pair_run
-    status = _NEED_NORMALS
-    while status == _NEED_NORMALS:
-        normals.standard_normal(_BLOCK, out=buf)
-        status = run(ctypes.byref(pair), address, _BLOCK)
-    if status == _FINE_STOP:
-        _stop("fine", pair.t, pair.fine.x, pair.fine.steps, config.max_steps)
-    if status == _COARSE_STOP:
-        _stop("coarse", pair.t, pair.coarse.x, pair.coarse.steps,
+    out = (ctypes.c_double * 3)()
+    steps = (ctypes.c_longlong * 2)()
+    # C draws without taking the bit generator's lock, which is safe only
+    # because the pair's Philox belongs to this pair alone
+    status = kernel(number, int(adaptive), config.delta, delta_coarse,
+                    config.h0, config.l0, model.x0, config.t_end,
+                    min(config.max_steps, _INT64_MAX),
+                    _bitgen(bit_generator.capsule, b"BitGenerator"), out, steps)
+    if status:  # FINE_STOP (1) or COARSE_STOP (2): that leg cannot go on
+        i = status - 1
+        _stop(("fine", "coarse")[i], out[2], out[i], steps[i],
               config.max_steps)
-    return pair.fine.x, pair.coarse.x, pair.fine.steps, pair.coarse.steps
+    return out[0], out[1], steps[0], steps[1]

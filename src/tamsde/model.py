@@ -72,6 +72,8 @@ class RegularityConstants:
                + |sigma(x)-sigma(y)|**2 / 2 <= lambda_os*(x-y)**2.
     p0         moment order supported by the dissipativity condition;
                must satisfy p0 >= 4*(l + alpha + 1).
+
+    Each must be a finite real number (not a bool) and is stored as a float.
     """
 
     alpha: float
@@ -82,6 +84,8 @@ class RegularityConstants:
     p0: float
 
     def __post_init__(self):
+        for name in ("alpha", "l", "gamma", "eta", "lambda_os", "p0"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
         if not 0.0 < self.alpha <= 1.0:
             raise InputError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.l < 0.0:
@@ -135,8 +139,7 @@ def evaluate_coefficients(model, x):
 
     Raises InputError when x is not a finite real number.
     """
-    if not math.isfinite(x):
-        raise InputError(f"coefficient evaluation needs finite x, got {x}")
+    x = _finite(x, "coefficient evaluation point x")
     return (model.drift(x), model.diffusion(x),
             model.drift_prime(x), model.diffusion_prime(x))
 
@@ -146,7 +149,8 @@ def check_dissipativity(model, xs):
 
     For each x the margin is gamma*x**2 + eta minus
     x*mu(x) + ((p0-1)/2)*sigma(x)**2; the condition holds at x when the
-    margin is >= 0.  Returns the worst (smallest-margin) point.
+    margin is >= 0.  Returns the worst (smallest-margin) point; a NaN
+    margin fails and is the worst of all.
 
     Raises InputError when xs is empty.
     """
@@ -161,9 +165,11 @@ def check_dissipativity(model, xs):
         s = model.diffusion(x)
         lhs = x * model.drift(x) + half * s * s
         margin = reg.gamma * x * x + reg.eta - lhs
-        if margin < worst_margin:
+        if margin < worst_margin or margin != margin:
             worst_margin = margin
             worst_x = x
+            if margin != margin:
+                break
     return DissipativityReport(holds=worst_margin >= 0.0,
                                worst_x=worst_x, worst_margin=worst_margin)
 
@@ -172,7 +178,8 @@ def check_one_sided_lipschitz(model, pairs):
     """Evaluate the one-sided Lipschitz margin of ``model`` on point pairs.
 
     For each pair (x, y) the margin is lambda_os*(x-y)**2 minus
-    (x-y)*(mu(x)-mu(y)) + |sigma(x)-sigma(y)|**2 / 2.
+    (x-y)*(mu(x)-mu(y)) + |sigma(x)-sigma(y)|**2 / 2.  Returns the worst
+    (smallest-margin) pair; a NaN margin fails and is the worst of all.
 
     Raises InputError when pairs is empty.
     """
@@ -187,9 +194,11 @@ def check_one_sided_lipschitz(model, pairs):
         ds = model.diffusion(x) - model.diffusion(y)
         lhs = d * (model.drift(x) - model.drift(y)) + 0.5 * ds * ds
         margin = lam * d * d - lhs
-        if margin < worst_margin:
+        if margin < worst_margin or margin != margin:
             worst_margin = margin
             worst_pair = (x, y)
+            if margin != margin:
+                break
     return OneSidedLipschitzReport(holds=worst_margin >= 0.0,
                                    worst_pair=worst_pair,
                                    worst_margin=worst_margin)
@@ -237,6 +246,14 @@ def _rpow(u, p):
         return math.inf
 
 
+def _times(a, b):
+    # a * b with scheme._tamed's zero rule where it matters: an exact zero
+    # factor against an infinite one gives 0.0, not nan; every other
+    # product keeps its bits, signed zeros included
+    v = a * b
+    return 0.0 if v != v and (a == 0.0 or b == 0.0) else v
+
+
 @dataclass(frozen=True)
 class PowerTerm:
     """One monomial term coeff * x**power * |x|**abs_power."""
@@ -266,7 +283,7 @@ class PowerTerm:
     def value(self, x):
         # coeff * x**p * |x|**q == coeff * sign(x)**p * |x|**(p+q)
         p, q = self.power, self.abs_power
-        v = self.coeff * _rpow(abs(x), p + q)
+        v = _times(self.coeff, _rpow(abs(x), p + q))
         return -v if (p % 2 and x < 0.0) else v
 
     def derivative(self, x):
@@ -278,7 +295,7 @@ class PowerTerm:
             return 0.0
         if x == 0.0:
             return self.coeff if (p == 1 and q == 0.0) else 0.0
-        d = self.coeff * (p + q) * _rpow(abs(x), p + q - 1.0)
+        d = _times(self.coeff * (p + q), _rpow(abs(x), p + q - 1.0))
         return -d if (p % 2 == 0 and x < 0.0) else d
 
 

@@ -133,8 +133,11 @@ class Trajectory:
 
 
 def _check_delta(delta):
+    """delta as a float; InputError unless it is a real number in (0, 1)."""
+    delta = _real(delta, "delta")
     if not 0.0 < delta < 1.0:
         raise InputError(f"delta must lie in (0, 1), got {delta}")
+    return delta
 
 
 def _tamed(s, sp, sqrt_delta):
@@ -246,7 +249,8 @@ def _stop(leg, t, x, steps, max_steps):
 
 def tamed_correction(model, x, delta):
     """Tamed Milstein coefficient q(x) at base step delta."""
-    _check_delta(delta)
+    delta = _check_delta(delta)
+    x = _real(x, "x")
     return _tamed(model.diffusion(x), model.diffusion_prime(x), math.sqrt(delta))
 
 
@@ -257,11 +261,12 @@ def adaptive_step(model, config, x):
     normal double is returned instead of zero.
     """
     propose, _ = _tam_leg(model, config.delta, config.h0, config.l0)
-    return propose(x)
+    return propose(_real(x, "x"))
 
 
 def tam_step(model, x, delta, dt, dW):
     """One tamed-adaptive Milstein step of duration dt from state x."""
+    dt = _real(dt, "dt")
     if not dt > 0.0:
         raise InputError(f"dt must be > 0, got {dt}")
     return interpolate(model, x, 0.0, dt, delta, dW)
@@ -269,7 +274,8 @@ def tam_step(model, x, delta, dt, dW):
 
 def tm_step(model, x, delta, dW):
     """One fixed-step tamed Milstein step (duration delta) from state x."""
-    _check_delta(delta)
+    delta = _check_delta(delta)
+    x, dW = _real(x, "x"), _real(dW, "dW")
     propose, advance = _tm_leg(model, delta)
     return advance(x, propose(x), dW)
 
@@ -282,7 +288,9 @@ def interpolate(model, x_grid, t_grid, t, delta, dW):
     dW == 0 this returns x_grid.  Evaluating at the next grid time with
     the realized increment reproduces the next grid value exactly.
     """
-    _check_delta(delta)
+    delta = _check_delta(delta)
+    x_grid, t_grid, t, dW = (_real(x_grid, "x_grid"), _real(t_grid, "t_grid"),
+                             _real(t, "t"), _real(dW, "dW"))
     if t < t_grid:
         raise InputError(f"interpolation time {t} precedes grid time {t_grid}")
     propose, advance = _tam_leg(model, delta, 1.0, 2.0)

@@ -7,6 +7,8 @@ import os
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tamsde.analysis
 import tamsde.cli
@@ -370,3 +372,66 @@ def test_pinned_output_digests(tmp_path, monkeypatch, argv, digests):
     for name, want in digests.items():
         got = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
         assert got == want, name
+
+
+# --- fuzzing argv ------------------------------------------------------------
+
+# flags that bound the cost of every fuzzed run of a subcommand; the fuzzed
+# tokens after them may override them, but only with small values (paths
+# <= 4, k <= 3, T <= 1) or malformed ones
+_BOUNDS = {
+    "rate": ["--k-min", "1", "--k-max", "1", "--T", "0.5"],
+    "moments": ["--k", "1", "--T", "0.5"],
+    "compare": ["--k-min", "1", "--k-max", "1", "--T", "0.5"],
+    "verify-assumptions": ["--grid", "-1:1:5"],
+}
+_COMMON = ["--model", "model1", "--paths", "2", "--threads", "1"]
+_MALFORMED = ["", "x", "nan", "inf", "-inf", "-1", "0", "1e400", "--", "--help"]
+_FLAG_VALUES = {
+    "--model": ["model1", "model2", "gbm", "nope", "absent.json"],
+    "--paths": ["2", "3", "4"],
+    "--k-min": ["1", "2", "3"],
+    "--k-max": ["1", "2", "3"],
+    "--k": ["1", "2", "3"],
+    "--T": ["0.25", "0.5", "1"],
+    "--p": ["0.5", "1", "2"],
+    "--h0": ["0.5", "1", "2"],
+    "--l0": ["2", "3"],
+    "--seed": ["0", "7", str(2 ** 40)],
+    "--threads": ["1"],
+    "--grid": ["0:2:3", "1:0:5", "-1:1:1", "a:b:c", "1:2", "-1:1:1e3"],
+    "--out": ["FILE"],  # replaced by the path of an existing file
+    "--bogus": ["1"],
+}
+# a flag with a valid or a malformed value, mostly, or a lone flag or value
+_pairs = st.sampled_from(sorted(_FLAG_VALUES)).flatmap(
+    lambda flag: st.one_of(st.sampled_from(_FLAG_VALUES[flag]),
+                           st.sampled_from(_MALFORMED)).map(
+        lambda value: [flag, value]))
+_tokens = st.one_of(_pairs, _pairs, _pairs,
+                    st.sampled_from(sorted(_FLAG_VALUES)).map(lambda flag: [flag]),
+                    st.sampled_from(_MALFORMED).map(lambda value: [value]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(_BOUNDS) + ["bogus", None]),
+       tokens=st.lists(_tokens, max_size=4))
+def test_fuzzed_argv_exits_cleanly(tmp_path, monkeypatch, capsys, kind,
+                                  tokens):
+    """Any argv built from valid and malformed flags exits 0, 2 or 3 with
+    no traceback."""
+    monkeypatch.chdir(tmp_path)  # "--out nan" makes a directory "nan"
+    (tmp_path / "file").write_text("")
+    argv = [] if kind is None else [kind] + _BOUNDS.get(kind, [])
+    if kind in ("rate", "moments", "compare"):
+        argv += _COMMON
+    argv += ["--out", str(tmp_path / "out")]
+    argv += [str(tmp_path / "file") if t == "FILE" else t
+             for token in tokens for t in token]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: 2 for a usage error, 0 for --help
+        code = exc.code
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in capsys.readouterr().err

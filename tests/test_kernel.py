@@ -1,11 +1,13 @@
 """The compiled coupled-pair kernel: parity with _merge, dispatch, cache.
 
 driver._merge is the reference: for every built-in model and both schemes
-the kernel must give the same CoupledSample, bit for bit, and raise the
-same PathExplosion.  These tests skip only when no C compiler is on PATH;
-with one, a kernel that fails to build or load fails them.
+the kernel must give the same CoupledSample, bit for bit, raise the same
+PathExplosion and leave the pair's generator where _merge's draws leave
+it.  These tests skip only when no C compiler is on PATH; with one, a
+kernel that fails to build or load fails them.
 """
 
+import ctypes
 import dataclasses
 import json
 import os
@@ -21,7 +23,7 @@ from tamsde import (NoiseSource, PathExplosion, get_model, kernel,
                     load_model_file, simulate_coupled_pair,
                     simulate_coupled_tm_pair)
 from tamsde.driver import _merge
-from tamsde.scheme import _tam_leg, _tm_leg
+from tamsde.scheme import SchemeConfig, _tam_leg, _tm_leg
 
 MODELS = ("model1", "model2", "gbm")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tamsde.__file__)))
@@ -49,14 +51,25 @@ def merges(monkeypatch):
     return seen
 
 
-def reference(model, clock, k, t_end, seed, max_steps=10 ** 8):
-    """The pair as the Python loop runs it."""
+def reference(model, clock, k, t_end, seed, max_steps=10 ** 8, noise=None):
+    """The pair as the Python loop runs it, on noise or NoiseSource(seed)."""
     if clock is None:
         legs = (_tm_leg(model, 2.0 ** -(k + 1)), _tm_leg(model, 2.0 ** -k))
     else:
         legs = (_tam_leg(model, 2.0 ** -(k + 1), *clock),
                 _tam_leg(model, 2.0 ** -k, *clock))
-    return _merge(*legs, model.x0, t_end, NoiseSource(seed), max_steps)
+    return _merge(*legs, model.x0, t_end, noise or NoiseSource(seed),
+                  max_steps)
+
+
+class CountingNoise(NoiseSource):
+    """A NoiseSource that counts its draws."""
+
+    draws = 0
+
+    def gaussian_increment(self, duration):
+        self.draws += 1
+        return super().gaussian_increment(duration)
 
 
 def pair(model, clock, k, t_end, seed, max_steps=10 ** 8):
@@ -110,6 +123,34 @@ class TestParity:
                                   max_steps)
         assert merges == []
 
+    @pytest.mark.parametrize("max_steps", [10 ** 8, 50],
+                             ids=["done", "stopped"])
+    @pytest.mark.parametrize("clock, k", [((1.0, 2.0), 4), (None, 5)],
+                             ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize("name", MODELS)
+    def test_generator_left_where_merge_leaves_it(self, lib, name, clock, k,
+                                                  max_steps):
+        # the kernel draws one normal per event, as _merge does, so the
+        # pair's generator goes on with the normal after its last event's;
+        # at T=20 every finished pair here draws more than one 1024 block
+        model = get_model(name)
+        config = SchemeConfig(2.0 ** -(k + 1), 20.0, *(clock or ()),
+                              max_steps=max_steps)
+
+        def compiled(gen):
+            return tamsde.driver._sample(*kernel.run_pair(
+                model, config, clock is not None, 2.0 ** -k,
+                gen.bit_generator))
+
+        for seed in (0, 2):
+            noise = CountingNoise(seed)
+            gen = np.random.Generator(np.random.Philox(seed))
+            assert outcome(compiled, gen) == outcome(
+                reference, model, clock, k, 20.0, seed, max_steps, noise)
+            n = noise.draws
+            fresh = np.random.Generator(np.random.Philox(seed))
+            assert gen.standard_normal() == fresh.standard_normal(n + 1)[n]
+
 
 def model1_as_json(tmp_path):
     path = tmp_path / "model1.json"
@@ -161,14 +202,22 @@ class TestDispatch:
 
 
 def test_source_compiles_cleanly_as_c99(tmp_path):
+    # the kernel's own build line, compiler, flags, numpy header and
+    # archive, under strict C99 warnings; the result must load with every
+    # symbol resolved and export the one pair function
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
+    so = str(tmp_path / "_pair.so")
+    command = kernel._command(cc, kernel._SOURCE, so)
     proc = subprocess.run(
-        [cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off",
-         "-O2", "-c", kernel._SOURCE, "-o", str(tmp_path / "_pair.o")],
+        [cc, "-std=c99", "-Wall", "-Wextra", "-Werror", *command[1:]],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    built = ctypes.CDLL(so)
+    assert hasattr(built, "tamsde_pair")
+    for gone in ("tamsde_pair_init", "tamsde_pair_run", "tamsde_pair_size"):
+        assert not hasattr(built, gone)
 
 
 # --- the build cache, each case in fresh processes --------------------------
@@ -235,6 +284,14 @@ class TestCache:
     def test_failed_build_is_tried_once_and_falls_back(self, isolated):
         assert isolated(fake_cc=True) == ["fallback", "True"]
         assert isolated.calls() == 1
+
+    @pytest.mark.parametrize("part", ["_ARCHIVE", "_HEADER"])
+    def test_missing_numpy_part_falls_back_without_compiling(self, isolated,
+                                                             part):
+        code = (f"from tamsde import kernel\n"
+                f"kernel.{part} += '.missing'\n" + PAIRS)
+        assert isolated(fake_cc=True, code=code) == ["fallback", "True"]
+        assert isolated.calls() == 0
 
     def test_corrupt_cache_is_rebuilt(self, lib, isolated):
         isolated()

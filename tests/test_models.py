@@ -128,11 +128,20 @@ class TestRegularityConstants:
             RegularityConstants(alpha=1.0, l=1.0, gamma=0.0, eta=0.0,
                                 lambda_os=0.0, p0=11.0)
 
-    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, "0.5", None, math.nan])
     def test_alpha_range_rejected(self, bad):
         with pytest.raises(InputError, match="alpha"):
             RegularityConstants(alpha=bad, l=0.0, gamma=0.0, eta=0.0,
                                 lambda_os=0.0, p0=8.0)
+
+    @pytest.mark.parametrize("field", ["l", "gamma", "eta", "lambda_os", "p0"])
+    @pytest.mark.parametrize("value", ["1", None, True, math.inf])
+    def test_non_real_fields_rejected(self, field, value):
+        args = dict(alpha=1.0, l=0.0, gamma=0.0, eta=0.0, lambda_os=0.0,
+                    p0=8.0)
+        args[field] = value
+        with pytest.raises(InputError, match=field):
+            RegularityConstants(**args)
 
     def test_negative_l_and_eta_rejected(self):
         with pytest.raises(InputError, match="l "):
@@ -196,6 +205,14 @@ class TestDissipativity:
         rep = check_dissipativity(model, [1.0])
         assert not rep.holds and rep.worst_margin < 0.0
 
+    def test_nan_margin_fails(self):
+        # a NaN margin is not skipped: it fails and is reported as worst
+        model = dataclasses.replace(
+            M1, drift=lambda x: math.nan if x == 2.0 else M1.drift(x))
+        rep = check_dissipativity(model, [0.0, 2.0, 3.0])
+        assert not rep.holds and rep.worst_x == 2.0
+        assert math.isnan(rep.worst_margin)
+
 
 class TestOneSidedLipschitz:
     def test_identical_pair_margin_exactly_zero(self):
@@ -238,6 +255,29 @@ class TestOneSidedLipschitz:
     def test_empty_pairs_rejected(self):
         with pytest.raises(InputError):
             check_one_sided_lipschitz(M1, [])
+
+    def test_nan_margin_fails(self):
+        model = dataclasses.replace(
+            M1, drift=lambda x: math.nan if x == 2.0 else M1.drift(x))
+        rep = check_one_sided_lipschitz(model, [(1.0, 0.0), (2.0, 1.0),
+                                                (3.0, 1.0)])
+        assert not rep.holds and rep.worst_pair == (2.0, 1.0)
+        assert math.isnan(rep.worst_margin)
+
+    def test_zero_coefficient_term_changes_no_report(self):
+        # |x|**400 overflows beyond |x| ~ 6.3, where this drift's margins
+        # are worst; 0 * x**400 must read 0, not NaN, so the sweep reports
+        # what it reports without that term
+        terms = (PowerTerm(coeff=0.1, power=1), PowerTerm(coeff=0.1, power=3))
+        xs = [i / 4.0 for i in range(-40, 41)]
+        pairs = list(zip(xs, reversed(xs))) + list(zip(xs, xs[1:]))
+        reports = []
+        for drift in (terms, terms + (PowerTerm(coeff=0.0, power=400),)):
+            model = dataclasses.replace(M1, drift=PowerSum(drift),
+                                        drift_prime=PowerSumDerivative(drift))
+            reports.append((check_dissipativity(model, xs),
+                            check_one_sided_lipschitz(model, pairs)))
+        assert reports[0] == reports[1]
 
 
 class TestExactGbmTerminal:
@@ -307,6 +347,22 @@ class TestPowerTerms:
         assert PowerSum(big)(1.0) == math.inf
         assert PowerSum(big)(-1.0) == -math.inf
         assert PowerSum(())(3.0) == 0.0
+
+    @pytest.mark.parametrize("term, method, x", [
+        (PowerTerm(coeff=1e10, power=10 ** 300), "derivative", 0.5),
+        (PowerTerm(coeff=0.0, power=400), "value", 10.0),
+        (PowerTerm(coeff=0.0, power=400), "derivative", -10.0),
+        (PowerTerm(coeff=0.0, abs_power=0.001), "derivative", 1e-310)],
+        ids=["overflowing-coeff", "zero-coeff-value", "zero-coeff-derivative",
+             "zero-coeff-near-origin"])
+    def test_zero_times_infinite_factor_is_zero(self, term, method, x):
+        # one factor is exactly 0 and the other inf: scheme._tamed's zero
+        # rule gives 0.0, where the plain product is nan
+        assert getattr(term, method)(x) == 0.0
+
+    def test_signed_zeros_kept(self):
+        assert math.copysign(1.0, PowerTerm(coeff=-0.1, power=1).value(0.0)) == -1.0
+        assert math.copysign(1.0, PowerTerm(coeff=-0.0).value(2.0)) == -1.0
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -531,7 +587,8 @@ _documents = st.lists(
 def test_fuzzed_model_files_load_or_raise_input_error(tmp_path, doc):
     """A model file either is rejected with InputError or gives a model
     whose coefficients evaluate without raising at 0, +-1e-310, +-1 and
-    +-1e10."""
+    +-1e10.  No term is NaN there, so a coefficient is NaN only as a sum
+    of +inf and -inf terms."""
     path = tmp_path / "fuzz.json"
     path.write_text(json.dumps(doc).replace(f'"{_BEYOND}"', "1e400"))
     try:
@@ -540,4 +597,10 @@ def test_fuzzed_model_files_load_or_raise_input_error(tmp_path, doc):
         return
     assert type(model.x0) is float and math.isfinite(model.x0)
     for x in (0.0, 1e-310, -1e-310, 1.0, -1.0, 1e10, -1e10):
-        evaluate_coefficients(model, x)
+        for f, v in zip((model.drift, model.diffusion, model.drift_prime,
+                         model.diffusion_prime),
+                        evaluate_coefficients(model, x)):
+            parts = [t.value(x) if isinstance(f, PowerSum) else
+                     t.derivative(x) for t in f.terms]
+            assert not any(map(math.isnan, parts)), (f, x)
+            assert not math.isnan(v) or {math.inf, -math.inf} <= set(parts)

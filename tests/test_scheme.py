@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from tamsde import (InputError, NoiseSource, PathExplosion, PowerSum,
                     PowerSumDerivative, PowerTerm, RegularityConstants,
-                    SchemeConfig, SdeModel, adaptive_step, get_model,
-                    interpolate, simulate_path, tam_step, tamed_correction,
-                    tm_step)
+                    SchemeConfig, SdeModel, adaptive_step,
+                    evaluate_coefficients, get_model, interpolate,
+                    simulate_path, tam_step, tamed_correction, tm_step)
 
 M1 = get_model("model1")
 M2 = get_model("model2")
@@ -94,6 +94,25 @@ class TestSchemeConfig:
                             max_steps=np.int64(7)).max_steps == 7
         assert SchemeConfig(delta=0.5, t_end=1.0,
                             max_steps=2 ** 70).max_steps == 2 ** 70
+
+
+@pytest.mark.parametrize("function, args", [
+    (tamed_correction, (M1, "0.1", 0.25)),
+    (tamed_correction, (M1, 0.1, "0.25")),
+    (tm_step, (M1, "0.1", 0.25, 0.1)),
+    (tm_step, (M1, 0.1, 0.25, None)),
+    (tam_step, (M1, 0.1, 0.25, "0.1", 0.0)),
+    (tam_step, (M1, [0.1], 0.25, 0.1, 0.0)),
+    (interpolate, (M1, 0.1, "0", 0.5, 0.25, 0.0)),
+    (interpolate, (M1, 0.1, 0.0, 0.5, 0.25, "0")),
+    (adaptive_step, (M1, SchemeConfig(0.25, 1.0), "0.1")),
+    (evaluate_coefficients, (M1, "0.1"))],
+    ids=["tamed_correction-x", "tamed_correction-delta", "tm_step-x",
+         "tm_step-dW", "tam_step-dt", "tam_step-x", "interpolate-t_grid",
+         "interpolate-dW", "adaptive_step-x", "evaluate_coefficients-x"])
+def test_one_step_maps_reject_non_real_arguments(function, args):
+    with pytest.raises(InputError, match="real number"):
+        function(*args)
 
 
 class TestTamedCorrection:
