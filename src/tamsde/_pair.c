@@ -1,10 +1,11 @@
-/* One coupled pair of either scheme, run in C, bit for bit as driver._merge.
+/* Coupled pairs and single adaptive paths, run in C, bit for bit as
+ * driver._merge and scheme.simulate_path.
  *
  * This file mirrors scheme._tamed, scheme._tam_leg, scheme._tm_leg,
- * scheme._due and driver._merge operation for operation, with the
- * coefficients of the built-in models of model.py written in the same
- * operation order.  The results are byte-identical to the Python loop only
- * because:
+ * scheme._due, driver._merge and scheme.simulate_path operation for
+ * operation, with the coefficients of the built-in models of model.py
+ * written in the same operation order.  The results are byte-identical to
+ * the Python loops only because:
  *   - it is built with -ffp-contract=off, so no a*b+c is fused into one
  *     rounding, and without -ffast-math, so nothing is reassociated;
  *   - every real power goes through libm pow, which CPython's float **
@@ -12,22 +13,29 @@
  *     same values as pow for a non-negative base; an overflow, which
  *     model._rpow turns into inf, is inf here too);
  *   - each normal is numpy's own random_standard_normal, linked from
- *     numpy's libnpyrandom.a, drawn on the pair's own Philox: the function
- *     Generator.standard_normal calls, so the pair reads NoiseSource's
- *     numbers and leaves the generator where _merge's draws leave it.
+ *     numpy's libnpyrandom.a, drawn on the caller's Philox: the function
+ *     Generator.standard_normal calls, so a pair or a path reads
+ *     NoiseSource's numbers and leaves the generator where the Python
+ *     loop's draws leave it.
  *
- * kernel.py builds and loads this file and makes one call per pair,
- * tamsde_pair; the structs below are known only to this file.
+ * Both loops are built from one set of leg primitives: propose, due, pend
+ * and fire on a struct leg.  A pair is two legs on a merged timeline; a
+ * path is one leg with one increment pending per step.  kernel.py builds
+ * and loads this file and makes one call per pair (tamsde_pair) or per
+ * path (tamsde_path, whose stored grid the caller releases with
+ * tamsde_free); the structs below are known only to this file.
  */
 #include <float.h>
 #include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
 #include <numpy/random/bitgen.h>
 
 /* declared in numpy/random/distributions.h, which includes Python.h */
 double random_standard_normal(bitgen_t *bitgen_state);
 
 enum { MODEL1, MODEL2, GBM };
-enum { DONE, FINE_STOP, COARSE_STOP };
+enum { DONE, FINE_STOP, COARSE_STOP, NO_MEMORY };
 
 struct leg {
     double delta;    /* base step */
@@ -147,8 +155,8 @@ static void pend(struct leg *leg, double dz)
 }
 
 /* The leg's event at t: advance with the pending increment, then propose
-   the next step.  Nonzero when the leg cannot go on (driver._merge's
-   checks); the caller reports it. */
+   the next step.  Nonzero when the leg cannot go on (the checks of
+   driver._merge and scheme.simulate_path); the caller reports it. */
 static int fire(const struct pair *p, struct leg *leg, double t)
 {
     double x = leg->x, dt = t - leg->last, dW = leg->pw;
@@ -212,5 +220,107 @@ int tamsde_pair(int model, int adaptive, double delta_fine,
     out[2] = t;
     steps[0] = p.fine.steps;
     steps[1] = p.coarse.steps;
+    return status;
+}
+
+/* A path's stored grid: times and values at each of n points and the
+   increment of each step, in buffers grown by doubling */
+struct grid {
+    double *t, *x, *dw;
+    long long n, cap;
+};
+
+/* realloc *a to n doubles; 0, with *a untouched, if that fails */
+static int resize(double **a, long long n)
+{
+    double *p;
+    if ((unsigned long long)n > SIZE_MAX / sizeof **a)
+        return 0;
+    p = realloc(*a, (size_t)n * sizeof **a);
+    if (p == NULL)
+        return 0;
+    *a = p;
+    return 1;
+}
+
+/* store point n and the increment of the step that reached it */
+static int keep(struct grid *g, double t, double x, double dw)
+{
+    if (g->n == g->cap) {
+        g->cap *= 2;
+        if (!(resize(&g->t, g->cap) && resize(&g->x, g->cap)
+              && resize(&g->dw, g->cap)))
+            return 0;
+    }
+    g->t[g->n] = t;
+    g->x[g->n] = x;
+    g->dw[g->n - 1] = dw;
+    g->n += 1;
+    return 1;
+}
+
+void tamsde_free(double *p)
+{
+    free(p);
+}
+
+/* scheme.simulate_path: one tamed-adaptive leg from x0 to t_end, one
+   normal drawn from rng per step, each step's duration added to *clock.
+   Returns DONE with grid = {times, values, increments} (steps + 1,
+   steps + 1 and steps doubles, each to be released with tamsde_free),
+   FINE_STOP when the leg cannot go on, or NO_MEMORY; on either of those
+   nothing is stored.  out = {state, time} of the last step, and steps
+   the step count. */
+int tamsde_path(int model, double delta, double h0, double l0, double x0,
+                double t_end, long long max_steps, bitgen_t *rng,
+                double *clock, double out[2], long long *steps,
+                double *grid[3])
+{
+    struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
+                     .max_steps = max_steps, .model = model, .adaptive = 1};
+    struct leg *leg = &p.fine;
+    struct grid g = {NULL, NULL, NULL, 1, 1024};
+    int status = DONE;
+    leg->delta = delta;
+    leg->sqd = sqrt(delta);
+    leg->x = x0;
+    leg->due = due(0.0, propose(&p, leg, x0), t_end);
+    if (!(resize(&g.t, g.cap) && resize(&g.x, g.cap) && resize(&g.dw, g.cap)))
+        status = NO_MEMORY;
+    else {
+        g.t[0] = 0.0;
+        g.x[0] = x0;
+    }
+    while (status == DONE && leg->last < t_end) {
+        double dt = leg->due - leg->last;
+        /* one increment pending onto nothing is the increment itself,
+           signed zero included, which pend would turn into +0.0 */
+        double dw = sqrt(dt) * random_standard_normal(rng);
+        leg->pw = dw;
+        *clock += dt;
+        if (fire(&p, leg, leg->due))
+            status = FINE_STOP;
+        else if (!keep(&g, leg->last, leg->x, dw))
+            status = NO_MEMORY;
+    }
+    if (status == DONE && !isfinite(leg->x))
+        status = FINE_STOP;
+    out[0] = leg->x;
+    out[1] = leg->last;
+    *steps = leg->steps;
+    if (status == DONE) {
+        /* give back the unused capacity; a failed shrink keeps the block */
+        resize(&g.t, g.n);
+        resize(&g.x, g.n);
+        resize(&g.dw, g.n - 1);
+    } else {
+        free(g.t);
+        free(g.x);
+        free(g.dw);
+        g.t = g.x = g.dw = NULL;
+    }
+    grid[0] = g.t;
+    grid[1] = g.x;
+    grid[2] = g.dw;
     return status;
 }

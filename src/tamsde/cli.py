@@ -88,9 +88,21 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _finite(obj):
+    """obj with every NaN or infinite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def _write_json(path, obj):
+    """obj as strict JSON: a NaN or infinite float is written as null."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
+        json.dump(_finite(obj), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

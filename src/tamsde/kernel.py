@@ -1,14 +1,17 @@
-"""Compiled coupled-pair kernel for the built-in models.
+"""Compiled kernel for the built-in models: coupled pairs and single paths.
 
 _pair.c runs one coupled pair of either scheme in one call, operation for
-operation as driver._merge does, drawing each normal from the pair's own
-Philox as NoiseSource does, so its results are byte-identical to the
-Python loop's.  run_pair returns None, and the driver runs _merge, the
-reference, for a model other than the three built-ins (JSON term models
-and library callables) and for every pair when the kernel cannot be built.
+operation as driver._merge does, and one adaptive path in one call as
+scheme.simulate_path does, drawing each normal from the caller's Philox as
+NoiseSource does, so its results are byte-identical to the Python loops'.
+run_pair and run_path return None, and the caller runs its Python loop,
+the reference, for a model other than the three built-ins (JSON term
+models and library callables) and for every pair and path when the kernel
+cannot be built.  run_path also declines a noise source other than a
+NoiseSource itself and one holding buffered normals.
 
 The kernel is built with the host's `cc` against numpy's bitgen.h and
-libnpyrandom.a on the first coupled pair of a process, never at import,
+libnpyrandom.a on the first pair or path of a process, never at import,
 and cached in the first usable directory of $XDG_CACHE_HOME/tamsde,
 ~/.cache/tamsde and a per-user directory under tempfile.gettempdir(),
 under a name keyed by the sha256 of the source, the flags, the machine
@@ -16,8 +19,8 @@ type and the numpy version, whose normals it links.  A build is renamed
 into place from a temporary name, so processes that build at once never
 see a half-written file, and a cached file that another user owns or can
 write is never loaded.  Loading is tried once per process; with no
-compiler, no numpy header or archive, or a failed build, every pair takes
-the Python loop.
+compiler, no numpy header or archive, or a failed build, every pair and
+path takes the Python loop.
 """
 
 import contextlib
@@ -32,10 +35,11 @@ import tempfile
 
 import numpy as np
 
+from .driver import _BLOCK, NoiseSource
 from .model import get_model
 from .scheme import _stop
 
-__all__ = ["library", "run_pair"]
+__all__ = ["library", "run_pair", "run_path"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_pair.c")
 _INCLUDE = np.get_include()
@@ -47,6 +51,8 @@ _BUILD_TIMEOUT_S = 120
 
 # C model numbers are positions in this tuple (enum in _pair.c)
 _MODELS = ("model1", "model2", "gbm")
+# the return code of a path whose grid could not be stored (enum in _pair.c)
+_NO_MEMORY = 3
 # no pair can spend 2**63 - 1 steps, so a larger budget is never reached
 # either and is passed to C as this
 _INT64_MAX = 2 ** 63 - 1
@@ -93,7 +99,8 @@ def _private(path):
 
 
 def _open(directory, name):
-    """tamsde_pair of directory/name; None if absent, not private or unloadable."""
+    """The kernel library directory/name; None if absent, not private,
+    unloadable or without one of its functions."""
     path = os.path.join(directory, name)
     try:
         if not (_private(directory) and _private(path)):
@@ -101,13 +108,18 @@ def _open(directory, name):
         lib = ctypes.CDLL(path)
     except OSError:
         return None
-    # the default restype, int, is the return code's; None: a library of
-    # that name without our symbol
-    pair = getattr(lib, "tamsde_pair", None)
-    if pair is not None:
-        pair.argtypes = ([ctypes.c_int] * 2 + [ctypes.c_double] * 6
-                         + [ctypes.c_longlong] + [ctypes.c_void_p] * 3)
-    return pair
+    # a library of that name without our functions is not the kernel
+    if not all(hasattr(lib, f) for f in ("tamsde_pair", "tamsde_path",
+                                        "tamsde_free")):
+        return None
+    lib.tamsde_pair.restype = lib.tamsde_path.restype = ctypes.c_int
+    lib.tamsde_pair.argtypes = ([ctypes.c_int] * 2 + [ctypes.c_double] * 6
+                                + [ctypes.c_longlong] + [ctypes.c_void_p] * 3)
+    lib.tamsde_path.argtypes = ([ctypes.c_int] + [ctypes.c_double] * 5
+                                + [ctypes.c_longlong] + [ctypes.c_void_p] * 5)
+    lib.tamsde_free.argtypes = [ctypes.c_void_p]
+    lib.tamsde_free.restype = None
+    return lib
 
 
 def _command(cc, src, target):
@@ -154,7 +166,7 @@ def _install(built, directory, name):
 
 @functools.lru_cache(maxsize=None)
 def library():
-    """The loaded kernel's tamsde_pair, or None when it cannot be built here.
+    """The loaded kernel library, or None when it cannot be built here.
 
     Tried once per process: the first call looks for a cached build and
     otherwise compiles one; later calls return the same answer.
@@ -202,19 +214,88 @@ def run_pair(model, config, adaptive, delta_coarse, bit_generator):
     number = _model_number(model)
     if number is None:
         return None
-    kernel = library()
-    if kernel is None:
+    lib = library()
+    if lib is None:
         return None
     out = (ctypes.c_double * 3)()
     steps = (ctypes.c_longlong * 2)()
     # C draws without taking the bit generator's lock, which is safe only
     # because the pair's Philox belongs to this pair alone
-    status = kernel(number, int(adaptive), config.delta, delta_coarse,
-                    config.h0, config.l0, model.x0, config.t_end,
-                    min(config.max_steps, _INT64_MAX),
-                    _bitgen(bit_generator.capsule, b"BitGenerator"), out, steps)
+    status = lib.tamsde_pair(number, int(adaptive), config.delta,
+                             delta_coarse, config.h0, config.l0, model.x0,
+                             config.t_end, min(config.max_steps, _INT64_MAX),
+                             _bitgen(bit_generator.capsule, b"BitGenerator"),
+                             out, steps)
     if status:  # FINE_STOP (1) or COARSE_STOP (2): that leg cannot go on
         i = status - 1
         _stop(("fine", "coarse")[i], out[2], out[i], steps[i],
               config.max_steps)
     return out[0], out[1], steps[0], steps[1]
+
+
+_FLOAT64 = np.dtype(np.float64).str
+
+
+class _Doubles:
+    """n doubles allocated by the kernel, seen by numpy without a copy.
+
+    numpy keeps this object, through its array interface, as the base of
+    the array on the doubles, and every view keeps that array or this
+    object, so it goes after the last of them and frees the doubles then.
+    """
+
+    def __init__(self, free, pointer, n):
+        self._free = free
+        self._pointer = pointer
+        self.__array_interface__ = {"version": 3, "shape": (n,),
+                                    "typestr": _FLOAT64,
+                                    "data": (pointer, False)}
+
+    def __del__(self):
+        self._free(self._pointer)
+
+
+def run_path(model, config, noise):
+    """One adaptive path in C, or None when the kernel does not run it.
+
+    config is the path's checked SchemeConfig.  The kernel takes the path
+    of a built-in model drawn from a NoiseSource itself, not a subclass
+    whose draws may differ, that holds no buffered normals; it draws on
+    the source's Philox and advances its clock as simulate_path does, and
+    leaves it to go on with the normal after the path's last.  Returns
+    (times, values, increments, step count), the arrays as simulate_path
+    stores them, or raises the PathExplosion it would raise, through the
+    same _stop.
+    """
+    number = _model_number(model)
+    if (number is None or type(noise) is not NoiseSource
+            or noise._idx != _BLOCK):
+        return None
+    lib = library()
+    if lib is None:
+        return None
+    bit_generator = noise._gen.bit_generator
+    clock = ctypes.c_double(noise.current_time)
+    out = (ctypes.c_double * 2)()
+    steps = ctypes.c_longlong()
+    grid = (ctypes.c_void_p * 3)()
+    # the source is the caller's, so C draws holding its lock
+    with bit_generator.lock:
+        status = lib.tamsde_path(
+            number, config.delta, config.h0, config.l0, model.x0,
+            config.t_end, min(config.max_steps, _INT64_MAX),
+            _bitgen(bit_generator.capsule, b"BitGenerator"),
+            ctypes.byref(clock), out, ctypes.byref(steps), grid)
+    noise.current_time = clock.value
+    noise._buf = None
+    noise._idx = _BLOCK  # the next draw refills from the path's next normal
+    n = steps.value
+    if status == _NO_MEMORY:
+        raise MemoryError(f"no memory to store a path of {n} steps")
+    if status:  # FINE_STOP: the path's one leg cannot go on
+        _stop(None, out[1], out[0], n, config.max_steps)
+    free = lib.tamsde_free
+    times, values, increments = (
+        np.asarray(_Doubles(free, pointer, size))
+        for pointer, size in zip(grid, (n + 1, n + 1, n)))
+    return times, values, increments, n

@@ -31,9 +31,9 @@ with those values.  _due is the one place a step is clamped to t_end.  The
 public one-step maps are thin wrappers over the legs, simulate_path drives
 one adaptive leg, and the driver module runs two legs of either scheme on
 one Brownian path.  For the built-in models, _pair.c (loaded by the kernel
-module) repeats _tamed, both legs and _due in C, operation for operation;
-a change to one must be made to the other, and tests/test_kernel.py
-checks that the two give identical bytes.
+module) repeats _tamed, both legs, _due and the simulate_path loop in C,
+operation for operation; a change to one must be made to the other, and
+tests/test_kernel.py checks that the two give identical bytes.
 """
 
 import math
@@ -317,8 +317,24 @@ def simulate_path(model, config, noise):
     Raises PathExplosion if the path exceeds config.max_steps, its state
     stops being finite (the terminal state included), or the step
     collapses below time resolution.
+
+    A path of a built-in model drawn from a NoiseSource that holds no
+    buffered normals runs in C (kernel.run_path) with the same bits;
+    _path_loop runs every other path and is the reference the kernel is
+    tested against.
     """
     _require_l0(model, config)
+    # imported by the first path, not by import tamsde, which stays as fast
+    # as it was without the kernel
+    from . import kernel
+    out = kernel.run_path(model, config, noise)
+    if out is not None:
+        return Trajectory(*out)
+    return _path_loop(model, config, noise)
+
+
+def _path_loop(model, config, noise):
+    """simulate_path's loop in Python, for an l0-checked config."""
     propose, advance = _tam_leg(model, config.delta, config.h0, config.l0)
     draw = noise.gaussian_increment
     isfinite = math.isfinite

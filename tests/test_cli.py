@@ -164,6 +164,24 @@ class TestVerifyAssumptionsCommand:
         assert (tmp_path / "a/assumptions.json").read_bytes() == \
                (tmp_path / "b/assumptions.json").read_bytes()
 
+    def test_non_finite_margin_written_as_null(self, tmp_path):
+        # both a +inf and a -inf drift term on the grid: the margin there is
+        # NaN, which strict JSON has no token for
+        doc = dict(HOLDER_HALF, drift=[{"coeff": 1, "power": 400},
+                                       {"coeff": -1, "power": 401}])
+        path = tmp_path / "opposed.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify-assumptions", "--model", path, "--grid",
+                    "-10:10:21", "--out", tmp_path]) == 0
+
+        def rejected(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        report = json.loads((tmp_path / "assumptions.json").read_text(),
+                            parse_constant=rejected)
+        assert report["dissipativity"]["holds"] is False
+        assert report["dissipativity"]["worst_margin"] is None
+
     def test_bad_grid_rejected(self, tmp_path, capsys):
         code = run(["verify-assumptions", "--model", "model1", "--grid",
                     "0:1", "--out", tmp_path])

@@ -1,14 +1,17 @@
-"""The compiled coupled-pair kernel: parity with _merge, dispatch, cache.
+"""The compiled kernel: parity with the Python loops, dispatch, cache.
 
-driver._merge is the reference: for every built-in model and both schemes
-the kernel must give the same CoupledSample, bit for bit, raise the same
-PathExplosion and leave the pair's generator where _merge's draws leave
-it.  These tests skip only when no C compiler is on PATH; with one, a
-kernel that fails to build or load fails them.
+driver._merge is the reference for pairs: for every built-in model and
+both schemes the kernel must give the same CoupledSample, bit for bit,
+raise the same PathExplosion and leave the pair's generator where _merge's
+draws leave it.  scheme._path_loop is the reference for single paths in
+the same way: the same Trajectory bytes, the same PathExplosion and the
+same NoiseSource afterwards.  These tests skip only when no C compiler is
+on PATH; with one, a kernel that fails to build or load fails them.
 """
 
 import ctypes
 import dataclasses
+import gc
 import json
 import os
 import shutil
@@ -21,9 +24,9 @@ import pytest
 import tamsde
 from tamsde import (NoiseSource, PathExplosion, get_model, kernel,
                     load_model_file, simulate_coupled_pair,
-                    simulate_coupled_tm_pair)
+                    simulate_coupled_tm_pair, simulate_path)
 from tamsde.driver import _merge
-from tamsde.scheme import SchemeConfig, _tam_leg, _tm_leg
+from tamsde.scheme import SchemeConfig, _path_loop, _tam_leg, _tm_leg
 
 MODELS = ("model1", "model2", "gbm")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tamsde.__file__)))
@@ -152,6 +155,175 @@ class TestParity:
             assert gen.standard_normal() == fresh.standard_normal(n + 1)[n]
 
 
+@pytest.fixture
+def engines(monkeypatch):
+    """The engine of each simulate_path call, "C" or "python", as a list."""
+    seen = []
+
+    def recorded(model, config, noise):
+        seen.append("python")
+        return _path_loop(model, config, noise)
+
+    run_path = kernel.run_path
+
+    def offered(model, config, noise):
+        try:
+            out = run_path(model, config, noise)
+        except PathExplosion:
+            seen.append("C")
+            raise
+        if out is not None:
+            seen.append("C")
+        return out
+
+    monkeypatch.setattr(tamsde.scheme, "_path_loop", recorded)
+    monkeypatch.setattr(kernel, "run_path", offered)
+    return seen
+
+
+def path_result(run, model, config, noise):
+    """The path's arrays (bytes, dtype, shape, writable) and step count, or
+    its explosion."""
+    try:
+        traj = run(model, config, noise)
+    except PathExplosion as exc:
+        return exc.leg, repr(exc.time), repr(exc.state), exc.steps, str(exc)
+    return tuple((a.tobytes(), a.dtype, a.shape, a.flags.writeable)
+                 for a in (traj.times, traj.values, traj.increments)) + (
+        type(traj.step_count), traj.step_count)
+
+
+def source_state(noise):
+    """The source's clock and its next draw."""
+    return repr(noise.current_time), noise.gaussian_increment(0.5)
+
+
+def path_outcome(run, model, config, noise):
+    return path_result(run, model, config, noise), source_state(noise)
+
+
+def path_config(k, t_end, l0=2.0, max_steps=10 ** 8):
+    return SchemeConfig(2.0 ** -k, t_end, l0=l0, max_steps=max_steps)
+
+
+class TestPathParity:
+    @pytest.mark.parametrize("k, t_end", [(1, 1.0), (3, 5.0), (5, 2.0)])
+    @pytest.mark.parametrize("l0", [2.0, 3.0])
+    @pytest.mark.parametrize("name", MODELS)
+    def test_paths_identical(self, lib, engines, name, l0, k, t_end):
+        model = get_model(name)
+        config = path_config(k, t_end, l0)
+        for seed in range(20):
+            assert (path_outcome(simulate_path, model, config,
+                                 NoiseSource(seed))
+                    == path_outcome(_path_loop, model, config,
+                                    NoiseSource(seed)))
+        assert engines == ["C"] * 20
+
+    def test_long_path_grows_the_buffers(self, lib, engines):
+        # ~5.7e5 steps: the stored grid doubles from 1024 points ten times
+        model, config = get_model("gbm"), path_config(3, 15.0)
+        got = path_outcome(simulate_path, model, config, NoiseSource(1))
+        assert got == path_outcome(_path_loop, model, config, NoiseSource(1))
+        assert got[0][-1] > 2 ** 19
+        assert engines == ["C"]
+
+    @pytest.mark.parametrize("name, x0, k, t_end, max_steps", [
+        ("model1", None, 3, 5.0, 3),
+        ("model2", None, 1, 5.0, 8),
+        ("gbm", None, 5, 1.0, 7),
+        ("model1", 1e200, 2, 5.0, 10 ** 8),
+        ("model1", 1e200, 2, 1e-300, 10 ** 8),
+    ], ids=["budget-model1", "budget-model2", "budget-gbm", "non-finite",
+            "non-finite-at-horizon"])
+    def test_explosions_identical(self, lib, engines, name, x0, k, t_end,
+                                  max_steps):
+        model = get_model(name)
+        if x0 is not None:
+            model = dataclasses.replace(model, x0=x0)
+        config = path_config(k, t_end, max_steps=max_steps)
+        for seed in range(5):
+            got = path_outcome(simulate_path, model, config,
+                               NoiseSource(seed))
+            assert got[0][0] is None  # the PathExplosion's leg
+            assert got == path_outcome(_path_loop, model, config,
+                                       NoiseSource(seed))
+        assert engines == ["C"] * 5
+
+    def test_one_source_for_two_paths(self, lib, engines):
+        # a kernel path leaves its source with no buffered normals, so the
+        # next path on it takes the kernel too
+        model, config = get_model("model2"), path_config(4, 20.0)
+        ran, oracle = NoiseSource(3), NoiseSource(3)
+        for _ in range(2):
+            assert (path_result(simulate_path, model, config, ran)
+                    == path_result(_path_loop, model, config, oracle))
+        assert source_state(ran) == source_state(oracle)
+        assert engines == ["C", "C"]
+
+    @pytest.mark.parametrize("draws, engine", [(3, "python"), (1024, "C")],
+                             ids=["part-read-block", "fully-read-block"])
+    def test_source_with_drawn_normals(self, lib, engines, draws, engine):
+        model, config = get_model("model1"), path_config(3, 5.0)
+        sources = NoiseSource(8), NoiseSource(8)
+        for source in sources:
+            for _ in range(draws):
+                source.gaussian_increment(0.25)
+        assert (path_outcome(simulate_path, model, config, sources[0])
+                == path_outcome(_path_loop, model, config, sources[1]))
+        assert engines == [engine]
+
+    def test_other_sources_and_models_take_the_python_loop(self, tmp_path,
+                                                           engines):
+        config = path_config(3, 5.0)
+        cases = [(get_model("gbm"), CountingNoise), (model1_as_json(tmp_path),
+                                                     NoiseSource)]
+        for model, source in cases:
+            assert (path_outcome(simulate_path, model, config, source(4))
+                    == path_outcome(_path_loop, model, config, source(4)))
+        assert engines == ["python", "python"]
+
+    def test_arrays_outlive_the_trajectory(self, lib):
+        # numpy's views keep the kernel's storage alive; it is freed with
+        # the last of them
+        model, config = get_model("model1"), path_config(3, 10.0)
+        want = _path_loop(model, config, NoiseSource(6)).values[5:50].copy()
+        view = simulate_path(model, config, NoiseSource(6)).values[5:50]
+        gc.collect()
+        for seed in range(20):
+            simulate_path(model, config, NoiseSource(seed))
+        assert view.tobytes() == want.tobytes()
+
+    def test_source_lock_released(self, lib):
+        noise = NoiseSource(0)
+        simulate_path(get_model("model1"), path_config(2, 1.0), noise)
+        assert noise._gen.bit_generator.lock.acquire(blocking=False)
+
+
+def test_paths_free_their_storage(lib):
+    # 40 paths of ~5.7e5 steps store ~550 MB unless each path's storage is
+    # freed with its arrays; the resident size may grow by a few paths' worth
+    code = """
+from tamsde import NoiseSource, SchemeConfig, get_model, simulate_path
+def rss_mb():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * 4096 / 2 ** 20
+config = SchemeConfig(2.0 ** -3, 15.0)
+simulate_path(get_model("gbm"), config, NoiseSource(1))
+before = rss_mb()
+for _ in range(40):
+    simulate_path(get_model("gbm"), config, NoiseSource(1))
+print(rss_mb() - before)
+"""
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("no /proc/self/statm to read the resident size from")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 60.0
+
+
 def model1_as_json(tmp_path):
     path = tmp_path / "model1.json"
     path.write_text(json.dumps({
@@ -204,7 +376,7 @@ class TestDispatch:
 def test_source_compiles_cleanly_as_c99(tmp_path):
     # the kernel's own build line, compiler, flags, numpy header and
     # archive, under strict C99 warnings; the result must load with every
-    # symbol resolved and export the one pair function
+    # symbol resolved and export the pair and path functions
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
@@ -215,7 +387,8 @@ def test_source_compiles_cleanly_as_c99(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     built = ctypes.CDLL(so)
-    assert hasattr(built, "tamsde_pair")
+    for export in ("tamsde_pair", "tamsde_path", "tamsde_free"):
+        assert hasattr(built, export)
     for gone in ("tamsde_pair_init", "tamsde_pair_run", "tamsde_pair_size"):
         assert not hasattr(built, gone)
 
@@ -274,6 +447,13 @@ class TestCache:
     def test_import_builds_nothing(self, isolated):
         isolated(fake_cc=True, code="import tamsde; tamsde.get_model('model2')")
         assert isolated.calls() == 0
+
+    def test_import_leaves_the_kernel_module_out(self, isolated):
+        # importing the kernel loads ctypes and costs start-up time, so only
+        # the first pair or path does
+        code = ("import sys, tamsde, tamsde.cli\n"
+                "print('tamsde.kernel' in sys.modules)")
+        assert isolated(fake_cc=True, code=code) == ["False"]
 
     def test_second_process_loads_without_compiling(self, lib, isolated):
         assert isolated() == ["loaded", "True"]
