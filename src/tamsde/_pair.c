@@ -12,27 +12,196 @@
  *     calls (the special cases CPython handles before calling pow give the
  *     same values as pow for a non-negative base; an overflow, which
  *     model._rpow turns into inf, is inf here too);
- *   - each normal is numpy's own random_standard_normal, linked from
- *     numpy's libnpyrandom.a, drawn on the caller's Philox: the function
- *     Generator.standard_normal calls, so a pair or a path reads
- *     NoiseSource's numbers and leaves the generator where the Python
- *     loop's draws leave it.
+ *   - the noise is NoiseSource's stream: numpy's SeedSequence and
+ *     Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
+ *     1, 2, 3", SC'11) are ported below word for word, so an integer seed
+ *     gives the key and the counter numpy's Philox(seed) starts with, and
+ *     each normal is numpy's own random_standard_normal, linked from
+ *     numpy's libnpyrandom.a and drawn on the port through the bitgen_t it
+ *     takes: the function Generator.standard_normal calls.
  *
  * Both loops are built from one set of leg primitives: propose, due, pend
  * and fire on a struct leg.  A pair is two legs on a merged timeline; a
  * path is one leg with one increment pending per step.  kernel.py builds
- * and loads this file and makes one call per pair (tamsde_pair) or per
- * path (tamsde_path, whose stored grid the caller releases with
- * tamsde_free); the structs below are known only to this file.
+ * and loads this file and makes one call per pair (tamsde_pair, which
+ * seeds the pair's generator itself) or per path (tamsde_path, on a
+ * generator seeded by tamsde_seed or left by earlier draws, whose stored
+ * grid the caller releases with tamsde_free); tamsde_normals draws plain
+ * normals.  struct philox is mirrored by kernel._Philox; the other structs
+ * are known only to this file.
  */
 #include <float.h>
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #include <numpy/random/bitgen.h>
 
 /* declared in numpy/random/distributions.h, which includes Python.h */
 double random_standard_normal(bitgen_t *bitgen_state);
+
+/* --- numpy's Philox4x64-10 and SeedSequence ------------------------------ */
+
+/* The state of numpy's Philox: the counter, the key, the four outputs of
+   the counter's block of which buffer_pos are read, and the upper half of
+   an output next_uint32 has yet to return. */
+struct philox {
+    uint64_t counter[4], key[2], buffer[4];
+    int buffer_pos, has_uint32;
+    uint32_t uinteger;
+};
+
+/* a * b: returns the low 64 bits and sets *hi to the high 64.  A compiler
+   with a 128-bit integer type multiplies in one instruction, twice as fast
+   as the portable C99 product of 32-bit halves it falls back to. */
+#ifdef __SIZEOF_INT128__
+__extension__ typedef unsigned __int128 uint128;
+
+static uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
+{
+    uint128 p = (uint128)a * b;
+    *hi = (uint64_t)(p >> 64);
+    return (uint64_t)p;
+}
+#else
+static uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
+{
+    uint64_t a0 = a & 0xffffffffu, a1 = a >> 32;
+    uint64_t b0 = b & 0xffffffffu, b1 = b >> 32;
+    uint64_t p00 = a0 * b0, p01 = a0 * b1, p10 = a1 * b0;
+    uint64_t mid = (p00 >> 32) + (p01 & 0xffffffffu) + (p10 & 0xffffffffu);
+    *hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    return a * b;
+}
+#endif
+
+/* numpy's philox_next: the next 64-bit output; a new block is the 10-round
+   Philox of the counter, which is incremented first */
+static uint64_t philox_next(void *st)
+{
+    struct philox *s = st;
+    uint64_t c[4], k0 = s->key[0], k1 = s->key[1], hi0, hi1, lo0, lo1;
+    int i;
+    if (s->buffer_pos < 4)
+        return s->buffer[s->buffer_pos++];
+    for (i = 0; i < 4 && ++s->counter[i] == 0; i++)
+        ;  /* carry */
+    memcpy(c, s->counter, sizeof c);
+    for (i = 0; i < 10; i++) {
+        if (i > 0) {  /* bump the key */
+            k0 += 0x9E3779B97F4A7C15u;
+            k1 += 0xBB67AE8584CAA73Bu;
+        }
+        lo0 = mulhilo(0xD2E7470EE14C6C93u, c[0], &hi0);
+        lo1 = mulhilo(0xCA5A826395121157u, c[2], &hi1);
+        c[0] = hi1 ^ c[1] ^ k0;
+        c[2] = hi0 ^ c[3] ^ k1;
+        c[1] = lo1;
+        c[3] = lo0;
+    }
+    memcpy(s->buffer, c, sizeof c);
+    s->buffer_pos = 1;
+    return c[0];
+}
+
+static uint32_t philox_next32(void *st)
+{
+    struct philox *s = st;
+    uint64_t next;
+    if (s->has_uint32) {
+        s->has_uint32 = 0;
+        return s->uinteger;
+    }
+    next = philox_next(s);
+    s->has_uint32 = 1;
+    s->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)(next & 0xffffffffu);
+}
+
+static double philox_double(void *st)
+{
+    return (double)(philox_next(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* the bitgen_t of numpy's Philox, on s */
+static bitgen_t bitgen(struct philox *s)
+{
+    bitgen_t g = {s, philox_next, philox_next32, philox_double, philox_next};
+    return g;
+}
+
+/* SeedSequence's hash constants */
+#define INIT_A 0x43b0d7e5u
+#define MULT_A 0x931e8875u
+#define INIT_B 0x8b51f9ddu
+#define MULT_B 0x58f38dedu
+#define MIX_MULT_L 0xca01f9ddu
+#define MIX_MULT_R 0x4973f715u
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const = (uint32_t)(*hash_const * MULT_A);
+    value = (uint32_t)(value * *hash_const);
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = (uint32_t)((uint32_t)(MIX_MULT_L * x) - (uint32_t)(MIX_MULT_R * y));
+    return r ^ r >> 16;
+}
+
+/* entropy word i of a seed given as little-endian 32-bit words */
+static uint32_t word(const unsigned char *seed, size_t i)
+{
+    const unsigned char *b = seed + 4 * i;
+    return (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16
+           | (uint32_t)b[3] << 24;
+}
+
+/* rng = numpy's Philox(seed): the key is SeedSequence(seed)'s
+   generate_state(2, uint64) and the counter is 0.  seed holds the integer's
+   n_words 32-bit entropy words, least significant first (one word for 0). */
+void tamsde_seed(struct philox *rng, const unsigned char *seed, size_t n_words)
+{
+    uint32_t pool[4], out[4], hash_const = INIT_A;
+    size_t i, j;
+    /* SeedSequence.mix_entropy on a pool of 4 words */
+    for (i = 0; i < 4; i++)
+        pool[i] = hashmix(i < n_words ? word(seed, i) : 0, &hash_const);
+    for (i = 0; i < 4; i++)
+        for (j = 0; j < 4; j++)
+            if (i != j)
+                pool[j] = mix(pool[j], hashmix(pool[i], &hash_const));
+    for (i = 4; i < n_words; i++)
+        for (j = 0; j < 4; j++)
+            pool[j] = mix(pool[j], hashmix(word(seed, i), &hash_const));
+    /* generate_state: four 32-bit words, read as two little-endian 64s */
+    hash_const = INIT_B;
+    for (i = 0; i < 4; i++) {
+        uint32_t v = pool[i] ^ hash_const;
+        hash_const = (uint32_t)(hash_const * MULT_B);
+        v = (uint32_t)(v * hash_const);
+        out[i] = v ^ v >> 16;
+    }
+    memset(rng, 0, sizeof *rng);
+    rng->key[0] = out[0] | (uint64_t)out[1] << 32;
+    rng->key[1] = out[2] | (uint64_t)out[3] << 32;
+    rng->buffer_pos = 4;
+}
+
+/* out = the next n normals of rng, as Generator.standard_normal(n) */
+void tamsde_normals(struct philox *rng, double *out, long long n)
+{
+    bitgen_t g = bitgen(rng);
+    long long i;
+    for (i = 0; i < n; i++)
+        out[i] = random_standard_normal(&g);
+}
+
+/* --- the scheme ----------------------------------------------------------- */
 
 enum { MODEL1, MODEL2, GBM };
 enum { DONE, FINE_STOP, COARSE_STOP, NO_MEMORY };
@@ -179,14 +348,17 @@ static int fire(const struct pair *p, struct leg *leg, double t)
     return 0;
 }
 
-/* driver._merge: the pair from x0 to t_end, one normal drawn from rng per
-   event.  Returns DONE with out = {fine x, coarse x, t_end}, or FINE_STOP
-   or COARSE_STOP with out[2] the stop time and that leg's state in out;
-   steps gets both legs' step counts. */
+/* driver._merge: the pair from x0 to t_end, one normal drawn per event
+   from rng, which is seeded here as tamsde_seed(rng, seed, n_words) does
+   and left where the pair's draws leave it.  Returns DONE with
+   out = {fine x, coarse x, t_end}, or FINE_STOP or COARSE_STOP with out[2]
+   the stop time and that leg's state in out; steps gets both legs' step
+   counts. */
 int tamsde_pair(int model, int adaptive, double delta_fine,
                 double delta_coarse, double h0, double l0, double x0,
-                double t_end, long long max_steps, bitgen_t *rng,
-                double out[3], long long steps[2])
+                double t_end, long long max_steps, const unsigned char *seed,
+                size_t n_words, struct philox *rng, double out[3],
+                long long steps[2])
 {
     struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
                      .max_steps = max_steps, .model = model,
@@ -194,6 +366,9 @@ int tamsde_pair(int model, int adaptive, double delta_fine,
     struct leg *legs[2] = {&p.fine, &p.coarse};
     double deltas[2] = {delta_fine, delta_coarse}, t = 0.0;
     int i, status = DONE;
+    bitgen_t g;
+    tamsde_seed(rng, seed, n_words);
+    g = bitgen(rng);
     for (i = 0; i < 2; i++) {
         legs[i]->delta = deltas[i];
         legs[i]->sqd = sqrt(deltas[i]);
@@ -202,7 +377,7 @@ int tamsde_pair(int model, int adaptive, double delta_fine,
     }
     while (t < t_end && status == DONE) {
         double t_next = p.fine.due < p.coarse.due ? p.fine.due : p.coarse.due;
-        double dz = sqrt(t_next - t) * random_standard_normal(rng);
+        double dz = sqrt(t_next - t) * random_standard_normal(&g);
         pend(&p.fine, dz);
         pend(&p.coarse, dz);
         t = t_next;
@@ -265,14 +440,15 @@ void tamsde_free(double *p)
 }
 
 /* scheme.simulate_path: one tamed-adaptive leg from x0 to t_end, one
-   normal drawn from rng per step, each step's duration added to *clock.
+   normal drawn from rng per step and rng left after the last, each step's
+   duration added to *clock.
    Returns DONE with grid = {times, values, increments} (steps + 1,
    steps + 1 and steps doubles, each to be released with tamsde_free),
    FINE_STOP when the leg cannot go on, or NO_MEMORY; on either of those
    nothing is stored.  out = {state, time} of the last step, and steps
    the step count. */
 int tamsde_path(int model, double delta, double h0, double l0, double x0,
-                double t_end, long long max_steps, bitgen_t *rng,
+                double t_end, long long max_steps, struct philox *rng,
                 double *clock, double out[2], long long *steps,
                 double *grid[3])
 {
@@ -280,6 +456,7 @@ int tamsde_path(int model, double delta, double h0, double l0, double x0,
                      .max_steps = max_steps, .model = model, .adaptive = 1};
     struct leg *leg = &p.fine;
     struct grid g = {NULL, NULL, NULL, 1, 1024};
+    bitgen_t noise = bitgen(rng);
     int status = DONE;
     leg->delta = delta;
     leg->sqd = sqrt(delta);
@@ -295,7 +472,7 @@ int tamsde_path(int model, double delta, double h0, double l0, double x0,
         double dt = leg->due - leg->last;
         /* one increment pending onto nothing is the increment itself,
            signed zero included, which pend would turn into +0.0 */
-        double dw = sqrt(dt) * random_standard_normal(rng);
+        double dw = sqrt(dt) * random_standard_normal(&noise);
         leg->pw = dw;
         *clock += dt;
         if (fire(&p, leg, leg->due))

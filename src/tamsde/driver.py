@@ -17,11 +17,13 @@ summation so the per-leg totals agree with the global Brownian sum to
 ~1e-12 over long horizons.
 
 Both coupled-pair functions go through one runner, _run_pair, which
-checks the arguments once (SchemeConfig) and first offers the pair to the
-compiled kernel (kernel.run_pair).  The kernel takes every pair of a
-built-in model and runs the same loop in C with the same noise, returning
-the same bits; _merge runs every pair the kernel declines and is the
-reference the kernel is tested against.
+checks the arguments once (SchemeConfig, _checked_seed) and first offers
+the pair to the compiled kernel (kernel.run_pair).  The kernel takes every
+pair of a built-in model and runs the same loop in C with the same noise,
+seeding its own port of numpy's Philox from the integer seed, and returns
+the same bits; no NoiseSource is built for such a pair.  _merge runs every
+pair the kernel declines, on NoiseSource(seed), and is the reference the
+kernel is tested against.
 """
 
 import math
@@ -41,6 +43,13 @@ _INF = math.inf
 _sqrt = math.sqrt
 
 
+def _checked_seed(seed):
+    """seed, if it is a non-negative integer; else InputError."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 class NoiseSource:
     """Reproducible stream of Gaussian increments.
 
@@ -49,14 +58,18 @@ class NoiseSource:
     same seed always reproduces the identical sequence.  Standard normals
     are drawn in blocks and scaled by the square root of each requested
     duration.
+
+    The numpy generator is made by the first block drawn here, not
+    before: a path the compiled kernel runs draws the stream on its own
+    Philox (kernel.run_path) and leaves its state in _state, from which
+    the generator then goes on.
     """
 
     def __init__(self, seed):
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise InputError(f"seed must be a non-negative integer, got {seed!r}")
-        self.seed = seed
+        self.seed = _checked_seed(seed)
         self.current_time = 0.0
-        self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        self._gen = None    # numpy's Generator, made by the first block
+        self._state = None  # or the kernel's Philox state to make it at
         self._buf = None
         self._idx = _BLOCK  # the first draw fills the first block
 
@@ -66,6 +79,11 @@ class NoiseSource:
             raise InputError(f"duration must be positive and finite, got {duration}")
         i = self._idx
         if i == _BLOCK:
+            if self._gen is None:
+                self._gen = np.random.Generator(
+                    np.random.Philox(np.random.SeedSequence(self.seed))
+                    if self._state is None else self._state.philox())
+                self._state = None
             self._buf = self._gen.standard_normal(_BLOCK).tolist()
             i = 0
         self._idx = i + 1
@@ -164,12 +182,11 @@ def _run_pair(model, clock, k, t_end, seed, max_steps):
     config = SchemeConfig(fine, t_end, *(clock or ()), max_steps=max_steps)
     if clock is not None:
         _require_l0(model, config)
-    noise = NoiseSource(seed)
+    _checked_seed(seed)
     # imported by the first pair, not by import tamsde, which stays as fast
     # as it was without the kernel
     from . import kernel
-    out = kernel.run_pair(model, config, clock is not None, coarse,
-                          noise._gen.bit_generator)
+    out = kernel.run_pair(model, config, clock is not None, coarse, seed)
     if out is not None:
         return _sample(*out)
     if clock is None:
@@ -177,7 +194,8 @@ def _run_pair(model, clock, k, t_end, seed, max_steps):
     else:
         legs = (_tam_leg(model, fine, config.h0, config.l0),
                 _tam_leg(model, coarse, config.h0, config.l0))
-    return _merge(*legs, model.x0, config.t_end, noise, config.max_steps)
+    return _merge(*legs, model.x0, config.t_end, NoiseSource(seed),
+                  config.max_steps)
 
 
 def simulate_coupled_pair(model, h0, l0, k, t_end, seed,

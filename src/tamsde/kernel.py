@@ -2,13 +2,17 @@
 
 _pair.c runs one coupled pair of either scheme in one call, operation for
 operation as driver._merge does, and one adaptive path in one call as
-scheme.simulate_path does, drawing each normal from the caller's Philox as
-NoiseSource does, so its results are byte-identical to the Python loops'.
-run_pair and run_path return None, and the caller runs its Python loop,
-the reference, for a model other than the three built-ins (JSON term
-models and library callables) and for every pair and path when the kernel
-cannot be built.  run_path also declines a noise source other than a
-NoiseSource itself and one holding buffered normals.
+scheme.simulate_path does, so its results are byte-identical to the Python
+loops'.  It draws NoiseSource's stream on its own port of numpy's
+SeedSequence and Philox: run_pair hands it the pair's integer seed, and
+run_path the seed of a fresh source or the Philox state (_Philox) the
+source's last path or numpy generator left, and stores the state after the
+path on the source.  No numpy generator is built for either.  run_pair and
+run_path return None, and the caller runs its Python loop, the reference,
+for a model other than the three built-ins (JSON term models and library
+callables) and for every pair and path when the kernel cannot be built.
+run_path also declines a noise source other than a NoiseSource itself and
+one holding buffered normals.
 
 The kernel is built with the host's `cc` against numpy's bitgen.h and
 libnpyrandom.a on the first pair or path of a process, never at import,
@@ -18,13 +22,16 @@ under a name keyed by the sha256 of the source, the flags, the machine
 type and the numpy version, whose normals it links.  A build is renamed
 into place from a temporary name, so processes that build at once never
 see a half-written file, and a cached file that another user owns or can
-write is never loaded.  Loading is tried once per process; with no
-compiler, no numpy header or archive, or a failed build, every pair and
-path takes the Python loop.
+write is never loaded.  Loading a cached build refreshes its modification
+time and deletes the directory's other builds unused for _STALE_S, so
+stale builds do not pile up while versions in use side by side are kept.
+Loading is tried once per process; with no compiler, no numpy header or
+archive, or a failed build, every pair and path takes the Python loop.
 """
 
 import contextlib
 import ctypes
+import fnmatch
 import functools
 import hashlib
 import os
@@ -32,6 +39,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
+import time
 
 import numpy as np
 
@@ -48,6 +56,12 @@ _ARCHIVE = os.path.join(os.path.dirname(np.__file__), "random", "lib",
                         "libnpyrandom.a")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _BUILD_TIMEOUT_S = 120
+# a cached build of another source or numpy unused for this long is deleted
+# when a build is loaded from its directory; builds in use, such as two
+# versions run side by side, are kept
+_STALE_S = 30 * 24 * 3600
+_EXPORTS = ("tamsde_pair", "tamsde_path", "tamsde_free", "tamsde_seed",
+            "tamsde_normals")
 
 # C model numbers are positions in this tuple (enum in _pair.c)
 _MODELS = ("model1", "model2", "gbm")
@@ -57,10 +71,43 @@ _NO_MEMORY = 3
 # either and is passed to C as this
 _INT64_MAX = 2 ** 63 - 1
 
-# the bitgen_t of a numpy bit generator, from its capsule
-_bitgen = ctypes.pythonapi.PyCapsule_GetPointer
-_bitgen.restype = ctypes.c_void_p
-_bitgen.argtypes = [ctypes.py_object, ctypes.c_char_p]
+
+
+class _Philox(ctypes.Structure):
+    """numpy's Philox state as the kernel keeps it (struct philox in _pair.c)."""
+
+    _fields_ = [("counter", ctypes.c_uint64 * 4), ("key", ctypes.c_uint64 * 2),
+                ("buffer", ctypes.c_uint64 * 4), ("buffer_pos", ctypes.c_int),
+                ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)]
+
+    @classmethod
+    def of(cls, bit_generator):
+        """The state of a numpy Philox."""
+        state = bit_generator.state
+        return cls(tuple(state["state"]["counter"].tolist()),
+                   tuple(state["state"]["key"].tolist()),
+                   tuple(state["buffer"].tolist()), state["buffer_pos"],
+                   state["has_uint32"], state["uinteger"])
+
+    def philox(self):
+        """A numpy Philox at this state."""
+        bit_generator = np.random.Philox(0)
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array(self.counter, np.uint64),
+                      "key": np.array(self.key, np.uint64)},
+            "buffer": np.array(self.buffer, np.uint64),
+            "buffer_pos": self.buffer_pos, "has_uint32": self.has_uint32,
+            "uinteger": self.uinteger}
+        return bit_generator
+
+
+def _words(seed):
+    """A non-negative integer seed as the kernel takes it: its 32-bit words,
+    least significant first, as bytes, and their count (numpy's SeedSequence
+    entropy; one word for 0)."""
+    n = (seed.bit_length() + 31) // 32 or 1
+    return seed.to_bytes(4 * n, "little"), n
 
 
 def _coefficients(model):
@@ -109,16 +156,39 @@ def _open(directory, name):
     except OSError:
         return None
     # a library of that name without our functions is not the kernel
-    if not all(hasattr(lib, f) for f in ("tamsde_pair", "tamsde_path",
-                                        "tamsde_free")):
+    if not all(hasattr(lib, f) for f in _EXPORTS):
         return None
     lib.tamsde_pair.restype = lib.tamsde_path.restype = ctypes.c_int
     lib.tamsde_pair.argtypes = ([ctypes.c_int] * 2 + [ctypes.c_double] * 6
-                                + [ctypes.c_longlong] + [ctypes.c_void_p] * 3)
+                                + [ctypes.c_longlong, ctypes.c_char_p,
+                                   ctypes.c_size_t] + [ctypes.c_void_p] * 3)
     lib.tamsde_path.argtypes = ([ctypes.c_int] + [ctypes.c_double] * 5
                                 + [ctypes.c_longlong] + [ctypes.c_void_p] * 5)
+    lib.tamsde_seed.argtypes = [ctypes.c_void_p, ctypes.c_char_p,
+                                ctypes.c_size_t]
+    lib.tamsde_normals.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
+                                   ctypes.c_longlong]
     lib.tamsde_free.argtypes = [ctypes.c_void_p]
+    lib.tamsde_seed.restype = lib.tamsde_normals.restype = None
     lib.tamsde_free.restype = None
+    return lib
+
+
+def _load(directory, name):
+    """_open(directory, name); once loaded, the build is marked as used and
+    the directory's other builds unused for _STALE_S are deleted."""
+    lib = _open(directory, name)
+    if lib is None:
+        return None
+    with contextlib.suppress(OSError):
+        os.utime(os.path.join(directory, name))
+    now = time.time()
+    with contextlib.suppress(OSError), os.scandir(directory) as entries:
+        for entry in entries:
+            if entry.name != name and fnmatch.fnmatch(entry.name, "_pair-*.so"):
+                with contextlib.suppress(OSError):
+                    if now - entry.stat().st_mtime > _STALE_S:
+                        os.unlink(entry.path)
     return lib
 
 
@@ -184,7 +254,7 @@ def library():
     try:
         dirs = list(_cache_dirs())
         for directory in dirs:
-            lib = _open(directory, name)
+            lib = _load(directory, name)
             if lib is not None:
                 return lib
         with tempfile.TemporaryDirectory(prefix="tamsde-build-") as tmp:
@@ -192,7 +262,7 @@ def library():
                 return None
             for directory in dirs:
                 if _install(os.path.join(tmp, name), directory, name):
-                    lib = _open(directory, name)
+                    lib = _load(directory, name)
                     if lib is not None:
                         return lib
             # no usable cache: the loaded build outlives its deleted file
@@ -201,15 +271,15 @@ def library():
         return None
 
 
-def run_pair(model, config, adaptive, delta_coarse, bit_generator):
+def run_pair(model, config, adaptive, delta_coarse, seed):
     """One coupled pair in C, or None when the kernel does not run the model.
 
     config is the pair's checked SchemeConfig, with the fine leg's delta;
     adaptive picks two tamed-adaptive legs (h0 and l0 from config) over
-    two fixed-step legs; bit_generator is the pair's numpy Philox, which
-    the kernel draws from.  Returns the terminal (fine state, coarse
-    state, fine steps, coarse steps), or raises the PathExplosion _merge
-    would raise, through the same _stop.
+    two fixed-step legs; seed is the pair's checked integer seed, from
+    which the kernel seeds its Philox as NoiseSource(seed) does.  Returns
+    the terminal (fine state, coarse state, fine steps, coarse steps), or
+    raises the PathExplosion _merge would raise, through the same _stop.
     """
     number = _model_number(model)
     if number is None:
@@ -219,13 +289,11 @@ def run_pair(model, config, adaptive, delta_coarse, bit_generator):
         return None
     out = (ctypes.c_double * 3)()
     steps = (ctypes.c_longlong * 2)()
-    # C draws without taking the bit generator's lock, which is safe only
-    # because the pair's Philox belongs to this pair alone
     status = lib.tamsde_pair(number, int(adaptive), config.delta,
                              delta_coarse, config.h0, config.l0, model.x0,
                              config.t_end, min(config.max_steps, _INT64_MAX),
-                             _bitgen(bit_generator.capsule, b"BitGenerator"),
-                             out, steps)
+                             *_words(seed), ctypes.byref(_Philox()), out,
+                             steps)
     if status:  # FINE_STOP (1) or COARSE_STOP (2): that leg cannot go on
         i = status - 1
         _stop(("fine", "coarse")[i], out[2], out[i], steps[i],
@@ -260,12 +328,14 @@ def run_path(model, config, noise):
 
     config is the path's checked SchemeConfig.  The kernel takes the path
     of a built-in model drawn from a NoiseSource itself, not a subclass
-    whose draws may differ, that holds no buffered normals; it draws on
-    the source's Philox and advances its clock as simulate_path does, and
-    leaves it to go on with the normal after the path's last.  Returns
-    (times, values, increments, step count), the arrays as simulate_path
-    stores them, or raises the PathExplosion it would raise, through the
-    same _stop.
+    whose draws may differ, that holds no buffered normals.  It goes on
+    with the source's stream on its own Philox, seeded from the source's
+    seed or started at the state the source's numpy generator or an
+    earlier path left, and advances the source's clock as simulate_path
+    does; the source keeps the Philox's state afterwards, so its next draw
+    is the normal after the path's last.  Returns (times, values,
+    increments, step count), the arrays as simulate_path stores them, or
+    raises the PathExplosion it would raise, through the same _stop.
     """
     number = _model_number(model)
     if (number is None or type(noise) is not NoiseSource
@@ -274,21 +344,24 @@ def run_path(model, config, noise):
     lib = library()
     if lib is None:
         return None
-    bit_generator = noise._gen.bit_generator
+    if noise._gen is not None:
+        rng = _Philox.of(noise._gen.bit_generator)
+    elif noise._state is not None:
+        rng = noise._state
+    else:
+        rng = _Philox()
+        lib.tamsde_seed(ctypes.byref(rng), *_words(noise.seed))
     clock = ctypes.c_double(noise.current_time)
     out = (ctypes.c_double * 2)()
     steps = ctypes.c_longlong()
     grid = (ctypes.c_void_p * 3)()
-    # the source is the caller's, so C draws holding its lock
-    with bit_generator.lock:
-        status = lib.tamsde_path(
-            number, config.delta, config.h0, config.l0, model.x0,
-            config.t_end, min(config.max_steps, _INT64_MAX),
-            _bitgen(bit_generator.capsule, b"BitGenerator"),
-            ctypes.byref(clock), out, ctypes.byref(steps), grid)
+    status = lib.tamsde_path(
+        number, config.delta, config.h0, config.l0, model.x0, config.t_end,
+        min(config.max_steps, _INT64_MAX), ctypes.byref(rng),
+        ctypes.byref(clock), out, ctypes.byref(steps), grid)
     noise.current_time = clock.value
-    noise._buf = None
-    noise._idx = _BLOCK  # the next draw refills from the path's next normal
+    # the next draw refills from the path's next normal
+    noise._gen, noise._state, noise._buf = None, rng, None
     n = steps.value
     if status == _NO_MEMORY:
         raise MemoryError(f"no memory to store a path of {n} steps")

@@ -108,6 +108,24 @@ def assert_brownian_sums_agree(fine, coarse, x0, t_end, seed):
     assert abs(math.fsum(applied_c) - w_total) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "3"])
+@pytest.mark.parametrize("run", [
+    lambda seed: simulate_coupled_pair(M1, 1.0, 2.0, 2, 1.0, seed),
+    lambda seed: simulate_coupled_tm_pair(M1, 2, 1.0, seed)],
+    ids=["adaptive", "fixed"])
+def test_seed_checked_before_the_kernel(monkeypatch, run, seed):
+    # the kernel takes the integer seed as it is, so a malformed one must
+    # be turned away before it
+    from tamsde import kernel
+
+    def no_call(*args):
+        raise AssertionError("the kernel was called")
+
+    monkeypatch.setattr(kernel, "run_pair", no_call)
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        run(seed)
+
+
 class TestCoupledTam:
     def test_argument_validation(self):
         with pytest.raises(InputError):

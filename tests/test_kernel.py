@@ -5,8 +5,10 @@ both schemes the kernel must give the same CoupledSample, bit for bit,
 raise the same PathExplosion and leave the pair's generator where _merge's
 draws leave it.  scheme._path_loop is the reference for single paths in
 the same way: the same Trajectory bytes, the same PathExplosion and the
-same NoiseSource afterwards.  These tests skip only when no C compiler is
-on PATH; with one, a kernel that fails to build or load fails them.
+same NoiseSource afterwards.  numpy's Philox(SeedSequence(seed)) and
+Generator.standard_normal are the reference for the kernel's own seeding
+and draws.  These tests skip only when no C compiler is on PATH; with one,
+a kernel that fails to build or load fails them.
 """
 
 import ctypes
@@ -14,9 +16,11 @@ import dataclasses
 import gc
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ import tamsde
 from tamsde import (NoiseSource, PathExplosion, get_model, kernel,
                     load_model_file, simulate_coupled_pair,
                     simulate_coupled_tm_pair, simulate_path)
+from tamsde.analysis import cell_seed
 from tamsde.driver import _merge
 from tamsde.scheme import SchemeConfig, _path_loop, _tam_leg, _tm_leg
 
@@ -51,6 +56,20 @@ def merges(monkeypatch):
         return _merge(fine, coarse, x0, t_end, noise, max_steps)
 
     monkeypatch.setattr(tamsde.driver, "_merge", recorded)
+    return seen
+
+
+@pytest.fixture
+def numpy_made(monkeypatch):
+    """The numpy SeedSequence, Philox and Generator objects made, by class
+    name, as a list."""
+    seen = []
+    for name in ("SeedSequence", "Philox", "Generator"):
+        def recorded(*args, _made=getattr(np.random, name), **kwargs):
+            seen.append(_made.__name__)
+            return _made(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, recorded)
     return seen
 
 
@@ -104,6 +123,12 @@ class TestParity:
                     == outcome(reference, model, clock, k, 1.0, seed))
         assert merges == []
 
+    @pytest.mark.parametrize("clock", CLOCKS, ids=["l0=2", "l0=3", "fixed"])
+    def test_no_numpy_generator_made(self, lib, merges, numpy_made, clock):
+        for seed in (0, 2 ** 50 + 3):
+            pair(get_model("model1"), clock, 2, 1.0, seed)
+        assert merges == [] and numpy_made == []
+
     @pytest.mark.parametrize("name, clock, x0, t_end, max_steps", [
         ("model1", (1.0, 2.0), None, 5.0, 3),
         ("model2", (1.0, 3.0), None, 5.0, 40),
@@ -131,28 +156,31 @@ class TestParity:
     @pytest.mark.parametrize("clock, k", [((1.0, 2.0), 4), (None, 5)],
                              ids=["adaptive", "fixed"])
     @pytest.mark.parametrize("name", MODELS)
-    def test_generator_left_where_merge_leaves_it(self, lib, name, clock, k,
-                                                  max_steps):
+    def test_generator_left_where_merge_leaves_it(self, lib, monkeypatch,
+                                                  name, clock, k, max_steps):
         # the kernel draws one normal per event, as _merge does, so the
-        # pair's generator goes on with the normal after its last event's;
-        # at T=20 every finished pair here draws more than one 1024 block
+        # pair's Philox, read back after the pair, goes on with the normal
+        # after its last event's; at T=20 every finished pair here draws
+        # more than one 1024 block
+        states = []
+
+        class Kept(kernel._Philox):
+            def __init__(self):
+                super().__init__()
+                states.append(self)
+
+        monkeypatch.setattr(kernel, "_Philox", Kept)
         model = get_model(name)
-        config = SchemeConfig(2.0 ** -(k + 1), 20.0, *(clock or ()),
-                              max_steps=max_steps)
-
-        def compiled(gen):
-            return tamsde.driver._sample(*kernel.run_pair(
-                model, config, clock is not None, 2.0 ** -k,
-                gen.bit_generator))
-
         for seed in (0, 2):
             noise = CountingNoise(seed)
-            gen = np.random.Generator(np.random.Philox(seed))
-            assert outcome(compiled, gen) == outcome(
-                reference, model, clock, k, 20.0, seed, max_steps, noise)
+            assert outcome(pair, model, clock, k, 20.0, seed, max_steps) == (
+                outcome(reference, model, clock, k, 20.0, seed, max_steps,
+                        noise))
             n = noise.draws
+            left = np.random.Generator(states[-1].philox())
             fresh = np.random.Generator(np.random.Philox(seed))
-            assert gen.standard_normal() == fresh.standard_normal(n + 1)[n]
+            assert left.standard_normal() == fresh.standard_normal(n + 1)[n]
+        assert len(states) == 2
 
 
 @pytest.fixture
@@ -294,10 +322,15 @@ class TestPathParity:
             simulate_path(model, config, NoiseSource(seed))
         assert view.tobytes() == want.tobytes()
 
-    def test_source_lock_released(self, lib):
+    def test_fresh_source_builds_no_numpy_generator(self, lib, engines,
+                                                    numpy_made):
+        # a C path seeds its own Philox from the source's seed; numpy's is
+        # made only when the source itself next draws a block
         noise = NoiseSource(0)
         simulate_path(get_model("model1"), path_config(2, 1.0), noise)
-        assert noise._gen.bit_generator.lock.acquire(blocking=False)
+        assert engines == ["C"] and numpy_made == []
+        noise.gaussian_increment(0.5)
+        assert numpy_made == ["Philox", "Generator"]
 
 
 def test_paths_free_their_storage(lib):
@@ -373,24 +406,123 @@ class TestDispatch:
         assert merges == []
 
 
+# --- the kernel's Philox against numpy's ------------------------------------
+
+def generator_seeds():
+    """Seeds from every stride boundary analysis.cell_seed can give, and
+    random ones of 1 to 6 and 8 to 11 32-bit words (up to 2**320)."""
+    seeds = set()
+    for base in (0, 1, 2 ** 31, 2 ** 32 - 1, 2 ** 63 + 12345):
+        for index in (0, 1, 254, 255):
+            for t_idx in (0, 1, 1022, 1023):
+                for baseline in (False, True):
+                    first = cell_seed(base, 2 ** 32, index, t_idx, baseline)
+                    seeds.update((first, first + 1, first + 2 ** 32 - 1))
+    rng = random.Random(20240611)
+    for bits in (1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 160, 161, 256,
+                 257, 320):
+        seeds.update(rng.getrandbits(bits) for _ in range(500))
+        seeds.update((2 ** bits - 1, 2 ** bits))
+    seeds.update(range(3000))
+    return sorted(seeds)
+
+
+def c_normals(built, rng, n):
+    out = np.empty(n)
+    built.tamsde_normals(ctypes.byref(rng), out.ctypes.data, n)
+    return out
+
+
+def c_seeded(built, seed):
+    rng = kernel._Philox()
+    built.tamsde_seed(ctypes.byref(rng), *kernel._words(seed))
+    return rng
+
+
+def generator_mismatches(built, seeds, n):
+    """The seeds whose key, counter or first n normals the library differs
+    on from numpy's Philox(SeedSequence(seed))."""
+    bad = []
+    for seed in seeds:
+        rng = c_seeded(built, seed)
+        want = np.random.Philox(np.random.SeedSequence(seed))
+        state = want.state
+        if ((tuple(rng.key), tuple(rng.counter), rng.buffer_pos)
+                != (tuple(state["state"]["key"].tolist()),
+                    tuple(state["state"]["counter"].tolist()),
+                    state["buffer_pos"])
+                or c_normals(built, rng, n).tobytes() != np.random.Generator(
+                    want).standard_normal(n).tobytes()):
+            bad.append(seed)
+    return bad
+
+
+class TestGenerator:
+    def test_seeds_and_normals_match_numpy(self, lib):
+        seeds = generator_seeds()
+        assert len(seeds) >= 10 ** 4
+        assert max(seeds) >= 2 ** 128
+        assert generator_mismatches(lib, seeds, 8) == []
+        # past the first block of 4 outputs and across the 1024-normal blocks
+        assert generator_mismatches(lib, seeds[::100], 2100) == []
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025])
+    def test_state_handed_over_both_ways(self, lib, n):
+        for seed in (0, 7, 2 ** 40 + 3, 2 ** 130 + 1):
+            stream = np.random.Generator(np.random.Philox(seed)).standard_normal(
+                n + 2000)
+            # C draws n, then numpy goes on from C's state
+            rng = c_seeded(lib, seed)
+            c_normals(lib, rng, n)
+            after_c = np.random.Generator(rng.philox()).standard_normal(2000)
+            assert after_c.tobytes() == stream[n:].tobytes()
+            # numpy draws n, then C goes on from numpy's state
+            gen = np.random.Generator(np.random.Philox(seed))
+            gen.standard_normal(n)
+            rng = kernel._Philox.of(gen.bit_generator)
+            assert c_normals(lib, rng, 2000).tobytes() == stream[n:].tobytes()
+
+
+    @pytest.mark.parametrize("words", [1, 2, 3, 4])
+    def test_counter_carries(self, lib, words):
+        # a counter whose low words are all ones carries into the next word
+        # when the next block is made
+        counter = 2 ** (64 * words) - 1
+        want = np.random.Philox(key=2 ** 100 + 9, counter=counter)
+        rng = kernel._Philox.of(want)
+        got = c_normals(lib, rng, 40)
+        assert got.tobytes() == np.random.Generator(want).standard_normal(
+            40).tobytes()
+        assert tuple(rng.counter) == tuple(
+            want.state["state"]["counter"].tolist())
+
+
 def test_source_compiles_cleanly_as_c99(tmp_path):
     # the kernel's own build line, compiler, flags, numpy header and
-    # archive, under strict C99 warnings; the result must load with every
-    # symbol resolved and export the pair and path functions
+    # archive, under strict pedantic C99 warnings, with the compiler's
+    # 128-bit product and with the 32-bit halves the source falls back to
+    # without one; each build must load with every symbol resolved, export
+    # the kernel's functions and draw numpy's normals
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
-    so = str(tmp_path / "_pair.so")
-    command = kernel._command(cc, kernel._SOURCE, so)
-    proc = subprocess.run(
-        [cc, "-std=c99", "-Wall", "-Wextra", "-Werror", *command[1:]],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    built = ctypes.CDLL(so)
-    for export in ("tamsde_pair", "tamsde_path", "tamsde_free"):
-        assert hasattr(built, export)
-    for gone in ("tamsde_pair_init", "tamsde_pair_run", "tamsde_pair_size"):
-        assert not hasattr(built, gone)
+    assert set(kernel._EXPORTS) == {"tamsde_pair", "tamsde_path",
+                                    "tamsde_free", "tamsde_seed",
+                                    "tamsde_normals"}
+    for name, multiply in (("native.so", []),
+                           ("portable.so", ["-U__SIZEOF_INT128__"])):
+        command = kernel._command(cc, kernel._SOURCE, str(tmp_path / name))
+        proc = subprocess.run(
+            [cc, "-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Werror",
+             *multiply, *command[1:]],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        built = kernel._open(str(tmp_path), name)
+        assert built is not None
+        for gone in ("tamsde_pair_init", "tamsde_pair_run",
+                     "tamsde_pair_size"):
+            assert not hasattr(built, gone)
+        assert generator_mismatches(built, generator_seeds()[::20], 1030) == []
 
 
 # --- the build cache, each case in fresh processes --------------------------
@@ -486,6 +618,26 @@ class TestCache:
         so.chmod(0o777)
         assert isolated(fake_cc=True) == ["fallback", "True"]
         assert isolated.calls() == 1
+
+    def test_stale_builds_are_pruned(self, lib, isolated):
+        # loading marks the build as used; another build is deleted only
+        # once unused for kernel._STALE_S, so two versions run side by side
+        # keep both of theirs
+        isolated()
+        (so,) = isolated.cached()
+        now = time.time()
+        aged = so.with_name("_pair-0000000000000000.so")
+        recent = so.with_name("_pair-1111111111111111.so")
+        other = so.with_name("other-file.so")
+        for path in (aged, recent, other):
+            shutil.copy(so, path)
+        for path, age in ((so, 10), (aged, 31), (recent, 29), (other, 365)):
+            os.utime(path, (now - age * 86400,) * 2)
+        assert isolated(fake_cc=True) == ["loaded", "True"]
+        assert isolated.calls() == 0
+        assert not aged.exists()
+        assert recent.exists() and other.exists()
+        assert so.stat().st_mtime > now - 60
 
     def test_unwritable_cache_still_loads_the_build(self, lib, isolated,
                                                     tmp_path):
