@@ -25,10 +25,12 @@
  * path is one leg with one increment pending per step.  kernel.py builds
  * and loads this file and makes one call per pair (tamsde_pair, which
  * seeds the pair's generator itself) or per path (tamsde_path, on a
- * generator seeded by tamsde_seed or left by earlier draws, whose stored
- * grid the caller releases with tamsde_free); tamsde_normals draws plain
- * normals.  struct philox is mirrored by kernel._Philox; the other structs
- * are known only to this file.
+ * NoiseSource's generator, whose stored grid the caller releases with
+ * tamsde_free).  A NoiseSource's one generator is a struct philox seeded
+ * by tamsde_seed, and tamsde_normals fills the source's blocks of normals
+ * from it, so a path here and the source's own draws share one stream.
+ * struct philox is mirrored by kernel._Philox; the other structs are
+ * known only to this file.
  */
 #include <float.h>
 #include <math.h>

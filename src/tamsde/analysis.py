@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, RegressionError
+from .model import _integer
 from .montecarlo import estimate_mse, estimate_tm_mse, tm_step_count
 from .scheme import DEFAULT_MAX_STEPS
 
@@ -66,10 +67,7 @@ def cell_seed(base_seed, n_paths, index, t_idx, baseline=False):
     else raises InputError, as does a base_seed that is not a non-negative
     integer (path seeds must be).
     """
-    if (isinstance(base_seed, bool) or not isinstance(base_seed, int)
-            or base_seed < 0):
-        raise InputError(
-            f"seed must be a non-negative integer, got {base_seed!r}")
+    _integer(base_seed, "seed", 0)
     for what, value, limit in (
             ("paths per cell", n_paths, SEED_STRIDE_K + 1),
             ("level or moment-order index", index,

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 from .analysis import cell_seed, compare_schemes, fit_convergence_rate
 from .errors import Error, EstimationError, InputError
-from .model import check_dissipativity, check_one_sided_lipschitz, get_model
-from .montecarlo import estimate_moment, estimate_mse
+from .model import (_integer, _real, check_dissipativity,
+                    check_one_sided_lipschitz, get_model)
+from .montecarlo import _moment_order, estimate_moment, estimate_mse
 from .scheme import SchemeConfig
 
 __all__ = ["ExperimentConfig", "run_experiment", "main"]
@@ -60,17 +61,35 @@ class ExperimentConfig:
         if self.kind not in ("rate", "moments", "compare",
                              "verify-assumptions"):
             raise InputError(f"unknown experiment kind {self.kind!r}")
+        _integer(self.k_min, "k-min")
+        _integer(self.k_max, "k-max")
         if self.k_min < 1 or self.k_max < self.k_min:
             raise InputError(
                 f"invalid level range: need 1 <= k-min <= k-max, got "
                 f"k-min={self.k_min} k-max={self.k_max}")
-        if self.n_paths < 2:
-            raise InputError(f"n_paths must be >= 2, got {self.n_paths}")
-        for t_end in self.t_values:
-            if not (t_end > 0.0 and math.isfinite(t_end)):
-                raise InputError(f"T must be finite and > 0, got {t_end}")
-        if self.threads < 1:
-            raise InputError(f"threads must be >= 1, got {self.threads}")
+        _integer(self.n_paths, "n_paths", 2)
+        # every horizon and moment order is checked before any cell runs
+        for name, what, check in (("t_values", "T", _horizon),
+                                  ("p_values", "p", _moment_order)):
+            values = getattr(self, name)
+            try:
+                values = tuple(values)
+            except TypeError:
+                raise InputError(
+                    f"{what} must be a sequence of numbers, got {values!r}"
+                ) from None
+            if not values:
+                raise InputError(f"{what} needs at least one value")
+            object.__setattr__(self, name, tuple(map(check, values)))
+        _integer(self.threads, "threads", 1)
+
+
+def _horizon(t_end):
+    """t_end as a float; InputError unless it is a finite real number > 0."""
+    t_end = _real(t_end, "T")
+    if not (t_end > 0.0 and math.isfinite(t_end)):
+        raise InputError(f"T must be finite and > 0, got {t_end}")
+    return t_end
 
 
 def _fmt(value):

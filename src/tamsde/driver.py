@@ -17,7 +17,7 @@ summation so the per-leg totals agree with the global Brownian sum to
 ~1e-12 over long horizons.
 
 Both coupled-pair functions go through one runner, _run_pair, which
-checks the arguments once (SchemeConfig, _checked_seed) and first offers
+checks the arguments once (SchemeConfig, model._integer) and first offers
 the pair to the compiled kernel (kernel.run_pair).  The kernel takes every
 pair of a built-in model and runs the same loop in C with the same noise,
 seeding its own port of numpy's Philox from the integer seed, and returns
@@ -29,9 +29,8 @@ kernel is tested against.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError
+from .model import _integer
 from .scheme import (DEFAULT_MAX_STEPS, SchemeConfig, _due, _require_l0,
                      _stop, _tam_leg, _tm_leg)
 
@@ -43,48 +42,43 @@ _INF = math.inf
 _sqrt = math.sqrt
 
 
-def _checked_seed(seed):
-    """seed, if it is a non-negative integer; else InputError."""
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
-
-
 class NoiseSource:
     """Reproducible stream of Gaussian increments.
 
-    Backed by numpy's counter-based Philox generator, so distinct seeds
-    (one per path index, by convention) give independent streams and the
-    same seed always reproduces the identical sequence.  Standard normals
-    are drawn in blocks and scaled by the square root of each requested
-    duration.
+    The stream of numpy's Generator(Philox(SeedSequence(seed))), so
+    distinct seeds (one per path index, by convention) give independent
+    streams and the same seed always reproduces the identical sequence.
+    Standard normals are drawn in blocks and scaled by the square root of
+    each requested duration.
 
-    The numpy generator is made by the first block drawn here, not
-    before: a path the compiled kernel runs draws the stream on its own
-    Philox (kernel.run_path) and leaves its state in _state, from which
-    the generator then goes on.
+    A source has one generator for its whole life, made by
+    kernel.generator when the source first needs it: the kernel's Philox
+    whenever the kernel loads, numpy's only when it cannot.  A path the
+    kernel runs (kernel.run_path) draws on the same generator.
     """
 
     def __init__(self, seed):
-        self.seed = _checked_seed(seed)
+        self.seed = _integer(seed, "seed", 0)
         self.current_time = 0.0
-        self._gen = None    # numpy's Generator, made by the first block
-        self._state = None  # or the kernel's Philox state to make it at
+        self._rng = None  # made when first needed, by kernel.generator
         self._buf = None
         self._idx = _BLOCK  # the first draw fills the first block
 
     def gaussian_increment(self, duration):
         """One N(0, duration) draw; advances the source's clock by duration."""
-        if not 0.0 < duration < _INF:
-            raise InputError(f"duration must be positive and finite, got {duration}")
+        try:
+            valid = 0.0 < duration < _INF
+        except TypeError:  # not a number
+            valid = False
+        if not valid:
+            raise InputError(
+                f"duration must be positive and finite, got {duration!r}")
         i = self._idx
         if i == _BLOCK:
-            if self._gen is None:
-                self._gen = np.random.Generator(
-                    np.random.Philox(np.random.SeedSequence(self.seed))
-                    if self._state is None else self._state.philox())
-                self._state = None
-            self._buf = self._gen.standard_normal(_BLOCK).tolist()
+            if self._rng is None:
+                from . import kernel
+                self._rng = kernel.generator(self.seed)
+            self._buf = self._rng.standard_normal(_BLOCK).tolist()
             i = 0
         self._idx = i + 1
         self.current_time += duration
@@ -176,13 +170,12 @@ def _run_pair(model, clock, k, t_end, seed, max_steps):
     fixed-step legs.  The arguments are checked here, once, and the pair
     goes to the compiled kernel if it takes the model, else to _merge.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise InputError(f"k must be an integer >= 1, got {k!r}")
+    _integer(k, "k", 1)
     fine, coarse = math.ldexp(1.0, -(k + 1)), math.ldexp(1.0, -k)
     config = SchemeConfig(fine, t_end, *(clock or ()), max_steps=max_steps)
     if clock is not None:
         _require_l0(model, config)
-    _checked_seed(seed)
+    _integer(seed, "seed", 0)
     # imported by the first pair, not by import tamsde, which stays as fast
     # as it was without the kernel
     from . import kernel

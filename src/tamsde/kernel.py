@@ -1,22 +1,25 @@
-"""Compiled kernel for the built-in models: coupled pairs and single paths.
+"""Compiled kernel for the built-in models: pairs, paths and the noise.
 
 _pair.c runs one coupled pair of either scheme in one call, operation for
 operation as driver._merge does, and one adaptive path in one call as
 scheme.simulate_path does, so its results are byte-identical to the Python
-loops'.  It draws NoiseSource's stream on its own port of numpy's
-SeedSequence and Philox: run_pair hands it the pair's integer seed, and
-run_path the seed of a fresh source or the Philox state (_Philox) the
-source's last path or numpy generator left, and stores the state after the
-path on the source.  No numpy generator is built for either.  run_pair and
-run_path return None, and the caller runs its Python loop, the reference,
-for a model other than the three built-ins (JSON term models and library
-callables) and for every pair and path when the kernel cannot be built.
-run_path also declines a noise source other than a NoiseSource itself and
-one holding buffered normals.
+loops'.  It also holds the one generator of NoiseSource's stream, its own
+port of numpy's SeedSequence and Philox, whose state is _Philox.
+generator(seed) makes a source's generator: that Philox whenever the
+kernel loads, and numpy's Generator(Philox(SeedSequence(seed))), which
+draws the same normals, only when it cannot.  The source refills its
+blocks from it and run_path draws a path on it; run_pair seeds a Philox of
+its own from the pair's integer seed.  So no numpy generator is built
+while the kernel loads.  run_pair and run_path return None, and the
+caller runs its Python loop, the reference, for a model other than the
+three built-ins (JSON term models and library callables) and for every
+pair and path when the kernel cannot be built.  run_path also declines a
+noise source other than a NoiseSource itself, one holding buffered
+normals and one whose generator is numpy's.
 
 The kernel is built with the host's `cc` against numpy's bitgen.h and
-libnpyrandom.a on the first pair or path of a process, never at import,
-and cached in the first usable directory of $XDG_CACHE_HOME/tamsde,
+libnpyrandom.a when a process first needs it, never at import, and
+cached in the first usable directory of $XDG_CACHE_HOME/tamsde,
 ~/.cache/tamsde and a per-user directory under tempfile.gettempdir(),
 under a name keyed by the sha256 of the source, the flags, the machine
 type and the numpy version, whose normals it links.  A build is renamed
@@ -26,7 +29,8 @@ write is never loaded.  Loading a cached build refreshes its modification
 time and deletes the directory's other builds unused for _STALE_S, so
 stale builds do not pile up while versions in use side by side are kept.
 Loading is tried once per process; with no compiler, no numpy header or
-archive, or a failed build, every pair and path takes the Python loop.
+archive, or a failed build, every pair and path takes the Python loop and
+every source draws on numpy's generator.
 """
 
 import contextlib
@@ -47,7 +51,7 @@ from .driver import _BLOCK, NoiseSource
 from .model import get_model
 from .scheme import _stop
 
-__all__ = ["library", "run_pair", "run_path"]
+__all__ = ["generator", "library", "run_pair", "run_path"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_pair.c")
 _INCLUDE = np.get_include()
@@ -72,7 +76,6 @@ _NO_MEMORY = 3
 _INT64_MAX = 2 ** 63 - 1
 
 
-
 class _Philox(ctypes.Structure):
     """numpy's Philox state as the kernel keeps it (struct philox in _pair.c)."""
 
@@ -80,26 +83,11 @@ class _Philox(ctypes.Structure):
                 ("buffer", ctypes.c_uint64 * 4), ("buffer_pos", ctypes.c_int),
                 ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)]
 
-    @classmethod
-    def of(cls, bit_generator):
-        """The state of a numpy Philox."""
-        state = bit_generator.state
-        return cls(tuple(state["state"]["counter"].tolist()),
-                   tuple(state["state"]["key"].tolist()),
-                   tuple(state["buffer"].tolist()), state["buffer_pos"],
-                   state["has_uint32"], state["uinteger"])
-
-    def philox(self):
-        """A numpy Philox at this state."""
-        bit_generator = np.random.Philox(0)
-        bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.array(self.counter, np.uint64),
-                      "key": np.array(self.key, np.uint64)},
-            "buffer": np.array(self.buffer, np.uint64),
-            "buffer_pos": self.buffer_pos, "has_uint32": self.has_uint32,
-            "uinteger": self.uinteger}
-        return bit_generator
+    def standard_normal(self, n):
+        """The next n normals, as numpy's Generator.standard_normal(n)."""
+        out = np.empty(n)
+        library().tamsde_normals(ctypes.byref(self), out.ctypes.data, n)
+        return out
 
 
 def _words(seed):
@@ -271,6 +259,22 @@ def library():
         return None
 
 
+def generator(seed):
+    """The generator of NoiseSource(seed)'s stream, at its start.
+
+    The kernel's Philox, seeded in C, when the kernel loads; numpy's
+    Generator(Philox(SeedSequence(seed))) only when it cannot.  Both draw
+    the same normals through standard_normal(n).
+    """
+    lib = library()
+    if lib is None:
+        return np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _Philox()
+    lib.tamsde_seed(ctypes.byref(rng), *_words(seed))
+    return rng
+
+
 def run_pair(model, config, adaptive, delta_coarse, seed):
     """One coupled pair in C, or None when the kernel does not run the model.
 
@@ -328,40 +332,34 @@ def run_path(model, config, noise):
 
     config is the path's checked SchemeConfig.  The kernel takes the path
     of a built-in model drawn from a NoiseSource itself, not a subclass
-    whose draws may differ, that holds no buffered normals.  It goes on
-    with the source's stream on its own Philox, seeded from the source's
-    seed or started at the state the source's numpy generator or an
-    earlier path left, and advances the source's clock as simulate_path
-    does; the source keeps the Philox's state afterwards, so its next draw
-    is the normal after the path's last.  Returns (times, values,
-    increments, step count), the arrays as simulate_path stores them, or
-    raises the PathExplosion it would raise, through the same _stop.
+    whose draws may differ, that holds no buffered normals and whose
+    generator is the kernel's Philox (made here if the source has none
+    yet).  It draws on that generator, so the source's next draw is the
+    normal after the path's last, and advances the source's clock as
+    simulate_path does.  Returns (times, values, increments, step count),
+    the arrays as simulate_path stores them, or raises the PathExplosion
+    it would raise, through the same _stop.
     """
     number = _model_number(model)
     if (number is None or type(noise) is not NoiseSource
             or noise._idx != _BLOCK):
         return None
-    lib = library()
-    if lib is None:
+    if noise._rng is None:
+        noise._rng = generator(noise.seed)
+    # numpy's when the kernel cannot load, or made by a process without it
+    if not isinstance(noise._rng, _Philox):
         return None
-    if noise._gen is not None:
-        rng = _Philox.of(noise._gen.bit_generator)
-    elif noise._state is not None:
-        rng = noise._state
-    else:
-        rng = _Philox()
-        lib.tamsde_seed(ctypes.byref(rng), *_words(noise.seed))
     clock = ctypes.c_double(noise.current_time)
     out = (ctypes.c_double * 2)()
     steps = ctypes.c_longlong()
     grid = (ctypes.c_void_p * 3)()
+    lib = library()
     status = lib.tamsde_path(
         number, config.delta, config.h0, config.l0, model.x0, config.t_end,
-        min(config.max_steps, _INT64_MAX), ctypes.byref(rng),
+        min(config.max_steps, _INT64_MAX), ctypes.byref(noise._rng),
         ctypes.byref(clock), out, ctypes.byref(steps), grid)
     noise.current_time = clock.value
-    # the next draw refills from the path's next normal
-    noise._gen, noise._state, noise._buf = None, rng, None
+    noise._buf = None  # the next draw refills from the path's next normal
     n = steps.value
     if status == _NO_MEMORY:
         raise MemoryError(f"no memory to store a path of {n} steps")

@@ -60,6 +60,17 @@ def _finite(value, what):
     return value
 
 
+def _integer(value, what, least=None):
+    """value; InputError unless it is an int (not a bool) and, if least is
+    given, at least least."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or least is not None and value < least):
+        bound = {None: "an integer", 0: "a non-negative integer"}.get(
+            least, f"an integer >= {least}")
+        raise InputError(f"{what} must be {bound}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class RegularityConstants:
     """Constants quantifying coefficient regularity and dissipativity.
@@ -210,6 +221,8 @@ def exact_gbm_terminal(a, b, x0, t_end, w_t):
     Uses the closed form x0 * exp((a - b**2/2) * t_end + b * w_t).
     Raises InputError for negative t_end.
     """
+    a, b, x0, t_end, w_t = (_real(a, "a"), _real(b, "b"), _real(x0, "x0"),
+                            _real(t_end, "t_end"), _real(w_t, "w_t"))
     if t_end < 0.0:
         raise InputError(f"t_end must be >= 0, got {t_end}")
     return x0 * math.exp((a - 0.5 * b * b) * t_end + b * w_t)
@@ -263,9 +276,7 @@ class PowerTerm:
     abs_power: float = 0.0
 
     def __post_init__(self):
-        p = self.power
-        if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-            raise InputError(f"power must be a non-negative integer, got {p!r}")
+        p = _integer(self.power, "power", 0)
         coeff = _finite(self.coeff, "coeff")
         q = _finite(self.abs_power, "abs_power")
         if q < 0.0:

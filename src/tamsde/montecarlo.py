@@ -25,6 +25,7 @@ from dataclasses import dataclass
 # the three path functions are looked up by name in _run_block
 from .driver import NoiseSource, simulate_coupled_pair, simulate_coupled_tm_pair
 from .errors import EstimationError, InputError, PathExplosion
+from .model import _finite, _integer, _real
 from .scheme import DEFAULT_MAX_STEPS, simulate_path
 
 __all__ = [
@@ -86,10 +87,9 @@ def _run_block(args):
 
 def _run_cell(name, head, options, n_paths, base_seed, n_jobs):
     """Outcomes of seeds base_seed..base_seed+n_paths-1, in path order."""
-    if isinstance(n_paths, bool) or not isinstance(n_paths, int) or n_paths < 1:
-        raise InputError(f"n_paths must be an integer >= 1, got {n_paths!r}")
-    if isinstance(base_seed, bool) or not isinstance(base_seed, int) or base_seed < 0:
-        raise InputError(f"base_seed must be a non-negative integer, got {base_seed!r}")
+    _integer(n_paths, "n_paths", 1)
+    _integer(base_seed, "base_seed", 0)
+    _integer(n_jobs, "n_jobs", 1)
     seeds = range(base_seed, base_seed + n_paths)
     if n_jobs <= 1 or n_paths < 2 * n_jobs:
         return _run_block((name, head, options, seeds))
@@ -171,10 +171,17 @@ def _abs_power(outcome, p):
         return None
 
 
-def estimate_moment(model, config, p, n_paths, base_seed, n_jobs=1):
-    """Monte Carlo estimate of E|X_{t_end}|**p under the adaptive scheme."""
+def _moment_order(p):
+    """p as a float; InputError unless it is a finite real number > 0."""
+    p = _finite(p, "moment order p")
     if not p > 0.0:
         raise InputError(f"moment order p must be > 0, got {p}")
+    return p
+
+
+def estimate_moment(model, config, p, n_paths, base_seed, n_jobs=1):
+    """Monte Carlo estimate of E|X_{t_end}|**p under the adaptive scheme."""
+    p = _moment_order(p)
     outcomes = _run_cell("simulate_path", (model, config), {}, n_paths,
                          base_seed, n_jobs)
     vals, n_failures = _survivors(
@@ -195,6 +202,7 @@ def mean_step_count(model, config, n_paths, base_seed, n_jobs=1):
 
 def tm_step_count(t_end, delta):
     """Deterministic step count t_end/delta of the fixed-step baseline."""
+    t_end, delta = _real(t_end, "t_end"), _real(delta, "delta")
     if not t_end > 0.0:
         raise InputError(f"t_end must be > 0, got {t_end}")
     if not 0.0 < delta < 1.0:

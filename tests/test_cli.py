@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import tamsde.analysis
 import tamsde.cli
-from tamsde import InputError
+from tamsde import (InputError, NoiseSource, SchemeConfig, estimate_moment,
+                    estimate_mse, exact_gbm_terminal, get_model, tm_step_count)
 from tamsde.analysis import cell_seed
 from tamsde.cli import (ExperimentConfig, _build_parser, _config_from_args,
                         main, run_experiment)
@@ -266,6 +267,40 @@ class TestErrorHandling:
                     "--out", tmp_path]) == 0
 
 
+def _config(**fields):
+    return ExperimentConfig(kind="rate", model="model1", **fields)
+
+
+_M1 = get_model("model1")
+_CFG = SchemeConfig(delta=0.25, t_end=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _config(k_min="1"),
+    lambda: _config(threads="2"),
+    lambda: _config(threads=1.5),
+    lambda: _config(n_paths=None),
+    lambda: _config(t_values=("1",)),
+    lambda: _config(t_values=1.0),
+    lambda: estimate_mse(_M1, 1.0, 2.0, 1, 4, 1.0, 0, n_jobs=1.5),
+    lambda: estimate_mse(_M1, 1.0, 2.0, 1, 4, 1.0, 0, n_jobs="2"),
+    lambda: estimate_mse(_M1, 1.0, 2.0, 1, 4, 1.0, 0, n_jobs=0),
+    lambda: estimate_moment(_M1, _CFG, "2", 4, 0),
+    lambda: estimate_moment(_M1, _CFG, math.inf, 4, 0),
+    lambda: tm_step_count("1", 0.5),
+    lambda: exact_gbm_terminal(0.05, 0.2, 1.0, "1", 0.0),
+    lambda: NoiseSource(0).gaussian_increment("1")],
+    ids=["config-k_min", "config-threads-str", "config-threads-float",
+         "config-n_paths", "config-t_values-str", "config-t_values-float",
+         "mse-n_jobs-float", "mse-n_jobs-str", "mse-n_jobs-zero",
+         "moment-p-str", "moment-p-inf", "tm_step_count-t_end",
+         "exact_gbm-t_end", "noise-duration"])
+def test_numeric_library_arguments_raise_input_errors(call):
+    # never a raw TypeError, and never a cell run on a bad argument
+    with pytest.raises(InputError):
+        call()
+
+
 @pytest.fixture
 def no_cells(monkeypatch):
     """Make any Monte Carlo cell that starts fail the test at once."""
@@ -296,6 +331,18 @@ class TestRejectedBeforeAnyCell:
                            "--out", tmp_path])
         assert code == 2
         assert "disjoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("orders, message", [
+        (["2", "inf"], "moment order p must be finite, got inf"),
+        (["2", "0"], "moment order p must be > 0, got 0.0")],
+        ids=["infinite", "zero"])
+    def test_bad_moment_order(self, tmp_path, capsys, no_cells, orders,
+                              message):
+        code = run(["moments", "--model", "model1", "--paths", "4", "--k",
+                    "1", "--T", "1", "--p", *orders, "--threads", "1",
+                    "--out", tmp_path])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["rate", "moments", "compare"])
     def test_negative_seed(self, tmp_path, capsys, no_cells, kind):

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import tamsde.scheme
 from tamsde import (InputError, NoiseSource, PathExplosion, PowerTerm,
-                    get_model, simulate_coupled_pair, simulate_coupled_tm_pair)
+                    SchemeConfig, get_model, kernel, simulate_coupled_pair,
+                    simulate_coupled_tm_pair, simulate_path)
 from tamsde.driver import _merge
 from tamsde.scheme import _tam_leg, _tm_leg
 
@@ -69,6 +71,50 @@ class TestNoiseSource:
         long = [src2.gaussian_increment(1.0) for _ in range(20000)]
         # same normals, different scaling: ratio of sample sds is sqrt(100)
         assert np.std(long) / np.std(short) == pytest.approx(10.0, rel=1e-9)
+
+
+@pytest.fixture(params=["kernel", "numpy"])
+def engine(request, monkeypatch):
+    """Each test twice: with the kernel's Philox and with numpy's generator,
+    as in a process that cannot load the kernel."""
+    if request.param == "numpy":
+        monkeypatch.setattr(kernel, "library", lambda: None)
+    elif kernel.library() is None:
+        pytest.skip("the kernel cannot be built here")
+    return request.param
+
+
+def numpy_stream(seed, n):
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed))).standard_normal(n)
+
+
+class TestStream:
+    # the Python loops draw on whichever generator the source has, so these
+    # tie them, and the kernel's port, to numpy's stream
+    @pytest.mark.parametrize("seed", [0, 2 ** 40 + 3, 2 ** 130 + 1],
+                             ids=["0", "2**40+3", "2**130+1"])
+    def test_increments_are_numpys_normals(self, engine, seed):
+        d, n = 0.3, 3 * 1024 + 5
+        source = NoiseSource(seed)
+        got = [source.gaussian_increment(d) for _ in range(n)]
+        assert got == (math.sqrt(d) * numpy_stream(seed, n)).tolist()
+
+    def test_stream_goes_on_after_a_path(self, monkeypatch, engine):
+        # a path, in C when the kernel loads, then the source's own draws
+        # across the next block boundary
+        if engine == "kernel":
+            monkeypatch.setattr(tamsde.scheme, "_path_loop", None)
+        seed, d = 2 ** 40 + 3, 0.25
+        source = NoiseSource(seed)
+        traj = simulate_path(M1, SchemeConfig(2.0 ** -4, 2.0), source)
+        n = traj.step_count
+        after = [source.gaussian_increment(d) for _ in range(1100)]
+        want = numpy_stream(seed, n + 1100)
+        dt = np.diff(traj.times)
+        assert traj.increments.tolist() == [
+            math.sqrt(t) * z for t, z in zip(dt.tolist(), want[:n].tolist())]
+        assert after == (math.sqrt(d) * want[n:]).tolist()
 
 
 class RecordingNoise:

@@ -159,9 +159,9 @@ class TestParity:
     def test_generator_left_where_merge_leaves_it(self, lib, monkeypatch,
                                                   name, clock, k, max_steps):
         # the kernel draws one normal per event, as _merge does, so the
-        # pair's Philox, read back after the pair, goes on with the normal
-        # after its last event's; at T=20 every finished pair here draws
-        # more than one 1024 block
+        # pair's Philox goes on after the pair with the normal after its
+        # last event's; at T=20 every finished pair here draws more than
+        # one 1024 block
         states = []
 
         class Kept(kernel._Philox):
@@ -172,15 +172,16 @@ class TestParity:
         monkeypatch.setattr(kernel, "_Philox", Kept)
         model = get_model(name)
         for seed in (0, 2):
+            got = outcome(pair, model, clock, k, 20.0, seed, max_steps)
+            left = states[-1]
             noise = CountingNoise(seed)
-            assert outcome(pair, model, clock, k, 20.0, seed, max_steps) == (
-                outcome(reference, model, clock, k, 20.0, seed, max_steps,
-                        noise))
+            assert got == outcome(reference, model, clock, k, 20.0, seed,
+                                  max_steps, noise)
             n = noise.draws
-            left = np.random.Generator(states[-1].philox())
             fresh = np.random.Generator(np.random.Philox(seed))
-            assert left.standard_normal() == fresh.standard_normal(n + 1)[n]
-        assert len(states) == 2
+            assert left.standard_normal(1)[0] == fresh.standard_normal(n + 1)[n]
+        # each pair's Philox and each reference source's
+        assert len(states) == 4
 
 
 @pytest.fixture
@@ -324,13 +325,34 @@ class TestPathParity:
 
     def test_fresh_source_builds_no_numpy_generator(self, lib, engines,
                                                     numpy_made):
-        # a C path seeds its own Philox from the source's seed; numpy's is
-        # made only when the source itself next draws a block
+        # a C path seeds the source's one generator, the kernel's Philox,
+        # and the source's own draws go on from it
         noise = NoiseSource(0)
         simulate_path(get_model("model1"), path_config(2, 1.0), noise)
-        assert engines == ["C"] and numpy_made == []
         noise.gaussian_increment(0.5)
-        assert numpy_made == ["Philox", "Generator"]
+        assert engines == ["C"] and numpy_made == []
+
+    def test_json_model_builds_no_numpy_generator(self, lib, tmp_path,
+                                                  engines, merges,
+                                                  numpy_made):
+        # the Python loops draw on the kernel's Philox whenever it loads
+        model, config = model1_as_json(tmp_path), path_config(3, 5.0)
+        simulate_path(model, config, NoiseSource(4))
+        for clock in ((1.0, 2.0), None):
+            pair(model, clock, 2, 1.0, 4)
+        assert engines == ["python"] and len(merges) == 2
+        assert numpy_made == []
+
+    def test_source_on_numpy_generator_takes_the_python_loop(self, lib,
+                                                             engines):
+        # as a source unpickled from a process without the kernel has
+        model, config = get_model("model2"), path_config(3, 5.0)
+        noise = NoiseSource(5)
+        noise._rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(5)))
+        assert (path_outcome(simulate_path, model, config, noise)
+                == path_outcome(_path_loop, model, config, NoiseSource(5)))
+        assert engines == ["python"]
 
 
 def test_paths_free_their_storage(lib):
@@ -439,6 +461,11 @@ def c_seeded(built, seed):
     return rng
 
 
+def uint64_words(value, n):
+    """value as n 64-bit words, least significant first."""
+    return tuple(value >> (64 * i) & (2 ** 64 - 1) for i in range(n))
+
+
 def generator_mismatches(built, seeds, n):
     """The seeds whose key, counter or first n normals the library differs
     on from numpy's Philox(SeedSequence(seed))."""
@@ -466,30 +493,14 @@ class TestGenerator:
         # past the first block of 4 outputs and across the 1024-normal blocks
         assert generator_mismatches(lib, seeds[::100], 2100) == []
 
-    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025])
-    def test_state_handed_over_both_ways(self, lib, n):
-        for seed in (0, 7, 2 ** 40 + 3, 2 ** 130 + 1):
-            stream = np.random.Generator(np.random.Philox(seed)).standard_normal(
-                n + 2000)
-            # C draws n, then numpy goes on from C's state
-            rng = c_seeded(lib, seed)
-            c_normals(lib, rng, n)
-            after_c = np.random.Generator(rng.philox()).standard_normal(2000)
-            assert after_c.tobytes() == stream[n:].tobytes()
-            # numpy draws n, then C goes on from numpy's state
-            gen = np.random.Generator(np.random.Philox(seed))
-            gen.standard_normal(n)
-            rng = kernel._Philox.of(gen.bit_generator)
-            assert c_normals(lib, rng, 2000).tobytes() == stream[n:].tobytes()
-
-
     @pytest.mark.parametrize("words", [1, 2, 3, 4])
     def test_counter_carries(self, lib, words):
         # a counter whose low words are all ones carries into the next word
         # when the next block is made
-        counter = 2 ** (64 * words) - 1
-        want = np.random.Philox(key=2 ** 100 + 9, counter=counter)
-        rng = kernel._Philox.of(want)
+        counter, key = 2 ** (64 * words) - 1, 2 ** 100 + 9
+        want = np.random.Philox(key=key, counter=counter)
+        rng = kernel._Philox(counter=uint64_words(counter, 4),
+                             key=uint64_words(key, 2), buffer_pos=4)
         got = c_normals(lib, rng, 40)
         assert got.tobytes() == np.random.Generator(want).standard_normal(
             40).tobytes()
@@ -525,9 +536,73 @@ def test_source_compiles_cleanly_as_c99(tmp_path):
         assert generator_mismatches(built, generator_seeds()[::20], 1030) == []
 
 
+UNDEFINED_BEHAVIOUR_RUNS = """
+import dataclasses
+import sys
+
+from tamsde import get_model, kernel, simulate_path
+from tamsde.scheme import _path_loop
+
+import test_kernel as t
+
+built = kernel._open(sys.argv[1], sys.argv[2])
+assert built is not None
+kernel.library = lambda: built
+assert t.generator_mismatches(built, t.generator_seeds()[::10], 1030) == []
+for name in t.MODELS:
+    # finished runs, runs stopped by their budget, and runs from a start
+    # that overflows at once (with a budget: the steps of model2 and gbm
+    # saturate near DBL_MIN there)
+    for x0, max_steps in ((None, 10 ** 8), (None, 5), (1e200, 1000)):
+        model = get_model(name)
+        if x0 is not None:
+            model = dataclasses.replace(model, x0=x0)
+        config = t.path_config(2, 1.0, max_steps=max_steps)
+        for seed in range(3):
+            for clock in t.CLOCKS:
+                assert t.outcome(t.pair, model, clock, 2, 1.0, seed,
+                                 max_steps) == t.outcome(
+                    t.reference, model, clock, 2, 1.0, seed, max_steps)
+            assert t.path_outcome(simulate_path, model, config,
+                                  t.NoiseSource(seed)) == t.path_outcome(
+                _path_loop, model, config, t.NoiseSource(seed))
+print("clean")
+"""
+
+
+def test_no_undefined_behaviour(tmp_path):
+    # the kernel's own build line with the undefined-behaviour sanitizer,
+    # aborting at the first report, with the compiler's 128-bit product
+    # and with the 32-bit halves; in a fresh interpreter each build must
+    # draw numpy's normals and run pairs and paths as the Python loops do
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    sanitize = ["-fsanitize=undefined", "-fno-sanitize-recover=all"]
+    probe = tmp_path / "probe.c"
+    probe.write_text("int probe(int a, int b) { return a + b; }\n")
+    if subprocess.run([cc, *sanitize, "-fPIC", "-shared", "-o",
+                       str(tmp_path / "probe.so"), str(probe)],
+                      capture_output=True, timeout=120).returncode:
+        pytest.skip("cc cannot link the undefined-behaviour sanitizer")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    for name, multiply in (("native.so", []),
+                           ("portable.so", ["-U__SIZEOF_INT128__"])):
+        command = kernel._command(cc, kernel._SOURCE, str(tmp_path / name))
+        proc = subprocess.run([cc, *sanitize, *multiply, *command[1:]],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        proc = subprocess.run(
+            [sys.executable, "-c", UNDEFINED_BEHAVIOUR_RUNS, str(tmp_path),
+             name], capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, tests))))
+        assert (proc.returncode, proc.stdout) == (0, "clean\n"), proc.stderr
+
+
 # --- the build cache, each case in fresh processes --------------------------
 
 PAIRS = """
+import numpy as np
 from tamsde import get_model, kernel, simulate_coupled_pair, NoiseSource
 from tamsde.driver import _merge
 from tamsde.scheme import _tam_leg
@@ -535,13 +610,17 @@ m = get_model("model2")
 same = all(simulate_coupled_pair(m, 1.0, 2.0, 3, 1.0, s) == _merge(
     _tam_leg(m, 2.0 ** -4, 1.0, 2.0), _tam_leg(m, 2.0 ** -3, 1.0, 2.0),
     m.x0, 1.0, NoiseSource(s), 10 ** 8) for s in range(5))
+source = NoiseSource(7)
+same = same and [source.gaussian_increment(1.0) for _ in range(1030)] == (
+    np.random.Generator(np.random.Philox(7)).standard_normal(1030).tolist())
 print("loaded" if kernel.library() is not None else "fallback", same)
 """
 
 
 @pytest.fixture
 def isolated(tmp_path):
-    """A runner of code (PAIRS by default) in a fresh interpreter whose
+    """A runner of code (PAIRS by default: pairs against _merge and a
+    source against numpy's stream) in a fresh interpreter whose
     cache directories all lie in tmp_path; it returns the printed words.
 
     With fake_cc=True a fake `cc` comes first on PATH: it records each
