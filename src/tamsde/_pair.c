@@ -23,14 +23,16 @@
  * Both loops are built from one set of leg primitives: propose, due, pend
  * and fire on a struct leg.  A pair is two legs on a merged timeline; a
  * path is one leg with one increment pending per step.  kernel.py builds
- * and loads this file and makes one call per pair (tamsde_pair, which
- * seeds the pair's generator itself) or per path (tamsde_path, on a
- * NoiseSource's generator, whose stored grid the caller releases with
- * tamsde_free).  A NoiseSource's one generator is a struct philox seeded
- * by tamsde_seed, and tamsde_normals fills the source's blocks of normals
- * from it, so a path here and the source's own draws share one stream.
- * struct philox is mirrored by kernel._Philox; the other structs are
- * known only to this file.
+ * and loads this file and makes one call per pair (tamsde_pair) or per
+ * path (tamsde_path, whose stored grid the caller releases with
+ * tamsde_free).  Both take one protocol: the struct philox of a
+ * NoiseSource, its one generator, seeded by tamsde_seed, and a pointer to
+ * the source's clock.  They draw on that generator and add each draw's
+ * duration to the clock as the source's own gaussian_increment would, and
+ * tamsde_normals fills the source's blocks of normals from the same
+ * generator, so a pair or a path here and the source's own draws share
+ * one stream.  struct philox is mirrored by kernel._Philox; the other
+ * structs are known only to this file.
  */
 #include <float.h>
 #include <math.h>
@@ -351,16 +353,14 @@ static int fire(const struct pair *p, struct leg *leg, double t)
 }
 
 /* driver._merge: the pair from x0 to t_end, one normal drawn per event
-   from rng, which is seeded here as tamsde_seed(rng, seed, n_words) does
-   and left where the pair's draws leave it.  Returns DONE with
-   out = {fine x, coarse x, t_end}, or FINE_STOP or COARSE_STOP with out[2]
-   the stop time and that leg's state in out; steps gets both legs' step
-   counts. */
+   from rng and rng left after the last, each event's duration added to
+   *clock.  Returns DONE with out = {fine x, coarse x, t_end}, or FINE_STOP
+   or COARSE_STOP with out[2] the stop time and that leg's state in out;
+   steps gets both legs' step counts. */
 int tamsde_pair(int model, int adaptive, double delta_fine,
                 double delta_coarse, double h0, double l0, double x0,
-                double t_end, long long max_steps, const unsigned char *seed,
-                size_t n_words, struct philox *rng, double out[3],
-                long long steps[2])
+                double t_end, long long max_steps, struct philox *rng,
+                double *clock, double out[3], long long steps[2])
 {
     struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
                      .max_steps = max_steps, .model = model,
@@ -368,9 +368,7 @@ int tamsde_pair(int model, int adaptive, double delta_fine,
     struct leg *legs[2] = {&p.fine, &p.coarse};
     double deltas[2] = {delta_fine, delta_coarse}, t = 0.0;
     int i, status = DONE;
-    bitgen_t g;
-    tamsde_seed(rng, seed, n_words);
-    g = bitgen(rng);
+    bitgen_t g = bitgen(rng);
     for (i = 0; i < 2; i++) {
         legs[i]->delta = deltas[i];
         legs[i]->sqd = sqrt(deltas[i]);
@@ -380,6 +378,7 @@ int tamsde_pair(int model, int adaptive, double delta_fine,
     while (t < t_end && status == DONE) {
         double t_next = p.fine.due < p.coarse.due ? p.fine.due : p.coarse.due;
         double dz = sqrt(t_next - t) * random_standard_normal(&g);
+        *clock += t_next - t;
         pend(&p.fine, dz);
         pend(&p.coarse, dz);
         t = t_next;

@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 from .analysis import cell_seed, compare_schemes, fit_convergence_rate
 from .errors import Error, EstimationError, InputError
-from .model import (_integer, _real, check_dissipativity,
-                    check_one_sided_lipschitz, get_model)
+from .model import (_integer, check_dissipativity, check_one_sided_lipschitz,
+                    get_model)
 from .montecarlo import _moment_order, estimate_moment, estimate_mse
-from .scheme import SchemeConfig
+from .scheme import SchemeConfig, _check_horizon
 
 __all__ = ["ExperimentConfig", "run_experiment", "main"]
 
@@ -69,8 +69,9 @@ class ExperimentConfig:
                 f"k-min={self.k_min} k-max={self.k_max}")
         _integer(self.n_paths, "n_paths", 2)
         # every horizon and moment order is checked before any cell runs
-        for name, what, check in (("t_values", "T", _horizon),
-                                  ("p_values", "p", _moment_order)):
+        for name, what, check in (
+                ("t_values", "T", lambda t_end: _check_horizon(t_end, "T")),
+                ("p_values", "p", _moment_order)):
             values = getattr(self, name)
             try:
                 values = tuple(values)
@@ -81,15 +82,11 @@ class ExperimentConfig:
             if not values:
                 raise InputError(f"{what} needs at least one value")
             object.__setattr__(self, name, tuple(map(check, values)))
+        # rate fits one horizon; a second would be dropped without a word
+        if self.kind == "rate" and len(self.t_values) > 1:
+            raise InputError(
+                f"rate takes one horizon T, got {len(self.t_values)}")
         _integer(self.threads, "threads", 1)
-
-
-def _horizon(t_end):
-    """t_end as a float; InputError unless it is a finite real number > 0."""
-    t_end = _real(t_end, "T")
-    if not (t_end > 0.0 and math.isfinite(t_end)):
-        raise InputError(f"T must be finite and > 0, got {t_end}")
-    return t_end
 
 
 def _fmt(value):
@@ -134,9 +131,12 @@ def _parse_grid(text):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise InputError(f"grid must look like lo:hi:n, got {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and n >= 2):
+    # a finite span hi - lo has finite ends; an infinite one, as in
+    # -1e308:1e308, would make every grid point NaN
+    if not (lo < hi and math.isfinite(hi - lo) and n >= 2):
         raise InputError(
-            f"grid needs finite lo < hi and n >= 2, got {text!r}")
+            f"grid needs finite lo < hi with a finite span hi - lo and "
+            f"n >= 2, got {text!r}")
     return lo, hi, n
 
 

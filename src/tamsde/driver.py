@@ -17,20 +17,21 @@ summation so the per-leg totals agree with the global Brownian sum to
 ~1e-12 over long horizons.
 
 Both coupled-pair functions go through one runner, _run_pair, which
-checks the arguments once (SchemeConfig, model._integer) and first offers
-the pair to the compiled kernel (kernel.run_pair).  The kernel takes every
-pair of a built-in model and runs the same loop in C with the same noise,
-seeding its own port of numpy's Philox from the integer seed, and returns
-the same bits; no NoiseSource is built for such a pair.  _merge runs every
-pair the kernel declines, on NoiseSource(seed), and is the reference the
-kernel is tested against.
+checks the arguments once (SchemeConfig, model._integer and NoiseSource,
+which checks the seed), then offers the pair and its NoiseSource(seed) to
+the compiled kernel (kernel.run_pair).  The kernel takes every pair of a
+built-in model and runs the same loop in C, drawing on the source's
+generator as simulate_path's kernel does, and returns the same bits and
+leaves the source with the clock and the next draw _merge leaves.  _merge
+runs every pair the kernel declines, on the same source, and is the
+reference the kernel is tested against.
 """
 
 import math
 from dataclasses import dataclass
 
 from .errors import InputError
-from .model import _integer
+from .model import _integer, _real
 from .scheme import (DEFAULT_MAX_STEPS, SchemeConfig, _due, _require_l0,
                      _stop, _tam_leg, _tm_leg)
 
@@ -53,8 +54,9 @@ class NoiseSource:
 
     A source has one generator for its whole life, made by
     kernel.generator when the source first needs it: the kernel's Philox
-    whenever the kernel loads, numpy's only when it cannot.  A path the
-    kernel runs (kernel.run_path) draws on the same generator.
+    whenever the kernel loads, numpy's only when it cannot.  A pair or a
+    path the kernel runs (kernel.run_pair, kernel.run_path) draws on the
+    same generator and advances the same clock.
     """
 
     def __init__(self, seed):
@@ -66,11 +68,9 @@ class NoiseSource:
 
     def gaussian_increment(self, duration):
         """One N(0, duration) draw; advances the source's clock by duration."""
-        try:
-            valid = 0.0 < duration < _INF
-        except TypeError:  # not a number
-            valid = False
-        if not valid:
+        if type(duration) is not float:
+            duration = _real(duration, "duration")
+        if not 0.0 < duration < _INF:
             raise InputError(
                 f"duration must be positive and finite, got {duration!r}")
         i = self._idx
@@ -168,18 +168,19 @@ def _run_pair(model, clock, k, t_end, seed, max_steps):
 
     clock is (h0, l0) for two tamed-adaptive legs and None for two
     fixed-step legs.  The arguments are checked here, once, and the pair
-    goes to the compiled kernel if it takes the model, else to _merge.
+    and its NoiseSource go to the compiled kernel if it takes them, else
+    to _merge.
     """
     _integer(k, "k", 1)
     fine, coarse = math.ldexp(1.0, -(k + 1)), math.ldexp(1.0, -k)
     config = SchemeConfig(fine, t_end, *(clock or ()), max_steps=max_steps)
     if clock is not None:
         _require_l0(model, config)
-    _integer(seed, "seed", 0)
+    noise = NoiseSource(seed)
     # imported by the first pair, not by import tamsde, which stays as fast
     # as it was without the kernel
     from . import kernel
-    out = kernel.run_pair(model, config, clock is not None, coarse, seed)
+    out = kernel.run_pair(model, config, clock is not None, coarse, noise)
     if out is not None:
         return _sample(*out)
     if clock is None:
@@ -187,8 +188,7 @@ def _run_pair(model, clock, k, t_end, seed, max_steps):
     else:
         legs = (_tam_leg(model, fine, config.h0, config.l0),
                 _tam_leg(model, coarse, config.h0, config.l0))
-    return _merge(*legs, model.x0, config.t_end, NoiseSource(seed),
-                  config.max_steps)
+    return _merge(*legs, model.x0, config.t_end, noise, config.max_steps)
 
 
 def simulate_coupled_pair(model, h0, l0, k, t_end, seed,

@@ -8,14 +8,16 @@ port of numpy's SeedSequence and Philox, whose state is _Philox.
 generator(seed) makes a source's generator: that Philox whenever the
 kernel loads, and numpy's Generator(Philox(SeedSequence(seed))), which
 draws the same normals, only when it cannot.  The source refills its
-blocks from it and run_path draws a path on it; run_pair seeds a Philox of
-its own from the pair's integer seed.  So no numpy generator is built
-while the kernel loads.  run_pair and run_path return None, and the
-caller runs its Python loop, the reference, for a model other than the
-three built-ins (JSON term models and library callables) and for every
-pair and path when the kernel cannot be built.  run_path also declines a
+blocks from it, and run_pair and run_path both draw on it: each takes the
+NoiseSource of its pair or path, draws on the source's generator, adds
+each draw's duration to the source's clock, and leaves the source as the
+Python loop's draws leave it.  So no numpy generator is built while the
+kernel loads.  run_pair and run_path return None, and the caller runs its
+Python loop, the reference, on the same source, for a model other than
+the three built-ins (JSON term models and library callables), for a
 noise source other than a NoiseSource itself, one holding buffered
-normals and one whose generator is numpy's.
+normals or one whose generator is numpy's (one rule, _philox), and for
+every pair and path when the kernel cannot be built.
 
 The kernel is built with the host's `cc` against numpy's bitgen.h and
 libnpyrandom.a when a process first needs it, never at import, and
@@ -98,22 +100,21 @@ def _words(seed):
     return seed.to_bytes(4 * n, "little"), n
 
 
-def _coefficients(model):
-    return (model.drift, model.diffusion, model.drift_prime,
-            model.diffusion_prime)
+def _ids(model):
+    return (id(model.drift), id(model.diffusion), id(model.drift_prime),
+            id(model.diffusion_prime))
 
 
-_BUILTIN_COEFFICIENTS = tuple(_coefficients(get_model(name)) for name in _MODELS)
+# keyed by identity, not equality: only the built-in functions themselves
+# are known to the kernel, and a user's callable need not be hashable.  The
+# built-in functions live as long as the process, so no other object can
+# take one of their ids.
+_MODEL_NUMBERS = {_ids(get_model(name)): number
+                  for number, name in enumerate(_MODELS)}
 
 
 def _model_number(model):
-    # identity, not equality: only the built-in functions themselves are
-    # known to the kernel, and a user's callable need not be hashable
-    coefficients = _coefficients(model)
-    for number, builtin in enumerate(_BUILTIN_COEFFICIENTS):
-        if all(a is b for a, b in zip(coefficients, builtin)):
-            return number
-    return None
+    return _MODEL_NUMBERS.get(_ids(model))
 
 
 def _cache_dirs():
@@ -148,8 +149,7 @@ def _open(directory, name):
         return None
     lib.tamsde_pair.restype = lib.tamsde_path.restype = ctypes.c_int
     lib.tamsde_pair.argtypes = ([ctypes.c_int] * 2 + [ctypes.c_double] * 6
-                                + [ctypes.c_longlong, ctypes.c_char_p,
-                                   ctypes.c_size_t] + [ctypes.c_void_p] * 3)
+                                + [ctypes.c_longlong] + [ctypes.c_void_p] * 4)
     lib.tamsde_path.argtypes = ([ctypes.c_int] + [ctypes.c_double] * 5
                                 + [ctypes.c_longlong] + [ctypes.c_void_p] * 5)
     lib.tamsde_seed.argtypes = [ctypes.c_void_p, ctypes.c_char_p,
@@ -275,29 +275,53 @@ def generator(seed):
     return rng
 
 
-def run_pair(model, config, adaptive, delta_coarse, seed):
-    """One coupled pair in C, or None when the kernel does not run the model.
+def _philox(noise):
+    """The generator the kernel draws noise's normals on, or None when the
+    noise must take the Python loop.
+
+    The kernel takes a NoiseSource itself, not a subclass whose draws may
+    differ, that holds no buffered normals and whose generator is the
+    kernel's Philox, made here if the source has none yet.
+    """
+    if type(noise) is not NoiseSource or noise._idx != _BLOCK:
+        return None
+    if noise._rng is None:
+        noise._rng = generator(noise.seed)
+    # numpy's when the kernel cannot load, or made by a process without it
+    return noise._rng if isinstance(noise._rng, _Philox) else None
+
+
+def _hand_back(noise, clock):
+    """Leave noise as its own draws would have: its clock advanced by the
+    kernel's draws and its next draw the normal after their last."""
+    noise.current_time = clock.value
+    noise._buf = None  # the next draw refills from the generator
+
+
+def run_pair(model, config, adaptive, delta_coarse, noise):
+    """One coupled pair in C, or None when the kernel does not run it.
 
     config is the pair's checked SchemeConfig, with the fine leg's delta;
     adaptive picks two tamed-adaptive legs (h0 and l0 from config) over
-    two fixed-step legs; seed is the pair's checked integer seed, from
-    which the kernel seeds its Philox as NoiseSource(seed) does.  Returns
-    the terminal (fine state, coarse state, fine steps, coarse steps), or
-    raises the PathExplosion _merge would raise, through the same _stop.
+    two fixed-step legs.  The kernel takes a pair of a built-in model
+    whose noise it can draw on (_philox) and leaves that NoiseSource as
+    _merge's draws leave it: the same clock and the same next draw.
+    Returns the terminal (fine state, coarse state, fine steps, coarse
+    steps), or raises the PathExplosion _merge would raise, through the
+    same _stop.
     """
     number = _model_number(model)
-    if number is None:
+    rng = None if number is None else _philox(noise)
+    if rng is None:
         return None
-    lib = library()
-    if lib is None:
-        return None
+    clock = ctypes.c_double(noise.current_time)
     out = (ctypes.c_double * 3)()
     steps = (ctypes.c_longlong * 2)()
-    status = lib.tamsde_pair(number, int(adaptive), config.delta,
-                             delta_coarse, config.h0, config.l0, model.x0,
-                             config.t_end, min(config.max_steps, _INT64_MAX),
-                             *_words(seed), ctypes.byref(_Philox()), out,
-                             steps)
+    status = library().tamsde_pair(
+        number, int(adaptive), config.delta, delta_coarse, config.h0,
+        config.l0, model.x0, config.t_end, min(config.max_steps, _INT64_MAX),
+        ctypes.byref(rng), ctypes.byref(clock), out, steps)
+    _hand_back(noise, clock)
     if status:  # FINE_STOP (1) or COARSE_STOP (2): that leg cannot go on
         i = status - 1
         _stop(("fine", "coarse")[i], out[2], out[i], steps[i],
@@ -330,24 +354,16 @@ class _Doubles:
 def run_path(model, config, noise):
     """One adaptive path in C, or None when the kernel does not run it.
 
-    config is the path's checked SchemeConfig.  The kernel takes the path
-    of a built-in model drawn from a NoiseSource itself, not a subclass
-    whose draws may differ, that holds no buffered normals and whose
-    generator is the kernel's Philox (made here if the source has none
-    yet).  It draws on that generator, so the source's next draw is the
-    normal after the path's last, and advances the source's clock as
-    simulate_path does.  Returns (times, values, increments, step count),
-    the arrays as simulate_path stores them, or raises the PathExplosion
-    it would raise, through the same _stop.
+    config is the path's checked SchemeConfig.  The kernel takes a path of
+    a built-in model whose noise it can draw on (_philox) and leaves that
+    NoiseSource as simulate_path's draws leave it: the same clock and the
+    same next draw.  Returns (times, values, increments, step count), the
+    arrays as simulate_path stores them, or raises the PathExplosion it
+    would raise, through the same _stop.
     """
     number = _model_number(model)
-    if (number is None or type(noise) is not NoiseSource
-            or noise._idx != _BLOCK):
-        return None
-    if noise._rng is None:
-        noise._rng = generator(noise.seed)
-    # numpy's when the kernel cannot load, or made by a process without it
-    if not isinstance(noise._rng, _Philox):
+    rng = None if number is None else _philox(noise)
+    if rng is None:
         return None
     clock = ctypes.c_double(noise.current_time)
     out = (ctypes.c_double * 2)()
@@ -356,10 +372,9 @@ def run_path(model, config, noise):
     lib = library()
     status = lib.tamsde_path(
         number, config.delta, config.h0, config.l0, model.x0, config.t_end,
-        min(config.max_steps, _INT64_MAX), ctypes.byref(noise._rng),
+        min(config.max_steps, _INT64_MAX), ctypes.byref(rng),
         ctypes.byref(clock), out, ctypes.byref(steps), grid)
-    noise.current_time = clock.value
-    noise._buf = None  # the next draw refills from the path's next normal
+    _hand_back(noise, clock)
     n = steps.value
     if status == _NO_MEMORY:
         raise MemoryError(f"no memory to store a path of {n} steps")

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 # the three path functions are looked up by name in _run_block
 from .driver import NoiseSource, simulate_coupled_pair, simulate_coupled_tm_pair
 from .errors import EstimationError, InputError, PathExplosion
-from .model import _finite, _integer, _real
-from .scheme import DEFAULT_MAX_STEPS, simulate_path
+from .model import _finite, _integer
+from .scheme import (DEFAULT_MAX_STEPS, _check_delta, _check_horizon,
+                     simulate_path)
 
 __all__ = [
     "MseRow",
@@ -202,9 +203,4 @@ def mean_step_count(model, config, n_paths, base_seed, n_jobs=1):
 
 def tm_step_count(t_end, delta):
     """Deterministic step count t_end/delta of the fixed-step baseline."""
-    t_end, delta = _real(t_end, "t_end"), _real(delta, "delta")
-    if not t_end > 0.0:
-        raise InputError(f"t_end must be > 0, got {t_end}")
-    if not 0.0 < delta < 1.0:
-        raise InputError(f"delta must lie in (0, 1), got {delta}")
-    return t_end / delta
+    return _check_horizon(t_end, "t_end") / _check_delta(delta)

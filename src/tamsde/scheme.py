@@ -96,10 +96,8 @@ class SchemeConfig:
         if type(self.max_steps) is not int:
             object.__setattr__(self, "max_steps",
                                _whole(self.max_steps, "max_steps"))
-        if not 0.0 < self.delta < 1.0:
-            raise InputError(f"delta must lie in (0, 1), got {self.delta}")
-        if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
-            raise InputError(f"t_end must be finite and > 0, got {self.t_end}")
+        _check_delta(self.delta)
+        _check_horizon(self.t_end, "t_end")
         if not self.h0 > 0.0:
             raise InputError(f"h0 must be > 0, got {self.h0}")
         if not self.l0 >= 2.0:
@@ -138,6 +136,15 @@ def _check_delta(delta):
     if not 0.0 < delta < 1.0:
         raise InputError(f"delta must lie in (0, 1), got {delta}")
     return delta
+
+
+def _check_horizon(t_end, what):
+    """t_end as a float; InputError, naming it what, unless it is a finite
+    real number > 0."""
+    t_end = _real(t_end, what)
+    if not (t_end > 0.0 and math.isfinite(t_end)):
+        raise InputError(f"{what} must be finite and > 0, got {t_end}")
+    return t_end
 
 
 def _tamed(s, sp, sqrt_delta):

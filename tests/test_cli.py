@@ -184,10 +184,12 @@ class TestVerifyAssumptionsCommand:
         assert report["dissipativity"]["worst_margin"] is None
 
     def test_bad_grid_rejected(self, tmp_path, capsys):
-        code = run(["verify-assumptions", "--model", "model1", "--grid",
-                    "0:1", "--out", tmp_path])
-        assert code == 2
-        assert "grid" in capsys.readouterr().err
+        # hi - lo of -1e308:1e308 is inf, which would make grid points NaN
+        for grid in ("0:1", "-1e308:1e308:3"):
+            code = run(["verify-assumptions", "--model", "model1", "--grid",
+                        grid, "--out", tmp_path])
+            assert code == 2
+            assert "grid" in capsys.readouterr().err
 
 
 class TestErrorHandling:
@@ -343,6 +345,13 @@ class TestRejectedBeforeAnyCell:
                     "--out", tmp_path])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_rate_with_two_horizons(self, tmp_path, no_cells):
+        # rate fits one horizon; a second must not be dropped silently
+        with pytest.raises(InputError, match="rate takes one horizon T"):
+            run_experiment(ExperimentConfig(
+                kind="rate", model="model1", n_paths=4, t_values=(1.0, 50.0),
+                out_dir=str(tmp_path)))
 
     @pytest.mark.parametrize("kind", ["rate", "moments", "compare"])
     def test_negative_seed(self, tmp_path, capsys, no_cells, kind):

@@ -30,7 +30,7 @@ class TestNoiseSource:
 
     def test_duration_validation(self):
         src = NoiseSource(0)
-        for bad in (0.0, -1.0, math.inf, math.nan):
+        for bad in (0.0, -1.0, math.inf, math.nan, True):
             with pytest.raises(InputError):
                 src.gaussian_increment(bad)
 

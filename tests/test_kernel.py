@@ -2,10 +2,10 @@
 
 driver._merge is the reference for pairs: for every built-in model and
 both schemes the kernel must give the same CoupledSample, bit for bit,
-raise the same PathExplosion and leave the pair's generator where _merge's
-draws leave it.  scheme._path_loop is the reference for single paths in
-the same way: the same Trajectory bytes, the same PathExplosion and the
-same NoiseSource afterwards.  numpy's Philox(SeedSequence(seed)) and
+raise the same PathExplosion and leave the pair's NoiseSource with the
+clock and the next draw _merge's draws leave it with.  scheme._path_loop
+is the reference for single paths in the same way: the same Trajectory
+bytes, the same PathExplosion and the same NoiseSource afterwards.  numpy's Philox(SeedSequence(seed)) and
 Generator.standard_normal are the reference for the kernel's own seeding
 and draws.  These tests skip only when no C compiler is on PATH; with one,
 a kernel that fails to build or load fails them.
@@ -30,7 +30,7 @@ from tamsde import (NoiseSource, PathExplosion, get_model, kernel,
                     load_model_file, simulate_coupled_pair,
                     simulate_coupled_tm_pair, simulate_path)
 from tamsde.analysis import cell_seed
-from tamsde.driver import _merge
+from tamsde.driver import _merge, _sample
 from tamsde.scheme import SchemeConfig, _path_loop, _tam_leg, _tm_leg
 
 MODELS = ("model1", "model2", "gbm")
@@ -92,6 +92,16 @@ class CountingNoise(NoiseSource):
     def gaussian_increment(self, duration):
         self.draws += 1
         return super().gaussian_increment(duration)
+
+
+def kernel_pair(model, clock, k, t_end, seed, max_steps=10 ** 8, noise=None):
+    """The pair as kernel.run_pair runs it, on noise or NoiseSource(seed)."""
+    config = SchemeConfig(2.0 ** -(k + 1), t_end, *(clock or ()),
+                          max_steps=max_steps)
+    out = kernel.run_pair(model, config, clock is not None, 2.0 ** -k,
+                          noise or NoiseSource(seed))
+    assert out is not None, "the kernel declined the pair"
+    return _sample(*out)
 
 
 def pair(model, clock, k, t_end, seed, max_steps=10 ** 8):
@@ -156,32 +166,21 @@ class TestParity:
     @pytest.mark.parametrize("clock, k", [((1.0, 2.0), 4), (None, 5)],
                              ids=["adaptive", "fixed"])
     @pytest.mark.parametrize("name", MODELS)
-    def test_generator_left_where_merge_leaves_it(self, lib, monkeypatch,
-                                                  name, clock, k, max_steps):
-        # the kernel draws one normal per event, as _merge does, so the
-        # pair's Philox goes on after the pair with the normal after its
-        # last event's; at T=20 every finished pair here draws more than
-        # one 1024 block
-        states = []
-
-        class Kept(kernel._Philox):
-            def __init__(self):
-                super().__init__()
-                states.append(self)
-
-        monkeypatch.setattr(kernel, "_Philox", Kept)
+    def test_generator_left_where_merge_leaves_it(self, lib, name, clock, k,
+                                                  max_steps):
+        # the kernel draws one normal per event on the source's generator
+        # and adds its duration to the source's clock, as _merge's draws
+        # do, so the source goes on with the same clock and the normal
+        # after the last event's; at T=20 every finished pair here draws
+        # more than one 1024 block
         model = get_model(name)
         for seed in (0, 2):
-            got = outcome(pair, model, clock, k, 20.0, seed, max_steps)
-            left = states[-1]
-            noise = CountingNoise(seed)
-            assert got == outcome(reference, model, clock, k, 20.0, seed,
-                                  max_steps, noise)
-            n = noise.draws
-            fresh = np.random.Generator(np.random.Philox(seed))
-            assert left.standard_normal(1)[0] == fresh.standard_normal(n + 1)[n]
-        # each pair's Philox and each reference source's
-        assert len(states) == 4
+            ran, oracle = NoiseSource(seed), NoiseSource(seed)
+            assert (outcome(kernel_pair, model, clock, k, 20.0, seed,
+                            max_steps, ran)
+                    == outcome(reference, model, clock, k, 20.0, seed,
+                               max_steps, oracle))
+            assert source_state(ran) == source_state(oracle)
 
 
 @pytest.fixture
@@ -563,6 +562,13 @@ for name in t.MODELS:
                 assert t.outcome(t.pair, model, clock, 2, 1.0, seed,
                                  max_steps) == t.outcome(
                     t.reference, model, clock, 2, 1.0, seed, max_steps)
+                # the source's clock and next draw after the pair
+                ran, oracle = t.NoiseSource(seed), t.NoiseSource(seed)
+                assert t.outcome(t.kernel_pair, model, clock, 2, 1.0, seed,
+                                 max_steps, ran) == t.outcome(
+                    t.reference, model, clock, 2, 1.0, seed, max_steps,
+                    oracle)
+                assert t.source_state(ran) == t.source_state(oracle)
             assert t.path_outcome(simulate_path, model, config,
                                   t.NoiseSource(seed)) == t.path_outcome(
                 _path_loop, model, config, t.NoiseSource(seed))

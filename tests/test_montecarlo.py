@@ -218,6 +218,8 @@ class TestStepCounts:
             tm_step_count(0.0, 0.5)
         with pytest.raises(InputError):
             tm_step_count(1.0, 1.5)
+        with pytest.raises(InputError, match="t_end must be finite"):
+            tm_step_count(math.inf, 0.5)
 
     def test_adaptive_count_grows_as_delta_shrinks(self):
         cfg_c = SchemeConfig(delta=0.25, t_end=1.0)
