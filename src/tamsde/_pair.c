@@ -23,16 +23,24 @@
  * Both loops are built from one set of leg primitives: propose, due, pend
  * and fire on a struct leg.  A pair is two legs on a merged timeline; a
  * path is one leg with one increment pending per step.  kernel.py builds
- * and loads this file and makes one call per pair (tamsde_pair) or per
+ * and loads this file and makes one call per pair (tamsde_pair), per
  * path (tamsde_path, whose stored grid the caller releases with
- * tamsde_free).  Both take one protocol: the struct philox of a
- * NoiseSource, its one generator, seeded by tamsde_seed, and a pointer to
- * the source's clock.  They draw on that generator and add each draw's
- * duration to the clock as the source's own gaussian_increment would, and
- * tamsde_normals fills the source's blocks of normals from the same
- * generator, so a pair or a path here and the source's own draws share
- * one stream.  struct philox is mirrored by kernel._Philox; the other
- * structs are known only to this file.
+ * tamsde_free) or per block of seeds (below).  The first two take one
+ * protocol: the struct philox of a NoiseSource, its one generator, seeded
+ * by tamsde_seed, and a pointer to the source's clock.  They draw on that
+ * generator and add each draw's duration to the clock as the source's own
+ * gaussian_increment would, and tamsde_normals fills the source's blocks
+ * of normals from the same generator, so a pair or a path here and the
+ * source's own draws share one stream.
+ *
+ * A Monte Carlo cell needs only each seed's outcome, so tamsde_pairs and
+ * tamsde_paths run a block of consecutive seeds in one call: for each seed
+ * they seed a Philox of their own with tamsde_seed, as a fresh
+ * NoiseSource(seed) would be, run the same pair or path loop on it, and
+ * write that seed's value, step counts and return code into the caller's
+ * arrays.  A path of a block stores no trajectory.  struct philox is
+ * mirrored by kernel._Philox; the other structs are known only to this
+ * file.
  */
 #include <float.h>
 #include <math.h>
@@ -440,6 +448,38 @@ void tamsde_free(double *p)
     free(p);
 }
 
+/* scheme.simulate_path's loop: p's fine leg, at base step delta, from x0
+   to p->t_end, one normal drawn from rng per step and rng left after the
+   last, each step's duration added to *clock and each step stored in g,
+   unless g is NULL.  Returns DONE, FINE_STOP when the leg cannot go on, or
+   NO_MEMORY when a step could not be stored. */
+static int walk(struct pair *p, double delta, double x0, struct philox *rng,
+                double *clock, struct grid *g)
+{
+    struct leg *leg = &p->fine;
+    bitgen_t noise = bitgen(rng);
+    int status = DONE;
+    leg->delta = delta;
+    leg->sqd = sqrt(delta);
+    leg->x = x0;
+    leg->due = due(0.0, propose(p, leg, x0), p->t_end);
+    while (status == DONE && leg->last < p->t_end) {
+        double dt = leg->due - leg->last;
+        /* one increment pending onto nothing is the increment itself,
+           signed zero included, which pend would turn into +0.0 */
+        double dw = sqrt(dt) * random_standard_normal(&noise);
+        leg->pw = dw;
+        *clock += dt;
+        if (fire(p, leg, leg->due))
+            status = FINE_STOP;
+        else if (g != NULL && !keep(g, leg->last, leg->x, dw))
+            status = NO_MEMORY;
+    }
+    if (status == DONE && !isfinite(leg->x))
+        status = FINE_STOP;
+    return status;
+}
+
 /* scheme.simulate_path: one tamed-adaptive leg from x0 to t_end, one
    normal drawn from rng per step and rng left after the last, each step's
    duration added to *clock.
@@ -455,37 +495,17 @@ int tamsde_path(int model, double delta, double h0, double l0, double x0,
 {
     struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
                      .max_steps = max_steps, .model = model, .adaptive = 1};
-    struct leg *leg = &p.fine;
     struct grid g = {NULL, NULL, NULL, 1, 1024};
-    bitgen_t noise = bitgen(rng);
-    int status = DONE;
-    leg->delta = delta;
-    leg->sqd = sqrt(delta);
-    leg->x = x0;
-    leg->due = due(0.0, propose(&p, leg, x0), t_end);
-    if (!(resize(&g.t, g.cap) && resize(&g.x, g.cap) && resize(&g.dw, g.cap)))
-        status = NO_MEMORY;
-    else {
+    int status = NO_MEMORY;
+    if (resize(&g.t, g.cap) && resize(&g.x, g.cap) && resize(&g.dw, g.cap)) {
         g.t[0] = 0.0;
         g.x[0] = x0;
-    }
-    while (status == DONE && leg->last < t_end) {
-        double dt = leg->due - leg->last;
-        /* one increment pending onto nothing is the increment itself,
-           signed zero included, which pend would turn into +0.0 */
-        double dw = sqrt(dt) * random_standard_normal(&noise);
-        leg->pw = dw;
-        *clock += dt;
-        if (fire(&p, leg, leg->due))
-            status = FINE_STOP;
-        else if (!keep(&g, leg->last, leg->x, dw))
-            status = NO_MEMORY;
-    }
-    if (status == DONE && !isfinite(leg->x))
-        status = FINE_STOP;
-    out[0] = leg->x;
-    out[1] = leg->last;
-    *steps = leg->steps;
+        status = walk(&p, delta, x0, rng, clock, &g);
+    } else
+        p.fine.x = x0;
+    out[0] = p.fine.x;
+    out[1] = p.fine.last;
+    *steps = p.fine.steps;
     if (status == DONE) {
         /* give back the unused capacity; a failed shrink keeps the block */
         resize(&g.t, g.n);
@@ -501,4 +521,61 @@ int tamsde_path(int model, double delta, double h0, double l0, double x0,
     grid[1] = g.x;
     grid[2] = g.dw;
     return status;
+}
+
+/* --- blocks of seeds ----------------------------------------------------- */
+
+/* rng = numpy's Philox(seed) for a seed below 2**64: its one or two 32-bit
+   words as tamsde_seed takes them */
+static void seed64(struct philox *rng, uint64_t seed)
+{
+    unsigned char words[8];
+    int i;
+    for (i = 0; i < 8; i++)
+        words[i] = (unsigned char)(seed >> 8 * i);
+    tamsde_seed(rng, words, seed >> 32 ? 2 : 1);
+}
+
+/* tamsde_pair for each seed first + i, i < n, on that seed's own Philox:
+   value[i] = d * d with d the fine state less the coarse one, steps[2i]
+   and steps[2i + 1] the fine and coarse step counts, status[i] the pair's
+   return code.  first + n - 1 must be below 2**64. */
+void tamsde_pairs(int model, int adaptive, double delta_fine,
+                  double delta_coarse, double h0, double l0, double x0,
+                  double t_end, long long max_steps, uint64_t first,
+                  long long n, double *value, long long *steps, int *status)
+{
+    long long i;
+    for (i = 0; i < n; i++) {
+        struct philox rng;
+        double clock = 0.0, out[3], d;
+        seed64(&rng, first + (uint64_t)i);
+        status[i] = tamsde_pair(model, adaptive, delta_fine, delta_coarse, h0,
+                                l0, x0, t_end, max_steps, &rng, &clock, out,
+                                steps + 2 * i);
+        d = out[0] - out[1];
+        value[i] = d * d;
+    }
+}
+
+/* tamsde_path for each seed first + i, i < n, on that seed's own Philox,
+   storing nothing: value[i] = the state of its last step, steps[i] the
+   step count, status[i] DONE or FINE_STOP.  first + n - 1 must be below
+   2**64. */
+void tamsde_paths(int model, double delta, double h0, double l0, double x0,
+                  double t_end, long long max_steps, uint64_t first,
+                  long long n, double *value, long long *steps, int *status)
+{
+    long long i;
+    for (i = 0; i < n; i++) {
+        struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
+                         .max_steps = max_steps, .model = model,
+                         .adaptive = 1};
+        struct philox rng;
+        double clock = 0.0;
+        seed64(&rng, first + (uint64_t)i);
+        status[i] = walk(&p, delta, x0, &rng, &clock, NULL);
+        value[i] = p.fine.x;
+        steps[i] = p.fine.steps;
+    }
 }

@@ -121,6 +121,21 @@ def fit_convergence_rate(rows):
                    r_squared=r_squared, n_points=n)
 
 
+def _comparison_cells(ks, n_paths, t_values, base_seed):
+    """(t_end, k, adaptive cell seed, fixed-step cell seed) of every cell
+    of compare_schemes, in its order; InputError, before any cell runs,
+    unless every cell is well formed."""
+    ks = list(ks)
+    t_values = list(t_values)
+    if not ks:
+        raise InputError("at least one level k is required")
+    if not t_values:
+        raise InputError("at least one horizon t_end is required")
+    return [(t_end, k, cell_seed(base_seed, n_paths, k, t_idx),
+             cell_seed(base_seed, n_paths, k, t_idx, baseline=True))
+            for t_idx, t_end in enumerate(t_values) for k in ks]
+
+
 def compare_schemes(model, h0, l0, ks, n_paths, t_values, base_seed,
                     n_jobs=1, max_steps=DEFAULT_MAX_STEPS):
     """Error-versus-work curves for both schemes over levels and horizons.
@@ -135,18 +150,9 @@ def compare_schemes(model, h0, l0, ks, n_paths, t_values, base_seed,
     in isolation and results do not depend on evaluation order.  Each
     row carries its cell's failure count.
     """
-    ks = list(ks)
-    t_values = list(t_values)
-    if not ks:
-        raise InputError("at least one level k is required")
-    if not t_values:
-        raise InputError("at least one horizon t_end is required")
-    # every cell's seed is checked before the first cell runs
-    cells = [(t_end, k, cell_seed(base_seed, n_paths, k, t_idx),
-              cell_seed(base_seed, n_paths, k, t_idx, baseline=True))
-             for t_idx, t_end in enumerate(t_values) for k in ks]
     rows = []
-    for t_end, k, tam_seed, tm_seed in cells:
+    for t_end, k, tam_seed, tm_seed in _comparison_cells(
+            ks, n_paths, t_values, base_seed):
         tam = estimate_mse(model, h0, l0, k, n_paths, t_end, tam_seed,
                            n_jobs=n_jobs, max_steps=max_steps)
         rows.append(ComparisonRow(

@@ -29,12 +29,13 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .analysis import cell_seed, compare_schemes, fit_convergence_rate
+from .analysis import (_comparison_cells, cell_seed, compare_schemes,
+                       fit_convergence_rate)
 from .errors import Error, EstimationError, InputError
 from .model import (_integer, check_dissipativity, check_one_sided_lipschitz,
                     get_model)
 from .montecarlo import _moment_order, estimate_moment, estimate_mse
-from .scheme import SchemeConfig, _check_horizon
+from .scheme import SchemeConfig, _check_horizon, _require_l0
 
 __all__ = ["ExperimentConfig", "run_experiment", "main"]
 
@@ -122,6 +123,19 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _check_clock(config, model):
+    """h0 and l0 as every adaptive cell checks them, before the first."""
+    _require_l0(model, SchemeConfig(2.0 ** -config.k_min, config.t_values[0],
+                                    config.h0, config.l0))
+
+
+def _make_out_dir(config):
+    """Make out_dir; each subcommand calls this once all its checks have
+    passed, so a run they stop leaves no directory behind, and before its
+    first cell, so an unusable directory stops the run before any work."""
+    os.makedirs(config.out_dir, exist_ok=True)
+
+
 def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -149,6 +163,8 @@ def _run_rate(config, model):
     ks = range(config.k_min, config.k_max + 1)
     # every cell's seed is checked before the first cell runs
     seeds = [cell_seed(config.seed, config.n_paths, k, 0) for k in ks]
+    _check_clock(config, model)
+    _make_out_dir(config)
     rows = []
     for k, seed in zip(ks, seeds):
         row = estimate_mse(model, config.h0, config.l0, k, config.n_paths,
@@ -182,6 +198,8 @@ def _run_moments(config, model):
     cells = [(t_end, p, cell_seed(config.seed, config.n_paths, p_idx, t_idx))
              for t_idx, t_end in enumerate(config.t_values)
              for p_idx, p in enumerate(config.p_values)]
+    _check_clock(config, model)
+    _make_out_dir(config)
     out_rows = []
     for t_end, p, seed in cells:
         scheme_config = SchemeConfig(delta=delta, t_end=t_end,
@@ -198,6 +216,10 @@ def _run_moments(config, model):
 
 def _run_compare(config, model):
     ks = list(range(config.k_min, config.k_max + 1))
+    # every cell's seed is checked before the directory is made
+    _comparison_cells(ks, config.n_paths, config.t_values, config.seed)
+    _check_clock(config, model)
+    _make_out_dir(config)
     rows = compare_schemes(model, config.h0, config.l0, ks, config.n_paths,
                            list(config.t_values), config.seed,
                            n_jobs=config.threads)
@@ -213,6 +235,7 @@ def _run_compare(config, model):
 
 def _run_verify_assumptions(config, model):
     lo, hi, n = _parse_grid(config.grid)
+    _make_out_dir(config)
     xs = _grid_points(lo, hi, n)
     diss = check_dissipativity(model, xs)
     # Pair sample for the two-point condition: every consecutive grid pair
@@ -245,7 +268,6 @@ def _run_verify_assumptions(config, model):
 def run_experiment(config):
     """Execute one configured experiment, writing files under out_dir."""
     model = get_model(config.model)
-    os.makedirs(config.out_dir, exist_ok=True)
     if config.kind == "rate":
         _run_rate(config, model)
     elif config.kind == "moments":

@@ -17,9 +17,10 @@ summation so the per-leg totals agree with the global Brownian sum to
 ~1e-12 over long horizons.
 
 Both coupled-pair functions go through one runner, _run_pair, which
-checks the arguments once (SchemeConfig, model._integer and NoiseSource,
-which checks the seed), then offers the pair and its NoiseSource(seed) to
-the compiled kernel (kernel.run_pair).  The kernel takes every pair of a
+checks the arguments once (_pair_config, which the Monte Carlo cells'
+block route shares, and NoiseSource, which checks the seed), then offers
+the pair and its NoiseSource(seed) to the compiled kernel
+(kernel.run_pair).  The kernel takes every pair of a
 built-in model and runs the same loop in C, drawing on the source's
 generator as simulate_path's kernel does, and returns the same bits and
 leaves the source with the clock and the next draw _merge leaves.  _merge
@@ -163,6 +164,22 @@ def _merge(fine, coarse, x0, t_end, noise, max_steps):
     return _sample(x_f, x_c, steps_f, steps_c)
 
 
+def _pair_config(model, clock, k, t_end, max_steps=DEFAULT_MAX_STEPS):
+    """The checked SchemeConfig of a pair at level k, with the fine leg's
+    delta, and the coarse leg's delta.
+
+    clock is (h0, l0) for two tamed-adaptive legs and None for two
+    fixed-step legs.  These are every check of a pair's arguments but the
+    seed's, shared by _run_pair and the Monte Carlo cells' block route.
+    """
+    _integer(k, "k", 1)
+    fine, coarse = math.ldexp(1.0, -(k + 1)), math.ldexp(1.0, -k)
+    config = SchemeConfig(fine, t_end, *(clock or ()), max_steps=max_steps)
+    if clock is not None:
+        _require_l0(model, config)
+    return config, coarse
+
+
 def _run_pair(model, clock, k, t_end, seed, max_steps):
     """One coupled pair at base steps 2**-(k+1) and 2**-k, either scheme.
 
@@ -171,11 +188,7 @@ def _run_pair(model, clock, k, t_end, seed, max_steps):
     and its NoiseSource go to the compiled kernel if it takes them, else
     to _merge.
     """
-    _integer(k, "k", 1)
-    fine, coarse = math.ldexp(1.0, -(k + 1)), math.ldexp(1.0, -k)
-    config = SchemeConfig(fine, t_end, *(clock or ()), max_steps=max_steps)
-    if clock is not None:
-        _require_l0(model, config)
+    config, coarse = _pair_config(model, clock, k, t_end, max_steps)
     noise = NoiseSource(seed)
     # imported by the first pair, not by import tamsde, which stays as fast
     # as it was without the kernel
@@ -184,9 +197,9 @@ def _run_pair(model, clock, k, t_end, seed, max_steps):
     if out is not None:
         return _sample(*out)
     if clock is None:
-        legs = _tm_leg(model, fine), _tm_leg(model, coarse)
+        legs = _tm_leg(model, config.delta), _tm_leg(model, coarse)
     else:
-        legs = (_tam_leg(model, fine, config.h0, config.l0),
+        legs = (_tam_leg(model, config.delta, config.h0, config.l0),
                 _tam_leg(model, coarse, config.h0, config.l0))
     return _merge(*legs, model.x0, config.t_end, noise, config.max_steps)
 

@@ -19,6 +19,16 @@ noise source other than a NoiseSource itself, one holding buffered
 normals or one whose generator is numpy's (one rule, _philox), and for
 every pair and path when the kernel cannot be built.
 
+run_block runs a Monte Carlo cell's block of consecutive seeds in one
+call: the kernel seeds each seed's Philox itself, as a fresh
+NoiseSource(seed) is seeded, runs that seed's pair or path, and returns
+only what the cell keeps of it (a pair's squared difference and step
+counts, a path's terminal state and step count, None for a failure), so
+no NoiseSource, SchemeConfig or sample is built per seed and a path
+stores no trajectory.  It declines, and the cell calls the per-seed
+function for each seed, for a model other than the built-ins, when the
+kernel cannot be built, and for seeds that reach 2**64.
+
 The kernel is built with the host's `cc` against numpy's bitgen.h and
 libnpyrandom.a when a process first needs it, never at import, and
 cached in the first usable directory of $XDG_CACHE_HOME/tamsde,
@@ -53,7 +63,7 @@ from .driver import _BLOCK, NoiseSource
 from .model import get_model
 from .scheme import _stop
 
-__all__ = ["generator", "library", "run_pair", "run_path"]
+__all__ = ["generator", "library", "run_block", "run_pair", "run_path"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_pair.c")
 _INCLUDE = np.get_include()
@@ -67,7 +77,7 @@ _BUILD_TIMEOUT_S = 120
 # versions run side by side, are kept
 _STALE_S = 30 * 24 * 3600
 _EXPORTS = ("tamsde_pair", "tamsde_path", "tamsde_free", "tamsde_seed",
-            "tamsde_normals")
+            "tamsde_normals", "tamsde_pairs", "tamsde_paths")
 
 # C model numbers are positions in this tuple (enum in _pair.c)
 _MODELS = ("model1", "model2", "gbm")
@@ -76,6 +86,9 @@ _NO_MEMORY = 3
 # no pair can spend 2**63 - 1 steps, so a larger budget is never reached
 # either and is passed to C as this
 _INT64_MAX = 2 ** 63 - 1
+# a block's first seed goes to C as a uint64, and every seed must lie
+# below this
+_SEED_END = 2 ** 64
 
 
 class _Philox(ctypes.Structure):
@@ -157,8 +170,17 @@ def _open(directory, name):
     lib.tamsde_normals.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
                                    ctypes.c_longlong]
     lib.tamsde_free.argtypes = [ctypes.c_void_p]
+    lib.tamsde_pairs.argtypes = (
+        [ctypes.c_int] * 2 + [ctypes.c_double] * 6
+        + [ctypes.c_longlong, ctypes.c_uint64, ctypes.c_longlong]
+        + [ctypes.c_void_p] * 3)
+    lib.tamsde_paths.argtypes = (
+        [ctypes.c_int] + [ctypes.c_double] * 5
+        + [ctypes.c_longlong, ctypes.c_uint64, ctypes.c_longlong]
+        + [ctypes.c_void_p] * 3)
     lib.tamsde_seed.restype = lib.tamsde_normals.restype = None
     lib.tamsde_free.restype = None
+    lib.tamsde_pairs.restype = lib.tamsde_paths.restype = None
     return lib
 
 
@@ -385,3 +407,47 @@ def run_path(model, config, noise):
         np.asarray(_Doubles(free, pointer, size))
         for pointer, size in zip(grid, (n + 1, n + 1, n)))
     return times, values, increments, n
+
+
+def run_block(model, config, seeds, pair=None):
+    """The Monte Carlo outcome of each seed of a block, in one C call, or
+    None when the kernel does not run it.
+
+    seeds is a range of step 1.  pair is (adaptive, delta_coarse) for
+    coupled pairs, as run_pair takes them, and None for single paths;
+    config is the checked SchemeConfig of every seed's pair or path.  Each
+    seed runs as on a fresh NoiseSource(seed), so its outcome is the one
+    run_pair or run_path gives: a pair's (squared difference, fine steps,
+    coarse steps), a path's (terminal state, step count), and None for a
+    pair or path that raises PathExplosion there.  A path of a block
+    stores no trajectory.  The kernel takes a block of a built-in model
+    whose seeds all lie below 2**64.
+    """
+    number = _model_number(model)
+    lib = library()
+    if number is None or lib is None or seeds.stop > _SEED_END:
+        return None
+    n = len(seeds)
+    value = np.empty(n)
+    status = np.empty(n, np.intc)
+    budget = min(config.max_steps, _INT64_MAX)
+    if pair is None:
+        steps = np.empty(n, np.longlong)
+        lib.tamsde_paths(number, config.delta, config.h0, config.l0,
+                         model.x0, config.t_end, budget, seeds.start, n,
+                         value.ctypes.data, steps.ctypes.data,
+                         status.ctypes.data)
+        rows = zip(value.tolist(), steps.tolist())
+    else:
+        adaptive, delta_coarse = pair
+        steps = np.empty((n, 2), np.longlong)
+        lib.tamsde_pairs(number, int(adaptive), config.delta, delta_coarse,
+                         config.h0, config.l0, model.x0, config.t_end,
+                         budget, seeds.start, n, value.ctypes.data,
+                         steps.ctypes.data, status.ctypes.data)
+        rows = ((v, f, c) for v, (f, c) in zip(value.tolist(),
+                                               steps.tolist()))
+    # a nonzero status is a stopped leg: the PathExplosion of the seed's
+    # own run
+    return [None if failed else row
+            for failed, row in zip(status.tolist(), rows)]

@@ -6,6 +6,12 @@ difference.  Path m always uses seed base_seed + m, so results are
 reproducible, independent of worker count, and unaffected by adding more
 paths or more levels elsewhere.
 
+A block of seeds of a built-in model runs in one kernel call
+(kernel.run_block), which gives each seed the outcome the per-seed
+function gives and stores no path's trajectory.  The path functions are
+looked up by name in this module at call time: a caller that rebinds one
+(a tracer, a test forcing an explosion) has it called once per seed.
+
 All reductions go through math.fsum (exact summation), which makes every
 aggregate independent of chunking and scheduling order; a worker pool can
 only change how fast the answer arrives, never its bytes.
@@ -23,11 +29,12 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 # the three path functions are looked up by name in _run_block
-from .driver import NoiseSource, simulate_coupled_pair, simulate_coupled_tm_pair
+from .driver import (NoiseSource, _pair_config, simulate_coupled_pair,
+                     simulate_coupled_tm_pair)
 from .errors import EstimationError, InputError, PathExplosion
 from .model import _finite, _integer
 from .scheme import (DEFAULT_MAX_STEPS, _check_delta, _check_horizon,
-                     simulate_path)
+                     _require_l0, simulate_path)
 
 __all__ = [
     "MseRow",
@@ -62,16 +69,56 @@ class MomentEstimate:
     n_failures: int = 0
 
 
+# the library's own path functions, by name: a block of one of these runs
+# in one kernel call while its name in this module is still bound to it
+_OWN = {f.__name__: f for f in (simulate_coupled_pair,
+                                simulate_coupled_tm_pair, simulate_path)}
+
+
+def _kernel_block(name, head, options, seeds):
+    """The outcomes of the block from one kernel.run_block call, or None
+    when the kernel declines it.
+
+    The block's arguments get the checks each seed's own call would make,
+    once, and raise the same InputError.
+    """
+    if name == "simulate_path":
+        model, config = head
+        _require_l0(model, config)
+        pair = None
+    else:
+        if name == "simulate_coupled_pair":
+            model, h0, l0, k, t_end = head
+            clock = (h0, l0)
+        else:
+            model, k, t_end = head
+            clock = None
+        config, delta_coarse = _pair_config(model, clock, k, t_end,
+                                            **options)
+        pair = (clock is not None, delta_coarse)
+    # imported by the first block, not by import tamsde, which stays as
+    # fast as it was without the kernel
+    from . import kernel
+    return kernel.run_block(model, config, seeds, pair)
+
+
 def _run_block(args):
     """Worker: one outcome per seed of a block, None for an exploded path.
 
-    Calls the path function `name`, looked up at call time, as
-    name(*head, seed, **options); simulate_path gets NoiseSource(seed).
     A pair yields (squared_diff, fine_steps, coarse_steps), a path
-    (terminal state, step_count).
+    (terminal state, step_count).  The path function `name` is looked up
+    at call time.  While it is still the library's own, the whole block
+    goes to the kernel in one call (_kernel_block); otherwise, or when the
+    kernel declines, it is called once per seed as
+    name(*head, seed, **options), with NoiseSource(seed) for
+    simulate_path, so a caller that rebinds the name sees every seed.
     """
     name, head, options, seeds = args
     simulate = globals()[name]
+    if simulate is _OWN[name]:
+        out = _kernel_block(name, head, options, seeds)
+        if out is not None:
+            return out
     out = []
     for seed in seeds:
         try:

@@ -334,6 +334,19 @@ class TestRejectedBeforeAnyCell:
         assert code == 2
         assert "disjoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-assumptions", "--grid", "0:1"],
+        ["rate", "--paths", "4294967297"],
+        ["compare", "--T"] + [str(t) for t in range(1, 1026)],
+        ["moments", "--l0", "1.5"],
+        ["compare", "--h0", "0"]],
+        ids=["bad-grid", "overlapping-seed-cells", "overlapping-compare-cells",
+             "l0", "h0"])
+    def test_rejected_run_makes_no_directory(self, tmp_path, no_cells, argv):
+        out = tmp_path / "deep"
+        assert run(argv + ["--model", "model1", "--out", out]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("orders, message", [
         (["2", "inf"], "moment order p must be finite, got inf"),
         (["2", "0"], "moment order p must be > 0, got 0.0")],

@@ -5,7 +5,9 @@ both schemes the kernel must give the same CoupledSample, bit for bit,
 raise the same PathExplosion and leave the pair's NoiseSource with the
 clock and the next draw _merge's draws leave it with.  scheme._path_loop
 is the reference for single paths in the same way: the same Trajectory
-bytes, the same PathExplosion and the same NoiseSource afterwards.  numpy's Philox(SeedSequence(seed)) and
+bytes, the same PathExplosion and the same NoiseSource afterwards.  A
+block of seeds (kernel.run_block) must give each seed the outcome its own
+pair or path gives there, None for a PathExplosion.  numpy's Philox(SeedSequence(seed)) and
 Generator.standard_normal are the reference for the kernel's own seeding
 and draws.  These tests skip only when no C compiler is on PATH; with one,
 a kernel that fails to build or load fails them.
@@ -427,6 +429,205 @@ class TestDispatch:
         assert merges == []
 
 
+# --- blocks of seeds ---------------------------------------------------------
+
+def hexed(outcomes):
+    """Outcomes with each float as its .hex() and each count with its type,
+    so that equal means bit for bit."""
+    return [None if o is None else
+            tuple(v.hex() if type(v) is float else (type(v), v) for v in o)
+            for o in outcomes]
+
+
+def block(model, clock, k, t_end, seeds, max_steps=10 ** 8):
+    """A block of pairs as kernel.run_block runs it."""
+    config = SchemeConfig(2.0 ** -(k + 1), t_end, *(clock or ()),
+                          max_steps=max_steps)
+    out = kernel.run_block(model, config, seeds,
+                           (clock is not None, 2.0 ** -k))
+    assert out is not None, "the kernel declined the block"
+    return out
+
+
+def seeded(run, model, clock, k, t_end, seeds, max_steps=10 ** 8):
+    """Each seed's pair, run one by one by run (pair or reference), as a
+    Monte Carlo cell keeps it: None for a PathExplosion."""
+    out = []
+    for seed in seeds:
+        try:
+            sample = run(model, clock, k, t_end, seed, max_steps)
+        except PathExplosion:
+            out.append(None)
+        else:
+            out.append((sample.squared_diff, sample.fine_steps,
+                        sample.coarse_steps))
+    return out
+
+
+def path_block(model, config, seeds):
+    """A block of paths as kernel.run_block runs it."""
+    out = kernel.run_block(model, config, seeds)
+    assert out is not None, "the kernel declined the block"
+    return out
+
+
+def path_seeded(run, model, config, seeds):
+    """Each seed's path, run one by one by run (simulate_path or
+    _path_loop) on NoiseSource(seed), as a Monte Carlo cell keeps it."""
+    out = []
+    for seed in seeds:
+        try:
+            traj = run(model, config, NoiseSource(seed))
+        except PathExplosion:
+            out.append(None)
+        else:
+            out.append((float(traj.values[-1]), traj.step_count))
+    return out
+
+
+class TestBlockParity:
+    # a block runs each seed as a fresh NoiseSource(seed) would, so its
+    # outcomes are the per-seed kernel's and so the Python loops'
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("clock", CLOCKS, ids=["l0=2", "l0=3", "fixed"])
+    @pytest.mark.parametrize("name", MODELS)
+    def test_pairs_identical(self, lib, merges, name, clock, k):
+        model, seeds = get_model(name), range(100)
+        got = hexed(block(model, clock, k, 1.0, seeds))
+        assert got == hexed(seeded(pair, model, clock, k, 1.0, seeds))
+        assert merges == []
+        assert got == hexed(seeded(reference, model, clock, k, 1.0, seeds))
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("l0", [2.0, 3.0])
+    @pytest.mark.parametrize("name", MODELS)
+    def test_paths_identical(self, lib, engines, name, l0, k):
+        model, config = get_model(name), path_config(k, 1.0, l0)
+        seeds = range(100)
+        got = hexed(path_block(model, config, seeds))
+        assert got == hexed(path_seeded(simulate_path, model, config, seeds))
+        assert engines == ["C"] * 100
+        assert got == hexed(path_seeded(_path_loop, model, config, seeds))
+
+    @pytest.mark.parametrize("name, clock, x0, t_end, max_steps", [
+        ("model2", (1.0, 2.0), None, 5.0, 110),
+        ("gbm", (1.0, 3.0), None, 5.0, 216),
+        ("gbm", None, None, 5.0, 4),
+        ("model1", (1.0, 2.0), 1e200, 5.0, 10 ** 8),
+        ("model1", None, 1e200, 5.0, 10 ** 8),
+        ("model1", None, 1e200, 1e-300, 10 ** 8),
+    ], ids=["some-spend-the-budget", "some-spend-the-budget-l0=3",
+            "budget-fixed", "non-finite-adaptive", "non-finite-fixed",
+            "non-finite-at-horizon"])
+    def test_pair_explosions_identical(self, lib, name, clock, x0, t_end,
+                                       max_steps):
+        model = get_model(name)
+        if x0 is not None:
+            model = dataclasses.replace(model, x0=x0)
+        seeds = range(40)
+        got = block(model, clock, 2, t_end, seeds, max_steps)
+        assert None in got
+        assert hexed(got) == hexed(seeded(pair, model, clock, 2, t_end,
+                                          seeds, max_steps))
+        assert hexed(got) == hexed(seeded(reference, model, clock, 2, t_end,
+                                          seeds, max_steps))
+
+    @pytest.mark.parametrize("name, x0, k, t_end, max_steps", [
+        ("model2", None, 1, 5.0, 25),
+        ("gbm", None, 2, 5.0, 108),
+        ("model1", None, 3, 5.0, 50),
+        ("model1", 1e200, 2, 5.0, 10 ** 8),
+        ("model1", 1e200, 2, 1e-300, 10 ** 8),
+    ], ids=["some-spend-the-budget-model2", "some-spend-the-budget-gbm",
+            "some-spend-the-budget-model1", "non-finite",
+            "non-finite-at-horizon"])
+    def test_path_explosions_identical(self, lib, name, x0, k, t_end,
+                                       max_steps):
+        model = get_model(name)
+        if x0 is not None:
+            model = dataclasses.replace(model, x0=x0)
+        config, seeds = path_config(k, t_end, max_steps=max_steps), range(40)
+        got = path_block(model, config, seeds)
+        assert None in got
+        assert hexed(got) == hexed(path_seeded(simulate_path, model, config,
+                                               seeds))
+        assert hexed(got) == hexed(path_seeded(_path_loop, model, config,
+                                               seeds))
+
+    @pytest.mark.parametrize("seeds", [
+        range(2 ** 32 - 20, 2 ** 32 + 20), range(2 ** 64 - 20, 2 ** 64)],
+        ids=["across-2**32", "up-to-2**64"])
+    def test_seeds_of_one_and_two_words(self, lib, seeds):
+        # a seed's entropy is one 32-bit word below 2**32 and two from
+        # there to 2**64
+        for name in MODELS:
+            model = get_model(name)
+            for clock in CLOCKS:
+                got = hexed(block(model, clock, 2, 1.0, seeds))
+                assert got == hexed(seeded(pair, model, clock, 2, 1.0, seeds))
+                assert got == hexed(seeded(reference, model, clock, 2, 1.0,
+                                           seeds))
+            config = path_config(2, 1.0)
+            assert hexed(path_block(model, config, seeds)) == hexed(
+                path_seeded(_path_loop, model, config, seeds))
+
+    def test_declined_blocks(self, lib, tmp_path, monkeypatch):
+        # a model the kernel does not know, seeds that reach 2**64, and no
+        # kernel at all
+        pairs = SchemeConfig(0.25, 1.0), (True, 0.5)
+        paths = (path_config(2, 1.0),)
+        lam = dataclasses.replace(get_model("model1"),
+                                  drift=lambda x: 0.1 * (x - x * x * x))
+        for model in (model1_as_json(tmp_path), lam):
+            for config, *pair in (pairs, paths):
+                assert kernel.run_block(model, config, range(3), *pair) is None
+        for config, *pair in (pairs, paths):
+            assert kernel.run_block(get_model("model1"), config,
+                                    range(2 ** 64 - 2, 2 ** 64 + 1),
+                                    *pair) is None
+        monkeypatch.setattr(kernel, "library", lambda: None)
+        for config, *pair in (pairs, paths):
+            assert kernel.run_block(get_model("model1"), config, range(3),
+                                    *pair) is None
+
+
+def test_block_paths_store_no_trajectory(lib):
+    # a gbm path at delta 1/2 and T=50 spends a 10**7-step budget, whose
+    # stored trajectory would take ~400 MB of doubling buffers.  Under an
+    # address-space limit 200 MB above what the process holds, a Monte
+    # Carlo cell of that path counts it as failed, while the same path
+    # through simulate_path, which stores it, runs out of memory.
+    code = """
+import resource
+from tamsde import (EstimationError, NoiseSource, SchemeConfig,
+                    estimate_moment, get_model, kernel, simulate_path)
+kernel.library()
+with open("/proc/self/status") as fh:
+    held = next(int(line.split()[1]) for line in fh
+                if line.startswith("VmSize:")) * 1024
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (held + 200 * 2 ** 20, hard))
+model, config = get_model("gbm"), SchemeConfig(0.5, 50.0, max_steps=10 ** 7)
+try:
+    estimate_moment(model, config, 2.0, 1, 1)
+except EstimationError as exc:
+    print(exc)
+try:
+    simulate_path(model, config, NoiseSource(1))
+except MemoryError:
+    print("stored path: MemoryError")
+"""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read the address-space size from")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "1 of 1 paths exploded; the moment estimate would not be trustworthy",
+        "stored path: MemoryError"]
+
+
 # --- the kernel's Philox against numpy's ------------------------------------
 
 def generator_seeds():
@@ -518,7 +719,8 @@ def test_source_compiles_cleanly_as_c99(tmp_path):
         pytest.skip("no C compiler on PATH")
     assert set(kernel._EXPORTS) == {"tamsde_pair", "tamsde_path",
                                     "tamsde_free", "tamsde_seed",
-                                    "tamsde_normals"}
+                                    "tamsde_normals", "tamsde_pairs",
+                                    "tamsde_paths"}
     for name, multiply in (("native.so", []),
                            ("portable.so", ["-U__SIZEOF_INT128__"])):
         command = kernel._command(cc, kernel._SOURCE, str(tmp_path / name))
@@ -572,6 +774,14 @@ for name in t.MODELS:
             assert t.path_outcome(simulate_path, model, config,
                                   t.NoiseSource(seed)) == t.path_outcome(
                 _path_loop, model, config, t.NoiseSource(seed))
+        # blocks of pairs and of paths, on seeds of one and of two words
+        seeds = range(2 ** 32 - 2, 2 ** 32 + 2)
+        for clock in t.CLOCKS:
+            assert t.hexed(t.block(model, clock, 2, 1.0, seeds,
+                                   max_steps)) == t.hexed(t.seeded(
+                t.reference, model, clock, 2, 1.0, seeds, max_steps))
+        assert t.hexed(t.path_block(model, config, seeds)) == t.hexed(
+            t.path_seeded(_path_loop, model, config, seeds))
 print("clean")
 """
 

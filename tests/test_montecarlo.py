@@ -6,9 +6,10 @@ import os
 
 import pytest
 
+import tamsde.montecarlo
 from tamsde import (EstimationError, InputError, MseRow, PowerTerm,
                     SchemeConfig, estimate_moment, estimate_mse,
-                    estimate_tm_mse, get_model, mean_step_count,
+                    estimate_tm_mse, get_model, kernel, mean_step_count,
                     simulate_coupled_pair, tm_step_count)
 from tamsde.montecarlo import _aggregate_mse
 
@@ -96,6 +97,95 @@ class TestEstimateMse:
             estimate_mse(M1, 1.0, 2.0, 2, 10, 1.0, -1)
         with pytest.raises(InputError):
             estimate_mse(M1, 1.0, 2.0, 2, True, 1.0, 0)
+
+
+# each path function by its name in tamsde.montecarlo, with a cell that
+# calls it on seeds 40..69
+CELLS = {
+    "simulate_coupled_pair": lambda: estimate_mse(M1, 1.0, 2.0, 2, 30, 1.0,
+                                                  40),
+    "simulate_coupled_tm_pair": lambda: estimate_tm_mse(M1, 2, 30, 1.0, 40),
+    "simulate_path": lambda: estimate_moment(M1, SchemeConfig(0.25, 1.0), 2.0,
+                                             30, 40),
+}
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """Each kernel.run_block call, True when the kernel took the block."""
+    seen = []
+    run_block = kernel.run_block
+
+    def recorded(*args):
+        out = run_block(*args)
+        seen.append(out is not None)
+        return out
+
+    monkeypatch.setattr(kernel, "run_block", recorded)
+    return seen
+
+
+def rebind(monkeypatch, name):
+    """Rebind the path function name in tamsde.montecarlo to a wrapper
+    that records each call's seed; returns the list of seeds."""
+    seeds = []
+    original = getattr(tamsde.montecarlo, name)
+
+    def counting(*args, **kwargs):
+        last = args[-1]  # a pair's seed, or a path's NoiseSource
+        seeds.append(last.seed if name == "simulate_path" else last)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tamsde.montecarlo, name, counting)
+    return seeds
+
+
+class TestBlockRoute:
+    # a cell's block goes to the kernel in one call while the path
+    # function's name is the library's own; a rebound name (a tracer's
+    # wrapper, a test's forced explosion) is called once per seed instead
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_rebound_name_is_called_once_per_seed(self, monkeypatch, blocks,
+                                                   name):
+        unbound = CELLS[name]()
+        assert blocks == [kernel.library() is not None]
+        blocks.clear()
+        seeds = rebind(monkeypatch, name)
+        assert CELLS[name]() == unbound
+        assert seeds == list(range(40, 70))
+        assert blocks == []
+
+    @pytest.mark.parametrize("call", [
+        lambda: estimate_mse(M1, 1.0, 2.0, 0, 10, 1.0, 0),
+        lambda: estimate_mse(M1, 0.0, 2.0, 2, 10, 1.0, 0),
+        lambda: estimate_mse(M1, 1.0, 1.5, 2, 10, 1.0, 0),
+        lambda: estimate_mse(make_term_model("hot", [], [], l=6.0), 1.0, 2.0,
+                             2, 10, 1.0, 0),
+        lambda: estimate_tm_mse(M1, 2, 10, math.inf, 0),
+        lambda: estimate_tm_mse(M1, 2, 10, 1.0, 0, max_steps=0),
+        lambda: estimate_moment(make_term_model("hot", [], [], l=6.0),
+                                SchemeConfig(0.25, 1.0), 2.0, 10, 0)],
+        ids=["k", "h0", "l0", "l0-below-model-minimum", "t_end",
+             "max_steps", "path-l0-below-model-minimum"])
+    def test_same_input_errors_on_both_routes(self, monkeypatch, call):
+        with pytest.raises(InputError) as block_route:
+            call()
+        for name in CELLS:
+            rebind(monkeypatch, name)
+        with pytest.raises(InputError) as seed_route:
+            call()
+        assert str(block_route.value) == str(seed_route.value)
+
+    def test_seeds_reaching_two_to_the_64_run_one_by_one(self, monkeypatch,
+                                                         blocks):
+        # the kernel takes a block's seeds as one uint64 start; a cell
+        # past 2**64 runs each seed through the public function
+        base = 2 ** 64 - 3
+        unbound = estimate_mse(M1, 1.0, 2.0, 2, 6, 1.0, base)
+        assert blocks == [False] * (kernel.library() is not None)
+        seeds = rebind(monkeypatch, "simulate_coupled_pair")
+        assert estimate_mse(M1, 1.0, 2.0, 2, 6, 1.0, base) == unbound
+        assert seeds == list(range(base, base + 6))
 
 
 class TestAggregation:
