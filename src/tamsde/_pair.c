@@ -23,24 +23,25 @@
  * Both loops are built from one set of leg primitives: propose, due, pend
  * and fire on a struct leg.  A pair is two legs on a merged timeline; a
  * path is one leg with one increment pending per step.  kernel.py builds
- * and loads this file and makes one call per pair (tamsde_pair), per
- * path (tamsde_path, whose stored grid the caller releases with
- * tamsde_free) or per block of seeds (below).  The first two take one
- * protocol: the struct philox of a NoiseSource, its one generator, seeded
- * by tamsde_seed, and a pointer to the source's clock.  They draw on that
- * generator and add each draw's duration to the clock as the source's own
- * gaussian_increment would, and tamsde_normals fills the source's blocks
- * of normals from the same generator, so a pair or a path here and the
- * source's own draws share one stream.
+ * and loads this file.
  *
- * A Monte Carlo cell needs only each seed's outcome, so tamsde_pairs and
- * tamsde_paths run a block of consecutive seeds in one call: for each seed
- * they seed a Philox of their own with tamsde_seed, as a fresh
- * NoiseSource(seed) would be, run the same pair or path loop on it, and
- * write that seed's value, step counts and return code into the caller's
- * arrays.  A path of a block stores no trajectory.  struct philox is
- * mirrored by kernel._Philox; the other structs are known only to this
- * file.
+ * Pairs run only in blocks of consecutive seeds (tamsde_pairs), as do the
+ * paths of a Monte Carlo cell (tamsde_paths): for each seed the block
+ * seeds a Philox of its own with tamsde_seed, as a fresh NoiseSource(seed)
+ * would be, runs the pair or path loop on it, and writes that seed's
+ * states, stop time, step counts and return code into the caller's
+ * arrays.  A seed of any size is given as its 32-bit words, which the
+ * block steps by one per seed.  A path of a block stores no trajectory; a
+ * per-seed pair is a block of one.
+ *
+ * A path whose trajectory is kept (tamsde_path, whose stored grid the
+ * caller releases with tamsde_free) runs on the struct philox of the
+ * caller's NoiseSource, its one generator, seeded by tamsde_seed, and
+ * adds each draw's duration to a pointer to the source's clock as the
+ * source's own gaussian_increment would; tamsde_normals fills the
+ * source's blocks of normals from the same generator, so a path here and
+ * the source's own draws share one stream.  struct philox is mirrored by
+ * kernel._Philox; the other structs are known only to this file.
  */
 #include <float.h>
 #include <math.h>
@@ -361,14 +362,13 @@ static int fire(const struct pair *p, struct leg *leg, double t)
 }
 
 /* driver._merge: the pair from x0 to t_end, one normal drawn per event
-   from rng and rng left after the last, each event's duration added to
-   *clock.  Returns DONE with out = {fine x, coarse x, t_end}, or FINE_STOP
-   or COARSE_STOP with out[2] the stop time and that leg's state in out;
-   steps gets both legs' step counts. */
-int tamsde_pair(int model, int adaptive, double delta_fine,
-                double delta_coarse, double h0, double l0, double x0,
-                double t_end, long long max_steps, struct philox *rng,
-                double *clock, double out[3], long long steps[2])
+   from rng.  Returns DONE with out = {fine x, coarse x, t_end}, or
+   FINE_STOP or COARSE_STOP with out[2] the stop time and that leg's state
+   in out; steps gets both legs' step counts. */
+static int merge(int model, int adaptive, double delta_fine,
+                 double delta_coarse, double h0, double l0, double x0,
+                 double t_end, long long max_steps, struct philox *rng,
+                 double out[3], long long steps[2])
 {
     struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
                      .max_steps = max_steps, .model = model,
@@ -386,7 +386,6 @@ int tamsde_pair(int model, int adaptive, double delta_fine,
     while (t < t_end && status == DONE) {
         double t_next = p.fine.due < p.coarse.due ? p.fine.due : p.coarse.due;
         double dz = sqrt(t_next - t) * random_standard_normal(&g);
-        *clock += t_next - t;
         pend(&p.fine, dz);
         pend(&p.coarse, dz);
         t = t_next;
@@ -525,57 +524,63 @@ int tamsde_path(int model, double delta, double h0, double l0, double x0,
 
 /* --- blocks of seeds ----------------------------------------------------- */
 
-/* rng = numpy's Philox(seed) for a seed below 2**64: its one or two 32-bit
-   words as tamsde_seed takes them */
-static void seed64(struct philox *rng, uint64_t seed)
+/* *n_words little-endian 32-bit words of seed, plus one: the next integer.
+   A carry out of the top word makes it one word longer, so seed must have
+   room for one more word, zeroed; stepping from a block's first seed to
+   the integer after its last carries out of the top word at most once,
+   as a block has fewer than 2**63 seeds. */
+static void next_seed(unsigned char *seed, size_t *n_words)
 {
-    unsigned char words[8];
-    int i;
-    for (i = 0; i < 8; i++)
-        words[i] = (unsigned char)(seed >> 8 * i);
-    tamsde_seed(rng, words, seed >> 32 ? 2 : 1);
+    size_t i;
+    for (i = 0; i < 4 * *n_words; i++)
+        if (++seed[i] != 0)
+            return;
+    seed[i] = 1;
+    *n_words += 1;
 }
 
-/* tamsde_pair for each seed first + i, i < n, on that seed's own Philox:
-   value[i] = d * d with d the fine state less the coarse one, steps[2i]
-   and steps[2i + 1] the fine and coarse step counts, status[i] the pair's
-   return code.  first + n - 1 must be below 2**64. */
+/* The pair of driver._merge for each of the n seeds from the integer whose
+   n_words 32-bit words seed holds (as tamsde_seed takes them), on that
+   seed's own Philox: out[3i..3i+2] as merge returns them, steps[2i] and
+   steps[2i + 1] the fine and coarse step counts, status[i] its return
+   code.  seed is stepped to the integer after the block's last seed, so
+   it needs room for one more word (next_seed). */
 void tamsde_pairs(int model, int adaptive, double delta_fine,
                   double delta_coarse, double h0, double l0, double x0,
-                  double t_end, long long max_steps, uint64_t first,
-                  long long n, double *value, long long *steps, int *status)
+                  double t_end, long long max_steps, unsigned char *seed,
+                  size_t n_words, long long n, double *out, long long *steps,
+                  int *status)
 {
     long long i;
-    for (i = 0; i < n; i++) {
+    for (i = 0; i < n; i++, next_seed(seed, &n_words)) {
         struct philox rng;
-        double clock = 0.0, out[3], d;
-        seed64(&rng, first + (uint64_t)i);
-        status[i] = tamsde_pair(model, adaptive, delta_fine, delta_coarse, h0,
-                                l0, x0, t_end, max_steps, &rng, &clock, out,
-                                steps + 2 * i);
-        d = out[0] - out[1];
-        value[i] = d * d;
+        tamsde_seed(&rng, seed, n_words);
+        status[i] = merge(model, adaptive, delta_fine, delta_coarse, h0, l0,
+                          x0, t_end, max_steps, &rng, out + 3 * i,
+                          steps + 2 * i);
     }
 }
 
-/* tamsde_path for each seed first + i, i < n, on that seed's own Philox,
-   storing nothing: value[i] = the state of its last step, steps[i] the
-   step count, status[i] DONE or FINE_STOP.  first + n - 1 must be below
-   2**64. */
+/* scheme.simulate_path for each of the n seeds from seed, as tamsde_pairs
+   takes them, on that seed's own Philox, storing nothing: out[2i] and
+   out[2i + 1] the state and time of its last step, steps[i] the step
+   count, status[i] DONE or FINE_STOP. */
 void tamsde_paths(int model, double delta, double h0, double l0, double x0,
-                  double t_end, long long max_steps, uint64_t first,
-                  long long n, double *value, long long *steps, int *status)
+                  double t_end, long long max_steps, unsigned char *seed,
+                  size_t n_words, long long n, double *out, long long *steps,
+                  int *status)
 {
     long long i;
-    for (i = 0; i < n; i++) {
+    for (i = 0; i < n; i++, next_seed(seed, &n_words)) {
         struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
                          .max_steps = max_steps, .model = model,
                          .adaptive = 1};
         struct philox rng;
         double clock = 0.0;
-        seed64(&rng, first + (uint64_t)i);
+        tamsde_seed(&rng, seed, n_words);
         status[i] = walk(&p, delta, x0, &rng, &clock, NULL);
-        value[i] = p.fine.x;
+        out[2 * i] = p.fine.x;
+        out[2 * i + 1] = p.fine.last;
         steps[i] = p.fine.steps;
     }
 }

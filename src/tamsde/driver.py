@@ -18,20 +18,18 @@ summation so the per-leg totals agree with the global Brownian sum to
 
 Both coupled-pair functions go through one runner, _run_pair, which
 checks the arguments once (_pair_config, which the Monte Carlo cells'
-block route shares, and NoiseSource, which checks the seed), then offers
-the pair and its NoiseSource(seed) to the compiled kernel
-(kernel.run_pair).  The kernel takes every pair of a
-built-in model and runs the same loop in C, drawing on the source's
-generator as simulate_path's kernel does, and returns the same bits and
-leaves the source with the clock and the next draw _merge leaves.  _merge
-runs every pair the kernel declines, on the same source, and is the
+blocks share, and the seed), then offers the pair to the compiled kernel
+as a block of one seed (kernel.run_block).  The kernel takes every pair of
+a built-in model, seeds the pair's generator itself as NoiseSource(seed)
+is seeded, runs the same loop in C and returns the same bits.  _merge
+runs every pair the kernel declines, on NoiseSource(seed), and is the
 reference the kernel is tested against.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, PathExplosion
 from .model import _integer, _real
 from .scheme import (DEFAULT_MAX_STEPS, SchemeConfig, _due, _require_l0,
                      _stop, _tam_leg, _tm_leg)
@@ -55,9 +53,9 @@ class NoiseSource:
 
     A source has one generator for its whole life, made by
     kernel.generator when the source first needs it: the kernel's Philox
-    whenever the kernel loads, numpy's only when it cannot.  A pair or a
-    path the kernel runs (kernel.run_pair, kernel.run_path) draws on the
-    same generator and advances the same clock.
+    whenever the kernel loads, numpy's only when it cannot.  A path the
+    kernel runs (kernel.run_path) draws on the same generator and advances
+    the same clock.
     """
 
     def __init__(self, seed):
@@ -141,10 +139,10 @@ def _merge(fine, coarse, x0, t_end, noise, max_steps):
             steps_f += 1
             if t_next < t_end:
                 if steps_f >= max_steps or not isfinite(x_f):
-                    _stop("fine", t_next, x_f, steps_f, max_steps)
+                    raise _stop("fine", t_next, x_f, steps_f, max_steps)
                 due_f = _due(t_next, propose_f(x_f), t_end)
                 if due_f <= t_next:
-                    _stop("fine", t_next, x_f, steps_f, max_steps)
+                    raise _stop("fine", t_next, x_f, steps_f, max_steps)
         if due_c == t_next:
             x_c = advance_c(x_c, t_next - last_c, pw_c)
             pw_c = pc_c = 0.0
@@ -152,15 +150,15 @@ def _merge(fine, coarse, x0, t_end, noise, max_steps):
             steps_c += 1
             if t_next < t_end:
                 if steps_c >= max_steps or not isfinite(x_c):
-                    _stop("coarse", t_next, x_c, steps_c, max_steps)
+                    raise _stop("coarse", t_next, x_c, steps_c, max_steps)
                 due_c = _due(t_next, propose_c(x_c), t_end)
                 if due_c <= t_next:
-                    _stop("coarse", t_next, x_c, steps_c, max_steps)
+                    raise _stop("coarse", t_next, x_c, steps_c, max_steps)
         t = t_next
     if not isfinite(x_f):
-        _stop("fine", t_end, x_f, steps_f, max_steps)
+        raise _stop("fine", t_end, x_f, steps_f, max_steps)
     if not isfinite(x_c):
-        _stop("coarse", t_end, x_c, steps_c, max_steps)
+        raise _stop("coarse", t_end, x_c, steps_c, max_steps)
     return _sample(x_f, x_c, steps_f, steps_c)
 
 
@@ -185,23 +183,27 @@ def _run_pair(model, clock, k, t_end, seed, max_steps):
 
     clock is (h0, l0) for two tamed-adaptive legs and None for two
     fixed-step legs.  The arguments are checked here, once, and the pair
-    and its NoiseSource go to the compiled kernel if it takes them, else
-    to _merge.
+    goes to the compiled kernel as a block of one seed if it takes it,
+    else to _merge on NoiseSource(seed).
     """
     config, coarse = _pair_config(model, clock, k, t_end, max_steps)
-    noise = NoiseSource(seed)
+    seed = _integer(seed, "seed", 0)
     # imported by the first pair, not by import tamsde, which stays as fast
     # as it was without the kernel
     from . import kernel
-    out = kernel.run_pair(model, config, clock is not None, coarse, noise)
+    out = kernel.run_block(model, config, range(seed, seed + 1),
+                           (clock is not None, coarse))
     if out is not None:
-        return _sample(*out)
+        if isinstance(out[0], PathExplosion):
+            raise out[0]
+        return _sample(*out[0])
     if clock is None:
         legs = _tm_leg(model, config.delta), _tm_leg(model, coarse)
     else:
         legs = (_tam_leg(model, config.delta, config.h0, config.l0),
                 _tam_leg(model, coarse, config.h0, config.l0))
-    return _merge(*legs, model.x0, config.t_end, noise, config.max_steps)
+    return _merge(*legs, model.x0, config.t_end, NoiseSource(seed),
+                  config.max_steps)
 
 
 def simulate_coupled_pair(model, h0, l0, k, t_end, seed,

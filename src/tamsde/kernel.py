@@ -1,33 +1,33 @@
 """Compiled kernel for the built-in models: pairs, paths and the noise.
 
-_pair.c runs one coupled pair of either scheme in one call, operation for
-operation as driver._merge does, and one adaptive path in one call as
-scheme.simulate_path does, so its results are byte-identical to the Python
-loops'.  It also holds the one generator of NoiseSource's stream, its own
-port of numpy's SeedSequence and Philox, whose state is _Philox.
-generator(seed) makes a source's generator: that Philox whenever the
-kernel loads, and numpy's Generator(Philox(SeedSequence(seed))), which
-draws the same normals, only when it cannot.  The source refills its
-blocks from it, and run_pair and run_path both draw on it: each takes the
-NoiseSource of its pair or path, draws on the source's generator, adds
-each draw's duration to the source's clock, and leaves the source as the
-Python loop's draws leave it.  So no numpy generator is built while the
-kernel loads.  run_pair and run_path return None, and the caller runs its
-Python loop, the reference, on the same source, for a model other than
-the three built-ins (JSON term models and library callables), for a
-noise source other than a NoiseSource itself, one holding buffered
-normals or one whose generator is numpy's (one rule, _philox), and for
-every pair and path when the kernel cannot be built.
+_pair.c runs coupled pairs of either scheme operation for operation as
+driver._merge does, and adaptive paths as scheme.simulate_path does, so
+its results are byte-identical to the Python loops'.  It also holds the
+one generator of NoiseSource's stream, its own port of numpy's
+SeedSequence and Philox, whose state is _Philox.  generator(seed) makes a
+source's generator: that Philox whenever the kernel loads, and numpy's
+Generator(Philox(SeedSequence(seed))), which draws the same normals, only
+when it cannot.  So no numpy generator is built while the kernel loads.
 
-run_block runs a Monte Carlo cell's block of consecutive seeds in one
-call: the kernel seeds each seed's Philox itself, as a fresh
-NoiseSource(seed) is seeded, runs that seed's pair or path, and returns
-only what the cell keeps of it (a pair's squared difference and step
-counts, a path's terminal state and step count, None for a failure), so
-no NoiseSource, SchemeConfig or sample is built per seed and a path
-stores no trajectory.  It declines, and the cell calls the per-seed
-function for each seed, for a model other than the built-ins, when the
-kernel cannot be built, and for seeds that reach 2**64.
+run_block runs a block of consecutive seeds of any size in one call: the
+kernel seeds each seed's Philox itself, as a fresh NoiseSource(seed) is
+seeded, runs that seed's pair or path, and returns what a caller keeps of
+it (a pair's terminal states and step counts, a path's terminal state
+and step count, or the PathExplosion its own run raises), so no
+NoiseSource, sample or trajectory is built per seed.  A Monte Carlo cell
+runs its seeds as blocks, and a single coupled pair is a block of one.
+
+run_path runs a path whose trajectory is kept, on the caller's
+NoiseSource: it draws on the source's generator, adds each draw's
+duration to the source's clock, and leaves the source as the Python
+loop's draws leave it.
+
+run_block and run_path return None, and the caller runs its Python loop,
+the reference, for a model other than the three built-ins (JSON term
+models and library callables) and for every block and path when the
+kernel cannot be built; run_path also declines a noise source other than
+a NoiseSource itself, one holding buffered normals or one whose generator
+is numpy's (one rule, _philox).
 
 The kernel is built with the host's `cc` against numpy's bitgen.h and
 libnpyrandom.a when a process first needs it, never at import, and
@@ -63,7 +63,7 @@ from .driver import _BLOCK, NoiseSource
 from .model import get_model
 from .scheme import _stop
 
-__all__ = ["generator", "library", "run_block", "run_pair", "run_path"]
+__all__ = ["generator", "library", "run_block", "run_path"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_pair.c")
 _INCLUDE = np.get_include()
@@ -76,8 +76,8 @@ _BUILD_TIMEOUT_S = 120
 # when a build is loaded from its directory; builds in use, such as two
 # versions run side by side, are kept
 _STALE_S = 30 * 24 * 3600
-_EXPORTS = ("tamsde_pair", "tamsde_path", "tamsde_free", "tamsde_seed",
-            "tamsde_normals", "tamsde_pairs", "tamsde_paths")
+_EXPORTS = ("tamsde_path", "tamsde_free", "tamsde_seed", "tamsde_normals",
+            "tamsde_pairs", "tamsde_paths")
 
 # C model numbers are positions in this tuple (enum in _pair.c)
 _MODELS = ("model1", "model2", "gbm")
@@ -86,9 +86,6 @@ _NO_MEMORY = 3
 # no pair can spend 2**63 - 1 steps, so a larger budget is never reached
 # either and is passed to C as this
 _INT64_MAX = 2 ** 63 - 1
-# a block's first seed goes to C as a uint64, and every seed must lie
-# below this
-_SEED_END = 2 ** 64
 
 
 class _Philox(ctypes.Structure):
@@ -160,9 +157,7 @@ def _open(directory, name):
     # a library of that name without our functions is not the kernel
     if not all(hasattr(lib, f) for f in _EXPORTS):
         return None
-    lib.tamsde_pair.restype = lib.tamsde_path.restype = ctypes.c_int
-    lib.tamsde_pair.argtypes = ([ctypes.c_int] * 2 + [ctypes.c_double] * 6
-                                + [ctypes.c_longlong] + [ctypes.c_void_p] * 4)
+    lib.tamsde_path.restype = ctypes.c_int
     lib.tamsde_path.argtypes = ([ctypes.c_int] + [ctypes.c_double] * 5
                                 + [ctypes.c_longlong] + [ctypes.c_void_p] * 5)
     lib.tamsde_seed.argtypes = [ctypes.c_void_p, ctypes.c_char_p,
@@ -170,14 +165,12 @@ def _open(directory, name):
     lib.tamsde_normals.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
                                    ctypes.c_longlong]
     lib.tamsde_free.argtypes = [ctypes.c_void_p]
-    lib.tamsde_pairs.argtypes = (
-        [ctypes.c_int] * 2 + [ctypes.c_double] * 6
-        + [ctypes.c_longlong, ctypes.c_uint64, ctypes.c_longlong]
-        + [ctypes.c_void_p] * 3)
-    lib.tamsde_paths.argtypes = (
-        [ctypes.c_int] + [ctypes.c_double] * 5
-        + [ctypes.c_longlong, ctypes.c_uint64, ctypes.c_longlong]
-        + [ctypes.c_void_p] * 3)
+    seeds = [ctypes.c_longlong, ctypes.c_char_p, ctypes.c_size_t,
+             ctypes.c_longlong] + [ctypes.c_void_p] * 3
+    lib.tamsde_pairs.argtypes = ([ctypes.c_int] * 2 + [ctypes.c_double] * 6
+                                 + seeds)
+    lib.tamsde_paths.argtypes = ([ctypes.c_int] + [ctypes.c_double] * 5
+                                 + seeds)
     lib.tamsde_seed.restype = lib.tamsde_normals.restype = None
     lib.tamsde_free.restype = None
     lib.tamsde_pairs.restype = lib.tamsde_paths.restype = None
@@ -320,37 +313,6 @@ def _hand_back(noise, clock):
     noise._buf = None  # the next draw refills from the generator
 
 
-def run_pair(model, config, adaptive, delta_coarse, noise):
-    """One coupled pair in C, or None when the kernel does not run it.
-
-    config is the pair's checked SchemeConfig, with the fine leg's delta;
-    adaptive picks two tamed-adaptive legs (h0 and l0 from config) over
-    two fixed-step legs.  The kernel takes a pair of a built-in model
-    whose noise it can draw on (_philox) and leaves that NoiseSource as
-    _merge's draws leave it: the same clock and the same next draw.
-    Returns the terminal (fine state, coarse state, fine steps, coarse
-    steps), or raises the PathExplosion _merge would raise, through the
-    same _stop.
-    """
-    number = _model_number(model)
-    rng = None if number is None else _philox(noise)
-    if rng is None:
-        return None
-    clock = ctypes.c_double(noise.current_time)
-    out = (ctypes.c_double * 3)()
-    steps = (ctypes.c_longlong * 2)()
-    status = library().tamsde_pair(
-        number, int(adaptive), config.delta, delta_coarse, config.h0,
-        config.l0, model.x0, config.t_end, min(config.max_steps, _INT64_MAX),
-        ctypes.byref(rng), ctypes.byref(clock), out, steps)
-    _hand_back(noise, clock)
-    if status:  # FINE_STOP (1) or COARSE_STOP (2): that leg cannot go on
-        i = status - 1
-        _stop(("fine", "coarse")[i], out[2], out[i], steps[i],
-              config.max_steps)
-    return out[0], out[1], steps[0], steps[1]
-
-
 _FLOAT64 = np.dtype(np.float64).str
 
 
@@ -401,7 +363,7 @@ def run_path(model, config, noise):
     if status == _NO_MEMORY:
         raise MemoryError(f"no memory to store a path of {n} steps")
     if status:  # FINE_STOP: the path's one leg cannot go on
-        _stop(None, out[1], out[0], n, config.max_steps)
+        raise _stop(None, out[1], out[0], n, config.max_steps)
     free = lib.tamsde_free
     times, values, increments = (
         np.asarray(_Doubles(free, pointer, size))
@@ -410,44 +372,50 @@ def run_path(model, config, noise):
 
 
 def run_block(model, config, seeds, pair=None):
-    """The Monte Carlo outcome of each seed of a block, in one C call, or
-    None when the kernel does not run it.
+    """The outcome of each seed of a block, in one C call, or None when the
+    kernel does not run it.
 
-    seeds is a range of step 1.  pair is (adaptive, delta_coarse) for
-    coupled pairs, as run_pair takes them, and None for single paths;
-    config is the checked SchemeConfig of every seed's pair or path.  Each
-    seed runs as on a fresh NoiseSource(seed), so its outcome is the one
-    run_pair or run_path gives: a pair's (squared difference, fine steps,
-    coarse steps), a path's (terminal state, step count), and None for a
-    pair or path that raises PathExplosion there.  A path of a block
-    stores no trajectory.  The kernel takes a block of a built-in model
-    whose seeds all lie below 2**64.
+    seeds is a range of step 1 of non-negative integers.  pair
+    is (adaptive, delta_coarse) for coupled pairs, with adaptive picking
+    two tamed-adaptive legs (h0 and l0 from config) over two fixed-step
+    legs, and None for single paths; config is the checked SchemeConfig of
+    every seed's pair or path, with the fine leg's delta.  Each seed runs
+    as on a fresh NoiseSource(seed), so its outcome is _merge's or
+    simulate_path's there: a pair's (fine state, coarse state, fine steps,
+    coarse steps), a path's (terminal state, step count), or the
+    PathExplosion that run raises, built by the same _stop.  A path of a
+    block stores no trajectory.  The kernel takes a block of a built-in
+    model.
     """
     number = _model_number(model)
     lib = library()
-    if number is None or lib is None or seeds.stop > _SEED_END:
+    if number is None or lib is None:
         return None
     n = len(seeds)
-    value = np.empty(n)
-    status = np.empty(n, np.intc)
+    legs = 1 if pair is None else 2
+    out = (ctypes.c_double * ((legs + 1) * n))()
+    steps = (ctypes.c_longlong * (legs * n))()
+    status = (ctypes.c_int * n)()
+    words, n_words = _words(seeds.start)
+    # room for the one word a carry past the top word adds (next_seed)
+    seed = ctypes.create_string_buffer(words, len(words) + 4)
     budget = min(config.max_steps, _INT64_MAX)
     if pair is None:
-        steps = np.empty(n, np.longlong)
         lib.tamsde_paths(number, config.delta, config.h0, config.l0,
-                         model.x0, config.t_end, budget, seeds.start, n,
-                         value.ctypes.data, steps.ctypes.data,
-                         status.ctypes.data)
-        rows = zip(value.tolist(), steps.tolist())
+                         model.x0, config.t_end, budget, seed, n_words, n,
+                         out, steps, status)
+        rows = list(zip(out[::2], steps))
     else:
         adaptive, delta_coarse = pair
-        steps = np.empty((n, 2), np.longlong)
         lib.tamsde_pairs(number, int(adaptive), config.delta, delta_coarse,
                          config.h0, config.l0, model.x0, config.t_end,
-                         budget, seeds.start, n, value.ctypes.data,
-                         steps.ctypes.data, status.ctypes.data)
-        rows = ((v, f, c) for v, (f, c) in zip(value.tolist(),
-                                               steps.tolist()))
-    # a nonzero status is a stopped leg: the PathExplosion of the seed's
-    # own run
-    return [None if failed else row
-            for failed, row in zip(status.tolist(), rows)]
+                         budget, seed, n_words, n, out, steps, status)
+        rows = list(zip(out[::3], out[1::3], steps[::2], steps[1::2]))
+    for i, code in enumerate(status[:]):
+        if code:  # FINE_STOP (1) or COARSE_STOP (2): that leg stopped
+            leg = code - 1
+            rows[i] = _stop(("fine", "coarse")[leg] if pair else None,
+                            out[(legs + 1) * i + legs],
+                            out[(legs + 1) * i + leg], steps[legs * i + leg],
+                            config.max_steps)
+    return rows

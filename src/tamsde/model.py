@@ -163,9 +163,10 @@ def check_dissipativity(model, xs):
     margin is >= 0.  Returns the worst (smallest-margin) point; a NaN
     margin fails and is the worst of all.
 
-    Raises InputError when xs is empty.
+    Raises InputError when xs is empty or a point is not a finite real
+    number.
     """
-    xs = list(xs)
+    xs = [_finite(x, "dissipativity check point") for x in xs]
     if not xs:
         raise InputError("dissipativity check needs at least one point")
     reg = model.regularity
@@ -192,13 +193,19 @@ def check_one_sided_lipschitz(model, pairs):
     (x-y)*(mu(x)-mu(y)) + |sigma(x)-sigma(y)|**2 / 2.  Returns the worst
     (smallest-margin) pair; a NaN margin fails and is the worst of all.
 
-    Raises InputError when pairs is empty.
+    Raises InputError when pairs is empty or a pair is not two finite real
+    numbers.
     """
-    pairs = list(pairs)
+    what = "one-sided Lipschitz check point"
+    try:
+        pairs = [(_finite(x, what), _finite(y, what)) for x, y in pairs]
+    except (TypeError, ValueError):  # an item that is not two values
+        raise InputError("one-sided Lipschitz check pairs must each be two "
+                         "numbers") from None
     if not pairs:
         raise InputError("one-sided Lipschitz check needs at least one pair")
     lam = model.regularity.lambda_os
-    worst_pair = tuple(pairs[0])
+    worst_pair = pairs[0]
     worst_margin = math.inf
     for x, y in pairs:
         d = x - y
@@ -218,14 +225,19 @@ def check_one_sided_lipschitz(model, pairs):
 def exact_gbm_terminal(a, b, x0, t_end, w_t):
     """Terminal value of dX = a*X dt + b*X dW at t_end, given W_{t_end}.
 
-    Uses the closed form x0 * exp((a - b**2/2) * t_end + b * w_t).
-    Raises InputError for negative t_end.
+    Uses the closed form x0 * exp((a - b**2/2) * t_end + b * w_t).  An
+    exponential beyond the float range reads inf, so the result is +-inf,
+    or 0.0 for x0 = 0.  Raises InputError for negative t_end.
     """
     a, b, x0, t_end, w_t = (_real(a, "a"), _real(b, "b"), _real(x0, "x0"),
                             _real(t_end, "t_end"), _real(w_t, "w_t"))
     if t_end < 0.0:
         raise InputError(f"t_end must be >= 0, got {t_end}")
-    return x0 * math.exp((a - 0.5 * b * b) * t_end + b * w_t)
+    try:
+        growth = math.exp((a - 0.5 * b * b) * t_end + b * w_t)
+    except OverflowError:
+        growth = math.inf
+    return _times(x0, growth)
 
 
 def minimum_step_exponent(regularity):

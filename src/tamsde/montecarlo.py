@@ -6,11 +6,12 @@ difference.  Path m always uses seed base_seed + m, so results are
 reproducible, independent of worker count, and unaffected by adding more
 paths or more levels elsewhere.
 
-A block of seeds of a built-in model runs in one kernel call
-(kernel.run_block), which gives each seed the outcome the per-seed
-function gives and stores no path's trajectory.  The path functions are
-looked up by name in this module at call time: a caller that rebinds one
-(a tracer, a test forcing an explosion) has it called once per seed.
+A block of consecutive seeds of a built-in model, however large the
+seeds, runs in one kernel call (kernel.run_block), which gives each seed
+the outcome the per-seed function gives and stores no path's trajectory.
+The path functions are looked up by name in this module at call time: a
+caller that rebinds one (a tracer, a test forcing an explosion) has it
+called once per seed.
 
 All reductions go through math.fsum (exact summation), which makes every
 aggregate independent of chunking and scheduling order; a worker pool can
@@ -118,7 +119,11 @@ def _run_block(args):
     if simulate is _OWN[name]:
         out = _kernel_block(name, head, options, seeds)
         if out is not None:
-            return out
+            # a failure is None, and a pair keeps its squared difference,
+            # as CoupledSample.squared_diff takes it
+            return [None if isinstance(o, PathExplosion) else o
+                    if name == "simulate_path" else
+                    ((o[0] - o[1]) * (o[0] - o[1]), o[2], o[3]) for o in out]
     out = []
     for seed in seeds:
         try:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, PathExplosion
-from .model import _real, _rpow, minimum_step_exponent
+from .model import _finite, _real, _rpow, minimum_step_exponent
 
 __all__ = [
     "SchemeConfig",
@@ -69,9 +69,9 @@ class SchemeConfig:
     """Knobs of one scheme run.
 
     delta      base step parameter, in (0, 1); experiments use 2**-k.
-    h0         cap of the state-dependent step factor h(x), > 0.
-    l0         exponent of the |x|**l0 state penalty in h(x), >= 2; the
-               convergence theory additionally wants
+    h0         cap of the state-dependent step factor h(x), finite, > 0.
+    l0         exponent of the |x|**l0 state penalty in h(x), finite,
+               >= 2; the convergence theory additionally wants
                l0 >= 4*l / (3*(1+alpha)) for the model it is paired with,
                which simulate_path enforces.
     t_end      time horizon, finite and > 0.
@@ -102,6 +102,9 @@ class SchemeConfig:
             raise InputError(f"h0 must be > 0, got {self.h0}")
         if not self.l0 >= 2.0:
             raise InputError(f"l0 must be >= 2, got {self.l0}")
+        # an infinite h0 or l0 would let every adaptive step jump to t_end
+        _finite(self.h0, "h0")
+        _finite(self.l0, "l0")
         if self.max_steps < 1:
             raise InputError(f"max_steps must be >= 1, got {self.max_steps}")
 
@@ -237,7 +240,7 @@ def _due(last, step, t_end):
 
 
 def _stop(leg, t, x, steps, max_steps):
-    """Raise the PathExplosion for a leg that cannot go on from x at time t.
+    """The PathExplosion for a leg that cannot go on from x at time t.
 
     The cause is the first that applies: a non-finite state, a spent step
     budget, or else a step that collapsed below time resolution.  leg is
@@ -250,8 +253,8 @@ def _stop(leg, t, x, steps, max_steps):
     else:
         why = "step collapsed below time resolution"
     who = f"{leg} leg" if leg else "path"
-    raise PathExplosion(f"{who} {why} at t={t} (state {x}, {steps} steps)",
-                        time=t, state=x, steps=steps, leg=leg)
+    return PathExplosion(f"{who} {why} at t={t} (state {x}, {steps} steps)",
+                         time=t, state=x, steps=steps, leg=leg)
 
 
 def tamed_correction(model, x, delta):
@@ -367,11 +370,11 @@ def _path_loop(model, config, noise):
         if t >= t_end:
             break
         if steps >= max_steps or not isfinite(x):
-            _stop(None, t, x, steps, max_steps)
+            raise _stop(None, t, x, steps, max_steps)
         due = _due(t, propose(x), t_end)
         if due <= t:
-            _stop(None, t, x, steps, max_steps)
+            raise _stop(None, t, x, steps, max_steps)
     if not isfinite(x):
-        _stop(None, t, x, steps, max_steps)
+        raise _stop(None, t, x, steps, max_steps)
     return Trajectory(times=np.asarray(times), values=np.asarray(values),
                       increments=np.asarray(incs), step_count=steps)

@@ -339,9 +339,11 @@ class TestRejectedBeforeAnyCell:
         ["rate", "--paths", "4294967297"],
         ["compare", "--T"] + [str(t) for t in range(1, 1026)],
         ["moments", "--l0", "1.5"],
-        ["compare", "--h0", "0"]],
+        ["compare", "--h0", "0"],
+        ["rate", "--h0", "inf"],
+        ["rate", "--l0", "inf"]],
         ids=["bad-grid", "overlapping-seed-cells", "overlapping-compare-cells",
-             "l0", "h0"])
+             "l0", "h0", "infinite-h0", "infinite-l0"])
     def test_rejected_run_makes_no_directory(self, tmp_path, no_cells, argv):
         out = tmp_path / "deep"
         assert run(argv + ["--model", "model1", "--out", out]) == 2

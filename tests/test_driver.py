@@ -167,7 +167,7 @@ def test_seed_checked_before_the_kernel(monkeypatch, run, seed):
     def no_call(*args):
         raise AssertionError("the kernel was called")
 
-    monkeypatch.setattr(kernel, "run_pair", no_call)
+    monkeypatch.setattr(kernel, "run_block", no_call)
     with pytest.raises(InputError, match="seed must be a non-negative integer"):
         run(seed)
 

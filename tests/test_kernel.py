@@ -2,15 +2,15 @@
 
 driver._merge is the reference for pairs: for every built-in model and
 both schemes the kernel must give the same CoupledSample, bit for bit,
-raise the same PathExplosion and leave the pair's NoiseSource with the
-clock and the next draw _merge's draws leave it with.  scheme._path_loop
-is the reference for single paths in the same way: the same Trajectory
-bytes, the same PathExplosion and the same NoiseSource afterwards.  A
-block of seeds (kernel.run_block) must give each seed the outcome its own
-pair or path gives there, None for a PathExplosion.  numpy's Philox(SeedSequence(seed)) and
-Generator.standard_normal are the reference for the kernel's own seeding
-and draws.  These tests skip only when no C compiler is on PATH; with one,
-a kernel that fails to build or load fails them.
+and raise the same PathExplosion.  scheme._path_loop is the reference for
+single paths in the same way: the same Trajectory bytes, the same
+PathExplosion and the same NoiseSource afterwards.  A block of seeds
+(kernel.run_block), of any size, must give each seed the outcome its own
+pair or path gives there, its PathExplosion included.  numpy's
+Philox(SeedSequence(seed)) and Generator.standard_normal are the
+reference for the kernel's own seeding and draws.  These tests skip only
+when no C compiler is on PATH; with one, a kernel that fails to build or
+load fails them.
 """
 
 import ctypes
@@ -32,7 +32,7 @@ from tamsde import (NoiseSource, PathExplosion, get_model, kernel,
                     load_model_file, simulate_coupled_pair,
                     simulate_coupled_tm_pair, simulate_path)
 from tamsde.analysis import cell_seed
-from tamsde.driver import _merge, _sample
+from tamsde.driver import _merge
 from tamsde.scheme import SchemeConfig, _path_loop, _tam_leg, _tm_leg
 
 MODELS = ("model1", "model2", "gbm")
@@ -96,16 +96,6 @@ class CountingNoise(NoiseSource):
         return super().gaussian_increment(duration)
 
 
-def kernel_pair(model, clock, k, t_end, seed, max_steps=10 ** 8, noise=None):
-    """The pair as kernel.run_pair runs it, on noise or NoiseSource(seed)."""
-    config = SchemeConfig(2.0 ** -(k + 1), t_end, *(clock or ()),
-                          max_steps=max_steps)
-    out = kernel.run_pair(model, config, clock is not None, 2.0 ** -k,
-                          noise or NoiseSource(seed))
-    assert out is not None, "the kernel declined the pair"
-    return _sample(*out)
-
-
 def pair(model, clock, k, t_end, seed, max_steps=10 ** 8):
     """The pair through the public entry points."""
     if clock is None:
@@ -113,12 +103,17 @@ def pair(model, clock, k, t_end, seed, max_steps=10 ** 8):
     return simulate_coupled_pair(model, *clock, k, t_end, seed, max_steps)
 
 
+def explosion(exc):
+    """A PathExplosion's attributes and message."""
+    return exc.leg, repr(exc.time), repr(exc.state), exc.steps, str(exc)
+
+
 def outcome(run, *args):
     """repr of the sample, or the explosion's attributes and message."""
     try:
         return repr(run(*args))
     except PathExplosion as exc:
-        return (exc.leg, repr(exc.time), repr(exc.state), exc.steps, str(exc))
+        return explosion(exc)
 
 
 CLOCKS = [(1.0, 2.0), (1.0, 3.0), None]
@@ -168,21 +163,16 @@ class TestParity:
     @pytest.mark.parametrize("clock, k", [((1.0, 2.0), 4), (None, 5)],
                              ids=["adaptive", "fixed"])
     @pytest.mark.parametrize("name", MODELS)
-    def test_generator_left_where_merge_leaves_it(self, lib, name, clock, k,
-                                                  max_steps):
-        # the kernel draws one normal per event on the source's generator
-        # and adds its duration to the source's clock, as _merge's draws
-        # do, so the source goes on with the same clock and the normal
-        # after the last event's; at T=20 every finished pair here draws
-        # more than one 1024 block
+    def test_long_pairs_identical(self, lib, merges, name, clock, k,
+                                  max_steps):
+        # at T=20 every finished pair here draws more than one 1024 block
+        # of _merge's source
         model = get_model(name)
         for seed in (0, 2):
-            ran, oracle = NoiseSource(seed), NoiseSource(seed)
-            assert (outcome(kernel_pair, model, clock, k, 20.0, seed,
-                            max_steps, ran)
+            assert (outcome(pair, model, clock, k, 20.0, seed, max_steps)
                     == outcome(reference, model, clock, k, 20.0, seed,
-                               max_steps, oracle))
-            assert source_state(ran) == source_state(oracle)
+                               max_steps))
+        assert merges == []
 
 
 @pytest.fixture
@@ -217,7 +207,7 @@ def path_result(run, model, config, noise):
     try:
         traj = run(model, config, noise)
     except PathExplosion as exc:
-        return exc.leg, repr(exc.time), repr(exc.state), exc.steps, str(exc)
+        return explosion(exc)
     return tuple((a.tobytes(), a.dtype, a.shape, a.flags.writeable)
                  for a in (traj.times, traj.values, traj.increments)) + (
         type(traj.step_count), traj.step_count)
@@ -433,8 +423,8 @@ class TestDispatch:
 
 def hexed(outcomes):
     """Outcomes with each float as its .hex() and each count with its type,
-    so that equal means bit for bit."""
-    return [None if o is None else
+    so that equal means bit for bit, and a PathExplosion as explosion()."""
+    return [explosion(o) if isinstance(o, PathExplosion) else
             tuple(v.hex() if type(v) is float else (type(v), v) for v in o)
             for o in outcomes]
 
@@ -451,16 +441,17 @@ def block(model, clock, k, t_end, seeds, max_steps=10 ** 8):
 
 def seeded(run, model, clock, k, t_end, seeds, max_steps=10 ** 8):
     """Each seed's pair, run one by one by run (pair or reference), as a
-    Monte Carlo cell keeps it: None for a PathExplosion."""
+    block gives it: the terminal states and step counts, or the
+    PathExplosion."""
     out = []
     for seed in seeds:
         try:
             sample = run(model, clock, k, t_end, seed, max_steps)
-        except PathExplosion:
-            out.append(None)
+        except PathExplosion as exc:
+            out.append(exc)
         else:
-            out.append((sample.squared_diff, sample.fine_steps,
-                        sample.coarse_steps))
+            out.append((sample.fine_terminal, sample.coarse_terminal,
+                        sample.fine_steps, sample.coarse_steps))
     return out
 
 
@@ -473,21 +464,34 @@ def path_block(model, config, seeds):
 
 def path_seeded(run, model, config, seeds):
     """Each seed's path, run one by one by run (simulate_path or
-    _path_loop) on NoiseSource(seed), as a Monte Carlo cell keeps it."""
+    _path_loop) on NoiseSource(seed), as a block gives it: the terminal
+    state and step count, or the PathExplosion."""
     out = []
     for seed in seeds:
         try:
             traj = run(model, config, NoiseSource(seed))
-        except PathExplosion:
-            out.append(None)
+        except PathExplosion as exc:
+            out.append(exc)
         else:
             out.append((float(traj.values[-1]), traj.step_count))
     return out
 
 
+def failed(outcomes):
+    return any(isinstance(o, PathExplosion) for o in outcomes)
+
+
+# seed ranges of one to four 32-bit words: across 2**32, up to 2**64,
+# across 2**64 and across 2**96
+WORD_RANGES = [range(2 ** 32 - 20, 2 ** 32 + 20), range(2 ** 64 - 20, 2 ** 64),
+               range(2 ** 64 - 20, 2 ** 64 + 20),
+               range(2 ** 96 - 20, 2 ** 96 + 20)]
+WORD_IDS = ["across-2**32", "up-to-2**64", "across-2**64", "across-2**96"]
+
+
 class TestBlockParity:
     # a block runs each seed as a fresh NoiseSource(seed) would, so its
-    # outcomes are the per-seed kernel's and so the Python loops'
+    # outcomes are the Python loops'
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("clock", CLOCKS, ids=["l0=2", "l0=3", "fixed"])
     @pytest.mark.parametrize("name", MODELS)
@@ -526,7 +530,7 @@ class TestBlockParity:
             model = dataclasses.replace(model, x0=x0)
         seeds = range(40)
         got = block(model, clock, 2, t_end, seeds, max_steps)
-        assert None in got
+        assert failed(got)
         assert hexed(got) == hexed(seeded(pair, model, clock, 2, t_end,
                                           seeds, max_steps))
         assert hexed(got) == hexed(seeded(reference, model, clock, 2, t_end,
@@ -548,18 +552,17 @@ class TestBlockParity:
             model = dataclasses.replace(model, x0=x0)
         config, seeds = path_config(k, t_end, max_steps=max_steps), range(40)
         got = path_block(model, config, seeds)
-        assert None in got
+        assert failed(got)
         assert hexed(got) == hexed(path_seeded(simulate_path, model, config,
                                                seeds))
         assert hexed(got) == hexed(path_seeded(_path_loop, model, config,
                                                seeds))
 
-    @pytest.mark.parametrize("seeds", [
-        range(2 ** 32 - 20, 2 ** 32 + 20), range(2 ** 64 - 20, 2 ** 64)],
-        ids=["across-2**32", "up-to-2**64"])
+    @pytest.mark.parametrize("seeds", WORD_RANGES, ids=WORD_IDS)
     def test_seeds_of_one_and_two_words(self, lib, seeds):
-        # a seed's entropy is one 32-bit word below 2**32 and two from
-        # there to 2**64
+        # a seed's entropy is its 32-bit words, one below 2**32, two from
+        # there to 2**64, and so on; a block steps its first seed's words,
+        # carrying into a new word where a seed needs one more
         for name in MODELS:
             model = get_model(name)
             for clock in CLOCKS:
@@ -572,8 +575,7 @@ class TestBlockParity:
                 path_seeded(_path_loop, model, config, seeds))
 
     def test_declined_blocks(self, lib, tmp_path, monkeypatch):
-        # a model the kernel does not know, seeds that reach 2**64, and no
-        # kernel at all
+        # a model the kernel does not know, and no kernel at all
         pairs = SchemeConfig(0.25, 1.0), (True, 0.5)
         paths = (path_config(2, 1.0),)
         lam = dataclasses.replace(get_model("model1"),
@@ -581,10 +583,6 @@ class TestBlockParity:
         for model in (model1_as_json(tmp_path), lam):
             for config, *pair in (pairs, paths):
                 assert kernel.run_block(model, config, range(3), *pair) is None
-        for config, *pair in (pairs, paths):
-            assert kernel.run_block(get_model("model1"), config,
-                                    range(2 ** 64 - 2, 2 ** 64 + 1),
-                                    *pair) is None
         monkeypatch.setattr(kernel, "library", lambda: None)
         for config, *pair in (pairs, paths):
             assert kernel.run_block(get_model("model1"), config, range(3),
@@ -717,10 +715,9 @@ def test_source_compiles_cleanly_as_c99(tmp_path):
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
-    assert set(kernel._EXPORTS) == {"tamsde_pair", "tamsde_path",
-                                    "tamsde_free", "tamsde_seed",
-                                    "tamsde_normals", "tamsde_pairs",
-                                    "tamsde_paths"}
+    assert set(kernel._EXPORTS) == {"tamsde_path", "tamsde_free",
+                                    "tamsde_seed", "tamsde_normals",
+                                    "tamsde_pairs", "tamsde_paths"}
     for name, multiply in (("native.so", []),
                            ("portable.so", ["-U__SIZEOF_INT128__"])):
         command = kernel._command(cc, kernel._SOURCE, str(tmp_path / name))
@@ -731,7 +728,7 @@ def test_source_compiles_cleanly_as_c99(tmp_path):
         assert proc.returncode == 0, proc.stderr
         built = kernel._open(str(tmp_path), name)
         assert built is not None
-        for gone in ("tamsde_pair_init", "tamsde_pair_run",
+        for gone in ("tamsde_pair", "tamsde_pair_init", "tamsde_pair_run",
                      "tamsde_pair_size"):
             assert not hasattr(built, gone)
         assert generator_mismatches(built, generator_seeds()[::20], 1030) == []
@@ -764,24 +761,19 @@ for name in t.MODELS:
                 assert t.outcome(t.pair, model, clock, 2, 1.0, seed,
                                  max_steps) == t.outcome(
                     t.reference, model, clock, 2, 1.0, seed, max_steps)
-                # the source's clock and next draw after the pair
-                ran, oracle = t.NoiseSource(seed), t.NoiseSource(seed)
-                assert t.outcome(t.kernel_pair, model, clock, 2, 1.0, seed,
-                                 max_steps, ran) == t.outcome(
-                    t.reference, model, clock, 2, 1.0, seed, max_steps,
-                    oracle)
-                assert t.source_state(ran) == t.source_state(oracle)
             assert t.path_outcome(simulate_path, model, config,
                                   t.NoiseSource(seed)) == t.path_outcome(
                 _path_loop, model, config, t.NoiseSource(seed))
         # blocks of pairs and of paths, on seeds of one and of two words
-        seeds = range(2 ** 32 - 2, 2 ** 32 + 2)
-        for clock in t.CLOCKS:
-            assert t.hexed(t.block(model, clock, 2, 1.0, seeds,
-                                   max_steps)) == t.hexed(t.seeded(
-                t.reference, model, clock, 2, 1.0, seeds, max_steps))
-        assert t.hexed(t.path_block(model, config, seeds)) == t.hexed(
-            t.path_seeded(_path_loop, model, config, seeds))
+        # and on seeds whose words carry into a third
+        for seeds in (range(2 ** 32 - 2, 2 ** 32 + 2),
+                      range(2 ** 64 - 2, 2 ** 64 + 2)):
+            for clock in t.CLOCKS:
+                assert t.hexed(t.block(model, clock, 2, 1.0, seeds,
+                                       max_steps)) == t.hexed(t.seeded(
+                    t.reference, model, clock, 2, 1.0, seeds, max_steps))
+            assert t.hexed(t.path_block(model, config, seeds)) == t.hexed(
+                t.path_seeded(_path_loop, model, config, seeds))
 print("clean")
 """
 

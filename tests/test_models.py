@@ -280,6 +280,24 @@ class TestOneSidedLipschitz:
         assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("check, points", [
+    (check_dissipativity, ["a"]),
+    (check_dissipativity, [True]),
+    (check_dissipativity, [1.0, math.inf]),
+    (check_dissipativity, [None]),
+    (check_one_sided_lipschitz, [(1.0,)]),
+    (check_one_sided_lipschitz, [(1.0, 2.0, 3.0)]),
+    (check_one_sided_lipschitz, [1.0]),
+    (check_one_sided_lipschitz, [(1.0, "2")]),
+    (check_one_sided_lipschitz, [(0.0, 1.0), (math.nan, 1.0)]),
+    (check_one_sided_lipschitz, [(False, 1.0)])],
+    ids=["string", "bool", "infinite", "none", "one-number", "three-numbers",
+         "bare-number", "string-in-pair", "nan-in-pair", "bool-in-pair"])
+def test_malformed_check_points_are_input_errors(check, points):
+    with pytest.raises(InputError):
+        check(M1, points)
+
+
 class TestExactGbmTerminal:
     def test_time_zero_identity(self):
         assert exact_gbm_terminal(0.05, 0.2, 1.0, 0.0, 0.0) == 1.0
@@ -299,6 +317,14 @@ class TestExactGbmTerminal:
     def test_negative_horizon_rejected(self):
         with pytest.raises(InputError):
             exact_gbm_terminal(0.05, 0.2, 1.0, -1.0, 0.0)
+
+    @pytest.mark.parametrize("x0, want", [(1.0, math.inf), (-2.0, -math.inf),
+                                          (0.0, 0.0)])
+    def test_overflowing_exponential_reads_inf(self, x0, want):
+        # exp(2e5) lies beyond the float range
+        got = exact_gbm_terminal(0.05, 0.2, x0, 1.0, 1e6)
+        assert got == want and math.copysign(1.0, got) == math.copysign(
+            1.0, want)
 
 
 class TestPowerTerms:

@@ -112,13 +112,14 @@ CELLS = {
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """Each kernel.run_block call, True when the kernel took the block."""
+    """Each kernel.run_block call, as its number of seeds and True when the
+    kernel took the block."""
     seen = []
     run_block = kernel.run_block
 
     def recorded(*args):
         out = run_block(*args)
-        seen.append(out is not None)
+        seen.append((len(args[2]), out is not None))
         return out
 
     monkeypatch.setattr(kernel, "run_block", recorded)
@@ -143,17 +144,19 @@ def rebind(monkeypatch, name):
 class TestBlockRoute:
     # a cell's block goes to the kernel in one call while the path
     # function's name is the library's own; a rebound name (a tracer's
-    # wrapper, a test's forced explosion) is called once per seed instead
+    # wrapper, a test's forced explosion) is called once per seed instead,
+    # and each pair it runs is a block of one
     @pytest.mark.parametrize("name", sorted(CELLS))
     def test_rebound_name_is_called_once_per_seed(self, monkeypatch, blocks,
                                                    name):
+        taken = kernel.library() is not None
         unbound = CELLS[name]()
-        assert blocks == [kernel.library() is not None]
+        assert blocks == [(30, taken)]
         blocks.clear()
         seeds = rebind(monkeypatch, name)
         assert CELLS[name]() == unbound
         assert seeds == list(range(40, 70))
-        assert blocks == []
+        assert blocks == ([] if name == "simulate_path" else [(1, taken)] * 30)
 
     @pytest.mark.parametrize("call", [
         lambda: estimate_mse(M1, 1.0, 2.0, 0, 10, 1.0, 0),
@@ -176,13 +179,13 @@ class TestBlockRoute:
             call()
         assert str(block_route.value) == str(seed_route.value)
 
-    def test_seeds_reaching_two_to_the_64_run_one_by_one(self, monkeypatch,
-                                                         blocks):
-        # the kernel takes a block's seeds as one uint64 start; a cell
-        # past 2**64 runs each seed through the public function
+    def test_seeds_past_two_to_the_64_run_in_one_block(self, monkeypatch,
+                                                       blocks):
+        # the kernel steps a block's first seed word by word, so a cell
+        # across 2**64 is one block and equals its seeds run one by one
         base = 2 ** 64 - 3
         unbound = estimate_mse(M1, 1.0, 2.0, 2, 6, 1.0, base)
-        assert blocks == [False] * (kernel.library() is not None)
+        assert blocks == [(6, kernel.library() is not None)]
         seeds = rebind(monkeypatch, "simulate_coupled_pair")
         assert estimate_mse(M1, 1.0, 2.0, 2, 6, 1.0, base) == unbound
         assert seeds == list(range(base, base + 6))

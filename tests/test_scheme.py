@@ -63,10 +63,15 @@ class TestSchemeConfig:
     def test_h0_positive(self):
         with pytest.raises(InputError, match="h0"):
             SchemeConfig(delta=0.5, t_end=1.0, h0=0.0)
+        # an infinite h0 would make every adaptive step jump to t_end
+        with pytest.raises(InputError, match="h0 must be finite, got inf"):
+            SchemeConfig(delta=0.5, t_end=1.0, h0=math.inf)
 
     def test_l0_at_least_two(self):
         with pytest.raises(InputError, match="l0"):
             SchemeConfig(delta=0.5, t_end=1.0, l0=1.5)
+        with pytest.raises(InputError, match="l0 must be finite, got inf"):
+            SchemeConfig(delta=0.5, t_end=1.0, l0=math.inf)
 
     def test_max_steps_positive(self):
         with pytest.raises(InputError, match="max_steps"):
