@@ -87,6 +87,10 @@ class ExperimentConfig:
         if self.kind == "rate" and len(self.t_values) > 1:
             raise InputError(
                 f"rate takes one horizon T, got {len(self.t_values)}")
+        # a one-level rate would run its cell and then fail the fit
+        if self.kind == "rate" and self.k_max == self.k_min:
+            raise InputError("rate regression needs at least two distinct "
+                             f"levels k, got [{self.k_min}]")
         _integer(self.threads, "threads", 1)
 
 

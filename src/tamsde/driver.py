@@ -19,11 +19,14 @@ summation so the per-leg totals agree with the global Brownian sum to
 Both coupled-pair functions go through one runner, _run_pair, which
 checks the arguments once (_pair_config, which the Monte Carlo cells'
 blocks share, and the seed), then offers the pair to the compiled kernel
-as a block of one seed (kernel.run_block).  The kernel takes every pair of
-a built-in model, seeds the pair's generator itself as NoiseSource(seed)
-is seeded, runs the same loop in C and returns the same bits.  _merge
-runs every pair the kernel declines, on NoiseSource(seed), and is the
-reference the kernel is tested against.
+as a block of one seed (kernel.run_block).  _pair_config returns the
+kernel's own pair argument, (adaptive, coarse delta), so neither caller
+builds it.  The kernel takes every pair of a built-in model, seeds the
+pair's generator itself as NoiseSource(seed) is seeded, runs the same
+loop in C and returns the same bits: the seed's record (fine state,
+coarse state, fine steps, coarse steps), or its PathExplosion, which
+_run_pair raises.  _merge runs every pair the kernel declines, on
+NoiseSource(seed), and is the reference the kernel is tested against.
 """
 
 import math
@@ -164,18 +167,19 @@ def _merge(fine, coarse, x0, t_end, noise, max_steps):
 
 def _pair_config(model, clock, k, t_end, max_steps=DEFAULT_MAX_STEPS):
     """The checked SchemeConfig of a pair at level k, with the fine leg's
-    delta, and the coarse leg's delta.
+    delta, and the kernel's pair argument (adaptive, coarse leg's delta).
 
     clock is (h0, l0) for two tamed-adaptive legs and None for two
     fixed-step legs.  These are every check of a pair's arguments but the
-    seed's, shared by _run_pair and the Monte Carlo cells' block route.
+    seed's, shared by _run_pair and the Monte Carlo cells' block route,
+    and the result is what both hand to kernel.run_block.
     """
     _integer(k, "k", 1)
     fine, coarse = math.ldexp(1.0, -(k + 1)), math.ldexp(1.0, -k)
     config = SchemeConfig(fine, t_end, *(clock or ()), max_steps=max_steps)
     if clock is not None:
         _require_l0(model, config)
-    return config, coarse
+    return config, (clock is not None, coarse)
 
 
 def _run_pair(model, clock, k, t_end, seed, max_steps):
@@ -186,22 +190,21 @@ def _run_pair(model, clock, k, t_end, seed, max_steps):
     goes to the compiled kernel as a block of one seed if it takes it,
     else to _merge on NoiseSource(seed).
     """
-    config, coarse = _pair_config(model, clock, k, t_end, max_steps)
+    config, pair = _pair_config(model, clock, k, t_end, max_steps)
     seed = _integer(seed, "seed", 0)
     # imported by the first pair, not by import tamsde, which stays as fast
     # as it was without the kernel
     from . import kernel
-    out = kernel.run_block(model, config, range(seed, seed + 1),
-                           (clock is not None, coarse))
+    out = kernel.run_block(model, config, range(seed, seed + 1), pair)
     if out is not None:
         if isinstance(out[0], PathExplosion):
             raise out[0]
         return _sample(*out[0])
     if clock is None:
-        legs = _tm_leg(model, config.delta), _tm_leg(model, coarse)
+        legs = _tm_leg(model, config.delta), _tm_leg(model, pair[1])
     else:
         legs = (_tam_leg(model, config.delta, config.h0, config.l0),
-                _tam_leg(model, coarse, config.h0, config.l0))
+                _tam_leg(model, pair[1], config.h0, config.l0))
     return _merge(*legs, model.x0, config.t_end, NoiseSource(seed),
                   config.max_steps)
 

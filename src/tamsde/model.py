@@ -163,10 +163,13 @@ def check_dissipativity(model, xs):
     margin is >= 0.  Returns the worst (smallest-margin) point; a NaN
     margin fails and is the worst of all.
 
-    Raises InputError when xs is empty or a point is not a finite real
-    number.
+    Raises InputError when xs is not a collection, is empty, or a point
+    is not a finite real number.
     """
-    xs = [_finite(x, "dissipativity check point") for x in xs]
+    try:
+        xs = [_finite(x, "dissipativity check point") for x in xs]
+    except TypeError:  # xs is not a collection
+        raise InputError("dissipativity check points must be a list") from None
     if not xs:
         raise InputError("dissipativity check needs at least one point")
     reg = model.regularity
@@ -227,10 +230,11 @@ def exact_gbm_terminal(a, b, x0, t_end, w_t):
 
     Uses the closed form x0 * exp((a - b**2/2) * t_end + b * w_t).  An
     exponential beyond the float range reads inf, so the result is +-inf,
-    or 0.0 for x0 = 0.  Raises InputError for negative t_end.
+    or 0.0 for x0 = 0.  Raises InputError for negative t_end or an
+    argument that is not a finite real number.
     """
-    a, b, x0, t_end, w_t = (_real(a, "a"), _real(b, "b"), _real(x0, "x0"),
-                            _real(t_end, "t_end"), _real(w_t, "w_t"))
+    a, b, x0, t_end, w_t = map(_finite, (a, b, x0, t_end, w_t),
+                               ("a", "b", "x0", "t_end", "w_t"))
     if t_end < 0.0:
         raise InputError(f"t_end must be >= 0, got {t_end}")
     try:

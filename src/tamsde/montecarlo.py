@@ -11,16 +11,20 @@ seeds, runs in one kernel call (kernel.run_block), which gives each seed
 the outcome the per-seed function gives and stores no path's trajectory.
 The path functions are looked up by name in this module at call time: a
 caller that rebinds one (a tracer, a test forcing an explosion) has it
-called once per seed.
+called once per seed.  Either way a seed yields one record, the kernel's:
+(fine state, coarse state, fine steps, coarse steps) for a pair,
+(terminal state, step count) for a path, or the PathExplosion that ended
+it, with its leg, time, state and steps.
 
 All reductions go through math.fsum (exact summation), which makes every
 aggregate independent of chunking and scheduling order; a worker pool can
 only change how fast the answer arrives, never its bytes.
 
-Paths that raise PathExplosion (or whose |X_T|**p overflows) are excluded
-from the averages and counted; once failures reach 1% of the requested
-paths the estimate is refused (EstimationError) rather than silently
-biased.
+A failure is the exception that caused it: a path's PathExplosion, or the
+OverflowError of an |X_T|**p beyond the float range.  Failures are
+excluded from the averages and counted; once they reach 1% of the
+requested paths the estimate is refused (EstimationError) rather than
+silently biased.
 """
 
 import math
@@ -77,7 +81,7 @@ _OWN = {f.__name__: f for f in (simulate_coupled_pair,
 
 
 def _kernel_block(name, head, options, seeds):
-    """The outcomes of the block from one kernel.run_block call, or None
+    """The records of the block from one kernel.run_block call, or None
     when the kernel declines it.
 
     The block's arguments get the checks each seed's own call would make,
@@ -88,15 +92,10 @@ def _kernel_block(name, head, options, seeds):
         _require_l0(model, config)
         pair = None
     else:
-        if name == "simulate_coupled_pair":
-            model, h0, l0, k, t_end = head
-            clock = (h0, l0)
-        else:
-            model, k, t_end = head
-            clock = None
-        config, delta_coarse = _pair_config(model, clock, k, t_end,
-                                            **options)
-        pair = (clock is not None, delta_coarse)
+        # a pair's head is (model, h0, l0, k, t_end) or (model, k, t_end)
+        model, *clock, k, t_end = head
+        config, pair = _pair_config(model, tuple(clock) or None, k, t_end,
+                                    **options)
     # imported by the first block, not by import tamsde, which stays as
     # fast as it was without the kernel
     from . import kernel
@@ -104,26 +103,24 @@ def _kernel_block(name, head, options, seeds):
 
 
 def _run_block(args):
-    """Worker: one outcome per seed of a block, None for an exploded path.
+    """Worker: the record of each seed of a block, in seed order.
 
-    A pair yields (squared_diff, fine_steps, coarse_steps), a path
-    (terminal state, step_count).  The path function `name` is looked up
-    at call time.  While it is still the library's own, the whole block
-    goes to the kernel in one call (_kernel_block); otherwise, or when the
-    kernel declines, it is called once per seed as
-    name(*head, seed, **options), with NoiseSource(seed) for
-    simulate_path, so a caller that rebinds the name sees every seed.
+    The record is kernel.run_block's: a pair's (fine state, coarse state,
+    fine steps, coarse steps), a path's (terminal state, step count), or
+    the PathExplosion that stopped the seed.  The path function `name` is
+    looked up at call time.  While it is still the library's own, the
+    whole block goes to the kernel in one call (_kernel_block), and its
+    list is returned as it comes; otherwise, or when the kernel declines,
+    it is called once per seed as name(*head, seed, **options), with
+    NoiseSource(seed) for simulate_path, so a caller that rebinds the name
+    sees every seed, and each result is read into the same record.
     """
     name, head, options, seeds = args
     simulate = globals()[name]
     if simulate is _OWN[name]:
         out = _kernel_block(name, head, options, seeds)
         if out is not None:
-            # a failure is None, and a pair keeps its squared difference,
-            # as CoupledSample.squared_diff takes it
-            return [None if isinstance(o, PathExplosion) else o
-                    if name == "simulate_path" else
-                    ((o[0] - o[1]) * (o[0] - o[1]), o[2], o[3]) for o in out]
+            return out
     out = []
     for seed in seeds:
         try:
@@ -132,9 +129,10 @@ def _run_block(args):
                 out.append((float(traj.values[-1]), traj.step_count))
             else:
                 cs = simulate(*head, seed, **options)
-                out.append((cs.squared_diff, cs.fine_steps, cs.coarse_steps))
-        except PathExplosion:
-            out.append(None)
+                out.append((cs.fine_terminal, cs.coarse_terminal,
+                            cs.fine_steps, cs.coarse_steps))
+        except PathExplosion as exc:
+            out.append(exc)
     return out
 
 
@@ -164,8 +162,11 @@ def _run_cell(name, head, options, n_paths, base_seed, n_jobs):
 
 
 def _survivors(outcomes, n_paths, what):
-    """Finished outcomes and the failure count; the one 1% gate."""
-    ok = [o for o in outcomes if o is not None]
+    """Finished outcomes and the failure count; the one 1% gate.
+
+    A failure is the exception that ended its seed.
+    """
+    ok = [o for o in outcomes if not isinstance(o, Exception)]
     n_failures = len(outcomes) - len(ok)
     if n_failures * 100 >= n_paths:
         raise EstimationError(
@@ -186,9 +187,11 @@ def _aggregate_mse(k, delta, n_paths, outcomes):
     ok, n_failures = _survivors(outcomes, n_paths,
                                 f"estimate at level k={k}")
     n_ok = len(ok)
-    mse, std_error = _mean_and_stderr([o[0] for o in ok], n_ok)
-    mean_fine = math.fsum(o[1] for o in ok) / n_ok
-    mean_coarse = math.fsum(o[2] for o in ok) / n_ok
+    # d = x_f - x_c; d * d, the bits of CoupledSample.squared_diff
+    mse, std_error = _mean_and_stderr([(d := o[0] - o[1]) * d for o in ok],
+                                      n_ok)
+    mean_fine = math.fsum(o[2] for o in ok) / n_ok
+    mean_coarse = math.fsum(o[3] for o in ok) / n_ok
     log2_mse = math.log2(mse) if mse > 0.0 else float("-inf")
     return MseRow(k=k, delta=delta, n_paths=n_paths, mse=mse,
                   log2_mse=log2_mse, std_error=std_error,
@@ -217,11 +220,14 @@ def estimate_tm_mse(model, k, n_paths, t_end, base_seed, n_jobs=1,
 
 
 def _abs_power(outcome, p):
-    # a finite terminal state whose p-th power overflows counts as a failure
+    # a failed path stays failed, and a finite terminal state whose p-th
+    # power overflows fails with that OverflowError
+    if isinstance(outcome, Exception):
+        return outcome
     try:
         return abs(outcome[0]) ** p
-    except OverflowError:
-        return None
+    except OverflowError as exc:
+        return exc
 
 
 def _moment_order(p):
@@ -237,9 +243,8 @@ def estimate_moment(model, config, p, n_paths, base_seed, n_jobs=1):
     p = _moment_order(p)
     outcomes = _run_cell("simulate_path", (model, config), {}, n_paths,
                          base_seed, n_jobs)
-    vals, n_failures = _survivors(
-        [None if o is None else _abs_power(o, p) for o in outcomes],
-        n_paths, "moment estimate")
+    vals, n_failures = _survivors([_abs_power(o, p) for o in outcomes],
+                                  n_paths, "moment estimate")
     mean, std_error = _mean_and_stderr(vals, len(vals))
     return MomentEstimate(mean_abs_p=mean, std_error=std_error,
                           n_failures=n_failures)

@@ -260,7 +260,7 @@ def _stop(leg, t, x, steps, max_steps):
 def tamed_correction(model, x, delta):
     """Tamed Milstein coefficient q(x) at base step delta."""
     delta = _check_delta(delta)
-    x = _real(x, "x")
+    x = _finite(x, "x")
     return _tamed(model.diffusion(x), model.diffusion_prime(x), math.sqrt(delta))
 
 
@@ -271,12 +271,12 @@ def adaptive_step(model, config, x):
     normal double is returned instead of zero.
     """
     propose, _ = _tam_leg(model, config.delta, config.h0, config.l0)
-    return propose(_real(x, "x"))
+    return propose(_finite(x, "x"))
 
 
 def tam_step(model, x, delta, dt, dW):
     """One tamed-adaptive Milstein step of duration dt from state x."""
-    dt = _real(dt, "dt")
+    dt = _finite(dt, "dt")
     if not dt > 0.0:
         raise InputError(f"dt must be > 0, got {dt}")
     return interpolate(model, x, 0.0, dt, delta, dW)
@@ -285,7 +285,7 @@ def tam_step(model, x, delta, dt, dW):
 def tm_step(model, x, delta, dW):
     """One fixed-step tamed Milstein step (duration delta) from state x."""
     delta = _check_delta(delta)
-    x, dW = _real(x, "x"), _real(dW, "dW")
+    x, dW = _finite(x, "x"), _finite(dW, "dW")
     propose, advance = _tm_leg(model, delta)
     return advance(x, propose(x), dW)
 
@@ -299,8 +299,8 @@ def interpolate(model, x_grid, t_grid, t, delta, dW):
     the realized increment reproduces the next grid value exactly.
     """
     delta = _check_delta(delta)
-    x_grid, t_grid, t, dW = (_real(x_grid, "x_grid"), _real(t_grid, "t_grid"),
-                             _real(t, "t"), _real(dW, "dW"))
+    x_grid, t_grid, t, dW = map(_finite, (x_grid, t_grid, t, dW),
+                                ("x_grid", "t_grid", "t", "dW"))
     if t < t_grid:
         raise InputError(f"interpolation time {t} precedes grid time {t_grid}")
     propose, advance = _tam_leg(model, delta, 1.0, 2.0)

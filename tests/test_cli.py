@@ -218,7 +218,7 @@ class TestErrorHandling:
 
     def test_unwritable_output(self, capsys):
         code = run(["rate", "--model", "model1", "--k-min", "1", "--k-max",
-                    "1", "--paths", "2", "--T", "0.25", "--threads", "1",
+                    "2", "--paths", "2", "--T", "0.25", "--threads", "1",
                     "--seed", "0", "--out", "/dev/null/nope"])
         assert code == 2
         assert "output" in capsys.readouterr().err
@@ -235,7 +235,7 @@ class TestErrorHandling:
         }
         path = tmp_path / "exploder.json"
         path.write_text(json.dumps(doc))
-        code = run(["rate", "--model", path, "--k-min", "1", "--k-max", "1",
+        code = run(["rate", "--model", path, "--k-min", "1", "--k-max", "2",
                     "--paths", "3", "--T", "1e300", "--l0", "4",
                     "--threads", "1", "--out", tmp_path])
         assert code == 3
@@ -341,9 +341,10 @@ class TestRejectedBeforeAnyCell:
         ["moments", "--l0", "1.5"],
         ["compare", "--h0", "0"],
         ["rate", "--h0", "inf"],
-        ["rate", "--l0", "inf"]],
+        ["rate", "--l0", "inf"],
+        ["rate", "--k-min", "3", "--k-max", "3"]],
         ids=["bad-grid", "overlapping-seed-cells", "overlapping-compare-cells",
-             "l0", "h0", "infinite-h0", "infinite-l0"])
+             "l0", "h0", "infinite-h0", "infinite-l0", "one-level-rate"])
     def test_rejected_run_makes_no_directory(self, tmp_path, no_cells, argv):
         out = tmp_path / "deep"
         assert run(argv + ["--model", "model1", "--out", out]) == 2
@@ -367,6 +368,15 @@ class TestRejectedBeforeAnyCell:
             run_experiment(ExperimentConfig(
                 kind="rate", model="model1", n_paths=4, t_values=(1.0, 50.0),
                 out_dir=str(tmp_path)))
+
+    def test_one_level_rate(self, tmp_path, capsys, no_cells):
+        # a rate fit needs two levels; one must fail before its cell runs
+        code = run(["rate", "--model", "model1", "--k-min", "3", "--k-max",
+                    "3", "--paths", "4", "--T", "1", "--threads", "1",
+                    "--out", tmp_path])
+        assert code == 2
+        assert ("rate regression needs at least two distinct levels k, "
+                "got [3]") in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["rate", "moments", "compare"])
     def test_negative_seed(self, tmp_path, capsys, no_cells, kind):
@@ -469,7 +479,7 @@ def test_pinned_output_digests(tmp_path, monkeypatch, argv, digests):
 # tokens after them may override them, but only with small values (paths
 # <= 4, k <= 3, T <= 1) or malformed ones
 _BOUNDS = {
-    "rate": ["--k-min", "1", "--k-max", "1", "--T", "0.5"],
+    "rate": ["--k-min", "1", "--k-max", "2", "--T", "0.5"],
     "moments": ["--k", "1", "--T", "0.5"],
     "compare": ["--k-min", "1", "--k-max", "1", "--T", "0.5"],
     "verify-assumptions": ["--grid", "-1:1:5"],

@@ -285,14 +285,17 @@ class TestOneSidedLipschitz:
     (check_dissipativity, [True]),
     (check_dissipativity, [1.0, math.inf]),
     (check_dissipativity, [None]),
+    (check_dissipativity, 1.0),
+    (check_dissipativity, None),
     (check_one_sided_lipschitz, [(1.0,)]),
     (check_one_sided_lipschitz, [(1.0, 2.0, 3.0)]),
     (check_one_sided_lipschitz, [1.0]),
     (check_one_sided_lipschitz, [(1.0, "2")]),
     (check_one_sided_lipschitz, [(0.0, 1.0), (math.nan, 1.0)]),
     (check_one_sided_lipschitz, [(False, 1.0)])],
-    ids=["string", "bool", "infinite", "none", "one-number", "three-numbers",
-         "bare-number", "string-in-pair", "nan-in-pair", "bool-in-pair"])
+    ids=["string", "bool", "infinite", "none", "bare-point", "no-points",
+         "one-number", "three-numbers", "bare-number", "string-in-pair",
+         "nan-in-pair", "bool-in-pair"])
 def test_malformed_check_points_are_input_errors(check, points):
     with pytest.raises(InputError):
         check(M1, points)

@@ -7,15 +7,16 @@ import os
 import pytest
 
 import tamsde.montecarlo
-from tamsde import (EstimationError, InputError, MseRow, PowerTerm,
-                    SchemeConfig, estimate_moment, estimate_mse,
+from tamsde import (EstimationError, InputError, MseRow, PathExplosion,
+                    PowerTerm, SchemeConfig, estimate_moment, estimate_mse,
                     estimate_tm_mse, get_model, kernel, mean_step_count,
                     simulate_coupled_pair, tm_step_count)
-from tamsde.montecarlo import _aggregate_mse
+from tamsde.montecarlo import _aggregate_mse, _run_block, _run_cell
 
 from test_scheme import make_term_model
 
 M1 = get_model("model1")
+M2 = get_model("model2")
 GBM = get_model("gbm")
 
 BROWNIAN = make_term_model("brownian", [], [PowerTerm(coeff=1.0)], x0=0.0)
@@ -191,33 +192,83 @@ class TestBlockRoute:
         assert seeds == list(range(base, base + 6))
 
 
+def record_key(record):
+    """A seed's record as comparable values: floats by .hex(), and a
+    PathExplosion by its type, leg, time, state, steps and message."""
+    if isinstance(record, PathExplosion):
+        return (type(record), record.leg, record.time.hex(),
+                record.state.hex(), record.steps, str(record))
+    return tuple((type(v), v.hex() if isinstance(v, float) else v)
+                 for v in record)
+
+
+# a block of seeds 40..69 of each path function, with the number of seeds
+# a small step budget stops; a fixed-step pair's step counts do not depend
+# on the seed, so its budget stops every seed or none
+RECORD_BLOCKS = [
+    ("simulate_coupled_pair", (M2, 1.0, 2.0, 2, 1.0), {"max_steps": 19}, 8),
+    ("simulate_coupled_tm_pair", (M1, 2, 1.0), {"max_steps": 5}, 30),
+    ("simulate_coupled_tm_pair", (M1, 2, 1.0), {"max_steps": 8}, 0),
+    ("simulate_path", (M2, SchemeConfig(0.25, 1.0, max_steps=10)), {}, 5),
+]
+RECORD_IDS = ["pair", "tm-pair-stopped", "tm-pair-finished", "path"]
+
+
+class TestRecords:
+    # both routes of _run_block give each seed the kernel's record, and a
+    # failure keeps its PathExplosion, also across the process pool
+    @pytest.mark.parametrize("name, head, options, n_stopped", RECORD_BLOCKS,
+                             ids=RECORD_IDS)
+    def test_both_routes_give_equal_records(self, monkeypatch, name, head,
+                                            options, n_stopped):
+        block = (name, head, options, range(40, 70))
+        unbound = _run_block(block)
+        seeds = rebind(monkeypatch, name)
+        rebound = _run_block(block)
+        assert seeds == list(range(40, 70))
+        assert [record_key(o) for o in rebound] == [record_key(o)
+                                                    for o in unbound]
+        assert sum(isinstance(o, PathExplosion) for o in unbound) == n_stopped
+
+    @pytest.mark.parametrize("name, head, options, n_stopped", RECORD_BLOCKS,
+                             ids=RECORD_IDS)
+    def test_pooled_records_equal_serial(self, name, head, options,
+                                         n_stopped):
+        serial = _run_cell(name, head, options, 30, 40, 1)
+        pooled = _run_cell(name, head, options, 30, 40, 2)
+        assert [record_key(o) for o in pooled] == [record_key(o)
+                                                   for o in serial]
+        assert sum(isinstance(o, PathExplosion) for o in pooled) == n_stopped
+
+
 class TestAggregation:
-    # _aggregate_mse consumes (squared_diff, fine_steps, coarse_steps)
-    # tuples, None for an exploded path
+    # _aggregate_mse consumes the kernel's records, (fine state, coarse
+    # state, fine steps, coarse steps), and a PathExplosion for a failure
 
     def test_failures_below_threshold_recorded(self):
-        outcomes = [(1.0, 10, 5)] * 199 + [None]
+        outcomes = [(2.0, 1.0, 10, 5)] * 199 + [PathExplosion("stopped")]
         row = _aggregate_mse(3, 0.125, 200, outcomes)
         assert row.n_failures == 1
         assert row.n_paths == 200
         assert row.mse == 1.0  # survivors only
 
     def test_failures_at_threshold_raise(self):
-        outcomes = [(1.0, 10, 5)] * 198 + [None, None]
+        outcomes = [(2.0, 1.0, 10, 5)] * 198 + [PathExplosion("stopped")] * 2
         with pytest.raises(EstimationError, match="2 of 200"):
             _aggregate_mse(3, 0.125, 200, outcomes)
 
     def test_zero_mse_maps_to_minus_inf(self):
-        row = _aggregate_mse(1, 0.5, 3, [(0.0, 4, 2)] * 3)
+        row = _aggregate_mse(1, 0.5, 3, [(0.5, 0.5, 4, 2)] * 3)
         assert row.mse == 0.0 and row.log2_mse == -math.inf
         assert row.std_error == 0.0
 
     def test_mean_and_std_error(self):
-        outcomes = [(1.0, 10, 5), (3.0, 12, 6)]
+        # exact differences 1 and -3, so squares 1 and 9
+        outcomes = [(2.0, 1.0, 10, 5), (-1.0, 2.0, 12, 6)]
         row = _aggregate_mse(2, 0.25, 2, outcomes)
-        assert row.mse == 2.0
-        # sample variance 2, se = sqrt(2/2) = 1
-        assert row.std_error == 1.0
+        assert row.mse == 5.0
+        # sample variance 32, se = sqrt(32/2) = 4
+        assert row.std_error == 4.0
         assert row.mean_fine_steps == 11.0
         assert row.mean_coarse_steps == 5.5
 

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from tamsde import (InputError, NoiseSource, PathExplosion, PowerSum,
                     PowerSumDerivative, PowerTerm, RegularityConstants,
                     SchemeConfig, SdeModel, adaptive_step,
-                    evaluate_coefficients, get_model, interpolate,
-                    simulate_path, tam_step, tamed_correction, tm_step)
+                    evaluate_coefficients, exact_gbm_terminal, get_model,
+                    interpolate, simulate_path, tam_step, tamed_correction,
+                    tm_step)
 
 M1 = get_model("model1")
 M2 = get_model("model2")
@@ -275,6 +276,39 @@ class TestInterpolate:
     def test_rejects_past_times(self):
         with pytest.raises(InputError):
             interpolate(M1, 0.1, 1.0, 0.5, 0.25, 0.0)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("fn, args", [
+    (tamed_correction, (M1, NAN, 0.25)),
+    (adaptive_step, (M1, SchemeConfig(0.25, 1.0), INF)),
+    (tam_step, (M1, NAN, 0.25, 0.1, 0.1)),
+    (tam_step, (M1, 1.0, 0.25, INF, 0.1)),
+    (tam_step, (M1, 1.0, 0.25, 0.1, -INF)),
+    (tm_step, (M1, INF, 0.25, 0.1)),
+    (tm_step, (M1, 1.0, 0.25, NAN)),
+    (interpolate, (M1, NAN, 0.0, 0.25, 0.25, 0.1)),
+    (interpolate, (M1, 1.0, NAN, 0.25, 0.25, 0.1)),
+    (interpolate, (M1, 1.0, 0.0, NAN, 0.25, 0.1)),
+    (interpolate, (M1, 1.0, 0.0, INF, 0.25, 0.1)),
+    (interpolate, (M1, 1.0, 0.0, 0.25, 0.25, INF)),
+    (exact_gbm_terminal, (NAN, 0.2, 1.0, 1.0, 0.0)),
+    (exact_gbm_terminal, (0.05, INF, 1.0, 1.0, 0.0)),
+    (exact_gbm_terminal, (0.05, 0.2, NAN, 1.0, 0.0)),
+    (exact_gbm_terminal, (0.05, 0.2, 1.0, INF, 0.0)),
+    (exact_gbm_terminal, (0.05, 0.2, 1.0, NAN, 0.0)),
+    (exact_gbm_terminal, (0.05, 0.2, 1.0, 1.0, NAN))],
+    ids=["tamed_correction-x", "adaptive_step-x", "tam_step-x", "tam_step-dt",
+         "tam_step-dW", "tm_step-x", "tm_step-dW", "interpolate-x_grid",
+         "interpolate-t_grid", "interpolate-t-nan", "interpolate-t-inf",
+         "interpolate-dW", "exact_gbm-a", "exact_gbm-b", "exact_gbm-x0",
+         "exact_gbm-t_end-inf", "exact_gbm-t_end-nan", "exact_gbm-w_t"])
+def test_non_finite_arguments_are_input_errors(fn, args):
+    # never a NaN or infinite result read off a NaN or infinite argument
+    with pytest.raises(InputError, match="must be finite"):
+        fn(*args)
 
 
 class TestSimulatePath:
