@@ -21,27 +21,37 @@
  *     takes: the function Generator.standard_normal calls.
  *
  * Both loops are built from one set of leg primitives: propose, due, pend
- * and fire on a struct leg.  A pair is two legs on a merged timeline; a
- * path is one leg with one increment pending per step.  kernel.py builds
- * and loads this file.
+ * and fire on a struct leg, with the coefficients of all three models in
+ * one switch.  A pair is two legs on a merged timeline; a path is one leg
+ * with one increment pending per step.  Each loop's body is written once,
+ * as a function of one seed's state (struct lane): pair_event, one event
+ * of driver._merge's loop, and path_step, one step of
+ * scheme.simulate_path's; there is no other pair or path loop.  kernel.py
+ * builds and loads this file.
  *
  * Pairs run only in blocks of consecutive seeds (tamsde_pairs), as do the
- * paths of a Monte Carlo cell (tamsde_paths): for each seed the block
- * seeds a Philox of its own with tamsde_seed, as a fresh NoiseSource(seed)
- * would be, runs the pair or path loop on it, and writes that seed's
+ * paths of a Monte Carlo cell (tamsde_paths).  A block keeps LANES seeds
+ * in flight, each in a lane seeded by tamsde_seed, as a fresh
+ * NoiseSource(seed) would be, with a Philox of its own.  A pass gives
+ * every live lane one event; a lane whose seed is over writes that seed's
  * states, stop time, step counts and return code into the caller's
- * arrays.  A seed of any size is given as its 32-bit words, which the
- * block steps by one per seed.  A path of a block stores no trajectory; a
- * per-seed pair is a block of one.
+ * arrays and refills with the block's next seed.  Each step of a seed is
+ * one chain of dependent operations, so one seed alone leaves most of the
+ * processor idle; the lanes' chains overlap.  A seed runs the same
+ * operations in the same order on its own Philox in any lane, so its
+ * results do not depend on the lanes.  A seed of any size is given as its
+ * 32-bit words, which the block steps by one per seed.  A path of a block
+ * stores no trajectory; a per-seed pair is a block of one, one lane.
  *
  * A path whose trajectory is kept (tamsde_path, whose stored grid the
- * caller releases with tamsde_free) runs on the struct philox of the
- * caller's NoiseSource, its one generator, seeded by tamsde_seed, and
- * adds each draw's duration to a pointer to the source's clock as the
- * source's own gaussian_increment would; tamsde_normals fills the
- * source's blocks of normals from the same generator, so a path here and
- * the source's own draws share one stream.  struct philox is mirrored by
- * kernel._Philox; the other structs are known only to this file.
+ * caller releases with tamsde_free) runs path_step in one lane on the
+ * struct philox of the caller's NoiseSource, its one generator, seeded by
+ * tamsde_seed, and adds each draw's duration to a pointer to the source's
+ * clock as the source's own gaussian_increment would; tamsde_normals
+ * fills the source's blocks of normals from the same generator, so a path
+ * here and the source's own draws share one stream.  struct philox is
+ * mirrored by kernel._Philox; the other structs are known only to this
+ * file.
  */
 #include <float.h>
 #include <math.h>
@@ -217,7 +227,8 @@ void tamsde_normals(struct philox *rng, double *out, long long n)
 /* --- the scheme ----------------------------------------------------------- */
 
 enum { MODEL1, MODEL2, GBM };
-enum { DONE, FINE_STOP, COARSE_STOP, NO_MEMORY };
+/* how a seed's run ended; RUNNING while it goes on */
+enum { DONE, FINE_STOP, COARSE_STOP, NO_MEMORY, RUNNING };
 
 struct leg {
     double delta;    /* base step */
@@ -245,39 +256,33 @@ static double sign(double x)
     return x > 0.0 ? 1.0 : (x < 0.0 ? -1.0 : 0.0);
 }
 
-static double drift(int model, double x)
+/* the coefficients of model at x: mu, mu', sigma and sigma', each in the
+   operation order of its function in model.py */
+static void coefficients(int model, double x, double *m, double *mp,
+                         double *s, double *sp)
 {
+    double r;
     switch (model) {
-    case MODEL1: return 0.1 * (x - x * x * x);
-    case MODEL2: return -0.1 * (1.0 + 3.0 * x + x * pow(fabs(x), 0.5));
-    default:     return 0.05 * x;
-    }
-}
-
-static double drift_prime(int model, double x)
-{
-    switch (model) {
-    case MODEL1: return 0.1 * (1.0 - 3.0 * x * x);
-    case MODEL2: return -0.3 - 0.15 * pow(fabs(x), 0.5);
-    default:     return 0.05;
-    }
-}
-
-static double diffusion(int model, double x)
-{
-    switch (model) {
-    case MODEL1: return 0.1 * x;
-    case MODEL2: return 0.3 * (1.0 + pow(fabs(x), 1.2));
-    default:     return 0.2 * x;
-    }
-}
-
-static double diffusion_prime(int model, double x)
-{
-    switch (model) {
-    case MODEL1: return 0.1;
-    case MODEL2: return 0.36 * sign(x) * pow(fabs(x), 0.2);
-    default:     return 0.2;
+    case MODEL1:
+        *m = 0.1 * (x - x * x * x);
+        *mp = 0.1 * (1.0 - 3.0 * x * x);
+        *s = 0.1 * x;
+        *sp = 0.1;
+        break;
+    case MODEL2:
+        /* one pow for mu and mu': the same call on the same argument, which
+           the compiler does not merge itself, as pow may set errno */
+        r = pow(fabs(x), 0.5);
+        *m = -0.1 * (1.0 + 3.0 * x + x * r);
+        *mp = -0.3 - 0.15 * r;
+        *s = 0.3 * (1.0 + pow(fabs(x), 1.2));
+        *sp = 0.36 * sign(x) * pow(fabs(x), 0.2);
+        break;
+    default:
+        *m = 0.05 * x;
+        *mp = 0.05;
+        *s = 0.2 * x;
+        *sp = 0.2;
     }
 }
 
@@ -291,21 +296,19 @@ static double tamed(double s, double sp, double sqd)
     return g / (1.0 + sqd * fabs(g));
 }
 
-/* propose of scheme._tam_leg / _tm_leg: keep the coefficients at x and
-   return the step the leg wants */
-static double propose(const struct pair *p, struct leg *leg, double x)
+/* propose of scheme._tam_leg / _tm_leg for the given model: keep the
+   coefficients at x and return the step the leg wants */
+static inline double propose_model(const struct pair *p, struct leg *leg,
+                                   double x, int model)
 {
     double m, s, mp, sp, q, s2, sp2, xl, base, step;
-    m = drift(p->model, x);
-    s = diffusion(p->model, x);
-    sp = diffusion_prime(p->model, x);
+    coefficients(model, x, &m, &mp, &s, &sp);
     leg->m = m;
     leg->s = s;
     if (!p->adaptive) {
         leg->q = (s == 0.0 || sp == 0.0) ? 0.0 : s * sp;
         return leg->delta;
     }
-    mp = drift_prime(p->model, x);
     q = tamed(s, sp, leg->sqd);
     leg->q = q;
     s2 = s * s;
@@ -316,6 +319,19 @@ static double propose(const struct pair *p, struct leg *leg, double x)
     if (step <= 0.0 || step != step)
         return DBL_MIN;  /* scheme._TINY_STEP */
     return step;
+}
+
+/* propose_model for the pair's model, with the model a constant in each
+   case, so each model's coefficients fold into its own copy of the step
+   rule (sigma' of model1 is 0.1, say); one copy for all models, joined
+   after the coefficients, made a model1 leg-step ~6% slower */
+static double propose(const struct pair *p, struct leg *leg, double x)
+{
+    switch (p->model) {
+    case MODEL1: return propose_model(p, leg, x, MODEL1);
+    case MODEL2: return propose_model(p, leg, x, MODEL2);
+    default:     return propose_model(p, leg, x, GBM);
+    }
 }
 
 /* scheme._due */
@@ -361,51 +377,6 @@ static int fire(const struct pair *p, struct leg *leg, double t)
     return 0;
 }
 
-/* driver._merge: the pair from x0 to t_end, one normal drawn per event
-   from rng.  Returns DONE with out = {fine x, coarse x, t_end}, or
-   FINE_STOP or COARSE_STOP with out[2] the stop time and that leg's state
-   in out; steps gets both legs' step counts. */
-static int merge(int model, int adaptive, double delta_fine,
-                 double delta_coarse, double h0, double l0, double x0,
-                 double t_end, long long max_steps, struct philox *rng,
-                 double out[3], long long steps[2])
-{
-    struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
-                     .max_steps = max_steps, .model = model,
-                     .adaptive = adaptive};
-    struct leg *legs[2] = {&p.fine, &p.coarse};
-    double deltas[2] = {delta_fine, delta_coarse}, t = 0.0;
-    int i, status = DONE;
-    bitgen_t g = bitgen(rng);
-    for (i = 0; i < 2; i++) {
-        legs[i]->delta = deltas[i];
-        legs[i]->sqd = sqrt(deltas[i]);
-        legs[i]->x = x0;
-        legs[i]->due = due(0.0, propose(&p, legs[i], x0), t_end);
-    }
-    while (t < t_end && status == DONE) {
-        double t_next = p.fine.due < p.coarse.due ? p.fine.due : p.coarse.due;
-        double dz = sqrt(t_next - t) * random_standard_normal(&g);
-        pend(&p.fine, dz);
-        pend(&p.coarse, dz);
-        t = t_next;
-        if (p.fine.due == t && fire(&p, &p.fine, t))
-            status = FINE_STOP;
-        else if (p.coarse.due == t && fire(&p, &p.coarse, t))
-            status = COARSE_STOP;
-    }
-    if (status == DONE && !isfinite(p.fine.x))
-        status = FINE_STOP;
-    else if (status == DONE && !isfinite(p.coarse.x))
-        status = COARSE_STOP;
-    out[0] = p.fine.x;
-    out[1] = p.coarse.x;
-    out[2] = t;
-    steps[0] = p.fine.steps;
-    steps[1] = p.coarse.steps;
-    return status;
-}
-
 /* A path's stored grid: times and values at each of n points and the
    increment of each step, in buffers grown by doubling */
 struct grid {
@@ -447,41 +418,81 @@ void tamsde_free(double *p)
     free(p);
 }
 
-/* scheme.simulate_path's loop: p's fine leg, at base step delta, from x0
-   to p->t_end, one normal drawn from rng per step and rng left after the
-   last, each step's duration added to *clock and each step stored in g,
-   unless g is NULL.  Returns DONE, FINE_STOP when the leg cannot go on, or
-   NO_MEMORY when a step could not be stored. */
-static int walk(struct pair *p, double delta, double x0, struct philox *rng,
-                double *clock, struct grid *g)
+/* the leg at x0, at base step delta, with its first step proposed */
+static void arm(const struct pair *p, struct leg *leg, double delta, double x0)
 {
-    struct leg *leg = &p->fine;
-    bitgen_t noise = bitgen(rng);
-    int status = DONE;
     leg->delta = delta;
     leg->sqd = sqrt(delta);
     leg->x = x0;
     leg->due = due(0.0, propose(p, leg, x0), p->t_end);
-    while (status == DONE && leg->last < p->t_end) {
-        double dt = leg->due - leg->last;
-        /* one increment pending onto nothing is the increment itself,
-           signed zero included, which pend would turn into +0.0 */
-        double dw = sqrt(dt) * random_standard_normal(&noise);
-        leg->pw = dw;
-        *clock += dt;
-        if (fire(p, leg, leg->due))
-            status = FINE_STOP;
-        else if (g != NULL && !keep(g, leg->last, leg->x, dw))
-            status = NO_MEMORY;
-    }
-    if (status == DONE && !isfinite(leg->x))
-        status = FINE_STOP;
-    return status;
+}
+
+/* --- one seed in flight: a lane ------------------------------------------ */
+
+/* A seed's run: its pair (a path is the fine leg alone), its own Philox
+   and the bitgen_t on it, t, which is the merged timeline's time of a
+   pair and the clock of a path (the sum of its steps' durations), and the
+   seed's index in its block. */
+struct lane {
+    struct pair p;
+    struct philox rng;
+    bitgen_t g;
+    double t;
+    long long i;
+};
+
+/* One event of driver._merge's loop: one normal, pended onto both legs,
+   and the event of each leg due at the next time.  Returns RUNNING while
+   the pair goes on; else DONE, or FINE_STOP or COARSE_STOP for the leg
+   that cannot go on or ends non-finite.  A pair starts with t = 0 before
+   t_end, so its first event is always run. */
+static int pair_event(struct lane *l)
+{
+    struct pair *p = &l->p;
+    double t = p->fine.due < p->coarse.due ? p->fine.due : p->coarse.due;
+    double dz = sqrt(t - l->t) * random_standard_normal(&l->g);
+    pend(&p->fine, dz);
+    pend(&p->coarse, dz);
+    l->t = t;
+    if (p->fine.due == t && fire(p, &p->fine, t))
+        return FINE_STOP;
+    if (p->coarse.due == t && fire(p, &p->coarse, t))
+        return COARSE_STOP;
+    if (t < p->t_end)
+        return RUNNING;
+    if (!isfinite(p->fine.x))
+        return FINE_STOP;
+    return isfinite(p->coarse.x) ? DONE : COARSE_STOP;
+}
+
+/* One step of scheme.simulate_path's loop on the fine leg: one normal,
+   the step's duration added to the clock t, and the step stored in g,
+   unless g is NULL.  Returns RUNNING while the path goes on; else DONE,
+   FINE_STOP when the leg cannot go on or ends non-finite, or NO_MEMORY
+   when the step could not be stored.  A path starts at 0 before t_end, so
+   its first step is always run. */
+static int path_step(struct lane *l, struct grid *g)
+{
+    struct leg *leg = &l->p.fine;
+    double dt = leg->due - leg->last;
+    /* one increment pending onto nothing is the increment itself, signed
+       zero included, which pend would turn into +0.0 */
+    double dw = sqrt(dt) * random_standard_normal(&l->g);
+    leg->pw = dw;
+    l->t += dt;
+    if (fire(&l->p, leg, leg->due))
+        return FINE_STOP;
+    if (g != NULL && !keep(g, leg->last, leg->x, dw))
+        return NO_MEMORY;
+    if (leg->last < l->p.t_end)
+        return RUNNING;
+    return isfinite(leg->x) ? DONE : FINE_STOP;
 }
 
 /* scheme.simulate_path: one tamed-adaptive leg from x0 to t_end, one
    normal drawn from rng per step and rng left after the last, each step's
-   duration added to *clock.
+   duration added to *clock.  It runs as one lane, on a copy of rng that
+   is copied back.
    Returns DONE with grid = {times, values, increments} (steps + 1,
    steps + 1 and steps doubles, each to be released with tamsde_free),
    FINE_STOP when the leg cannot go on, or NO_MEMORY; on either of those
@@ -492,19 +503,27 @@ int tamsde_path(int model, double delta, double h0, double l0, double x0,
                 double *clock, double out[2], long long *steps,
                 double *grid[3])
 {
-    struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
-                     .max_steps = max_steps, .model = model, .adaptive = 1};
+    struct lane l = {.p = {.h0 = h0, .l0 = l0, .t_end = t_end,
+                           .max_steps = max_steps, .model = model,
+                           .adaptive = 1}};
     struct grid g = {NULL, NULL, NULL, 1, 1024};
     int status = NO_MEMORY;
+    arm(&l.p, &l.p.fine, delta, x0);
     if (resize(&g.t, g.cap) && resize(&g.x, g.cap) && resize(&g.dw, g.cap)) {
         g.t[0] = 0.0;
         g.x[0] = x0;
-        status = walk(&p, delta, x0, rng, clock, &g);
-    } else
-        p.fine.x = x0;
-    out[0] = p.fine.x;
-    out[1] = p.fine.last;
-    *steps = p.fine.steps;
+        l.rng = *rng;
+        l.g = bitgen(&l.rng);
+        l.t = *clock;
+        status = RUNNING;
+        while (status == RUNNING)
+            status = path_step(&l, &g);
+        *rng = l.rng;
+        *clock = l.t;
+    }
+    out[0] = l.p.fine.x;
+    out[1] = l.p.fine.last;
+    *steps = l.p.fine.steps;
     if (status == DONE) {
         /* give back the unused capacity; a failed shrink keeps the block */
         resize(&g.t, g.n);
@@ -539,26 +558,88 @@ static void next_seed(unsigned char *seed, size_t *n_words)
     *n_words += 1;
 }
 
+/* the seeds a block keeps in flight */
+#define LANES 4
+
+/* Start lane l on the seed of index i, whose words seed holds, with the
+   pair as every seed starts it; then step seed to the next integer. */
+static void begin(struct lane *l, const struct pair *start,
+                  unsigned char *seed, size_t *n_words, long long i)
+{
+    l->p = *start;
+    tamsde_seed(&l->rng, seed, *n_words);
+    l->g = bitgen(&l->rng);
+    l->t = 0.0;
+    l->i = i;
+    next_seed(seed, n_words);
+}
+
+/* Each of the n seeds from seed, as tamsde_pairs takes them, from start:
+   a pair (pair_event) when legs is 2, a path storing nothing (path_step)
+   when it is 1.  LANES seeds are in flight, each on its own Philox; a
+   pass gives every live lane one event, and a lane whose seed is over
+   writes its record and starts the block's next seed.  Each seed runs the
+   same operations in the same order as it would alone, so only the order
+   of the work across seeds depends on the lanes. */
+static void run(const struct pair *start, int legs, unsigned char *seed,
+                size_t n_words, long long n, double *out, long long *steps,
+                int *status)
+{
+    struct lane lanes[LANES], *live[LANES];
+    long long next = 0;
+    int n_live = 0, k, j;
+    for (; n_live < LANES && next < n; n_live++) {
+        live[n_live] = &lanes[n_live];
+        begin(live[n_live], start, seed, &n_words, next++);
+    }
+    while (n_live > 0)
+        for (k = 0; k < n_live; k++) {
+            struct lane *l = live[k];
+            const struct leg *leg[2];
+            int code;
+            /* a lane left alone, as the one lane of a block of one is,
+               runs its seed out without the pass around it */
+            do
+                code = legs == 2 ? pair_event(l) : path_step(l, NULL);
+            while (code == RUNNING && n_live == 1);
+            if (code == RUNNING)
+                continue;
+            leg[0] = &l->p.fine;
+            leg[1] = &l->p.coarse;
+            for (j = 0; j < legs; j++) {
+                out[(legs + 1) * l->i + j] = leg[j]->x;
+                steps[legs * l->i + j] = leg[j]->steps;
+            }
+            /* the stop time: the merged timeline's, or the path's last */
+            out[(legs + 1) * l->i + legs] = legs == 2 ? l->t : leg[0]->last;
+            status[l->i] = code;
+            if (next < n)
+                begin(l, start, seed, &n_words, next++);
+            else  /* the last lane takes this one's place in the pass */
+                live[k--] = live[--n_live];
+        }
+}
+
 /* The pair of driver._merge for each of the n seeds from the integer whose
    n_words 32-bit words seed holds (as tamsde_seed takes them), on that
-   seed's own Philox: out[3i..3i+2] as merge returns them, steps[2i] and
-   steps[2i + 1] the fine and coarse step counts, status[i] its return
-   code.  seed is stepped to the integer after the block's last seed, so
-   it needs room for one more word (next_seed). */
+   seed's own Philox: out[3i] and out[3i + 1] the fine and coarse states,
+   out[3i + 2] the stop time (t_end when the pair is DONE), steps[2i] and
+   steps[2i + 1] the fine and coarse step counts, status[i] DONE, or
+   FINE_STOP or COARSE_STOP for the leg that stopped it.  seed is stepped
+   to the integer after the block's last seed, so it needs room for one
+   more word (next_seed). */
 void tamsde_pairs(int model, int adaptive, double delta_fine,
                   double delta_coarse, double h0, double l0, double x0,
                   double t_end, long long max_steps, unsigned char *seed,
                   size_t n_words, long long n, double *out, long long *steps,
                   int *status)
 {
-    long long i;
-    for (i = 0; i < n; i++, next_seed(seed, &n_words)) {
-        struct philox rng;
-        tamsde_seed(&rng, seed, n_words);
-        status[i] = merge(model, adaptive, delta_fine, delta_coarse, h0, l0,
-                          x0, t_end, max_steps, &rng, out + 3 * i,
-                          steps + 2 * i);
-    }
+    struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
+                     .max_steps = max_steps, .model = model,
+                     .adaptive = adaptive};
+    arm(&p, &p.fine, delta_fine, x0);
+    arm(&p, &p.coarse, delta_coarse, x0);
+    run(&p, 2, seed, n_words, n, out, steps, status);
 }
 
 /* scheme.simulate_path for each of the n seeds from seed, as tamsde_pairs
@@ -570,17 +651,8 @@ void tamsde_paths(int model, double delta, double h0, double l0, double x0,
                   size_t n_words, long long n, double *out, long long *steps,
                   int *status)
 {
-    long long i;
-    for (i = 0; i < n; i++, next_seed(seed, &n_words)) {
-        struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
-                         .max_steps = max_steps, .model = model,
-                         .adaptive = 1};
-        struct philox rng;
-        double clock = 0.0;
-        tamsde_seed(&rng, seed, n_words);
-        status[i] = walk(&p, delta, x0, &rng, &clock, NULL);
-        out[2 * i] = p.fine.x;
-        out[2 * i + 1] = p.fine.last;
-        steps[i] = p.fine.steps;
-    }
+    struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
+                     .max_steps = max_steps, .model = model, .adaptive = 1};
+    arm(&p, &p.fine, delta, x0);
+    run(&p, 1, seed, n_words, n, out, steps, status);
 }

@@ -14,13 +14,20 @@ kernel seeds each seed's Philox itself, as a fresh NoiseSource(seed) is
 seeded, runs that seed's pair or path, and returns what a caller keeps of
 it (a pair's terminal states and step counts, a path's terminal state
 and step count, or the PathExplosion its own run raises), so no
-NoiseSource, sample or trajectory is built per seed.  A Monte Carlo cell
-runs its seeds as blocks, and a single coupled pair is a block of one.
+NoiseSource, sample or trajectory is built per seed.  The kernel keeps
+four seeds of a block in flight, each a lane with its own Philox: a pass
+gives every lane one event of its pair or one step of its path, and a
+lane whose seed is over refills with the block's next seed.  The pair
+event and the path step are each written once, so a seed runs the same
+operations in the same order in any lane, and its outcome does not
+depend on the block it runs in; the lanes only let the processor overlap
+the seeds' chains of dependent operations.  A Monte Carlo cell runs its
+seeds as blocks, and a single coupled pair is a block of one: one lane.
 
 run_path runs a path whose trajectory is kept, on the caller's
-NoiseSource: it draws on the source's generator, adds each draw's
-duration to the source's clock, and leaves the source as the Python
-loop's draws leave it.
+NoiseSource, as one lane running the same path step: it draws on the
+source's generator, adds each draw's duration to the source's clock, and
+leaves the source as the Python loop's draws leave it.
 
 run_block and run_path return None, and the caller runs its Python loop,
 the reference, for a model other than the three built-ins (JSON term
@@ -60,6 +67,7 @@ import time
 import numpy as np
 
 from .driver import _BLOCK, NoiseSource
+from .errors import InputError
 from .model import get_model
 from .scheme import _stop
 
@@ -375,7 +383,8 @@ def run_block(model, config, seeds, pair=None):
     """The outcome of each seed of a block, in one C call, or None when the
     kernel does not run it.
 
-    seeds is a range of step 1 of non-negative integers.  pair
+    seeds is a range of step 1 of non-negative integers, else InputError
+    is raised, since the kernel steps the first seed by one.  pair
     is (adaptive, delta_coarse) for coupled pairs, with adaptive picking
     two tamed-adaptive legs (h0 and l0 from config) over two fixed-step
     legs, and None for single paths; config is the checked SchemeConfig of
@@ -387,6 +396,10 @@ def run_block(model, config, seeds, pair=None):
     block stores no trajectory.  The kernel takes a block of a built-in
     model.
     """
+    if not (isinstance(seeds, range) and seeds.step == 1
+            and seeds.start >= 0):
+        raise InputError("seeds must be a range of step 1 from a "
+                         f"non-negative integer, got {seeds!r}")
     number = _model_number(model)
     lib = library()
     if number is None or lib is None:

@@ -19,6 +19,7 @@ import gc
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -28,7 +29,7 @@ import numpy as np
 import pytest
 
 import tamsde
-from tamsde import (NoiseSource, PathExplosion, get_model, kernel,
+from tamsde import (InputError, NoiseSource, PathExplosion, get_model, kernel,
                     load_model_file, simulate_coupled_pair,
                     simulate_coupled_tm_pair, simulate_path)
 from tamsde.analysis import cell_seed
@@ -588,6 +589,77 @@ class TestBlockParity:
             assert kernel.run_block(get_model("model1"), config, range(3),
                                     *pair) is None
 
+    @pytest.mark.parametrize("seeds", [range(0, 6, 2), [3, 4], range(-2, 1),
+                                       range(-2, -2), (0, 1)],
+                             ids=["step-2", "list", "negative", "negative-empty",
+                                  "tuple"])
+    def test_seeds_must_be_a_range_of_step_one(self, seeds):
+        # the kernel steps the first seed by one, so it takes nothing else
+        config = SchemeConfig(0.25, 1.0)
+        for pair in ((True, 0.5), (False, 0.5), None):
+            with pytest.raises(InputError, match="range of step 1"):
+                kernel.run_block(get_model("model1"), config, seeds, pair)
+
+    # a block keeps LANES seeds in flight and refills a lane as its seed
+    # ends, so these sizes run no lane (an empty block is []), leave lanes
+    # empty, fill them once, refill one, and refill many times over
+    @pytest.mark.parametrize("size", [0, 1, 3, 4, 5, 9, 100])
+    @pytest.mark.parametrize("clock", [(1.0, 2.0), None, "path"],
+                             ids=["adaptive", "fixed", "path"])
+    def test_block_is_its_blocks_of_one(self, lib, clock, size):
+        for name in MODELS:
+            seeds = range(7, 7 + size)
+            run = lanes_run(get_model(name), clock, 5.0, 10 ** 8)
+            assert hexed(run(seeds)) == hexed(one_by_one(run, seeds))
+
+    @pytest.mark.parametrize("clock, max_steps, stops", [
+        ((1.0, 2.0), 300, [1, 9]), ("path", 150, [1, 9])],
+        ids=["pairs", "paths"])
+    def test_stops_in_inner_lanes(self, lib, clock, max_steps, stops):
+        # gbm at k=2, T=5: the budget stops seeds 1 and 9, so seed 1's lane
+        # refills while the lanes on either side of it run on
+        model, seeds = get_model("gbm"), range(12)
+        run = lanes_run(model, clock, 5.0, max_steps)
+        got = run(seeds)
+        assert [i for i, o in enumerate(got)
+                if isinstance(o, PathExplosion)] == stops
+        assert 0 < stops[0] < LANES - 1
+        assert hexed(got) == hexed(one_by_one(run, seeds))
+        if clock == "path":
+            want = path_seeded(_path_loop, model,
+                               path_config(2, 5.0, max_steps=max_steps), seeds)
+        else:
+            want = seeded(reference, model, clock, 2, 5.0, seeds, max_steps)
+        assert hexed(got) == hexed(want)
+
+    @pytest.mark.parametrize("seeds", [range(2 ** 32 - 4, 2 ** 32 + 5),
+                                       range(2 ** 64 - 4, 2 ** 64 + 5)],
+                             ids=["across-2**32", "across-2**64"])
+    def test_seed_words_carry_with_lanes_in_flight(self, lib, seeds):
+        for name in MODELS:
+            for clock in (*CLOCKS, "path"):
+                run = lanes_run(get_model(name), clock, 1.0, 10 ** 8)
+                assert hexed(run(seeds)) == hexed(one_by_one(run, seeds))
+
+
+# the seeds a block keeps in flight, LANES in _pair.c
+with open(kernel._SOURCE) as _source:
+    LANES = int(re.search(r"#define LANES (\d+)", _source.read()).group(1))
+
+
+def lanes_run(model, clock, t_end, max_steps):
+    """A runner of blocks at k=2: of pairs, with clock as block takes it,
+    or of paths when clock is "path"."""
+    if clock == "path":
+        config = path_config(2, t_end, max_steps=max_steps)
+        return lambda seeds: path_block(model, config, seeds)
+    return lambda seeds: block(model, clock, 2, t_end, seeds, max_steps)
+
+
+def one_by_one(run, seeds):
+    """The blocks of one seed of seeds, concatenated."""
+    return [o for s in seeds for o in run(range(s, s + 1))]
+
 
 def test_block_paths_store_no_trajectory(lib):
     # a gbm path at delta 1/2 and T=50 spends a 10**7-step budget, whose
@@ -765,9 +837,10 @@ for name in t.MODELS:
                                   t.NoiseSource(seed)) == t.path_outcome(
                 _path_loop, model, config, t.NoiseSource(seed))
         # blocks of pairs and of paths, on seeds of one and of two words
-        # and on seeds whose words carry into a third
-        for seeds in (range(2 ** 32 - 2, 2 ** 32 + 2),
-                      range(2 ** 64 - 2, 2 ** 64 + 2)):
+        # and on seeds whose words carry into a third, of more seeds than
+        # twice the lanes, so lanes refill
+        for seeds in (range(2 ** 32 - 5, 2 ** 32 + 6),
+                      range(2 ** 64 - 5, 2 ** 64 + 6)):
             for clock in t.CLOCKS:
                 assert t.hexed(t.block(model, clock, 2, 1.0, seeds,
                                        max_steps)) == t.hexed(t.seeded(

@@ -1,0 +1,33 @@
+"""tools/leg_step_ns.py: the block route's ns per leg-step per workload."""
+
+import importlib.util
+import shutil
+from pathlib import Path
+
+import pytest
+
+from tamsde import PathExplosion, kernel
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "leg_step_ns.py"
+_spec = importlib.util.spec_from_file_location("leg_step_ns", _TOOL)
+leg_step_ns = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(leg_step_ns)
+
+
+def test_leg_steps_of_records():
+    stop = PathExplosion("stopped", 1.0, float("inf"), 7, "fine")
+    assert leg_step_ns.leg_steps([(0.5, 0.25, 10, 5), (1.5, 4), stop]) == 26
+
+
+def test_small_run():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    run_block = kernel.run_block
+    rows = leg_step_ns.measure(jobs=1, rounds=2, scale=0.02)
+    assert kernel.run_block is run_block
+    assert set(rows) == {"rate-rough", "compare-smooth", "moments-long"}
+    # one cell per level of rate; per level and scheme of compare; per
+    # horizon of moments
+    assert {name: row[2] for name, row in rows.items()} == {
+        "rate-rough": 5, "compare-smooth": 10, "moments-long": 3}
+    assert all(ns > 0.0 and steps > 0 for ns, steps, _ in rows.values())

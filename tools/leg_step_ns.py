@@ -1,0 +1,104 @@
+"""Time the kernel's block route per benchmark workload, in ns a leg-step.
+
+    PYTHONPATH=src python tools/leg_step_ns.py
+
+Runs jobs 0-9 of benchmark seed 3 of each workload of
+perfbench/workloads.py once through tamsde.cli.main and records every
+kernel.run_block call they make: each Monte Carlo cell's model, checked
+config, seeds (analysis.cell_seed's) and pair argument.  Then it times
+kernel.run_block on those calls, in 7 rounds that alternate the
+workloads, and prints for each workload the median over the rounds of its
+calls' time per leg-step.  A leg-step is one step of one leg: a pair
+counts its fine and coarse steps, a path its steps and a failed seed the
+steps of the leg that stopped it.  The time is the block route's as a
+Monte Carlo cell runs it, the ctypes call and the records it returns
+included.  The kernel is tamsde's on PYTHONPATH, so the same tool times
+another checkout's kernel through that checkout's src.
+"""
+
+import contextlib
+import io
+import runpy
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from tamsde import PathExplosion, cli, kernel
+
+_WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+SEED = 3
+JOBS = 10
+ROUNDS = 7
+
+
+def leg_steps(records):
+    """The leg-steps of a block's records."""
+    return sum(r.steps if isinstance(r, PathExplosion) else sum(r[len(r) // 2:])
+               for r in records)
+
+
+def cells(workload, seed, jobs, scale):
+    """The kernel.run_block calls of the workload's jobs, as argument
+    tuples, and their leg-steps."""
+    calls, steps = [], 0
+    run_block = kernel.run_block
+
+    def recorded(*args):
+        nonlocal steps
+        records = run_block(*args)
+        if records is not None:
+            calls.append(args)
+            steps += leg_steps(records)
+        return records
+
+    kernel.run_block = recorded
+    try:
+        for job in range(jobs):
+            with tempfile.TemporaryDirectory() as out, \
+                    contextlib.redirect_stderr(io.StringIO()) as err, \
+                    contextlib.redirect_stdout(io.StringIO()):
+                argv = workload.argv(seed, job, 1, scale) + ["--out", out]
+                if cli.main(argv):
+                    raise SystemExit(f"{workload.name} job {job} failed: "
+                                     f"{err.getvalue().strip()}")
+    finally:
+        kernel.run_block = run_block
+    return calls, steps
+
+
+def measure(jobs, rounds, scale=1.0):
+    """For each workload, by name: the median ns per leg-step of its cells'
+    calls over the rounds, their leg-steps and their number, for jobs
+    0..jobs-1 at scale times each workload's path count."""
+    workloads = runpy.run_path(str(_WORKLOADS))["WORKLOADS"]
+    runs = {name: cells(w, SEED, jobs, scale) for name, w in workloads.items()}
+    names = list(runs)
+    ns = {name: [] for name in names}
+    for i in range(rounds):
+        # each round starts one workload later, so drift of the host's
+        # speed falls on every workload alike
+        for name in names[i % len(names):] + names[:i % len(names)]:
+            calls, steps = runs[name]
+            start = time.perf_counter_ns()
+            for call in calls:
+                kernel.run_block(*call)
+            ns[name].append((time.perf_counter_ns() - start) / steps)
+    return {name: (statistics.median(ns[name]), runs[name][1],
+                   len(runs[name][0])) for name in names}
+
+
+def main():
+    if kernel.library() is None:
+        print("the kernel cannot be built here", file=sys.stderr)
+        return 2
+    print(f"{'workload':<16} {'ns/leg-step':>11} {'leg-steps':>10} "
+          f"{'calls':>6}")
+    for name, (ns, steps, calls) in measure(JOBS, ROUNDS).items():
+        print(f"{name:<16} {ns:>11.1f} {steps:>10} {calls:>6}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
