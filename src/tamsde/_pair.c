@@ -12,13 +12,9 @@
  *     calls (the special cases CPython handles before calling pow give the
  *     same values as pow for a non-negative base; an overflow, which
  *     model._rpow turns into inf, is inf here too);
- *   - the noise is NoiseSource's stream: numpy's SeedSequence and
- *     Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
- *     1, 2, 3", SC'11) are ported below word for word, so an integer seed
- *     gives the key and the counter numpy's Philox(seed) starts with, and
- *     each normal is numpy's own random_standard_normal, linked from
- *     numpy's libnpyrandom.a and drawn on the port through the bitgen_t it
- *     takes: the function Generator.standard_normal calls.
+ *   - the noise is NoiseSource's stream, numpy's Philox(seed), and each
+ *     normal is numpy's own random_standard_normal, linked from numpy's
+ *     libnpyrandom.a: the function Generator.standard_normal calls.
  *
  * Both loops are built from one set of leg primitives: propose, due, pend
  * and fire on a struct leg, with the coefficients of all three models in
@@ -29,10 +25,12 @@
  * scheme.simulate_path's; there is no other pair or path loop.  kernel.py
  * builds and loads this file.
  *
- * Pairs run only in blocks of consecutive seeds (tamsde_pairs), as do the
- * paths of a Monte Carlo cell (tamsde_paths).  A block keeps LANES seeds
- * in flight, each in a lane seeded by tamsde_seed, as a fresh
- * NoiseSource(seed) would be, with a Philox of its own.  A pass gives
+ * A Monte Carlo cell's pairs or paths, and a single pair, run as a block
+ * of consecutive seeds (tamsde_block).  A block keeps LANES seeds in
+ * flight, each in a lane with a Philox of its own: numpy's SeedSequence
+ * and Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
+ * 1, 2, 3", SC'11), ported below word for word, so tamsde_seed gives the
+ * key and the counter numpy's Philox(seed) starts with.  A pass gives
  * every live lane one event; a lane whose seed is over writes that seed's
  * states, stop time, step counts and return code into the caller's
  * arrays and refills with the block's next seed.  Each step of a seed is
@@ -41,17 +39,15 @@
  * operations in the same order on its own Philox in any lane, so its
  * results do not depend on the lanes.  A seed of any size is given as its
  * 32-bit words, which the block steps by one per seed.  A path of a block
- * stores no trajectory; a per-seed pair is a block of one, one lane.
+ * stores no trajectory; a single pair is a block of one, one lane.
  *
  * A path whose trajectory is kept (tamsde_path, whose stored grid the
  * caller releases with tamsde_free) runs path_step in one lane on the
- * struct philox of the caller's NoiseSource, its one generator, seeded by
- * tamsde_seed, and adds each draw's duration to a pointer to the source's
- * clock as the source's own gaussian_increment would; tamsde_normals
- * fills the source's blocks of normals from the same generator, so a path
- * here and the source's own draws share one stream.  struct philox is
- * mirrored by kernel._Philox; the other structs are known only to this
- * file.
+ * bitgen_t of the caller's NoiseSource, numpy's own Philox, and adds each
+ * step's duration to the source's clock as the source's own
+ * gaussian_increment would.  tamsde_seed and tamsde_normals are exported
+ * for the tests that check the port against numpy; the structs are known
+ * only to this file (and to that test's mirror of struct philox).
  */
 #include <float.h>
 #include <math.h>
@@ -430,9 +426,10 @@ static void arm(const struct pair *p, struct leg *leg, double delta, double x0)
 /* --- one seed in flight: a lane ------------------------------------------ */
 
 /* A seed's run: its pair (a path is the fine leg alone), its own Philox
-   and the bitgen_t on it, t, which is the merged timeline's time of a
-   pair and the clock of a path (the sum of its steps' durations), and the
-   seed's index in its block. */
+   and the bitgen_t it draws on (in a block, the one on rng; a kept path
+   draws on its caller's instead), t, which is the merged timeline's time
+   of a pair and the clock of a path (the sum of its steps' durations),
+   and the seed's index in its block. */
 struct lane {
     struct pair p;
     struct philox rng;
@@ -490,16 +487,15 @@ static int path_step(struct lane *l, struct grid *g)
 }
 
 /* scheme.simulate_path: one tamed-adaptive leg from x0 to t_end, one
-   normal drawn from rng per step and rng left after the last, each step's
-   duration added to *clock.  It runs as one lane, on a copy of rng that
-   is copied back.
+   normal drawn on bitgen per step, each step's duration added to *clock.
+   It runs as one lane, on the caller's bit generator itself.
    Returns DONE with grid = {times, values, increments} (steps + 1,
    steps + 1 and steps doubles, each to be released with tamsde_free),
    FINE_STOP when the leg cannot go on, or NO_MEMORY; on either of those
    nothing is stored.  out = {state, time} of the last step, and steps
    the step count. */
 int tamsde_path(int model, double delta, double h0, double l0, double x0,
-                double t_end, long long max_steps, struct philox *rng,
+                double t_end, long long max_steps, const bitgen_t *bitgen,
                 double *clock, double out[2], long long *steps,
                 double *grid[3])
 {
@@ -512,13 +508,11 @@ int tamsde_path(int model, double delta, double h0, double l0, double x0,
     if (resize(&g.t, g.cap) && resize(&g.x, g.cap) && resize(&g.dw, g.cap)) {
         g.t[0] = 0.0;
         g.x[0] = x0;
-        l.rng = *rng;
-        l.g = bitgen(&l.rng);
+        l.g = *bitgen;  /* its state is the caller's, drawn on in place */
         l.t = *clock;
         status = RUNNING;
         while (status == RUNNING)
             status = path_step(&l, &g);
-        *rng = l.rng;
         *clock = l.t;
     }
     out[0] = l.p.fine.x;
@@ -574,7 +568,7 @@ static void begin(struct lane *l, const struct pair *start,
     next_seed(seed, n_words);
 }
 
-/* Each of the n seeds from seed, as tamsde_pairs takes them, from start:
+/* Each of the n seeds from seed, as tamsde_block takes them, from start:
    a pair (pair_event) when legs is 2, a path storing nothing (path_step)
    when it is 1.  LANES seeds are in flight, each on its own Philox; a
    pass gives every live lane one event, and a lane whose seed is over
@@ -620,15 +614,17 @@ static void run(const struct pair *start, int legs, unsigned char *seed,
         }
 }
 
-/* The pair of driver._merge for each of the n seeds from the integer whose
-   n_words 32-bit words seed holds (as tamsde_seed takes them), on that
-   seed's own Philox: out[3i] and out[3i + 1] the fine and coarse states,
-   out[3i + 2] the stop time (t_end when the pair is DONE), steps[2i] and
-   steps[2i + 1] the fine and coarse step counts, status[i] DONE, or
+/* For each of the n seeds from the integer whose n_words 32-bit words
+   seed holds (as tamsde_seed takes them), on that seed's own Philox: the
+   pair of driver._merge when legs is 2, and scheme.simulate_path storing
+   nothing when it is 1 (then adaptive is 1 and delta_coarse is not
+   read).  out[(legs + 1)i + j] is leg j's state (fine, then coarse)
+   and out[(legs + 1)i + legs] the stop time (t_end when the seed is
+   DONE), steps[legs i + j] leg j's step count, and status[i] DONE, or
    FINE_STOP or COARSE_STOP for the leg that stopped it.  seed is stepped
    to the integer after the block's last seed, so it needs room for one
    more word (next_seed). */
-void tamsde_pairs(int model, int adaptive, double delta_fine,
+void tamsde_block(int legs, int model, int adaptive, double delta_fine,
                   double delta_coarse, double h0, double l0, double x0,
                   double t_end, long long max_steps, unsigned char *seed,
                   size_t n_words, long long n, double *out, long long *steps,
@@ -638,21 +634,7 @@ void tamsde_pairs(int model, int adaptive, double delta_fine,
                      .max_steps = max_steps, .model = model,
                      .adaptive = adaptive};
     arm(&p, &p.fine, delta_fine, x0);
-    arm(&p, &p.coarse, delta_coarse, x0);
-    run(&p, 2, seed, n_words, n, out, steps, status);
-}
-
-/* scheme.simulate_path for each of the n seeds from seed, as tamsde_pairs
-   takes them, on that seed's own Philox, storing nothing: out[2i] and
-   out[2i + 1] the state and time of its last step, steps[i] the step
-   count, status[i] DONE or FINE_STOP. */
-void tamsde_paths(int model, double delta, double h0, double l0, double x0,
-                  double t_end, long long max_steps, unsigned char *seed,
-                  size_t n_words, long long n, double *out, long long *steps,
-                  int *status)
-{
-    struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
-                     .max_steps = max_steps, .model = model, .adaptive = 1};
-    arm(&p, &p.fine, delta, x0);
-    run(&p, 1, seed, n_words, n, out, steps, status);
+    if (legs == 2)
+        arm(&p, &p.coarse, delta_coarse, x0);
+    run(&p, legs, seed, n_words, n, out, steps, status);
 }

@@ -62,6 +62,13 @@ class ExperimentConfig:
         if self.kind not in ("rate", "moments", "compare",
                              "verify-assumptions"):
             raise InputError(f"unknown experiment kind {self.kind!r}")
+        # every kind checks these, so no run seeds its sample from the OS
+        # or fails on an unusable field with a traceback
+        _integer(self.seed, "seed", 0)
+        _parse_grid(self.grid)
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise InputError(
+                f"out_dir must be a str or path-like, got {self.out_dir!r}")
         _integer(self.k_min, "k-min")
         _integer(self.k_max, "k-max")
         if self.k_min < 1 or self.k_max < self.k_min:
@@ -141,6 +148,8 @@ def _make_out_dir(config):
 
 
 def _parse_grid(text):
+    if not isinstance(text, str):
+        raise InputError(f"grid must be a string lo:hi:n, got {text!r}")
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError(

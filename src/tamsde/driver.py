@@ -48,25 +48,31 @@ _sqrt = math.sqrt
 class NoiseSource:
     """Reproducible stream of Gaussian increments.
 
-    The stream of numpy's Generator(Philox(SeedSequence(seed))), so
-    distinct seeds (one per path index, by convention) give independent
-    streams and the same seed always reproduces the identical sequence.
-    Standard normals are drawn in blocks and scaled by the square root of
-    each requested duration.
+    The stream of numpy's Generator(Philox(seed)), so distinct seeds (one
+    per path index, by convention) give independent streams and the same
+    seed always reproduces the identical sequence, on every host, with or
+    without the compiled kernel.  Standard normals are drawn in blocks and
+    scaled by the square root of each requested duration.
 
-    A source has one generator for its whole life, made by
-    kernel.generator when the source first needs it: the kernel's Philox
-    whenever the kernel loads, numpy's only when it cannot.  A path the
-    kernel runs (kernel.run_path) draws on the same generator and advances
-    the same clock.
+    The generator is made on the source's first draw, so importing tamsde
+    leaves numpy.random unimported.  A path the kernel runs
+    (kernel.run_path) draws on the same generator and advances the same
+    clock.
     """
 
     def __init__(self, seed):
         self.seed = _integer(seed, "seed", 0)
         self.current_time = 0.0
-        self._rng = None  # made when first needed, by kernel.generator
+        self._rng = None  # made when first needed, by _generator
         self._buf = None
         self._idx = _BLOCK  # the first draw fills the first block
+
+    def _generator(self):
+        """The source's generator, made on first use."""
+        if self._rng is None:
+            from numpy.random import Generator, Philox
+            self._rng = Generator(Philox(self.seed))
+        return self._rng
 
     def gaussian_increment(self, duration):
         """One N(0, duration) draw; advances the source's clock by duration."""
@@ -77,10 +83,7 @@ class NoiseSource:
                 f"duration must be positive and finite, got {duration!r}")
         i = self._idx
         if i == _BLOCK:
-            if self._rng is None:
-                from . import kernel
-                self._rng = kernel.generator(self.seed)
-            self._buf = self._rng.standard_normal(_BLOCK).tolist()
+            self._buf = self._generator().standard_normal(_BLOCK).tolist()
             i = 0
         self._idx = i + 1
         self.current_time += duration

@@ -1,40 +1,38 @@
-"""Compiled kernel for the built-in models: pairs, paths and the noise.
+"""Compiled kernel for the built-in models: pairs and paths.
 
 _pair.c runs coupled pairs of either scheme operation for operation as
 driver._merge does, and adaptive paths as scheme.simulate_path does, so
-its results are byte-identical to the Python loops'.  It also holds the
-one generator of NoiseSource's stream, its own port of numpy's
-SeedSequence and Philox, whose state is _Philox.  generator(seed) makes a
-source's generator: that Philox whenever the kernel loads, and numpy's
-Generator(Philox(SeedSequence(seed))), which draws the same normals, only
-when it cannot.  So no numpy generator is built while the kernel loads.
+its results are byte-identical to the Python loops'.
 
-run_block runs a block of consecutive seeds of any size in one call: the
-kernel seeds each seed's Philox itself, as a fresh NoiseSource(seed) is
-seeded, runs that seed's pair or path, and returns what a caller keeps of
-it (a pair's terminal states and step counts, a path's terminal state
-and step count, or the PathExplosion its own run raises), so no
-NoiseSource, sample or trajectory is built per seed.  The kernel keeps
-four seeds of a block in flight, each a lane with its own Philox: a pass
-gives every lane one event of its pair or one step of its path, and a
-lane whose seed is over refills with the block's next seed.  The pair
-event and the path step are each written once, so a seed runs the same
-operations in the same order in any lane, and its outcome does not
-depend on the block it runs in; the lanes only let the processor overlap
-the seeds' chains of dependent operations.  A Monte Carlo cell runs its
-seeds as blocks, and a single coupled pair is a block of one: one lane.
+run_block runs a block of consecutive seeds of any size in one call
+(tamsde_block): the kernel seeds each seed's Philox itself, with its own
+port of numpy's SeedSequence and Philox, so each seed draws the normals a
+fresh NoiseSource(seed) draws; it runs that seed's pair or path and
+returns what a caller keeps of it (a pair's terminal states and step
+counts, a path's terminal state and step count, or the PathExplosion its
+own run raises), so no NoiseSource, sample or trajectory is built per
+seed.  The kernel keeps four seeds of a block in flight, each a lane with
+its own Philox: a pass gives every lane one event of its pair or one step
+of its path, and a lane whose seed is over refills with the block's next
+seed.  The pair event and the path step are each written once, so a
+seed runs the same operations in the same order in any lane, and its
+outcome does not depend on the block it runs in; the lanes only let the
+processor overlap the seeds' chains of dependent operations.  A Monte
+Carlo cell runs its seeds as blocks, and a single coupled pair is a block
+of one: one lane.
 
 run_path runs a path whose trajectory is kept, on the caller's
-NoiseSource, as one lane running the same path step: it draws on the
-source's generator, adds each draw's duration to the source's clock, and
-leaves the source as the Python loop's draws leave it.
+NoiseSource, as one lane running the same path step (tamsde_path): it
+draws on the source's own generator, numpy's Philox, through that bit
+generator's bitgen_t and under its lock, as Generator's own methods do,
+adds each draw's duration to the source's clock, and leaves the source as
+the Python loop's draws leave it.
 
 run_block and run_path return None, and the caller runs its Python loop,
 the reference, for a model other than the three built-ins (JSON term
 models and library callables) and for every block and path when the
 kernel cannot be built; run_path also declines a noise source other than
-a NoiseSource itself, one holding buffered normals or one whose generator
-is numpy's (one rule, _philox).
+a NoiseSource itself and one holding buffered normals (one rule, _bitgen).
 
 The kernel is built with the host's `cc` against numpy's bitgen.h and
 libnpyrandom.a when a process first needs it, never at import, and
@@ -48,8 +46,7 @@ write is never loaded.  Loading a cached build refreshes its modification
 time and deletes the directory's other builds unused for _STALE_S, so
 stale builds do not pile up while versions in use side by side are kept.
 Loading is tried once per process; with no compiler, no numpy header or
-archive, or a failed build, every pair and path takes the Python loop and
-every source draws on numpy's generator.
+archive, or a failed build, every pair and path takes the Python loop.
 """
 
 import contextlib
@@ -71,7 +68,7 @@ from .errors import InputError
 from .model import get_model
 from .scheme import _stop
 
-__all__ = ["generator", "library", "run_block", "run_path"]
+__all__ = ["library", "run_block", "run_path"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_pair.c")
 _INCLUDE = np.get_include()
@@ -84,8 +81,7 @@ _BUILD_TIMEOUT_S = 120
 # when a build is loaded from its directory; builds in use, such as two
 # versions run side by side, are kept
 _STALE_S = 30 * 24 * 3600
-_EXPORTS = ("tamsde_path", "tamsde_free", "tamsde_seed", "tamsde_normals",
-            "tamsde_pairs", "tamsde_paths")
+_EXPORTS = ("tamsde_block", "tamsde_path", "tamsde_free")
 
 # C model numbers are positions in this tuple (enum in _pair.c)
 _MODELS = ("model1", "model2", "gbm")
@@ -94,20 +90,6 @@ _NO_MEMORY = 3
 # no pair can spend 2**63 - 1 steps, so a larger budget is never reached
 # either and is passed to C as this
 _INT64_MAX = 2 ** 63 - 1
-
-
-class _Philox(ctypes.Structure):
-    """numpy's Philox state as the kernel keeps it (struct philox in _pair.c)."""
-
-    _fields_ = [("counter", ctypes.c_uint64 * 4), ("key", ctypes.c_uint64 * 2),
-                ("buffer", ctypes.c_uint64 * 4), ("buffer_pos", ctypes.c_int),
-                ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)]
-
-    def standard_normal(self, n):
-        """The next n normals, as numpy's Generator.standard_normal(n)."""
-        out = np.empty(n)
-        library().tamsde_normals(ctypes.byref(self), out.ctypes.data, n)
-        return out
 
 
 def _words(seed):
@@ -168,20 +150,13 @@ def _open(directory, name):
     lib.tamsde_path.restype = ctypes.c_int
     lib.tamsde_path.argtypes = ([ctypes.c_int] + [ctypes.c_double] * 5
                                 + [ctypes.c_longlong] + [ctypes.c_void_p] * 5)
-    lib.tamsde_seed.argtypes = [ctypes.c_void_p, ctypes.c_char_p,
-                                ctypes.c_size_t]
-    lib.tamsde_normals.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
-                                   ctypes.c_longlong]
     lib.tamsde_free.argtypes = [ctypes.c_void_p]
-    seeds = [ctypes.c_longlong, ctypes.c_char_p, ctypes.c_size_t,
-             ctypes.c_longlong] + [ctypes.c_void_p] * 3
-    lib.tamsde_pairs.argtypes = ([ctypes.c_int] * 2 + [ctypes.c_double] * 6
-                                 + seeds)
-    lib.tamsde_paths.argtypes = ([ctypes.c_int] + [ctypes.c_double] * 5
-                                 + seeds)
-    lib.tamsde_seed.restype = lib.tamsde_normals.restype = None
     lib.tamsde_free.restype = None
-    lib.tamsde_pairs.restype = lib.tamsde_paths.restype = None
+    lib.tamsde_block.argtypes = ([ctypes.c_int] * 3 + [ctypes.c_double] * 6
+                                 + [ctypes.c_longlong, ctypes.c_char_p,
+                                    ctypes.c_size_t, ctypes.c_longlong]
+                                 + [ctypes.c_void_p] * 3)
+    lib.tamsde_block.restype = None
     return lib
 
 
@@ -282,36 +257,17 @@ def library():
         return None
 
 
-def generator(seed):
-    """The generator of NoiseSource(seed)'s stream, at its start.
-
-    The kernel's Philox, seeded in C, when the kernel loads; numpy's
-    Generator(Philox(SeedSequence(seed))) only when it cannot.  Both draw
-    the same normals through standard_normal(n).
-    """
-    lib = library()
-    if lib is None:
-        return np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed)))
-    rng = _Philox()
-    lib.tamsde_seed(ctypes.byref(rng), *_words(seed))
-    return rng
-
-
-def _philox(noise):
-    """The generator the kernel draws noise's normals on, or None when the
-    noise must take the Python loop.
+def _bitgen(noise):
+    """The bit generator the kernel draws noise's normals on, or None when
+    the noise must take the Python loop.
 
     The kernel takes a NoiseSource itself, not a subclass whose draws may
-    differ, that holds no buffered normals and whose generator is the
-    kernel's Philox, made here if the source has none yet.
+    differ, that holds no buffered normals, and draws on its generator's
+    numpy Philox, made here if the source has none yet.
     """
     if type(noise) is not NoiseSource or noise._idx != _BLOCK:
         return None
-    if noise._rng is None:
-        noise._rng = generator(noise.seed)
-    # numpy's when the kernel cannot load, or made by a process without it
-    return noise._rng if isinstance(noise._rng, _Philox) else None
+    return noise._generator().bit_generator
 
 
 def _hand_back(noise, clock):
@@ -347,25 +303,28 @@ def run_path(model, config, noise):
     """One adaptive path in C, or None when the kernel does not run it.
 
     config is the path's checked SchemeConfig.  The kernel takes a path of
-    a built-in model whose noise it can draw on (_philox) and leaves that
+    a built-in model whose noise it can draw on (_bitgen) and leaves that
     NoiseSource as simulate_path's draws leave it: the same clock and the
     same next draw.  Returns (times, values, increments, step count), the
     arrays as simulate_path stores them, or raises the PathExplosion it
     would raise, through the same _stop.
     """
     number = _model_number(model)
-    rng = None if number is None else _philox(noise)
-    if rng is None:
+    lib = None if number is None else library()
+    bitgen = None if lib is None else _bitgen(noise)
+    if bitgen is None:
         return None
     clock = ctypes.c_double(noise.current_time)
     out = (ctypes.c_double * 2)()
     steps = ctypes.c_longlong()
     grid = (ctypes.c_void_p * 3)()
-    lib = library()
-    status = lib.tamsde_path(
-        number, config.delta, config.h0, config.l0, model.x0, config.t_end,
-        min(config.max_steps, _INT64_MAX), ctypes.byref(rng),
-        ctypes.byref(clock), out, ctypes.byref(steps), grid)
+    # the bit generator's own lock, which Generator's methods hold too
+    with bitgen.lock:
+        status = lib.tamsde_path(
+            number, config.delta, config.h0, config.l0, model.x0,
+            config.t_end, min(config.max_steps, _INT64_MAX),
+            bitgen.ctypes.bit_generator, ctypes.byref(clock), out,
+            ctypes.byref(steps), grid)
     _hand_back(noise, clock)
     n = steps.value
     if status == _NO_MEMORY:
@@ -412,18 +371,14 @@ def run_block(model, config, seeds, pair=None):
     words, n_words = _words(seeds.start)
     # room for the one word a carry past the top word adds (next_seed)
     seed = ctypes.create_string_buffer(words, len(words) + 4)
-    budget = min(config.max_steps, _INT64_MAX)
-    if pair is None:
-        lib.tamsde_paths(number, config.delta, config.h0, config.l0,
-                         model.x0, config.t_end, budget, seed, n_words, n,
-                         out, steps, status)
-        rows = list(zip(out[::2], steps))
-    else:
-        adaptive, delta_coarse = pair
-        lib.tamsde_pairs(number, int(adaptive), config.delta, delta_coarse,
-                         config.h0, config.l0, model.x0, config.t_end,
-                         budget, seed, n_words, n, out, steps, status)
-        rows = list(zip(out[::3], out[1::3], steps[::2], steps[1::2]))
+    adaptive, delta_coarse = pair or (True, 0.0)
+    lib.tamsde_block(legs, number, int(adaptive), config.delta, delta_coarse,
+                     config.h0, config.l0, model.x0, config.t_end,
+                     min(config.max_steps, _INT64_MAX), seed, n_words, n, out,
+                     steps, status)
+    # each leg's states, then each leg's step counts, in seed order
+    rows = list(zip(*(out[j::legs + 1] for j in range(legs)),
+                    *(steps[j::legs] for j in range(legs))))
     for i, code in enumerate(status[:]):
         if code:  # FINE_STOP (1) or COARSE_STOP (2): that leg stopped
             leg = code - 1

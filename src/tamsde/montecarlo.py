@@ -80,26 +80,21 @@ _OWN = {f.__name__: f for f in (simulate_coupled_pair,
                                 simulate_coupled_tm_pair, simulate_path)}
 
 
-def _kernel_block(name, head, options, seeds):
-    """The records of the block from one kernel.run_block call, or None
-    when the kernel declines it.
+def _kernel_args(name, head, options):
+    """The (model, config, pair) of kernel.run_block for every seed of a
+    cell of the path function `name`.
 
-    The block's arguments get the checks each seed's own call would make,
+    The cell's arguments get the checks each seed's own call would make,
     once, and raise the same InputError.
     """
     if name == "simulate_path":
         model, config = head
         _require_l0(model, config)
-        pair = None
-    else:
-        # a pair's head is (model, h0, l0, k, t_end) or (model, k, t_end)
-        model, *clock, k, t_end = head
-        config, pair = _pair_config(model, tuple(clock) or None, k, t_end,
-                                    **options)
-    # imported by the first block, not by import tamsde, which stays as
-    # fast as it was without the kernel
-    from . import kernel
-    return kernel.run_block(model, config, seeds, pair)
+        return model, config, None
+    # a pair's head is (model, h0, l0, k, t_end) or (model, k, t_end)
+    model, *clock, k, t_end = head
+    return (model, *_pair_config(model, tuple(clock) or None, k, t_end,
+                                 **options))
 
 
 def _run_block(args):
@@ -109,7 +104,7 @@ def _run_block(args):
     fine steps, coarse steps), a path's (terminal state, step count), or
     the PathExplosion that stopped the seed.  The path function `name` is
     looked up at call time.  While it is still the library's own, the
-    whole block goes to the kernel in one call (_kernel_block), and its
+    whole block goes to the kernel in one call, on _kernel_args, and its
     list is returned as it comes; otherwise, or when the kernel declines,
     it is called once per seed as name(*head, seed, **options), with
     NoiseSource(seed) for simulate_path, so a caller that rebinds the name
@@ -118,7 +113,11 @@ def _run_block(args):
     name, head, options, seeds = args
     simulate = globals()[name]
     if simulate is _OWN[name]:
-        out = _kernel_block(name, head, options, seeds)
+        model, config, pair = _kernel_args(name, head, options)
+        # imported by the first block, not by import tamsde, which stays as
+        # fast as it was without the kernel
+        from . import kernel
+        out = kernel.run_block(model, config, seeds, pair)
         if out is not None:
             return out
     out = []
@@ -141,6 +140,9 @@ def _run_cell(name, head, options, n_paths, base_seed, n_jobs):
     _integer(n_paths, "n_paths", 1)
     _integer(base_seed, "base_seed", 0)
     _integer(n_jobs, "n_jobs", 1)
+    # checked here as well as in each block, so a malformed argument stops
+    # the cell before any worker starts
+    _kernel_args(name, head, options)
     seeds = range(base_seed, base_seed + n_paths)
     if n_jobs <= 1 or n_paths < 2 * n_jobs:
         return _run_block((name, head, options, seeds))

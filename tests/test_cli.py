@@ -336,6 +336,7 @@ class TestRejectedBeforeAnyCell:
 
     @pytest.mark.parametrize("argv", [
         ["verify-assumptions", "--grid", "0:1"],
+        ["verify-assumptions", "--seed", "-3"],
         ["rate", "--paths", "4294967297"],
         ["compare", "--T"] + [str(t) for t in range(1, 1026)],
         ["moments", "--l0", "1.5"],
@@ -343,7 +344,8 @@ class TestRejectedBeforeAnyCell:
         ["rate", "--h0", "inf"],
         ["rate", "--l0", "inf"],
         ["rate", "--k-min", "3", "--k-max", "3"]],
-        ids=["bad-grid", "overlapping-seed-cells", "overlapping-compare-cells",
+        ids=["bad-grid", "negative-verify-seed", "overlapping-seed-cells",
+             "overlapping-compare-cells",
              "l0", "h0", "infinite-h0", "infinite-l0", "one-level-rate"])
     def test_rejected_run_makes_no_directory(self, tmp_path, no_cells, argv):
         out = tmp_path / "deep"
@@ -401,6 +403,14 @@ class TestExperimentConfig:
             ExperimentConfig(kind="nope", model="model1")
         with pytest.raises(InputError):
             ExperimentConfig(kind="rate", model="model1", threads=0)
+        # a seed of None would seed verify-assumptions' sample from the OS
+        for field in (dict(seed=None), dict(seed=-1), dict(seed="x"),
+                      dict(seed=1.5), dict(seed=True), dict(grid=None),
+                      dict(grid=5), dict(grid="0:1"), dict(out_dir=None),
+                      dict(out_dir=3)):
+            for kind in ("rate", "verify-assumptions"):
+                with pytest.raises(InputError, match=next(iter(field))):
+                    ExperimentConfig(kind=kind, model="model1", **field)
 
     @pytest.mark.parametrize("kind, want", [
         ("rate", dict(n_paths=10_000, k_min=1, k_max=5, t_values=(1.0,))),

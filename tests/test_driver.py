@@ -75,8 +75,8 @@ class TestNoiseSource:
 
 @pytest.fixture(params=["kernel", "numpy"])
 def engine(request, monkeypatch):
-    """Each test twice: with the kernel's Philox and with numpy's generator,
-    as in a process that cannot load the kernel."""
+    """Each test twice: with the kernel loaded and as in a process that
+    cannot load it."""
     if request.param == "numpy":
         monkeypatch.setattr(kernel, "library", lambda: None)
     elif kernel.library() is None:
@@ -90,8 +90,9 @@ def numpy_stream(seed, n):
 
 
 class TestStream:
-    # the Python loops draw on whichever generator the source has, so these
-    # tie them, and the kernel's port, to numpy's stream
+    # a source draws on numpy's Philox whether or not the kernel loads, and
+    # a path in C draws on the same generator, so these tie both to numpy's
+    # stream
     @pytest.mark.parametrize("seed", [0, 2 ** 40 + 3, 2 ** 130 + 1],
                              ids=["0", "2**40+3", "2**130+1"])
     def test_increments_are_numpys_normals(self, engine, seed):

@@ -315,36 +315,24 @@ class TestPathParity:
             simulate_path(model, config, NoiseSource(seed))
         assert view.tobytes() == want.tobytes()
 
-    def test_fresh_source_builds_no_numpy_generator(self, lib, engines,
-                                                    numpy_made):
-        # a C path seeds the source's one generator, the kernel's Philox,
-        # and the source's own draws go on from it
-        noise = NoiseSource(0)
-        simulate_path(get_model("model1"), path_config(2, 1.0), noise)
-        noise.gaussian_increment(0.5)
-        assert engines == ["C"] and numpy_made == []
+    def test_python_loops_draw_on_numpys_philox(self, lib, numpy_made):
+        # with the kernel loaded, the references the kernel is tested
+        # against draw on numpy's own generator, not on the kernel's port
+        model = get_model("model1")
+        reference(model, (1.0, 2.0), 2, 1.0, 4)
+        _path_loop(model, path_config(2, 1.0), NoiseSource(4))
+        assert numpy_made == ["Philox", "Generator"] * 2
 
-    def test_json_model_builds_no_numpy_generator(self, lib, tmp_path,
-                                                  engines, merges,
-                                                  numpy_made):
-        # the Python loops draw on the kernel's Philox whenever it loads
-        model, config = model1_as_json(tmp_path), path_config(3, 5.0)
-        simulate_path(model, config, NoiseSource(4))
-        for clock in ((1.0, 2.0), None):
-            pair(model, clock, 2, 1.0, 4)
-        assert engines == ["python"] and len(merges) == 2
-        assert numpy_made == []
-
-    def test_source_on_numpy_generator_takes_the_python_loop(self, lib,
-                                                             engines):
-        # as a source unpickled from a process without the kernel has
+    def test_source_on_numpy_generator_runs_in_c(self, lib, engines):
+        # a source whose generator is made, as one drawn from or unpickled
+        # is, runs in C on that generator with the Python loop's bytes
         model, config = get_model("model2"), path_config(3, 5.0)
         noise = NoiseSource(5)
         noise._rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(5)))
         assert (path_outcome(simulate_path, model, config, noise)
                 == path_outcome(_path_loop, model, config, NoiseSource(5)))
-        assert engines == ["python"]
+        assert engines == ["C"]
 
 
 def test_paths_free_their_storage(lib):
@@ -719,15 +707,26 @@ def generator_seeds():
     return sorted(seeds)
 
 
+class Philox(ctypes.Structure):
+    """The kernel's Philox state, struct philox in _pair.c, as
+    tamsde_seed and tamsde_normals take it."""
+
+    _fields_ = [("counter", ctypes.c_uint64 * 4), ("key", ctypes.c_uint64 * 2),
+                ("buffer", ctypes.c_uint64 * 4), ("buffer_pos", ctypes.c_int),
+                ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)]
+
+
 def c_normals(built, rng, n):
     out = np.empty(n)
-    built.tamsde_normals(ctypes.byref(rng), out.ctypes.data, n)
+    built.tamsde_normals(ctypes.byref(rng), ctypes.c_void_p(out.ctypes.data),
+                         ctypes.c_longlong(n))
     return out
 
 
 def c_seeded(built, seed):
-    rng = kernel._Philox()
-    built.tamsde_seed(ctypes.byref(rng), *kernel._words(seed))
+    rng = Philox()
+    words, n_words = kernel._words(seed)
+    built.tamsde_seed(ctypes.byref(rng), words, ctypes.c_size_t(n_words))
     return rng
 
 
@@ -769,8 +768,8 @@ class TestGenerator:
         # when the next block is made
         counter, key = 2 ** (64 * words) - 1, 2 ** 100 + 9
         want = np.random.Philox(key=key, counter=counter)
-        rng = kernel._Philox(counter=uint64_words(counter, 4),
-                             key=uint64_words(key, 2), buffer_pos=4)
+        rng = Philox(counter=uint64_words(counter, 4),
+                     key=uint64_words(key, 2), buffer_pos=4)
         got = c_normals(lib, rng, 40)
         assert got.tobytes() == np.random.Generator(want).standard_normal(
             40).tobytes()
@@ -783,13 +782,12 @@ def test_source_compiles_cleanly_as_c99(tmp_path):
     # archive, under strict pedantic C99 warnings, with the compiler's
     # 128-bit product and with the 32-bit halves the source falls back to
     # without one; each build must load with every symbol resolved, export
-    # the kernel's functions and draw numpy's normals
+    # the kernel's functions and seed and draw numpy's normals on its port
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
-    assert set(kernel._EXPORTS) == {"tamsde_path", "tamsde_free",
-                                    "tamsde_seed", "tamsde_normals",
-                                    "tamsde_pairs", "tamsde_paths"}
+    assert set(kernel._EXPORTS) == {"tamsde_block", "tamsde_path",
+                                    "tamsde_free"}
     for name, multiply in (("native.so", []),
                            ("portable.so", ["-U__SIZEOF_INT128__"])):
         command = kernel._command(cc, kernel._SOURCE, str(tmp_path / name))
@@ -801,7 +799,7 @@ def test_source_compiles_cleanly_as_c99(tmp_path):
         built = kernel._open(str(tmp_path), name)
         assert built is not None
         for gone in ("tamsde_pair", "tamsde_pair_init", "tamsde_pair_run",
-                     "tamsde_pair_size"):
+                     "tamsde_pair_size", "tamsde_pairs", "tamsde_paths"):
             assert not hasattr(built, gone)
         assert generator_mismatches(built, generator_seeds()[::20], 1030) == []
 

@@ -1,4 +1,5 @@
-"""tools/leg_step_ns.py: the block route's ns per leg-step per workload."""
+"""tools/leg_step_ns.py: the block route's ns per leg-step per workload,
+and the stored paths' ns per step."""
 
 import importlib.util
 import shutil
@@ -25,9 +26,11 @@ def test_small_run():
     run_block = kernel.run_block
     rows = leg_step_ns.measure(jobs=1, rounds=2, scale=0.02)
     assert kernel.run_block is run_block
-    assert set(rows) == {"rate-rough", "compare-smooth", "moments-long"}
+    assert set(rows) == {"rate-rough", "compare-smooth", "moments-long",
+                         "stored-path/model1", "stored-path/model2"}
     # one cell per level of rate; per level and scheme of compare; per
-    # horizon of moments
+    # horizon of moments; one call per stored path
     assert {name: row[2] for name, row in rows.items()} == {
-        "rate-rough": 5, "compare-smooth": 10, "moments-long": 3}
+        "rate-rough": 5, "compare-smooth": 10, "moments-long": 3,
+        "stored-path/model1": 40, "stored-path/model2": 40}
     assert all(ns > 0.0 and steps > 0 for ns, steps, _ in rows.values())

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -179,6 +180,30 @@ class TestBlockRoute:
         with pytest.raises(InputError) as seed_route:
             call()
         assert str(block_route.value) == str(seed_route.value)
+
+    @pytest.mark.parametrize("call", [
+        lambda: estimate_mse(M1, 1.0, 2.0, 0, 10, 1.0, 0, n_jobs=2),
+        lambda: estimate_mse(M1, 1.0, 1.0, 2, 10, 1.0, 0, n_jobs=2),
+        lambda: estimate_tm_mse(M1, 2, 10, math.inf, 0, n_jobs=2),
+        lambda: estimate_tm_mse(M1, 2, 10, 1.0, 0, n_jobs=2, max_steps=0)],
+        ids=["k", "l0", "t_end", "max_steps"])
+    def test_input_errors_start_no_worker_pool(self, monkeypatch, call):
+        # the cell's arguments are checked in the calling process, so a
+        # malformed one is raised before a pool is made
+        started = []
+
+        class Counting(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tamsde.montecarlo, "ProcessPoolExecutor",
+                            Counting)
+        with pytest.raises(InputError):
+            call()
+        assert started == []
+        estimate_tm_mse(M1, 2, 10, 1.0, 0, n_jobs=2)
+        assert started == [{"max_workers": 2}]
 
     def test_seeds_past_two_to_the_64_run_in_one_block(self, monkeypatch,
                                                        blocks):

@@ -1,4 +1,5 @@
-"""Time the kernel's block route per benchmark workload, in ns a leg-step.
+"""Time the kernel's block route per benchmark workload, in ns a leg-step,
+and its stored paths, in ns a step.
 
     PYTHONPATH=src python tools/leg_step_ns.py
 
@@ -12,8 +13,14 @@ calls' time per leg-step.  A leg-step is one step of one leg: a pair
 counts its fine and coarse steps, a path its steps and a failed seed the
 steps of the leg that stopped it.  The time is the block route's as a
 Monte Carlo cell runs it, the ctypes call and the records it returns
-included.  The kernel is tamsde's on PYTHONPATH, so the same tool times
-another checkout's kernel through that checkout's src.
+included.
+
+In the same rounds it times the route no benchmark workload takes: a
+path whose trajectory is kept, simulate_path on a fresh NoiseSource(seed)
+for seeds 0-39, of model1 and of model2 at delta 2**-4 and T=100, and
+prints each model's median time per step, the source's set-up and the
+stored arrays included.  The kernel is tamsde's on PYTHONPATH, so the
+same tool times another checkout's kernel through that checkout's src.
 """
 
 import contextlib
@@ -25,12 +32,17 @@ import tempfile
 import time
 from pathlib import Path
 
-from tamsde import PathExplosion, cli, kernel
+from tamsde import (NoiseSource, PathExplosion, SchemeConfig, cli, get_model,
+                    kernel, simulate_path)
 
 _WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 SEED = 3
 JOBS = 10
 ROUNDS = 7
+# the stored paths: the models, the seeds and the path's SchemeConfig
+STORED_MODELS = ("model1", "model2")
+STORED_SEEDS = range(40)
+STORED_CONFIG = SchemeConfig(2.0 ** -4, 100.0)
 
 
 def leg_steps(records):
@@ -68,35 +80,59 @@ def cells(workload, seed, jobs, scale):
     return calls, steps
 
 
+def block_calls(calls):
+    """A runner of the recorded kernel.run_block calls."""
+    def run():
+        for call in calls:
+            kernel.run_block(*call)
+    return run
+
+
+def stored_paths(model):
+    """A runner of the stored paths of model, and their steps."""
+    def run():
+        return sum(simulate_path(model, STORED_CONFIG,
+                                 NoiseSource(seed)).step_count
+                   for seed in STORED_SEEDS)
+    return run, run()
+
+
 def measure(jobs, rounds, scale=1.0):
     """For each workload, by name: the median ns per leg-step of its cells'
     calls over the rounds, their leg-steps and their number, for jobs
-    0..jobs-1 at scale times each workload's path count."""
+    0..jobs-1 at scale times each workload's path count; and for each
+    model of STORED_MODELS, as "stored-path/<model>": the median ns per
+    step of its stored paths, their steps and their number."""
     workloads = runpy.run_path(str(_WORKLOADS))["WORKLOADS"]
-    runs = {name: cells(w, SEED, jobs, scale) for name, w in workloads.items()}
+    runs = {}
+    for name, w in workloads.items():
+        calls, steps = cells(w, SEED, jobs, scale)
+        runs[name] = block_calls(calls), steps, len(calls)
+    for model in STORED_MODELS:
+        run, steps = stored_paths(get_model(model))
+        runs[f"stored-path/{model}"] = run, steps, len(STORED_SEEDS)
     names = list(runs)
     ns = {name: [] for name in names}
     for i in range(rounds):
-        # each round starts one workload later, so drift of the host's
-        # speed falls on every workload alike
+        # each round starts one row later, so drift of the host's speed
+        # falls on every row alike
         for name in names[i % len(names):] + names[:i % len(names)]:
-            calls, steps = runs[name]
+            run, steps, _ = runs[name]
             start = time.perf_counter_ns()
-            for call in calls:
-                kernel.run_block(*call)
+            run()
             ns[name].append((time.perf_counter_ns() - start) / steps)
     return {name: (statistics.median(ns[name]), runs[name][1],
-                   len(runs[name][0])) for name in names}
+                   runs[name][2]) for name in names}
 
 
 def main():
     if kernel.library() is None:
         print("the kernel cannot be built here", file=sys.stderr)
         return 2
-    print(f"{'workload':<16} {'ns/leg-step':>11} {'leg-steps':>10} "
+    print(f"{'workload':<20} {'ns/leg-step':>11} {'leg-steps':>10} "
           f"{'calls':>6}")
     for name, (ns, steps, calls) in measure(JOBS, ROUNDS).items():
-        print(f"{name:<16} {ns:>11.1f} {steps:>10} {calls:>6}")
+        print(f"{name:<20} {ns:>11.1f} {steps:>10} {calls:>6}")
     return 0
 
 
