@@ -374,23 +374,31 @@ static int fire(const struct pair *p, struct leg *leg, double t)
 }
 
 /* A path's stored grid: times and values at each of n points and the
-   increment of each step, in buffers grown by doubling */
+   increment of each step (a[0], a[1] and a[2]), in buffers of cap doubles
+   grown by doubling */
 struct grid {
-    double *t, *x, *dw;
+    double *a[3];
     long long n, cap;
 };
 
-/* realloc *a to n doubles; 0, with *a untouched, if that fails */
-static int resize(double **a, long long n)
+/* realloc each of g's buffers to n doubles, or free them all when n is 0;
+   0 if a realloc fails, which leaves that buffer as it was */
+static int resize(struct grid *g, long long n)
 {
+    int i, ok = 1;
     double *p;
-    if ((unsigned long long)n > SIZE_MAX / sizeof **a)
-        return 0;
-    p = realloc(*a, (size_t)n * sizeof **a);
-    if (p == NULL)
-        return 0;
-    *a = p;
-    return 1;
+    for (i = 0; i < 3; i++) {
+        if (n == 0) {
+            free(g->a[i]);
+            g->a[i] = NULL;
+        } else if ((unsigned long long)n <= SIZE_MAX / sizeof *p
+                   && (p = realloc(g->a[i], (size_t)n * sizeof *p)) != NULL) {
+            g->a[i] = p;
+        } else {
+            ok = 0;
+        }
+    }
+    return ok;
 }
 
 /* store point n and the increment of the step that reached it */
@@ -398,13 +406,12 @@ static int keep(struct grid *g, double t, double x, double dw)
 {
     if (g->n == g->cap) {
         g->cap *= 2;
-        if (!(resize(&g->t, g->cap) && resize(&g->x, g->cap)
-              && resize(&g->dw, g->cap)))
+        if (!resize(g, g->cap))
             return 0;
     }
-    g->t[g->n] = t;
-    g->x[g->n] = x;
-    g->dw[g->n - 1] = dw;
+    g->a[0][g->n] = t;
+    g->a[1][g->n] = x;
+    g->a[2][g->n - 1] = dw;
     g->n += 1;
     return 1;
 }
@@ -489,8 +496,9 @@ static int path_step(struct lane *l, struct grid *g)
 /* scheme.simulate_path: one tamed-adaptive leg from x0 to t_end, one
    normal drawn on bitgen per step, each step's duration added to *clock.
    It runs as one lane, on the caller's bit generator itself.
-   Returns DONE with grid = {times, values, increments} (steps + 1,
-   steps + 1 and steps doubles, each to be released with tamsde_free),
+   Returns DONE with grid = {times, values, increments} (steps + 1
+   doubles each, of which the increments use steps; each to be released
+   with tamsde_free),
    FINE_STOP when the leg cannot go on, or NO_MEMORY; on either of those
    nothing is stored.  out = {state, time} of the last step, and steps
    the step count. */
@@ -502,12 +510,12 @@ int tamsde_path(int model, double delta, double h0, double l0, double x0,
     struct lane l = {.p = {.h0 = h0, .l0 = l0, .t_end = t_end,
                            .max_steps = max_steps, .model = model,
                            .adaptive = 1}};
-    struct grid g = {NULL, NULL, NULL, 1, 1024};
+    struct grid g = {{NULL, NULL, NULL}, 1, 1024};
     int status = NO_MEMORY;
     arm(&l.p, &l.p.fine, delta, x0);
-    if (resize(&g.t, g.cap) && resize(&g.x, g.cap) && resize(&g.dw, g.cap)) {
-        g.t[0] = 0.0;
-        g.x[0] = x0;
+    if (resize(&g, g.cap)) {
+        g.a[0][0] = 0.0;
+        g.a[1][0] = x0;
         l.g = *bitgen;  /* its state is the caller's, drawn on in place */
         l.t = *clock;
         status = RUNNING;
@@ -518,20 +526,10 @@ int tamsde_path(int model, double delta, double h0, double l0, double x0,
     out[0] = l.p.fine.x;
     out[1] = l.p.fine.last;
     *steps = l.p.fine.steps;
-    if (status == DONE) {
-        /* give back the unused capacity; a failed shrink keeps the block */
-        resize(&g.t, g.n);
-        resize(&g.x, g.n);
-        resize(&g.dw, g.n - 1);
-    } else {
-        free(g.t);
-        free(g.x);
-        free(g.dw);
-        g.t = g.x = g.dw = NULL;
-    }
-    grid[0] = g.t;
-    grid[1] = g.x;
-    grid[2] = g.dw;
+    /* give back the unused capacity (a failed shrink keeps the block), or
+       free a grid that is not handed back */
+    resize(&g, status == DONE ? g.n : 0);
+    memcpy(grid, g.a, sizeof g.a);
     return status;
 }
 

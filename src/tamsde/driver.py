@@ -18,15 +18,14 @@ summation so the per-leg totals agree with the global Brownian sum to
 
 Both coupled-pair functions go through one runner, _run_pair, which
 checks the arguments once (_pair_config, which the Monte Carlo cells'
-blocks share, and the seed), then offers the pair to the compiled kernel
-as a block of one seed (kernel.run_block).  _pair_config returns the
-kernel's own pair argument, (adaptive, coarse delta), so neither caller
-builds it.  The kernel takes every pair of a built-in model, seeds the
-pair's generator itself as NoiseSource(seed) is seeded, runs the same
-loop in C and returns the same bits: the seed's record (fine state,
-coarse state, fine steps, coarse steps), or its PathExplosion, which
-_run_pair raises.  _merge runs every pair the kernel declines, on
-NoiseSource(seed), and is the reference the kernel is tested against.
+blocks share, and the seed), then runs the pair as a block of one seed
+(kernel.run_block).  _pair_config returns the kernel's own pair argument,
+(adaptive, coarse delta), so neither caller builds it.  The kernel runs
+every pair of a built-in model in C, seeding the pair's generator itself
+as NoiseSource(seed) is seeded, and every other pair by _merge on
+NoiseSource(seed), the reference C is tested against; both give the
+seed's record (fine state, coarse state, fine steps, coarse steps), or
+its PathExplosion, which _run_pair raises.
 """
 
 import math
@@ -34,8 +33,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, PathExplosion
 from .model import _integer, _real
-from .scheme import (DEFAULT_MAX_STEPS, SchemeConfig, _due, _require_l0,
-                     _stop, _tam_leg, _tm_leg)
+from .scheme import DEFAULT_MAX_STEPS, SchemeConfig, _due, _require_l0, _stop
 
 __all__ = ["NoiseSource", "CoupledSample", "simulate_coupled_pair",
            "simulate_coupled_tm_pair"]
@@ -111,9 +109,10 @@ def _sample(x_f, x_c, steps_f, steps_c):
 def _merge(fine, coarse, x0, t_end, noise, max_steps):
     """Run two (propose, advance) legs from x0 to t_end on one Brownian path.
 
-    Returns a CoupledSample; raises PathExplosion tagged "fine" or
-    "coarse".  Fixed-step grids are dyadic, so last + delta is exactly the
-    next grid point and the coarse grid is nested in the fine one.
+    Returns the pair's record (fine state, coarse state, fine steps,
+    coarse steps); raises PathExplosion tagged "fine" or "coarse".
+    Fixed-step grids are dyadic, so last + delta is exactly the next grid
+    point and the coarse grid is nested in the fine one.
     """
     propose_f, advance_f = fine
     propose_c, advance_c = coarse
@@ -165,7 +164,7 @@ def _merge(fine, coarse, x0, t_end, noise, max_steps):
         raise _stop("fine", t_end, x_f, steps_f, max_steps)
     if not isfinite(x_c):
         raise _stop("coarse", t_end, x_c, steps_c, max_steps)
-    return _sample(x_f, x_c, steps_f, steps_c)
+    return x_f, x_c, steps_f, steps_c
 
 
 def _pair_config(model, clock, k, t_end, max_steps=DEFAULT_MAX_STEPS):
@@ -190,26 +189,17 @@ def _run_pair(model, clock, k, t_end, seed, max_steps):
 
     clock is (h0, l0) for two tamed-adaptive legs and None for two
     fixed-step legs.  The arguments are checked here, once, and the pair
-    goes to the compiled kernel as a block of one seed if it takes it,
-    else to _merge on NoiseSource(seed).
+    runs as kernel.run_block's block of one seed.
     """
     config, pair = _pair_config(model, clock, k, t_end, max_steps)
     seed = _integer(seed, "seed", 0)
     # imported by the first pair, not by import tamsde, which stays as fast
     # as it was without the kernel
     from . import kernel
-    out = kernel.run_block(model, config, range(seed, seed + 1), pair)
-    if out is not None:
-        if isinstance(out[0], PathExplosion):
-            raise out[0]
-        return _sample(*out[0])
-    if clock is None:
-        legs = _tm_leg(model, config.delta), _tm_leg(model, pair[1])
-    else:
-        legs = (_tam_leg(model, config.delta, config.h0, config.l0),
-                _tam_leg(model, pair[1], config.h0, config.l0))
-    return _merge(*legs, model.x0, config.t_end, NoiseSource(seed),
-                  config.max_steps)
+    record, = kernel.run_block(model, config, range(seed, seed + 1), pair)
+    if isinstance(record, PathExplosion):
+        raise record
+    return _sample(*record)
 
 
 def simulate_coupled_pair(model, h0, l0, k, t_end, seed,

@@ -28,11 +28,16 @@ generator's bitgen_t and under its lock, as Generator's own methods do,
 adds each draw's duration to the source's clock, and leaves the source as
 the Python loop's draws leave it.
 
-run_block and run_path return None, and the caller runs its Python loop,
-the reference, for a model other than the three built-ins (JSON term
-models and library callables) and for every block and path when the
-kernel cannot be built; run_path also declines a noise source other than
-a NoiseSource itself and one holding buffered normals (one rule, _bitgen).
+run_block and run_path answer every call, and are the one place that
+chooses between C and the reference loops, driver._merge and
+scheme._path_loop, which the tests compare the kernel against.  The
+reference loops run a model other than the three built-ins (JSON term
+models and library callables), every block and path when the kernel
+cannot be built, and a path whose noise source is not a NoiseSource itself
+or holds buffered normals; a declined block runs each seed on
+NoiseSource(seed), a declined path on the caller's source, and both give
+the records or Trajectory C gives.  The loops are called through their
+modules, so a caller that rebinds one there sees every call.
 
 The kernel is built with the host's `cc` against numpy's bitgen.h and
 libnpyrandom.a when a process first needs it, never at import, and
@@ -46,7 +51,7 @@ write is never loaded.  Loading a cached build refreshes its modification
 time and deletes the directory's other builds unused for _STALE_S, so
 stale builds do not pile up while versions in use side by side are kept.
 Loading is tried once per process; with no compiler, no numpy header or
-archive, or a failed build, every pair and path takes the Python loop.
+archive, or a failed build, every pair and path takes the reference loops.
 """
 
 import contextlib
@@ -63,10 +68,11 @@ import time
 
 import numpy as np
 
+from . import driver, scheme
 from .driver import _BLOCK, NoiseSource
-from .errors import InputError
+from .errors import InputError, PathExplosion
 from .model import get_model
-from .scheme import _stop
+from .scheme import Trajectory, _stop, _tam_leg, _tm_leg
 
 __all__ = ["library", "run_block", "run_path"]
 
@@ -257,26 +263,6 @@ def library():
         return None
 
 
-def _bitgen(noise):
-    """The bit generator the kernel draws noise's normals on, or None when
-    the noise must take the Python loop.
-
-    The kernel takes a NoiseSource itself, not a subclass whose draws may
-    differ, that holds no buffered normals, and draws on its generator's
-    numpy Philox, made here if the source has none yet.
-    """
-    if type(noise) is not NoiseSource or noise._idx != _BLOCK:
-        return None
-    return noise._generator().bit_generator
-
-
-def _hand_back(noise, clock):
-    """Leave noise as its own draws would have: its clock advanced by the
-    kernel's draws and its next draw the normal after their last."""
-    noise.current_time = clock.value
-    noise._buf = None  # the next draw refills from the generator
-
-
 _FLOAT64 = np.dtype(np.float64).str
 
 
@@ -300,20 +286,22 @@ class _Doubles:
 
 
 def run_path(model, config, noise):
-    """One adaptive path in C, or None when the kernel does not run it.
+    """One adaptive path on noise, as a Trajectory: in C when the kernel
+    runs it, else by scheme._path_loop, with the same bits either way.
 
     config is the path's checked SchemeConfig.  The kernel takes a path of
-    a built-in model whose noise it can draw on (_bitgen) and leaves that
-    NoiseSource as simulate_path's draws leave it: the same clock and the
-    same next draw.  Returns (times, values, increments, step count), the
-    arrays as simulate_path stores them, or raises the PathExplosion it
-    would raise, through the same _stop.
+    a built-in model on a NoiseSource itself, not a subclass whose draws
+    may differ, that holds no buffered normals.  It draws on the source's
+    generator, numpy's Philox, made here if the source has none yet, and
+    leaves the source as _path_loop's draws leave it: the same clock and
+    the same next draw.  A path that cannot go on raises the PathExplosion
+    _path_loop raises, through the same _stop.
     """
     number = _model_number(model)
     lib = None if number is None else library()
-    bitgen = None if lib is None else _bitgen(noise)
-    if bitgen is None:
-        return None
+    if lib is None or type(noise) is not NoiseSource or noise._idx != _BLOCK:
+        return scheme._path_loop(model, config, noise)
+    bitgen = noise._generator().bit_generator
     clock = ctypes.c_double(noise.current_time)
     out = (ctypes.c_double * 2)()
     steps = ctypes.c_longlong()
@@ -325,22 +313,48 @@ def run_path(model, config, noise):
             config.t_end, min(config.max_steps, _INT64_MAX),
             bitgen.ctypes.bit_generator, ctypes.byref(clock), out,
             ctypes.byref(steps), grid)
-    _hand_back(noise, clock)
+    # the source's clock advanced by the kernel's draws, and its next draw
+    # the normal after their last: the next draw refills from the generator
+    noise.current_time = clock.value
+    noise._buf = None
     n = steps.value
     if status == _NO_MEMORY:
         raise MemoryError(f"no memory to store a path of {n} steps")
     if status:  # FINE_STOP: the path's one leg cannot go on
         raise _stop(None, out[1], out[0], n, config.max_steps)
     free = lib.tamsde_free
-    times, values, increments = (
-        np.asarray(_Doubles(free, pointer, size))
-        for pointer, size in zip(grid, (n + 1, n + 1, n)))
-    return times, values, increments, n
+    return Trajectory(*(np.asarray(_Doubles(free, pointer, size))
+                        for pointer, size in zip(grid, (n + 1, n + 1, n))), n)
+
+
+def _reference_block(model, config, seeds, pair):
+    """run_block's records by the reference loops: each seed's pair by
+    driver._merge, or its path by scheme._path_loop, on NoiseSource(seed)."""
+    if pair is not None:
+        adaptive, delta_coarse = pair
+        # _merge proposes each leg at x0 before it first advances, so one
+        # pair of legs serves every seed
+        legs = [_tam_leg(model, delta, config.h0, config.l0) if adaptive
+                else _tm_leg(model, delta)
+                for delta in (config.delta, delta_coarse)]
+    rows = []
+    for seed in seeds:
+        noise = NoiseSource(seed)
+        try:
+            if pair is None:
+                traj = scheme._path_loop(model, config, noise)
+                rows.append((float(traj.values[-1]), traj.step_count))
+            else:
+                rows.append(driver._merge(*legs, model.x0, config.t_end,
+                                          noise, config.max_steps))
+        except PathExplosion as exc:
+            rows.append(exc)
+    return rows
 
 
 def run_block(model, config, seeds, pair=None):
-    """The outcome of each seed of a block, in one C call, or None when the
-    kernel does not run it.
+    """The outcome of each seed of a block: in one C call when the kernel
+    runs it, else by the reference loops (_reference_block).
 
     seeds is a range of step 1 of non-negative integers, else InputError
     is raised, since the kernel steps the first seed by one.  pair
@@ -351,9 +365,9 @@ def run_block(model, config, seeds, pair=None):
     as on a fresh NoiseSource(seed), so its outcome is _merge's or
     simulate_path's there: a pair's (fine state, coarse state, fine steps,
     coarse steps), a path's (terminal state, step count), or the
-    PathExplosion that run raises, built by the same _stop.  A path of a
-    block stores no trajectory.  The kernel takes a block of a built-in
-    model.
+    PathExplosion that run raises, built by the same _stop.  The kernel
+    takes a block of a built-in model, and a path of its block stores no
+    trajectory.
     """
     if not (isinstance(seeds, range) and seeds.step == 1
             and seeds.start >= 0):
@@ -362,7 +376,7 @@ def run_block(model, config, seeds, pair=None):
     number = _model_number(model)
     lib = library()
     if number is None or lib is None:
-        return None
+        return _reference_block(model, config, seeds, pair)
     n = len(seeds)
     legs = 1 if pair is None else 2
     out = (ctypes.c_double * ((legs + 1) * n))()

@@ -533,7 +533,8 @@ def load_model_file(path):
 
 def get_model(name_or_path):
     """Resolve a built-in model name or a path to a model description file."""
-    if name_or_path in _BUILTINS:
+    # a name is a str; an unhashable argument cannot be looked up at all
+    if isinstance(name_or_path, str) and name_or_path in _BUILTINS:
         return _BUILTINS[name_or_path]()
     if str(name_or_path).endswith(".json"):
         return load_model_file(name_or_path)

@@ -6,15 +6,15 @@ difference.  Path m always uses seed base_seed + m, so results are
 reproducible, independent of worker count, and unaffected by adding more
 paths or more levels elsewhere.
 
-A block of consecutive seeds of a built-in model, however large the
-seeds, runs in one kernel call (kernel.run_block), which gives each seed
-the outcome the per-seed function gives and stores no path's trajectory.
-The path functions are looked up by name in this module at call time: a
-caller that rebinds one (a tracer, a test forcing an explosion) has it
-called once per seed.  Either way a seed yields one record, the kernel's:
-(fine state, coarse state, fine steps, coarse steps) for a pair,
-(terminal state, step count) for a path, or the PathExplosion that ended
-it, with its leg, time, state and steps.
+A block of consecutive seeds, however large the seeds, goes to the kernel
+in one call (kernel.run_block), which runs a block of a built-in model in
+C, stores no path's trajectory, and runs any other block by the
+reference loops.  The path functions are looked up by name in this
+module at call time: a caller that rebinds one (a tracer, a test forcing
+an explosion) has it called once per seed.  Either way a seed yields one
+record, the kernel's: (fine state, coarse state, fine steps, coarse
+steps) for a pair, (terminal state, step count) for a path, or the
+PathExplosion that ended it, with its leg, time, state and steps.
 
 All reductions go through math.fsum (exact summation), which makes every
 aggregate independent of chunking and scheduling order; a worker pool can
@@ -105,10 +105,10 @@ def _run_block(args):
     the PathExplosion that stopped the seed.  The path function `name` is
     looked up at call time.  While it is still the library's own, the
     whole block goes to the kernel in one call, on _kernel_args, and its
-    list is returned as it comes; otherwise, or when the kernel declines,
-    it is called once per seed as name(*head, seed, **options), with
-    NoiseSource(seed) for simulate_path, so a caller that rebinds the name
-    sees every seed, and each result is read into the same record.
+    list is returned as it comes; a rebound name is called once per seed
+    as name(*head, seed, **options), with NoiseSource(seed) for
+    simulate_path, so its caller sees every seed, and each result is read
+    into the same record.
     """
     name, head, options, seeds = args
     simulate = globals()[name]
@@ -117,9 +117,7 @@ def _run_block(args):
         # imported by the first block, not by import tamsde, which stays as
         # fast as it was without the kernel
         from . import kernel
-        out = kernel.run_block(model, config, seeds, pair)
-        if out is not None:
-            return out
+        return kernel.run_block(model, config, seeds, pair)
     out = []
     for seed in seeds:
         try:

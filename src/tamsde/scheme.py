@@ -30,10 +30,11 @@ state and returns the step it wants; advance(x, dt, dW) applies the update
 with those values.  _due is the one place a step is clamped to t_end.  The
 public one-step maps are thin wrappers over the legs, simulate_path drives
 one adaptive leg, and the driver module runs two legs of either scheme on
-one Brownian path.  For the built-in models, _pair.c (loaded by the kernel
-module) repeats _tamed, both legs, _due and the simulate_path loop in C,
-operation for operation; a change to one must be made to the other, and
-tests/test_kernel.py checks that the two give identical bytes.
+one Brownian path.  For the built-in models, _pair.c repeats _tamed, both
+legs, _due and _path_loop in C, operation for operation; the kernel
+module loads it and alone chooses between it and the Python loops.  A
+change to one must be made to the other, and tests/test_kernel.py checks
+that the two give identical bytes.
 """
 
 import math
@@ -328,19 +329,15 @@ def simulate_path(model, config, noise):
     stops being finite (the terminal state included), or the step
     collapses below time resolution.
 
-    A path of a built-in model drawn from a NoiseSource that holds no
-    buffered normals runs in C (kernel.run_path) with the same bits;
-    _path_loop runs every other path and is the reference the kernel is
-    tested against.
+    The path runs as kernel.run_path runs it: in C for a built-in model
+    drawn from a NoiseSource that holds no buffered normals, else by
+    _path_loop, the reference C is tested against, with the same bits.
     """
     _require_l0(model, config)
     # imported by the first path, not by import tamsde, which stays as fast
     # as it was without the kernel
     from . import kernel
-    out = kernel.run_path(model, config, noise)
-    if out is not None:
-        return Trajectory(*out)
-    return _path_loop(model, config, noise)
+    return kernel.run_path(model, config, noise)
 
 
 def _path_loop(model, config, noise):

@@ -13,10 +13,13 @@ when no C compiler is on PATH; with one, a kernel that fails to build or
 load fails them.
 """
 
+import contextlib
 import ctypes
 import dataclasses
 import gc
+import itertools
 import json
+import math
 import os
 import random
 import re
@@ -33,7 +36,7 @@ from tamsde import (InputError, NoiseSource, PathExplosion, get_model, kernel,
                     load_model_file, simulate_coupled_pair,
                     simulate_coupled_tm_pair, simulate_path)
 from tamsde.analysis import cell_seed
-from tamsde.driver import _merge
+from tamsde.driver import _merge, _sample
 from tamsde.scheme import SchemeConfig, _path_loop, _tam_leg, _tm_leg
 
 MODELS = ("model1", "model2", "gbm")
@@ -83,8 +86,8 @@ def reference(model, clock, k, t_end, seed, max_steps=10 ** 8, noise=None):
     else:
         legs = (_tam_leg(model, 2.0 ** -(k + 1), *clock),
                 _tam_leg(model, 2.0 ** -k, *clock))
-    return _merge(*legs, model.x0, t_end, noise or NoiseSource(seed),
-                  max_steps)
+    return _sample(*_merge(*legs, model.x0, t_end,
+                           noise or NoiseSource(seed), max_steps))
 
 
 class CountingNoise(NoiseSource):
@@ -188,14 +191,12 @@ def engines(monkeypatch):
     run_path = kernel.run_path
 
     def offered(model, config, noise):
+        ran = len(seen)
         try:
-            out = run_path(model, config, noise)
-        except PathExplosion:
-            seen.append("C")
-            raise
-        if out is not None:
-            seen.append("C")
-        return out
+            return run_path(model, config, noise)
+        finally:
+            if len(seen) == ran:  # the Python loop did not run the path
+                seen.append("C")
 
     monkeypatch.setattr(tamsde.scheme, "_path_loop", recorded)
     monkeypatch.setattr(kernel, "run_path", offered)
@@ -418,14 +419,28 @@ def hexed(outcomes):
             for o in outcomes]
 
 
+@contextlib.contextmanager
+def in_c():
+    """Fail a call of either Python loop, driver._merge or
+    scheme._path_loop, made inside: what runs there runs in C."""
+    def declined(*args):
+        raise AssertionError("the kernel declined the block")
+
+    loops = tamsde.driver._merge, tamsde.scheme._path_loop
+    tamsde.driver._merge = tamsde.scheme._path_loop = declined
+    try:
+        yield
+    finally:
+        tamsde.driver._merge, tamsde.scheme._path_loop = loops
+
+
 def block(model, clock, k, t_end, seeds, max_steps=10 ** 8):
-    """A block of pairs as kernel.run_block runs it."""
+    """A block of pairs as kernel.run_block runs it, in C."""
     config = SchemeConfig(2.0 ** -(k + 1), t_end, *(clock or ()),
                           max_steps=max_steps)
-    out = kernel.run_block(model, config, seeds,
-                           (clock is not None, 2.0 ** -k))
-    assert out is not None, "the kernel declined the block"
-    return out
+    with in_c():
+        return kernel.run_block(model, config, seeds,
+                                (clock is not None, 2.0 ** -k))
 
 
 def seeded(run, model, clock, k, t_end, seeds, max_steps=10 ** 8):
@@ -445,10 +460,9 @@ def seeded(run, model, clock, k, t_end, seeds, max_steps=10 ** 8):
 
 
 def path_block(model, config, seeds):
-    """A block of paths as kernel.run_block runs it."""
-    out = kernel.run_block(model, config, seeds)
-    assert out is not None, "the kernel declined the block"
-    return out
+    """A block of paths as kernel.run_block runs it, in C."""
+    with in_c():
+        return kernel.run_block(model, config, seeds)
 
 
 def path_seeded(run, model, config, seeds):
@@ -509,9 +523,12 @@ class TestBlockParity:
         ("model1", (1.0, 2.0), 1e200, 5.0, 10 ** 8),
         ("model1", None, 1e200, 5.0, 10 ** 8),
         ("model1", None, 1e200, 1e-300, 10 ** 8),
+        # h0=150 lets the fine leg of some seeds reach t_end in fewer steps
+        # than the coarse leg, whose budget then stops it (COARSE_STOP)
+        ("model2", (150.0, 2.0), 2.0, 5.0, 4),
     ], ids=["some-spend-the-budget", "some-spend-the-budget-l0=3",
             "budget-fixed", "non-finite-adaptive", "non-finite-fixed",
-            "non-finite-at-horizon"])
+            "non-finite-at-horizon", "coarse-budget"])
     def test_pair_explosions_identical(self, lib, name, clock, x0, t_end,
                                        max_steps):
         model = get_model(name)
@@ -563,19 +580,34 @@ class TestBlockParity:
             assert hexed(path_block(model, config, seeds)) == hexed(
                 path_seeded(_path_loop, model, config, seeds))
 
-    def test_declined_blocks(self, lib, tmp_path, monkeypatch):
-        # a model the kernel does not know, and no kernel at all
-        pairs = SchemeConfig(0.25, 1.0), (True, 0.5)
-        paths = (path_config(2, 1.0),)
-        lam = dataclasses.replace(get_model("model1"),
-                                  drift=lambda x: 0.1 * (x - x * x * x))
-        for model in (model1_as_json(tmp_path), lam):
-            for config, *pair in (pairs, paths):
-                assert kernel.run_block(model, config, range(3), *pair) is None
-        monkeypatch.setattr(kernel, "library", lambda: None)
-        for config, *pair in (pairs, paths):
-            assert kernel.run_block(get_model("model1"), config, range(3),
-                                    *pair) is None
+    def test_declined_blocks(self, tmp_path, monkeypatch, merges, engines):
+        # a model the kernel does not know, or no kernel at all: the block
+        # runs on the Python loops, each seed on NoiseSource(seed), and
+        # gives the records those loops give seed by seed.  gbm at k=2, T=5
+        # spends these budgets on some seeds, so stops are covered too.
+        lam = dataclasses.replace(get_model("gbm"), drift=lambda x: 0.05 * x)
+        cases = [(model1_as_json(tmp_path), False), (lam, False),
+                 (get_model("gbm"), True)]
+        all_seeds = range(12), range(2 ** 64 - 6, 2 ** 64 + 6)
+        for (model, no_kernel), seeds in itertools.product(cases, all_seeds):
+            del merges[:], engines[:]
+            with monkeypatch.context() as patch:
+                if no_kernel:
+                    patch.setattr(kernel, "library", lambda: None)
+                for clock, max_steps in (((1.0, 2.0), 300), (None, 10 ** 8),
+                                         (None, 39)):
+                    config = SchemeConfig(0.125, 5.0, *(clock or ()),
+                                          max_steps=max_steps)
+                    got = kernel.run_block(model, config, seeds,
+                                           (clock is not None, 0.25))
+                    assert hexed(got) == hexed(seeded(
+                        reference, model, clock, 2, 5.0, seeds, max_steps))
+                config = path_config(2, 5.0, max_steps=150)
+                got = kernel.run_block(model, config, seeds)
+                assert hexed(got) == hexed(path_seeded(_path_loop, model,
+                                                       config, seeds))
+            assert len(merges) == 3 * len(seeds)
+            assert engines == ["python"] * len(seeds)
 
     @pytest.mark.parametrize("seeds", [range(0, 6, 2), [3, 4], range(-2, 1),
                                        range(-2, -2), (0, 1)],
@@ -647,6 +679,87 @@ def lanes_run(model, clock, t_end, max_steps):
 def one_by_one(run, seeds):
     """The blocks of one seed of seeds, concatenated."""
     return [o for s in seeds for o in run(range(s, s + 1))]
+
+
+def ramp(theta, jump):
+    """Unit drift and no noise from 0, so a leg's state is its time; past
+    theta, |mu'| = jump shrinks the adaptive step by a factor ~jump**2."""
+    return dataclasses.replace(
+        get_model("gbm"), name="ramp", x0=0.0, drift=lambda x: 1.0,
+        diffusion=lambda x: 0.0,
+        drift_prime=lambda x: jump if x > theta else 0.0,
+        diffusion_prime=lambda x: 0.0)
+
+
+def overshoot():
+    """No noise, and a drift toward 1 that a fixed step of 1/2 from 0
+    overshoots to 1.5, while steps of 1/4 stay below 1.2, above which the
+    drift is infinite."""
+    return dataclasses.replace(
+        get_model("gbm"), name="overshoot", x0=0.0,
+        drift=lambda x: 3.0 * (1.0 - x) if x <= 1.2 else math.inf,
+        diffusion=lambda x: 0.0, drift_prime=lambda x: -3.0,
+        diffusion_prime=lambda x: 0.0)
+
+
+# Each way the Python loops stop that random searches over the built-in
+# models seldom or never reach.  At k=1 the adaptive pair's first events
+# fall at 0.0625 (fine), 0.1248 (fine) and 0.125 (coarse), so a ramp past
+# 0.06 collapses the fine leg's step and one past 0.1249 the coarse leg's
+# alone; a milder jump there spends the coarse leg's budget on tiny
+# steps.  The fixed-step coarse leg of overshoot goes to inf at t=1,
+# mid-run or as its last step.  Noise-free, every seed stops alike:
+# (model, clock or "path", k, t_end, max_steps, (leg, time, state, steps),
+# cause).
+STOPS = [
+    (ramp(0.06, 1e30), (1.0, 2.0), 1, 2.0, 10 ** 8,
+     ("fine", 0.0625, 0.0625, 1), "step collapsed below time resolution"),
+    (ramp(0.1249, 1e30), (1.0, 2.0), 1, 2.0, 10 ** 8,
+     ("coarse", 0.125, 0.125, 1), "step collapsed below time resolution"),
+    (ramp(0.1249, 10.0), (1.0, 2.0), 1, 2.0, 3,
+     ("coarse", 0.13192588926620394, 0.13192588926620394, 3),
+     "exceeded max_steps=3"),
+    (overshoot(), None, 1, 2.0, 10 ** 8, ("coarse", 1.0, math.inf, 2),
+     "became non-finite"),
+    (overshoot(), None, 1, 1.0, 10 ** 8, ("coarse", 1.0, math.inf, 2),
+     "became non-finite"),
+    (ramp(0.06, 1e30), "path", 2, 2.0, 10 ** 8, (None, 0.0625, 0.0625, 1),
+     "step collapsed below time resolution"),
+]
+
+
+@pytest.mark.parametrize("model, clock, k, t_end, max_steps, stop, cause",
+                         STOPS, ids=["fine-collapse", "coarse-collapse",
+                                     "coarse-budget", "coarse-non-finite",
+                                     "coarse-non-finite-at-end",
+                                     "path-collapse"])
+def test_stops_of_the_python_loops(merges, engines, model, clock, k, t_end,
+                                   max_steps, stop, cause):
+    # the same PathExplosion from the loop itself, from the public function
+    # and from each seed of a declined block
+    leg, time, state, steps = stop
+    who = f"{leg} leg" if leg else "path"
+    want = (leg, repr(time), repr(state), steps,
+            f"{who} {cause} at t={time} (state {state}, {steps} steps)")
+    seeds = range(3)
+    if clock == "path":
+        config = path_config(k, t_end, max_steps=max_steps)
+        direct = path_seeded(_path_loop, model, config, seeds)
+        public = path_seeded(simulate_path, model, config, seeds)
+        declined = kernel.run_block(model, config, seeds)
+    else:
+        config = SchemeConfig(2.0 ** -(k + 1), t_end, *(clock or ()),
+                              max_steps=max_steps)
+        direct = seeded(reference, model, clock, k, t_end, seeds, max_steps)
+        public = seeded(pair, model, clock, k, t_end, seeds, max_steps)
+        declined = kernel.run_block(model, config, seeds,
+                                    (clock is not None, 2.0 ** -k))
+    assert hexed(direct) == hexed(public) == hexed(declined) == [want] * 3
+    # the public function's seeds and the block's ran on the Python loops
+    if clock == "path":
+        assert merges == [] and engines == ["python"] * 6
+    else:
+        assert len(merges) == 6 and engines == []
 
 
 def test_block_paths_store_no_trajectory(lib):
@@ -883,12 +996,12 @@ def test_no_undefined_behaviour(tmp_path):
 PAIRS = """
 import numpy as np
 from tamsde import get_model, kernel, simulate_coupled_pair, NoiseSource
-from tamsde.driver import _merge
+from tamsde.driver import _merge, _sample
 from tamsde.scheme import _tam_leg
 m = get_model("model2")
-same = all(simulate_coupled_pair(m, 1.0, 2.0, 3, 1.0, s) == _merge(
+same = all(simulate_coupled_pair(m, 1.0, 2.0, 3, 1.0, s) == _sample(*_merge(
     _tam_leg(m, 2.0 ** -4, 1.0, 2.0), _tam_leg(m, 2.0 ** -3, 1.0, 2.0),
-    m.x0, 1.0, NoiseSource(s), 10 ** 8) for s in range(5))
+    m.x0, 1.0, NoiseSource(s), 10 ** 8)) for s in range(5))
 source = NoiseSource(7)
 same = same and [source.gaussian_increment(1.0) for _ in range(1030)] == (
     np.random.Generator(np.random.Philox(7)).standard_normal(1030).tolist())

@@ -462,6 +462,12 @@ class TestModelFiles:
         with pytest.raises(InputError, match="model1"):
             get_model("nope")
 
+    @pytest.mark.parametrize("name", [5, [], {}], ids=["int", "list", "dict"])
+    def test_name_of_another_type_is_unknown(self, name):
+        # an unhashable name cannot be looked up, and is unknown all the same
+        with pytest.raises(InputError, match="unknown model"):
+            get_model(name)
+
     def test_missing_field_rejected(self, tmp_path):
         doc = self._doc()
         del doc["diffusion"]

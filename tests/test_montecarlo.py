@@ -14,6 +14,7 @@ from tamsde import (EstimationError, InputError, MseRow, PathExplosion,
                     simulate_coupled_pair, tm_step_count)
 from tamsde.montecarlo import _aggregate_mse, _run_block, _run_cell
 
+from test_kernel import model1_as_json
 from test_scheme import make_term_model
 
 M1 = get_model("model1")
@@ -114,14 +115,22 @@ CELLS = {
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """Each kernel.run_block call, as its number of seeds and True when the
-    kernel took the block."""
-    seen = []
+    """Each kernel.run_block call, as its number of seeds and True when C
+    ran the block, which no call of a Python loop shows."""
+    seen, loops = [], []
+    for module, name in ((tamsde.driver, "_merge"),
+                         (tamsde.scheme, "_path_loop")):
+        def counted(*args, _loop=getattr(module, name)):
+            loops.append(args)
+            return _loop(*args)
+
+        monkeypatch.setattr(module, name, counted)
     run_block = kernel.run_block
 
     def recorded(*args):
+        ran = len(loops)
         out = run_block(*args)
-        seen.append((len(args[2]), out is not None))
+        seen.append((len(args[2]), len(loops) == ran))
         return out
 
     monkeypatch.setattr(kernel, "run_block", recorded)
@@ -264,6 +273,18 @@ class TestRecords:
         assert [record_key(o) for o in pooled] == [record_key(o)
                                                    for o in serial]
         assert sum(isinstance(o, PathExplosion) for o in pooled) == n_stopped
+
+
+    def test_declined_cells_pooled_equal_serial(self, tmp_path):
+        # a JSON model's blocks run on the Python loops in the kernel
+        # module, in the workers as in the calling process
+        model, config = model1_as_json(tmp_path), SchemeConfig(0.25, 2.0)
+
+        def rows(n_jobs):
+            return (estimate_mse(model, 1.0, 2.0, 2, 12, 2.0, 5, n_jobs),
+                    estimate_moment(model, config, 2.0, 12, 5, n_jobs))
+
+        assert rows(2) == rows(1)
 
 
 class TestAggregation:
