@@ -53,7 +53,7 @@ class NoiseSource:
     scaled by the square root of each requested duration.
 
     The generator is made on the source's first draw, so importing tamsde
-    leaves numpy.random unimported.  A path the kernel runs
+    leaves numpy unimported.  A path the kernel runs
     (kernel.run_path) draws on the same generator and advances the same
     clock.
     """

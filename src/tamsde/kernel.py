@@ -43,8 +43,10 @@ The kernel is built with the host's `cc` against numpy's bitgen.h and
 libnpyrandom.a when a process first needs it, never at import, and
 cached in the first usable directory of $XDG_CACHE_HOME/tamsde,
 ~/.cache/tamsde and a per-user directory under tempfile.gettempdir(),
-under a name keyed by the sha256 of the source, the flags, the machine
-type and the numpy version, whose normals it links.  A build is renamed
+under a name keyed by the sha256 of the source, the bytes of bitgen.h
+and libnpyrandom.a, whose normals it links, the flags and the machine
+type.  Those files are found through numpy's import spec, so loading a
+cached build, and a block run in C, import no numpy.  A build is renamed
 into place from a temporary name, so processes that build at once never
 see a half-written file, and a cached file that another user owns or can
 write is never loaded.  Loading a cached build refreshes its modification
@@ -59,14 +61,14 @@ import ctypes
 import fnmatch
 import functools
 import hashlib
+import importlib.util
 import os
 import platform
 import shutil
 import subprocess
+import sys
 import tempfile
 import time
-
-import numpy as np
 
 from . import driver, scheme
 from .driver import _BLOCK, NoiseSource
@@ -77,10 +79,20 @@ from .scheme import Trajectory, _stop, _tam_leg, _tm_leg
 __all__ = ["library", "run_block", "run_path"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_pair.c")
-_INCLUDE = np.get_include()
-_HEADER = os.path.join(_INCLUDE, "numpy", "random", "bitgen.h")
-_ARCHIVE = os.path.join(os.path.dirname(np.__file__), "random", "lib",
-                        "libnpyrandom.a")
+# numpy's directory, found without importing numpy; without numpy,
+# library() builds and loads nothing
+_SPEC = importlib.util.find_spec("numpy")
+_NUMPY = os.path.dirname(_SPEC.origin) if _SPEC else None
+if _NUMPY is None:
+    _INCLUDE = _HEADER = _ARCHIVE = None
+else:
+    # as numpy.get_include(): _core/include from numpy 2, core/include
+    # before; the include directory is checked, not the package alone
+    _INCLUDE = os.path.join(_NUMPY, "_core", "include")
+    if not os.path.isdir(_INCLUDE):
+        _INCLUDE = os.path.join(_NUMPY, "core", "include")
+    _HEADER = os.path.join(_INCLUDE, "numpy", "random", "bitgen.h")
+    _ARCHIVE = os.path.join(_NUMPY, "random", "lib", "libnpyrandom.a")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _BUILD_TIMEOUT_S = 120
 # a cached build of another source or numpy unused for this long is deleted
@@ -189,10 +201,15 @@ def _command(cc, src, target):
     return [cc, *_FLAGS, "-I", _INCLUDE, "-o", target, src, _ARCHIVE, "-lm"]
 
 
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _compile(source, target):
     """Compile the source bytes into the shared library target; True if built."""
     cc = shutil.which("cc")
-    if cc is None or not (os.path.isfile(_HEADER) and os.path.isfile(_ARCHIVE)):
+    if cc is None:
         return False
     src = os.path.join(os.path.dirname(target), "_pair.c")
     with open(src, "wb") as fh:
@@ -233,15 +250,17 @@ def library():
     Tried once per process: the first call looks for a cached build and
     otherwise compiles one; later calls return the same answer.
     """
-    if os.name != "posix":  # the build and the cache checks assume POSIX
+    # the build and the cache checks assume POSIX, and a build needs numpy
+    if os.name != "posix" or _NUMPY is None:
         return None
     try:
-        with open(_SOURCE, "rb") as fh:
-            source = fh.read()
+        # the source, and numpy's header and archive it is built against
+        source, header, archive = map(_read, (_SOURCE, _HEADER, _ARCHIVE))
     except OSError:
         return None
-    key = hashlib.sha256(
-        source + repr((_FLAGS, platform.machine(), np.__version__)).encode())
+    key = hashlib.sha256(repr((_FLAGS, platform.machine())).encode())
+    for part in (source, header, archive):
+        key.update(hashlib.sha256(part).digest())
     name = f"_pair-{key.hexdigest()[:16]}.so"
     try:
         dirs = list(_cache_dirs())
@@ -263,7 +282,8 @@ def library():
         return None
 
 
-_FLOAT64 = np.dtype(np.float64).str
+# numpy's type string of a native double, np.dtype(np.float64).str
+_FLOAT64 = ("<" if sys.byteorder == "little" else ">") + "f8"
 
 
 class _Doubles:
@@ -322,14 +342,16 @@ def run_path(model, config, noise):
         raise MemoryError(f"no memory to store a path of {n} steps")
     if status:  # FINE_STOP: the path's one leg cannot go on
         raise _stop(None, out[1], out[0], n, config.max_steps)
+    from numpy import asarray
     free = lib.tamsde_free
-    return Trajectory(*(np.asarray(_Doubles(free, pointer, size))
+    return Trajectory(*(asarray(_Doubles(free, pointer, size))
                         for pointer, size in zip(grid, (n + 1, n + 1, n))), n)
 
 
 def _reference_block(model, config, seeds, pair):
     """run_block's records by the reference loops: each seed's pair by
-    driver._merge, or its path by scheme._path_loop, on NoiseSource(seed)."""
+    driver._merge, or its path by scheme._path_loop, storing no grid, on
+    NoiseSource(seed)."""
     if pair is not None:
         adaptive, delta_coarse = pair
         # _merge proposes each leg at x0 before it first advances, so one
@@ -342,8 +364,8 @@ def _reference_block(model, config, seeds, pair):
         noise = NoiseSource(seed)
         try:
             if pair is None:
-                traj = scheme._path_loop(model, config, noise)
-                rows.append((float(traj.values[-1]), traj.step_count))
+                rows.append(scheme._path_loop(model, config, noise,
+                                              keep=False))
             else:
                 rows.append(driver._merge(*legs, model.x0, config.t_end,
                                           noise, config.max_steps))

@@ -28,9 +28,6 @@ silently biased.
 """
 
 import math
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 # the three path functions are looked up by name in _run_block
@@ -114,8 +111,8 @@ def _run_block(args):
     simulate = globals()[name]
     if simulate is _OWN[name]:
         model, config, pair = _kernel_args(name, head, options)
-        # imported by the first block, not by import tamsde, which stays as
-        # fast as it was without the kernel
+        # imported by the first block, not by import tamsde, which loads
+        # neither the kernel nor numpy
         from . import kernel
         return kernel.run_block(model, config, seeds, pair)
     out = []
@@ -144,6 +141,11 @@ def _run_cell(name, head, options, n_paths, base_seed, n_jobs):
     seeds = range(base_seed, base_seed + n_paths)
     if n_jobs <= 1 or n_paths < 2 * n_jobs:
         return _run_block((name, head, options, seeds))
+    # imported by the first pooled cell only, so a serial run never loads
+    # the pool machinery
+    import pickle
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     try:
         pickle.dumps(head)
     except (pickle.PicklingError, AttributeError, TypeError) as exc:

@@ -42,8 +42,6 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError, PathExplosion
 from .model import _finite, _real, _rpow, minimum_step_exponent
 
@@ -128,9 +126,9 @@ class Trajectory:
     step_count.  times[0] == 0, times[-1] == t_end.
     """
 
-    times: np.ndarray
-    values: np.ndarray
-    increments: np.ndarray
+    times: "numpy.ndarray"
+    values: "numpy.ndarray"
+    increments: "numpy.ndarray"
     step_count: int
 
 
@@ -334,14 +332,19 @@ def simulate_path(model, config, noise):
     _path_loop, the reference C is tested against, with the same bits.
     """
     _require_l0(model, config)
-    # imported by the first path, not by import tamsde, which stays as fast
-    # as it was without the kernel
+    # imported by the first path, not by import tamsde, which loads neither
+    # the kernel nor numpy
     from . import kernel
     return kernel.run_path(model, config, noise)
 
 
-def _path_loop(model, config, noise):
-    """simulate_path's loop in Python, for an l0-checked config."""
+def _path_loop(model, config, noise, keep=True):
+    """simulate_path's loop in Python, for an l0-checked config.
+
+    Returns the path's Trajectory, or with keep false only its (terminal
+    state, step count), so a block's path stores no grid; the steps, the
+    draws and any PathExplosion are the same either way.
+    """
     propose, advance = _tam_leg(model, config.delta, config.h0, config.l0)
     draw = noise.gaussian_increment
     isfinite = math.isfinite
@@ -351,9 +354,10 @@ def _path_loop(model, config, noise):
     x = model.x0
     t = 0.0
     steps = 0
-    times = [0.0]
-    values = [x]
-    incs = []
+    if keep:
+        times = [0.0]
+        values = [x]
+        incs = []
     due = _due(0.0, propose(x), t_end)
     while True:
         dt = due - t
@@ -361,9 +365,10 @@ def _path_loop(model, config, noise):
         x = advance(x, dt, dW)
         t = due
         steps += 1
-        times.append(t)
-        values.append(x)
-        incs.append(dW)
+        if keep:
+            times.append(t)
+            values.append(x)
+            incs.append(dW)
         if t >= t_end:
             break
         if steps >= max_steps or not isfinite(x):
@@ -373,5 +378,8 @@ def _path_loop(model, config, noise):
             raise _stop(None, t, x, steps, max_steps)
     if not isfinite(x):
         raise _stop(None, t, x, steps, max_steps)
-    return Trajectory(times=np.asarray(times), values=np.asarray(values),
-                      increments=np.asarray(incs), step_count=steps)
+    if not keep:
+        return float(x), steps
+    from numpy import asarray  # the one place a Python path builds arrays
+    return Trajectory(times=asarray(times), values=asarray(values),
+                      increments=asarray(incs), step_count=steps)

@@ -27,9 +27,12 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tamsde
 from tamsde import (InputError, NoiseSource, PathExplosion, get_model, kernel,
@@ -184,9 +187,9 @@ def engines(monkeypatch):
     """The engine of each simulate_path call, "C" or "python", as a list."""
     seen = []
 
-    def recorded(model, config, noise):
+    def recorded(model, config, noise, **keep):
         seen.append("python")
-        return _path_loop(model, config, noise)
+        return _path_loop(model, config, noise, **keep)
 
     run_path = kernel.run_path
 
@@ -423,7 +426,7 @@ def hexed(outcomes):
 def in_c():
     """Fail a call of either Python loop, driver._merge or
     scheme._path_loop, made inside: what runs there runs in C."""
-    def declined(*args):
+    def declined(*args, **kwargs):
         raise AssertionError("the kernel declined the block")
 
     loops = tamsde.driver._merge, tamsde.scheme._path_loop
@@ -660,6 +663,53 @@ class TestBlockParity:
             for clock in (*CLOCKS, "path"):
                 run = lanes_run(get_model(name), clock, 1.0, 10 ** 8)
                 assert hexed(run(seeds)) == hexed(one_by_one(run, seeds))
+
+
+# start values from signed zeros and subnormals to near the float limit
+START_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-310, -1e-310]),
+    st.floats(-1e300, 1e300, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(MODELS), x0=START_VALUES,
+       kind=st.sampled_from(["adaptive", "fixed", "path"]),
+       h0=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+       l0=st.floats(2.0, 4.0), k=st.integers(1, 4),
+       t_end=st.sampled_from([1.0, 5.0]), max_steps=st.integers(5, 10 ** 4),
+       first=st.sampled_from([0, 7, 2 ** 32 - 2, 2 ** 64 - 3]),
+       size=st.integers(1, 6))
+def test_blocks_equal_the_reference_loops(lib, name, x0, kind, h0, l0, k,
+                                          t_end, max_steps, first, size):
+    # drawn blocks of any built-in model from any start: the records C
+    # gives equal the Python loops' record by record, floats bit for bit
+    # and explosions by leg, time, state, steps and message
+    model = dataclasses.replace(get_model(name), x0=x0)
+    config = SchemeConfig(2.0 ** -(k + 1), t_end, h0, l0, max_steps)
+    pair = None if kind == "path" else (kind == "adaptive", 2.0 ** -k)
+    seeds = range(first, first + size)
+    with in_c():
+        got = kernel.run_block(model, config, seeds, pair)
+    assert hexed(got) == hexed(
+        kernel._reference_block(model, config, seeds, pair))
+
+
+def test_declined_block_paths_store_no_grid(tmp_path):
+    # a JSON model's block runs each path on the Python loop, which keeps
+    # only the state and the step count: a path of ~4*10**4 steps, whose
+    # grid would take ~5 MB, peaks far below that
+    model = model1_as_json(tmp_path)
+    config = SchemeConfig(2.0 ** -4, 650.0)
+    kernel.run_block(model, SchemeConfig(2.0 ** -4, 1.0), range(1))
+    tracemalloc.start()
+    try:
+        ((_, steps),) = kernel.run_block(model, config, range(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert steps > 4 * 10 ** 4
+    assert peak < 2 ** 20
 
 
 # the seeds a block keeps in flight, LANES in _pair.c
@@ -1052,11 +1102,63 @@ class TestCache:
         assert isolated.calls() == 0
 
     def test_import_leaves_the_kernel_module_out(self, isolated):
-        # importing the kernel loads ctypes and costs start-up time, so only
-        # the first pair or path does
+        # importing the kernel, numpy or the process pool costs start-up
+        # time, so only the first pair or path, the first array and the
+        # first pooled cell do
         code = ("import sys, tamsde, tamsde.cli\n"
-                "print('tamsde.kernel' in sys.modules)")
-        assert isolated(fake_cc=True, code=code) == ["False"]
+                "print(*(name in sys.modules for name in ('tamsde.kernel', "
+                "'numpy', 'concurrent.futures')))")
+        assert isolated(fake_cc=True, code=code) == ["False"] * 3
+
+    def test_cli_run_of_a_built_in_model_imports_no_numpy(self, lib, isolated,
+                                                          tmp_path):
+        # with the build cached, a rate run of model2 loads it and runs its
+        # blocks in C, and nothing on that route needs numpy
+        isolated()
+        code = ("import contextlib, io, sys\n"
+                "from tamsde import cli, kernel\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    code = cli.main(['rate', '--model', 'model2', '--paths', "
+                f"'20', '--k-min', '1', '--k-max', '2', '--out', "
+                f"{str(tmp_path / 'out')!r}])\n"
+                "print(code, kernel.library() is not None, "
+                "'numpy' in sys.modules)")
+        assert isolated(fake_cc=True, code=code) == ["0", "True", "False"]
+        assert isolated.calls() == 0
+
+    def test_numpy_parts_found_without_importing_numpy(self):
+        # where numpy.get_include() and numpy's own directory put them
+        assert kernel._INCLUDE == np.get_include()
+        numpy_dir = os.path.dirname(os.path.abspath(np.__file__))
+        assert kernel._NUMPY == numpy_dir
+        assert os.path.commonpath([kernel._ARCHIVE, numpy_dir]) == numpy_dir
+        assert kernel._FLOAT64 == np.dtype(np.float64).str
+
+    def test_no_numpy_to_find_loads_nothing(self, isolated):
+        # numpy is looked up, not imported, so without one the kernel
+        # module still imports and only declines to build
+        code = ("import sys\n"
+                "sys.modules['numpy'] = None\n"
+                "from tamsde import kernel\n"
+                "print(kernel._NUMPY, kernel.library())")
+        assert isolated(fake_cc=True, code=code) == ["None", "None"]
+        assert isolated.calls() == 0
+
+    @pytest.mark.parametrize("part", ["_ARCHIVE", "_HEADER"])
+    def test_key_covers_the_numpy_parts(self, lib, isolated, tmp_path, part):
+        # a build is keyed by the bytes the kernel is compiled against and
+        # links, so a numpy part one byte longer misses the cached build
+        # and a build is tried
+        isolated()
+        code = (f"import shutil\n"
+                f"from tamsde import kernel\n"
+                f"copy = {str(tmp_path / 'part')!r}\n"
+                f"shutil.copy(kernel.{part}, copy)\n"
+                f"with open(copy, 'ab') as fh:\n"
+                f"    fh.write(b'\\n')\n"
+                f"kernel.{part} = copy\n" + PAIRS)
+        assert isolated(fake_cc=True, code=code) == ["fallback", "True"]
+        assert isolated.calls() == 1
 
     def test_second_process_loads_without_compiling(self, lib, isolated):
         assert isolated() == ["loaded", "True"]

@@ -1,5 +1,6 @@
 """Monte Carlo aggregation: MSE rows, moments, step counts, failures."""
 
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -120,9 +121,9 @@ def blocks(monkeypatch):
     seen, loops = [], []
     for module, name in ((tamsde.driver, "_merge"),
                          (tamsde.scheme, "_path_loop")):
-        def counted(*args, _loop=getattr(module, name)):
+        def counted(*args, _loop=getattr(module, name), **kwargs):
             loops.append(args)
-            return _loop(*args)
+            return _loop(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     run_block = kernel.run_block
@@ -198,7 +199,9 @@ class TestBlockRoute:
         ids=["k", "l0", "t_end", "max_steps"])
     def test_input_errors_start_no_worker_pool(self, monkeypatch, call):
         # the cell's arguments are checked in the calling process, so a
-        # malformed one is raised before a pool is made
+        # malformed one is raised before a pool is made.  _run_cell imports
+        # the pool class from concurrent.futures when it first needs one, so
+        # it is counted there
         started = []
 
         class Counting(ProcessPoolExecutor):
@@ -206,7 +209,7 @@ class TestBlockRoute:
                 started.append(kwargs)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(tamsde.montecarlo, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             Counting)
         with pytest.raises(InputError):
             call()
