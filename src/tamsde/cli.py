@@ -59,8 +59,8 @@ class ExperimentConfig:
     grid: str = "-50:50:10000"
 
     def __post_init__(self):
-        if self.kind not in ("rate", "moments", "compare",
-                             "verify-assumptions"):
+        # a str first, since an unhashable kind cannot be looked up
+        if not isinstance(self.kind, str) or self.kind not in _RUNNERS:
             raise InputError(f"unknown experiment kind {self.kind!r}")
         # every kind checks these, so no run seeds its sample from the OS
         # or fails on an unusable field with a traceback
@@ -278,26 +278,26 @@ def _run_verify_assumptions(config, model):
           f"one_sided_lipschitz holds={osl.holds}", file=sys.stderr)
 
 
+# each experiment kind and the function that runs it
+_RUNNERS = {"rate": _run_rate, "moments": _run_moments,
+            "compare": _run_compare,
+            "verify-assumptions": _run_verify_assumptions}
+
+
 def run_experiment(config):
     """Execute one configured experiment, writing files under out_dir."""
-    model = get_model(config.model)
-    if config.kind == "rate":
-        _run_rate(config, model)
-    elif config.kind == "moments":
-        _run_moments(config, model)
-    elif config.kind == "compare":
-        _run_compare(config, model)
-    else:
-        _run_verify_assumptions(config, model)
+    _RUNNERS[config.kind](config, get_model(config.model))
 
 
 def _add_common(parser):
     # a flag left out is absent from the parsed namespace (argument_default
     # SUPPRESS), so ExperimentConfig supplies its default; only defaults
-    # that differ from ExperimentConfig's are given here
+    # that differ from ExperimentConfig's are given here.  Each flag's dest
+    # is its ExperimentConfig field, and a metavar keeps the flag's name in
+    # the help
     parser.add_argument("--model", required=True,
                         help="builtin model name or path to a model JSON file")
-    parser.add_argument("--paths", type=int,
+    parser.add_argument("--paths", type=int, dest="n_paths", metavar="PATHS",
                         help="Monte Carlo paths per cell")
     parser.add_argument("--h0", type=float,
                         help="step-size scale of the adaptive rule")
@@ -305,7 +305,7 @@ def _add_common(parser):
                         help="state-growth exponent of the adaptive rule")
     parser.add_argument("--seed", type=int,
                         help="base seed; all cells derive from it")
-    parser.add_argument("--out",
+    parser.add_argument("--out", dest="out_dir", metavar="OUT",
                         help="output directory (created if missing)")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="worker budget for path simulation")
@@ -325,24 +325,25 @@ def _build_parser():
     _add_common(rate)
     rate.add_argument("--k-min", type=int)
     rate.add_argument("--k-max", type=int)
-    rate.add_argument("--T", type=float, nargs=1, help="time horizon")
+    rate.add_argument("--T", type=float, nargs=1, dest="t_values",
+                      metavar="T", help="time horizon")
 
     moments = subcommand("moments", help="E|X_T|**p across horizons")
     _add_common(moments)
     moments.add_argument("--k", type=int, default=4,
                          help="level fixing the base step 2**-k")
-    moments.add_argument("--T", type=float, nargs="+",
-                         help="time horizons")
-    moments.add_argument("--p", type=float, nargs="+",
-                         help="moment orders")
+    moments.add_argument("--T", type=float, nargs="+", dest="t_values",
+                         metavar="T", help="time horizons")
+    moments.add_argument("--p", type=float, nargs="+", dest="p_values",
+                         metavar="P", help="moment orders")
 
     compare = subcommand(
         "compare", help="error-versus-work curves for both schemes")
     _add_common(compare)
     compare.add_argument("--k-min", type=int)
     compare.add_argument("--k-max", type=int)
-    compare.add_argument("--T", type=float, nargs="+",
-                         help="time horizons")
+    compare.add_argument("--T", type=float, nargs="+", dest="t_values",
+                         metavar="T", help="time horizons")
 
     verify = subcommand(
         "verify-assumptions",
@@ -351,27 +352,18 @@ def _build_parser():
     verify.add_argument("--grid", help="state grid as lo:hi:n")
     verify.add_argument("--seed", type=int,
                         help="seed for the random pair sample")
-    verify.add_argument("--out")
+    verify.add_argument("--out", dest="out_dir", metavar="OUT")
 
     # moments and compare default to fewer paths than ExperimentConfig
     for costly in (moments, compare):
-        costly.set_defaults(paths=1_000)
+        costly.set_defaults(n_paths=1_000)
     return parser
 
 
-# parsed flag name -> ExperimentConfig field, where the two differ
-_FIELDS = {"paths": "n_paths", "out": "out_dir", "T": "t_values",
-           "p": "p_values"}
-
-
 def _config_from_args(args):
-    fields = {}
-    for name, value in vars(args).items():
-        if name == "k":  # moments runs the single level k
-            fields["k_min"] = fields["k_max"] = value
-        else:
-            fields[_FIELDS.get(name, name)] = (
-                tuple(value) if isinstance(value, list) else value)
+    fields = dict(vars(args))
+    if "k" in fields:  # moments runs the single level k
+        fields["k_min"] = fields["k_max"] = fields.pop("k")
     return ExperimentConfig(**fields)
 
 

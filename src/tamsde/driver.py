@@ -72,6 +72,14 @@ class NoiseSource:
             self._rng = Generator(Philox(self.seed))
         return self._rng
 
+    def _bit_generator(self):
+        """The generator's bit generator when no drawn normal is unread,
+        so that draws made on it directly (kernel.run_path) go on with the
+        source's stream; None while a drawn block still has normals."""
+        if self._idx != _BLOCK:
+            return None
+        return self._generator().bit_generator
+
     def gaussian_increment(self, duration):
         """One N(0, duration) draw; advances the source's clock by duration."""
         if type(duration) is not float:

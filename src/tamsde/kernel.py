@@ -45,33 +45,34 @@ cached in the first usable directory of $XDG_CACHE_HOME/tamsde,
 ~/.cache/tamsde and a per-user directory under tempfile.gettempdir(),
 under a name keyed by the sha256 of the source, the bytes of bitgen.h
 and libnpyrandom.a, whose normals it links, the flags and the machine
-type.  Those files are found through numpy's import spec, so loading a
-cached build, and a block run in C, import no numpy.  A build is renamed
-into place from a temporary name, so processes that build at once never
-see a half-written file, and a cached file that another user owns or can
-write is never loaded.  Loading a cached build refreshes its modification
-time and deletes the directory's other builds unused for _STALE_S, so
-stale builds do not pile up while versions in use side by side are kept.
-Loading is tried once per process; with no compiler, no numpy header or
-archive, or a failed build, every pair and path takes the reference loops.
+type (os.uname().machine).  Those files are found through numpy's import
+spec, so loading a cached build, and a block run in C, import no numpy,
+and no build tool either: only a build imports subprocess.  A build is
+renamed into place from a temporary name, so processes that build at once
+never see a half-written file, and a cached file that another user owns
+or can write is never loaded.  Loading a cached build refreshes its
+modification time and deletes the directory's other builds unused for
+_STALE_S, so stale builds do not pile up while versions in use side by
+side are kept.
+Loading is tried once per process; with no numpy header or archive, or a
+failed build, every pair and path takes the reference loops.  A missing
+compiler is a failed build: `cc` is run by name, and with none on PATH the
+run fails as a compiler that fails does.
 """
 
 import contextlib
 import ctypes
-import fnmatch
 import functools
 import hashlib
 import importlib.util
 import os
-import platform
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
 
 from . import driver, scheme
-from .driver import _BLOCK, NoiseSource
+from .driver import NoiseSource
 from .errors import InputError, PathExplosion
 from .model import get_model
 from .scheme import Trajectory, _stop, _tam_leg, _tm_leg
@@ -189,7 +190,8 @@ def _load(directory, name):
     now = time.time()
     with contextlib.suppress(OSError), os.scandir(directory) as entries:
         for entry in entries:
-            if entry.name != name and fnmatch.fnmatch(entry.name, "_pair-*.so"):
+            if (entry.name != name and entry.name.startswith("_pair-")
+                    and entry.name.endswith(".so")):
                 with contextlib.suppress(OSError):
                     if now - entry.stat().st_mtime > _STALE_S:
                         os.unlink(entry.path)
@@ -207,15 +209,16 @@ def _read(path):
 
 
 def _compile(source, target):
-    """Compile the source bytes into the shared library target; True if built."""
-    cc = shutil.which("cc")
-    if cc is None:
-        return False
+    """Compile the source bytes into the shared library target; True if
+    built.  With no `cc` on PATH the run raises FileNotFoundError, an
+    OSError, so a missing compiler is one more failed build."""
+    # imported by a build only, so a cached load does without it
+    import subprocess
     src = os.path.join(os.path.dirname(target), "_pair.c")
     with open(src, "wb") as fh:
         fh.write(source)
     try:
-        subprocess.run(_command(cc, src, target),
+        subprocess.run(_command("cc", src, target),
                        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
                        stderr=subprocess.DEVNULL, timeout=_BUILD_TIMEOUT_S,
                        check=True)
@@ -258,7 +261,7 @@ def library():
         source, header, archive = map(_read, (_SOURCE, _HEADER, _ARCHIVE))
     except OSError:
         return None
-    key = hashlib.sha256(repr((_FLAGS, platform.machine())).encode())
+    key = hashlib.sha256(repr((_FLAGS, os.uname().machine)).encode())
     for part in (source, header, archive):
         key.update(hashlib.sha256(part).digest())
     name = f"_pair-{key.hexdigest()[:16]}.so"
@@ -319,9 +322,10 @@ def run_path(model, config, noise):
     """
     number = _model_number(model)
     lib = None if number is None else library()
-    if lib is None or type(noise) is not NoiseSource or noise._idx != _BLOCK:
+    bitgen = (noise._bit_generator()
+              if lib is not None and type(noise) is NoiseSource else None)
+    if bitgen is None:
         return scheme._path_loop(model, config, noise)
-    bitgen = noise._generator().bit_generator
     clock = ctypes.c_double(noise.current_time)
     out = (ctypes.c_double * 2)()
     steps = ctypes.c_longlong()
@@ -333,10 +337,9 @@ def run_path(model, config, noise):
             config.t_end, min(config.max_steps, _INT64_MAX),
             bitgen.ctypes.bit_generator, ctypes.byref(clock), out,
             ctypes.byref(steps), grid)
-    # the source's clock advanced by the kernel's draws, and its next draw
-    # the normal after their last: the next draw refills from the generator
+    # the source's clock advanced by the kernel's draws; no drawn normal
+    # was unread, so the source's next draw refills from the generator
     noise.current_time = clock.value
-    noise._buf = None
     n = steps.value
     if status == _NO_MEMORY:
         raise MemoryError(f"no memory to store a path of {n} steps")

@@ -64,6 +64,20 @@ class TestNoiseSource:
         fourth = float(np.mean(vals ** 4))
         assert abs(fourth - 3 * d * d) <= 0.05 * 3 * d * d
 
+    @pytest.mark.parametrize("draws, whole", [(0, True), (3, False),
+                                              (1024, True)])
+    def test_bit_generator_only_with_no_unread_normal(self, draws, whole):
+        # a draw made on the bit generator itself goes on with the stream
+        # only once every normal the source has drawn is read
+        src = NoiseSource(5)
+        for _ in range(draws):
+            src.gaussian_increment(1.0)
+        got = src._bit_generator()
+        if whole:
+            assert got is src._generator().bit_generator
+        else:
+            assert got is None
+
     def test_variance_scales_with_duration(self):
         src = NoiseSource(7)
         short = [src.gaussian_increment(0.01) for _ in range(20000)]
@@ -90,12 +104,12 @@ def numpy_stream(seed, n):
 
 
 class TestStream:
-    # a source draws on numpy's Philox whether or not the kernel loads, and
-    # a path in C draws on the same generator, so these tie both to numpy's
-    # stream
+    # a source draws on numpy's Philox whether or not the kernel loads (it
+    # never consults the kernel), and a path in C draws on the same
+    # generator, so these tie both to numpy's stream
     @pytest.mark.parametrize("seed", [0, 2 ** 40 + 3, 2 ** 130 + 1],
                              ids=["0", "2**40+3", "2**130+1"])
-    def test_increments_are_numpys_normals(self, engine, seed):
+    def test_increments_are_numpys_normals(self, seed):
         d, n = 0.3, 3 * 1024 + 5
         source = NoiseSource(seed)
         got = [source.gaussian_increment(d) for _ in range(n)]

@@ -20,6 +20,7 @@ import gc
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import random
 import re
@@ -1168,6 +1169,37 @@ class TestCache:
 
     def test_failed_build_is_tried_once_and_falls_back(self, isolated):
         assert isolated(fake_cc=True) == ["fallback", "True"]
+        assert isolated.calls() == 1
+
+    def test_no_compiler_on_path_falls_back(self, isolated, tmp_path):
+        # with no cc anywhere on PATH the build fails as a failing cc does,
+        # and the runs take the Python loops with no traceback
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert isolated(PATH=str(empty)) == ["fallback", "True"]
+
+    def test_cached_load_imports_no_build_tools(self, lib, isolated):
+        # subprocess serves a build only, and the machine type comes from
+        # os.uname(), so loading a cached build imports neither module
+        isolated()
+        code = ("import sys\n"
+                "from tamsde import kernel\n"
+                "print(kernel.library() is not None, *(name in sys.modules "
+                "for name in ('subprocess', 'platform')))")
+        assert isolated(fake_cc=True, code=code) == ["True", "False", "False"]
+        assert isolated.calls() == 0
+
+    def test_pooled_cell_tries_one_build(self, isolated):
+        # a pooled cell loads the kernel, or tries its build, before its
+        # pool starts, so its workers inherit the answer and run no cc
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("only forked workers inherit the loaded kernel")
+        code = ("from tamsde import get_model\n"
+                "from tamsde.montecarlo import estimate_mse\n"
+                "row = estimate_mse(get_model('model2'), 1.0, 2.0, 1, 40, "
+                "1.0, 0, n_jobs=2)\n"
+                "print(row.n_paths, row.n_failures)")
+        assert isolated(fake_cc=True, code=code) == ["40", "0"]
         assert isolated.calls() == 1
 
     @pytest.mark.parametrize("part", ["_ARCHIVE", "_HEADER"])
