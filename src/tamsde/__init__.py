@@ -9,42 +9,20 @@ Layers, bottom up: model (coefficient functions and regularity
 constants), scheme (one-step maps and single-path simulation), driver
 (coupled two-resolution paths on one Brownian motion), montecarlo
 (estimators over many paths), analysis (rate regression and
-scheme comparison), cli (experiment runner).
+scheme comparison), cli (experiment runner).  The package exports each
+layer's __all__ below cli; cli and the compiled kernel (kernel) are
+imported by name.
 """
 
-from .analysis import ComparisonRow, RateFit, compare_schemes, fit_convergence_rate
-from .driver import CoupledSample, NoiseSource, simulate_coupled_pair, simulate_coupled_tm_pair
-from .errors import (Error, EstimationError, InputError, PathExplosion,
-                     RegressionError)
-from .model import (DissipativityReport, OneSidedLipschitzReport, PowerSum,
-                    PowerSumDerivative, PowerTerm, RegularityConstants,
-                    SdeModel, builtin_model_names, check_dissipativity,
-                    check_one_sided_lipschitz, evaluate_coefficients,
-                    exact_gbm_terminal, get_model, load_model_file,
-                    minimum_step_exponent)
-from .montecarlo import (MomentEstimate, MseRow, estimate_moment,
-                         estimate_mse, estimate_tm_mse, mean_step_count,
-                         tm_step_count)
-from .scheme import (SchemeConfig, Trajectory, adaptive_step, interpolate,
-                     simulate_path, tam_step, tamed_correction, tm_step)
+from . import analysis, driver, errors, model, montecarlo, scheme
+from .analysis import *
+from .driver import *
+from .errors import *
+from .model import *
+from .montecarlo import *
+from .scheme import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "ComparisonRow", "RateFit", "compare_schemes", "fit_convergence_rate",
-    "CoupledSample", "NoiseSource", "simulate_coupled_pair",
-    "simulate_coupled_tm_pair",
-    "Error", "EstimationError", "InputError", "PathExplosion",
-    "RegressionError",
-    "DissipativityReport", "OneSidedLipschitzReport", "PowerSum",
-    "PowerSumDerivative", "PowerTerm", "RegularityConstants", "SdeModel",
-    "builtin_model_names", "check_dissipativity",
-    "check_one_sided_lipschitz", "evaluate_coefficients",
-    "exact_gbm_terminal", "get_model", "load_model_file",
-    "minimum_step_exponent",
-    "MomentEstimate", "MseRow", "estimate_moment", "estimate_mse",
-    "estimate_tm_mse", "mean_step_count", "tm_step_count",
-    "SchemeConfig", "Trajectory", "adaptive_step", "interpolate",
-    "simulate_path", "tam_step", "tamed_correction", "tm_step",
-]
+__all__ = ["__version__", *analysis.__all__, *driver.__all__, *errors.__all__,
+           *model.__all__, *montecarlo.__all__, *scheme.__all__]

@@ -1,14 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = ["Error", "InputError", "PathExplosion", "EstimationError",
+           "RegressionError"]
+
 
 class Error(Exception):
     """Base class for all tamsde errors."""
-    pass
 
 
 class InputError(Error):
     """Raised when an argument or configuration value is invalid."""
-    pass
 
 
 class PathExplosion(Error):
@@ -29,9 +30,7 @@ class PathExplosion(Error):
 
 class EstimationError(Error):
     """Raised when a Monte Carlo estimate is not trustworthy."""
-    pass
 
 
 class RegressionError(Error):
     """Raised when a rate regression cannot be performed on the given rows."""
-    pass

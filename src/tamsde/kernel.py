@@ -30,30 +30,31 @@ the Python loop's draws leave it.
 
 run_block and run_path answer every call, and are the one place that
 chooses between C and the reference loops, driver._merge and
-scheme._path_loop, which the tests compare the kernel against.  The
-reference loops run a model other than the three built-ins (JSON term
-models and library callables), every block and path when the kernel
-cannot be built, and a path whose noise source is not a NoiseSource itself
-or holds buffered normals; a declined block runs each seed on
-NoiseSource(seed), a declined path on the caller's source, and both give
-the records or Trajectory C gives.  The loops are called through their
-modules, so a caller that rebinds one there sees every call.
+scheme._path_loop, which the tests compare the kernel against.  One rule,
+_library_for, says which models C runs: the three built-ins.  The
+reference loops run any other model (JSON term models and library
+callables), which neither loads nor builds the kernel, every block and
+path when the kernel cannot be built, and a path whose noise source is not
+a NoiseSource itself or holds buffered normals; a declined block runs each
+seed on NoiseSource(seed), a declined path on the caller's source, and
+both give the records or Trajectory C gives.  The loops are called through
+their modules, so a caller that rebinds one there sees every call.
 
 The kernel is built with the host's `cc` against numpy's bitgen.h and
-libnpyrandom.a when a process first needs it, never at import, and
-cached in the first usable directory of $XDG_CACHE_HOME/tamsde,
-~/.cache/tamsde and a per-user directory under tempfile.gettempdir(),
-under a name keyed by the sha256 of the source, the bytes of bitgen.h
-and libnpyrandom.a, whose normals it links, the flags and the machine
-type (os.uname().machine).  Those files are found through numpy's import
-spec, so loading a cached build, and a block run in C, import no numpy,
-and no build tool either: only a build imports subprocess.  A build is
-renamed into place from a temporary name, so processes that build at once
-never see a half-written file, and a cached file that another user owns
-or can write is never loaded.  Loading a cached build refreshes its
-modification time and deletes the directory's other builds unused for
-_STALE_S, so stale builds do not pile up while versions in use side by
-side are kept.
+libnpyrandom.a when a process first runs a built-in model, never at
+import, and cached in the first usable directory of
+$XDG_CACHE_HOME/tamsde, ~/.cache/tamsde and a per-user directory under
+tempfile.gettempdir(), under a name keyed by the sha256 of the source,
+the bytes of bitgen.h and libnpyrandom.a, whose normals it links, the
+flags and the machine type (os.uname().machine).  Those files are found
+through numpy's import spec, so loading a cached build, and a block run
+in C, import no numpy, and no build tool either: only a build imports
+subprocess.  A build is renamed into place from a temporary name, so
+processes that build at once never see a half-written file, and a cached
+file that another user owns or can write is never loaded.  Loading a
+cached build refreshes its modification time and deletes the directory's
+other builds unused for _STALE_S, so stale builds do not pile up while
+versions in use side by side are kept.
 Loading is tried once per process; with no numpy header or archive, or a
 failed build, every pair and path takes the reference loops.  A missing
 compiler is a failed build: `cc` is run by name, and with none on PATH the
@@ -132,8 +133,12 @@ _MODEL_NUMBERS = {_ids(get_model(name)): number
                   for number, name in enumerate(_MODELS)}
 
 
-def _model_number(model):
-    return _MODEL_NUMBERS.get(_ids(model))
+def _library_for(model):
+    """The model's C number and the loaded kernel library, with None for
+    the library when C cannot run the model.  Only a built-in model loads
+    the library, or tries its build; any other model has no number."""
+    number = _MODEL_NUMBERS.get(_ids(model))
+    return number, None if number is None else library()
 
 
 def _cache_dirs():
@@ -320,8 +325,7 @@ def run_path(model, config, noise):
     the same next draw.  A path that cannot go on raises the PathExplosion
     _path_loop raises, through the same _stop.
     """
-    number = _model_number(model)
-    lib = None if number is None else library()
+    number, lib = _library_for(model)
     bitgen = (noise._bit_generator()
               if lib is not None and type(noise) is NoiseSource else None)
     if bitgen is None:
@@ -398,9 +402,8 @@ def run_block(model, config, seeds, pair=None):
             and seeds.start >= 0):
         raise InputError("seeds must be a range of step 1 from a "
                          f"non-negative integer, got {seeds!r}")
-    number = _model_number(model)
-    lib = library()
-    if number is None or lib is None:
+    number, lib = _library_for(model)
+    if lib is None:
         return _reference_block(model, config, seeds, pair)
     n = len(seeds)
     legs = 1 if pair is None else 2

@@ -18,7 +18,7 @@ analytically from that description, never by finite differences.
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .errors import InputError
 
@@ -35,6 +35,9 @@ __all__ = [
     "load_model_file",
     "builtin_model_names",
     "minimum_step_exponent",
+    "PowerTerm",
+    "PowerSum",
+    "PowerSumDerivative",
 ]
 
 _P0_SLACK = 1e-9  # float dust allowance in the p0 >= 4(l + alpha + 1) check
@@ -95,7 +98,7 @@ class RegularityConstants:
     p0: float
 
     def __post_init__(self):
-        for name in ("alpha", "l", "gamma", "eta", "lambda_os", "p0"):
+        for name in _REGULARITY:
             object.__setattr__(self, name, _finite(getattr(self, name), name))
         if not 0.0 < self.alpha <= 1.0:
             raise InputError(f"alpha must lie in (0, 1], got {self.alpha}")
@@ -107,6 +110,10 @@ class RegularityConstants:
         if self.p0 < required - _P0_SLACK:
             raise InputError(
                 f"p0 must be >= 4*(l + alpha + 1) = {required}, got {self.p0}")
+
+
+# the constants' names, which a model file's 'regularity' object must hold
+_REGULARITY = tuple(f.name for f in fields(RegularityConstants))
 
 
 @dataclass(frozen=True)
@@ -513,11 +520,11 @@ def load_model_file(path):
     reg_raw = doc["regularity"]
     if not isinstance(reg_raw, dict):
         raise InputError("'regularity' must be an object")
-    reg_missing = {"alpha", "l", "gamma", "eta", "lambda_os", "p0"} - set(reg_raw)
+    reg_missing = set(_REGULARITY) - set(reg_raw)
     if reg_missing:
         raise InputError(f"'regularity' is missing fields {sorted(reg_missing)}")
     reg = RegularityConstants(**{name: _finite(reg_raw[name], f"model field 'regularity.{name}'")
-                                 for name in ("alpha", "l", "gamma", "eta", "lambda_os", "p0")})
+                                 for name in _REGULARITY})
     drift_terms = _parse_terms(doc["drift"], "drift")
     diff_terms = _parse_terms(doc["diffusion"], "diffusion")
     return SdeModel(

@@ -152,10 +152,11 @@ def _run_cell(name, head, options, n_paths, base_seed, n_jobs):
         raise InputError(
             f"the model cannot be sent to {n_jobs} worker processes ({exc}); "
             "use module-level coefficient functions or n_jobs=1") from None
-    # loaded, or its build tried, once here: forked workers inherit the
-    # result instead of each loading the kernel, or running cc, again
+    # loaded, or its build tried, once here for a model C runs: forked
+    # workers inherit the result instead of each loading the kernel, or
+    # running cc, again; any other model neither loads nor builds it
     from . import kernel
-    kernel.library()
+    kernel._library_for(head[0])
     chunk = max(1, -(-n_paths // (4 * n_jobs)))
     blocks = [(name, head, options, seeds[i:i + chunk])
               for i in range(0, n_paths, chunk)]

@@ -1202,6 +1202,23 @@ class TestCache:
         assert isolated(fake_cc=True, code=code) == ["40", "0"]
         assert isolated.calls() == 1
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_cell_of_a_json_model_tries_no_build(self, isolated, tmp_path,
+                                                 n_jobs):
+        # C runs the built-in models only, so a cell of any other model
+        # takes the reference loops without loading the kernel or trying
+        # its build, in the calling process and in its workers alike
+        model1_as_json(tmp_path)
+        code = ("from tamsde import load_model_file\n"
+                "from tamsde.montecarlo import estimate_mse\n"
+                "model = load_model_file("
+                f"{str(tmp_path / 'model1.json')!r})\n"
+                "row = estimate_mse(model, 1.0, 2.0, 1, 40, 1.0, 0, "
+                f"n_jobs={n_jobs})\n"
+                "print(row.n_paths, row.n_failures)")
+        assert isolated(fake_cc=True, code=code) == ["40", "0"]
+        assert isolated.calls() == 0
+
     @pytest.mark.parametrize("part", ["_ARCHIVE", "_HEADER"])
     def test_missing_numpy_part_falls_back_without_compiling(self, isolated,
                                                              part):

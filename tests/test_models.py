@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tamsde
 from tamsde import (InputError, PowerSum, PowerSumDerivative, PowerTerm,
                     RegularityConstants, builtin_model_names,
                     check_dissipativity, check_one_sided_lipschitz,
@@ -625,6 +626,9 @@ def test_fuzzed_model_files_load_or_raise_input_error(tmp_path, doc):
     +-1e10.  No term is NaN there, so a coefficient is NaN only as a sum
     of +inf and -inf terms."""
     path = tmp_path / "fuzz.json"
+    # a new file each example: rewriting one in place makes ext4 flush it
+    # on every close, 30-70 ms an example
+    path.unlink(missing_ok=True)
     path.write_text(json.dumps(doc).replace(f'"{_BEYOND}"', "1e400"))
     try:
         model = load_model_file(str(path))
@@ -639,3 +643,17 @@ def test_fuzzed_model_files_load_or_raise_input_error(tmp_path, doc):
                      t.derivative(x) for t in f.terms]
             assert not any(map(math.isnan, parts)), (f, x)
             assert not math.isnan(v) or {math.inf, -math.inf} <= set(parts)
+
+
+def test_package_exports_each_layers_names_once():
+    """tamsde.__all__ is __version__ and the layers' own __all__ lists, so
+    `from tamsde.<layer> import *` gives the layer's part of it; no name
+    comes twice and each resolves on the package."""
+    layers = [getattr(tamsde, name) for name in
+              ("analysis", "driver", "errors", "model", "montecarlo", "scheme")]
+    names = ["__version__", *(n for layer in layers for n in layer.__all__)]
+    assert len(set(tamsde.__all__)) == len(tamsde.__all__)
+    assert sorted(tamsde.__all__) == sorted(names)
+    assert all(hasattr(tamsde, name) for name in tamsde.__all__)
+    assert {"PowerTerm", "PowerSum", "PowerSumDerivative"} <= set(
+        tamsde.model.__all__)
