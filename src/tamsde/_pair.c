@@ -569,8 +569,9 @@ static void begin(struct lane *l, const struct pair *start,
 /* Each of the n seeds from seed, as tamsde_block takes them, from start:
    a pair (pair_event) when legs is 2, a path storing nothing (path_step)
    when it is 1.  LANES seeds are in flight, each on its own Philox; a
-   pass gives every live lane one event, and a lane whose seed is over
-   writes its record and starts the block's next seed.  Each seed runs the
+   pass gives every live lane one event, a lane left alone (the one lane
+   of a block of one) included, and a lane whose seed is over writes its
+   record and starts the block's next seed.  Each seed runs the
    same operations in the same order as it would alone, so only the order
    of the work across seeds depends on the lanes. */
 static void run(const struct pair *start, int legs, unsigned char *seed,
@@ -588,12 +589,7 @@ static void run(const struct pair *start, int legs, unsigned char *seed,
         for (k = 0; k < n_live; k++) {
             struct lane *l = live[k];
             const struct leg *leg[2];
-            int code;
-            /* a lane left alone, as the one lane of a block of one is,
-               runs its seed out without the pass around it */
-            do
-                code = legs == 2 ? pair_event(l) : path_step(l, NULL);
-            while (code == RUNNING && n_live == 1);
+            int code = legs == 2 ? pair_event(l) : path_step(l, NULL);
             if (code == RUNNING)
                 continue;
             leg[0] = &l->p.fine;

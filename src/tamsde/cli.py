@@ -27,7 +27,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .analysis import (_comparison_cells, cell_seed, compare_schemes,
                        fit_convergence_rate)
@@ -262,16 +262,8 @@ def _run_verify_assumptions(config, model):
     report = {
         "model": model.name,
         "grid": {"lo": lo, "hi": hi, "n": n},
-        "dissipativity": {
-            "holds": diss.holds,
-            "worst_x": diss.worst_x,
-            "worst_margin": diss.worst_margin,
-        },
-        "one_sided_lipschitz": {
-            "holds": osl.holds,
-            "worst_pair": list(osl.worst_pair),
-            "worst_margin": osl.worst_margin,
-        },
+        "dissipativity": asdict(diss),
+        "one_sided_lipschitz": asdict(osl),
     }
     _write_json(os.path.join(config.out_dir, "assumptions.json"), report)
     print(f"[verify-assumptions] dissipativity holds={diss.holds} "

@@ -423,49 +423,33 @@ def _gbm_diffusion_prime(x):
     return _GBM_B
 
 
-def _make_model1():
+# each built-in model, built once and shared: SdeModel is frozen
+_BUILTINS = {m.name: m for m in (
     # cubic double-well drift with linear multiplicative noise; the stored
     # lambda_os is the sharp constant sup over pairs of the A2 quotient,
     # which equals mu'(0) + sigma'(0)**2 / 2 = 0.105
-    return SdeModel(
-        name="model1",
-        drift=_m1_drift, diffusion=_m1_diffusion,
-        drift_prime=_m1_drift_prime, diffusion_prime=_m1_diffusion_prime,
-        regularity=RegularityConstants(alpha=1.0, l=1.0, gamma=0.65, eta=0.0,
-                                       lambda_os=0.105, p0=12.0),
-        x0=0.1,
-    )
-
-
-def _make_model2():
+    SdeModel(name="model1", drift=_m1_drift, diffusion=_m1_diffusion,
+             drift_prime=_m1_drift_prime, diffusion_prime=_m1_diffusion_prime,
+             regularity=RegularityConstants(alpha=1.0, l=1.0, gamma=0.65,
+                                            eta=0.0, lambda_os=0.105, p0=12.0),
+             x0=0.1),
     # drift with a |x|^{1/2} kink in its derivative and diffusion whose
     # derivative is only 0.2-Holder at the origin
-    return SdeModel(
-        name="model2",
-        drift=_m2_drift, diffusion=_m2_diffusion,
-        drift_prime=_m2_drift_prime, diffusion_prime=_m2_diffusion_prime,
-        regularity=RegularityConstants(alpha=0.2, l=0.3, gamma=-0.2, eta=6.0e6,
-                                       lambda_os=-0.2, p0=6.0),
-        x0=0.1,
-    )
-
-
-def _make_gbm():
+    SdeModel(name="model2", drift=_m2_drift, diffusion=_m2_diffusion,
+             drift_prime=_m2_drift_prime, diffusion_prime=_m2_diffusion_prime,
+             regularity=RegularityConstants(alpha=0.2, l=0.3, gamma=-0.2,
+                                            eta=6.0e6, lambda_os=-0.2, p0=6.0),
+             x0=0.1),
     # closed-form reference model: alpha=1, l=0.  The sharp constants are
     # gamma = a + (p0-1)*b**2/2 = 0.19 and lambda = a + b**2/2 = 0.07;
     # storing them exactly would put the margins at 0*x**2 in the reals,
     # where rounding can flip the sign, so both get a strict cushion.
-    return SdeModel(
-        name="gbm",
-        drift=_gbm_drift, diffusion=_gbm_diffusion,
-        drift_prime=_gbm_drift_prime, diffusion_prime=_gbm_diffusion_prime,
-        regularity=RegularityConstants(alpha=1.0, l=0.0, gamma=0.2, eta=0.0,
-                                       lambda_os=0.08, p0=8.0),
-        x0=1.0,
-    )
-
-
-_BUILTINS = {"model1": _make_model1, "model2": _make_model2, "gbm": _make_gbm}
+    SdeModel(name="gbm", drift=_gbm_drift, diffusion=_gbm_diffusion,
+             drift_prime=_gbm_drift_prime, diffusion_prime=_gbm_diffusion_prime,
+             regularity=RegularityConstants(alpha=1.0, l=0.0, gamma=0.2,
+                                            eta=0.0, lambda_os=0.08, p0=8.0),
+             x0=1.0),
+)}
 
 
 def builtin_model_names():
@@ -510,7 +494,9 @@ def load_model_file(path):
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read model file {path!r}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an int past str's digit limit
+    # JSONDecodeError, an int past str's digit limit, or nesting too deep
+    # for the parser
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"model file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"model file {path!r} must contain a JSON object")
@@ -542,7 +528,7 @@ def get_model(name_or_path):
     """Resolve a built-in model name or a path to a model description file."""
     # a name is a str; an unhashable argument cannot be looked up at all
     if isinstance(name_or_path, str) and name_or_path in _BUILTINS:
-        return _BUILTINS[name_or_path]()
+        return _BUILTINS[name_or_path]
     if str(name_or_path).endswith(".json"):
         return load_model_file(name_or_path)
     raise InputError(

@@ -28,6 +28,7 @@ silently biased.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 # the three path functions are looked up by name in _run_block
@@ -134,7 +135,9 @@ def _run_cell(name, head, options, n_paths, base_seed, n_jobs):
     """Outcomes of seeds base_seed..base_seed+n_paths-1, in path order."""
     _integer(n_paths, "n_paths", 1)
     _integer(base_seed, "base_seed", 0)
-    _integer(n_jobs, "n_jobs", 1)
+    # more workers than CPUs cannot speed up a CPU-bound cell, and a pool
+    # under fork starts all of them at its first submit
+    n_jobs = min(_integer(n_jobs, "n_jobs", 1), os.cpu_count() or 1)
     # checked here as well as in each block, so a malformed argument stops
     # the cell before any worker starts
     _kernel_args(name, head, options)

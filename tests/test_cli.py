@@ -68,7 +68,9 @@ class TestRateCommand:
         assert (tmp_path / "a/rate.json").read_bytes() == \
                (tmp_path / "b/rate.json").read_bytes()
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
+    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        # two workers even on a host with one CPU
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         args = ["rate", "--model", "model1", "--k-min", "1", "--k-max", "2",
                 "--paths", "40", "--T", "1", "--seed", "9"]
         run(args + ["--threads", "1", "--out", tmp_path / "serial"])
@@ -240,6 +242,15 @@ class TestErrorHandling:
                     "--threads", "1", "--out", tmp_path])
         assert code == 3
         assert "estimation error" in capsys.readouterr().err
+
+    def test_model_file_nested_too_deep(self, tmp_path, capsys):
+        # one line on stderr and status 2, not a RecursionError traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert run(["rate", "--model", path, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model file") and err.count("\n") == 1
+        assert "is not valid JSON" in err
 
     @pytest.mark.parametrize("argv, regularity, x0, drift", [
         (["verify-assumptions"], {"alpha": "abc"}, 0.3, {}),
@@ -455,29 +466,36 @@ HOLDER_HALF = {
 # does.
 PINNED_CELLS = [
     (["rate", "--model", "model2", "--k-min", "1", "--k-max", "4", "--T",
-      "2", "--paths", "200", "--seed", "11"],
+      "2", "--paths", "200", "--seed", "11", "--threads", "1"],
      {"rate.csv": "ae52cfad704700521ddcfd0cc97e08af95b1e6a49fa014509d06481f5ed14fbf",
       "rate.json": "881a1546605988e0b273ded4bcac3d657d3509f8b5ddfa8aa7ea4779d469096f"}),
     (["compare", "--model", "model1", "--k-min", "1", "--k-max", "4", "--T",
-      "1", "5", "--paths", "150", "--seed", "12"],
+      "1", "5", "--paths", "150", "--seed", "12", "--threads", "1"],
      {"compare.csv": "87d4b660d9c8c25fd895da50642076220732bc7b190ef80f86268daaabf95f55"}),
     (["moments", "--model", "model1", "--k", "3", "--T", "1", "10", "30",
-      "--p", "1", "2", "--paths", "60", "--seed", "13"],
+      "--p", "1", "2", "--paths", "60", "--seed", "13", "--threads", "1"],
      {"moments.csv": "f82a3a8ddbc1d226a80314e07bd3042a27c56b70761cfea0b873b2c6376ffc4a"}),
     (["rate", "--model", "holder_half.json", "--l0", "3", "--k-min", "1",
-      "--k-max", "4", "--T", "2", "--paths", "200", "--seed", "14"],
+      "--k-max", "4", "--T", "2", "--paths", "200", "--seed", "14",
+      "--threads", "1"],
      {"rate.csv": "f7ae5aac5dda2c56501f75965c674438242bcf6a5f2ce09938f59a6df8dc3600",
       "rate.json": "b0e044359124f9119954a83480cb6f127854f36d17a538170a133c59cf4151e5"}),
+    (["verify-assumptions", "--model", "model2", "--seed", "15"],
+     {"assumptions.json": "9df993dc6d368e5e28f2da575ca760f15dbf1eb450233160cca2ef0a34f9e436"}),
+    (["verify-assumptions", "--model", "holder_half.json", "--grid",
+      "-3:3:61", "--seed", "16"],
+     {"assumptions.json": "c78f66f5a9012eca38b6a34c9355038e69d605548f4ba43fad91062f6f6d1eac"}),
 ]
 
 
 @pytest.mark.parametrize("argv, digests", PINNED_CELLS,
                          ids=["rate-model2", "compare-model1",
-                              "moments-model1", "rate-json-l0"])
+                              "moments-model1", "rate-json-l0",
+                              "verify-model2", "verify-json-small-grid"])
 def test_pinned_output_digests(tmp_path, monkeypatch, argv, digests):
     (tmp_path / "holder_half.json").write_text(json.dumps(HOLDER_HALF))
     monkeypatch.chdir(tmp_path)
-    assert main(argv + ["--threads", "1", "--out", "out"]) == 0
+    assert main(argv + ["--out", "out"]) == 0
     for name, want in digests.items():
         got = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
         assert got == want, name

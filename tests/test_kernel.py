@@ -1097,6 +1097,11 @@ def isolated(tmp_path):
     return run
 
 
+# a cell starts at most one worker a CPU: code that needs a pool of two
+# keeps it on a host with one CPU
+TWO_CPUS = "import os\nos.cpu_count = lambda: 2\n"
+
+
 class TestCache:
     def test_import_builds_nothing(self, isolated):
         isolated(fake_cc=True, code="import tamsde; tamsde.get_model('model2')")
@@ -1194,7 +1199,7 @@ class TestCache:
         # pool starts, so its workers inherit the answer and run no cc
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("only forked workers inherit the loaded kernel")
-        code = ("from tamsde import get_model\n"
+        code = (TWO_CPUS + "from tamsde import get_model\n"
                 "from tamsde.montecarlo import estimate_mse\n"
                 "row = estimate_mse(get_model('model2'), 1.0, 2.0, 1, 40, "
                 "1.0, 0, n_jobs=2)\n"
@@ -1209,7 +1214,7 @@ class TestCache:
         # takes the reference loops without loading the kernel or trying
         # its build, in the calling process and in its workers alike
         model1_as_json(tmp_path)
-        code = ("from tamsde import load_model_file\n"
+        code = (TWO_CPUS + "from tamsde import load_model_file\n"
                 "from tamsde.montecarlo import estimate_mse\n"
                 "model = load_model_file("
                 f"{str(tmp_path / 'model1.json')!r})\n"

@@ -28,6 +28,12 @@ class TestBuiltinCoefficients:
     def test_builtin_names(self):
         assert builtin_model_names() == ["gbm", "model1", "model2"]
 
+    @pytest.mark.parametrize("name", ["model1", "model2", "gbm"])
+    def test_builtin_is_one_shared_model(self, name):
+        # a built-in model is built once, at import, and named by its key
+        assert get_model(name) is get_model(name)
+        assert get_model(name).name == name
+
     def test_model1_at_one(self):
         # mu = 0.1(x - x^3) vanishes at 1; mu' = 0.1(1 - 3x^2)
         assert evaluate_coefficients(M1, 1.0) == (0.0, 0.1, -0.2, 0.1)
@@ -458,6 +464,13 @@ class TestModelFiles:
         path = tmp_path / "custom.json"
         path.write_text(json.dumps(self._doc()))
         assert get_model(str(path)).name == "custom"
+
+    def test_nesting_too_deep_to_parse_is_input_error(self, tmp_path):
+        # the parser's RecursionError, like its ValueError, is not valid JSON
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(InputError, match="is not valid JSON"):
+            load_model_file(str(path))
 
     def test_unknown_name_lists_builtins(self):
         with pytest.raises(InputError, match="model1"):

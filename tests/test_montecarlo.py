@@ -31,6 +31,13 @@ def _exit_process(x):
     os._exit(3)
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # a cell starts at most one worker a CPU; a test that needs a pool of
+    # two real workers keeps it on a host with one CPU
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
 class TestEstimateMse:
     def test_two_paths_equal_hand_average(self):
         row = estimate_mse(M1, 1.0, 2.0, 2, 2, 1.0, 500)
@@ -73,17 +80,17 @@ class TestEstimateMse:
             row = estimate_mse(M1, 1.0, 2.0, k, 20, 1.0, 9)
             assert row.mean_fine_steps > row.mean_coarse_steps
 
-    def test_worker_pool_matches_serial(self):
+    def test_worker_pool_matches_serial(self, two_cpus):
         serial = estimate_mse(M1, 1.0, 2.0, 2, 40, 1.0, 11, n_jobs=1)
         pooled = estimate_mse(M1, 1.0, 2.0, 2, 40, 1.0, 11, n_jobs=2)
         assert serial == pooled
 
-    def test_unpicklable_model_rejected_before_the_pool(self):
+    def test_unpicklable_model_rejected_before_the_pool(self, two_cpus):
         lam = dataclasses.replace(M1, drift=lambda x: 0.1 * (x - x * x * x))
         with pytest.raises(InputError, match="worker processes"):
             estimate_mse(lam, 1.0, 2.0, 2, 40, 1.0, 11, n_jobs=2)
 
-    def test_dead_worker_is_an_estimation_error(self):
+    def test_dead_worker_is_an_estimation_error(self, two_cpus):
         dying = dataclasses.replace(M1, drift=_exit_process)
         with pytest.raises(EstimationError, match="worker process died"):
             estimate_mse(dying, 1.0, 2.0, 2, 40, 1.0, 11, n_jobs=2)
@@ -197,7 +204,8 @@ class TestBlockRoute:
         lambda: estimate_tm_mse(M1, 2, 10, math.inf, 0, n_jobs=2),
         lambda: estimate_tm_mse(M1, 2, 10, 1.0, 0, n_jobs=2, max_steps=0)],
         ids=["k", "l0", "t_end", "max_steps"])
-    def test_input_errors_start_no_worker_pool(self, monkeypatch, call):
+    def test_input_errors_start_no_worker_pool(self, monkeypatch, two_cpus,
+                                               call):
         # the cell's arguments are checked in the calling process, so a
         # malformed one is raised before a pool is made.  _run_cell imports
         # the pool class from concurrent.futures when it first needs one, so
@@ -334,10 +342,39 @@ class TestTmMse:
         assert estimate_tm_mse(M1, 3, 20, 1.0, 5) == estimate_tm_mse(
             M1, 3, 20, 1.0, 5)
 
-    def test_worker_pool_matches_serial(self):
+    def test_worker_pool_matches_serial(self, two_cpus):
         serial = estimate_tm_mse(M1, 2, 40, 1.0, 3, n_jobs=1)
         pooled = estimate_tm_mse(M1, 2, 40, 1.0, 3, n_jobs=2)
         assert serial == pooled
+
+    @pytest.mark.parametrize("cpus, n_jobs, want", [
+        (2, 5000, [2]), (4, 3, [3]), (None, 8, []), (1, 2, [])],
+        ids=["capped", "under", "unknown-cpus", "one-cpu"])
+    def test_workers_never_exceed_the_cpus(self, monkeypatch, cpus, n_jobs,
+                                           want):
+        # a fork pool starts all its workers at the first submit, so the
+        # count is capped at the host's CPUs (1 when unknown), and one
+        # worker is a serial cell; the fake pool starts no process
+        started = []
+
+        class Fake:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, blocks):
+                return map(fn, blocks)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Fake)
+        row = estimate_tm_mse(M1, 2, 40, 1.0, 3, n_jobs=n_jobs)
+        assert started == want
+        assert row == estimate_tm_mse(M1, 2, 40, 1.0, 3, n_jobs=1)
 
     def test_zero_budget_is_an_input_error(self):
         # a budget no pair can keep is a malformed argument, not ten
@@ -389,7 +426,7 @@ class TestEstimateMoment:
         with pytest.raises(EstimationError, match="3 of 3 paths exploded"):
             estimate_moment(huge, cfg, 2.0, 3, 0)
 
-    def test_worker_pool_matches_serial(self):
+    def test_worker_pool_matches_serial(self, two_cpus):
         cfg = SchemeConfig(delta=0.25, t_end=1.0)
         serial = estimate_moment(M1, cfg, 2.0, 40, 17, n_jobs=1)
         pooled = estimate_moment(M1, cfg, 2.0, 40, 17, n_jobs=2)
