@@ -30,8 +30,10 @@
  * flight, each in a lane with a Philox of its own: numpy's SeedSequence
  * and Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
  * 1, 2, 3", SC'11), ported below word for word, so tamsde_seed gives the
- * key and the counter numpy's Philox(seed) starts with.  A pass gives
- * every live lane one event; a lane whose seed is over writes that seed's
+ * key and the counter numpy's Philox(seed) starts with.  Only the two
+ * draws numpy's normal makes, the 64-bit output and the double, are
+ * ported; the bitgen_t's next_uint32 slot aborts (philox_abort32).  A
+ * pass gives every live lane one event; a lane whose seed is over writes that seed's
  * states, stop time, step counts and return code into the caller's
  * arrays and refills with the block's next seed.  Each step of a seed is
  * one chain of dependent operations, so one seed alone leaves most of the
@@ -62,13 +64,12 @@ double random_standard_normal(bitgen_t *bitgen_state);
 
 /* --- numpy's Philox4x64-10 and SeedSequence ------------------------------ */
 
-/* The state of numpy's Philox: the counter, the key, the four outputs of
-   the counter's block of which buffer_pos are read, and the upper half of
-   an output next_uint32 has yet to return. */
+/* The state of numpy's Philox: the counter, the key, and the four outputs
+   of the counter's block of which buffer_pos are read; none of numpy's
+   state for a 32-bit output, which its normal never draws. */
 struct philox {
     uint64_t counter[4], key[2], buffer[4];
-    int buffer_pos, has_uint32;
-    uint32_t uinteger;
+    int buffer_pos;
 };
 
 /* a * b: returns the low 64 bits and sets *hi to the high 64.  A compiler
@@ -124,18 +125,13 @@ static uint64_t philox_next(void *st)
     return c[0];
 }
 
-static uint32_t philox_next32(void *st)
+/* the next_uint32 slot, which numpy's normal never calls: a numpy that
+   starts to call it stops here rather than drawing other normals than
+   NoiseSource's */
+static uint32_t philox_abort32(void *st)
 {
-    struct philox *s = st;
-    uint64_t next;
-    if (s->has_uint32) {
-        s->has_uint32 = 0;
-        return s->uinteger;
-    }
-    next = philox_next(s);
-    s->has_uint32 = 1;
-    s->uinteger = (uint32_t)(next >> 32);
-    return (uint32_t)(next & 0xffffffffu);
+    (void)st;
+    abort();
 }
 
 static double philox_double(void *st)
@@ -146,7 +142,7 @@ static double philox_double(void *st)
 /* the bitgen_t of numpy's Philox, on s */
 static bitgen_t bitgen(struct philox *s)
 {
-    bitgen_t g = {s, philox_next, philox_next32, philox_double, philox_next};
+    bitgen_t g = {s, philox_next, philox_abort32, philox_double, philox_next};
     return g;
 }
 

@@ -147,6 +147,12 @@ def _make_out_dir(config):
     os.makedirs(config.out_dir, exist_ok=True)
 
 
+# the most grid points: 100 times the default grid's.  A run builds every
+# point and twice as many pairs, some 340 bytes a point, so a grid beyond
+# this would exhaust memory before it checked anything.
+_MAX_GRID = 10 ** 6
+
+
 def _parse_grid(text):
     if not isinstance(text, str):
         raise InputError(f"grid must be a string lo:hi:n, got {text!r}")
@@ -160,10 +166,10 @@ def _parse_grid(text):
         raise InputError(f"grid must look like lo:hi:n, got {text!r}") from None
     # a finite span hi - lo has finite ends; an infinite one, as in
     # -1e308:1e308, would make every grid point NaN
-    if not (lo < hi and math.isfinite(hi - lo) and n >= 2):
+    if not (lo < hi and math.isfinite(hi - lo) and 2 <= n <= _MAX_GRID):
         raise InputError(
             f"grid needs finite lo < hi with a finite span hi - lo and "
-            f"n >= 2, got {text!r}")
+            f"2 <= n <= {_MAX_GRID}, got {text!r}")
     return lo, hi, n
 
 

@@ -7,19 +7,20 @@ its results are byte-identical to the Python loops'.
 run_block runs a block of consecutive seeds of any size in one call
 (tamsde_block): the kernel seeds each seed's Philox itself, with its own
 port of numpy's SeedSequence and Philox, so each seed draws the normals a
-fresh NoiseSource(seed) draws; it runs that seed's pair or path and
-returns what a caller keeps of it (a pair's terminal states and step
-counts, a path's terminal state and step count, or the PathExplosion its
-own run raises), so no NoiseSource, sample or trajectory is built per
-seed.  The kernel keeps four seeds of a block in flight, each a lane with
-its own Philox: a pass gives every lane one event of its pair or one step
-of its path, and a lane whose seed is over refills with the block's next
-seed.  The pair event and the path step are each written once, so a
-seed runs the same operations in the same order in any lane, and its
-outcome does not depend on the block it runs in; the lanes only let the
-processor overlap the seeds' chains of dependent operations.  A Monte
-Carlo cell runs its seeds as blocks, and a single coupled pair is a block
-of one: one lane.
+fresh NoiseSource(seed) draws (the port has no 32-bit output, which
+numpy's normal never draws: that slot of its bitgen_t aborts); it runs
+that seed's pair or path and returns what a caller keeps of it (a pair's
+terminal states and step counts, a path's terminal state and step count,
+or the PathExplosion its own run raises), so no NoiseSource, sample or
+trajectory is built per seed.  The kernel keeps four seeds of a block
+in flight, each a lane with its own Philox: a pass gives every lane one
+event of its pair or one step of its path, and a lane whose seed is over
+refills with the block's next seed.  The pair event and the path step
+are each written once, so a seed runs the same operations in the same
+order in any lane, and its outcome does not depend on the block it runs
+in; the lanes only let the processor overlap the seeds' chains of
+dependent operations.  A Monte Carlo cell runs its seeds as blocks, and a
+single coupled pair is a block of one: one lane.
 
 run_path runs a path whose trajectory is kept, on the caller's
 NoiseSource, as one lane running the same path step (tamsde_path): it
@@ -37,8 +38,11 @@ callables), which neither loads nor builds the kernel, every block and
 path when the kernel cannot be built, and a path whose noise source is not
 a NoiseSource itself or holds buffered normals; a declined block runs each
 seed on NoiseSource(seed), a declined path on the caller's source, and
-both give the records or Trajectory C gives.  The loops are called through
-their modules, so a caller that rebinds one there sees every call.
+both give the records or Trajectory C gives.  _seeded is the one loop
+that runs a block seed by seed, keeping each seed's record or its
+PathExplosion: the declined block's, and montecarlo's for a rebound path
+function.  The loops are called through their modules, so a caller that
+rebinds one there sees every call.
 
 The kernel is built with the host's `cc` against numpy's bitgen.h and
 libnpyrandom.a when a process first runs a built-in model, never at
@@ -355,30 +359,34 @@ def run_path(model, config, noise):
                         for pointer, size in zip(grid, (n + 1, n + 1, n))), n)
 
 
+def _seeded(seeds, run):
+    """run(seed)'s record for each seed, in seed order, or the
+    PathExplosion it raised: the one per-seed loop of a block that does
+    not run in C."""
+    rows = []
+    for seed in seeds:
+        try:
+            rows.append(run(seed))
+        except PathExplosion as exc:
+            rows.append(exc)
+    return rows
+
+
 def _reference_block(model, config, seeds, pair):
     """run_block's records by the reference loops: each seed's pair by
     driver._merge, or its path by scheme._path_loop, storing no grid, on
     NoiseSource(seed)."""
-    if pair is not None:
-        adaptive, delta_coarse = pair
-        # _merge proposes each leg at x0 before it first advances, so one
-        # pair of legs serves every seed
-        legs = [_tam_leg(model, delta, config.h0, config.l0) if adaptive
-                else _tm_leg(model, delta)
-                for delta in (config.delta, delta_coarse)]
-    rows = []
-    for seed in seeds:
-        noise = NoiseSource(seed)
-        try:
-            if pair is None:
-                rows.append(scheme._path_loop(model, config, noise,
-                                              keep=False))
-            else:
-                rows.append(driver._merge(*legs, model.x0, config.t_end,
-                                          noise, config.max_steps))
-        except PathExplosion as exc:
-            rows.append(exc)
-    return rows
+    if pair is None:
+        return _seeded(seeds, lambda seed: scheme._path_loop(
+            model, config, NoiseSource(seed), keep=False))
+    adaptive, delta_coarse = pair
+    # _merge proposes each leg at x0 before it first advances, so one pair
+    # of legs serves every seed
+    legs = [_tam_leg(model, delta, config.h0, config.l0) if adaptive
+            else _tm_leg(model, delta)
+            for delta in (config.delta, delta_coarse)]
+    return _seeded(seeds, lambda seed: driver._merge(
+        *legs, model.x0, config.t_end, NoiseSource(seed), config.max_steps))
 
 
 def run_block(model, config, seeds, pair=None):

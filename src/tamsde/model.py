@@ -162,6 +162,18 @@ def evaluate_coefficients(model, x):
             model.drift_prime(x), model.diffusion_prime(x))
 
 
+def _worst(points, margin):
+    """The point of smallest margin(point), with that margin, scanning the
+    points in order; a NaN margin is the worst of all and ends the scan."""
+    worst, worst_margin = points[0], math.inf
+    for point in points:
+        if (m := margin(point)) < worst_margin or m != m:
+            worst, worst_margin = point, m
+            if m != m:
+                break
+    return worst, worst_margin
+
+
 def check_dissipativity(model, xs):
     """Evaluate the dissipativity margin of ``model`` on the points ``xs``.
 
@@ -181,17 +193,13 @@ def check_dissipativity(model, xs):
         raise InputError("dissipativity check needs at least one point")
     reg = model.regularity
     half = (reg.p0 - 1.0) / 2.0
-    worst_x = xs[0]
-    worst_margin = math.inf
-    for x in xs:
+
+    def margin(x):
         s = model.diffusion(x)
         lhs = x * model.drift(x) + half * s * s
-        margin = reg.gamma * x * x + reg.eta - lhs
-        if margin < worst_margin or margin != margin:
-            worst_margin = margin
-            worst_x = x
-            if margin != margin:
-                break
+        return reg.gamma * x * x + reg.eta - lhs
+
+    worst_x, worst_margin = _worst(xs, margin)
     return DissipativityReport(holds=worst_margin >= 0.0,
                                worst_x=worst_x, worst_margin=worst_margin)
 
@@ -215,18 +223,15 @@ def check_one_sided_lipschitz(model, pairs):
     if not pairs:
         raise InputError("one-sided Lipschitz check needs at least one pair")
     lam = model.regularity.lambda_os
-    worst_pair = pairs[0]
-    worst_margin = math.inf
-    for x, y in pairs:
+
+    def margin(pair):
+        x, y = pair
         d = x - y
         ds = model.diffusion(x) - model.diffusion(y)
         lhs = d * (model.drift(x) - model.drift(y)) + 0.5 * ds * ds
-        margin = lam * d * d - lhs
-        if margin < worst_margin or margin != margin:
-            worst_margin = margin
-            worst_pair = (x, y)
-            if margin != margin:
-                break
+        return lam * d * d - lhs
+
+    worst_pair, worst_margin = _worst(pairs, margin)
     return OneSidedLipschitzReport(holds=worst_margin >= 0.0,
                                    worst_pair=worst_pair,
                                    worst_margin=worst_margin)

@@ -11,7 +11,8 @@ in one call (kernel.run_block), which runs a block of a built-in model in
 C, stores no path's trajectory, and runs any other block by the
 reference loops.  The path functions are looked up by name in this
 module at call time: a caller that rebinds one (a tracer, a test forcing
-an explosion) has it called once per seed.  Either way a seed yields one
+an explosion) has it called once per seed, through the kernel's one
+per-seed loop (kernel._seeded).  Either way a seed yields one
 record, the kernel's: (fine state, coarse state, fine steps, coarse
 steps) for a pair, (terminal state, step count) for a path, or the
 PathExplosion that ended it, with its leg, time, state and steps.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 # the three path functions are looked up by name in _run_block
 from .driver import (NoiseSource, _pair_config, simulate_coupled_pair,
                      simulate_coupled_tm_pair)
-from .errors import EstimationError, InputError, PathExplosion
+from .errors import EstimationError, InputError
 from .model import _finite, _integer
 from .scheme import (DEFAULT_MAX_STEPS, _check_delta, _check_horizon,
                      _require_l0, simulate_path)
@@ -106,29 +107,27 @@ def _run_block(args):
     list is returned as it comes; a rebound name is called once per seed
     as name(*head, seed, **options), with NoiseSource(seed) for
     simulate_path, so its caller sees every seed, and each result is read
-    into the same record.
+    into the same record by kernel._seeded, the per-seed loop of a block
+    the kernel declines.
     """
     name, head, options, seeds = args
     simulate = globals()[name]
+    # imported by the first block, not by import tamsde, which loads
+    # neither the kernel nor numpy
+    from . import kernel
     if simulate is _OWN[name]:
         model, config, pair = _kernel_args(name, head, options)
-        # imported by the first block, not by import tamsde, which loads
-        # neither the kernel nor numpy
-        from . import kernel
         return kernel.run_block(model, config, seeds, pair)
-    out = []
-    for seed in seeds:
-        try:
-            if name == "simulate_path":
-                traj = simulate(*head, NoiseSource(seed), **options)
-                out.append((float(traj.values[-1]), traj.step_count))
-            else:
-                cs = simulate(*head, seed, **options)
-                out.append((cs.fine_terminal, cs.coarse_terminal,
-                            cs.fine_steps, cs.coarse_steps))
-        except PathExplosion as exc:
-            out.append(exc)
-    return out
+    if name == "simulate_path":
+        def run(seed):
+            traj = simulate(*head, NoiseSource(seed), **options)
+            return float(traj.values[-1]), traj.step_count
+    else:
+        def run(seed):
+            cs = simulate(*head, seed, **options)
+            return (cs.fine_terminal, cs.coarse_terminal, cs.fine_steps,
+                    cs.coarse_steps)
+    return kernel._seeded(seeds, run)
 
 
 def _run_cell(name, head, options, n_paths, base_seed, n_jobs):

@@ -193,6 +193,18 @@ class TestVerifyAssumptionsCommand:
             assert code == 2
             assert "grid" in capsys.readouterr().err
 
+    def test_grid_beyond_the_bound(self, tmp_path, capsys):
+        # a grid of 10**20 points is refused before any point is built, with
+        # one line and no directory, not run until memory runs out
+        out = tmp_path / "deep"
+        code = run(["verify-assumptions", "--model", "model1", "--grid",
+                    "0:1:100000000000000000000", "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: grid needs finite lo < hi with a finite span hi - lo and "
+            "2 <= n <= 1000000, got '0:1:100000000000000000000'\n")
+        assert not out.exists()
+
 
 class TestErrorHandling:
     def test_unknown_model(self, tmp_path, capsys):
@@ -434,6 +446,18 @@ class TestExperimentConfig:
         assert _config_from_args(args) == ExperimentConfig(
             kind=kind, model="m", h0=1.0, l0=2.0, seed=0, out_dir=".",
             threads=os.cpu_count() or 1, **want)
+
+    @pytest.mark.parametrize("n, allowed", [
+        (10 ** 6, True), (10 ** 6 + 1, False), (10 ** 20, False)])
+    def test_grid_points_are_bounded(self, n, allowed):
+        # checked on the text alone: no grid point is built here
+        config = dict(kind="verify-assumptions", model="model1",
+                      grid=f"0:1:{n}")
+        if allowed:
+            assert ExperimentConfig(**config).grid == f"0:1:{n}"
+        else:
+            with pytest.raises(InputError, match="2 <= n <= 1000000"):
+                ExperimentConfig(**config)
 
     def test_verify_flag_defaults(self):
         args = _build_parser().parse_args(["verify-assumptions", "--model", "m"])

@@ -259,9 +259,13 @@ class TestPathParity:
         ("model2", None, 1, 5.0, 8),
         ("gbm", None, 5, 1.0, 7),
         ("model1", 1e200, 2, 5.0, 10 ** 8),
+        # the first step, DBL_MIN long, ends before the horizon
         ("model1", 1e200, 2, 1e-300, 10 ** 8),
+        # a horizon below DBL_MIN clamps the first step to it, so the path
+        # ends non-finite at t_end
+        ("model1", 1e200, 1, 1e-310, 10 ** 8),
     ], ids=["budget-model1", "budget-model2", "budget-gbm", "non-finite",
-            "non-finite-at-horizon"])
+            "non-finite-at-first-step", "non-finite-at-horizon"])
     def test_explosions_identical(self, lib, engines, name, x0, k, t_end,
                                   max_steps):
         model = get_model(name)
@@ -552,9 +556,10 @@ class TestBlockParity:
         ("model1", None, 3, 5.0, 50),
         ("model1", 1e200, 2, 5.0, 10 ** 8),
         ("model1", 1e200, 2, 1e-300, 10 ** 8),
+        ("model1", 1e200, 1, 1e-310, 10 ** 8),
     ], ids=["some-spend-the-budget-model2", "some-spend-the-budget-gbm",
             "some-spend-the-budget-model1", "non-finite",
-            "non-finite-at-horizon"])
+            "non-finite-at-first-step", "non-finite-at-horizon"])
     def test_path_explosions_identical(self, lib, name, x0, k, t_end,
                                        max_steps):
         model = get_model(name)
@@ -876,8 +881,7 @@ class Philox(ctypes.Structure):
     tamsde_seed and tamsde_normals take it."""
 
     _fields_ = [("counter", ctypes.c_uint64 * 4), ("key", ctypes.c_uint64 * 2),
-                ("buffer", ctypes.c_uint64 * 4), ("buffer_pos", ctypes.c_int),
-                ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)]
+                ("buffer", ctypes.c_uint64 * 4), ("buffer_pos", ctypes.c_int)]
 
 
 def c_normals(built, rng, n):

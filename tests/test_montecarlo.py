@@ -4,6 +4,8 @@ import concurrent.futures
 import dataclasses
 import math
 import os
+import pathlib
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -24,6 +26,10 @@ GBM = get_model("gbm")
 
 BROWNIAN = make_term_model("brownian", [], [PowerTerm(coeff=1.0)], x0=0.0)
 FLAT_HALF = make_term_model("flat_half", [], [], x0=0.5)
+# model1 as a JSON model, whose blocks the kernel declines and runs on the
+# reference loops
+with tempfile.TemporaryDirectory() as _tmp:
+    M1_JSON = model1_as_json(pathlib.Path(_tmp))
 
 
 def _exit_process(x):
@@ -249,14 +255,21 @@ def record_key(record):
 
 # a block of seeds 40..69 of each path function, with the number of seeds
 # a small step budget stops; a fixed-step pair's step counts do not depend
-# on the seed, so its budget stops every seed or none
+# on the seed, so its budget stops every seed or none.  The kernel declines
+# the JSON model's blocks, so there both routes run one seed at a time
+# through kernel._seeded, the reference loops under the rebound names.
 RECORD_BLOCKS = [
     ("simulate_coupled_pair", (M2, 1.0, 2.0, 2, 1.0), {"max_steps": 19}, 8),
     ("simulate_coupled_tm_pair", (M1, 2, 1.0), {"max_steps": 5}, 30),
     ("simulate_coupled_tm_pair", (M1, 2, 1.0), {"max_steps": 8}, 0),
     ("simulate_path", (M2, SchemeConfig(0.25, 1.0, max_steps=10)), {}, 5),
+    ("simulate_coupled_pair", (M1_JSON, 1.0, 2.0, 2, 5.0),
+     {"max_steps": 50}, 4),
+    ("simulate_path", (M1_JSON, SchemeConfig(0.25, 5.0, max_steps=25)), {},
+     2),
 ]
-RECORD_IDS = ["pair", "tm-pair-stopped", "tm-pair-finished", "path"]
+RECORD_IDS = ["pair", "tm-pair-stopped", "tm-pair-finished", "path",
+              "declined-pair", "declined-path"]
 
 
 class TestRecords:
