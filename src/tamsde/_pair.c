@@ -97,32 +97,46 @@ static uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
 #endif
 
 /* numpy's philox_next: the next 64-bit output; a new block is the 10-round
-   Philox of the counter, which is incremented first */
+   Philox of the counter, which is incremented first, carrying word by word
+   as numpy does.  Each counter word is read back at the width it was
+   stored, one 64-bit word: a wider load of words just stored (a memcpy of
+   the counter compiles to 16-byte loads) cannot be forwarded from the
+   store buffer, so it waits for the stores to reach the cache, and every
+   fourth draw stalled on it.  The rounds run on four local words, written
+   to the buffer one at a time. */
 static uint64_t philox_next(void *st)
 {
     struct philox *s = st;
-    uint64_t c[4], k0 = s->key[0], k1 = s->key[1], hi0, hi1, lo0, lo1;
+    uint64_t c0, c1, c2, c3, k0 = s->key[0], k1 = s->key[1], hi0, hi1, lo0,
+             lo1;
     int i;
     if (s->buffer_pos < 4)
         return s->buffer[s->buffer_pos++];
-    for (i = 0; i < 4 && ++s->counter[i] == 0; i++)
-        ;  /* carry */
-    memcpy(c, s->counter, sizeof c);
+    c0 = ++s->counter[0];
+    c1 = s->counter[1];
+    c2 = s->counter[2];
+    c3 = s->counter[3];
+    if (c0 == 0 && (s->counter[1] = ++c1) == 0
+            && (s->counter[2] = ++c2) == 0)
+        s->counter[3] = ++c3;  /* carry */
     for (i = 0; i < 10; i++) {
         if (i > 0) {  /* bump the key */
             k0 += 0x9E3779B97F4A7C15u;
             k1 += 0xBB67AE8584CAA73Bu;
         }
-        lo0 = mulhilo(0xD2E7470EE14C6C93u, c[0], &hi0);
-        lo1 = mulhilo(0xCA5A826395121157u, c[2], &hi1);
-        c[0] = hi1 ^ c[1] ^ k0;
-        c[2] = hi0 ^ c[3] ^ k1;
-        c[1] = lo1;
-        c[3] = lo0;
+        lo0 = mulhilo(0xD2E7470EE14C6C93u, c0, &hi0);
+        lo1 = mulhilo(0xCA5A826395121157u, c2, &hi1);
+        c0 = hi1 ^ c1 ^ k0;
+        c2 = hi0 ^ c3 ^ k1;
+        c1 = lo1;
+        c3 = lo0;
     }
-    memcpy(s->buffer, c, sizeof c);
+    s->buffer[0] = c0;
+    s->buffer[1] = c1;
+    s->buffer[2] = c2;
+    s->buffer[3] = c3;
     s->buffer_pos = 1;
-    return c[0];
+    return c0;
 }
 
 /* the next_uint32 slot, which numpy's normal never calls: a numpy that

@@ -46,11 +46,15 @@ rebinds one there sees every call.
 
 The kernel is built with the host's `cc` against numpy's bitgen.h and
 libnpyrandom.a when a process first runs a built-in model, never at
-import, and cached in the first usable directory of
-$XDG_CACHE_HOME/tamsde, ~/.cache/tamsde and a per-user directory under
-tempfile.gettempdir(), under a name keyed by the sha256 of the source,
-the bytes of bitgen.h and libnpyrandom.a, whose normals it links, the
-flags and the machine type (os.uname().machine).  Those files are found
+import, at -O3 with -ffp-contract=off, so no a*b+c is fused and the bits
+are the Python loops', and without -march=native, since the cache key
+names only the machine type.  It is cached in the first usable directory
+of $XDG_CACHE_HOME/tamsde, ~/.cache/tamsde and a per-user directory under
+tempfile.gettempdir(), tried in that order, so a build cached in an
+earlier one never asks for the temporary directory, under a name keyed
+by the sha256 of the source, the bytes of bitgen.h and libnpyrandom.a,
+whose normals it links, the flags and the machine type
+(os.uname().machine).  Those files are found
 through numpy's import spec, so loading a cached build, and a block run
 in C, import no numpy, and no build tool either: only a build imports
 subprocess.  A build is renamed into place from a temporary name, so
@@ -99,7 +103,7 @@ else:
         _INCLUDE = os.path.join(_NUMPY, "core", "include")
     _HEADER = os.path.join(_INCLUDE, "numpy", "random", "bitgen.h")
     _ARCHIVE = os.path.join(_NUMPY, "random", "lib", "libnpyrandom.a")
-_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _BUILD_TIMEOUT_S = 120
 # a cached build of another source or numpy unused for this long is deleted
 # when a build is loaded from its directory; builds in use, such as two
@@ -275,15 +279,17 @@ def library():
         key.update(hashlib.sha256(part).digest())
     name = f"_pair-{key.hexdigest()[:16]}.so"
     try:
-        dirs = list(_cache_dirs())
-        for directory in dirs:
+        # tried one at a time, so a build cached in the first directory
+        # never asks for the temporary directory, which the first
+        # tempfile.gettempdir() of a process probes by writing a file there
+        for directory in _cache_dirs():
             lib = _load(directory, name)
             if lib is not None:
                 return lib
         with tempfile.TemporaryDirectory(prefix="tamsde-build-") as tmp:
             if not _compile(source, os.path.join(tmp, name)):
                 return None
-            for directory in dirs:
+            for directory in _cache_dirs():
                 if _install(os.path.join(tmp, name), directory, name):
                     lib = _load(directory, name)
                     if lib is not None:

@@ -68,6 +68,42 @@ class TestRateCommand:
         assert (tmp_path / "a/rate.json").read_bytes() == \
                (tmp_path / "b/rate.json").read_bytes()
 
+    def test_rerun_writes_new_files(self, tmp_path):
+        # a rerun into the same --out unlinks each data file and writes a
+        # new one with the same bytes: a hard link keeps the old file, and
+        # its inode, as it was, and a symlink is replaced, not followed
+        args = ["rate", "--model", "model1", "--k-min", "1", "--k-max", "2",
+                "--paths", "20", "--T", "1", "--seed", "9", "--threads", "1",
+                "--out", tmp_path]
+        assert run(args) == 0
+        csv_path, json_path = tmp_path / "rate.csv", tmp_path / "rate.json"
+        old = tmp_path / "old.csv"
+        os.link(csv_path, old)
+        elsewhere = tmp_path / "elsewhere.json"
+        elsewhere.write_bytes(json_path.read_bytes())
+        json_path.unlink()
+        json_path.symlink_to(elsewhere)
+        elsewhere.write_text("kept\n")
+        assert run(args) == 0
+        assert csv_path.read_bytes() == old.read_bytes()
+        assert csv_path.stat().st_ino != old.stat().st_ino
+        assert not json_path.is_symlink()
+        assert elsewhere.read_text() == "kept\n"
+        assert json.loads(json_path.read_text())["theoretical_rate"] == 1.0
+
+    def test_directory_at_a_data_file_path(self, tmp_path, capsys):
+        # the unlink before the write fails on a directory, and the run
+        # exits 2 with one error line after its progress lines, as an
+        # unwritable --out does
+        (tmp_path / "rate.json").mkdir()
+        code = run(["rate", "--model", "model1", "--k-min", "1", "--k-max",
+                    "2", "--paths", "2", "--T", "0.25", "--threads", "1",
+                    "--seed", "0", "--out", tmp_path])
+        assert code == 2
+        (line,) = [line for line in capsys.readouterr().err.splitlines()
+                   if not line.startswith("[rate]")]
+        assert line.startswith("error: cannot write output: ")
+
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         # two workers even on a host with one CPU
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -1198,6 +1198,20 @@ class TestCache:
         assert isolated(fake_cc=True, code=code) == ["True", "False", "False"]
         assert isolated.calls() == 0
 
+    def test_cached_load_asks_for_no_temporary_directory(self, lib, isolated):
+        # the cache directories are tried one at a time, so a build cached
+        # under XDG_CACHE_HOME loads without tempfile.gettempdir(), whose
+        # first call in a process writes and deletes a probe file
+        isolated()
+        code = ("import tempfile\n"
+                "def gettempdir():\n"
+                "    raise AssertionError('gettempdir called')\n"
+                "tempfile.gettempdir = gettempdir\n"
+                "from tamsde import kernel\n"
+                "print(kernel.library() is not None)")
+        assert isolated(fake_cc=True, code=code) == ["True"]
+        assert isolated.calls() == 0
+
     def test_pooled_cell_tries_one_build(self, isolated):
         # a pooled cell loads the kernel, or tries its build, before its
         # pool starts, so its workers inherit the answer and run no cc

@@ -1,5 +1,5 @@
 """tools/leg_step_ns.py: the block route's ns per leg-step per workload,
-and the stored paths' ns per step."""
+the stored paths' ns per step and the normal draws' ns per normal."""
 
 import importlib.util
 import shutil
@@ -27,10 +27,12 @@ def test_small_run():
     rows = leg_step_ns.measure(jobs=1, rounds=2, scale=0.02)
     assert kernel.run_block is run_block
     assert set(rows) == {"rate-rough", "compare-smooth", "moments-long",
-                         "stored-path/model1", "stored-path/model2"}
+                         "stored-path/model1", "stored-path/model2",
+                         "draw/port", "draw/numpy"}
     # one cell per level of rate; per level and scheme of compare; per
-    # horizon of moments; one call per stored path
+    # horizon of moments; one call per stored path; one per fill of normals
     assert {name: row[2] for name, row in rows.items()} == {
         "rate-rough": 5, "compare-smooth": 10, "moments-long": 3,
-        "stored-path/model1": 40, "stored-path/model2": 40}
+        "stored-path/model1": 40, "stored-path/model2": 40,
+        "draw/port": leg_step_ns.DRAWS, "draw/numpy": leg_step_ns.DRAWS}
     assert all(ns > 0.0 and steps > 0 for ns, steps, _ in rows.values())

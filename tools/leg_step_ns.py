@@ -1,5 +1,5 @@
 """Time the kernel's block route per benchmark workload, in ns a leg-step,
-and its stored paths, in ns a step.
+its stored paths, in ns a step, and its normal draw, in ns a normal.
 
     PYTHONPATH=src python tools/leg_step_ns.py
 
@@ -19,11 +19,17 @@ In the same rounds it times the route no benchmark workload takes: a
 path whose trajectory is kept, simulate_path on a fresh NoiseSource(seed)
 for seeds 0-39, of model1 and of model2 at delta 2**-4 and T=100, and
 prints each model's median time per step, the source's set-up and the
-stored arrays included.  The kernel is tamsde's on PYTHONPATH, so the
-same tool times another checkout's kernel through that checkout's src.
+stored arrays included.  And it times the normal draw the block lanes
+make, against numpy's: DRAWS fills of FILL normals from seed 0, by the
+kernel's port of Philox (tamsde_normals, "draw/port") and by
+Generator(Philox(0)).standard_normal(out=) ("draw/numpy"), and prints
+each one's median time per normal.  The kernel is tamsde's on
+PYTHONPATH, so the same tool times another checkout's kernel through
+that checkout's src.
 """
 
 import contextlib
+import ctypes
 import io
 import runpy
 import statistics
@@ -31,6 +37,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 from tamsde import (NoiseSource, PathExplosion, SchemeConfig, cli, get_model,
                     kernel, simulate_path)
@@ -43,6 +51,12 @@ ROUNDS = 7
 STORED_MODELS = ("model1", "model2")
 STORED_SEEDS = range(40)
 STORED_CONFIG = SchemeConfig(2.0 ** -4, 100.0)
+# the normal draws: fills of FILL normals, DRAWS of them a round
+FILL = 65536
+DRAWS = 16
+# room for the kernel's struct philox (88 bytes), which tamsde_seed sets
+# whole; the draw runs on it without reading its fields here
+PHILOX_ROOM = 256
 
 
 def leg_steps(records):
@@ -96,12 +110,38 @@ def stored_paths(model):
     return run, run()
 
 
+def draws():
+    """Runners of the normal draws by the kernel's port and by numpy, as
+    "draw/<name>", and their normals."""
+    lib = kernel.library()
+    seed = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_char_p,
+                            ctypes.c_size_t)(("tamsde_seed", lib))
+    normals = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p,
+                               ctypes.c_longlong)(("tamsde_normals", lib))
+    out = np.empty(FILL)
+    rng = ctypes.create_string_buffer(PHILOX_ROOM)
+    seed(rng, *kernel._words(0))
+    generator = np.random.Generator(np.random.Philox(0))
+
+    def by_port():
+        for _ in range(DRAWS):
+            normals(rng, out.ctypes.data, FILL)
+
+    def by_numpy():
+        for _ in range(DRAWS):
+            generator.standard_normal(out=out)
+
+    return {"draw/port": by_port, "draw/numpy": by_numpy}, DRAWS * FILL
+
+
 def measure(jobs, rounds, scale=1.0):
     """For each workload, by name: the median ns per leg-step of its cells'
     calls over the rounds, their leg-steps and their number, for jobs
     0..jobs-1 at scale times each workload's path count; and for each
     model of STORED_MODELS, as "stored-path/<model>": the median ns per
-    step of its stored paths, their steps and their number."""
+    step of its stored paths, their steps and their number; and for the
+    normal draws ("draw/port" and "draw/numpy"): the median ns per normal,
+    the normals and the fills."""
     workloads = runpy.run_path(str(_WORKLOADS))["WORKLOADS"]
     runs = {}
     for name, w in workloads.items():
@@ -110,6 +150,9 @@ def measure(jobs, rounds, scale=1.0):
     for model in STORED_MODELS:
         run, steps = stored_paths(get_model(model))
         runs[f"stored-path/{model}"] = run, steps, len(STORED_SEEDS)
+    fills, normals = draws()
+    for name, run in fills.items():
+        runs[name] = run, normals, DRAWS
     names = list(runs)
     ns = {name: [] for name in names}
     for i in range(rounds):
@@ -128,10 +171,10 @@ def main():
     if kernel.library() is None:
         print("the kernel cannot be built here", file=sys.stderr)
         return 2
-    print(f"{'workload':<20} {'ns/leg-step':>11} {'leg-steps':>10} "
-          f"{'calls':>6}")
-    for name, (ns, steps, calls) in measure(JOBS, ROUNDS).items():
-        print(f"{name:<20} {ns:>11.1f} {steps:>10} {calls:>6}")
+    # a unit is a workload's leg-step, a stored path's step or a normal
+    print(f"{'row':<20} {'ns/unit':>11} {'units':>10} {'calls':>6}")
+    for name, (ns, units, calls) in measure(JOBS, ROUNDS).items():
+        print(f"{name:<20} {ns:>11.1f} {units:>10} {calls:>6}")
     return 0
 
 
