@@ -13,8 +13,12 @@
  *     same values as pow for a non-negative base; an overflow, which
  *     model._rpow turns into inf, is inf here too);
  *   - the noise is NoiseSource's stream, numpy's Philox(seed), and each
- *     normal is numpy's own random_standard_normal, linked from numpy's
- *     libnpyrandom.a: the function Generator.standard_normal calls.
+ *     normal is numpy's random_standard_normal, linked from numpy's
+ *     libnpyrandom.a: the function Generator.standard_normal calls.  A
+ *     block's lanes take its fast path, about 99% of draws, themselves,
+ *     with no branch on the random sign, on tables probed off numpy's
+ *     function when the library is loaded (tamsde_init), and call the
+ *     function for the rest (normal(), below).
  *
  * Both loops are built from one set of leg primitives: propose, due, pend
  * and fire on a struct leg, with the coefficients of all three models in
@@ -47,12 +51,14 @@
  * caller releases with tamsde_free) runs path_step in one lane on the
  * bitgen_t of the caller's NoiseSource, numpy's own Philox, and adds each
  * step's duration to the source's clock as the source's own
- * gaussian_increment would.  tamsde_seed and tamsde_normals are exported
- * for the tests that check the port against numpy; the structs are known
- * only to this file (and to that test's mirror of struct philox).
+ * gaussian_increment would.  tamsde_seed and tamsde_normals, the lanes'
+ * draw, are exported for the tests that check the port against numpy;
+ * the structs are known only to this file (and to that test's mirror of
+ * struct philox).
  */
 #include <float.h>
 #include <math.h>
+#include <pthread.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -221,13 +227,150 @@ void tamsde_seed(struct philox *rng, const unsigned char *seed, size_t n_words)
     rng->buffer_pos = 4;
 }
 
+/* --- numpy's normal on the port ------------------------------------------ */
+
+/* numpy's random_standard_normal is a ziggurat (Marsaglia and Tsang, "The
+   ziggurat method for generating random variables", J. Stat. Softw.
+   2000).  An output r gives the strip idx = r & 0xff, the sign bit 8 and
+   rabs, the 52 bits above it; when rabs < ki[idx] the normal is
+   rabs * wi[idx], negated when the sign bit is set, and about 99% of
+   draws end there.  numpy's compiled function negates with a branch on
+   that random bit, which the processor mispredicts on half of all draws.
+   normal() takes the same fast path itself and flips the double's sign
+   bit by XOR, with no branch; every other draw, on a wedge or the tail,
+   is numpy's own function.  The tables are not copied from numpy (they
+   are local symbols of libnpyrandom.a): tamsde_init probes them off its
+   function.  They start zeroed, and stay so if the probe's check fails,
+   and with ki all 0 every draw is numpy's function: the same bits, only
+   slower. */
+static uint64_t ki[256];
+static double wi[256];
+
+/* The next normal on rng, numpy's random_standard_normal(g) bit for bit,
+   where g is the bitgen_t on rng.  philox_next leaves the output it
+   returned at buffer[buffer_pos - 1] (a new block sets buffer_pos to 1),
+   so off the fast path, stepping buffer_pos back by one makes numpy's
+   function draw that same output again and go on from it as it would
+   have. */
+static double normal(struct philox *rng, bitgen_t *g)
+{
+    uint64_t r = philox_next(rng), rabs = r >> 9 & 0xfffffffffffffu, bits;
+    unsigned idx = (unsigned)(r & 0xff);
+    double x;
+    if (rabs >= ki[idx]) {
+        rng->buffer_pos -= 1;
+        return random_standard_normal(g);
+    }
+    /* rabs < 2**52 converts exactly either way; the signed conversion is
+       one instruction */
+    x = (double)(int64_t)rabs * wi[idx];
+    memcpy(&bits, &x, sizeof bits);
+    bits ^= (r >> 8 & 1) << 63;  /* numpy's -x when the sign bit is set */
+    memcpy(&x, &bits, sizeof x);
+    return x;
+}
+
 /* out = the next n normals of rng, as Generator.standard_normal(n) */
 void tamsde_normals(struct philox *rng, double *out, long long n)
 {
     bitgen_t g = bitgen(rng);
     long long i;
     for (i = 0; i < n; i++)
-        out[i] = random_standard_normal(&g);
+        out[i] = normal(rng, &g);
+}
+
+/* A probe of numpy's normal: a bit generator whose first output is
+   first, and which counts every draw after it.  Those draws give an
+   output on strip 0 at rabs 0 and the double 0.5, on which numpy's
+   function ends within a few draws whatever its tables hold. */
+struct probe {
+    uint64_t first;
+    int draws;
+};
+
+static uint64_t probe_next(void *st)
+{
+    struct probe *p = st;
+    return p->draws++ == 0 ? p->first : 0;
+}
+
+static double probe_double(void *st)
+{
+    ((struct probe *)st)->draws++;
+    return 0.5;
+}
+
+/* numpy's normal of the output with strip idx, sign bit 0 and rabs;
+   *fast is 1 when it took the fast path, that is, drew nothing more */
+static double probe(unsigned idx, uint64_t rabs, int *fast)
+{
+    struct probe p = {rabs << 9 | idx, 0};
+    bitgen_t g = {&p, probe_next, philox_abort32, probe_double, probe_next};
+    double x = random_standard_normal(&g);
+    *fast = p.draws == 1;
+    return x;
+}
+
+/* the normals the probed tables are checked on */
+#define CHECK_DRAWS 16384
+
+/* 1 when normal() and numpy's function draw the same CHECK_DRAWS normals,
+   bit for bit, from a fixed key, and leave the same Philox state */
+static int check(void)
+{
+    struct philox a = {{0}, {0x243F6A8885A308D3u, 0x13198A2E03707344u}, {0},
+                       4}, b = a;
+    bitgen_t ga = bitgen(&a), gb = bitgen(&b);
+    double x, y;
+    long i;
+    for (i = 0; i < CHECK_DRAWS; i++) {
+        x = normal(&a, &ga);
+        y = random_standard_normal(&gb);
+        if (memcmp(&x, &y, sizeof x) != 0)
+            return 0;
+    }
+    return memcmp(a.counter, b.counter, sizeof a.counter) == 0
+           && a.buffer_pos == b.buffer_pos;
+}
+
+static int fast_path;
+
+/* ki[idx], the least rabs off numpy's fast path (2**52 when there is
+   none), found by bisection, and wi[idx], the normal at rabs 1, which is
+   1 * wi[idx] exactly (0 when ki[idx] <= 1, where the fast path's normal
+   is 0 * wi[idx] or none); then the check, which zeroes ki if it fails */
+static void probe_tables(void)
+{
+    uint64_t lo, hi, mid;
+    unsigned idx;
+    int fast;
+    for (idx = 0; idx < 256; idx++) {
+        lo = 0;
+        hi = (uint64_t)1 << 52;
+        while (lo < hi) {
+            mid = lo + (hi - lo) / 2;
+            probe(idx, mid, &fast);
+            if (fast)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        wi[idx] = lo > 1 ? probe(idx, 1, &fast) : 0.0;
+        ki[idx] = lo;
+    }
+    fast_path = check();
+    if (!fast_path)
+        memset(ki, 0, sizeof ki);
+}
+
+/* Fill the tables of normal() once per process, before any draw:
+   kernel.py calls it when it loads the library.  Returns 1 when the
+   draws take the fast path, 0 when every draw is numpy's function. */
+int tamsde_init(void)
+{
+    static pthread_once_t once = PTHREAD_ONCE_INIT;
+    pthread_once(&once, probe_tables);
+    return fast_path;
 }
 
 /* --- the scheme ----------------------------------------------------------- */
@@ -464,7 +607,7 @@ static int pair_event(struct lane *l)
 {
     struct pair *p = &l->p;
     double t = p->fine.due < p->coarse.due ? p->fine.due : p->coarse.due;
-    double dz = sqrt(t - l->t) * random_standard_normal(&l->g);
+    double dz = sqrt(t - l->t) * normal(&l->rng, &l->g);
     pend(&p->fine, dz);
     pend(&p->coarse, dz);
     l->t = t;
@@ -489,9 +632,12 @@ static int path_step(struct lane *l, struct grid *g)
 {
     struct leg *leg = &l->p.fine;
     double dt = leg->due - leg->last;
-    /* one increment pending onto nothing is the increment itself, signed
-       zero included, which pend would turn into +0.0 */
-    double dw = sqrt(dt) * random_standard_normal(&l->g);
+    /* a block's lane (g NULL) draws on its own Philox, a kept path on its
+       caller's bit generator; one increment pending onto nothing is the
+       increment itself, signed zero included, which pend would turn into
+       +0.0 */
+    double dw = sqrt(dt) * (g == NULL ? normal(&l->rng, &l->g)
+                                      : random_standard_normal(&l->g));
     leg->pw = dw;
     l->t += dt;
     if (fire(&l->p, leg, leg->due))

@@ -22,6 +22,7 @@ runs.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -319,10 +320,13 @@ def _add_common(parser):
                         help="base seed; all cells derive from it")
     parser.add_argument("--out", dest="out_dir", metavar="OUT",
                         help="output directory (created if missing)")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+    # left out, the processor count at the run (_config_from_args), not at
+    # the parser's build: the parser is built once per process
+    parser.add_argument("--threads", type=int, default=None,
                         help="worker budget for path simulation")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="tamsde",
@@ -374,6 +378,8 @@ def _build_parser():
 
 def _config_from_args(args):
     fields = dict(vars(args))
+    if fields.get("threads", 1) is None:
+        fields["threads"] = os.cpu_count() or 1
     if "k" in fields:  # moments runs the single level k
         fields["k_min"] = fields["k_max"] = fields.pop("k")
     return ExperimentConfig(**fields)

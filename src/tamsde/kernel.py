@@ -20,7 +20,14 @@ are each written once, so a seed runs the same operations in the same
 order in any lane, and its outcome does not depend on the block it runs
 in; the lanes only let the processor overlap the seeds' chains of
 dependent operations.  A Monte Carlo cell runs its seeds as blocks, and a
-single coupled pair is a block of one: one lane.
+single coupled pair is a block of one: one lane.  A lane draws numpy's
+normal on its own Philox: it takes the ziggurat's fast path itself, with
+no branch on the random sign, and hands every other output back to
+numpy's random_standard_normal, which draws it again.  The fast path's
+tables are not copied from numpy but probed off numpy's function
+(tamsde_init), once per process, when _open loads a build and before any
+block runs; the probe checks them on a fixed stream of normals against
+numpy's function and, should one bit differ, leaves every draw to it.
 
 run_path runs a path whose trajectory is kept, on the caller's
 NoiseSource, as one lane running the same path step (tamsde_path): it
@@ -109,7 +116,7 @@ _BUILD_TIMEOUT_S = 120
 # when a build is loaded from its directory; builds in use, such as two
 # versions run side by side, are kept
 _STALE_S = 30 * 24 * 3600
-_EXPORTS = ("tamsde_block", "tamsde_path", "tamsde_free")
+_EXPORTS = ("tamsde_block", "tamsde_path", "tamsde_free", "tamsde_init")
 
 # C model numbers are positions in this tuple (enum in _pair.c)
 _MODELS = ("model1", "model2", "gbm")
@@ -167,8 +174,8 @@ def _private(path):
 
 
 def _open(directory, name):
-    """The kernel library directory/name; None if absent, not private,
-    unloadable or without one of its functions."""
+    """The kernel library directory/name, its draw's tables filled; None if
+    absent, not private, unloadable or without one of its functions."""
     path = os.path.join(directory, name)
     try:
         if not (_private(directory) and _private(path)):
@@ -179,6 +186,15 @@ def _open(directory, name):
     # a library of that name without our functions is not the kernel
     if not all(hasattr(lib, f) for f in _EXPORTS):
         return None
+    _declare(lib)
+    # the draw's tables, filled once per process before any block runs
+    lib.tamsde_init()
+    return lib
+
+
+def _declare(lib):
+    """Declare the argument and result types of lib's block and path
+    functions."""
     lib.tamsde_path.restype = ctypes.c_int
     lib.tamsde_path.argtypes = ([ctypes.c_int] + [ctypes.c_double] * 5
                                 + [ctypes.c_longlong] + [ctypes.c_void_p] * 5)
@@ -189,7 +205,6 @@ def _open(directory, name):
                                     ctypes.c_size_t, ctypes.c_longlong]
                                  + [ctypes.c_void_p] * 3)
     lib.tamsde_block.restype = None
-    return lib
 
 
 def _load(directory, name):

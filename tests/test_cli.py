@@ -483,6 +483,21 @@ class TestExperimentConfig:
             kind=kind, model="m", h0=1.0, l0=2.0, seed=0, out_dir=".",
             threads=os.cpu_count() or 1, **want)
 
+    def test_parser_built_once_and_threads_read_at_each_run(
+            self, monkeypatch):
+        threads = []
+        monkeypatch.setattr(tamsde.cli, "run_experiment",
+                            lambda config: threads.append(config.threads))
+        _build_parser.cache_clear()
+        argv = ["verify-assumptions", "--model", "gbm"]
+        for cpus in (3, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert main(["rate", "--model", "model1"]) == 0
+            assert main(argv) == 0
+        assert _build_parser.cache_info().misses == 1
+        # rate's default follows the count; verify-assumptions has no flag
+        assert threads == [3, 1, 1, 1]
+
     @pytest.mark.parametrize("n, allowed", [
         (10 ** 6, True), (10 ** 6 + 1, False), (10 ** 20, False)])
     def test_grid_points_are_bounded(self, n, allowed):

@@ -16,6 +16,7 @@ load fails them.
 import contextlib
 import ctypes
 import dataclasses
+import functools
 import gc
 import itertools
 import json
@@ -945,6 +946,166 @@ class TestGenerator:
             want.state["state"]["counter"].tolist())
 
 
+# --- the kernel's draw on numpy's rare paths --------------------------------
+
+# numpy's normal is a ziggurat: an output r gives the strip r & 0xff, the
+# sign bit 8 and rabs, the 52 bits above it; below ki[strip] it is
+# rabs * wi[strip], signed (the fast path), else a wedge or, on strip 0,
+# the tail beyond TAIL.  The kernel takes the fast path itself and leaves
+# the rest to numpy's function.
+TAIL = 3.6541528853610088
+RABS = 2 ** 52 - 1
+DRAW_KEY, DRAW_COUNTER = 2 ** 100 + 9, 2 ** 70 + 3
+
+
+def output(strip, rabs, sign):
+    return rabs << 9 | sign << 8 | strip
+
+
+def set_philox(bit_generator, buffer, buffer_pos):
+    """bit_generator's buffered outputs and the next one it reads."""
+    state = bit_generator.state
+    state["buffer"] = np.array(buffer, dtype=np.uint64)
+    state["buffer_pos"] = buffer_pos
+    bit_generator.state = state
+
+
+def numpy_normal(r):
+    """numpy's normal when its Philox's next output is r, and whether that
+    was its fast path: r the one output it drew."""
+    bit_generator = np.random.Philox(key=DRAW_KEY, counter=DRAW_COUNTER)
+    set_philox(bit_generator, [r, 0, 0, 0], 0)
+    z = np.random.Generator(bit_generator).standard_normal()
+    state = bit_generator.state
+    return z, (state["buffer_pos"] == 1
+               and tuple(state["state"]["counter"].tolist()) == uint64_words(
+                   DRAW_COUNTER, 4))
+
+
+@functools.lru_cache(maxsize=None)
+def numpy_tables():
+    """numpy's ki and wi, found through its Philox: ki[strip] the least
+    rabs off the fast path, wi[strip] the normal at rabs 1 (0 where ki is
+    at most 1)."""
+    ki, wi = [], []
+    for strip in range(256):
+        lo, hi = 0, 2 ** 52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if numpy_normal(output(strip, mid, 0))[1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        ki.append(lo)
+        wi.append(numpy_normal(output(strip, 1, 0))[0] if lo > 1 else 0.0)
+    return np.array(ki, dtype=np.uint64), np.array(wi)
+
+
+def rare_outputs():
+    """(case, output, whether numpy's fast path takes it) for each case;
+    strip 0 off the fast path is the tail."""
+    ki = numpy_tables()[0].tolist()
+    cases = []
+    for sign in (0, 1):
+        cases += [(f"strip 1, sign {sign}", output(1, 12345, sign), False),
+                  (f"tail edge, sign {sign}", output(0, ki[0], sign), False),
+                  (f"tail top, sign {sign}", output(0, RABS, sign), False),
+                  (f"fast, sign {sign}", output(7, 999, sign), True),
+                  (f"zero, sign {sign}", output(9, 0, sign), True)]
+        for strip in (0, 2, 100, 255):
+            cases += [(f"strip {strip} at ki - 1, sign {sign}",
+                       output(strip, ki[strip] - 1, sign), True),
+                      (f"strip {strip} at ki, sign {sign}",
+                       output(strip, ki[strip], sign), False)]
+    return cases
+
+
+def same_draws(built, counter, buffer, buffer_pos, n=12):
+    """The kernel's first n normals on a Philox at DRAW_KEY, counter,
+    buffer and buffer_pos, after checking them and the state they leave
+    against numpy's on the same state."""
+    want = np.random.Philox(key=DRAW_KEY, counter=counter)
+    set_philox(want, buffer, buffer_pos)
+    rng = Philox(counter=uint64_words(counter, 4),
+                 key=uint64_words(DRAW_KEY, 2), buffer=tuple(buffer),
+                 buffer_pos=buffer_pos)
+    got = c_normals(built, rng, n)
+    assert got.tobytes() == np.random.Generator(want).standard_normal(
+        n).tobytes()
+    state = want.state
+    assert (tuple(rng.counter), tuple(rng.buffer), rng.buffer_pos) == (
+        tuple(state["state"]["counter"].tolist()),
+        tuple(state["buffer"].tolist()), state["buffer_pos"])
+    return got
+
+
+class TestRareDraws:
+    def test_probed_tables(self):
+        ki, wi = numpy_tables()
+        # strip 1 always leaves the fast path, strip 0's fast path ends
+        # at the tail
+        assert ki[1] == 0
+        assert ki[0] * wi[0] == TAIL
+        assert all(0 < k < 2 ** 52 for i, k in enumerate(ki) if i != 1)
+
+    def test_cases_take_their_paths(self):
+        for case, r, fast in rare_outputs():
+            z, took = numpy_normal(r)
+            assert took == fast, case
+            # the tail's normals are TAIL and beyond, the fast path's below
+            assert (abs(z) >= TAIL) == (r & 0xff == 0 and not fast), case
+
+    @pytest.mark.parametrize("buffer_pos", [0, 1, 2, 3])
+    def test_buffered_outputs(self, lib, buffer_pos):
+        # the output at buffer_pos is read first; draws past it make the
+        # next blocks
+        rest = np.random.Philox(5).random_raw(4).tolist()
+        for case, r, fast in rare_outputs():
+            buffer = list(rest)
+            buffer[buffer_pos] = r
+            first = same_draws(lib, DRAW_COUNTER, buffer, buffer_pos)[0]
+            if fast:
+                assert first == numpy_normal(r)[0], case
+            assert (abs(first) >= TAIL) == (r & 0xff == 0 and not fast), case
+
+    def test_first_output_of_a_block(self, lib):
+        # the first output of the block made at counter j + 1, for the
+        # Philox at counter j with no buffered output left
+        first = np.random.Philox(key=DRAW_KEY, counter=0).random_raw(
+            4 * 40_000)[::4]
+        strip, sign = first & 0xff, first >> 8 & 1
+        fast = (first >> 9 & RABS) < numpy_tables()[0][strip]
+        picks = {"strip 1": strip == 1,
+                 "tail": (strip == 0) & ~fast,
+                 "fast, sign 0": fast & (sign == 0),
+                 "fast, sign 1": fast & (sign == 1)}
+        for case, where in picks.items():
+            j = int(np.flatnonzero(where)[0])
+            z = same_draws(lib, j, [0, 0, 0, 0], 4)[0]
+            assert (abs(z) >= TAIL) == (case == "tail"), case
+
+    def test_volume_meets_tails_and_wedges(self, lib):
+        # 2**21 normals on 8 seeds, on the kernel and on numpy, with
+        # numpy's tails (beyond TAIL) and accepted wedges (a normal equal
+        # to the fast path's formula on an output off the fast path)
+        ki, wi = numpy_tables()
+        n, tails, wedges = 2 ** 18, 0, 0
+        for seed in range(8):
+            z = c_normals(lib, c_seeded(lib, seed), n)
+            want = np.random.Philox(np.random.SeedSequence(seed))
+            raw = np.random.Philox(np.random.SeedSequence(seed)).random_raw(
+                n + n // 16)
+            assert z.tobytes() == np.random.Generator(want).standard_normal(
+                n).tobytes()
+            strip, rabs = raw & 0xff, raw >> 9 & RABS
+            x = rabs.astype(np.float64) * wi[strip]
+            x = np.where(raw >> 8 & 1, -x, x)
+            off = (rabs >= ki[strip]) & (strip != 0)
+            tails += int(np.count_nonzero(np.abs(z) > TAIL))
+            wedges += int(np.count_nonzero(np.isin(z, x[off])))
+        assert tails > 100 and wedges > 1000, (tails, wedges)
+
+
 def test_source_compiles_cleanly_as_c99(tmp_path):
     # the kernel's own build line, compiler, flags, numpy header and
     # archive, under strict pedantic C99 warnings, with the compiler's
@@ -955,7 +1116,7 @@ def test_source_compiles_cleanly_as_c99(tmp_path):
     if cc is None:
         pytest.skip("no C compiler on PATH")
     assert set(kernel._EXPORTS) == {"tamsde_block", "tamsde_path",
-                                    "tamsde_free"}
+                                    "tamsde_free", "tamsde_init"}
     for name, multiply in (("native.so", []),
                            ("portable.so", ["-U__SIZEOF_INT128__"])):
         command = kernel._command(cc, kernel._SOURCE, str(tmp_path / name))
@@ -966,6 +1127,8 @@ def test_source_compiles_cleanly_as_c99(tmp_path):
         assert proc.returncode == 0, proc.stderr
         built = kernel._open(str(tmp_path), name)
         assert built is not None
+        # its probed tables passed their check: the draws take the fast path
+        assert built.tamsde_init() == 1
         for gone in ("tamsde_pair", "tamsde_pair_init", "tamsde_pair_run",
                      "tamsde_pair_size", "tamsde_pairs", "tamsde_paths"):
             assert not hasattr(built, gone)
@@ -983,6 +1146,7 @@ import test_kernel as t
 
 built = kernel._open(sys.argv[1], sys.argv[2])
 assert built is not None
+assert built.tamsde_init() == 1
 kernel.library = lambda: built
 assert t.generator_mismatches(built, t.generator_seeds()[::10], 1030) == []
 for name in t.MODELS:

@@ -36,3 +36,34 @@ def test_small_run():
         "stored-path/model1": 40, "stored-path/model2": 40,
         "draw/port": leg_step_ns.DRAWS, "draw/numpy": leg_step_ns.DRAWS}
     assert all(ns > 0.0 and steps > 0 for ns, steps, _ in rows.values())
+
+
+def test_against_its_own_source(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    # a second build of the same source, loaded beside the first: the
+    # records of every row are compared on both before any timing
+    other = leg_step_ns.other_kernel(kernel._SOURCE, str(tmp_path))
+    assert other._name != kernel.library()._name
+    library = kernel.library
+    rows = leg_step_ns.compare(jobs=1, rounds=2, against=other, scale=0.02)
+    assert kernel.library is library
+    assert set(rows) == {"rate-rough", "compare-smooth", "moments-long",
+                         "stored-path/model1", "stored-path/model2",
+                         "draw/port", "draw/numpy"}
+    for ns, other_ns, ratio, iqr, wins in rows.values():
+        assert ns > 0.0 and other_ns > 0.0 and ratio > 0.0 and iqr >= 0.0
+        assert 0 <= wins <= 2
+
+
+def test_against_a_source_without_the_kernel(tmp_path, capsys):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    source = tmp_path / "other.c"
+    source.write_text("int tamsde_block;\n")
+    with pytest.raises(SystemExit) as exit:
+        leg_step_ns.main(["--rounds", "2", "--against", str(source)])
+    assert exit.value.code == 2
+    assert capsys.readouterr().err == (
+        f"{source} lacks tamsde_path, tamsde_free, tamsde_seed, "
+        "tamsde_normals\n")

@@ -26,13 +26,31 @@ Generator(Philox(0)).standard_normal(out=) ("draw/numpy"), and prints
 each one's median time per normal.  The kernel is tamsde's on
 PYTHONPATH, so the same tool times another checkout's kernel through
 that checkout's src.
+
+    PYTHONPATH=src python tools/leg_step_ns.py --against OTHER/_pair.c
+
+builds another kernel source with this checkout's build line into a
+private temporary directory and times the two kernels in one process,
+on the same recorded calls, within each round one after the other,
+taking turns at going first.  The host's speed drifts between runs by
+more than many changes move a row, so this is the comparison to trust.
+Every recorded call, stored path and first fill must give the same
+records, bit for bit, on both kernels, or the tool stops with status 1.
+It prints each row's medians on both kernels and the median over the
+rounds of this kernel's time over the other's, its interquartile range
+and the rounds this kernel was faster in.  It exits 2 when the source
+does not build or its build lacks a function the rows call.  --rounds
+sets the rounds (default 7).
 """
 
+import argparse
 import contextlib
 import ctypes
 import io
+import os
 import runpy
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -40,8 +58,8 @@ from pathlib import Path
 
 import numpy as np
 
-from tamsde import (NoiseSource, PathExplosion, SchemeConfig, cli, get_model,
-                    kernel, simulate_path)
+from tamsde import (NoiseSource, PathExplosion, SchemeConfig, Trajectory, cli,
+                    get_model, kernel, simulate_path)
 
 _WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 SEED = 3
@@ -57,6 +75,14 @@ DRAWS = 16
 # room for the kernel's struct philox (88 bytes), which tamsde_seed sets
 # whole; the draw runs on it without reading its fields here
 PHILOX_ROOM = 256
+# the functions of a kernel the rows call; a build from before the probed
+# tables of the draw has no tamsde_init and draws through numpy's normal
+CALLED = ("tamsde_block", "tamsde_path", "tamsde_free", "tamsde_seed",
+          "tamsde_normals")
+
+
+class Mismatch(Exception):
+    """The two kernels gave different records on a row."""
 
 
 def leg_steps(records):
@@ -94,26 +120,25 @@ def cells(workload, seed, jobs, scale):
 
 
 def block_calls(calls):
-    """A runner of the recorded kernel.run_block calls."""
+    """A runner of the recorded kernel.run_block calls, returning their
+    records."""
     def run():
-        for call in calls:
-            kernel.run_block(*call)
+        return [kernel.run_block(*call) for call in calls]
     return run
 
 
 def stored_paths(model):
-    """A runner of the stored paths of model, and their steps."""
+    """A runner of the stored paths of model, returning their
+    trajectories, and their steps."""
     def run():
-        return sum(simulate_path(model, STORED_CONFIG,
-                                 NoiseSource(seed)).step_count
-                   for seed in STORED_SEEDS)
-    return run, run()
+        return [simulate_path(model, STORED_CONFIG, NoiseSource(seed))
+                for seed in STORED_SEEDS]
+    return run, sum(t.step_count for t in run())
 
 
-def draws():
-    """Runners of the normal draws by the kernel's port and by numpy, as
-    "draw/<name>", and their normals."""
-    lib = kernel.library()
+def port_draws(lib):
+    """A runner of DRAWS fills of FILL normals by lib's port of Philox from
+    seed 0, returning the last fill."""
     seed = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_char_p,
                             ctypes.c_size_t)(("tamsde_seed", lib))
     normals = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p,
@@ -121,27 +146,96 @@ def draws():
     out = np.empty(FILL)
     rng = ctypes.create_string_buffer(PHILOX_ROOM)
     seed(rng, *kernel._words(0))
-    generator = np.random.Generator(np.random.Philox(0))
 
-    def by_port():
+    def run():
         for _ in range(DRAWS):
             normals(rng, out.ctypes.data, FILL)
+        return out
+    return run
 
-    def by_numpy():
+
+def numpy_draws():
+    """A runner of DRAWS fills of FILL normals by
+    Generator(Philox(0)).standard_normal, returning the last fill."""
+    out = np.empty(FILL)
+    generator = np.random.Generator(np.random.Philox(0))
+
+    def run():
         for _ in range(DRAWS):
             generator.standard_normal(out=out)
+        return out
+    return run
 
-    return {"draw/port": by_port, "draw/numpy": by_numpy}, DRAWS * FILL
+
+@contextlib.contextmanager
+def using(lib):
+    """kernel.run_block and kernel.run_path on lib, whichever kernel
+    library() loaded."""
+    library = kernel.library
+    kernel.library = lambda: lib
+    try:
+        yield
+    finally:
+        kernel.library = library
 
 
-def measure(jobs, rounds, scale=1.0):
-    """For each workload, by name: the median ns per leg-step of its cells'
-    calls over the rounds, their leg-steps and their number, for jobs
-    0..jobs-1 at scale times each workload's path count; and for each
-    model of STORED_MODELS, as "stored-path/<model>": the median ns per
-    step of its stored paths, their steps and their number; and for the
-    normal draws ("draw/port" and "draw/numpy"): the median ns per normal,
-    the normals and the fills."""
+def bits(value):
+    """value with each float as its .hex(), each array as its bytes and
+    each PathExplosion and Trajectory as its fields, so that equal means
+    bit for bit."""
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if isinstance(value, PathExplosion):
+        return [str(value), value.leg, bits(value.time), bits(value.state),
+                value.steps]
+    if isinstance(value, Trajectory):
+        return [bits(value.times), bits(value.values),
+                bits(value.increments), value.step_count]
+    return value
+
+
+def refuse(line):
+    """Exit with status 2 and one line on stderr."""
+    print(line, file=sys.stderr)
+    raise SystemExit(2)
+
+
+def other_kernel(source, directory):
+    """The kernel source built with this checkout's build line in
+    directory and loaded, its block and path functions declared and its
+    draw's tables filled when it has them; exits with status 2 when it
+    does not build or load, or lacks a function the rows call."""
+    target = os.path.join(directory, "other.so")
+    proc = subprocess.run(kernel._command("cc", source, target),
+                          stdin=subprocess.DEVNULL, capture_output=True,
+                          text=True)
+    if proc.returncode:
+        refuse(f"{source} does not build: "
+               + (proc.stderr.strip().splitlines() or ["cc failed"])[0])
+    try:
+        lib = ctypes.CDLL(target)
+    except OSError as exc:
+        refuse(f"{source} does not load: {exc}")
+    missing = [f for f in CALLED if not hasattr(lib, f)]
+    if missing:
+        refuse(f"{source} lacks {', '.join(missing)}")
+    kernel._declare(lib)
+    if hasattr(lib, "tamsde_init"):
+        lib.tamsde_init()
+    return lib
+
+
+def rows(jobs, scale, libs):
+    """The rows, by name, each as a runner, its units and its calls: each
+    workload's cells' recorded calls for jobs 0..jobs-1 at scale times its
+    path count, and their leg-steps; each model's stored paths, as
+    "stored-path/<model>", and their steps; and the normal draws,
+    "draw/port" and "draw/numpy", and their normals, each drawing on its
+    own generator for each kernel of libs, the one in use."""
     workloads = runpy.run_path(str(_WORKLOADS))["WORKLOADS"]
     runs = {}
     for name, w in workloads.items():
@@ -150,31 +244,105 @@ def measure(jobs, rounds, scale=1.0):
     for model in STORED_MODELS:
         run, steps = stored_paths(get_model(model))
         runs[f"stored-path/{model}"] = run, steps, len(STORED_SEEDS)
-    fills, normals = draws()
-    for name, run in fills.items():
-        runs[name] = run, normals, DRAWS
+    # each kernel draws on a Philox of its own, so both start from seed 0
+    ports = {lib: port_draws(lib) for lib in libs}
+    numpys = {lib: numpy_draws() for lib in libs}
+    runs["draw/port"] = (lambda: ports[kernel.library()](), DRAWS * FILL,
+                         DRAWS)
+    runs["draw/numpy"] = (lambda: numpys[kernel.library()](), DRAWS * FILL,
+                          DRAWS)
+    return runs
+
+
+def timed(runs, libs, rounds):
+    """For each row, by name, one list per kernel of libs of its ns per
+    unit in each round.  Within a round each row runs on every kernel in
+    turn, and the kernels take turns at going first."""
     names = list(runs)
-    ns = {name: [] for name in names}
+    ns = {name: [[] for _ in libs] for name in names}
     for i in range(rounds):
         # each round starts one row later, so drift of the host's speed
         # falls on every row alike
         for name in names[i % len(names):] + names[:i % len(names)]:
-            run, steps, _ = runs[name]
-            start = time.perf_counter_ns()
-            run()
-            ns[name].append((time.perf_counter_ns() - start) / steps)
-    return {name: (statistics.median(ns[name]), runs[name][1],
-                   runs[name][2]) for name in names}
+            run, units, _ = runs[name]
+            for k in (range(len(libs)) if i % 2 == 0
+                      else reversed(range(len(libs)))):
+                with using(libs[k]):
+                    start = time.perf_counter_ns()
+                    run()
+                    ns[name][k].append(
+                        (time.perf_counter_ns() - start) / units)
+    return ns
 
 
-def main():
+def measure(jobs, rounds, scale=1.0):
+    """For each row of rows(), by name: its median ns per unit over the
+    rounds, its units and its calls."""
+    libs = [kernel.library()]
+    runs = rows(jobs, scale, libs)
+    ns = timed(runs, libs, rounds)
+    return {name: (statistics.median(ns[name][0]), units, calls)
+            for name, (_, units, calls) in runs.items()}
+
+
+def compare(jobs, rounds, against, scale=1.0):
+    """For each row of rows(), by name, on this checkout's kernel and on
+    against, another kernel library: the median ns per unit on each, and
+    the median over the rounds of this kernel's time over against's, its
+    interquartile range and the rounds this kernel was faster in.
+    Mismatch when the two kernels' records differ on a row."""
+    libs = [kernel.library(), against]
+    runs = rows(jobs, scale, libs)
+    for name, (run, _, _) in runs.items():
+        first = []
+        for lib in libs:
+            with using(lib):
+                first.append(bits(run()))
+        if first[0] != first[1]:
+            raise Mismatch(f"the two kernels' records differ on {name}")
+    out = {}
+    for name, (this, other) in timed(runs, libs, rounds).items():
+        ratios = [a / b for a, b in zip(this, other)]
+        q1, _, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                     if len(ratios) > 1 else ratios * 3)
+        out[name] = (statistics.median(this), statistics.median(other),
+                     statistics.median(ratios), q3 - q1,
+                     sum(r < 1.0 for r in ratios))
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description="Time the kernel's block route, stored paths and "
+                    "normal draw.")
+    parser.add_argument("--rounds", type=int, default=ROUNDS)
+    parser.add_argument("--against", metavar="OTHER/_pair.c",
+                        help="another kernel source to time against")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     if kernel.library() is None:
         print("the kernel cannot be built here", file=sys.stderr)
         return 2
-    # a unit is a workload's leg-step, a stored path's step or a normal
-    print(f"{'row':<20} {'ns/unit':>11} {'units':>10} {'calls':>6}")
-    for name, (ns, units, calls) in measure(JOBS, ROUNDS).items():
-        print(f"{name:<20} {ns:>11.1f} {units:>10} {calls:>6}")
+    if args.against is None:
+        # a unit is a workload's leg-step, a stored path's step or a normal
+        print(f"{'row':<20} {'ns/unit':>11} {'units':>10} {'calls':>6}")
+        for name, (ns, units, calls) in measure(JOBS, args.rounds).items():
+            print(f"{name:<20} {ns:>11.1f} {units:>10} {calls:>6}")
+        return 0
+    with tempfile.TemporaryDirectory(prefix="leg-step-ns-") as directory:
+        other = other_kernel(args.against, directory)
+        try:
+            table = compare(JOBS, args.rounds, other)
+        except Mismatch as exc:
+            print(exc, file=sys.stderr)
+            return 1
+    # ratio: this kernel's time over the other's; wins: rounds it was faster
+    print(f"{'row':<20} {'ns/unit':>9} {'other':>9} {'ratio':>7} "
+          f"{'iqr':>7} {'wins':>7}")
+    for name, (ns, other_ns, ratio, iqr, wins) in table.items():
+        print(f"{name:<20} {ns:>9.1f} {other_ns:>9.1f} {ratio:>7.3f} "
+              f"{iqr:>7.3f} {wins:>3}/{args.rounds}")
     return 0
 
 
