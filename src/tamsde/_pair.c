@@ -14,47 +14,59 @@
  *     model._rpow turns into inf, is inf here too);
  *   - the noise is NoiseSource's stream, numpy's Philox(seed), and each
  *     normal is numpy's random_standard_normal, linked from numpy's
- *     libnpyrandom.a: the function Generator.standard_normal calls.  A
- *     block's lanes take its fast path, about 99% of draws, themselves,
- *     with no branch on the random sign, on tables probed off numpy's
- *     function when the library is loaded (tamsde_init), and call the
- *     function for the rest (normal(), below).
+ *     libnpyrandom.a: the function Generator.standard_normal calls.  Every
+ *     draw takes its fast path, about 99% of draws, itself, with no branch
+ *     on the random sign, on tables probed off numpy's function when the
+ *     library is loaded (tamsde_init), and hands the rest to the function
+ *     (ziggurat(), below).
  *
- * Both loops are built from one set of leg primitives: propose, due, pend
- * and fire on a struct leg, with the coefficients of all three models in
- * one switch.  A pair is two legs on a merged timeline; a path is one leg
- * with one increment pending per step.  Each loop's body is written once,
- * as a function of one seed's state (struct lane): pair_event, one event
- * of driver._merge's loop, and path_step, one step of
- * scheme.simulate_path's; there is no other pair or path loop.  kernel.py
- * builds and loads this file.
+ * The scheme's formulas (the coefficients of the three models, the
+ * tamed product, the step rule of propose, scheme._due and the adaptive
+ * update) are written once, in FORMULAS, over a lane type: instantiated
+ * on a double for the legs of a pair, and on a vector of two doubles for
+ * two paths at once.  A pair is two legs (struct leg) on a merged
+ * timeline, and pair_event is one event of driver._merge's loop; a path
+ * is one leg, and path_step is one step of scheme.simulate_path's loop
+ * for the two paths of a vector (struct paths).  There is no other pair
+ * or path loop.  kernel.py builds and loads this file.
  *
  * A Monte Carlo cell's pairs or paths, and a single pair, run as a block
  * of consecutive seeds (tamsde_block).  A block keeps LANES seeds in
- * flight, each in a lane with a Philox of its own: numpy's SeedSequence
- * and Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
- * 1, 2, 3", SC'11), ported below word for word, so tamsde_seed gives the
- * key and the counter numpy's Philox(seed) starts with.  Only the two
- * draws numpy's normal makes, the 64-bit output and the double, are
- * ported; the bitgen_t's next_uint32 slot aborts (philox_abort32).  A
- * pass gives every live lane one event; a lane whose seed is over writes that seed's
- * states, stop time, step counts and return code into the caller's
- * arrays and refills with the block's next seed.  Each step of a seed is
- * one chain of dependent operations, so one seed alone leaves most of the
- * processor idle; the lanes' chains overlap.  A seed runs the same
- * operations in the same order on its own Philox in any lane, so its
- * results do not depend on the lanes.  A seed of any size is given as its
- * 32-bit words, which the block steps by one per seed.  A path of a block
- * stores no trajectory; a single pair is a block of one, one lane.
+ * flight, each with a Philox of its own: numpy's SeedSequence and
+ * Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1,
+ * 2, 3", SC'11), ported below word for word, so tamsde_seed gives the key
+ * and the counter numpy's Philox(seed) starts with.  Only the two draws
+ * numpy's normal makes, the 64-bit output and the double, are ported; the
+ * bitgen_t's next_uint32 slot aborts (philox_abort32).  Each step of a
+ * seed is one chain of dependent operations, so one seed alone leaves
+ * most of the processor idle; the seeds' chains overlap.  A block's pairs
+ * run in LANES scalar lanes (struct lane), its paths in LANES / 2 vectors
+ * of two (struct path_lanes), whose packed operations step both paths at
+ * once; each path's draw, its pow calls, its step count and its record
+ * stay its own.  A pass gives every live lane or vector one event or
+ * step; a seed that is over writes its states, stop time, step counts and
+ * return code into the caller's arrays, and its lane or element refills
+ * with the block's next seed.  A seed runs the same operations in the
+ * same order on its own Philox in any lane or element, so its results do
+ * not depend on the others.  A seed of any size is given as its 32-bit
+ * words, which the block steps by one per seed.  A path of a block stores
+ * no trajectory; a single pair is a block of one, one lane.
+ *
+ * On x86-64 ELF the path lanes are compiled twice, for AVX2 and for the
+ * baseline instruction set (target_clones), and the loader runs the
+ * clone the host can; tamsde_lanes says which.  Elsewhere, and when
+ * __ELF__ is undefined on the build line, the one baseline build is
+ * portable GNU C vector code.  Neither moves a bit: each element's
+ * operations are the scalar ones.
  *
  * A path whose trajectory is kept (tamsde_path, whose stored grid the
- * caller releases with tamsde_free) runs path_step in one lane on the
- * bitgen_t of the caller's NoiseSource, numpy's own Philox, and adds each
- * step's duration to the source's clock as the source's own
- * gaussian_increment would.  tamsde_seed and tamsde_normals, the lanes'
- * draw, are exported for the tests that check the port against numpy;
- * the structs are known only to this file (and to that test's mirror of
- * struct philox).
+ * caller releases with tamsde_free) runs path_step with one live element,
+ * drawing on the bitgen_t of the caller's NoiseSource, numpy's own
+ * Philox, and adds each step's duration to the source's clock as the
+ * source's own gaussian_increment would.  tamsde_seed and tamsde_normals,
+ * the lanes' draw, are exported for the tests that check the port
+ * against numpy; the structs are known only to this file (and to that
+ * test's mirror of struct philox).
  */
 #include <float.h>
 #include <math.h>
@@ -227,7 +239,7 @@ void tamsde_seed(struct philox *rng, const unsigned char *seed, size_t n_words)
     rng->buffer_pos = 4;
 }
 
-/* --- numpy's normal on the port ------------------------------------------ */
+/* --- numpy's normal ------------------------------------------------------ */
 
 /* numpy's random_standard_normal is a ziggurat (Marsaglia and Tsang, "The
    ziggurat method for generating random variables", J. Stat. Softw.
@@ -236,7 +248,7 @@ void tamsde_seed(struct philox *rng, const unsigned char *seed, size_t n_words)
    rabs * wi[idx], negated when the sign bit is set, and about 99% of
    draws end there.  numpy's compiled function negates with a branch on
    that random bit, which the processor mispredicts on half of all draws.
-   normal() takes the same fast path itself and flips the double's sign
+   ziggurat() takes the same fast path itself and flips the double's sign
    bit by XOR, with no branch; every other draw, on a wedge or the tail,
    is numpy's own function.  The tables are not copied from numpy (they
    are local symbols of libnpyrandom.a): tamsde_init probes them off its
@@ -246,28 +258,81 @@ void tamsde_seed(struct philox *rng, const unsigned char *seed, size_t n_words)
 static uint64_t ki[256];
 static double wi[256];
 
-/* The next normal on rng, numpy's random_standard_normal(g) bit for bit,
-   where g is the bitgen_t on rng.  philox_next leaves the output it
-   returned at buffer[buffer_pos - 1] (a new block sets buffer_pos to 1),
-   so off the fast path, stepping buffer_pos back by one makes numpy's
-   function draw that same output again and go on from it as it would
-   have. */
-static double normal(struct philox *rng, bitgen_t *g)
+/* A bit generator whose first output is first, already drawn on g, and
+   which draws every later output and double on g itself */
+struct replay {
+    uint64_t first;
+    int drawn;
+    const bitgen_t *g;
+};
+
+static uint64_t replay_next(void *st)
 {
-    uint64_t r = philox_next(rng), rabs = r >> 9 & 0xfffffffffffffu, bits;
-    unsigned idx = (unsigned)(r & 0xff);
-    double x;
-    if (rabs >= ki[idx]) {
-        rng->buffer_pos -= 1;
-        return random_standard_normal(g);
+    struct replay *p = st;
+    if (!p->drawn) {
+        p->drawn = 1;
+        return p->first;
     }
+    return p->g->next_uint64(p->g->state);
+}
+
+static double replay_double(void *st)
+{
+    const struct replay *p = st;
+    return p->g->next_double(p->g->state);
+}
+
+/* numpy's random_standard_normal(g) when g's next output is r, which is
+   drawn already: the function runs on a replay of r, so the draws after
+   it are g's, as numpy's would be, and g is left as numpy's draws leave
+   it */
+static double replay(uint64_t r, const bitgen_t *g)
+{
+    struct replay p = {r, 0, g};
+    bitgen_t again = {&p, replay_next, philox_abort32, replay_double,
+                      replay_next};
+    return random_standard_normal(&again);
+}
+
+/* 1 when the output r is on numpy's fast path, and then *x = its
+   normal */
+static inline int ziggurat(uint64_t r, double *x)
+{
+    uint64_t rabs = r >> 9 & 0xfffffffffffffu, bits;
+    unsigned idx = (unsigned)(r & 0xff);
+    if (rabs >= ki[idx])
+        return 0;
     /* rabs < 2**52 converts exactly either way; the signed conversion is
        one instruction */
-    x = (double)(int64_t)rabs * wi[idx];
-    memcpy(&bits, &x, sizeof bits);
+    *x = (double)(int64_t)rabs * wi[idx];
+    memcpy(&bits, x, sizeof bits);
     bits ^= (r >> 8 & 1) << 63;  /* numpy's -x when the sign bit is set */
-    memcpy(&x, &bits, sizeof x);
-    return x;
+    memcpy(x, &bits, sizeof bits);
+    return 1;
+}
+
+/* The next normal of numpy's random_standard_normal(g), for any bit
+   generator g: a kept path's, on its caller's numpy Philox. */
+static inline double normal_on(const bitgen_t *g)
+{
+    uint64_t r = g->next_uint64(g->state);
+    double x;
+    return ziggurat(r, &x) ? x : replay(r, g);
+}
+
+/* The same on the port's Philox rng, whose bitgen_t is g, its output
+   drawn inline.  philox_next leaves the output it returned at
+   buffer[buffer_pos - 1] (a new block sets buffer_pos to 1), so off the
+   fast path, stepping buffer_pos back by one makes numpy's function draw
+   that same output again; a replay, as normal_on's, made the port's
+   draw 1.5-2% slower, as r must then be kept for the rare path. */
+static inline double normal(struct philox *rng, bitgen_t *g)
+{
+    double x;
+    if (ziggurat(philox_next(rng), &x))
+        return x;
+    rng->buffer_pos -= 1;
+    return random_standard_normal(g);
 }
 
 /* out = the next n normals of rng, as Generator.standard_normal(n) */
@@ -363,7 +428,7 @@ static void probe_tables(void)
         memset(ki, 0, sizeof ki);
 }
 
-/* Fill the tables of normal() once per process, before any draw:
+/* Fill the tables of ziggurat() once per process, before any draw:
    kernel.py calls it when it loads the library.  Returns 1 when the
    draws take the fast path, 0 when every draw is numpy's function. */
 int tamsde_init(void)
@@ -373,7 +438,105 @@ int tamsde_init(void)
     return fast_path;
 }
 
-/* --- the scheme ----------------------------------------------------------- */
+/* --- lane types ---------------------------------------------------------- */
+
+/* Two paths share a vector of two doubles (GCC and clang's vector_size
+   type, native on SSE2 and NEON): +, -, *, / and the comparisons act on
+   each element, a scalar operand on both, and a comparison gives a mask
+   of all ones or all zeros in each element.  The helpers below, suffixed
+   _d for a double and _v for a vector, are what the two types spell
+   differently; FORMULAS is written in them. */
+typedef double vec __attribute__((vector_size(16)));
+typedef long long vmask __attribute__((vector_size(16)));
+
+/* On x86-64 ELF the path lanes (LANE_CLONES functions) are built for
+   AVX2 and for the baseline, and the loader picks one on the host
+   (an ifunc); the square root and the masks' bits are one SSE2
+   instruction each there, else one call or test per element. */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CLONED
+#endif
+#endif
+
+#ifdef CLONED
+#include <emmintrin.h>
+#define LANE_CLONES __attribute__((target_clones("avx2", "default")))
+
+static inline vec sqrt_v(vec x)
+{
+    return (vec)_mm_sqrt_pd((__m128d)x);
+}
+
+/* bit e set when element e of m is set */
+static inline unsigned bits_v(vmask m)
+{
+    return (unsigned)_mm_movemask_pd((__m128d)m);
+}
+#else
+#define LANE_CLONES
+static inline vec sqrt_v(vec x)
+{
+    vec r = {sqrt(x[0]), sqrt(x[1])};
+    return r;
+}
+
+static inline unsigned bits_v(vmask m)
+{
+    return (unsigned)(m[0] != 0) | (unsigned)(m[1] != 0) << 1;
+}
+#endif
+
+/* a double's helpers are C's own */
+#define splat_d(x) (x)
+#define select_d(c, a, b) ((c) ? (a) : (b))
+#define abs_d fabs
+#define isinf_d isinf
+#define copysign_d copysign
+#define powabs_d(x, e) pow(fabs(x), e)
+
+static inline vec splat_v(double x)
+{
+    vec v = {x, x};
+    return v;
+}
+
+/* a where c is set, else b */
+static inline vec select_v(vmask c, vec a, vec b)
+{
+    return (vec)((c & (vmask)a) | (~c & (vmask)b));
+}
+
+#define SIGN_BITS ((vmask){INT64_MIN, INT64_MIN})
+
+static inline vec abs_v(vec x)
+{
+    return (vec)((vmask)x & ~SIGN_BITS);
+}
+
+static inline vmask isinf_v(vec x)
+{
+    return abs_v(x) == INFINITY;
+}
+
+/* |a| with the sign of each element of b */
+static inline vec copysign_v(double a, vec b)
+{
+    return (vec)(((vmask)abs_v(splat_v(a))) | ((vmask)b & SIGN_BITS));
+}
+
+/* libm pow of |x| for each element, as pow(fabs(x), e); one call when
+   the two elements are equal, as those of a kept path are (tamsde_path):
+   equal non-negative doubles are the same bits, so pow gives the same */
+static inline vec powabs_v(vec x, double e)
+{
+    vec a = abs_v(x);
+    double first = pow(a[0], e);
+    vec r = {first, a[1] == a[0] ? first : pow(a[1], e)};
+    return r;
+}
+
+/* --- the scheme ---------------------------------------------------------- */
 
 enum { MODEL1, MODEL2, GBM };
 /* how a seed's run ended; RUNNING while it goes on */
@@ -400,97 +563,115 @@ struct pair {
     int adaptive;    /* 1: tamed-adaptive legs, 0: fixed-step legs */
 };
 
-static double sign(double x)
-{
-    return x > 0.0 ? 1.0 : (x < 0.0 ? -1.0 : 0.0);
+/* The scheme's formulas on the lane type T, whose helpers are suffixed V:
+   FORMULAS(double, d) for a pair's legs, FORMULAS(vec, v) for two paths.
+     sign_V: model.py's sign.
+     product_V: scheme._tamed's product: an exact zero factor gives a
+       zero product (the fixed-step legs' q too).
+     tamed_V: scheme._tamed: an infinite product saturates at
+       +-1/sqrt(delta).
+     coefficients_V: model's mu, mu', sigma and sigma' at x, each in the
+       operation order of its function in model.py.
+     rule_V: propose of scheme._tam_leg / _tm_leg for the given model, a
+       constant in each of propose_V's cases, so each model's coefficients
+       fold into its own copy of the step rule (sigma' of model1 is 0.1,
+       say; one copy for all models, joined after the coefficients, made
+       a model1 leg-step ~6% slower): keeps mu, sigma and q at x in *mo,
+       *so and *qo and returns the step the leg wants.
+     due_V: scheme._due.
+     advance_V: the tamed-adaptive update of scheme._tam_leg. */
+#define FORMULAS(T, V)                                                       \
+static inline T sign_##V(T x)                                                \
+{                                                                            \
+    return select_##V(x > 0.0, splat_##V(1.0),                               \
+                      select_##V(x < 0.0, splat_##V(-1.0), splat_##V(0.0))); \
+}                                                                            \
+static inline T product_##V(T s, T sp)                                       \
+{                                                                            \
+    return select_##V((s == 0.0) | (sp == 0.0), splat_##V(0.0), s * sp);     \
+}                                                                            \
+static inline T tamed_##V(T s, T sp, double sqd)                             \
+{                                                                            \
+    T g = product_##V(s, sp);                                                \
+    return select_##V(isinf_##V(g), copysign_##V(1.0 / sqd, g),              \
+                      g / (1.0 + sqd * abs_##V(g)));                         \
+}                                                                            \
+static inline void coefficients_##V(int model, T x, T *m, T *mp, T *s,       \
+                                    T *sp)                                   \
+{                                                                            \
+    T r;                                                                     \
+    switch (model) {                                                         \
+    case MODEL1:                                                             \
+        *m = 0.1 * (x - x * x * x);                                          \
+        *mp = 0.1 * (1.0 - 3.0 * x * x);                                     \
+        *s = 0.1 * x;                                                        \
+        *sp = splat_##V(0.1);                                                \
+        break;                                                               \
+    case MODEL2:                                                             \
+        /* one pow for mu and mu': the same call on the same argument,       \
+           which the compiler does not merge itself, as pow may set errno */ \
+        r = powabs_##V(x, 0.5);                                              \
+        *m = -0.1 * (1.0 + 3.0 * x + x * r);                                 \
+        *mp = -0.3 - 0.15 * r;                                               \
+        *s = 0.3 * (1.0 + powabs_##V(x, 1.2));                               \
+        *sp = 0.36 * sign_##V(x) * powabs_##V(x, 0.2);                       \
+        break;                                                               \
+    default:                                                                 \
+        *m = 0.05 * x;                                                       \
+        *mp = splat_##V(0.05);                                               \
+        *s = 0.2 * x;                                                        \
+        *sp = splat_##V(0.2);                                                \
+    }                                                                        \
+}                                                                            \
+static inline T rule_##V(const struct pair *p, const struct leg *leg, T x,   \
+                         int model, T *mo, T *so, T *qo)                     \
+{                                                                            \
+    T m, s, mp, sp, q, s2, sp2, xl, base, step;                              \
+    coefficients_##V(model, x, &m, &mp, &s, &sp);                            \
+    *mo = m;                                                                 \
+    *so = s;                                                                 \
+    if (!p->adaptive) {                                                      \
+        *qo = product_##V(s, sp);                                            \
+        return splat_##V(leg->delta);                                        \
+    }                                                                        \
+    q = tamed_##V(s, sp, leg->sqd);                                          \
+    *qo = q;                                                                 \
+    s2 = s * s;                                                              \
+    sp2 = sp * sp;                                                           \
+    xl = p->l0 == 2.0 ? x * x : powabs_##V(x, p->l0);                        \
+    base = 1.0 + m * m + abs_##V(mp) + s2 * s2 + sp2 * sp2 + abs_##V(q)      \
+           + xl;                                                             \
+    step = (p->h0 / (base * base)) * leg->delta;                             \
+    /* scheme._TINY_STEP */                                                  \
+    return select_##V((step <= 0.0) | (step != step), splat_##V(DBL_MIN),    \
+                      step);                                                 \
+}                                                                            \
+static inline T propose_##V(const struct pair *p, const struct leg *leg,     \
+                            T x, T *m, T *s, T *q)                           \
+{                                                                            \
+    switch (p->model) {                                                      \
+    case MODEL1: return rule_##V(p, leg, x, MODEL1, m, s, q);                \
+    case MODEL2: return rule_##V(p, leg, x, MODEL2, m, s, q);                \
+    default:     return rule_##V(p, leg, x, GBM, m, s, q);                   \
+    }                                                                        \
+}                                                                            \
+static inline T due_##V(T last, T step, double t_end)                        \
+{                                                                            \
+    T d = last + step;                                                       \
+    return select_##V((step >= t_end - last) | (d >= t_end),                 \
+                      splat_##V(t_end), d);                                  \
+}                                                                            \
+static inline T advance_##V(T x, T m, T s, T q, T dt, T dw)                  \
+{                                                                            \
+    return x + m * dt + s * dw + 0.5 * q * (dw * dw - dt);                   \
 }
 
-/* the coefficients of model at x: mu, mu', sigma and sigma', each in the
-   operation order of its function in model.py */
-static void coefficients(int model, double x, double *m, double *mp,
-                         double *s, double *sp)
-{
-    double r;
-    switch (model) {
-    case MODEL1:
-        *m = 0.1 * (x - x * x * x);
-        *mp = 0.1 * (1.0 - 3.0 * x * x);
-        *s = 0.1 * x;
-        *sp = 0.1;
-        break;
-    case MODEL2:
-        /* one pow for mu and mu': the same call on the same argument, which
-           the compiler does not merge itself, as pow may set errno */
-        r = pow(fabs(x), 0.5);
-        *m = -0.1 * (1.0 + 3.0 * x + x * r);
-        *mp = -0.3 - 0.15 * r;
-        *s = 0.3 * (1.0 + pow(fabs(x), 1.2));
-        *sp = 0.36 * sign(x) * pow(fabs(x), 0.2);
-        break;
-    default:
-        *m = 0.05 * x;
-        *mp = 0.05;
-        *s = 0.2 * x;
-        *sp = 0.2;
-    }
-}
+FORMULAS(double, d)
+FORMULAS(vec, v)
 
-/* scheme._tamed: an exact zero factor gives a zero product, and an
-   infinite product saturates at +-1/sqrt(delta) */
-static double tamed(double s, double sp, double sqd)
-{
-    double g = (s == 0.0 || sp == 0.0) ? 0.0 : s * sp;
-    if (isinf(g))
-        return copysign(1.0 / sqd, g);
-    return g / (1.0 + sqd * fabs(g));
-}
-
-/* propose of scheme._tam_leg / _tm_leg for the given model: keep the
-   coefficients at x and return the step the leg wants */
-static inline double propose_model(const struct pair *p, struct leg *leg,
-                                   double x, int model)
-{
-    double m, s, mp, sp, q, s2, sp2, xl, base, step;
-    coefficients(model, x, &m, &mp, &s, &sp);
-    leg->m = m;
-    leg->s = s;
-    if (!p->adaptive) {
-        leg->q = (s == 0.0 || sp == 0.0) ? 0.0 : s * sp;
-        return leg->delta;
-    }
-    q = tamed(s, sp, leg->sqd);
-    leg->q = q;
-    s2 = s * s;
-    sp2 = sp * sp;
-    xl = p->l0 == 2.0 ? x * x : pow(fabs(x), p->l0);
-    base = 1.0 + m * m + fabs(mp) + s2 * s2 + sp2 * sp2 + fabs(q) + xl;
-    step = (p->h0 / (base * base)) * leg->delta;
-    if (step <= 0.0 || step != step)
-        return DBL_MIN;  /* scheme._TINY_STEP */
-    return step;
-}
-
-/* propose_model for the pair's model, with the model a constant in each
-   case, so each model's coefficients fold into its own copy of the step
-   rule (sigma' of model1 is 0.1, say); one copy for all models, joined
-   after the coefficients, made a model1 leg-step ~6% slower */
 static double propose(const struct pair *p, struct leg *leg, double x)
 {
-    switch (p->model) {
-    case MODEL1: return propose_model(p, leg, x, MODEL1);
-    case MODEL2: return propose_model(p, leg, x, MODEL2);
-    default:     return propose_model(p, leg, x, GBM);
-    }
-}
-
-/* scheme._due */
-static double due(double last, double step, double t_end)
-{
-    double d;
-    if (step >= t_end - last)
-        return t_end;
-    d = last + step;
-    return d >= t_end ? t_end : d;
+    return propose_d(p, leg, x, &leg->m, &leg->s, &leg->q);
 }
 
 static void pend(struct leg *leg, double dz)
@@ -501,14 +682,14 @@ static void pend(struct leg *leg, double dz)
     leg->pw = s;
 }
 
-/* The leg's event at t: advance with the pending increment, then propose
-   the next step.  Nonzero when the leg cannot go on (the checks of
-   driver._merge and scheme.simulate_path); the caller reports it. */
+/* A pair's leg's event at t: advance with the pending increment, then
+   propose the next step.  Nonzero when the leg cannot go on (the checks
+   of driver._merge); the caller reports it. */
 static int fire(const struct pair *p, struct leg *leg, double t)
 {
     double x = leg->x, dt = t - leg->last, dW = leg->pw;
     if (p->adaptive)
-        x = x + leg->m * dt + leg->s * dW + 0.5 * leg->q * (dW * dW - dt);
+        x = advance_d(x, leg->m, leg->s, leg->q, dt, dW);
     else
         x = x + (leg->m * dt + leg->s * dW + 0.5 * leg->q * (dW * dW - dt))
                 / (1.0 + leg->delta * (x * x));
@@ -519,11 +700,20 @@ static int fire(const struct pair *p, struct leg *leg, double t)
     if (t < p->t_end) {
         if (leg->steps >= p->max_steps || !isfinite(x))
             return 1;
-        leg->due = due(t, propose(p, leg, x), p->t_end);
+        leg->due = due_d(t, propose(p, leg, x), p->t_end);
         if (leg->due <= t)
             return 1;
     }
     return 0;
+}
+
+/* the leg at x0, at base step delta, with its first step proposed */
+static void arm(const struct pair *p, struct leg *leg, double delta, double x0)
+{
+    leg->delta = delta;
+    leg->sqd = sqrt(delta);
+    leg->x = x0;
+    leg->due = due_d(0.0, propose(p, leg, x0), p->t_end);
 }
 
 /* A path's stored grid: times and values at each of n points and the
@@ -574,22 +764,10 @@ void tamsde_free(double *p)
     free(p);
 }
 
-/* the leg at x0, at base step delta, with its first step proposed */
-static void arm(const struct pair *p, struct leg *leg, double delta, double x0)
-{
-    leg->delta = delta;
-    leg->sqd = sqrt(delta);
-    leg->x = x0;
-    leg->due = due(0.0, propose(p, leg, x0), p->t_end);
-}
+/* --- one pair in flight: a lane ------------------------------------------ */
 
-/* --- one seed in flight: a lane ------------------------------------------ */
-
-/* A seed's run: its pair (a path is the fine leg alone), its own Philox
-   and the bitgen_t it draws on (in a block, the one on rng; a kept path
-   draws on its caller's instead), t, which is the merged timeline's time
-   of a pair and the clock of a path (the sum of its steps' durations),
-   and the seed's index in its block. */
+/* A pair's run: its pair, its own Philox and the bitgen_t on it, t, the
+   merged timeline's time, and the seed's index in its block. */
 struct lane {
     struct pair p;
     struct philox rng;
@@ -622,36 +800,93 @@ static int pair_event(struct lane *l)
     return isfinite(p->coarse.x) ? DONE : COARSE_STOP;
 }
 
-/* One step of scheme.simulate_path's loop on the fine leg: one normal,
-   the step's duration added to the clock t, and the step stored in g,
-   unless g is NULL.  Returns RUNNING while the path goes on; else DONE,
-   FINE_STOP when the leg cannot go on or ends non-finite, or NO_MEMORY
-   when the step could not be stored.  A path starts at 0 before t_end, so
-   its first step is always run. */
-static int path_step(struct lane *l, struct grid *g)
+/* --- two paths in flight: a vector --------------------------------------- */
+
+/* Two paths' fine legs, one in each element, as in struct leg; the base
+   step is the pair's fine leg's, and nothing is pending between steps.
+   Each path's step count is its own. */
+struct paths {
+    vec x, last, due, m, s, q;
+    long long steps[2];
+};
+
+/* element e of v: the path as start's fine leg starts it */
+static void start_path(struct paths *v, int e, const struct pair *start)
 {
-    struct leg *leg = &l->p.fine;
-    double dt = leg->due - leg->last;
-    /* a block's lane (g NULL) draws on its own Philox, a kept path on its
-       caller's bit generator; one increment pending onto nothing is the
-       increment itself, signed zero included, which pend would turn into
-       +0.0 */
-    double dw = sqrt(dt) * (g == NULL ? normal(&l->rng, &l->g)
-                                      : random_standard_normal(&l->g));
-    leg->pw = dw;
-    l->t += dt;
-    if (fire(&l->p, leg, leg->due))
-        return FINE_STOP;
-    if (g != NULL && !keep(g, leg->last, leg->x, dw))
-        return NO_MEMORY;
-    if (leg->last < l->p.t_end)
-        return RUNNING;
-    return isfinite(leg->x) ? DONE : FINE_STOP;
+    const struct leg *leg = &start->fine;
+    v->x[e] = leg->x;
+    v->last[e] = leg->last;
+    v->due[e] = leg->due;
+    v->m[e] = leg->m;
+    v->s[e] = leg->s;
+    v->q[e] = leg->q;
+    v->steps[e] = 0;
+}
+
+/* One step of scheme.simulate_path's loop for each of v's two paths, of
+   p's fine leg, with the normals z; each step's increment is left in
+   *dw.  Returns a bit (1 << e) for each element whose path is over: it
+   cannot go on, or it has reached t_end (path_end says how it ended). */
+static inline unsigned path_step(const struct pair *p, struct paths *v,
+                                 vec z, vec *dw)
+{
+    vec dt = v->due - v->last, x;
+    vmask over;
+    /* one increment pending onto nothing is the increment itself, signed
+       zero included, which a Kahan sum would turn into +0.0 */
+    *dw = sqrt_v(dt) * z;
+    x = advance_v(v->x, v->m, v->s, v->q, dt, *dw);
+    v->x = x;
+    v->last = v->due;
+    v->due = due_v(v->last, propose_v(p, &p->fine, x, &v->m, &v->s, &v->q),
+                   p->t_end);
+    /* at t_end, or not finite, or a step collapsed to nothing */
+    over = ~(v->last < p->t_end) | ~(abs_v(x) <= DBL_MAX)
+           | (v->due <= v->last);
+    v->steps[0] += 1;
+    v->steps[1] += 1;
+    return bits_v(over) | (unsigned)(v->steps[0] >= p->max_steps)
+           | (unsigned)(v->steps[1] >= p->max_steps) << 1;
+}
+
+/* DONE or FINE_STOP, for the path of element e, which path_step said is
+   over: stopped before t_end, or ended there non-finite, or DONE */
+static int path_end(const struct paths *v, int e, double t_end)
+{
+    return v->last[e] < t_end || !isfinite(v->x[e]) ? FINE_STOP : DONE;
+}
+
+/* A path whose trajectory is kept: element 0 of v, drawing on the caller's
+   bitgen and storing each step in g; element 1 is the same path, the
+   same bits, and is not read.  The steps' durations are added to *clock.
+   Returns DONE, FINE_STOP or NO_MEMORY. */
+LANE_CLONES static int kept_path(const struct pair *p, struct paths *v,
+                                 const bitgen_t *bitgen, double *clock,
+                                 struct grid *g)
+{
+    double t = *clock;
+    int status = RUNNING;
+    while (status == RUNNING) {
+        double drawn = normal_on(bitgen);
+        vec z = {drawn, drawn}, dw;
+        unsigned over;
+        t += v->due[0] - v->last[0];
+        over = path_step(p, v, z, &dw) & 1;
+        if (over && v->last[0] < p->t_end)
+            status = FINE_STOP;  /* nothing stored */
+        else if (!keep(g, v->last[0], v->x[0], dw[0]))
+            status = NO_MEMORY;
+        else if (over)
+            status = path_end(v, 0, p->t_end);
+    }
+    *clock = t;
+    return status;
 }
 
 /* scheme.simulate_path: one tamed-adaptive leg from x0 to t_end, one
    normal drawn on bitgen per step, each step's duration added to *clock.
-   It runs as one lane, on the caller's bit generator itself.
+   It runs as element 0 of a vector of paths, on the caller's bit
+   generator itself.
    Returns DONE with grid = {times, values, increments} (steps + 1
    doubles each, of which the increments use steps; each to be released
    with tamsde_free),
@@ -663,25 +898,22 @@ int tamsde_path(int model, double delta, double h0, double l0, double x0,
                 double *clock, double out[2], long long *steps,
                 double *grid[3])
 {
-    struct lane l = {.p = {.h0 = h0, .l0 = l0, .t_end = t_end,
-                           .max_steps = max_steps, .model = model,
-                           .adaptive = 1}};
+    struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
+                     .max_steps = max_steps, .model = model, .adaptive = 1};
+    struct paths v;
     struct grid g = {{NULL, NULL, NULL}, 1, 1024};
     int status = NO_MEMORY;
-    arm(&l.p, &l.p.fine, delta, x0);
+    arm(&p, &p.fine, delta, x0);
+    start_path(&v, 0, &p);
+    start_path(&v, 1, &p);
     if (resize(&g, g.cap)) {
         g.a[0][0] = 0.0;
         g.a[1][0] = x0;
-        l.g = *bitgen;  /* its state is the caller's, drawn on in place */
-        l.t = *clock;
-        status = RUNNING;
-        while (status == RUNNING)
-            status = path_step(&l, &g);
-        *clock = l.t;
+        status = kept_path(&p, &v, bitgen, clock, &g);
     }
-    out[0] = l.p.fine.x;
-    out[1] = l.p.fine.last;
-    *steps = l.p.fine.steps;
+    out[0] = v.x[0];
+    out[1] = v.last[0];
+    *steps = v.steps[0];
     /* give back the unused capacity (a failed shrink keeps the block), or
        free a grid that is not handed back */
     resize(&g, status == DONE ? g.n : 0);
@@ -706,7 +938,18 @@ static void next_seed(unsigned char *seed, size_t *n_words)
     *n_words += 1;
 }
 
-/* the seeds a block keeps in flight */
+/* rng = the Philox of the seed whose words seed holds, and g the bitgen_t
+   on it; then step seed to the next integer */
+static void seed_philox(struct philox *rng, bitgen_t *g, unsigned char *seed,
+                        size_t *n_words)
+{
+    tamsde_seed(rng, seed, *n_words);
+    *g = bitgen(rng);
+    next_seed(seed, n_words);
+}
+
+/* the seeds a block keeps in flight: LANES pairs, or LANES / 2 vectors of
+   two paths */
 #define LANES 4
 
 /* Start lane l on the seed of index i, whose words seed holds, with the
@@ -715,28 +958,25 @@ static void begin(struct lane *l, const struct pair *start,
                   unsigned char *seed, size_t *n_words, long long i)
 {
     l->p = *start;
-    tamsde_seed(&l->rng, seed, *n_words);
-    l->g = bitgen(&l->rng);
+    seed_philox(&l->rng, &l->g, seed, n_words);
     l->t = 0.0;
     l->i = i;
-    next_seed(seed, n_words);
 }
 
-/* Each of the n seeds from seed, as tamsde_block takes them, from start:
-   a pair (pair_event) when legs is 2, a path storing nothing (path_step)
-   when it is 1.  LANES seeds are in flight, each on its own Philox; a
-   pass gives every live lane one event, a lane left alone (the one lane
-   of a block of one) included, and a lane whose seed is over writes its
-   record and starts the block's next seed.  Each seed runs the
-   same operations in the same order as it would alone, so only the order
-   of the work across seeds depends on the lanes. */
-static void run(const struct pair *start, int legs, unsigned char *seed,
-                size_t n_words, long long n, double *out, long long *steps,
-                int *status)
+/* Each of the n pairs of the seeds from seed, as tamsde_block takes them,
+   from start.  LANES seeds are in flight, each on its own Philox; a pass
+   gives every live lane one event, a lane left alone (the one lane of a
+   block of one) included, and a lane whose seed is over writes its record
+   and starts the block's next seed.  Each seed runs the same operations in
+   the same order as it would alone, so only the order of the work across
+   seeds depends on the lanes. */
+static void run_pairs(const struct pair *start, unsigned char *seed,
+                      size_t n_words, long long n, double *out,
+                      long long *steps, int *status)
 {
     struct lane lanes[LANES], *live[LANES];
     long long next = 0;
-    int n_live = 0, k, j;
+    int n_live = 0, k;
     for (; n_live < LANES && next < n; n_live++) {
         live[n_live] = &lanes[n_live];
         begin(live[n_live], start, seed, &n_words, next++);
@@ -744,22 +984,85 @@ static void run(const struct pair *start, int legs, unsigned char *seed,
     while (n_live > 0)
         for (k = 0; k < n_live; k++) {
             struct lane *l = live[k];
-            const struct leg *leg[2];
-            int code = legs == 2 ? pair_event(l) : path_step(l, NULL);
+            int code = pair_event(l);
             if (code == RUNNING)
                 continue;
-            leg[0] = &l->p.fine;
-            leg[1] = &l->p.coarse;
-            for (j = 0; j < legs; j++) {
-                out[(legs + 1) * l->i + j] = leg[j]->x;
-                steps[legs * l->i + j] = leg[j]->steps;
-            }
-            /* the stop time: the merged timeline's, or the path's last */
-            out[(legs + 1) * l->i + legs] = legs == 2 ? l->t : leg[0]->last;
+            out[3 * l->i] = l->p.fine.x;
+            out[3 * l->i + 1] = l->p.coarse.x;
+            out[3 * l->i + 2] = l->t;  /* the merged timeline's stop time */
+            steps[2 * l->i] = l->p.fine.steps;
+            steps[2 * l->i + 1] = l->p.coarse.steps;
             status[l->i] = code;
             if (next < n)
                 begin(l, start, seed, &n_words, next++);
             else  /* the last lane takes this one's place in the pass */
+                live[k--] = live[--n_live];
+        }
+}
+
+/* Two paths in flight: their legs, each element's Philox and the
+   bitgen_t on it, and the index in the block of each element's seed, or
+   -1 for an element with none, which steps with no noise and is not
+   read. */
+struct path_lanes {
+    struct paths v;
+    struct philox rng[2];
+    bitgen_t g[2];
+    long long i[2];
+};
+
+/* Start element e of l on the seed of index i (none when i is -1), whose
+   words seed holds, with the path as every seed starts it; then step
+   seed to the next integer. */
+static void begin_path(struct path_lanes *l, int e, const struct pair *start,
+                       unsigned char *seed, size_t *n_words, long long i)
+{
+    start_path(&l->v, e, start);
+    l->i[e] = i;
+    if (i >= 0)
+        seed_philox(&l->rng[e], &l->g[e], seed, n_words);
+}
+
+/* Each of the n paths of the seeds from seed, as tamsde_block takes them,
+   from start's fine leg, as run_pairs runs pairs: LANES seeds in flight,
+   two in each vector; a pass steps every vector with a live element, and
+   an element whose seed is over writes its record and starts the block's
+   next seed, or none. */
+LANE_CLONES static void run_paths(const struct pair *start,
+                                  unsigned char *seed, size_t n_words,
+                                  long long n, double *out, long long *steps,
+                                  int *status)
+{
+    struct path_lanes lanes[LANES / 2], *live[LANES / 2];
+    long long next = 0;
+    int n_live = 0, k, e;
+    for (; n_live < LANES / 2 && next < n; n_live++) {
+        live[n_live] = &lanes[n_live];
+        for (e = 0; e < 2; e++)
+            begin_path(live[n_live], e, start, seed, &n_words,
+                       next < n ? next++ : -1);
+    }
+    while (n_live > 0)
+        for (k = 0; k < n_live; k++) {
+            struct path_lanes *l = live[k];
+            vec z = {l->i[0] >= 0 ? normal(&l->rng[0], &l->g[0]) : 0.0,
+                     l->i[1] >= 0 ? normal(&l->rng[1], &l->g[1]) : 0.0};
+            vec dw;
+            unsigned over = path_step(start, &l->v, z, &dw);
+            if (over == 0)
+                continue;
+            for (e = 0; e < 2; e++) {
+                long long i = l->i[e];
+                if (!(over >> e & 1) || i < 0)
+                    continue;
+                out[2 * i] = l->v.x[e];
+                out[2 * i + 1] = l->v.last[e];  /* the path's stop time */
+                steps[i] = l->v.steps[e];
+                status[i] = path_end(&l->v, e, start->t_end);
+                begin_path(l, e, start, seed, &n_words,
+                           next < n ? next++ : -1);
+            }
+            if (l->i[0] < 0 && l->i[1] < 0)  /* as in run_pairs */
                 live[k--] = live[--n_live];
         }
 }
@@ -784,7 +1087,23 @@ void tamsde_block(int legs, int model, int adaptive, double delta_fine,
                      .max_steps = max_steps, .model = model,
                      .adaptive = adaptive};
     arm(&p, &p.fine, delta_fine, x0);
-    if (legs == 2)
-        arm(&p, &p.coarse, delta_coarse, x0);
-    run(&p, legs, seed, n_words, n, out, steps, status);
+    if (legs == 1) {
+        run_paths(&p, seed, n_words, n, out, steps, status);
+        return;
+    }
+    arm(&p, &p.coarse, delta_coarse, x0);
+    run_pairs(&p, seed, n_words, n, out, steps, status);
+}
+
+/* The build of the path lanes the loader picked for this host: "avx2",
+   the AVX2 clone, or "baseline", the only build where there are no
+   clones.  The loader's choice is the same test of the processor. */
+const char *tamsde_lanes(void)
+{
+#ifdef CLONED
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "baseline";
 }

@@ -13,14 +13,19 @@ that seed's pair or path and returns what a caller keeps of it (a pair's
 terminal states and step counts, a path's terminal state and step count,
 or the PathExplosion its own run raises), so no NoiseSource, sample or
 trajectory is built per seed.  The kernel keeps four seeds of a block
-in flight, each a lane with its own Philox: a pass gives every lane one
-event of its pair or one step of its path, and a lane whose seed is over
-refills with the block's next seed.  The pair event and the path step
-are each written once, so a seed runs the same operations in the same
-order in any lane, and its outcome does not depend on the block it runs
-in; the lanes only let the processor overlap the seeds' chains of
-dependent operations.  A Monte Carlo cell runs its seeds as blocks, and a
-single coupled pair is a block of one: one lane.  A lane draws numpy's
+in flight, each with its own Philox: a block's pairs in four lanes, its
+paths two to a SIMD vector of two doubles, in two vectors whose packed
+operations step both paths at once.  A pass gives every lane one event
+of its pair, or every vector one step of its paths, and a seed that is
+over is replaced by the block's next seed.  The pair event and the path
+step are each written once, and the scheme's formulas once for a double
+and a vector alike, so a seed runs the same operations in the same order
+in any lane or element, and its outcome does not depend on the block it
+runs in; the lanes only let the processor overlap the seeds' chains of
+dependent operations.  On x86-64 Linux the path lanes are built twice,
+for AVX2 and for the baseline, and the loader runs the one the host can;
+lanes(lib) names it.  A Monte Carlo cell runs its seeds as blocks, and a
+single coupled pair is a block of one: one lane.  Each seed draws numpy's
 normal on its own Philox: it takes the ziggurat's fast path itself, with
 no branch on the random sign, and hands every other output back to
 numpy's random_standard_normal, which draws it again.  The fast path's
@@ -30,11 +35,12 @@ block runs; the probe checks them on a fixed stream of normals against
 numpy's function and, should one bit differ, leaves every draw to it.
 
 run_path runs a path whose trajectory is kept, on the caller's
-NoiseSource, as one lane running the same path step (tamsde_path): it
-draws on the source's own generator, numpy's Philox, through that bit
-generator's bitgen_t and under its lock, as Generator's own methods do,
-adds each draw's duration to the source's clock, and leaves the source as
-the Python loop's draws leave it.
+NoiseSource, with the same path step, one path in its vector
+(tamsde_path): it draws on the source's own generator, numpy's Philox,
+through that bit generator's bitgen_t and under its lock, as Generator's
+own methods do, taking the same fast path and replaying every other
+output to numpy's function, adds each draw's duration to the source's
+clock, and leaves the source as the Python loop's draws leave it.
 
 run_block and run_path answer every call, and are the one place that
 chooses between C and the reference loops, driver._merge and
@@ -116,7 +122,8 @@ _BUILD_TIMEOUT_S = 120
 # when a build is loaded from its directory; builds in use, such as two
 # versions run side by side, are kept
 _STALE_S = 30 * 24 * 3600
-_EXPORTS = ("tamsde_block", "tamsde_path", "tamsde_free", "tamsde_init")
+_EXPORTS = ("tamsde_block", "tamsde_path", "tamsde_free", "tamsde_init",
+            "tamsde_lanes")
 
 # C model numbers are positions in this tuple (enum in _pair.c)
 _MODELS = ("model1", "model2", "gbm")
@@ -205,6 +212,13 @@ def _declare(lib):
                                     ctypes.c_size_t, ctypes.c_longlong]
                                  + [ctypes.c_void_p] * 3)
     lib.tamsde_block.restype = None
+
+
+def lanes(lib):
+    """The build of its path lanes the kernel library lib runs on this
+    host: "avx2", its AVX2 clone, or "baseline"."""
+    lib.tamsde_lanes.restype = ctypes.c_char_p
+    return lib.tamsde_lanes().decode()
 
 
 def _load(directory, name):

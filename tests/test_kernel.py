@@ -23,6 +23,7 @@ import json
 import math
 import multiprocessing
 import os
+import platform
 import random
 import re
 import shutil
@@ -671,6 +672,36 @@ class TestBlockParity:
                 run = lanes_run(get_model(name), clock, 1.0, 10 ** 8)
                 assert hexed(run(seeds)) == hexed(one_by_one(run, seeds))
 
+    # a block's paths run two to a vector: element e of the block's vector
+    # v holds seed index 2v + e until the first refill.  Blocks of one and
+    # of three seeds leave elements empty, seven refill them; a stop at
+    # index j of the first fill lands on element j % 2, with the other
+    # element's path running on, or stopping too
+    @pytest.mark.parametrize("name, x0, k, t_end, max_steps", [
+        ("gbm", None, 2, 5.0, 150),
+        ("model2", None, 1, 5.0, 25),
+        ("model1", 1e200, 2, 5.0, 10 ** 8),
+        ("model1", 1e200, 1, 1e-310, 10 ** 8),
+    ], ids=["budget-gbm", "budget-model2", "non-finite",
+            "non-finite-at-horizon"])
+    def test_path_vectors(self, lib, name, x0, k, t_end, max_steps):
+        model = get_model(name)
+        if x0 is not None:
+            model = dataclasses.replace(model, x0=x0)
+        config = path_config(k, t_end, max_steps=max_steps)
+        want = path_seeded(_path_loop, model, config, range(60))
+        stop = next(i for i, o in enumerate(want)
+                    if i >= 3 and isinstance(o, PathExplosion))
+        elements = set()
+        for size in (1, 3, 7):
+            for j in range(min(size, 4)):
+                seeds = range(stop - j, stop - j + size)
+                got = path_block(model, config, seeds)
+                assert isinstance(got[j], PathExplosion)
+                assert hexed(got) == hexed(want[seeds.start:seeds.stop])
+                elements.add(j % 2)
+        assert elements == {0, 1}
+
 
 # start values from signed zeros and subnormals to near the float limit
 START_VALUES = st.one_of(
@@ -1084,6 +1115,29 @@ class TestRareDraws:
             z = same_draws(lib, j, [0, 0, 0, 0], 4)[0]
             assert (abs(z) >= TAIL) == (case == "tail"), case
 
+    @pytest.mark.parametrize("buffer_pos", [0, 3])
+    def test_kept_paths(self, lib, engines, buffer_pos):
+        # a kept path draws on its caller's numpy Philox: its first normal
+        # is each chosen output, on the fast path or replayed to numpy's
+        # function, and the path and the source's next draw are the Python
+        # loop's
+        model, config = get_model("model2"), path_config(3, 1.0)
+        rest = np.random.Philox(5).random_raw(4).tolist()
+        cases = rare_outputs()
+        for case, r, _ in cases:
+            buffer = list(rest)
+            buffer[buffer_pos] = r
+            sources = []
+            for _ in range(2):
+                bit_generator = np.random.Philox(key=DRAW_KEY,
+                                                 counter=DRAW_COUNTER)
+                set_philox(bit_generator, buffer, buffer_pos)
+                sources.append(NoiseSource(0))
+                sources[-1]._rng = np.random.Generator(bit_generator)
+            assert (path_outcome(simulate_path, model, config, sources[0])
+                    == path_outcome(_path_loop, model, config, sources[1])), case
+        assert engines == ["C"] * len(cases)
+
     def test_volume_meets_tails_and_wedges(self, lib):
         # 2**21 normals on 8 seeds, on the kernel and on numpy, with
         # numpy's tails (beyond TAIL) and accepted wedges (a normal equal
@@ -1106,33 +1160,69 @@ class TestRareDraws:
         assert tails > 100 and wedges > 1000, (tails, wedges)
 
 
-def test_source_compiles_cleanly_as_c99(tmp_path):
-    # the kernel's own build line, compiler, flags, numpy header and
-    # archive, under strict pedantic C99 warnings, with the compiler's
-    # 128-bit product and with the 32-bit halves the source falls back to
-    # without one; each build must load with every symbol resolved, export
-    # the kernel's functions and seed and draw numpy's normals on its port
+# The builds the strict tests make of the kernel's own build line: as it
+# is; with the 32-bit halves the product falls back to without the
+# compiler's 128-bit integer; and with neither the AVX2 clone of the path
+# lanes nor the x86 intrinsics, the portable vector code a build for
+# arm64, or for no ELF target, runs.  Each with the path lanes it runs.
+BUILDS = (("native.so", [], None),
+          ("portable.so", ["-U__SIZEOF_INT128__"], None),
+          ("baseline.so", ["-U__ELF__"], "baseline"))
+
+
+def host_lanes():
+    """The path lanes a build with the AVX2 clone runs here: "avx2" on an
+    x86-64 Linux host whose processor has AVX2, "baseline" on any other
+    host, and None when the processor's features cannot be read."""
+    if not (sys.platform.startswith("linux")
+            and platform.machine() == "x86_64"):
+        return "baseline"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            info = fh.read()
+    except OSError:
+        return None
+    flags = re.search(r"^flags\s*:(.*)$", info, re.M)
+    return None if flags is None else (
+        "avx2" if "avx2" in flags.group(1).split() else "baseline")
+
+
+def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):
+    # each build of BUILDS under strict pedantic C99 warnings must load
+    # with every symbol resolved, export the kernel's functions, report
+    # its path lanes, seed and draw numpy's normals on its port, and run
+    # blocks of paths and a kept path as the Python loop does
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
     assert set(kernel._EXPORTS) == {"tamsde_block", "tamsde_path",
-                                    "tamsde_free", "tamsde_init"}
-    for name, multiply in (("native.so", []),
-                           ("portable.so", ["-U__SIZEOF_INT128__"])):
+                                    "tamsde_free", "tamsde_init",
+                                    "tamsde_lanes"}
+    for name, undefined, lanes in BUILDS:
         command = kernel._command(cc, kernel._SOURCE, str(tmp_path / name))
         proc = subprocess.run(
             [cc, "-std=c99", "-Wall", "-Wextra", "-Wpedantic", "-Werror",
-             *multiply, *command[1:]],
+             *undefined, *command[1:]],
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         built = kernel._open(str(tmp_path), name)
         assert built is not None
         # its probed tables passed their check: the draws take the fast path
         assert built.tamsde_init() == 1
+        if (lanes or host_lanes()) is not None:
+            assert kernel.lanes(built) == (lanes or host_lanes()), name
         for gone in ("tamsde_pair", "tamsde_pair_init", "tamsde_pair_run",
                      "tamsde_pair_size", "tamsde_pairs", "tamsde_paths"):
             assert not hasattr(built, gone)
         assert generator_mismatches(built, generator_seeds()[::20], 1030) == []
+        monkeypatch.setattr(kernel, "library", lambda: built)
+        for model in map(get_model, MODELS):
+            config, seeds = path_config(2, 5.0, max_steps=150), range(7)
+            assert hexed(path_block(model, config, seeds)) == hexed(
+                path_seeded(_path_loop, model, config, seeds)), name
+            assert path_outcome(simulate_path, model, config,
+                                NoiseSource(3)) == path_outcome(
+                _path_loop, model, config, NoiseSource(3)), name
 
 
 UNDEFINED_BEHAVIOUR_RUNS = """
@@ -1182,9 +1272,8 @@ print("clean")
 
 
 def test_no_undefined_behaviour(tmp_path):
-    # the kernel's own build line with the undefined-behaviour sanitizer,
-    # aborting at the first report, with the compiler's 128-bit product
-    # and with the 32-bit halves; in a fresh interpreter each build must
+    # each build of BUILDS with the undefined-behaviour sanitizer,
+    # aborting at the first report; in a fresh interpreter each build must
     # draw numpy's normals and run pairs and paths as the Python loops do
     cc = shutil.which("cc")
     if cc is None:
@@ -1197,10 +1286,9 @@ def test_no_undefined_behaviour(tmp_path):
                       capture_output=True, timeout=120).returncode:
         pytest.skip("cc cannot link the undefined-behaviour sanitizer")
     tests = os.path.dirname(os.path.abspath(__file__))
-    for name, multiply in (("native.so", []),
-                           ("portable.so", ["-U__SIZEOF_INT128__"])):
+    for name, undefined, _ in BUILDS:
         command = kernel._command(cc, kernel._SOURCE, str(tmp_path / name))
-        proc = subprocess.run([cc, *sanitize, *multiply, *command[1:]],
+        proc = subprocess.run([cc, *sanitize, *undefined, *command[1:]],
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         proc = subprocess.run(

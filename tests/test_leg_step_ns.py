@@ -56,6 +56,14 @@ def test_against_its_own_source(tmp_path):
         assert 0 <= wins <= 2
 
 
+def test_path_lanes_named():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert leg_step_ns.lanes(kernel.library()) in ("avx2", "baseline")
+    # a kernel from before the vector path lanes has no report
+    assert leg_step_ns.lanes(object()) == "scalar"
+
+
 def test_against_a_source_without_the_kernel(tmp_path, capsys):
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")

@@ -41,6 +41,10 @@ rounds of this kernel's time over the other's, its interquartile range
 and the rounds this kernel was faster in.  It exits 2 when the source
 does not build or its build lacks a function the rows call.  --rounds
 sets the rounds (default 7).
+
+The first line names the build of the path lanes each kernel runs on
+this host (kernel.lanes): "avx2", the AVX2 clone, or "baseline", or
+"scalar" for a kernel from before the vector path lanes.
 """
 
 import argparse
@@ -177,6 +181,12 @@ def using(lib):
         yield
     finally:
         kernel.library = library
+
+
+def lanes(lib):
+    """The build of its path lanes lib runs here, as kernel.lanes gives
+    it, or "scalar" for a kernel without that report."""
+    return kernel.lanes(lib) if hasattr(lib, "tamsde_lanes") else "scalar"
 
 
 def bits(value):
@@ -325,6 +335,7 @@ def main(argv=None):
         print("the kernel cannot be built here", file=sys.stderr)
         return 2
     if args.against is None:
+        print(f"path lanes: {lanes(kernel.library())}")
         # a unit is a workload's leg-step, a stored path's step or a normal
         print(f"{'row':<20} {'ns/unit':>11} {'units':>10} {'calls':>6}")
         for name, (ns, units, calls) in measure(JOBS, args.rounds).items():
@@ -337,6 +348,7 @@ def main(argv=None):
         except Mismatch as exc:
             print(exc, file=sys.stderr)
             return 1
+        print(f"path lanes: {lanes(kernel.library())}, other: {lanes(other)}")
     # ratio: this kernel's time over the other's; wins: rounds it was faster
     print(f"{'row':<20} {'ns/unit':>9} {'other':>9} {'ratio':>7} "
           f"{'iqr':>7} {'wins':>7}")
