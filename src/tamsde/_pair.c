@@ -18,17 +18,18 @@
  *     draw takes its fast path, about 99% of draws, itself, with no branch
  *     on the random sign, on tables probed off numpy's function when the
  *     library is loaded (tamsde_init), and hands the rest to the function
- *     (ziggurat(), below).
+ *     on a replay of the output (normal(), below).
  *
  * The scheme's formulas (the coefficients of the three models, the
- * tamed product, the step rule of propose, scheme._due and the adaptive
- * update) are written once, in FORMULAS, over a lane type: instantiated
- * on a double for the legs of a pair, and on a vector of two doubles for
- * two paths at once.  A pair is two legs (struct leg) on a merged
- * timeline, and pair_event is one event of driver._merge's loop; a path
- * is one leg, and path_step is one step of scheme.simulate_path's loop
- * for the two paths of a vector (struct paths).  There is no other pair
- * or path loop.  kernel.py builds and loads this file.
+ * tamed product, the step rule of propose, scheme._due, the adaptive
+ * update and a path's step) are written once, in FORMULAS, over a lane
+ * type: instantiated on a double for the legs of a pair and for a kept
+ * path, and on a vector of two doubles for two paths at once.  A pair is
+ * two legs (struct leg) on a merged timeline, and pair_event is one event
+ * of driver._merge's loop; a path is one leg (struct path_d, or two in a
+ * struct path_v), and path_step_d or path_step_v is one step of
+ * scheme.simulate_path's loop.  There is no other pair or path loop.
+ * kernel.py builds and loads this file.
  *
  * A Monte Carlo cell's pairs or paths, and a single pair, run as a block
  * of consecutive seeds (tamsde_block).  A block keeps LANES seeds in
@@ -52,21 +53,22 @@
  * words, which the block steps by one per seed.  A path of a block stores
  * no trajectory; a single pair is a block of one, one lane.
  *
- * On x86-64 ELF the path lanes are compiled twice, for AVX2 and for the
- * baseline instruction set (target_clones), and the loader runs the
- * clone the host can; tamsde_lanes says which.  Elsewhere, and when
- * __ELF__ is undefined on the build line, the one baseline build is
- * portable GNU C vector code.  Neither moves a bit: each element's
- * operations are the scalar ones.
+ * On x86-64 ELF with glibc the block's path lanes are compiled twice,
+ * for AVX2 and for the baseline instruction set (target_clones, which
+ * glibc's loader resolves), and the loader runs the clone the host can;
+ * tamsde_lanes says which.  Elsewhere (musl, arm64, no ELF, or __ELF__
+ * undefined on the build line) the one baseline build is portable GNU C
+ * vector code.  Neither moves a bit: each element's operations are the
+ * scalar ones.
  *
  * A path whose trajectory is kept (tamsde_path, whose stored grid the
- * caller releases with tamsde_free) runs path_step with one live element,
- * drawing on the bitgen_t of the caller's NoiseSource, numpy's own
- * Philox, and adds each step's duration to the source's clock as the
- * source's own gaussian_increment would.  tamsde_seed and tamsde_normals,
- * the lanes' draw, are exported for the tests that check the port
- * against numpy; the structs are known only to this file (and to that
- * test's mirror of struct philox).
+ * caller releases with tamsde_free) runs path_step_d, drawing on the
+ * bitgen_t of the caller's NoiseSource, numpy's own Philox, and adds each
+ * step's duration to the source's clock as the source's own
+ * gaussian_increment would.  tamsde_seed and tamsde_normals, the lanes'
+ * draw, are exported for the tests that check the port against numpy;
+ * the structs are known only to this file (and to that test's mirror of
+ * struct philox).
  */
 #include <float.h>
 #include <math.h>
@@ -282,10 +284,9 @@ static double replay_double(void *st)
     return p->g->next_double(p->g->state);
 }
 
-/* numpy's random_standard_normal(g) when g's next output is r, which is
-   drawn already: the function runs on a replay of r, so the draws after
-   it are g's, as numpy's would be, and g is left as numpy's draws leave
-   it */
+/* numpy's function on a replay of r, g's output drawn last: the draws
+   after r are g's, as numpy's would be, and g is left as numpy's draws
+   leave it */
 static double replay(uint64_t r, const bitgen_t *g)
 {
     struct replay p = {r, 0, g};
@@ -311,28 +312,14 @@ static inline int ziggurat(uint64_t r, double *x)
     return 1;
 }
 
-/* The next normal of numpy's random_standard_normal(g), for any bit
-   generator g: a kept path's, on its caller's numpy Philox. */
-static inline double normal_on(const bitgen_t *g)
+/* numpy's random_standard_normal(g) when g's next output is r, which is
+   drawn already: r's normal on the fast path, else a replay of r; a
+   block's lane draws r on its own Philox inline (philox_next), a kept path
+   on its caller's numpy Philox */
+static inline double normal(uint64_t r, const bitgen_t *g)
 {
-    uint64_t r = g->next_uint64(g->state);
     double x;
     return ziggurat(r, &x) ? x : replay(r, g);
-}
-
-/* The same on the port's Philox rng, whose bitgen_t is g, its output
-   drawn inline.  philox_next leaves the output it returned at
-   buffer[buffer_pos - 1] (a new block sets buffer_pos to 1), so off the
-   fast path, stepping buffer_pos back by one makes numpy's function draw
-   that same output again; a replay, as normal_on's, made the port's
-   draw 1.5-2% slower, as r must then be kept for the rare path. */
-static inline double normal(struct philox *rng, bitgen_t *g)
-{
-    double x;
-    if (ziggurat(philox_next(rng), &x))
-        return x;
-    rng->buffer_pos -= 1;
-    return random_standard_normal(g);
 }
 
 /* out = the next n normals of rng, as Generator.standard_normal(n) */
@@ -341,7 +328,7 @@ void tamsde_normals(struct philox *rng, double *out, long long n)
     bitgen_t g = bitgen(rng);
     long long i;
     for (i = 0; i < n; i++)
-        out[i] = normal(rng, &g);
+        out[i] = normal(philox_next(rng), &g);
 }
 
 /* A probe of numpy's normal: a bit generator whose first output is
@@ -389,7 +376,7 @@ static int check(void)
     double x, y;
     long i;
     for (i = 0; i < CHECK_DRAWS; i++) {
-        x = normal(&a, &ga);
+        x = normal(philox_next(&a), &ga);
         y = random_standard_normal(&gb);
         if (memcmp(&x, &y, sizeof x) != 0)
             return 0;
@@ -443,17 +430,20 @@ int tamsde_init(void)
 /* Two paths share a vector of two doubles (GCC and clang's vector_size
    type, native on SSE2 and NEON): +, -, *, / and the comparisons act on
    each element, a scalar operand on both, and a comparison gives a mask
-   of all ones or all zeros in each element.  The helpers below, suffixed
-   _d for a double and _v for a vector, are what the two types spell
-   differently; FORMULAS is written in them. */
+   of all ones or all zeros in each element; a vector of two long longs
+   holds the two paths' step counts.  The helpers below, suffixed _d for a
+   double and _v for a vector, are what the two types spell differently;
+   FORMULAS is written in them. */
 typedef double vec __attribute__((vector_size(16)));
 typedef long long vmask __attribute__((vector_size(16)));
 
-/* On x86-64 ELF the path lanes (LANE_CLONES functions) are built for
-   AVX2 and for the baseline, and the loader picks one on the host
-   (an ifunc); the square root and the masks' bits are one SSE2
-   instruction each there, else one call or test per element. */
-#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
+/* On x86-64 ELF with glibc, the block's path lanes (run_paths) are built
+   for AVX2 and for the baseline, and the loader picks one on the host (an
+   ifunc, which musl's loader has not); the square root and the masks' bits
+   are one SSE2 instruction each there, else one call or test per
+   element. */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) \
+    && defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define CLONED
 #endif
@@ -487,9 +477,12 @@ static inline unsigned bits_v(vmask m)
 }
 #endif
 
-/* a double's helpers are C's own */
+/* a double's helpers are C's own; its comparisons give an int, 0 or 1 */
 #define splat_d(x) (x)
 #define select_d(c, a, b) ((c) ? (a) : (b))
+#define not_d(c) (!(c))
+#define bits_d(c) ((unsigned)(c))
+#define sqrt_d sqrt
 #define abs_d fabs
 #define isinf_d isinf
 #define copysign_d copysign
@@ -505,6 +498,11 @@ static inline vec splat_v(double x)
 static inline vec select_v(vmask c, vec a, vec b)
 {
     return (vec)((c & (vmask)a) | (~c & (vmask)b));
+}
+
+static inline vmask not_v(vmask c)
+{
+    return ~c;
 }
 
 #define SIGN_BITS ((vmask){INT64_MIN, INT64_MIN})
@@ -525,14 +523,10 @@ static inline vec copysign_v(double a, vec b)
     return (vec)(((vmask)abs_v(splat_v(a))) | ((vmask)b & SIGN_BITS));
 }
 
-/* libm pow of |x| for each element, as pow(fabs(x), e); one call when
-   the two elements are equal, as those of a kept path are (tamsde_path):
-   equal non-negative doubles are the same bits, so pow gives the same */
+/* libm pow of |x| for each element, as pow(fabs(x), e) */
 static inline vec powabs_v(vec x, double e)
 {
-    vec a = abs_v(x);
-    double first = pow(a[0], e);
-    vec r = {first, a[1] == a[0] ? first : pow(a[1], e)};
+    vec a = abs_v(x), r = {pow(a[0], e), pow(a[1], e)};
     return r;
 }
 
@@ -563,8 +557,10 @@ struct pair {
     int adaptive;    /* 1: tamed-adaptive legs, 0: fixed-step legs */
 };
 
-/* The scheme's formulas on the lane type T, whose helpers are suffixed V:
-   FORMULAS(double, d) for a pair's legs, FORMULAS(vec, v) for two paths.
+/* The scheme's formulas on the lane type T, whose helpers are suffixed V
+   and whose step counts are of type N: FORMULAS(double, long long, d) for
+   a pair's legs and for a kept path, FORMULAS(vec, vmask, v) for two
+   paths at once.
      sign_V: model.py's sign.
      product_V: scheme._tamed's product: an exact zero factor gives a
        zero product (the fixed-step legs' q too).
@@ -579,8 +575,15 @@ struct pair {
        a model1 leg-step ~6% slower): keeps mu, sigma and q at x in *mo,
        *so and *qo and returns the step the leg wants.
      due_V: scheme._due.
-     advance_V: the tamed-adaptive update of scheme._tam_leg. */
-#define FORMULAS(T, V)                                                       \
+     advance_V: the tamed-adaptive update of scheme._tam_leg.
+     struct path_V: a path's fine leg, as in struct leg (its base step is
+       the pair's fine leg's, and nothing is pending between steps), and
+       its step count.
+     path_step_V: one step of scheme.simulate_path's loop with the normal
+       z, the step's increment left in *dw.  Returns a bit (1 << e) for
+       each element whose path is over: it cannot go on, or it has reached
+       t_end (path_end says how it ended). */
+#define FORMULAS(T, N, V)                                                    \
 static inline T sign_##V(T x)                                                \
 {                                                                            \
     return select_##V(x > 0.0, splat_##V(1.0),                               \
@@ -664,10 +667,33 @@ static inline T due_##V(T last, T step, double t_end)                        \
 static inline T advance_##V(T x, T m, T s, T q, T dt, T dw)                  \
 {                                                                            \
     return x + m * dt + s * dw + 0.5 * q * (dw * dw - dt);                   \
+}                                                                            \
+struct path_##V {                                                            \
+    T x, last, due, m, s, q;                                                 \
+    N steps;                                                                 \
+};                                                                           \
+static inline unsigned path_step_##V(const struct pair *p,                   \
+                                     struct path_##V *v, T z, T *dw)         \
+{                                                                            \
+    T dt = v->due - v->last, x;                                              \
+    /* one increment pending onto nothing is the increment itself, signed    \
+       zero included, which a Kahan sum would turn into +0.0 */              \
+    *dw = sqrt_##V(dt) * z;                                                  \
+    x = advance_##V(v->x, v->m, v->s, v->q, dt, *dw);                        \
+    v->x = x;                                                                \
+    v->last = v->due;                                                        \
+    v->due = due_##V(v->last, propose_##V(p, &p->fine, x, &v->m, &v->s,      \
+                                          &v->q), p->t_end);                 \
+    v->steps += 1;                                                           \
+    /* at t_end, or not finite, or a step collapsed to nothing, or the       \
+       budget spent */                                                       \
+    return bits_##V(not_##V(v->last < p->t_end)                              \
+                    | not_##V(abs_##V(x) <= DBL_MAX) | (v->due <= v->last)   \
+                    | (v->steps >= p->max_steps));                           \
 }
 
-FORMULAS(double, d)
-FORMULAS(vec, v)
+FORMULAS(double, long long, d)
+FORMULAS(vec, vmask, v)
 
 static double propose(const struct pair *p, struct leg *leg, double x)
 {
@@ -785,7 +811,7 @@ static int pair_event(struct lane *l)
 {
     struct pair *p = &l->p;
     double t = p->fine.due < p->coarse.due ? p->fine.due : p->coarse.due;
-    double dz = sqrt(t - l->t) * normal(&l->rng, &l->g);
+    double dz = sqrt(t - l->t) * normal(philox_next(&l->rng), &l->g);
     pend(&p->fine, dz);
     pend(&p->coarse, dz);
     l->t = t;
@@ -800,93 +826,26 @@ static int pair_event(struct lane *l)
     return isfinite(p->coarse.x) ? DONE : COARSE_STOP;
 }
 
-/* --- two paths in flight: a vector --------------------------------------- */
+/* --- a path whose trajectory is kept ------------------------------------ */
 
-/* Two paths' fine legs, one in each element, as in struct leg; the base
-   step is the pair's fine leg's, and nothing is pending between steps.
-   Each path's step count is its own. */
-struct paths {
-    vec x, last, due, m, s, q;
-    long long steps[2];
-};
-
-/* element e of v: the path as start's fine leg starts it */
-static void start_path(struct paths *v, int e, const struct pair *start)
-{
-    const struct leg *leg = &start->fine;
-    v->x[e] = leg->x;
-    v->last[e] = leg->last;
-    v->due[e] = leg->due;
-    v->m[e] = leg->m;
-    v->s[e] = leg->s;
-    v->q[e] = leg->q;
-    v->steps[e] = 0;
-}
-
-/* One step of scheme.simulate_path's loop for each of v's two paths, of
-   p's fine leg, with the normals z; each step's increment is left in
-   *dw.  Returns a bit (1 << e) for each element whose path is over: it
-   cannot go on, or it has reached t_end (path_end says how it ended). */
-static inline unsigned path_step(const struct pair *p, struct paths *v,
-                                 vec z, vec *dw)
-{
-    vec dt = v->due - v->last, x;
-    vmask over;
-    /* one increment pending onto nothing is the increment itself, signed
-       zero included, which a Kahan sum would turn into +0.0 */
-    *dw = sqrt_v(dt) * z;
-    x = advance_v(v->x, v->m, v->s, v->q, dt, *dw);
-    v->x = x;
-    v->last = v->due;
-    v->due = due_v(v->last, propose_v(p, &p->fine, x, &v->m, &v->s, &v->q),
-                   p->t_end);
-    /* at t_end, or not finite, or a step collapsed to nothing */
-    over = ~(v->last < p->t_end) | ~(abs_v(x) <= DBL_MAX)
-           | (v->due <= v->last);
-    v->steps[0] += 1;
-    v->steps[1] += 1;
-    return bits_v(over) | (unsigned)(v->steps[0] >= p->max_steps)
-           | (unsigned)(v->steps[1] >= p->max_steps) << 1;
-}
-
-/* DONE or FINE_STOP, for the path of element e, which path_step said is
+/* DONE or FINE_STOP, for a path at x at time last that path_step said is
    over: stopped before t_end, or ended there non-finite, or DONE */
-static int path_end(const struct paths *v, int e, double t_end)
+static int path_end(double last, double x, double t_end)
 {
-    return v->last[e] < t_end || !isfinite(v->x[e]) ? FINE_STOP : DONE;
+    return last < t_end || !isfinite(x) ? FINE_STOP : DONE;
 }
 
-/* A path whose trajectory is kept: element 0 of v, drawing on the caller's
-   bitgen and storing each step in g; element 1 is the same path, the
-   same bits, and is not read.  The steps' durations are added to *clock.
-   Returns DONE, FINE_STOP or NO_MEMORY. */
-LANE_CLONES static int kept_path(const struct pair *p, struct paths *v,
-                                 const bitgen_t *bitgen, double *clock,
-                                 struct grid *g)
+/* the path as p's fine leg starts it */
+static struct path_d path_start(const struct pair *p)
 {
-    double t = *clock;
-    int status = RUNNING;
-    while (status == RUNNING) {
-        double drawn = normal_on(bitgen);
-        vec z = {drawn, drawn}, dw;
-        unsigned over;
-        t += v->due[0] - v->last[0];
-        over = path_step(p, v, z, &dw) & 1;
-        if (over && v->last[0] < p->t_end)
-            status = FINE_STOP;  /* nothing stored */
-        else if (!keep(g, v->last[0], v->x[0], dw[0]))
-            status = NO_MEMORY;
-        else if (over)
-            status = path_end(v, 0, p->t_end);
-    }
-    *clock = t;
-    return status;
+    const struct leg *leg = &p->fine;
+    struct path_d v = {leg->x, leg->last, leg->due, leg->m, leg->s, leg->q,
+                       0};
+    return v;
 }
 
 /* scheme.simulate_path: one tamed-adaptive leg from x0 to t_end, one
    normal drawn on bitgen per step, each step's duration added to *clock.
-   It runs as element 0 of a vector of paths, on the caller's bit
-   generator itself.
    Returns DONE with grid = {times, values, increments} (steps + 1
    doubles each, of which the increments use steps; each to be released
    with tamsde_free),
@@ -900,20 +859,33 @@ int tamsde_path(int model, double delta, double h0, double l0, double x0,
 {
     struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
                      .max_steps = max_steps, .model = model, .adaptive = 1};
-    struct paths v;
+    struct path_d v;
     struct grid g = {{NULL, NULL, NULL}, 1, 1024};
     int status = NO_MEMORY;
+    double t = *clock, dw;
     arm(&p, &p.fine, delta, x0);
-    start_path(&v, 0, &p);
-    start_path(&v, 1, &p);
+    v = path_start(&p);
     if (resize(&g, g.cap)) {
         g.a[0][0] = 0.0;
         g.a[1][0] = x0;
-        status = kept_path(&p, &v, bitgen, clock, &g);
+        status = RUNNING;
     }
-    out[0] = v.x[0];
-    out[1] = v.last[0];
-    *steps = v.steps[0];
+    while (status == RUNNING) {
+        double z = normal(bitgen->next_uint64(bitgen->state), bitgen);
+        unsigned over;
+        t += v.due - v.last;
+        over = path_step_d(&p, &v, z, &dw);
+        if (over && v.last < t_end)
+            status = FINE_STOP;  /* nothing stored */
+        else if (!keep(&g, v.last, v.x, dw))
+            status = NO_MEMORY;
+        else if (over)
+            status = path_end(v.last, v.x, t_end);
+    }
+    *clock = t;
+    out[0] = v.x;
+    out[1] = v.last;
+    *steps = v.steps;
     /* give back the unused capacity (a failed shrink keeps the block), or
        free a grid that is not handed back */
     resize(&g, status == DONE ? g.n : 0);
@@ -1005,22 +977,34 @@ static void run_pairs(const struct pair *start, unsigned char *seed,
    -1 for an element with none, which steps with no noise and is not
    read. */
 struct path_lanes {
-    struct paths v;
+    struct path_v v;
     struct philox rng[2];
     bitgen_t g[2];
     long long i[2];
 };
 
 /* Start element e of l on the seed of index i (none when i is -1), whose
-   words seed holds, with the path as every seed starts it; then step
-   seed to the next integer. */
-static void begin_path(struct path_lanes *l, int e, const struct pair *start,
+   words seed holds, at the path first; then step seed to the next
+   integer. */
+static void begin_path(struct path_lanes *l, int e, const struct path_d *first,
                        unsigned char *seed, size_t *n_words, long long i)
 {
-    start_path(&l->v, e, start);
+    l->v.x[e] = first->x;
+    l->v.last[e] = first->last;
+    l->v.due[e] = first->due;
+    l->v.m[e] = first->m;
+    l->v.s[e] = first->s;
+    l->v.q[e] = first->q;
+    l->v.steps[e] = first->steps;
     l->i[e] = i;
     if (i >= 0)
         seed_philox(&l->rng[e], &l->g[e], seed, n_words);
+}
+
+/* an element's normal: its next on its own Philox, 0 with no seed */
+static inline double lane_normal(struct path_lanes *l, int e)
+{
+    return l->i[e] >= 0 ? normal(philox_next(&l->rng[e]), &l->g[e]) : 0.0;
 }
 
 /* Each of the n paths of the seeds from seed, as tamsde_block takes them,
@@ -1034,21 +1018,20 @@ LANE_CLONES static void run_paths(const struct pair *start,
                                   int *status)
 {
     struct path_lanes lanes[LANES / 2], *live[LANES / 2];
+    struct path_d first = path_start(start);
     long long next = 0;
     int n_live = 0, k, e;
     for (; n_live < LANES / 2 && next < n; n_live++) {
         live[n_live] = &lanes[n_live];
         for (e = 0; e < 2; e++)
-            begin_path(live[n_live], e, start, seed, &n_words,
+            begin_path(live[n_live], e, &first, seed, &n_words,
                        next < n ? next++ : -1);
     }
     while (n_live > 0)
         for (k = 0; k < n_live; k++) {
             struct path_lanes *l = live[k];
-            vec z = {l->i[0] >= 0 ? normal(&l->rng[0], &l->g[0]) : 0.0,
-                     l->i[1] >= 0 ? normal(&l->rng[1], &l->g[1]) : 0.0};
-            vec dw;
-            unsigned over = path_step(start, &l->v, z, &dw);
+            vec z = {lane_normal(l, 0), lane_normal(l, 1)}, dw;
+            unsigned over = path_step_v(start, &l->v, z, &dw);
             if (over == 0)
                 continue;
             for (e = 0; e < 2; e++) {
@@ -1058,8 +1041,8 @@ LANE_CLONES static void run_paths(const struct pair *start,
                 out[2 * i] = l->v.x[e];
                 out[2 * i + 1] = l->v.last[e];  /* the path's stop time */
                 steps[i] = l->v.steps[e];
-                status[i] = path_end(&l->v, e, start->t_end);
-                begin_path(l, e, start, seed, &n_words,
+                status[i] = path_end(l->v.last[e], l->v.x[e], start->t_end);
+                begin_path(l, e, &first, seed, &n_words,
                            next < n ? next++ : -1);
             }
             if (l->i[0] < 0 && l->i[1] < 0)  /* as in run_pairs */

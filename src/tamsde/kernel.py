@@ -22,25 +22,25 @@ step are each written once, and the scheme's formulas once for a double
 and a vector alike, so a seed runs the same operations in the same order
 in any lane or element, and its outcome does not depend on the block it
 runs in; the lanes only let the processor overlap the seeds' chains of
-dependent operations.  On x86-64 Linux the path lanes are built twice,
-for AVX2 and for the baseline, and the loader runs the one the host can;
-lanes(lib) names it.  A Monte Carlo cell runs its seeds as blocks, and a
+dependent operations.  On x86-64 Linux with glibc the path lanes are
+built twice, for AVX2 and for the baseline, and the loader runs the one
+the host can; lanes(lib) names it.  A Monte Carlo cell runs its seeds as blocks, and a
 single coupled pair is a block of one: one lane.  Each seed draws numpy's
 normal on its own Philox: it takes the ziggurat's fast path itself, with
-no branch on the random sign, and hands every other output back to
-numpy's random_standard_normal, which draws it again.  The fast path's
+no branch on the random sign, and hands every other output to numpy's
+random_standard_normal on a bit generator that replays it first.  The fast path's
 tables are not copied from numpy but probed off numpy's function
 (tamsde_init), once per process, when _open loads a build and before any
 block runs; the probe checks them on a fixed stream of normals against
 numpy's function and, should one bit differ, leaves every draw to it.
 
 run_path runs a path whose trajectory is kept, on the caller's
-NoiseSource, with the same path step, one path in its vector
-(tamsde_path): it draws on the source's own generator, numpy's Philox,
-through that bit generator's bitgen_t and under its lock, as Generator's
-own methods do, taking the same fast path and replaying every other
-output to numpy's function, adds each draw's duration to the source's
-clock, and leaves the source as the Python loop's draws leave it.
+NoiseSource, with the same path step on doubles (tamsde_path): it draws
+on the source's own generator, numpy's Philox, through that bit
+generator's bitgen_t and under its lock, as Generator's own methods do,
+taking the same fast path and replaying every other output to numpy's
+function, adds each draw's duration to the source's clock, and leaves
+the source as the Python loop's draws leave it.
 
 run_block and run_path answer every call, and are the one place that
 chooses between C and the reference loops, driver._merge and

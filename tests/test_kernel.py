@@ -1164,7 +1164,7 @@ class TestRareDraws:
 # is; with the 32-bit halves the product falls back to without the
 # compiler's 128-bit integer; and with neither the AVX2 clone of the path
 # lanes nor the x86 intrinsics, the portable vector code a build for
-# arm64, or for no ELF target, runs.  Each with the path lanes it runs.
+# arm64, musl or no ELF target runs.  Each with the path lanes it runs.
 BUILDS = (("native.so", [], None),
           ("portable.so", ["-U__SIZEOF_INT128__"], None),
           ("baseline.so", ["-U__ELF__"], "baseline"))
@@ -1172,10 +1172,12 @@ BUILDS = (("native.so", [], None),
 
 def host_lanes():
     """The path lanes a build with the AVX2 clone runs here: "avx2" on an
-    x86-64 Linux host whose processor has AVX2, "baseline" on any other
-    host, and None when the processor's features cannot be read."""
+    x86-64 Linux host with glibc whose processor has AVX2, "baseline" on
+    any other host, and None when the processor's features cannot be
+    read."""
     if not (sys.platform.startswith("linux")
-            and platform.machine() == "x86_64"):
+            and platform.machine() == "x86_64"
+            and platform.libc_ver()[0] == "glibc"):
         return "baseline"
     try:
         with open("/proc/cpuinfo") as fh:
