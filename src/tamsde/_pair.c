@@ -21,18 +21,24 @@
  *     on a replay of the output (normal(), below).
  *
  * The scheme's formulas (the coefficients of the three models, the
- * tamed product, the step rule of propose, scheme._due, the adaptive
- * update and a path's step) are written once, in FORMULAS, over a lane
- * type: instantiated on a double for the legs of a pair and for a kept
- * path, and on a vector of two doubles for two paths at once.  A pair is
- * two legs (struct leg) on a merged timeline, and pair_event is one event
- * of driver._merge's loop; a path is one leg (struct path_d, or two in a
- * struct path_v), and path_step_d or path_step_v is one step of
- * scheme.simulate_path's loop.  There is no other pair or path loop.
- * kernel.py builds and loads this file.
+ * tamed product, the step rule of propose, scheme._due, both schemes'
+ * updates and propose, the Kahan sum of a pending increment and a path's
+ * step) are written once, in FORMULAS, over a lane type: instantiated on a
+ * double for the legs of a tamed-adaptive pair and for a kept path, and
+ * on a vector of two doubles for two paths or two fixed-step pairs at
+ * once.  A tamed-adaptive pair is two legs (struct leg) on a merged
+ * timeline, and pair_event is one event of driver._merge's loop; a path
+ * is one leg (struct path_d, or two in a struct path_v), and path_step_d
+ * or path_step_v is one step of scheme.simulate_path's loop.  A
+ * fixed-step leg's clock does not depend on its state, so fixed-step
+ * pairs that start together share one merged timeline: run_fixed works
+ * out each event of driver._merge's loop once for a generation of seeds
+ * (struct tick, one per leg) and steps the seeds' draws, pending
+ * increments, updates and finiteness tests as vectors.  There is no other
+ * pair or path loop.  kernel.py builds and loads this file.
  *
  * A Monte Carlo cell's pairs or paths, and a single pair, run as a block
- * of consecutive seeds (tamsde_block).  A block keeps LANES seeds in
+ * of consecutive seeds (tamsde_block).  A block keeps several seeds in
  * flight, each with a Philox of its own: numpy's SeedSequence and
  * Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1,
  * 2, 3", SC'11), ported below word for word, so tamsde_seed gives the key
@@ -40,26 +46,30 @@
  * numpy's normal makes, the 64-bit output and the double, are ported; the
  * bitgen_t's next_uint32 slot aborts (philox_abort32).  Each step of a
  * seed is one chain of dependent operations, so one seed alone leaves
- * most of the processor idle; the seeds' chains overlap.  A block's pairs
- * run in LANES scalar lanes (struct lane), its paths in LANES / 2 vectors
- * of two (struct path_lanes), whose packed operations step both paths at
- * once; each path's draw, its pow calls, its step count and its record
- * stay its own.  A pass gives every live lane or vector one event or
- * step; a seed that is over writes its states, stop time, step counts and
- * return code into the caller's arrays, and its lane or element refills
- * with the block's next seed.  A seed runs the same operations in the
- * same order on its own Philox in any lane or element, so its results do
- * not depend on the others.  A seed of any size is given as its 32-bit
- * words, which the block steps by one per seed.  A path of a block stores
- * no trajectory; a single pair is a block of one, one lane.
+ * most of the processor idle; the seeds' chains overlap.  A block's
+ * tamed-adaptive pairs run in LANES scalar lanes (struct lane), its paths
+ * and its fixed-step pairs in VECTORS vectors of two (struct path_lanes,
+ * struct fixed_lanes), whose packed operations step two seeds at once;
+ * each seed's draw, its pow calls, its step count and its record stay its
+ * own.  A pass gives every live lane or vector one event or step; a seed
+ * that is over writes its states, stop time, step counts and return code
+ * into the caller's arrays.  A lane or a path's element then refills with
+ * the block's next seed; a fixed-step pair's element idles, drawing
+ * nothing, until its generation is over, as a new seed starts at t = 0 on
+ * another timeline, and the next generation starts.  A seed runs the same
+ * operations in the same order on its own Philox in any lane or element,
+ * so its results do not depend on the others.  A seed of any size is
+ * given as its 32-bit words, which the block steps by one per seed.  A
+ * path of a block stores no trajectory; a single pair is a block of one:
+ * one lane, or one vector of which one element is idle.
  *
- * On x86-64 ELF with glibc the block's path lanes are compiled twice,
- * for AVX2 and for the baseline instruction set (target_clones, which
- * glibc's loader resolves), and the loader runs the clone the host can;
- * tamsde_lanes says which.  Elsewhere (musl, arm64, no ELF, or __ELF__
- * undefined on the build line) the one baseline build is portable GNU C
- * vector code.  Neither moves a bit: each element's operations are the
- * scalar ones.
+ * On x86-64 ELF with glibc the block's two vector runners, run_paths and
+ * run_fixed, are compiled twice, for AVX2 and for the baseline
+ * instruction set (target_clones, which glibc's loader resolves), and the
+ * loader runs the clone the host can; tamsde_lanes says which.
+ * Elsewhere (musl, arm64, no ELF, or __ELF__ undefined on the build line)
+ * the one baseline build is portable GNU C vector code.  Neither moves a
+ * bit: each element's operations are the scalar ones.
  *
  * A path whose trajectory is kept (tamsde_path, whose stored grid the
  * caller releases with tamsde_free) runs path_step_d, drawing on the
@@ -437,11 +447,11 @@ int tamsde_init(void)
 typedef double vec __attribute__((vector_size(16)));
 typedef long long vmask __attribute__((vector_size(16)));
 
-/* On x86-64 ELF with glibc, the block's path lanes (run_paths) are built
-   for AVX2 and for the baseline, and the loader picks one on the host (an
-   ifunc, which musl's loader has not); the square root and the masks' bits
-   are one SSE2 instruction each there, else one call or test per
-   element. */
+/* On x86-64 ELF with glibc, the block's vector runners (run_paths and
+   run_fixed) are built for AVX2 and for the baseline, and the loader
+   picks one on the host (an ifunc, which musl's loader has not); the
+   square root and the masks' bits are one SSE2 instruction each there,
+   else one call or test per element. */
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) \
     && defined(__has_attribute)
 #if __has_attribute(target_clones)
@@ -542,8 +552,7 @@ struct leg {
     double x;        /* state */
     double last;     /* time of the leg's last step */
     double due;      /* time of its next event */
-    double m, s, q;  /* mu, sigma and the Milstein coefficient kept by
-                        propose: tamed q (adaptive) or sigma sigma' (fixed) */
+    double m, s, q;  /* mu, sigma and the tamed q kept by propose */
     double pw, pc;   /* Kahan pair of the increment pending since last */
     long long steps;
 };
@@ -554,13 +563,12 @@ struct pair {
     double t_end;
     long long max_steps;
     int model;
-    int adaptive;    /* 1: tamed-adaptive legs, 0: fixed-step legs */
 };
 
 /* The scheme's formulas on the lane type T, whose helpers are suffixed V
    and whose step counts are of type N: FORMULAS(double, long long, d) for
-   a pair's legs and for a kept path, FORMULAS(vec, vmask, v) for two
-   paths at once.
+   a tamed-adaptive pair's legs and for a kept path, FORMULAS(vec, vmask,
+   v) for two paths or two fixed-step pairs at once.
      sign_V: model.py's sign.
      product_V: scheme._tamed's product: an exact zero factor gives a
        zero product (the fixed-step legs' q too).
@@ -568,14 +576,20 @@ struct pair {
        +-1/sqrt(delta).
      coefficients_V: model's mu, mu', sigma and sigma' at x, each in the
        operation order of its function in model.py.
-     rule_V: propose of scheme._tam_leg / _tm_leg for the given model, a
-       constant in each of propose_V's cases, so each model's coefficients
-       fold into its own copy of the step rule (sigma' of model1 is 0.1,
-       say; one copy for all models, joined after the coefficients, made
-       a model1 leg-step ~6% slower): keeps mu, sigma and q at x in *mo,
-       *so and *qo and returns the step the leg wants.
+     rule_V: propose of scheme._tam_leg for the given model, a constant
+       in each of propose_V's cases, so each model's coefficients fold
+       into its own copy of the step rule (sigma' of model1 is 0.1, say;
+       one copy for all models, joined after the coefficients, made a
+       model1 leg-step ~6% slower): keeps mu, sigma and q at x in *mo, *so
+       and *qo and returns the step the leg wants.
      due_V: scheme._due.
      advance_V: the tamed-adaptive update of scheme._tam_leg.
+     pend_V: adds dz to the Kahan pair (*pw, *pc) of a pending increment.
+     tm_propose_V: propose of scheme._tm_leg, whose step is the base step
+       itself: keeps mu, sigma and sigma sigma' at x.
+     tm_advance_V: the fixed-step update of scheme._tm_leg, over the
+       duration dt, which is a generation's, one for every element.  Only
+       the vectors step fixed-step legs, so the double's copy is unused.
      struct path_V: a path's fine leg, as in struct leg (its base step is
        the pair's fine leg's, and nothing is pending between steps), and
        its step count.
@@ -630,18 +644,16 @@ static inline T rule_##V(const struct pair *p, const struct leg *leg, T x,   \
                          int model, T *mo, T *so, T *qo)                     \
 {                                                                            \
     T m, s, mp, sp, q, s2, sp2, xl, base, step;                              \
+    /* the penalty first: gcc 12 schedules a kept model1 path's step ~6%     \
+       faster so */                                                          \
+    xl = p->l0 == 2.0 ? x * x : powabs_##V(x, p->l0);                        \
     coefficients_##V(model, x, &m, &mp, &s, &sp);                            \
     *mo = m;                                                                 \
     *so = s;                                                                 \
-    if (!p->adaptive) {                                                      \
-        *qo = product_##V(s, sp);                                            \
-        return splat_##V(leg->delta);                                        \
-    }                                                                        \
     q = tamed_##V(s, sp, leg->sqd);                                          \
     *qo = q;                                                                 \
     s2 = s * s;                                                              \
     sp2 = sp * sp;                                                           \
-    xl = p->l0 == 2.0 ? x * x : powabs_##V(x, p->l0);                        \
     base = 1.0 + m * m + abs_##V(mp) + s2 * s2 + sp2 * sp2 + abs_##V(q)      \
            + xl;                                                             \
     step = (p->h0 / (base * base)) * leg->delta;                             \
@@ -667,6 +679,25 @@ static inline T due_##V(T last, T step, double t_end)                        \
 static inline T advance_##V(T x, T m, T s, T q, T dt, T dw)                  \
 {                                                                            \
     return x + m * dt + s * dw + 0.5 * q * (dw * dw - dt);                   \
+}                                                                            \
+static inline void pend_##V(T *pw, T *pc, T dz)                              \
+{                                                                            \
+    T y = dz - *pc, s = *pw + y;                                             \
+    *pc = (s - *pw) - y;                                                     \
+    *pw = s;                                                                 \
+}                                                                            \
+static inline void tm_propose_##V(int model, T x, T *m, T *s, T *q)          \
+{                                                                            \
+    T mp, sp;                                                                \
+    coefficients_##V(model, x, m, &mp, s, &sp);                              \
+    *q = product_##V(*s, sp);                                                \
+}                                                                            \
+__attribute__((unused))                                                      \
+static inline T tm_advance_##V(T x, T m, T s, T q, double dt, T dw,          \
+                               double delta)                                 \
+{                                                                            \
+    return x + (m * dt + s * dw + 0.5 * q * (dw * dw - dt))                  \
+               / (1.0 + delta * (x * x));                                    \
 }                                                                            \
 struct path_##V {                                                            \
     T x, last, due, m, s, q;                                                 \
@@ -700,25 +731,13 @@ static double propose(const struct pair *p, struct leg *leg, double x)
     return propose_d(p, leg, x, &leg->m, &leg->s, &leg->q);
 }
 
-static void pend(struct leg *leg, double dz)
-{
-    double y = dz - leg->pc;
-    double s = leg->pw + y;
-    leg->pc = (s - leg->pw) - y;
-    leg->pw = s;
-}
-
 /* A pair's leg's event at t: advance with the pending increment, then
    propose the next step.  Nonzero when the leg cannot go on (the checks
    of driver._merge); the caller reports it. */
 static int fire(const struct pair *p, struct leg *leg, double t)
 {
-    double x = leg->x, dt = t - leg->last, dW = leg->pw;
-    if (p->adaptive)
-        x = advance_d(x, leg->m, leg->s, leg->q, dt, dW);
-    else
-        x = x + (leg->m * dt + leg->s * dW + 0.5 * leg->q * (dW * dW - dt))
-                / (1.0 + leg->delta * (x * x));
+    double x = advance_d(leg->x, leg->m, leg->s, leg->q, t - leg->last,
+                         leg->pw);
     leg->x = x;
     leg->pw = leg->pc = 0.0;
     leg->last = t;
@@ -790,10 +809,11 @@ void tamsde_free(double *p)
     free(p);
 }
 
-/* --- one pair in flight: a lane ------------------------------------------ */
+/* --- one adaptive pair in flight: a lane --------------------------------- */
 
-/* A pair's run: its pair, its own Philox and the bitgen_t on it, t, the
-   merged timeline's time, and the seed's index in its block. */
+/* A tamed-adaptive pair's run: its pair, its own Philox and the bitgen_t
+   on it, t, the merged timeline's time, and the seed's index in its
+   block. */
 struct lane {
     struct pair p;
     struct philox rng;
@@ -801,6 +821,13 @@ struct lane {
     double t;
     long long i;
 };
+
+/* DONE, or FINE_STOP or COARSE_STOP for the first leg that ends a pair
+   non-finite, at x_f and x_c at t_end */
+static int pair_end(double x_f, double x_c)
+{
+    return !isfinite(x_f) ? FINE_STOP : isfinite(x_c) ? DONE : COARSE_STOP;
+}
 
 /* One event of driver._merge's loop: one normal, pended onto both legs,
    and the event of each leg due at the next time.  Returns RUNNING while
@@ -812,18 +839,14 @@ static int pair_event(struct lane *l)
     struct pair *p = &l->p;
     double t = p->fine.due < p->coarse.due ? p->fine.due : p->coarse.due;
     double dz = sqrt(t - l->t) * normal(philox_next(&l->rng), &l->g);
-    pend(&p->fine, dz);
-    pend(&p->coarse, dz);
+    pend_d(&p->fine.pw, &p->fine.pc, dz);
+    pend_d(&p->coarse.pw, &p->coarse.pc, dz);
     l->t = t;
     if (p->fine.due == t && fire(p, &p->fine, t))
         return FINE_STOP;
     if (p->coarse.due == t && fire(p, &p->coarse, t))
         return COARSE_STOP;
-    if (t < p->t_end)
-        return RUNNING;
-    if (!isfinite(p->fine.x))
-        return FINE_STOP;
-    return isfinite(p->coarse.x) ? DONE : COARSE_STOP;
+    return t < p->t_end ? RUNNING : pair_end(p->fine.x, p->coarse.x);
 }
 
 /* --- a path whose trajectory is kept ------------------------------------ */
@@ -858,7 +881,7 @@ int tamsde_path(int model, double delta, double h0, double l0, double x0,
                 double *grid[3])
 {
     struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
-                     .max_steps = max_steps, .model = model, .adaptive = 1};
+                     .max_steps = max_steps, .model = model};
     struct path_d v;
     struct grid g = {{NULL, NULL, NULL}, 1, 1024};
     int status = NO_MEMORY;
@@ -920,9 +943,10 @@ static void seed_philox(struct philox *rng, bitgen_t *g, unsigned char *seed,
     next_seed(seed, n_words);
 }
 
-/* the seeds a block keeps in flight: LANES pairs, or LANES / 2 vectors of
-   two paths */
+/* the seeds a block keeps in flight: LANES adaptive pairs, or VECTORS
+   vectors of two paths or two fixed-step pairs */
 #define LANES 4
+#define VECTORS 3
 
 /* Start lane l on the seed of index i, whose words seed holds, with the
    pair as every seed starts it; then step seed to the next integer. */
@@ -935,13 +959,13 @@ static void begin(struct lane *l, const struct pair *start,
     l->i = i;
 }
 
-/* Each of the n pairs of the seeds from seed, as tamsde_block takes them,
-   from start.  LANES seeds are in flight, each on its own Philox; a pass
-   gives every live lane one event, a lane left alone (the one lane of a
-   block of one) included, and a lane whose seed is over writes its record
-   and starts the block's next seed.  Each seed runs the same operations in
-   the same order as it would alone, so only the order of the work across
-   seeds depends on the lanes. */
+/* Each of the n tamed-adaptive pairs of the seeds from seed, as
+   tamsde_block takes them, from start.  LANES seeds are in flight, each on
+   its own Philox; a pass gives every live lane one event, a lane left
+   alone (the one lane of a block of one) included, and a lane whose seed
+   is over writes its record and starts the block's next seed.  Each seed
+   runs the same operations in the same order as it would alone, so only
+   the order of the work across seeds depends on the lanes. */
 static void run_pairs(const struct pair *start, unsigned char *seed,
                       size_t n_words, long long n, double *out,
                       long long *steps, int *status)
@@ -972,15 +996,38 @@ static void run_pairs(const struct pair *start, unsigned char *seed,
         }
 }
 
-/* Two paths in flight: their legs, each element's Philox and the
-   bitgen_t on it, and the index in the block of each element's seed, or
-   -1 for an element with none, which steps with no noise and is not
-   read. */
-struct path_lanes {
-    struct path_v v;
+/* The seeds of a vector's two elements: each element's Philox and the
+   bitgen_t on it, and the index in the block of its seed, or -1 for an
+   element with none, which steps with no noise and is not read. */
+struct seeds {
     struct philox rng[2];
     bitgen_t g[2];
     long long i[2];
+};
+
+/* Element e's seed: the seed of index i (none when i is -1), whose words
+   seed holds; then step seed to the next integer. */
+static void seat(struct seeds *k, int e, unsigned char *seed,
+                 size_t *n_words, long long i)
+{
+    k->i[e] = i;
+    if (i >= 0)
+        seed_philox(&k->rng[e], &k->g[e], seed, n_words);
+}
+
+/* the two elements' normals, each its next on its own Philox, or 0 for an
+   element with no seed */
+static inline vec lane_normals(struct seeds *k)
+{
+    vec z = {k->i[0] >= 0 ? normal(philox_next(&k->rng[0]), &k->g[0]) : 0.0,
+             k->i[1] >= 0 ? normal(philox_next(&k->rng[1]), &k->g[1]) : 0.0};
+    return z;
+}
+
+/* Two paths in flight: their legs and their seeds. */
+struct path_lanes {
+    struct path_v v;
+    struct seeds k;
 };
 
 /* Start element e of l on the seed of index i (none when i is -1), whose
@@ -996,32 +1043,24 @@ static void begin_path(struct path_lanes *l, int e, const struct path_d *first,
     l->v.s[e] = first->s;
     l->v.q[e] = first->q;
     l->v.steps[e] = first->steps;
-    l->i[e] = i;
-    if (i >= 0)
-        seed_philox(&l->rng[e], &l->g[e], seed, n_words);
-}
-
-/* an element's normal: its next on its own Philox, 0 with no seed */
-static inline double lane_normal(struct path_lanes *l, int e)
-{
-    return l->i[e] >= 0 ? normal(philox_next(&l->rng[e]), &l->g[e]) : 0.0;
+    seat(&l->k, e, seed, n_words, i);
 }
 
 /* Each of the n paths of the seeds from seed, as tamsde_block takes them,
-   from start's fine leg, as run_pairs runs pairs: LANES seeds in flight,
-   two in each vector; a pass steps every vector with a live element, and
-   an element whose seed is over writes its record and starts the block's
+   from start's fine leg, as run_pairs runs pairs: VECTORS vectors of two
+   seeds in flight; a pass steps every vector with a live element, and an
+   element whose seed is over writes its record and starts the block's
    next seed, or none. */
 LANE_CLONES static void run_paths(const struct pair *start,
                                   unsigned char *seed, size_t n_words,
                                   long long n, double *out, long long *steps,
                                   int *status)
 {
-    struct path_lanes lanes[LANES / 2], *live[LANES / 2];
+    struct path_lanes lanes[VECTORS], *live[VECTORS];
     struct path_d first = path_start(start);
     long long next = 0;
     int n_live = 0, k, e;
-    for (; n_live < LANES / 2 && next < n; n_live++) {
+    for (; n_live < VECTORS && next < n; n_live++) {
         live[n_live] = &lanes[n_live];
         for (e = 0; e < 2; e++)
             begin_path(live[n_live], e, &first, seed, &n_words,
@@ -1030,12 +1069,13 @@ LANE_CLONES static void run_paths(const struct pair *start,
     while (n_live > 0)
         for (k = 0; k < n_live; k++) {
             struct path_lanes *l = live[k];
-            vec z = {lane_normal(l, 0), lane_normal(l, 1)}, dw;
-            unsigned over = path_step_v(start, &l->v, z, &dw);
+            vec dw;
+            unsigned over = path_step_v(start, &l->v, lane_normals(&l->k),
+                                        &dw);
             if (over == 0)
                 continue;
             for (e = 0; e < 2; e++) {
-                long long i = l->i[e];
+                long long i = l->k.i[e];
                 if (!(over >> e & 1) || i < 0)
                     continue;
                 out[2 * i] = l->v.x[e];
@@ -1045,19 +1085,140 @@ LANE_CLONES static void run_paths(const struct pair *start,
                 begin_path(l, e, &first, seed, &n_words,
                            next < n ? next++ : -1);
             }
-            if (l->i[0] < 0 && l->i[1] < 0)  /* as in run_pairs */
+            if (l->k.i[0] < 0 && l->k.i[1] < 0)  /* as in run_pairs */
                 live[k--] = live[--n_live];
         }
 }
 
+/* A fixed-step leg's clock: its base step, the time of its last step,
+   the time of its next event and its step count.  No state moves it, so
+   every seed of a generation shares it. */
+struct tick {
+    double delta, last, due;
+    long long steps;
+};
+
+/* Two fixed-step pairs in flight: each leg's state, the coefficients
+   tm_propose keeps and the Kahan pair of its pending increment (index 0
+   the fine leg, 1 the coarse), and their seeds; an element whose seed is
+   over has none. */
+struct fixed_lanes {
+    vec x[2], m[2], s[2], q[2], pw[2], pc[2];
+    struct seeds k;
+};
+
+/* Element e's record, as run_pairs writes a pair's: both states, the stop
+   time t, both legs' step counts on the clocks c and the return code; the
+   element then idles. */
+static void fixed_record(struct fixed_lanes *l, int e, double t,
+                         const struct tick c[2], int code, double *out,
+                         long long *steps, int *status)
+{
+    long long i = l->k.i[e];
+    out[3 * i] = l->x[0][e];
+    out[3 * i + 1] = l->x[1][e];
+    out[3 * i + 2] = t;
+    steps[2 * i] = c[0].steps;
+    steps[2 * i + 1] = c[1].steps;
+    status[i] = code;
+    l->k.i[e] = -1;
+}
+
+/* Each of the n fixed-step pairs of the seeds from seed, as tamsde_block
+   takes them, from x0, in generations of up to 2 VECTORS seeds, two to a
+   vector, all started at t = 0.  A fixed-step leg's clock does not depend
+   on its state, so a generation has one timeline: each event's time and
+   sqrt of its gap, which legs fire, their clocks and their budget and
+   collapse tests are worked out once, in driver._merge's order, and only
+   each seed's draw, pending increments, updates, coefficients and
+   finiteness tests are its own.  A seed that stops writes its record at
+   the event, a fine stop before the coarse leg fires, as pair_event's
+   FINE_STOP, and its element idles; the next generation starts when
+   every seed of this one is over. */
+LANE_CLONES static void run_fixed(const struct pair *p, double delta_fine,
+                                  double delta_coarse, double x0,
+                                  unsigned char *seed, size_t n_words,
+                                  long long n, double *out, long long *steps,
+                                  int *status)
+{
+    struct fixed_lanes lanes[VECTORS], *live[VECTORS], first;
+    double m, s, q;
+    long long next = 0;
+    int n_live, k, e, j;
+    tm_propose_d(p->model, x0, &m, &s, &q);
+    first = (struct fixed_lanes){.x = {{x0, x0}, {x0, x0}},
+                                 .m = {{m, m}, {m, m}}, .s = {{s, s}, {s, s}},
+                                 .q = {{q, q}, {q, q}}};
+    while (next < n) {
+        struct tick c[2] = {
+            {delta_fine, 0.0, due_d(0.0, delta_fine, p->t_end), 0},
+            {delta_coarse, 0.0, due_d(0.0, delta_coarse, p->t_end), 0}};
+        double t = 0.0;
+        for (n_live = 0; n_live < VECTORS && next < n; n_live++) {
+            struct fixed_lanes *l = live[n_live] = &lanes[n_live];
+            *l = first;
+            for (e = 0; e < 2; e++)
+                seat(&l->k, e, seed, &n_words, next < n ? next++ : -1);
+        }
+        while (n_live > 0) {
+            double t_next = c[0].due < c[1].due ? c[0].due : c[1].due;
+            vec sq = splat_v(sqrt(t_next - t));
+            for (k = 0; k < n_live; k++) {
+                struct fixed_lanes *l = live[k];
+                vec dz = sq * lane_normals(&l->k);
+                pend_v(&l->pw[0], &l->pc[0], dz);
+                pend_v(&l->pw[1], &l->pc[1], dz);
+            }
+            for (j = 0; j < 2; j++) {
+                struct tick *leg = &c[j];
+                double dt = t_next - leg->last;
+                int going = t_next < p->t_end, all = !going && j == 1;
+                if (leg->due != t_next)
+                    continue;
+                leg->last = t_next;
+                leg->steps += 1;
+                if (going) {  /* the budget spent or the step collapsed */
+                    leg->due = due_d(t_next, leg->delta, p->t_end);
+                    all = leg->steps >= p->max_steps || leg->due <= t_next;
+                }
+                /* at t_end both legs fire (every due time is clamped to
+                   it), and the coarse leg's event ends every seed */
+                for (k = 0; k < n_live; k++) {
+                    struct fixed_lanes *l = live[k];
+                    vec x = tm_advance_v(l->x[j], l->m[j], l->s[j], l->q[j],
+                                         dt, l->pw[j], leg->delta);
+                    unsigned over = all ? 3 : 0;
+                    l->x[j] = x;
+                    l->pw[j] = l->pc[j] = splat_v(0.0);
+                    if (going) {
+                        over |= bits_v(not_v(abs_v(x) <= DBL_MAX));
+                        tm_propose_v(p->model, x, &l->m[j], &l->s[j],
+                                     &l->q[j]);
+                    }
+                    for (e = 0; e < 2; e++)
+                        if (over >> e & 1 && l->k.i[e] >= 0)
+                            fixed_record(l, e, t_next, c, going ? FINE_STOP + j
+                                         : pair_end(l->x[0][e], l->x[1][e]),
+                                         out, steps, status);
+                    if (l->k.i[0] < 0 && l->k.i[1] < 0)  /* as in run_pairs */
+                        live[k--] = live[--n_live];
+                }
+            }
+            t = t_next;
+        }
+    }
+}
+
 /* For each of the n seeds from the integer whose n_words 32-bit words
    seed holds (as tamsde_seed takes them), on that seed's own Philox: the
-   pair of driver._merge when legs is 2, and scheme.simulate_path storing
-   nothing when it is 1 (then adaptive is 1 and delta_coarse is not
-   read).  out[(legs + 1)i + j] is leg j's state (fine, then coarse)
-   and out[(legs + 1)i + legs] the stop time (t_end when the seed is
-   DONE), steps[legs i + j] leg j's step count, and status[i] DONE, or
-   FINE_STOP or COARSE_STOP for the leg that stopped it.  seed is stepped
+   pair of driver._merge when legs is 2 (two tamed-adaptive legs when
+   adaptive is 1, two fixed-step legs when it is 0), and
+   scheme.simulate_path storing nothing when it is 1 (then adaptive is 1
+   and delta_coarse is not read).  out[(legs + 1)i + j] is leg j's state
+   (fine, then coarse) and out[(legs + 1)i + legs] the stop time (t_end
+   when the seed is DONE), steps[legs i + j] leg j's step count, and
+   status[i] DONE, or FINE_STOP or COARSE_STOP for the leg that stopped
+   it.  seed is stepped
    to the integer after the block's last seed, so it needs room for one
    more word (next_seed). */
 void tamsde_block(int legs, int model, int adaptive, double delta_fine,
@@ -1067,8 +1228,12 @@ void tamsde_block(int legs, int model, int adaptive, double delta_fine,
                   int *status)
 {
     struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
-                     .max_steps = max_steps, .model = model,
-                     .adaptive = adaptive};
+                     .max_steps = max_steps, .model = model};
+    if (legs == 2 && !adaptive) {
+        run_fixed(&p, delta_fine, delta_coarse, x0, seed, n_words, n, out,
+                  steps, status);
+        return;
+    }
     arm(&p, &p.fine, delta_fine, x0);
     if (legs == 1) {
         run_paths(&p, seed, n_words, n, out, steps, status);
@@ -1078,9 +1243,9 @@ void tamsde_block(int legs, int model, int adaptive, double delta_fine,
     run_pairs(&p, seed, n_words, n, out, steps, status);
 }
 
-/* The build of the path lanes the loader picked for this host: "avx2",
-   the AVX2 clone, or "baseline", the only build where there are no
-   clones.  The loader's choice is the same test of the processor. */
+/* The build of the vector runners the loader picked for this host:
+   "avx2", the AVX2 clone, or "baseline", the only build where there are
+   no clones.  The loader's choice is the same test of the processor. */
 const char *tamsde_lanes(void)
 {
 #ifdef CLONED

@@ -631,10 +631,13 @@ class TestBlockParity:
             with pytest.raises(InputError, match="range of step 1"):
                 kernel.run_block(get_model("model1"), config, seeds, pair)
 
-    # a block keeps LANES seeds in flight and refills a lane as its seed
-    # ends, so these sizes run no lane (an empty block is []), leave lanes
-    # empty, fill them once, refill one, and refill many times over
-    @pytest.mark.parametrize("size", [0, 1, 3, 4, 5, 9, 100])
+    # a block keeps LANES adaptive pairs in flight and refills a lane as
+    # its seed ends, and 2 * VECTORS paths, refilled alike, or fixed-step
+    # pairs, run in generations of that many; so these sizes run no lane
+    # (an empty block is []), leave lanes or elements empty, fill them
+    # once, refill one, start a second generation, and refill or start
+    # many times over
+    @pytest.mark.parametrize("size", [0, 1, 3, 4, 5, 6, 7, 9, 100])
     @pytest.mark.parametrize("clock", [(1.0, 2.0), None, "path"],
                              ids=["adaptive", "fixed", "path"])
     def test_block_is_its_blocks_of_one(self, lib, clock, size):
@@ -702,6 +705,56 @@ class TestBlockParity:
                 elements.add(j % 2)
         assert elements == {0, 1}
 
+    # a block's fixed-step pairs run in generations of 2 * VECTORS seeds,
+    # two to a vector, on one timeline: seed index j of a generation is
+    # element j % 2 of vector j // 2.  Blocks of one and of three seeds
+    # leave elements empty, seven start a second generation.  No built-in
+    # model's fixed-step pairs stop on some seeds and not on others: a
+    # state turns non-finite only at the first event, where the drift at
+    # x0 overflows, and the budget is the timeline's, so each case stops
+    # every seed of a generation, on both elements of each vector, at one
+    # event, with the same record as the Python loop's
+    @pytest.mark.parametrize("name, x0, k, max_steps", [
+        ("model1", 1e200, 2, 10 ** 8),
+        ("model2", 1e206, 1, 10 ** 8),
+        ("gbm", None, 2, 7),
+        ("model2", None, 3, 30),
+    ], ids=["non-finite-model1", "non-finite-model2", "budget-gbm",
+            "budget-model2"])
+    def test_fixed_vectors(self, lib, name, x0, k, max_steps):
+        model = get_model(name)
+        if x0 is not None:
+            model = dataclasses.replace(model, x0=x0)
+        want = seeded(reference, model, None, k, 5.0, range(20), max_steps)
+        assert all(isinstance(o, PathExplosion) for o in want)
+        assert len({(o.leg, o.time, o.steps) for o in want}) == 1
+        assert 2 * VECTORS < 7
+        for size in (1, 3, 7):
+            for first in (0, 5, 13):
+                seeds = range(first, first + size)
+                got = block(model, None, k, 5.0, seeds, max_steps)
+                assert hexed(got) == hexed(want[first:first + size])
+
+    # horizons off the coarse grid: the coarse leg's last step is clamped
+    # to t_end, and at T = 5.3 the fine leg's too.  A budget of the fine
+    # leg's steps but one stops every seed at the event before t_end; the
+    # full count is spent at t_end, where no budget is checked.
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("horizon", [lambda k: 5.3,
+                                         lambda k: 3.0 * 2.0 ** -(k + 1)],
+                             ids=["5.3", "3-fine-steps"])
+    @pytest.mark.parametrize("name", MODELS)
+    def test_fixed_clamped_horizons(self, lib, name, horizon, k):
+        model, seeds, t_end = get_model(name), range(9), horizon(k)
+        fine_steps = math.ceil(t_end / 2.0 ** -(k + 1))
+        for max_steps in (10 ** 8, fine_steps, fine_steps - 1):
+            want = seeded(reference, model, None, k, t_end, seeds, max_steps)
+            assert failed(want) == (max_steps < fine_steps)
+            assert [o.steps if isinstance(o, PathExplosion) else o[2]
+                    for o in want] == [min(max_steps, fine_steps)] * 9
+            assert hexed(block(model, None, k, t_end, seeds,
+                               max_steps)) == hexed(want)
+
 
 # start values from signed zeros and subnormals to near the float limit
 START_VALUES = st.one_of(
@@ -715,14 +768,16 @@ START_VALUES = st.one_of(
        kind=st.sampled_from(["adaptive", "fixed", "path"]),
        h0=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
        l0=st.floats(2.0, 4.0), k=st.integers(1, 4),
-       t_end=st.sampled_from([1.0, 5.0]), max_steps=st.integers(5, 10 ** 4),
+       t_end=st.sampled_from([0.3, 1.0, 1.3, 5.0]),
+       max_steps=st.integers(5, 10 ** 4),
        first=st.sampled_from([0, 7, 2 ** 32 - 2, 2 ** 64 - 3]),
        size=st.integers(1, 6))
 def test_blocks_equal_the_reference_loops(lib, name, x0, kind, h0, l0, k,
                                           t_end, max_steps, first, size):
-    # drawn blocks of any built-in model from any start: the records C
-    # gives equal the Python loops' record by record, floats bit for bit
-    # and explosions by leg, time, state, steps and message
+    # drawn blocks of any built-in model from any start, on horizons on
+    # and off the legs' grids: the records C gives equal the Python loops'
+    # record by record, floats bit for bit and explosions by leg, time,
+    # state, steps and message
     model = dataclasses.replace(get_model(name), x0=x0)
     config = SchemeConfig(2.0 ** -(k + 1), t_end, h0, l0, max_steps)
     pair = None if kind == "path" else (kind == "adaptive", 2.0 ** -k)
@@ -750,9 +805,12 @@ def test_declined_block_paths_store_no_grid(tmp_path):
     assert peak < 2 ** 20
 
 
-# the seeds a block keeps in flight, LANES in _pair.c
+# the seeds a block keeps in flight, in _pair.c: LANES adaptive pairs, or
+# VECTORS vectors of two paths or fixed-step pairs
 with open(kernel._SOURCE) as _source:
-    LANES = int(re.search(r"#define LANES (\d+)", _source.read()).group(1))
+    _text = _source.read()
+LANES = int(re.search(r"#define LANES (\d+)", _text).group(1))
+VECTORS = int(re.search(r"#define VECTORS (\d+)", _text).group(1))
 
 
 def lanes_run(model, clock, t_end, max_steps):
@@ -1193,7 +1251,8 @@ def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):
     # each build of BUILDS under strict pedantic C99 warnings must load
     # with every symbol resolved, export the kernel's functions, report
     # its path lanes, seed and draw numpy's normals on its port, and run
-    # blocks of paths and a kept path as the Python loop does
+    # blocks of paths and of fixed-step pairs, the vector runners, and a
+    # kept path as the Python loops do
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
@@ -1222,6 +1281,8 @@ def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):
             config, seeds = path_config(2, 5.0, max_steps=150), range(7)
             assert hexed(path_block(model, config, seeds)) == hexed(
                 path_seeded(_path_loop, model, config, seeds)), name
+            assert hexed(block(model, None, 2, 5.0, seeds, 30)) == hexed(
+                seeded(reference, model, None, 2, 5.0, seeds, 30)), name
             assert path_outcome(simulate_path, model, config,
                                 NoiseSource(3)) == path_outcome(
                 _path_loop, model, config, NoiseSource(3)), name

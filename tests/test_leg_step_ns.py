@@ -7,12 +7,27 @@ from pathlib import Path
 
 import pytest
 
-from tamsde import PathExplosion, kernel
+from tamsde import PathExplosion, SchemeConfig, get_model, kernel
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "leg_step_ns.py"
 _spec = importlib.util.spec_from_file_location("leg_step_ns", _TOOL)
 leg_step_ns = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(leg_step_ns)
+
+
+# compare runs both pair runners, so it has a row for each
+ROWS = {"rate-rough", "compare-smooth/tam", "compare-smooth/tm",
+        "moments-long", "stored-path/model1", "stored-path/model2",
+        "draw/port", "draw/numpy"}
+
+
+def test_runner_of_a_call():
+    config = SchemeConfig(0.25, 1.0)
+    model = get_model("model1")
+    assert leg_step_ns.runner((model, config, range(3), (True, 0.5))) == "tam"
+    assert leg_step_ns.runner((model, config, range(3), (False, 0.5))) == "tm"
+    assert leg_step_ns.runner((model, config, range(3))) == "path"
+    assert leg_step_ns.runner((model, config, range(3), None)) == "path"
 
 
 def test_leg_steps_of_records():
@@ -26,13 +41,13 @@ def test_small_run():
     run_block = kernel.run_block
     rows = leg_step_ns.measure(jobs=1, rounds=2, scale=0.02)
     assert kernel.run_block is run_block
-    assert set(rows) == {"rate-rough", "compare-smooth", "moments-long",
-                         "stored-path/model1", "stored-path/model2",
-                         "draw/port", "draw/numpy"}
-    # one cell per level of rate; per level and scheme of compare; per
-    # horizon of moments; one call per stored path; one per fill of normals
+    assert set(rows) == ROWS
+    # one cell per level of rate; per level of compare, for each of its
+    # schemes; per horizon of moments; one call per stored path; one per
+    # fill of normals
     assert {name: row[2] for name, row in rows.items()} == {
-        "rate-rough": 5, "compare-smooth": 10, "moments-long": 3,
+        "rate-rough": 5, "compare-smooth/tam": 5, "compare-smooth/tm": 5,
+        "moments-long": 3,
         "stored-path/model1": 40, "stored-path/model2": 40,
         "draw/port": leg_step_ns.DRAWS, "draw/numpy": leg_step_ns.DRAWS}
     assert all(ns > 0.0 and steps > 0 for ns, steps, _ in rows.values())
@@ -48,9 +63,7 @@ def test_against_its_own_source(tmp_path):
     library = kernel.library
     rows = leg_step_ns.compare(jobs=1, rounds=2, against=other, scale=0.02)
     assert kernel.library is library
-    assert set(rows) == {"rate-rough", "compare-smooth", "moments-long",
-                         "stored-path/model1", "stored-path/model2",
-                         "draw/port", "draw/numpy"}
+    assert set(rows) == ROWS
     for ns, other_ns, ratio, iqr, wins in rows.values():
         assert ns > 0.0 and other_ns > 0.0 and ratio > 0.0 and iqr >= 0.0
         assert 0 <= wins <= 2

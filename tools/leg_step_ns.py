@@ -9,11 +9,14 @@ kernel.run_block call they make: each Monte Carlo cell's model, checked
 config, seeds (analysis.cell_seed's) and pair argument.  Then it times
 kernel.run_block on those calls, in 7 rounds that alternate the
 workloads, and prints for each workload the median over the rounds of its
-calls' time per leg-step.  A leg-step is one step of one leg: a pair
-counts its fine and coarse steps, a path its steps and a failed seed the
-steps of the leg that stopped it.  The time is the block route's as a
-Monte Carlo cell runs it, the ctypes call and the records it returns
-included.
+calls' time per leg-step.  A workload whose calls run more than one of
+the kernel's runners gets a row for each, named after it:
+"compare-smooth/tam" times its tamed-adaptive pairs and
+"compare-smooth/tm" its fixed-step pairs.  A leg-step is one step of one
+leg: a pair counts its fine and coarse steps, a path its steps and a
+failed seed the steps of the leg that stopped it.  The time is the block
+route's as a Monte Carlo cell runs it, the ctypes call and the records
+it returns included.
 
 In the same rounds it times the route no benchmark workload takes: a
 path whose trajectory is kept, simulate_path on a fresh NoiseSource(seed)
@@ -23,9 +26,11 @@ stored arrays included.  And it times the normal draw the block lanes
 make, against numpy's: DRAWS fills of FILL normals from seed 0, by the
 kernel's port of Philox (tamsde_normals, "draw/port") and by
 Generator(Philox(0)).standard_normal(out=) ("draw/numpy"), and prints
-each one's median time per normal.  The kernel is tamsde's on
-PYTHONPATH, so the same tool times another checkout's kernel through
-that checkout's src.
+each one's median time per normal.  Each round seeds its generators
+afresh and every fill goes to one array, so "draw/numpy", which runs
+the same code on both kernels, is a control of the comparison.  The
+kernel is tamsde's on PYTHONPATH, so the same tool times another
+checkout's kernel through that checkout's src.
 
     PYTHONPATH=src python tools/leg_step_ns.py --against OTHER/_pair.c
 
@@ -34,7 +39,7 @@ private temporary directory and times the two kernels in one process,
 on the same recorded calls, within each round one after the other,
 taking turns at going first.  The host's speed drifts between runs by
 more than many changes move a row, so this is the comparison to trust.
-Every recorded call, stored path and first fill must give the same
+Every recorded call, stored path and fill must give the same
 records, bit for bit, on both kernels, or the tool stops with status 1.
 It prints each row's medians on both kernels and the median over the
 rounds of this kernel's time over the other's, its interquartile range
@@ -42,9 +47,10 @@ and the rounds this kernel was faster in.  It exits 2 when the source
 does not build or its build lacks a function the rows call.  --rounds
 sets the rounds (default 7).
 
-The first line names the build of the path lanes each kernel runs on
-this host (kernel.lanes): "avx2", the AVX2 clone, or "baseline", or
-"scalar" for a kernel from before the vector path lanes.
+The first line names the build of the vector runners (a block's paths
+and fixed-step pairs) each kernel runs on this host (kernel.lanes):
+"avx2", the AVX2 clone, or "baseline", or "scalar" for a kernel from
+before the vector path lanes.
 """
 
 import argparse
@@ -95,17 +101,24 @@ def leg_steps(records):
                for r in records)
 
 
+def runner(call):
+    """The kernel's runner of a recorded kernel.run_block call: "tam" for
+    tamed-adaptive pairs, "tm" for fixed-step pairs and "path" for paths."""
+    pair = call[3] if len(call) > 3 else None
+    return "path" if pair is None else ("tam" if pair[0] else "tm")
+
+
 def cells(workload, seed, jobs, scale):
-    """The kernel.run_block calls of the workload's jobs, as argument
-    tuples, and their leg-steps."""
-    calls, steps = [], 0
+    """The kernel.run_block calls of the workload's jobs, by runner, each
+    as a list of argument tuples and their leg-steps."""
+    calls, steps = {}, {}
     run_block = kernel.run_block
 
     def recorded(*args):
-        nonlocal steps
         records = run_block(*args)
-        calls.append(args)
-        steps += leg_steps(records)
+        kind = runner(args)
+        calls.setdefault(kind, []).append(args)
+        steps[kind] = steps.get(kind, 0) + leg_steps(records)
         return records
 
     kernel.run_block = recorded
@@ -120,7 +133,7 @@ def cells(workload, seed, jobs, scale):
                                      f"{err.getvalue().strip()}")
     finally:
         kernel.run_block = run_block
-    return calls, steps
+    return {kind: (calls[kind], steps[kind]) for kind in calls}
 
 
 def block_calls(calls):
@@ -140,31 +153,28 @@ def stored_paths(model):
     return run, sum(t.step_count for t in run())
 
 
-def port_draws(lib):
-    """A runner of DRAWS fills of FILL normals by lib's port of Philox from
-    seed 0, returning the last fill."""
+def port_draws(lib, out):
+    """A runner of DRAWS fills of out, FILL normals, by lib's port of
+    Philox seeded at 0 on each run, returning out."""
     seed = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_char_p,
                             ctypes.c_size_t)(("tamsde_seed", lib))
     normals = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p,
                                ctypes.c_longlong)(("tamsde_normals", lib))
-    out = np.empty(FILL)
     rng = ctypes.create_string_buffer(PHILOX_ROOM)
-    seed(rng, *kernel._words(0))
 
     def run():
+        seed(rng, *kernel._words(0))
         for _ in range(DRAWS):
             normals(rng, out.ctypes.data, FILL)
         return out
     return run
 
 
-def numpy_draws():
-    """A runner of DRAWS fills of FILL normals by
-    Generator(Philox(0)).standard_normal, returning the last fill."""
-    out = np.empty(FILL)
-    generator = np.random.Generator(np.random.Philox(0))
-
+def numpy_draws(out):
+    """A runner of DRAWS fills of out, FILL normals, by a
+    Generator(Philox(0)) made on each run, returning out."""
     def run():
+        generator = np.random.Generator(np.random.Philox(0))
         for _ in range(DRAWS):
             generator.standard_normal(out=out)
         return out
@@ -184,7 +194,7 @@ def using(lib):
 
 
 def lanes(lib):
-    """The build of its path lanes lib runs here, as kernel.lanes gives
+    """The build of its vector runners lib runs here, as kernel.lanes gives
     it, or "scalar" for a kernel without that report."""
     return kernel.lanes(lib) if hasattr(lib, "tamsde_lanes") else "scalar"
 
@@ -242,32 +252,33 @@ def other_kernel(source, directory):
 def rows(jobs, scale, libs):
     """The rows, by name, each as a runner, its units and its calls: each
     workload's cells' recorded calls for jobs 0..jobs-1 at scale times its
-    path count, and their leg-steps; each model's stored paths, as
+    path count, and their leg-steps, one row a runner when its calls run
+    more than one ("<workload>/<runner>"); each model's stored paths, as
     "stored-path/<model>", and their steps; and the normal draws,
-    "draw/port" and "draw/numpy", and their normals, each drawing on its
-    own generator for each kernel of libs, the one in use."""
+    "draw/port", on each kernel of libs, the one in use, and
+    "draw/numpy", and their normals, all into one array."""
     workloads = runpy.run_path(str(_WORKLOADS))["WORKLOADS"]
     runs = {}
     for name, w in workloads.items():
-        calls, steps = cells(w, SEED, jobs, scale)
-        runs[name] = block_calls(calls), steps, len(calls)
+        by_runner = cells(w, SEED, jobs, scale)
+        for kind, (calls, steps) in by_runner.items():
+            row = name if len(by_runner) == 1 else f"{name}/{kind}"
+            runs[row] = block_calls(calls), steps, len(calls)
     for model in STORED_MODELS:
         run, steps = stored_paths(get_model(model))
         runs[f"stored-path/{model}"] = run, steps, len(STORED_SEEDS)
-    # each kernel draws on a Philox of its own, so both start from seed 0
-    ports = {lib: port_draws(lib) for lib in libs}
-    numpys = {lib: numpy_draws() for lib in libs}
+    out = np.empty(FILL)
+    ports = {lib: port_draws(lib, out) for lib in libs}
     runs["draw/port"] = (lambda: ports[kernel.library()](), DRAWS * FILL,
                          DRAWS)
-    runs["draw/numpy"] = (lambda: numpys[kernel.library()](), DRAWS * FILL,
-                          DRAWS)
+    runs["draw/numpy"] = numpy_draws(out), DRAWS * FILL, DRAWS
     return runs
 
 
 def timed(runs, libs, rounds):
     """For each row, by name, one list per kernel of libs of its ns per
-    unit in each round.  Within a round each row runs on every kernel in
-    turn, and the kernels take turns at going first."""
+    unit in each round.  Within a round each row runs once untimed, then
+    on every kernel in turn, and the kernels take turns at going first."""
     names = list(runs)
     ns = {name: [[] for _ in libs] for name in names}
     for i in range(rounds):
@@ -275,8 +286,14 @@ def timed(runs, libs, rounds):
         # falls on every row alike
         for name in names[i % len(names):] + names[:i % len(names)]:
             run, units, _ = runs[name]
-            for k in (range(len(libs)) if i % 2 == 0
-                      else reversed(range(len(libs)))):
+            order = (list(range(len(libs))) if i % 2 == 0
+                     else list(reversed(range(len(libs)))))
+            # the first run after another row pays for the switch (a
+            # stored path's read ~6% slower), so the row first runs
+            # untimed on the kernel that goes first
+            with using(libs[order[0]]):
+                run()
+            for k in order:
                 with using(libs[k]):
                     start = time.perf_counter_ns()
                     run()
@@ -335,7 +352,7 @@ def main(argv=None):
         print("the kernel cannot be built here", file=sys.stderr)
         return 2
     if args.against is None:
-        print(f"path lanes: {lanes(kernel.library())}")
+        print(f"vector lanes: {lanes(kernel.library())}")
         # a unit is a workload's leg-step, a stored path's step or a normal
         print(f"{'row':<20} {'ns/unit':>11} {'units':>10} {'calls':>6}")
         for name, (ns, units, calls) in measure(JOBS, args.rounds).items():
@@ -348,7 +365,8 @@ def main(argv=None):
         except Mismatch as exc:
             print(exc, file=sys.stderr)
             return 1
-        print(f"path lanes: {lanes(kernel.library())}, other: {lanes(other)}")
+        print(f"vector lanes: {lanes(kernel.library())}, "
+              f"other: {lanes(other)}")
     # ratio: this kernel's time over the other's; wins: rounds it was faster
     print(f"{'row':<20} {'ns/unit':>9} {'other':>9} {'ratio':>7} "
           f"{'iqr':>7} {'wins':>7}")
