@@ -1,8 +1,8 @@
-/* Coupled pairs and single adaptive paths, run in C, bit for bit as
- * driver._merge and scheme.simulate_path.
+/* Blocks of coupled pairs and of single adaptive paths, run in C, bit
+ * for bit as driver._merge and scheme._path_loop.
  *
  * This file mirrors scheme._tamed, scheme._tam_leg, scheme._tm_leg,
- * scheme._due, driver._merge and scheme.simulate_path operation for
+ * scheme._due, driver._merge and scheme._path_loop operation for
  * operation, with the coefficients of the built-in models of model.py
  * written in the same operation order.  The results are byte-identical to
  * the Python loops only because:
@@ -22,14 +22,13 @@
  *
  * The scheme's formulas (the coefficients of the three models, the
  * tamed product, the step rule of propose, scheme._due, both schemes'
- * updates and propose, the Kahan sum of a pending increment and a path's
- * step) are written once, in FORMULAS, over a lane type: instantiated on a
- * double for the legs of a tamed-adaptive pair and for a kept path, and
- * on a vector of two doubles for two paths or two fixed-step pairs at
- * once.  A tamed-adaptive pair is two legs (struct leg) on a merged
- * timeline, and pair_event is one event of driver._merge's loop; a path
- * is one leg (struct path_d, or two in a struct path_v), and path_step_d
- * or path_step_v is one step of scheme.simulate_path's loop.  A
+ * updates and propose and the Kahan sum of a pending increment) are
+ * written once, in FORMULAS, over a lane type: instantiated on a double
+ * for the legs of a tamed-adaptive pair, and on a vector of two doubles
+ * for two paths or two fixed-step pairs at once.  A tamed-adaptive pair
+ * is two legs (struct leg) on a merged timeline, and pair_event is one
+ * event of driver._merge's loop; two paths are one leg each, in a struct
+ * path_v, and path_step_v is one step of scheme._path_loop for both.  A
  * fixed-step leg's clock does not depend on its state, so fixed-step
  * pairs that start together share one merged timeline: run_fixed works
  * out each event of driver._merge's loop once for a generation of seeds
@@ -38,13 +37,14 @@
  * pair or path loop.  kernel.py builds and loads this file.
  *
  * A Monte Carlo cell's pairs or paths, and a single pair, run as a block
- * of consecutive seeds (tamsde_block).  A block keeps several seeds in
- * flight, each with a Philox of its own: numpy's SeedSequence and
- * Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1,
- * 2, 3", SC'11), ported below word for word, so tamsde_seed gives the key
- * and the counter numpy's Philox(seed) starts with.  Only the two draws
- * numpy's normal makes, the 64-bit output and the double, are ported; the
- * bitgen_t's next_uint32 slot aborts (philox_abort32).  Each step of a
+ * of consecutive seeds (tamsde_block), the one entry point that runs
+ * them.  A block keeps several seeds in flight, each with a Philox of its
+ * own: numpy's SeedSequence and Philox4x64-10 (Salmon et al., "Parallel
+ * random numbers: as easy as 1, 2, 3", SC'11), ported below word for
+ * word, so tamsde_seed gives the key and the counter numpy's Philox(seed)
+ * starts with.  Only the two draws numpy's normal makes, the 64-bit
+ * output and the double, are ported; the bitgen_t's next_uint32 slot
+ * aborts (philox_abort32).  Each step of a
  * seed is one chain of dependent operations, so one seed alone leaves
  * most of the processor idle; the seeds' chains overlap.  A block's
  * tamed-adaptive pairs run in LANES scalar lanes (struct lane), its paths
@@ -71,14 +71,9 @@
  * the one baseline build is portable GNU C vector code.  Neither moves a
  * bit: each element's operations are the scalar ones.
  *
- * A path whose trajectory is kept (tamsde_path, whose stored grid the
- * caller releases with tamsde_free) runs path_step_d, drawing on the
- * bitgen_t of the caller's NoiseSource, numpy's own Philox, and adds each
- * step's duration to the source's clock as the source's own
- * gaussian_increment would.  tamsde_seed and tamsde_normals, the lanes'
- * draw, are exported for the tests that check the port against numpy;
- * the structs are known only to this file (and to that test's mirror of
- * struct philox).
+ * tamsde_seed and tamsde_normals, the lanes' draw, are exported for the
+ * tests that check the port against numpy; the structs are known only to
+ * this file (and to that test's mirror of struct philox).
  */
 #include <float.h>
 #include <math.h>
@@ -324,8 +319,7 @@ static inline int ziggurat(uint64_t r, double *x)
 
 /* numpy's random_standard_normal(g) when g's next output is r, which is
    drawn already: r's normal on the fast path, else a replay of r; a
-   block's lane draws r on its own Philox inline (philox_next), a kept path
-   on its caller's numpy Philox */
+   block's lane draws r on its own Philox inline (philox_next) */
 static inline double normal(uint64_t r, const bitgen_t *g)
 {
     double x;
@@ -443,7 +437,7 @@ int tamsde_init(void)
    of all ones or all zeros in each element; a vector of two long longs
    holds the two paths' step counts.  The helpers below, suffixed _d for a
    double and _v for a vector, are what the two types spell differently;
-   FORMULAS is written in them. */
+   FORMULAS is written in them, and the vector's alone in path_step_v. */
 typedef double vec __attribute__((vector_size(16)));
 typedef long long vmask __attribute__((vector_size(16)));
 
@@ -490,9 +484,6 @@ static inline unsigned bits_v(vmask m)
 /* a double's helpers are C's own; its comparisons give an int, 0 or 1 */
 #define splat_d(x) (x)
 #define select_d(c, a, b) ((c) ? (a) : (b))
-#define not_d(c) (!(c))
-#define bits_d(c) ((unsigned)(c))
-#define sqrt_d sqrt
 #define abs_d fabs
 #define isinf_d isinf
 #define copysign_d copysign
@@ -544,7 +535,7 @@ static inline vec powabs_v(vec x, double e)
 
 enum { MODEL1, MODEL2, GBM };
 /* how a seed's run ended; RUNNING while it goes on */
-enum { DONE, FINE_STOP, COARSE_STOP, NO_MEMORY, RUNNING };
+enum { DONE, FINE_STOP, COARSE_STOP, RUNNING };
 
 struct leg {
     double delta;    /* base step */
@@ -565,10 +556,9 @@ struct pair {
     int model;
 };
 
-/* The scheme's formulas on the lane type T, whose helpers are suffixed V
-   and whose step counts are of type N: FORMULAS(double, long long, d) for
-   a tamed-adaptive pair's legs and for a kept path, FORMULAS(vec, vmask,
-   v) for two paths or two fixed-step pairs at once.
+/* The scheme's formulas on the lane type T, whose helpers are suffixed V:
+   FORMULAS(double, d) for a tamed-adaptive pair's legs, FORMULAS(vec, v)
+   for two paths or two fixed-step pairs at once.
      sign_V: model.py's sign.
      product_V: scheme._tamed's product: an exact zero factor gives a
        zero product (the fixed-step legs' q too).
@@ -589,15 +579,8 @@ struct pair {
        itself: keeps mu, sigma and sigma sigma' at x.
      tm_advance_V: the fixed-step update of scheme._tm_leg, over the
        duration dt, which is a generation's, one for every element.  Only
-       the vectors step fixed-step legs, so the double's copy is unused.
-     struct path_V: a path's fine leg, as in struct leg (its base step is
-       the pair's fine leg's, and nothing is pending between steps), and
-       its step count.
-     path_step_V: one step of scheme.simulate_path's loop with the normal
-       z, the step's increment left in *dw.  Returns a bit (1 << e) for
-       each element whose path is over: it cannot go on, or it has reached
-       t_end (path_end says how it ended). */
-#define FORMULAS(T, N, V)                                                    \
+       the vectors step fixed-step legs, so the double's copy is unused. */
+#define FORMULAS(T, V)                                                       \
 static inline T sign_##V(T x)                                                \
 {                                                                            \
     return select_##V(x > 0.0, splat_##V(1.0),                               \
@@ -644,8 +627,6 @@ static inline T rule_##V(const struct pair *p, const struct leg *leg, T x,   \
                          int model, T *mo, T *so, T *qo)                     \
 {                                                                            \
     T m, s, mp, sp, q, s2, sp2, xl, base, step;                              \
-    /* the penalty first: gcc 12 schedules a kept model1 path's step ~6%     \
-       faster so */                                                          \
     xl = p->l0 == 2.0 ? x * x : powabs_##V(x, p->l0);                        \
     coefficients_##V(model, x, &m, &mp, &s, &sp);                            \
     *mo = m;                                                                 \
@@ -698,33 +679,39 @@ static inline T tm_advance_##V(T x, T m, T s, T q, double dt, T dw,          \
 {                                                                            \
     return x + (m * dt + s * dw + 0.5 * q * (dw * dw - dt))                  \
                / (1.0 + delta * (x * x));                                    \
-}                                                                            \
-struct path_##V {                                                            \
-    T x, last, due, m, s, q;                                                 \
-    N steps;                                                                 \
-};                                                                           \
-static inline unsigned path_step_##V(const struct pair *p,                   \
-                                     struct path_##V *v, T z, T *dw)         \
-{                                                                            \
-    T dt = v->due - v->last, x;                                              \
-    /* one increment pending onto nothing is the increment itself, signed    \
-       zero included, which a Kahan sum would turn into +0.0 */              \
-    *dw = sqrt_##V(dt) * z;                                                  \
-    x = advance_##V(v->x, v->m, v->s, v->q, dt, *dw);                        \
-    v->x = x;                                                                \
-    v->last = v->due;                                                        \
-    v->due = due_##V(v->last, propose_##V(p, &p->fine, x, &v->m, &v->s,      \
-                                          &v->q), p->t_end);                 \
-    v->steps += 1;                                                           \
-    /* at t_end, or not finite, or a step collapsed to nothing, or the       \
-       budget spent */                                                       \
-    return bits_##V(not_##V(v->last < p->t_end)                              \
-                    | not_##V(abs_##V(x) <= DBL_MAX) | (v->due <= v->last)   \
-                    | (v->steps >= p->max_steps));                           \
 }
 
-FORMULAS(double, long long, d)
-FORMULAS(vec, vmask, v)
+FORMULAS(double, d)
+FORMULAS(vec, v)
+
+/* Two paths' fine legs, as in struct leg (the base step is the pair's
+   fine leg's, and nothing is pending between steps), and their step
+   counts. */
+struct path_v {
+    vec x, last, due, m, s, q;
+    vmask steps;
+};
+
+/* One step of scheme._path_loop for both paths, with the normals z.
+   Returns a bit (1 << e) for each element whose path is over: it cannot
+   go on, or it has reached t_end (path_end says how it ended). */
+static inline unsigned path_step_v(const struct pair *p, struct path_v *v,
+                                   vec z)
+{
+    vec dt = v->due - v->last, x;
+    /* one increment pending onto nothing is the increment itself, signed
+       zero included, which a Kahan sum would turn into +0.0 */
+    x = advance_v(v->x, v->m, v->s, v->q, dt, sqrt_v(dt) * z);
+    v->x = x;
+    v->last = v->due;
+    v->due = due_v(v->last, propose_v(p, &p->fine, x, &v->m, &v->s, &v->q),
+                   p->t_end);
+    v->steps += 1;
+    /* at t_end, or not finite, or a step collapsed to nothing, or the
+       budget spent */
+    return bits_v(not_v(v->last < p->t_end) | not_v(abs_v(x) <= DBL_MAX)
+                  | (v->due <= v->last) | (v->steps >= p->max_steps));
+}
 
 static double propose(const struct pair *p, struct leg *leg, double x)
 {
@@ -759,54 +746,6 @@ static void arm(const struct pair *p, struct leg *leg, double delta, double x0)
     leg->sqd = sqrt(delta);
     leg->x = x0;
     leg->due = due_d(0.0, propose(p, leg, x0), p->t_end);
-}
-
-/* A path's stored grid: times and values at each of n points and the
-   increment of each step (a[0], a[1] and a[2]), in buffers of cap doubles
-   grown by doubling */
-struct grid {
-    double *a[3];
-    long long n, cap;
-};
-
-/* realloc each of g's buffers to n doubles, or free them all when n is 0;
-   0 if a realloc fails, which leaves that buffer as it was */
-static int resize(struct grid *g, long long n)
-{
-    int i, ok = 1;
-    double *p;
-    for (i = 0; i < 3; i++) {
-        if (n == 0) {
-            free(g->a[i]);
-            g->a[i] = NULL;
-        } else if ((unsigned long long)n <= SIZE_MAX / sizeof *p
-                   && (p = realloc(g->a[i], (size_t)n * sizeof *p)) != NULL) {
-            g->a[i] = p;
-        } else {
-            ok = 0;
-        }
-    }
-    return ok;
-}
-
-/* store point n and the increment of the step that reached it */
-static int keep(struct grid *g, double t, double x, double dw)
-{
-    if (g->n == g->cap) {
-        g->cap *= 2;
-        if (!resize(g, g->cap))
-            return 0;
-    }
-    g->a[0][g->n] = t;
-    g->a[1][g->n] = x;
-    g->a[2][g->n - 1] = dw;
-    g->n += 1;
-    return 1;
-}
-
-void tamsde_free(double *p)
-{
-    free(p);
 }
 
 /* --- one adaptive pair in flight: a lane --------------------------------- */
@@ -847,73 +786,6 @@ static int pair_event(struct lane *l)
     if (p->coarse.due == t && fire(p, &p->coarse, t))
         return COARSE_STOP;
     return t < p->t_end ? RUNNING : pair_end(p->fine.x, p->coarse.x);
-}
-
-/* --- a path whose trajectory is kept ------------------------------------ */
-
-/* DONE or FINE_STOP, for a path at x at time last that path_step said is
-   over: stopped before t_end, or ended there non-finite, or DONE */
-static int path_end(double last, double x, double t_end)
-{
-    return last < t_end || !isfinite(x) ? FINE_STOP : DONE;
-}
-
-/* the path as p's fine leg starts it */
-static struct path_d path_start(const struct pair *p)
-{
-    const struct leg *leg = &p->fine;
-    struct path_d v = {leg->x, leg->last, leg->due, leg->m, leg->s, leg->q,
-                       0};
-    return v;
-}
-
-/* scheme.simulate_path: one tamed-adaptive leg from x0 to t_end, one
-   normal drawn on bitgen per step, each step's duration added to *clock.
-   Returns DONE with grid = {times, values, increments} (steps + 1
-   doubles each, of which the increments use steps; each to be released
-   with tamsde_free),
-   FINE_STOP when the leg cannot go on, or NO_MEMORY; on either of those
-   nothing is stored.  out = {state, time} of the last step, and steps
-   the step count. */
-int tamsde_path(int model, double delta, double h0, double l0, double x0,
-                double t_end, long long max_steps, const bitgen_t *bitgen,
-                double *clock, double out[2], long long *steps,
-                double *grid[3])
-{
-    struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
-                     .max_steps = max_steps, .model = model};
-    struct path_d v;
-    struct grid g = {{NULL, NULL, NULL}, 1, 1024};
-    int status = NO_MEMORY;
-    double t = *clock, dw;
-    arm(&p, &p.fine, delta, x0);
-    v = path_start(&p);
-    if (resize(&g, g.cap)) {
-        g.a[0][0] = 0.0;
-        g.a[1][0] = x0;
-        status = RUNNING;
-    }
-    while (status == RUNNING) {
-        double z = normal(bitgen->next_uint64(bitgen->state), bitgen);
-        unsigned over;
-        t += v.due - v.last;
-        over = path_step_d(&p, &v, z, &dw);
-        if (over && v.last < t_end)
-            status = FINE_STOP;  /* nothing stored */
-        else if (!keep(&g, v.last, v.x, dw))
-            status = NO_MEMORY;
-        else if (over)
-            status = path_end(v.last, v.x, t_end);
-    }
-    *clock = t;
-    out[0] = v.x;
-    out[1] = v.last;
-    *steps = v.steps;
-    /* give back the unused capacity (a failed shrink keeps the block), or
-       free a grid that is not handed back */
-    resize(&g, status == DONE ? g.n : 0);
-    memcpy(grid, g.a, sizeof g.a);
-    return status;
 }
 
 /* --- blocks of seeds ----------------------------------------------------- */
@@ -1031,9 +903,9 @@ struct path_lanes {
 };
 
 /* Start element e of l on the seed of index i (none when i is -1), whose
-   words seed holds, at the path first; then step seed to the next
-   integer. */
-static void begin_path(struct path_lanes *l, int e, const struct path_d *first,
+   words seed holds, at the leg first as it starts; then step seed to the
+   next integer. */
+static void begin_path(struct path_lanes *l, int e, const struct leg *first,
                        unsigned char *seed, size_t *n_words, long long i)
 {
     l->v.x[e] = first->x;
@@ -1042,8 +914,15 @@ static void begin_path(struct path_lanes *l, int e, const struct path_d *first,
     l->v.m[e] = first->m;
     l->v.s[e] = first->s;
     l->v.q[e] = first->q;
-    l->v.steps[e] = first->steps;
+    l->v.steps[e] = 0;
     seat(&l->k, e, seed, n_words, i);
+}
+
+/* DONE or FINE_STOP, for a path at x at time last that path_step_v said
+   is over: stopped before t_end, or ended there non-finite, or DONE */
+static int path_end(double last, double x, double t_end)
+{
+    return last < t_end || !isfinite(x) ? FINE_STOP : DONE;
 }
 
 /* Each of the n paths of the seeds from seed, as tamsde_block takes them,
@@ -1057,21 +936,18 @@ LANE_CLONES static void run_paths(const struct pair *start,
                                   int *status)
 {
     struct path_lanes lanes[VECTORS], *live[VECTORS];
-    struct path_d first = path_start(start);
     long long next = 0;
     int n_live = 0, k, e;
     for (; n_live < VECTORS && next < n; n_live++) {
         live[n_live] = &lanes[n_live];
         for (e = 0; e < 2; e++)
-            begin_path(live[n_live], e, &first, seed, &n_words,
+            begin_path(live[n_live], e, &start->fine, seed, &n_words,
                        next < n ? next++ : -1);
     }
     while (n_live > 0)
         for (k = 0; k < n_live; k++) {
             struct path_lanes *l = live[k];
-            vec dw;
-            unsigned over = path_step_v(start, &l->v, lane_normals(&l->k),
-                                        &dw);
+            unsigned over = path_step_v(start, &l->v, lane_normals(&l->k));
             if (over == 0)
                 continue;
             for (e = 0; e < 2; e++) {
@@ -1082,7 +958,7 @@ LANE_CLONES static void run_paths(const struct pair *start,
                 out[2 * i + 1] = l->v.last[e];  /* the path's stop time */
                 steps[i] = l->v.steps[e];
                 status[i] = path_end(l->v.last[e], l->v.x[e], start->t_end);
-                begin_path(l, e, &first, seed, &n_words,
+                begin_path(l, e, &start->fine, seed, &n_words,
                            next < n ? next++ : -1);
             }
             if (l->k.i[0] < 0 && l->k.i[1] < 0)  /* as in run_pairs */
@@ -1213,7 +1089,7 @@ LANE_CLONES static void run_fixed(const struct pair *p, double delta_fine,
    seed holds (as tamsde_seed takes them), on that seed's own Philox: the
    pair of driver._merge when legs is 2 (two tamed-adaptive legs when
    adaptive is 1, two fixed-step legs when it is 0), and
-   scheme.simulate_path storing nothing when it is 1 (then adaptive is 1
+   scheme._path_loop storing nothing when it is 1 (then adaptive is 1
    and delta_coarse is not read).  out[(legs + 1)i + j] is leg j's state
    (fine, then coarse) and out[(legs + 1)i + legs] the stop time (t_end
    when the seed is DONE), steps[legs i + j] leg j's step count, and

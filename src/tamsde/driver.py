@@ -53,32 +53,16 @@ class NoiseSource:
     scaled by the square root of each requested duration.
 
     The generator is made on the source's first draw, so importing tamsde
-    leaves numpy unimported.  A path the kernel runs
-    (kernel.run_path) draws on the same generator and advances the same
-    clock.
+    leaves numpy unimported.  Only the Python loops draw on a source: a
+    block in C seeds its own port of the same Philox per seed.
     """
 
     def __init__(self, seed):
         self.seed = _integer(seed, "seed", 0)
         self.current_time = 0.0
-        self._rng = None  # made when first needed, by _generator
+        self._rng = None  # made by the first draw
         self._buf = None
         self._idx = _BLOCK  # the first draw fills the first block
-
-    def _generator(self):
-        """The source's generator, made on first use."""
-        if self._rng is None:
-            from numpy.random import Generator, Philox
-            self._rng = Generator(Philox(self.seed))
-        return self._rng
-
-    def _bit_generator(self):
-        """The generator's bit generator when no drawn normal is unread,
-        so that draws made on it directly (kernel.run_path) go on with the
-        source's stream; None while a drawn block still has normals."""
-        if self._idx != _BLOCK:
-            return None
-        return self._generator().bit_generator
 
     def gaussian_increment(self, duration):
         """One N(0, duration) draw; advances the source's clock by duration."""
@@ -89,7 +73,10 @@ class NoiseSource:
                 f"duration must be positive and finite, got {duration!r}")
         i = self._idx
         if i == _BLOCK:
-            self._buf = self._generator().standard_normal(_BLOCK).tolist()
+            if self._rng is None:
+                from numpy.random import Generator, Philox
+                self._rng = Generator(Philox(self.seed))
+            self._buf = self._rng.standard_normal(_BLOCK).tolist()
             i = 0
         self._idx = i + 1
         self.current_time += duration

@@ -1,7 +1,7 @@
-"""Compiled kernel for the built-in models: pairs and paths.
+"""Compiled kernel for the built-in models: blocks of pairs and paths.
 
 _pair.c runs coupled pairs of either scheme operation for operation as
-driver._merge does, and adaptive paths as scheme.simulate_path does, so
+driver._merge does, and adaptive paths as scheme._path_loop does, so
 its results are byte-identical to the Python loops'.
 
 run_block runs a block of consecutive seeds of any size in one call
@@ -41,28 +41,19 @@ tables are not copied from numpy but probed off numpy's function
 block runs; the probe checks them on a fixed stream of normals against
 numpy's function and, should one bit differ, leaves every draw to it.
 
-run_path runs a path whose trajectory is kept, on the caller's
-NoiseSource, with the same path step on doubles (tamsde_path): it draws
-on the source's own generator, numpy's Philox, through that bit
-generator's bitgen_t and under its lock, as Generator's own methods do,
-taking the same fast path and replaying every other output to numpy's
-function, adds each draw's duration to the source's clock, and leaves
-the source as the Python loop's draws leave it.
-
-run_block and run_path answer every call, and are the one place that
-chooses between C and the reference loops, driver._merge and
-scheme._path_loop, which the tests compare the kernel against.  One rule,
-_library_for, says which models C runs: the three built-ins.  The
-reference loops run any other model (JSON term models and library
-callables), which neither loads nor builds the kernel, every block and
-path when the kernel cannot be built, and a path whose noise source is not
-a NoiseSource itself or holds buffered normals; a declined block runs each
-seed on NoiseSource(seed), a declined path on the caller's source, and
-both give the records or Trajectory C gives.  _seeded is the one loop
-that runs a block seed by seed, keeping each seed's record or its
-PathExplosion: the declined block's, and montecarlo's for a rebound path
-function.  The loops are called through their modules, so a caller that
-rebinds one there sees every call.
+run_block is the one entry point into C, and the one place that chooses
+between C and the reference loops, driver._merge and scheme._path_loop,
+which the tests compare the kernel against.  A path whose trajectory is
+kept (scheme.simulate_path) never comes here: it runs _path_loop on the
+caller's source.  One rule, _library_for, says which models C runs: the
+three built-ins.  The reference loops run a block of any other model
+(JSON term models and library callables), which neither loads nor builds
+the kernel, and every block when the kernel cannot be built; a declined
+block runs each seed on NoiseSource(seed) and gives the records C gives.
+_seeded is the one loop that runs a block seed by seed, keeping each
+seed's record or its PathExplosion: the declined block's, and
+montecarlo's for a rebound path function.  The loops are called through
+their modules, so a caller that rebinds one there sees every call.
 
 The kernel is built with the host's `cc` against numpy's bitgen.h and
 libnpyrandom.a when a process first runs a built-in model, never at
@@ -84,7 +75,7 @@ cached build refreshes its modification time and deletes the directory's
 other builds unused for _STALE_S, so stale builds do not pile up while
 versions in use side by side are kept.
 Loading is tried once per process; with no numpy header or archive, or a
-failed build, every pair and path takes the reference loops.  A missing
+failed build, every block takes the reference loops.  A missing
 compiler is a failed build: `cc` is run by name, and with none on PATH the
 run fails as a compiler that fails does.
 """
@@ -96,7 +87,6 @@ import hashlib
 import importlib.util
 import os
 import shutil
-import sys
 import tempfile
 import time
 
@@ -104,9 +94,9 @@ from . import driver, scheme
 from .driver import NoiseSource
 from .errors import InputError, PathExplosion
 from .model import get_model
-from .scheme import Trajectory, _stop, _tam_leg, _tm_leg
+from .scheme import _stop, _tam_leg, _tm_leg
 
-__all__ = ["library", "run_block", "run_path"]
+__all__ = ["library", "run_block"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_pair.c")
 # numpy's directory, found without importing numpy; without numpy,
@@ -129,13 +119,10 @@ _BUILD_TIMEOUT_S = 120
 # when a build is loaded from its directory; builds in use, such as two
 # versions run side by side, are kept
 _STALE_S = 30 * 24 * 3600
-_EXPORTS = ("tamsde_block", "tamsde_path", "tamsde_free", "tamsde_init",
-            "tamsde_lanes")
+_EXPORTS = ("tamsde_block", "tamsde_init", "tamsde_lanes")
 
 # C model numbers are positions in this tuple (enum in _pair.c)
 _MODELS = ("model1", "model2", "gbm")
-# the return code of a path whose grid could not be stored (enum in _pair.c)
-_NO_MEMORY = 3
 # no pair can spend 2**63 - 1 steps, so a larger budget is never reached
 # either and is passed to C as this
 _INT64_MAX = 2 ** 63 - 1
@@ -207,13 +194,7 @@ def _open(directory, name):
 
 
 def _declare(lib):
-    """Declare the argument and result types of lib's block and path
-    functions."""
-    lib.tamsde_path.restype = ctypes.c_int
-    lib.tamsde_path.argtypes = ([ctypes.c_int] + [ctypes.c_double] * 5
-                                + [ctypes.c_longlong] + [ctypes.c_void_p] * 5)
-    lib.tamsde_free.argtypes = [ctypes.c_void_p]
-    lib.tamsde_free.restype = None
+    """Declare the argument and result types of lib's block function."""
     lib.tamsde_block.argtypes = ([ctypes.c_int] * 3 + [ctypes.c_double] * 6
                                  + [ctypes.c_longlong, ctypes.c_char_p,
                                     ctypes.c_size_t, ctypes.c_longlong]
@@ -335,71 +316,6 @@ def library():
             return _open(tmp, name)
     except OSError:  # no usable temporary directory, or writing to it failed
         return None
-
-
-# numpy's type string of a native double, np.dtype(np.float64).str
-_FLOAT64 = ("<" if sys.byteorder == "little" else ">") + "f8"
-
-
-class _Doubles:
-    """n doubles allocated by the kernel, seen by numpy without a copy.
-
-    numpy keeps this object, through its array interface, as the base of
-    the array on the doubles, and every view keeps that array or this
-    object, so it goes after the last of them and frees the doubles then.
-    """
-
-    def __init__(self, free, pointer, n):
-        self._free = free
-        self._pointer = pointer
-        self.__array_interface__ = {"version": 3, "shape": (n,),
-                                    "typestr": _FLOAT64,
-                                    "data": (pointer, False)}
-
-    def __del__(self):
-        self._free(self._pointer)
-
-
-def run_path(model, config, noise):
-    """One adaptive path on noise, as a Trajectory: in C when the kernel
-    runs it, else by scheme._path_loop, with the same bits either way.
-
-    config is the path's checked SchemeConfig.  The kernel takes a path of
-    a built-in model on a NoiseSource itself, not a subclass whose draws
-    may differ, that holds no buffered normals.  It draws on the source's
-    generator, numpy's Philox, made here if the source has none yet, and
-    leaves the source as _path_loop's draws leave it: the same clock and
-    the same next draw.  A path that cannot go on raises the PathExplosion
-    _path_loop raises, through the same _stop.
-    """
-    number, lib = _library_for(model)
-    bitgen = (noise._bit_generator()
-              if lib is not None and type(noise) is NoiseSource else None)
-    if bitgen is None:
-        return scheme._path_loop(model, config, noise)
-    clock = ctypes.c_double(noise.current_time)
-    out = (ctypes.c_double * 2)()
-    steps = ctypes.c_longlong()
-    grid = (ctypes.c_void_p * 3)()
-    # the bit generator's own lock, which Generator's methods hold too
-    with bitgen.lock:
-        status = lib.tamsde_path(
-            number, config.delta, config.h0, config.l0, model.x0,
-            config.t_end, min(config.max_steps, _INT64_MAX),
-            bitgen.ctypes.bit_generator, ctypes.byref(clock), out,
-            ctypes.byref(steps), grid)
-    # the source's clock advanced by the kernel's draws; no drawn normal
-    # was unread, so the source's next draw refills from the generator
-    noise.current_time = clock.value
-    n = steps.value
-    if status == _NO_MEMORY:
-        raise MemoryError(f"no memory to store a path of {n} steps")
-    if status:  # FINE_STOP: the path's one leg cannot go on
-        raise _stop(None, out[1], out[0], n, config.max_steps)
-    from numpy import asarray
-    free = lib.tamsde_free
-    return Trajectory(*(asarray(_Doubles(free, pointer, size))
-                        for pointer, size in zip(grid, (n + 1, n + 1, n))), n)
 
 
 def _seeded(seeds, run):

@@ -29,12 +29,13 @@ _tam_leg or _tm_leg.  propose(x) evaluates the coefficients at the leg's
 state and returns the step it wants; advance(x, dt, dW) applies the update
 with those values.  _due is the one place a step is clamped to t_end.  The
 public one-step maps are thin wrappers over the legs, simulate_path drives
-one adaptive leg, and the driver module runs two legs of either scheme on
-one Brownian path.  For the built-in models, _pair.c repeats _tamed, both
-legs, _due and _path_loop in C, operation for operation; the kernel
-module loads it and alone chooses between it and the Python loops.  A
-change to one must be made to the other, and tests/test_kernel.py checks
-that the two give identical bytes.
+one adaptive leg on the caller's noise source, by _path_loop, and the
+driver module runs two legs of either scheme on one Brownian path.  For
+the built-in models, _pair.c repeats _tamed, both legs, _due and
+_path_loop in C, operation for operation, for the blocks of seeds a Monte
+Carlo cell runs; the kernel module loads it and alone chooses between it
+and the Python loops.  A change to one must be made to the other, and
+tests/test_kernel.py checks that the two give identical bytes.
 """
 
 import math
@@ -327,15 +328,12 @@ def simulate_path(model, config, noise):
     stops being finite (the terminal state included), or the step
     collapses below time resolution.
 
-    The path runs as kernel.run_path runs it: in C for a built-in model
-    drawn from a NoiseSource that holds no buffered normals, else by
-    _path_loop, the reference C is tested against, with the same bits.
+    The path runs on _path_loop, the reference the kernel's blocks of
+    paths are tested against, for every model, so a kept path neither
+    loads nor builds the kernel.
     """
     _require_l0(model, config)
-    # imported by the first path, not by import tamsde, which loads neither
-    # the kernel nor numpy
-    from . import kernel
-    return kernel.run_path(model, config, noise)
+    return _path_loop(model, config, noise)
 
 
 def _path_loop(model, config, noise, keep=True):

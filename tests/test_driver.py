@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import tamsde.scheme
 from tamsde import (InputError, NoiseSource, PathExplosion, PowerTerm,
                     SchemeConfig, get_model, kernel, simulate_coupled_pair,
                     simulate_coupled_tm_pair, simulate_path)
@@ -64,20 +63,6 @@ class TestNoiseSource:
         fourth = float(np.mean(vals ** 4))
         assert abs(fourth - 3 * d * d) <= 0.05 * 3 * d * d
 
-    @pytest.mark.parametrize("draws, whole", [(0, True), (3, False),
-                                              (1024, True)])
-    def test_bit_generator_only_with_no_unread_normal(self, draws, whole):
-        # a draw made on the bit generator itself goes on with the stream
-        # only once every normal the source has drawn is read
-        src = NoiseSource(5)
-        for _ in range(draws):
-            src.gaussian_increment(1.0)
-        got = src._bit_generator()
-        if whole:
-            assert got is src._generator().bit_generator
-        else:
-            assert got is None
-
     def test_variance_scales_with_duration(self):
         src = NoiseSource(7)
         short = [src.gaussian_increment(0.01) for _ in range(20000)]
@@ -105,8 +90,8 @@ def numpy_stream(seed, n):
 
 class TestStream:
     # a source draws on numpy's Philox whether or not the kernel loads (it
-    # never consults the kernel), and a path in C draws on the same
-    # generator, so these tie both to numpy's stream
+    # never consults the kernel), and so does a path, so these tie both to
+    # numpy's stream
     @pytest.mark.parametrize("seed", [0, 2 ** 40 + 3, 2 ** 130 + 1],
                              ids=["0", "2**40+3", "2**130+1"])
     def test_increments_are_numpys_normals(self, seed):
@@ -115,11 +100,9 @@ class TestStream:
         got = [source.gaussian_increment(d) for _ in range(n)]
         assert got == (math.sqrt(d) * numpy_stream(seed, n)).tolist()
 
-    def test_stream_goes_on_after_a_path(self, monkeypatch, engine):
-        # a path, in C when the kernel loads, then the source's own draws
-        # across the next block boundary
-        if engine == "kernel":
-            monkeypatch.setattr(tamsde.scheme, "_path_loop", None)
+    def test_stream_goes_on_after_a_path(self, engine):
+        # a path, then the source's own draws across the next block
+        # boundary
         seed, d = 2 ** 40 + 3, 0.25
         source = NoiseSource(seed)
         traj = simulate_path(M1, SchemeConfig(2.0 ** -4, 2.0), source)

@@ -1,5 +1,5 @@
-"""tools/leg_step_ns.py: the block route's ns per leg-step per workload,
-the stored paths' ns per step and the normal draws' ns per normal."""
+"""tools/leg_step_ns.py: the block route's ns per leg-step per workload
+and the normal draws' ns per normal."""
 
 import importlib.util
 import shutil
@@ -17,8 +17,7 @@ _spec.loader.exec_module(leg_step_ns)
 
 # compare runs both pair runners, so it has a row for each
 ROWS = {"rate-rough", "compare-smooth/tam", "compare-smooth/tm",
-        "moments-long", "stored-path/model1", "stored-path/model2",
-        "draw/port", "draw/numpy"}
+        "moments-long", "draw/port", "draw/numpy"}
 
 
 def test_runner_of_a_call():
@@ -43,12 +42,10 @@ def test_small_run():
     assert kernel.run_block is run_block
     assert set(rows) == ROWS
     # one cell per level of rate; per level of compare, for each of its
-    # schemes; per horizon of moments; one call per stored path; one per
-    # fill of normals
+    # schemes; per horizon of moments; one per fill of normals
     assert {name: row[2] for name, row in rows.items()} == {
         "rate-rough": 5, "compare-smooth/tam": 5, "compare-smooth/tm": 5,
         "moments-long": 3,
-        "stored-path/model1": 40, "stored-path/model2": 40,
         "draw/port": leg_step_ns.DRAWS, "draw/numpy": leg_step_ns.DRAWS}
     assert all(ns > 0.0 and steps > 0 for ns, steps, _ in rows.values())
 
@@ -86,5 +83,4 @@ def test_against_a_source_without_the_kernel(tmp_path, capsys):
         leg_step_ns.main(["--rounds", "2", "--against", str(source)])
     assert exit.value.code == 2
     assert capsys.readouterr().err == (
-        f"{source} lacks tamsde_path, tamsde_free, tamsde_seed, "
-        "tamsde_normals\n")
+        f"{source} lacks tamsde_seed, tamsde_normals\n")

@@ -1,5 +1,5 @@
 """Time the kernel's block route per benchmark workload, in ns a leg-step,
-its stored paths, in ns a step, and its normal draw, in ns a normal.
+and its normal draw, in ns a normal.
 
     PYTHONPATH=src python tools/leg_step_ns.py
 
@@ -18,12 +18,8 @@ failed seed the steps of the leg that stopped it.  The time is the block
 route's as a Monte Carlo cell runs it, the ctypes call and the records
 it returns included.
 
-In the same rounds it times the route no benchmark workload takes: a
-path whose trajectory is kept, simulate_path on a fresh NoiseSource(seed)
-for seeds 0-39, of model1 and of model2 at delta 2**-4 and T=100, and
-prints each model's median time per step, the source's set-up and the
-stored arrays included.  And it times the normal draw the block lanes
-make, against numpy's: DRAWS fills of FILL normals from seed 0, by the
+In the same rounds it times the normal draw the block lanes make,
+against numpy's: DRAWS fills of FILL normals from seed 0, by the
 kernel's port of Philox (tamsde_normals, "draw/port") and by
 Generator(Philox(0)).standard_normal(out=) ("draw/numpy"), and prints
 each one's median time per normal.  Each round seeds its generators
@@ -39,9 +35,8 @@ private temporary directory and times the two kernels in one process,
 on the same recorded calls, within each round one after the other,
 taking turns at going first.  The host's speed drifts between runs by
 more than many changes move a row, so this is the comparison to trust.
-Every recorded call, stored path and fill must give the same
-records, bit for bit, on both kernels, or the tool stops with status 1.
-It prints each row's medians on both kernels and the median over the
+Every recorded call and fill must give the same records, bit for bit,
+on both kernels, or the tool stops with status 1.  It prints each row's medians on both kernels and the median over the
 rounds of this kernel's time over the other's, its interquartile range
 and the rounds this kernel was faster in.  It exits 2 when the source
 does not build or its build lacks a function the rows call.  --rounds
@@ -68,17 +63,12 @@ from pathlib import Path
 
 import numpy as np
 
-from tamsde import (NoiseSource, PathExplosion, SchemeConfig, Trajectory, cli,
-                    get_model, kernel, simulate_path)
+from tamsde import PathExplosion, cli, kernel
 
 _WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 SEED = 3
 JOBS = 10
 ROUNDS = 7
-# the stored paths: the models, the seeds and the path's SchemeConfig
-STORED_MODELS = ("model1", "model2")
-STORED_SEEDS = range(40)
-STORED_CONFIG = SchemeConfig(2.0 ** -4, 100.0)
 # the normal draws: fills of FILL normals, DRAWS of them a round
 FILL = 65536
 DRAWS = 16
@@ -87,8 +77,7 @@ DRAWS = 16
 PHILOX_ROOM = 256
 # the functions of a kernel the rows call; a build from before the probed
 # tables of the draw has no tamsde_init and draws through numpy's normal
-CALLED = ("tamsde_block", "tamsde_path", "tamsde_free", "tamsde_seed",
-          "tamsde_normals")
+CALLED = ("tamsde_block", "tamsde_seed", "tamsde_normals")
 
 
 class Mismatch(Exception):
@@ -144,15 +133,6 @@ def block_calls(calls):
     return run
 
 
-def stored_paths(model):
-    """A runner of the stored paths of model, returning their
-    trajectories, and their steps."""
-    def run():
-        return [simulate_path(model, STORED_CONFIG, NoiseSource(seed))
-                for seed in STORED_SEEDS]
-    return run, sum(t.step_count for t in run())
-
-
 def port_draws(lib, out):
     """A runner of DRAWS fills of out, FILL normals, by lib's port of
     Philox seeded at 0 on each run, returning out."""
@@ -183,8 +163,7 @@ def numpy_draws(out):
 
 @contextlib.contextmanager
 def using(lib):
-    """kernel.run_block and kernel.run_path on lib, whichever kernel
-    library() loaded."""
+    """kernel.run_block on lib, whichever kernel library() loaded."""
     library = kernel.library
     kernel.library = lambda: lib
     try:
@@ -201,8 +180,7 @@ def lanes(lib):
 
 def bits(value):
     """value with each float as its .hex(), each array as its bytes and
-    each PathExplosion and Trajectory as its fields, so that equal means
-    bit for bit."""
+    each PathExplosion as its fields, so that equal means bit for bit."""
     if isinstance(value, (list, tuple)):
         return [bits(v) for v in value]
     if isinstance(value, float):
@@ -212,9 +190,6 @@ def bits(value):
     if isinstance(value, PathExplosion):
         return [str(value), value.leg, bits(value.time), bits(value.state),
                 value.steps]
-    if isinstance(value, Trajectory):
-        return [bits(value.times), bits(value.values),
-                bits(value.increments), value.step_count]
     return value
 
 
@@ -226,8 +201,8 @@ def refuse(line):
 
 def other_kernel(source, directory):
     """The kernel source built with this checkout's build line in
-    directory and loaded, its block and path functions declared and its
-    draw's tables filled when it has them; exits with status 2 when it
+    directory and loaded, its block function declared and its draw's
+    tables filled when it has them; exits with status 2 when it
     does not build or load, or lacks a function the rows call."""
     target = os.path.join(directory, "other.so")
     proc = subprocess.run(kernel._command("cc", source, target),
@@ -253,8 +228,7 @@ def rows(jobs, scale, libs):
     """The rows, by name, each as a runner, its units and its calls: each
     workload's cells' recorded calls for jobs 0..jobs-1 at scale times its
     path count, and their leg-steps, one row a runner when its calls run
-    more than one ("<workload>/<runner>"); each model's stored paths, as
-    "stored-path/<model>", and their steps; and the normal draws,
+    more than one ("<workload>/<runner>"); and the normal draws,
     "draw/port", on each kernel of libs, the one in use, and
     "draw/numpy", and their normals, all into one array."""
     workloads = runpy.run_path(str(_WORKLOADS))["WORKLOADS"]
@@ -264,9 +238,6 @@ def rows(jobs, scale, libs):
         for kind, (calls, steps) in by_runner.items():
             row = name if len(by_runner) == 1 else f"{name}/{kind}"
             runs[row] = block_calls(calls), steps, len(calls)
-    for model in STORED_MODELS:
-        run, steps = stored_paths(get_model(model))
-        runs[f"stored-path/{model}"] = run, steps, len(STORED_SEEDS)
     out = np.empty(FILL)
     ports = {lib: port_draws(lib, out) for lib in libs}
     runs["draw/port"] = (lambda: ports[kernel.library()](), DRAWS * FILL,
@@ -288,9 +259,8 @@ def timed(runs, libs, rounds):
             run, units, _ = runs[name]
             order = (list(range(len(libs))) if i % 2 == 0
                      else list(reversed(range(len(libs)))))
-            # the first run after another row pays for the switch (a
-            # stored path's read ~6% slower), so the row first runs
-            # untimed on the kernel that goes first
+            # the first run after another row pays for the switch, so the
+            # row first runs untimed on the kernel that goes first
             with using(libs[order[0]]):
                 run()
             for k in order:
@@ -340,8 +310,7 @@ def compare(jobs, rounds, against, scale=1.0):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Time the kernel's block route, stored paths and "
-                    "normal draw.")
+        description="Time the kernel's block route and normal draw.")
     parser.add_argument("--rounds", type=int, default=ROUNDS)
     parser.add_argument("--against", metavar="OTHER/_pair.c",
                         help="another kernel source to time against")
@@ -353,7 +322,7 @@ def main(argv=None):
         return 2
     if args.against is None:
         print(f"vector lanes: {lanes(kernel.library())}")
-        # a unit is a workload's leg-step, a stored path's step or a normal
+        # a unit is a workload's leg-step or a normal
         print(f"{'row':<20} {'ns/unit':>11} {'units':>10} {'calls':>6}")
         for name, (ns, units, calls) in measure(JOBS, args.rounds).items():
             print(f"{name:<20} {ns:>11.1f} {units:>10} {calls:>6}")
