@@ -772,8 +772,15 @@ static int pair_end(double x_f, double x_c)
    and the event of each leg due at the next time.  Returns RUNNING while
    the pair goes on; else DONE, or FINE_STOP or COARSE_STOP for the leg
    that cannot go on or ends non-finite.  A pair starts with t = 0 before
-   t_end, so its first event is always run. */
-static int pair_event(struct lane *l)
+   t_end, so its first event is always run.  It is compiled in one piece
+   (flatten): the lane's Philox step and both calls of fire are inlined,
+   so each copy of fire works on its leg at a fixed offset in the pair,
+   and only pow and numpy's normal off its fast path are called.  With
+   fire and philox_next called out of line, as gcc 12 left them, an
+   adaptive model1 leg-step took 1.15 times as long (2-core AMD EPYC).
+   philox_next stays the bitgen_t's function, which replay,
+   tamsde_normals and the vector runners call. */
+static __attribute__((flatten)) int pair_event(struct lane *l)
 {
     struct pair *p = &l->p;
     double t = p->fine.due < p->coarse.due ? p->fine.due : p->coarse.due;
@@ -1094,29 +1101,32 @@ LANE_CLONES static void run_fixed(const struct pair *p, double delta_fine,
    (fine, then coarse) and out[(legs + 1)i + legs] the stop time (t_end
    when the seed is DONE), steps[legs i + j] leg j's step count, and
    status[i] DONE, or FINE_STOP or COARSE_STOP for the leg that stopped
-   it.  seed is stepped
-   to the integer after the block's last seed, so it needs room for one
-   more word (next_seed). */
-void tamsde_block(int legs, int model, int adaptive, double delta_fine,
-                  double delta_coarse, double h0, double l0, double x0,
-                  double t_end, long long max_steps, unsigned char *seed,
-                  size_t n_words, long long n, double *out, long long *steps,
-                  int *status)
+   it.  Returns how many seeds stopped, so a caller reads status only
+   when some did.  seed is stepped to the integer after the block's last
+   seed, so it needs room for one more word (next_seed). */
+long long tamsde_block(int legs, int model, int adaptive, double delta_fine,
+                       double delta_coarse, double h0, double l0, double x0,
+                       double t_end, long long max_steps, unsigned char *seed,
+                       size_t n_words, long long n, double *out,
+                       long long *steps, int *status)
 {
     struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
                      .max_steps = max_steps, .model = model};
-    if (legs == 2 && !adaptive) {
+    long long i, stopped = 0;
+    if (legs == 2 && !adaptive)
         run_fixed(&p, delta_fine, delta_coarse, x0, seed, n_words, n, out,
                   steps, status);
-        return;
-    }
-    arm(&p, &p.fine, delta_fine, x0);
-    if (legs == 1) {
+    else if (legs == 1) {
+        arm(&p, &p.fine, delta_fine, x0);
         run_paths(&p, seed, n_words, n, out, steps, status);
-        return;
+    } else {
+        arm(&p, &p.fine, delta_fine, x0);
+        arm(&p, &p.coarse, delta_coarse, x0);
+        run_pairs(&p, seed, n_words, n, out, steps, status);
     }
-    arm(&p, &p.coarse, delta_coarse, x0);
-    run_pairs(&p, seed, n_words, n, out, steps, status);
+    for (i = 0; i < n; i++)
+        stopped += status[i] != DONE;
+    return stopped;
 }
 
 /* The build of the vector runners the loader picked for this host:

@@ -24,14 +24,15 @@ blocks share, and the seed), then runs the pair as a block of one seed
 every pair of a built-in model in C, seeding the pair's generator itself
 as NoiseSource(seed) is seeded, and every other pair by _merge on
 NoiseSource(seed), the reference C is tested against; both give the
-seed's record (fine state, coarse state, fine steps, coarse steps), or
-its PathExplosion, which _run_pair raises.
+block's columns (kernel.Block), from which _run_pair reads its seed's
+fine and coarse states and step counts, or its failure's PathExplosion,
+which _run_pair raises.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, PathExplosion
+from .errors import InputError
 from .model import _integer, _real
 from .scheme import DEFAULT_MAX_STEPS, SchemeConfig, _due, _require_l0, _stop
 
@@ -191,10 +192,10 @@ def _run_pair(model, clock, k, t_end, seed, max_steps):
     # imported by the first pair, not by import tamsde, which stays as fast
     # as it was without the kernel
     from . import kernel
-    record, = kernel.run_block(model, config, range(seed, seed + 1), pair)
-    if isinstance(record, PathExplosion):
-        raise record
-    return _sample(*record)
+    block = kernel.run_block(model, config, range(seed, seed + 1), pair)
+    if block.failures:
+        raise block.failures[0][1]
+    return _sample(*(column[0] for column in block.states + block.steps))
 
 
 def simulate_coupled_pair(model, h0, l0, k, t_end, seed,

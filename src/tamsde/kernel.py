@@ -9,10 +9,12 @@ run_block runs a block of consecutive seeds of any size in one call
 port of numpy's SeedSequence and Philox, so each seed draws the normals a
 fresh NoiseSource(seed) draws (the port has no 32-bit output, which
 numpy's normal never draws: that slot of its bitgen_t aborts); it runs
-that seed's pair or path and returns what a caller keeps of it (a pair's
-terminal states and step counts, a path's terminal state and step count,
-or the PathExplosion its own run raises), so no NoiseSource, sample or
-trajectory is built per seed.  The kernel keeps several seeds of a
+that seed's pair or path and returns what a caller keeps of it, the
+block as columns (Block: each leg's terminal states and step counts, as
+views of the arrays C wrote, and each failed seed's index and the
+PathExplosion its own run raises), so no NoiseSource, sample, trajectory
+or tuple is built per seed.  tamsde_block returns how many seeds
+stopped, so a block in which none did reads no per-seed status.  The kernel keeps several seeds of a
 block in flight, each with its own Philox: a block's tamed-adaptive
 pairs in four lanes, its paths and its fixed-step pairs two to a SIMD
 vector of two doubles, in three vectors whose packed operations step
@@ -49,10 +51,10 @@ caller's source.  One rule, _library_for, says which models C runs: the
 three built-ins.  The reference loops run a block of any other model
 (JSON term models and library callables), which neither loads nor builds
 the kernel, and every block when the kernel cannot be built; a declined
-block runs each seed on NoiseSource(seed) and gives the records C gives.
+block runs each seed on NoiseSource(seed) and gives the columns C gives.
 _seeded is the one loop that runs a block seed by seed, keeping each
-seed's record or its PathExplosion: the declined block's, and
-montecarlo's for a rebound path function.  The loops are called through
+seed's record in the columns or its PathExplosion: the declined
+block's, and montecarlo's for a rebound path function.  The loops are called through
 their modules, so a caller that rebinds one there sees every call.
 
 The kernel is built with the host's `cc` against numpy's bitgen.h and
@@ -80,6 +82,7 @@ compiler is a failed build: `cc` is run by name, and with none on PATH the
 run fails as a compiler that fails does.
 """
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -96,7 +99,7 @@ from .errors import InputError, PathExplosion
 from .model import get_model
 from .scheme import _stop, _tam_leg, _tm_leg
 
-__all__ = ["library", "run_block"]
+__all__ = ["Block", "library", "run_block"]
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_pair.c")
 # numpy's directory, found without importing numpy; without numpy,
@@ -126,6 +129,13 @@ _MODELS = ("model1", "model2", "gbm")
 # no pair can spend 2**63 - 1 steps, so a larger budget is never reached
 # either and is passed to C as this
 _INT64_MAX = 2 ** 63 - 1
+_NAN = float("nan")
+
+# A block's outcome as columns, in seed order: states holds each leg's
+# terminal states (fine, then coarse; a path has one leg), steps each leg's
+# step counts, and failures an (index in the block, PathExplosion) pair for
+# each seed that stopped, whose entries in the columns are nan and 0.
+Block = collections.namedtuple("Block", "states steps failures")
 
 
 def _words(seed):
@@ -199,7 +209,7 @@ def _declare(lib):
                                  + [ctypes.c_longlong, ctypes.c_char_p,
                                     ctypes.c_size_t, ctypes.c_longlong]
                                  + [ctypes.c_void_p] * 3)
-    lib.tamsde_block.restype = None
+    lib.tamsde_block.restype = ctypes.c_longlong
 
 
 def lanes(lib):
@@ -318,26 +328,32 @@ def library():
         return None
 
 
-def _seeded(seeds, run):
-    """run(seed)'s record for each seed, in seed order, or the
-    PathExplosion it raised: the one per-seed loop of a block that does
-    not run in C."""
-    rows = []
-    for seed in seeds:
+def _seeded(seeds, run, legs):
+    """The Block of run(seed) for each seed, in seed order: its record,
+    each of the legs' states then each leg's step count, across the
+    columns, or the PathExplosion it raised as a failure.  The one per-seed
+    loop of a block that does not run in C."""
+    from array import array  # imported by a block C does not run only
+    columns = [array(code) for code in "d" * legs + "q" * legs]
+    failures = []
+    for i, seed in enumerate(seeds):
         try:
-            rows.append(run(seed))
+            record = run(seed)
         except PathExplosion as exc:
-            rows.append(exc)
-    return rows
+            failures.append((i, exc))
+            record = (_NAN,) * legs + (0,) * legs
+        for column, value in zip(columns, record):
+            column.append(value)
+    return Block(tuple(columns[:legs]), tuple(columns[legs:]), failures)
 
 
 def _reference_block(model, config, seeds, pair):
-    """run_block's records by the reference loops: each seed's pair by
+    """run_block's Block by the reference loops: each seed's pair by
     driver._merge, or its path by scheme._path_loop, storing no grid, on
     NoiseSource(seed)."""
     if pair is None:
         return _seeded(seeds, lambda seed: scheme._path_loop(
-            model, config, NoiseSource(seed), keep=False))
+            model, config, NoiseSource(seed), keep=False), 1)
     adaptive, delta_coarse = pair
     # _merge proposes each leg at x0 before it first advances, so one pair
     # of legs serves every seed
@@ -345,12 +361,12 @@ def _reference_block(model, config, seeds, pair):
             else _tm_leg(model, delta)
             for delta in (config.delta, delta_coarse)]
     return _seeded(seeds, lambda seed: driver._merge(
-        *legs, model.x0, config.t_end, NoiseSource(seed), config.max_steps))
+        *legs, model.x0, config.t_end, NoiseSource(seed), config.max_steps), 2)
 
 
 def run_block(model, config, seeds, pair=None):
-    """The outcome of each seed of a block: in one C call when the kernel
-    runs it, else by the reference loops (_reference_block).
+    """The outcome of each seed of a block, as a Block: in one C call when
+    the kernel runs it, else by the reference loops (_reference_block).
 
     seeds is a range of step 1 of non-negative integers, else InputError
     is raised, since the kernel steps the first seed by one.  pair
@@ -359,11 +375,11 @@ def run_block(model, config, seeds, pair=None):
     legs, and None for single paths; config is the checked SchemeConfig of
     every seed's pair or path, with the fine leg's delta.  Each seed runs
     as on a fresh NoiseSource(seed), so its outcome is _merge's or
-    simulate_path's there: a pair's (fine state, coarse state, fine steps,
-    coarse steps), a path's (terminal state, step count), or the
-    PathExplosion that run raises, built by the same _stop.  The kernel
-    takes a block of a built-in model, and a path of its block stores no
-    trajectory.
+    simulate_path's there: a pair's fine and coarse states and step
+    counts, a path's terminal state and step count, or the PathExplosion
+    that run raises, built by the same _stop.  The kernel takes a block of
+    a built-in model, and a path of its block stores no trajectory; its
+    columns are views of the arrays it wrote.
     """
     if not (isinstance(seeds, range) and seeds.step == 1
             and seeds.start >= 0):
@@ -381,18 +397,22 @@ def run_block(model, config, seeds, pair=None):
     # room for the one word a carry past the top word adds (next_seed)
     seed = ctypes.create_string_buffer(words, len(words) + 4)
     adaptive, delta_coarse = pair or (True, 0.0)
-    lib.tamsde_block(legs, number, int(adaptive), config.delta, delta_coarse,
-                     config.h0, config.l0, model.x0, config.t_end,
-                     min(config.max_steps, _INT64_MAX), seed, n_words, n, out,
-                     steps, status)
-    # each leg's states, then each leg's step counts, in seed order
-    rows = list(zip(*(out[j::legs + 1] for j in range(legs)),
-                    *(steps[j::legs] for j in range(legs))))
-    for i, code in enumerate(status[:]):
+    stopped = lib.tamsde_block(legs, number, int(adaptive), config.delta,
+                               delta_coarse, config.h0, config.l0, model.x0,
+                               config.t_end, min(config.max_steps, _INT64_MAX),
+                               seed, n_words, n, out, steps, status)
+    # a seed's states and stop time, then its step counts, side by side
+    out = memoryview(out).cast("B").cast("d")
+    block = Block(tuple(out[j::legs + 1] for j in range(legs)),
+                  tuple(memoryview(steps).cast("B").cast("q")[j::legs]
+                        for j in range(legs)), [])
+    for i, code in enumerate(status if stopped else ()):
         if code:  # FINE_STOP (1) or COARSE_STOP (2): that leg stopped
             leg = code - 1
-            rows[i] = _stop(("fine", "coarse")[leg] if pair else None,
-                            out[(legs + 1) * i + legs],
-                            out[(legs + 1) * i + leg], steps[legs * i + leg],
-                            config.max_steps)
-    return rows
+            block.failures.append((i, _stop(
+                ("fine", "coarse")[leg] if pair else None,
+                out[(legs + 1) * i + legs], block.states[leg][i],
+                block.steps[leg][i], config.max_steps)))
+            for j in range(legs):
+                block.states[j][i], block.steps[j][i] = _NAN, 0
+    return block

@@ -12,20 +12,20 @@ C, stores no path's trajectory, and runs any other block by the
 reference loops.  The path functions are looked up by name in this
 module at call time: a caller that rebinds one (a tracer, a test forcing
 an explosion) has it called once per seed, through the kernel's one
-per-seed loop (kernel._seeded).  Either way a seed yields one
-record, the kernel's: (fine state, coarse state, fine steps, coarse
-steps) for a pair, (terminal state, step count) for a path, or the
-PathExplosion that ended it, with its leg, time, state and steps.
+per-seed loop (kernel._seeded).  Either way a cell yields the kernel's
+columns (kernel.Block): each leg's terminal states and step counts in
+seed order, a failed seed's nan and 0, and the PathExplosion that ended
+each failed seed, with its leg, time, state and steps.  A pooled cell
+joins its blocks' columns in seed order.
 
 All reductions go through math.fsum (exact summation), which makes every
 aggregate independent of chunking and scheduling order; a worker pool can
 only change how fast the answer arrives, never its bytes.
 
-A failure is the exception that caused it: a path's PathExplosion, or the
-OverflowError of an |X_T|**p beyond the float range.  Failures are
-excluded from the averages and counted; once they reach 1% of the
-requested paths the estimate is refused (EstimationError) rather than
-silently biased.
+A failure is a seed whose path raised PathExplosion, or whose |X_T|**p
+leaves the float range.  Failures are excluded from the averages and
+counted; once they reach 1% of the requested paths the estimate is
+refused (EstimationError) rather than silently biased.
 """
 
 import math
@@ -97,18 +97,16 @@ def _kernel_args(name, head, options):
 
 
 def _run_block(args):
-    """Worker: the record of each seed of a block, in seed order.
+    """Worker: the kernel.Block of a block of seeds, its columns in seed
+    order.
 
-    The record is kernel.run_block's: a pair's (fine state, coarse state,
-    fine steps, coarse steps), a path's (terminal state, step count), or
-    the PathExplosion that stopped the seed.  The path function `name` is
-    looked up at call time.  While it is still the library's own, the
-    whole block goes to the kernel in one call, on _kernel_args, and its
-    list is returned as it comes; a rebound name is called once per seed
-    as name(*head, seed, **options), with NoiseSource(seed) for
-    simulate_path, so its caller sees every seed, and each result is read
-    into the same record by kernel._seeded, the per-seed loop of a block
-    the kernel declines.
+    The path function `name` is looked up at call time.  While it is
+    still the library's own, the whole block goes to the kernel in one
+    call, on _kernel_args, and its Block is returned as it comes; a
+    rebound name is called once per seed as name(*head, seed, **options),
+    with NoiseSource(seed) for simulate_path, so its caller sees every
+    seed, and each result is read into the same columns by
+    kernel._seeded, the per-seed loop of a block the kernel declines.
     """
     name, head, options, seeds = args
     simulate = globals()[name]
@@ -118,20 +116,31 @@ def _run_block(args):
     if simulate is _OWN[name]:
         model, config, pair = _kernel_args(name, head, options)
         return kernel.run_block(model, config, seeds, pair)
-    if name == "simulate_path":
-        def run(seed):
+    path = name == "simulate_path"
+
+    def run(seed):
+        if path:
             traj = simulate(*head, NoiseSource(seed), **options)
             return float(traj.values[-1]), traj.step_count
-    else:
-        def run(seed):
-            cs = simulate(*head, seed, **options)
-            return (cs.fine_terminal, cs.coarse_terminal, cs.fine_steps,
-                    cs.coarse_steps)
-    return kernel._seeded(seeds, run)
+        cs = simulate(*head, seed, **options)
+        return (cs.fine_terminal, cs.coarse_terminal, cs.fine_steps,
+                cs.coarse_steps)
+    return kernel._seeded(seeds, run, 1 if path else 2)
+
+
+def _pooled_block(args):
+    """Worker of a pooled cell: _run_block's Block with its columns copied
+    into arrays, which a pool can send back."""
+    from array import array  # imported by a pooled cell only
+    states, steps, failures = _run_block(args)
+    return (tuple(array("d", c) for c in states),
+            tuple(array("q", c) for c in steps), failures)
 
 
 def _run_cell(name, head, options, n_paths, base_seed, n_jobs):
-    """Outcomes of seeds base_seed..base_seed+n_paths-1, in path order."""
+    """The kernel.Block of seeds base_seed..base_seed+n_paths-1: a pooled
+    cell's blocks' columns joined in seed order, and each failure's index
+    in its block shifted to its index in the cell."""
     _integer(n_paths, "n_paths", 1)
     _integer(base_seed, "base_seed", 0)
     # more workers than CPUs cannot speed up a CPU-bound cell, and a pool
@@ -160,28 +169,29 @@ def _run_cell(name, head, options, n_paths, base_seed, n_jobs):
     from . import kernel
     kernel._library_for(head[0])
     chunk = max(1, -(-n_paths // (4 * n_jobs)))
-    blocks = [(name, head, options, seeds[i:i + chunk])
-              for i in range(0, n_paths, chunk)]
     try:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            return [o for block in pool.map(_run_block, blocks) for o in block]
+            (states, steps, failures), *rest = pool.map(
+                _pooled_block, [(name, head, options, seeds[i:i + chunk])
+                                for i in range(0, n_paths, chunk)])
     except BrokenProcessPool as exc:
         raise EstimationError(
             f"a worker process died before the cell finished ({exc})") from None
+    for i, block in enumerate(rest, 1):
+        failures += [(i * chunk + j, exc) for j, exc in block[2]]
+        for column, more in zip(states + steps, block[0] + block[1]):
+            column.extend(more)
+    return kernel.Block(states, steps, failures)
 
 
-def _survivors(outcomes, n_paths, what):
-    """Finished outcomes and the failure count; the one 1% gate.
-
-    A failure is the exception that ended its seed.
-    """
-    ok = [o for o in outcomes if not isinstance(o, Exception)]
-    n_failures = len(outcomes) - len(ok)
+def _gate(n_failures, n_paths, what):
+    """n_failures, unless they reach 1% of the requested paths: the one 1%
+    gate."""
     if n_failures * 100 >= n_paths:
         raise EstimationError(
             f"{n_failures} of {n_paths} paths exploded; the {what} would "
             "not be trustworthy")
-    return ok, n_failures
+    return n_failures
 
 
 def _mean_and_stderr(values, n_ok):
@@ -192,15 +202,18 @@ def _mean_and_stderr(values, n_ok):
     return mean, math.sqrt(var / n_ok)
 
 
-def _aggregate_mse(k, delta, n_paths, outcomes):
-    ok, n_failures = _survivors(outcomes, n_paths,
-                                f"estimate at level k={k}")
-    n_ok = len(ok)
+def _aggregate_mse(k, delta, n_paths, block):
+    (x_f, x_c), (steps_f, steps_c), failures = block
+    n_failures = _gate(len(failures), n_paths, f"estimate at level k={k}")
     # d = x_f - x_c; d * d, the bits of CoupledSample.squared_diff
-    mse, std_error = _mean_and_stderr([(d := o[0] - o[1]) * d for o in ok],
-                                      n_ok)
-    mean_fine = math.fsum(o[2] for o in ok) / n_ok
-    mean_coarse = math.fsum(o[3] for o in ok) / n_ok
+    squares = [(d := f - c) * d for f, c in zip(x_f, x_c)]
+    if failures:  # a failed seed's nan states square to nan, left out
+        squares = [v for v in squares if v == v]
+    n_ok = len(squares)
+    mse, std_error = _mean_and_stderr(squares, n_ok)
+    # a failed seed's step counts are 0, so the sums are the survivors'
+    mean_fine = math.fsum(steps_f) / n_ok
+    mean_coarse = math.fsum(steps_c) / n_ok
     log2_mse = math.log2(mse) if mse > 0.0 else float("-inf")
     return MseRow(k=k, delta=delta, n_paths=n_paths, mse=mse,
                   log2_mse=log2_mse, std_error=std_error,
@@ -215,28 +228,26 @@ def estimate_mse(model, h0, l0, k, n_paths, t_end, base_seed, n_jobs=1,
     Couples base steps 2**-(k+1) and 2**-k on one Brownian path per
     sample, using seeds base_seed..base_seed+n_paths-1.
     """
-    outcomes = _run_cell("simulate_coupled_pair", (model, h0, l0, k, t_end),
-                         {"max_steps": max_steps}, n_paths, base_seed, n_jobs)
-    return _aggregate_mse(k, 2.0 ** (-k), n_paths, outcomes)
+    block = _run_cell("simulate_coupled_pair", (model, h0, l0, k, t_end),
+                      {"max_steps": max_steps}, n_paths, base_seed, n_jobs)
+    return _aggregate_mse(k, 2.0 ** (-k), n_paths, block)
 
 
 def estimate_tm_mse(model, k, n_paths, t_end, base_seed, n_jobs=1,
                     max_steps=DEFAULT_MAX_STEPS):
     """Strong-error row at level k for the fixed-step baseline."""
-    outcomes = _run_cell("simulate_coupled_tm_pair", (model, k, t_end),
-                         {"max_steps": max_steps}, n_paths, base_seed, n_jobs)
-    return _aggregate_mse(k, 2.0 ** (-k), n_paths, outcomes)
+    block = _run_cell("simulate_coupled_tm_pair", (model, k, t_end),
+                      {"max_steps": max_steps}, n_paths, base_seed, n_jobs)
+    return _aggregate_mse(k, 2.0 ** (-k), n_paths, block)
 
 
-def _abs_power(outcome, p):
-    # a failed path stays failed, and a finite terminal state whose p-th
-    # power overflows fails with that OverflowError
-    if isinstance(outcome, Exception):
-        return outcome
+def _abs_power(x, p):
+    # a finite state whose p-th power leaves the float range fails too:
+    # inf, left out as a failed seed's nan state is
     try:
-        return abs(outcome[0]) ** p
-    except OverflowError as exc:
-        return exc
+        return abs(x) ** p
+    except OverflowError:
+        return math.inf
 
 
 def _moment_order(p):
@@ -250,10 +261,10 @@ def _moment_order(p):
 def estimate_moment(model, config, p, n_paths, base_seed, n_jobs=1):
     """Monte Carlo estimate of E|X_{t_end}|**p under the adaptive scheme."""
     p = _moment_order(p)
-    outcomes = _run_cell("simulate_path", (model, config), {}, n_paths,
-                         base_seed, n_jobs)
-    vals, n_failures = _survivors([_abs_power(o, p) for o in outcomes],
-                                  n_paths, "moment estimate")
+    (states,), _, _ = _run_cell("simulate_path", (model, config), {},
+                                n_paths, base_seed, n_jobs)
+    vals = [v for x in states if (v := _abs_power(x, p)) < math.inf]
+    n_failures = _gate(n_paths - len(vals), n_paths, "moment estimate")
     mean, std_error = _mean_and_stderr(vals, len(vals))
     return MomentEstimate(mean_abs_p=mean, std_error=std_error,
                           n_failures=n_failures)
@@ -261,10 +272,11 @@ def estimate_moment(model, config, p, n_paths, base_seed, n_jobs=1):
 
 def mean_step_count(model, config, n_paths, base_seed, n_jobs=1):
     """Monte Carlo mean of the adaptive scheme's step count on [0, t_end]."""
-    outcomes = _run_cell("simulate_path", (model, config), {}, n_paths,
-                         base_seed, n_jobs)
-    ok, _ = _survivors(outcomes, n_paths, "step-count mean")
-    return math.fsum(o[1] for o in ok) / len(ok)
+    _, (steps,), failures = _run_cell("simulate_path", (model, config), {},
+                                      n_paths, base_seed, n_jobs)
+    # a failed seed's step count is 0, so the sum is the survivors'
+    n_ok = n_paths - _gate(len(failures), n_paths, "step-count mean")
+    return math.fsum(steps) / n_ok
 
 
 def tm_step_count(t_end, delta):

@@ -349,12 +349,34 @@ class TestDispatch:
 
 # --- blocks of seeds ---------------------------------------------------------
 
-def hexed(outcomes):
-    """Outcomes with each float as its .hex() and each count with its type,
-    so that equal means bit for bit, and a PathExplosion as explosion()."""
-    return [explosion(o) if isinstance(o, PathExplosion) else
-            tuple(v.hex() if type(v) is float else (type(v), v) for v in o)
-            for o in outcomes]
+def hexed(block):
+    """A Block's columns with each state as its .hex() and each step count
+    with its type, so that equal means bit for bit, and its failures with
+    each PathExplosion as explosion()."""
+    states, steps, failures = block
+    return ([[v.hex() for v in column] for column in states],
+            [[(type(v), v) for v in column] for column in steps],
+            [(i, explosion(exc)) for i, exc in failures])
+
+
+def as_block(outcomes, legs):
+    """Each seed's outcome, its record (each leg's state, then each leg's
+    step count) or its PathExplosion, as a block of those seeds gives it:
+    columns, with nan states and 0 steps for a failure, and failures."""
+    rows = [(math.nan,) * legs + (0,) * legs
+            if isinstance(o, PathExplosion) else o for o in outcomes]
+    columns = [list(column) for column in zip(*rows)] or [[]] * (2 * legs)
+    return kernel.Block(tuple(columns[:legs]), tuple(columns[legs:]),
+                        [(i, o) for i, o in enumerate(outcomes)
+                         if isinstance(o, PathExplosion)])
+
+
+def part(block, start, stop):
+    """The Block of the seeds of indices start..stop-1 of block."""
+    return kernel.Block(tuple(c[start:stop] for c in block.states),
+                        tuple(c[start:stop] for c in block.steps),
+                        [(i - start, exc) for i, exc in block.failures
+                         if start <= i < stop])
 
 
 @contextlib.contextmanager
@@ -383,7 +405,7 @@ def block(model, clock, k, t_end, seeds, max_steps=10 ** 8):
 
 def seeded(run, model, clock, k, t_end, seeds, max_steps=10 ** 8):
     """Each seed's pair, run one by one by run (pair or reference), as a
-    block gives it: the terminal states and step counts, or the
+    block gives it (as_block): the terminal states and step counts, or the
     PathExplosion."""
     out = []
     for seed in seeds:
@@ -394,7 +416,7 @@ def seeded(run, model, clock, k, t_end, seeds, max_steps=10 ** 8):
         else:
             out.append((sample.fine_terminal, sample.coarse_terminal,
                         sample.fine_steps, sample.coarse_steps))
-    return out
+    return as_block(out, 2)
 
 
 def path_block(model, config, seeds):
@@ -405,8 +427,8 @@ def path_block(model, config, seeds):
 
 def path_seeded(run, model, config, seeds):
     """Each seed's path, run one by one by run (_path_loop or
-    simulate_path) on NoiseSource(seed), as a block gives it: the terminal
-    state and step count, or the PathExplosion."""
+    simulate_path) on NoiseSource(seed), as a block gives it (as_block):
+    the terminal state and step count, or the PathExplosion."""
     out = []
     for seed in seeds:
         try:
@@ -415,11 +437,11 @@ def path_seeded(run, model, config, seeds):
             out.append(exc)
         else:
             out.append((float(traj.values[-1]), traj.step_count))
-    return out
+    return as_block(out, 1)
 
 
-def failed(outcomes):
-    return any(isinstance(o, PathExplosion) for o in outcomes)
+def failed(block):
+    return bool(block.failures)
 
 
 # seed ranges of one to four 32-bit words: across 2**32, up to 2**64,
@@ -579,8 +601,7 @@ class TestBlockParity:
         model, seeds = get_model("gbm"), range(12)
         run = lanes_run(model, clock, 5.0, max_steps)
         got = run(seeds)
-        assert [i for i, o in enumerate(got)
-                if isinstance(o, PathExplosion)] == stops
+        assert [i for i, _ in got.failures] == stops
         assert 0 < stops[0] < LANES - 1
         assert hexed(got) == hexed(one_by_one(run, seeds))
         if clock == "path":
@@ -617,15 +638,15 @@ class TestBlockParity:
             model = dataclasses.replace(model, x0=x0)
         config = path_config(k, t_end, max_steps=max_steps)
         want = path_seeded(_path_loop, model, config, range(60))
-        stop = next(i for i, o in enumerate(want)
-                    if i >= 3 and isinstance(o, PathExplosion))
+        stop = next(i for i, _ in want.failures if i >= 3)
         elements = set()
         for size in (1, 3, 7):
             for j in range(min(size, 4)):
                 seeds = range(stop - j, stop - j + size)
                 got = path_block(model, config, seeds)
-                assert isinstance(got[j], PathExplosion)
-                assert hexed(got) == hexed(want[seeds.start:seeds.stop])
+                assert j in [i for i, _ in got.failures]
+                assert hexed(got) == hexed(part(want, seeds.start,
+                                                seeds.stop))
                 elements.add(j % 2)
         assert elements == {0, 1}
 
@@ -655,16 +676,17 @@ class TestBlockParity:
             model = dataclasses.replace(model, x0=x0)
         want = seeded(reference, model, None, k, 5.0, range(20), max_steps)
         if x0 == 1e180:
-            assert all(o[:2] == (x0, x0) for o in want)
+            assert list(want.states) == [[x0] * 20] * 2
         else:
-            assert all(isinstance(o, PathExplosion) for o in want)
-            assert len({(o.leg, o.time, o.steps) for o in want}) == 1
+            assert len(want.failures) == 20
+            assert len({(o.leg, o.time, o.steps)
+                        for _, o in want.failures}) == 1
         assert 2 * VECTORS < 7
         for size in (1, 3, 7):
             for first in (0, 5, 13):
                 seeds = range(first, first + size)
                 got = block(model, None, k, 5.0, seeds, max_steps)
-                assert hexed(got) == hexed(want[first:first + size])
+                assert hexed(got) == hexed(part(want, first, first + size))
 
     # horizons off the coarse grid: the coarse leg's last step is clamped
     # to t_end, and at T = 5.3 the fine leg's too.  A budget of the fine
@@ -681,8 +703,9 @@ class TestBlockParity:
         for max_steps in (10 ** 8, fine_steps, fine_steps - 1):
             want = seeded(reference, model, None, k, t_end, seeds, max_steps)
             assert failed(want) == (max_steps < fine_steps)
-            assert [o.steps if isinstance(o, PathExplosion) else o[2]
-                    for o in want] == [min(max_steps, fine_steps)] * 9
+            # every seed stops alike, so all nine fail or none
+            assert ([o.steps for _, o in want.failures]
+                    or list(want.steps[0])) == [min(max_steps, fine_steps)] * 9
             assert hexed(block(model, None, k, t_end, seeds,
                                max_steps)) == hexed(want)
 
@@ -706,9 +729,9 @@ START_VALUES = st.one_of(
 def test_blocks_equal_the_reference_loops(lib, name, x0, kind, h0, l0, k,
                                           t_end, max_steps, first, size):
     # drawn blocks of any built-in model from any start, on horizons on
-    # and off the legs' grids: the records C gives equal the Python loops'
-    # record by record, floats bit for bit and explosions by leg, time,
-    # state, steps and message
+    # and off the legs' grids: the columns C gives equal the Python loops',
+    # floats bit for bit, and so do the failures, each seed's explosion by
+    # leg, time, state, steps and message
     model = dataclasses.replace(get_model(name), x0=x0)
     config = SchemeConfig(2.0 ** -(k + 1), t_end, h0, l0, max_steps)
     pair = None if kind == "path" else (kind == "adaptive", 2.0 ** -k)
@@ -728,7 +751,7 @@ def test_declined_block_paths_store_no_grid(tmp_path):
     kernel.run_block(model, SchemeConfig(2.0 ** -4, 1.0), range(1))
     tracemalloc.start()
     try:
-        ((_, steps),) = kernel.run_block(model, config, range(1))
+        _, ((steps,),), _ = kernel.run_block(model, config, range(1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -754,8 +777,13 @@ def lanes_run(model, clock, t_end, max_steps):
 
 
 def one_by_one(run, seeds):
-    """The blocks of one seed of seeds, concatenated."""
-    return [o for s in seeds for o in run(range(s, s + 1))]
+    """The blocks of one seed of seeds, joined into the Block of seeds."""
+    blocks = [run(range(s, s + 1)) for s in seeds]
+    legs = len(run(range(0)).states)
+    return kernel.Block(
+        tuple([b.states[j][0] for b in blocks] for j in range(legs)),
+        tuple([b.steps[j][0] for b in blocks] for j in range(legs)),
+        [(i, exc) for i, b in enumerate(blocks) for _, exc in b.failures])
 
 
 def ramp(theta, jump):
@@ -831,7 +859,8 @@ def test_stops_of_the_python_loops(merges, engines, model, clock, k, t_end,
         public = seeded(pair, model, clock, k, t_end, seeds, max_steps)
         declined = kernel.run_block(model, config, seeds,
                                     (clock is not None, 2.0 ** -k))
-    assert hexed(direct) == hexed(public) == hexed(declined) == [want] * 3
+    assert hexed(direct) == hexed(public) == hexed(declined)
+    assert hexed(declined)[2] == [(i, want) for i in seeds]
     # the public function's seeds and the block's ran on the Python loops
     if clock == "path":
         assert merges == [] and engines == ["python"] * 6

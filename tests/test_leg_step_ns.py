@@ -29,9 +29,15 @@ def test_runner_of_a_call():
     assert leg_step_ns.runner((model, config, range(3), None)) == "path"
 
 
-def test_leg_steps_of_records():
+def test_leg_steps_of_columns():
+    # each leg's step counts, 0 for a failed seed, and the failure's steps
     stop = PathExplosion("stopped", 1.0, float("inf"), 7, "fine")
-    assert leg_step_ns.leg_steps([(0.5, 0.25, 10, 5), (1.5, 4), stop]) == 26
+    nan = float("nan")
+    pairs = kernel.Block(([0.5, nan], [0.25, nan]), ([10, 0], [5, 0]),
+                         [(1, stop)])
+    paths = kernel.Block(([1.5],), ([4],), [])
+    assert leg_step_ns.leg_steps(pairs) == 22
+    assert leg_step_ns.leg_steps(paths) == 4
 
 
 def test_small_run():
@@ -84,3 +90,23 @@ def test_against_a_source_without_the_kernel(tmp_path, capsys):
     assert exit.value.code == 2
     assert capsys.readouterr().err == (
         f"{source} lacks tamsde_seed, tamsde_normals\n")
+
+
+def test_against_a_source_without_the_stop_count(tmp_path):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    # a kernel from before tamsde_block returned how many seeds stopped:
+    # every block's status is read, so its failures are kept.  gbm at k=2,
+    # T=5 spends a budget of 300 steps on seeds 1 and 9 of 0..11
+    with open(kernel._SOURCE) as fh:
+        text = fh.read()
+    source = tmp_path / "void.c"
+    source.write_text(text.replace("long long tamsde_block(",
+                                   "void tamsde_block(")
+                      .replace("    return stopped;\n", ""))
+    other = leg_step_ns.other_kernel(str(source), str(tmp_path))
+    config = SchemeConfig(0.125, 5.0, max_steps=300)
+    with leg_step_ns.using(other):
+        block = kernel.run_block(get_model("gbm"), config, range(12),
+                                 (True, 0.25))
+    assert [i for i, _ in block.failures] == [1, 9]

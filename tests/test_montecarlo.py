@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import tempfile
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -17,7 +18,7 @@ from tamsde import (EstimationError, InputError, MseRow, PathExplosion,
                     simulate_coupled_pair, tm_step_count)
 from tamsde.montecarlo import _aggregate_mse, _run_block, _run_cell
 
-from test_kernel import model1_as_json
+from test_kernel import as_block, model1_as_json
 from test_scheme import make_term_model
 
 M1 = get_model("model1")
@@ -243,14 +244,15 @@ class TestBlockRoute:
         assert seeds == list(range(base, base + 6))
 
 
-def record_key(record):
-    """A seed's record as comparable values: floats by .hex(), and a
-    PathExplosion by its type, leg, time, state, steps and message."""
-    if isinstance(record, PathExplosion):
-        return (type(record), record.leg, record.time.hex(),
-                record.state.hex(), record.steps, str(record))
-    return tuple((type(v), v.hex() if isinstance(v, float) else v)
-                 for v in record)
+def block_key(block):
+    """A Block as comparable values: its states by .hex(), its step counts
+    with their types, and each failure by its index and its
+    PathExplosion's type, leg, time, state, steps and message."""
+    states, steps, failures = block
+    return ([[v.hex() for v in column] for column in states],
+            [[(type(v), v) for v in column] for column in steps],
+            [(i, type(exc), exc.leg, exc.time.hex(), exc.state.hex(),
+              exc.steps, str(exc)) for i, exc in failures])
 
 
 # a block of seeds 40..69 of each path function, with the number of seeds
@@ -273,8 +275,9 @@ RECORD_IDS = ["pair", "tm-pair-stopped", "tm-pair-finished", "path",
 
 
 class TestRecords:
-    # both routes of _run_block give each seed the kernel's record, and a
-    # failure keeps its PathExplosion, also across the process pool
+    # both routes of _run_block give the kernel's columns, and a failure
+    # keeps its seed's index and its PathExplosion, also across the
+    # process pool, whose blocks' columns are joined in seed order
     @pytest.mark.parametrize("name, head, options, n_stopped", RECORD_BLOCKS,
                              ids=RECORD_IDS)
     def test_both_routes_give_equal_records(self, monkeypatch, name, head,
@@ -284,9 +287,8 @@ class TestRecords:
         seeds = rebind(monkeypatch, name)
         rebound = _run_block(block)
         assert seeds == list(range(40, 70))
-        assert [record_key(o) for o in rebound] == [record_key(o)
-                                                    for o in unbound]
-        assert sum(isinstance(o, PathExplosion) for o in unbound) == n_stopped
+        assert block_key(rebound) == block_key(unbound)
+        assert len(unbound.failures) == n_stopped
 
     @pytest.mark.parametrize("name, head, options, n_stopped", RECORD_BLOCKS,
                              ids=RECORD_IDS)
@@ -294,9 +296,8 @@ class TestRecords:
                                          n_stopped):
         serial = _run_cell(name, head, options, 30, 40, 1)
         pooled = _run_cell(name, head, options, 30, 40, 2)
-        assert [record_key(o) for o in pooled] == [record_key(o)
-                                                   for o in serial]
-        assert sum(isinstance(o, PathExplosion) for o in pooled) == n_stopped
+        assert block_key(pooled) == block_key(serial)
+        assert len(pooled.failures) == n_stopped
 
 
     def test_declined_cells_pooled_equal_serial(self, tmp_path):
@@ -312,35 +313,75 @@ class TestRecords:
 
 
 class TestAggregation:
-    # _aggregate_mse consumes the kernel's records, (fine state, coarse
-    # state, fine steps, coarse steps), and a PathExplosion for a failure
+    # _aggregate_mse consumes a cell's Block: the columns of each seed's
+    # fine and coarse states and step counts, and a failure's index and
+    # PathExplosion (as_block builds one from per-seed outcomes)
 
     def test_failures_below_threshold_recorded(self):
-        outcomes = [(2.0, 1.0, 10, 5)] * 199 + [PathExplosion("stopped")]
+        outcomes = as_block([(2.0, 1.0, 10, 5)] * 199
+                            + [PathExplosion("stopped")], 2)
         row = _aggregate_mse(3, 0.125, 200, outcomes)
         assert row.n_failures == 1
         assert row.n_paths == 200
         assert row.mse == 1.0  # survivors only
 
     def test_failures_at_threshold_raise(self):
-        outcomes = [(2.0, 1.0, 10, 5)] * 198 + [PathExplosion("stopped")] * 2
+        outcomes = as_block([(2.0, 1.0, 10, 5)] * 198
+                            + [PathExplosion("stopped")] * 2, 2)
         with pytest.raises(EstimationError, match="2 of 200"):
             _aggregate_mse(3, 0.125, 200, outcomes)
 
     def test_zero_mse_maps_to_minus_inf(self):
-        row = _aggregate_mse(1, 0.5, 3, [(0.5, 0.5, 4, 2)] * 3)
+        row = _aggregate_mse(1, 0.5, 3, as_block([(0.5, 0.5, 4, 2)] * 3, 2))
         assert row.mse == 0.0 and row.log2_mse == -math.inf
         assert row.std_error == 0.0
 
     def test_mean_and_std_error(self):
         # exact differences 1 and -3, so squares 1 and 9
-        outcomes = [(2.0, 1.0, 10, 5), (-1.0, 2.0, 12, 6)]
+        outcomes = as_block([(2.0, 1.0, 10, 5), (-1.0, 2.0, 12, 6)], 2)
         row = _aggregate_mse(2, 0.25, 2, outcomes)
         assert row.mse == 5.0
         # sample variance 32, se = sqrt(32/2) = 4
         assert row.std_error == 4.0
         assert row.mean_fine_steps == 11.0
         assert row.mean_coarse_steps == 5.5
+
+    def test_failures_anywhere_in_the_columns(self):
+        # a failure's entries are left out wherever it falls in the cell
+        ok = [(2.0, 1.0, 10, 5), (-1.0, 2.0, 12, 6)]
+        stop = PathExplosion("stopped")
+        want = _aggregate_mse(2, 0.25, 300, as_block(ok, 2))
+        for outcomes in ([stop, *ok], [ok[0], stop, ok[1]], [*ok, stop]):
+            row = _aggregate_mse(2, 0.25, 300, as_block(outcomes, 2))
+            assert dataclasses.replace(row, n_failures=0) == want
+            assert row.n_failures == 1
+
+
+# the paths of the cells of the memory test, and the bytes a path each may
+# hold at its peak: its block's columns and one value a path for the mean
+MEMORY_PATHS = 2 * 10 ** 4
+MEMORY_CELLS = {
+    "adaptive": (lambda n: estimate_mse(M1, 1.0, 2.0, 1, n, 1.0, 0), 96),
+    "fixed": (lambda n: estimate_tm_mse(M1, 1, n, 1.0, 0), 96),
+    "path": (lambda n: estimate_moment(M1, SchemeConfig(0.25, 1.0), 2.0, n,
+                                       0), 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_CELLS))
+def test_cell_memory_per_path(name):
+    # a cell's outcome is columns, not a tuple a seed: a pair path holds
+    # its two states, two step counts, stop time and status, and its
+    # squared difference
+    cell, per_path = MEMORY_CELLS[name]
+    cell(100)  # the kernel is loaded, or its build tried, before counting
+    tracemalloc.start()
+    try:
+        cell(MEMORY_PATHS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= per_path * MEMORY_PATHS
 
 
 class TestTmMse:

@@ -13,10 +13,11 @@ calls' time per leg-step.  A workload whose calls run more than one of
 the kernel's runners gets a row for each, named after it:
 "compare-smooth/tam" times its tamed-adaptive pairs and
 "compare-smooth/tm" its fixed-step pairs.  A leg-step is one step of one
-leg: a pair counts its fine and coarse steps, a path its steps and a
-failed seed the steps of the leg that stopped it.  The time is the block
-route's as a Monte Carlo cell runs it, the ctypes call and the records
-it returns included.
+leg, counted from the columns a call returns (kernel.Block): a pair
+counts its fine and coarse steps, a path its steps and a failed seed the
+steps of the leg that stopped it, from its PathExplosion.  The time is
+the block route's as a Monte Carlo cell runs it, the ctypes call and the
+columns and failures it returns included.
 
 In the same rounds it times the normal draw the block lanes make,
 against numpy's: DRAWS fills of FILL normals from seed 0, by the
@@ -35,12 +36,15 @@ private temporary directory and times the two kernels in one process,
 on the same recorded calls, within each round one after the other,
 taking turns at going first.  The host's speed drifts between runs by
 more than many changes move a row, so this is the comparison to trust.
-Every recorded call and fill must give the same records, bit for bit,
-on both kernels, or the tool stops with status 1.  It prints each row's medians on both kernels and the median over the
-rounds of this kernel's time over the other's, its interquartile range
-and the rounds this kernel was faster in.  It exits 2 when the source
-does not build or its build lacks a function the rows call.  --rounds
-sets the rounds (default 7).
+Every recorded call and fill must give the same columns and failures,
+bit for bit, on both kernels, or the tool stops with status 1.  A source
+whose tamsde_block returns nothing, from before it returned how many
+seeds stopped, has every block's status read, as kernel.run_block then
+did.  It prints each row's medians on both kernels and the median over
+the rounds of this kernel's time over the other's, its interquartile
+range and the rounds this kernel was faster in.  It exits 2 when the
+source does not build or its build lacks a function the rows call.
+--rounds sets the rounds (default 7).
 
 The first line names the build of the vector runners (a block's paths
 and fixed-step pairs) each kernel runs on this host (kernel.lanes):
@@ -81,13 +85,14 @@ CALLED = ("tamsde_block", "tamsde_seed", "tamsde_normals")
 
 
 class Mismatch(Exception):
-    """The two kernels gave different records on a row."""
+    """The two kernels gave different columns or failures on a row."""
 
 
-def leg_steps(records):
-    """The leg-steps of a block's records."""
-    return sum(r.steps if isinstance(r, PathExplosion) else sum(r[len(r) // 2:])
-               for r in records)
+def leg_steps(block):
+    """The leg-steps of a kernel.Block: its step counts, which are 0 for a
+    failed seed, and each failure's steps."""
+    return (sum(map(sum, block.steps))
+            + sum(exc.steps for _, exc in block.failures))
 
 
 def runner(call):
@@ -104,11 +109,11 @@ def cells(workload, seed, jobs, scale):
     run_block = kernel.run_block
 
     def recorded(*args):
-        records = run_block(*args)
+        block = run_block(*args)
         kind = runner(args)
         calls.setdefault(kind, []).append(args)
-        steps[kind] = steps.get(kind, 0) + leg_steps(records)
-        return records
+        steps[kind] = steps.get(kind, 0) + leg_steps(block)
+        return block
 
     kernel.run_block = recorded
     try:
@@ -127,7 +132,7 @@ def cells(workload, seed, jobs, scale):
 
 def block_calls(calls):
     """A runner of the recorded kernel.run_block calls, returning their
-    records."""
+    Blocks."""
     def run():
         return [kernel.run_block(*call) for call in calls]
     return run
@@ -179,9 +184,10 @@ def lanes(lib):
 
 
 def bits(value):
-    """value with each float as its .hex(), each array as its bytes and
-    each PathExplosion as its fields, so that equal means bit for bit."""
-    if isinstance(value, (list, tuple)):
+    """value with each float as its .hex(), each numpy array as its bytes
+    and each PathExplosion as its fields, so that equal means bit for bit;
+    a column, a view of the kernel's array, is read as a list."""
+    if isinstance(value, (list, tuple, memoryview)):
         return [bits(v) for v in value]
     if isinstance(value, float):
         return value.hex()
@@ -203,7 +209,9 @@ def other_kernel(source, directory):
     """The kernel source built with this checkout's build line in
     directory and loaded, its block function declared and its draw's
     tables filled when it has them; exits with status 2 when it
-    does not build or load, or lacks a function the rows call."""
+    does not build or load, or lacks a function the rows call.  A block
+    function that returns nothing is given a stop count of 1, so every
+    block's status is read."""
     target = os.path.join(directory, "other.so")
     proc = subprocess.run(kernel._command("cc", source, target),
                           stdin=subprocess.DEVNULL, capture_output=True,
@@ -219,6 +227,10 @@ def other_kernel(source, directory):
     if missing:
         refuse(f"{source} lacks {', '.join(missing)}")
     kernel._declare(lib)
+    with open(source, "rb") as fh:
+        if b"void tamsde_block(" in fh.read():
+            lib.tamsde_block.restype = None
+            lib.tamsde_block.errcheck = lambda result, func, args: 1
     if hasattr(lib, "tamsde_init"):
         lib.tamsde_init()
     return lib
@@ -287,7 +299,7 @@ def compare(jobs, rounds, against, scale=1.0):
     against, another kernel library: the median ns per unit on each, and
     the median over the rounds of this kernel's time over against's, its
     interquartile range and the rounds this kernel was faster in.
-    Mismatch when the two kernels' records differ on a row."""
+    Mismatch when the two kernels' columns or failures differ on a row."""
     libs = [kernel.library(), against]
     runs = rows(jobs, scale, libs)
     for name, (run, _, _) in runs.items():
@@ -296,7 +308,7 @@ def compare(jobs, rounds, against, scale=1.0):
             with using(lib):
                 first.append(bits(run()))
         if first[0] != first[1]:
-            raise Mismatch(f"the two kernels' records differ on {name}")
+            raise Mismatch(f"the two kernels' blocks differ on {name}")
     out = {}
     for name, (this, other) in timed(runs, libs, rounds).items():
         ratios = [a / b for a, b in zip(this, other)]
