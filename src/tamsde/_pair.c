@@ -43,25 +43,30 @@
  * random numbers: as easy as 1, 2, 3", SC'11), ported below word for
  * word, so tamsde_seed gives the key and the counter numpy's Philox(seed)
  * starts with.  Only the two draws numpy's normal makes, the 64-bit
- * output and the double, are ported; the bitgen_t's next_uint32 slot
- * aborts (philox_abort32).  Each step of a
+ * output and the double, are ported; the next_uint32 slot of a bitgen_t
+ * handed to numpy's normal aborts (philox_abort32).  Each step of a
  * seed is one chain of dependent operations, so one seed alone leaves
  * most of the processor idle; the seeds' chains overlap.  A block's
  * tamed-adaptive pairs run in LANES scalar lanes (struct lane), its paths
  * and its fixed-step pairs in VECTORS vectors of two (struct path_lanes,
  * struct fixed_lanes), whose packed operations step two seeds at once;
  * each seed's draw, its pow calls, its step count and its record stay its
- * own.  A pass gives every live lane or vector one event or step; a seed
- * that is over writes its states, stop time, step counts and return code
- * into the caller's arrays.  A lane or a path's element then refills with
- * the block's next seed; a fixed-step pair's element idles, drawing
- * nothing, until its generation is over, as a new seed starts at t = 0 on
- * another timeline, and the next generation starts.  A seed runs the same
- * operations in the same order on its own Philox in any lane or element,
- * so its results do not depend on the others.  A seed of any size is
- * given as its 32-bit words, which the block steps by one per seed.  A
- * path of a block stores no trajectory; a single pair is a block of one:
- * one lane, or one vector of which one element is idle.
+ * own.  Of the draw's state a lane or an element holds only its seed's
+ * Philox, which every draw reads, the rare one off the ziggurat's fast
+ * path included.  The three runners share one block protocol (struct
+ * block): take is the one cursor, which hands out the block's next seed,
+ * seeding its Philox and stepping the seed's 32-bit words by one, and
+ * record is the one writer of the caller's arrays, which writes a seed's
+ * states, stop time, step counts and return code and counts the stops.  A
+ * pass gives every live lane or vector one event or step, and a seed that
+ * is over is recorded.  A lane or a path's element then takes the block's
+ * next seed; a fixed-step pair's element idles, drawing nothing, until its
+ * generation is over, as a new seed starts at t = 0 on another timeline,
+ * and the next generation starts.  A seed runs the same operations in the
+ * same order on its own Philox in any lane or element, so its results do
+ * not depend on the others.  A path of a block stores no trajectory; a
+ * single pair is a block of one: one lane, or one vector of which one
+ * element is idle.
  *
  * On x86-64 ELF with glibc the block's two vector runners, run_paths and
  * run_fixed, are compiled twice, for AVX2 and for the baseline
@@ -178,13 +183,6 @@ static double philox_double(void *st)
     return (double)(philox_next(st) >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* the bitgen_t of numpy's Philox, on s */
-static bitgen_t bitgen(struct philox *s)
-{
-    bitgen_t g = {s, philox_next, philox_abort32, philox_double, philox_next};
-    return g;
-}
-
 /* SeedSequence's hash constants */
 #define INIT_A 0x43b0d7e5u
 #define MULT_A 0x931e8875u
@@ -265,12 +263,12 @@ void tamsde_seed(struct philox *rng, const unsigned char *seed, size_t n_words)
 static uint64_t ki[256];
 static double wi[256];
 
-/* A bit generator whose first output is first, already drawn on g, and
-   which draws every later output and double on g itself */
+/* A bit generator whose first output is first, already drawn on rng, and
+   which draws every later output and double on rng itself */
 struct replay {
     uint64_t first;
     int drawn;
-    const bitgen_t *g;
+    struct philox *rng;
 };
 
 static uint64_t replay_next(void *st)
@@ -280,21 +278,20 @@ static uint64_t replay_next(void *st)
         p->drawn = 1;
         return p->first;
     }
-    return p->g->next_uint64(p->g->state);
+    return philox_next(p->rng);
 }
 
 static double replay_double(void *st)
 {
-    const struct replay *p = st;
-    return p->g->next_double(p->g->state);
+    return philox_double(((struct replay *)st)->rng);
 }
 
-/* numpy's function on a replay of r, g's output drawn last: the draws
-   after r are g's, as numpy's would be, and g is left as numpy's draws
-   leave it */
-static double replay(uint64_t r, const bitgen_t *g)
+/* numpy's function on a replay of r, rng's output drawn last: the draws
+   after r are rng's, as numpy's would be, and rng is left as numpy's
+   draws leave it */
+static double replay(uint64_t r, struct philox *rng)
 {
-    struct replay p = {r, 0, g};
+    struct replay p = {r, 0, rng};
     bitgen_t again = {&p, replay_next, philox_abort32, replay_double,
                       replay_next};
     return random_standard_normal(&again);
@@ -317,22 +314,21 @@ static inline int ziggurat(uint64_t r, double *x)
     return 1;
 }
 
-/* numpy's random_standard_normal(g) when g's next output is r, which is
+/* numpy's normal on Philox rng when rng's next output is r, which is
    drawn already: r's normal on the fast path, else a replay of r; a
    block's lane draws r on its own Philox inline (philox_next) */
-static inline double normal(uint64_t r, const bitgen_t *g)
+static inline double normal(uint64_t r, struct philox *rng)
 {
     double x;
-    return ziggurat(r, &x) ? x : replay(r, g);
+    return ziggurat(r, &x) ? x : replay(r, rng);
 }
 
 /* out = the next n normals of rng, as Generator.standard_normal(n) */
 void tamsde_normals(struct philox *rng, double *out, long long n)
 {
-    bitgen_t g = bitgen(rng);
     long long i;
     for (i = 0; i < n; i++)
-        out[i] = normal(philox_next(rng), &g);
+        out[i] = normal(philox_next(rng), rng);
 }
 
 /* A probe of numpy's normal: a bit generator whose first output is
@@ -376,11 +372,12 @@ static int check(void)
 {
     struct philox a = {{0}, {0x243F6A8885A308D3u, 0x13198A2E03707344u}, {0},
                        4}, b = a;
-    bitgen_t ga = bitgen(&a), gb = bitgen(&b);
+    bitgen_t gb = {&b, philox_next, philox_abort32, philox_double,
+                   philox_next};
     double x, y;
     long i;
     for (i = 0; i < CHECK_DRAWS; i++) {
-        x = normal(philox_next(&a), &ga);
+        x = normal(philox_next(&a), &a);
         y = random_standard_normal(&gb);
         if (memcmp(&x, &y, sizeof x) != 0)
             return 0;
@@ -694,7 +691,7 @@ struct path_v {
 
 /* One step of scheme._path_loop for both paths, with the normals z.
    Returns a bit (1 << e) for each element whose path is over: it cannot
-   go on, or it has reached t_end (path_end says how it ended). */
+   go on, or it has reached t_end (run_paths says how it ended). */
 static inline unsigned path_step_v(const struct pair *p, struct path_v *v,
                                    vec z)
 {
@@ -739,24 +736,20 @@ static int fire(const struct pair *p, struct leg *leg, double t)
     return 0;
 }
 
-/* the leg at x0, at base step delta, with its first step proposed */
-static void arm(const struct pair *p, struct leg *leg, double delta, double x0)
+/* the leg, at its state and base step, with its first step proposed */
+static void arm(const struct pair *p, struct leg *leg)
 {
-    leg->delta = delta;
-    leg->sqd = sqrt(delta);
-    leg->x = x0;
-    leg->due = due_d(0.0, propose(p, leg, x0), p->t_end);
+    leg->sqd = sqrt(leg->delta);
+    leg->due = due_d(0.0, propose(p, leg, leg->x), p->t_end);
 }
 
 /* --- one adaptive pair in flight: a lane --------------------------------- */
 
-/* A tamed-adaptive pair's run: its pair, its own Philox and the bitgen_t
-   on it, t, the merged timeline's time, and the seed's index in its
-   block. */
+/* A tamed-adaptive pair's run: its pair, its own Philox, t, the merged
+   timeline's time, and the seed's index in its block. */
 struct lane {
     struct pair p;
     struct philox rng;
-    bitgen_t g;
     double t;
     long long i;
 };
@@ -778,13 +771,14 @@ static int pair_end(double x_f, double x_c)
    and only pow and numpy's normal off its fast path are called.  With
    fire and philox_next called out of line, as gcc 12 left them, an
    adaptive model1 leg-step took 1.15 times as long (2-core AMD EPYC).
-   philox_next stays the bitgen_t's function, which replay,
-   tamsde_normals and the vector runners call. */
+   philox_next is also compiled on its own: replay's bit generator, which
+   numpy's normal calls through a pointer, and the vector runners call
+   it. */
 static __attribute__((flatten)) int pair_event(struct lane *l)
 {
     struct pair *p = &l->p;
     double t = p->fine.due < p->coarse.due ? p->fine.due : p->coarse.due;
-    double dz = sqrt(t - l->t) * normal(philox_next(&l->rng), &l->g);
+    double dz = sqrt(t - l->t) * normal(philox_next(&l->rng), &l->rng);
     pend_d(&p->fine.pw, &p->fine.pc, dz);
     pend_d(&p->coarse.pw, &p->coarse.pc, dz);
     l->t = t;
@@ -797,29 +791,56 @@ static __attribute__((flatten)) int pair_event(struct lane *l)
 
 /* --- blocks of seeds ----------------------------------------------------- */
 
-/* *n_words little-endian 32-bit words of seed, plus one: the next integer.
-   A carry out of the top word makes it one word longer, so seed must have
-   room for one more word, zeroed; stepping from a block's first seed to
-   the integer after its last carries out of the top word at most once,
-   as a block has fewer than 2**63 seeds. */
-static void next_seed(unsigned char *seed, size_t *n_words)
+/* A block of consecutive seeds, as tamsde_block takes it: the words of the
+   next seed to start and its index, next, of n; the legs of a seed's
+   record and the caller's arrays it goes to; and how many seeds
+   stopped. */
+struct block {
+    unsigned char *seed;
+    size_t n_words;
+    long long next, n;
+    int legs;
+    double *out;
+    long long *steps;
+    int *status;
+    long long stopped;
+};
+
+/* The index of the block's next seed, with rng that seed's Philox, and
+   the seed's words stepped to the next integer; -1, and rng untouched,
+   when every seed has started.  A carry out of the top word makes the
+   words one longer, so seed has room for one more word, zeroed; stepping
+   from a block's first seed to the integer after its last carries out of
+   the top word at most once, as a block has fewer than 2**63 seeds. */
+static long long take(struct block *b, struct philox *rng)
 {
     size_t i;
-    for (i = 0; i < 4 * *n_words; i++)
-        if (++seed[i] != 0)
-            return;
-    seed[i] = 1;
-    *n_words += 1;
+    if (b->next == b->n)
+        return -1;
+    tamsde_seed(rng, b->seed, b->n_words);
+    for (i = 0; i < 4 * b->n_words; i++)
+        if (++b->seed[i] != 0)
+            return b->next++;
+    b->seed[i] = 1;
+    b->n_words += 1;
+    return b->next++;
 }
 
-/* rng = the Philox of the seed whose words seed holds, and g the bitgen_t
-   on it; then step seed to the next integer */
-static void seed_philox(struct philox *rng, bitgen_t *g, unsigned char *seed,
-                        size_t *n_words)
+/* Seed i's record: its legs' states x_f and x_c (x_c is x_f for a path)
+   and their step counts n_f and n_c, its stop time t and its return
+   code, which counts a stop unless DONE. */
+static void record(struct block *b, long long i, double x_f, double x_c,
+                   long long n_f, long long n_c, double t, int code)
 {
-    tamsde_seed(rng, seed, *n_words);
-    *g = bitgen(rng);
-    next_seed(seed, n_words);
+    double *out = b->out + (b->legs + 1) * i;
+    long long *steps = b->steps + b->legs * i;
+    out[0] = x_f;
+    out[b->legs - 1] = x_c;
+    out[b->legs] = t;
+    steps[0] = n_f;
+    steps[b->legs - 1] = n_c;
+    b->status[i] = code;
+    b->stopped += code != DONE;
 }
 
 /* the seeds a block keeps in flight: LANES adaptive pairs, or VECTORS
@@ -827,93 +848,71 @@ static void seed_philox(struct philox *rng, bitgen_t *g, unsigned char *seed,
 #define LANES 4
 #define VECTORS 3
 
-/* Start lane l on the seed of index i, whose words seed holds, with the
-   pair as every seed starts it; then step seed to the next integer. */
-static void begin(struct lane *l, const struct pair *start,
-                  unsigned char *seed, size_t *n_words, long long i)
+/* Start lane l on the block's next seed, with the pair as every seed
+   starts it; 0 when every seed has started. */
+static int begin(struct lane *l, const struct pair *start, struct block *b)
 {
     l->p = *start;
-    seed_philox(&l->rng, &l->g, seed, n_words);
     l->t = 0.0;
-    l->i = i;
+    return (l->i = take(b, &l->rng)) >= 0;
 }
 
-/* Each of the n tamed-adaptive pairs of the seeds from seed, as
-   tamsde_block takes them, from start.  LANES seeds are in flight, each on
-   its own Philox; a pass gives every live lane one event, a lane left
-   alone (the one lane of a block of one) included, and a lane whose seed
-   is over writes its record and starts the block's next seed.  Each seed
-   runs the same operations in the same order as it would alone, so only
-   the order of the work across seeds depends on the lanes. */
-static void run_pairs(const struct pair *start, unsigned char *seed,
-                      size_t n_words, long long n, double *out,
-                      long long *steps, int *status)
+/* Each of the block's tamed-adaptive pairs, from start.  LANES seeds are
+   in flight, each on its own Philox; a pass gives every live lane one
+   event, a lane left alone (the one lane of a block of one) included, and
+   a lane whose seed is over writes its record and starts the block's next
+   seed.  Each seed runs the same operations in the same order as it would
+   alone, so only the order of the work across seeds depends on the
+   lanes. */
+static void run_pairs(const struct pair *start, struct block *b)
 {
     struct lane lanes[LANES], *live[LANES];
-    long long next = 0;
     int n_live = 0, k;
-    for (; n_live < LANES && next < n; n_live++) {
+    for (; n_live < LANES && begin(&lanes[n_live], start, b); n_live++)
         live[n_live] = &lanes[n_live];
-        begin(live[n_live], start, seed, &n_words, next++);
-    }
     while (n_live > 0)
         for (k = 0; k < n_live; k++) {
             struct lane *l = live[k];
             int code = pair_event(l);
             if (code == RUNNING)
                 continue;
-            out[3 * l->i] = l->p.fine.x;
-            out[3 * l->i + 1] = l->p.coarse.x;
-            out[3 * l->i + 2] = l->t;  /* the merged timeline's stop time */
-            steps[2 * l->i] = l->p.fine.steps;
-            steps[2 * l->i + 1] = l->p.coarse.steps;
-            status[l->i] = code;
-            if (next < n)
-                begin(l, start, seed, &n_words, next++);
-            else  /* the last lane takes this one's place in the pass */
+            /* t is the merged timeline's stop time */
+            record(b, l->i, l->p.fine.x, l->p.coarse.x, l->p.fine.steps,
+                   l->p.coarse.steps, l->t, code);
+            if (!begin(l, start, b))  /* the last lane takes its place */
                 live[k--] = live[--n_live];
         }
 }
 
 /* The seeds of a vector's two elements: each element's Philox and the
-   bitgen_t on it, and the index in the block of its seed, or -1 for an
-   element with none, which steps with no noise and is not read. */
+   index in the block of its seed, or -1 for an element with none, which
+   steps with no noise and is not read. */
 struct seeds {
     struct philox rng[2];
-    bitgen_t g[2];
     long long i[2];
 };
-
-/* Element e's seed: the seed of index i (none when i is -1), whose words
-   seed holds; then step seed to the next integer. */
-static void seat(struct seeds *k, int e, unsigned char *seed,
-                 size_t *n_words, long long i)
-{
-    k->i[e] = i;
-    if (i >= 0)
-        seed_philox(&k->rng[e], &k->g[e], seed, n_words);
-}
 
 /* the two elements' normals, each its next on its own Philox, or 0 for an
    element with no seed */
 static inline vec lane_normals(struct seeds *k)
 {
-    vec z = {k->i[0] >= 0 ? normal(philox_next(&k->rng[0]), &k->g[0]) : 0.0,
-             k->i[1] >= 0 ? normal(philox_next(&k->rng[1]), &k->g[1]) : 0.0};
+    vec z = {k->i[0] >= 0 ? normal(philox_next(&k->rng[0]), &k->rng[0]) : 0.0,
+             k->i[1] >= 0 ? normal(philox_next(&k->rng[1]), &k->rng[1]) : 0.0};
     return z;
 }
 
-/* Two paths in flight: their legs and their seeds. */
+/* Two paths in flight: their seeds and their legs.  In the other order
+   the moments-long row of tools/leg_step_ns.py took ~1.006 times as
+   long (2-core AMD EPYC, gcc 12), for no change in the code it runs. */
 struct path_lanes {
-    struct path_v v;
     struct seeds k;
+    struct path_v v;
 };
 
-/* Start element e of l on the seed of index i (none when i is -1), whose
-   words seed holds, at the leg first as it starts; then step seed to the
-   next integer. */
+/* Start element e of l on the block's next seed, or none, at the leg
+   first as it starts. */
 static void begin_path(struct path_lanes *l, int e, const struct leg *first,
-                       unsigned char *seed, size_t *n_words, long long i)
+                       struct block *b)
 {
     l->v.x[e] = first->x;
     l->v.last[e] = first->last;
@@ -922,34 +921,22 @@ static void begin_path(struct path_lanes *l, int e, const struct leg *first,
     l->v.s[e] = first->s;
     l->v.q[e] = first->q;
     l->v.steps[e] = 0;
-    seat(&l->k, e, seed, n_words, i);
+    l->k.i[e] = take(b, &l->k.rng[e]);
 }
 
-/* DONE or FINE_STOP, for a path at x at time last that path_step_v said
-   is over: stopped before t_end, or ended there non-finite, or DONE */
-static int path_end(double last, double x, double t_end)
-{
-    return last < t_end || !isfinite(x) ? FINE_STOP : DONE;
-}
-
-/* Each of the n paths of the seeds from seed, as tamsde_block takes them,
-   from start's fine leg, as run_pairs runs pairs: VECTORS vectors of two
-   seeds in flight; a pass steps every vector with a live element, and an
-   element whose seed is over writes its record and starts the block's
-   next seed, or none. */
-LANE_CLONES static void run_paths(const struct pair *start,
-                                  unsigned char *seed, size_t n_words,
-                                  long long n, double *out, long long *steps,
-                                  int *status)
+/* Each of the block's paths, from start's fine leg, as run_pairs runs
+   pairs: VECTORS vectors of two seeds in flight; a pass steps every
+   vector with a live element, and an element whose seed is over writes
+   its record and starts the block's next seed, or none.  A path stopped
+   before t_end is a FINE_STOP. */
+LANE_CLONES static void run_paths(const struct pair *start, struct block *b)
 {
     struct path_lanes lanes[VECTORS], *live[VECTORS];
-    long long next = 0;
     int n_live = 0, k, e;
-    for (; n_live < VECTORS && next < n; n_live++) {
+    for (; n_live < VECTORS && b->next < b->n; n_live++) {
         live[n_live] = &lanes[n_live];
         for (e = 0; e < 2; e++)
-            begin_path(live[n_live], e, &start->fine, seed, &n_words,
-                       next < n ? next++ : -1);
+            begin_path(live[n_live], e, &start->fine, b);
     }
     while (n_live > 0)
         for (k = 0; k < n_live; k++) {
@@ -958,15 +945,12 @@ LANE_CLONES static void run_paths(const struct pair *start,
             if (over == 0)
                 continue;
             for (e = 0; e < 2; e++) {
-                long long i = l->k.i[e];
-                if (!(over >> e & 1) || i < 0)
+                double x = l->v.x[e], last = l->v.last[e];
+                if (!(over >> e & 1) || l->k.i[e] < 0)
                     continue;
-                out[2 * i] = l->v.x[e];
-                out[2 * i + 1] = l->v.last[e];  /* the path's stop time */
-                steps[i] = l->v.steps[e];
-                status[i] = path_end(l->v.last[e], l->v.x[e], start->t_end);
-                begin_path(l, e, &start->fine, seed, &n_words,
-                           next < n ? next++ : -1);
+                record(b, l->k.i[e], x, x, l->v.steps[e], l->v.steps[e],
+                       last, last < start->t_end ? FINE_STOP : pair_end(x, x));
+                begin_path(l, e, &start->fine, b);
             }
             if (l->k.i[0] < 0 && l->k.i[1] < 0)  /* as in run_pairs */
                 live[k--] = live[--n_live];
@@ -990,58 +974,36 @@ struct fixed_lanes {
     struct seeds k;
 };
 
-/* Element e's record, as run_pairs writes a pair's: both states, the stop
-   time t, both legs' step counts on the clocks c and the return code; the
-   element then idles. */
-static void fixed_record(struct fixed_lanes *l, int e, double t,
-                         const struct tick c[2], int code, double *out,
-                         long long *steps, int *status)
-{
-    long long i = l->k.i[e];
-    out[3 * i] = l->x[0][e];
-    out[3 * i + 1] = l->x[1][e];
-    out[3 * i + 2] = t;
-    steps[2 * i] = c[0].steps;
-    steps[2 * i + 1] = c[1].steps;
-    status[i] = code;
-    l->k.i[e] = -1;
-}
-
-/* Each of the n fixed-step pairs of the seeds from seed, as tamsde_block
-   takes them, from x0, in generations of up to 2 VECTORS seeds, two to a
-   vector, all started at t = 0.  A fixed-step leg's clock does not depend
-   on its state, so a generation has one timeline: each event's time and
-   sqrt of its gap, which legs fire, their clocks and their budget and
-   collapse tests are worked out once, in driver._merge's order, and only
-   each seed's draw, pending increments, updates, coefficients and
-   finiteness tests are its own.  A seed that stops writes its record at
-   the event, a fine stop before the coarse leg fires, as pair_event's
-   FINE_STOP, and its element idles; the next generation starts when
-   every seed of this one is over. */
-LANE_CLONES static void run_fixed(const struct pair *p, double delta_fine,
-                                  double delta_coarse, double x0,
-                                  unsigned char *seed, size_t n_words,
-                                  long long n, double *out, long long *steps,
-                                  int *status)
+/* Each of the block's fixed-step pairs, from p's legs' states and base
+   steps, in generations of up to 2 VECTORS seeds, two to a vector, all
+   started at t = 0.  A fixed-step leg's clock does not depend on its
+   state, so a generation has one timeline: each event's time and sqrt of
+   its gap, which legs fire, their clocks and their budget and collapse
+   tests are worked out once, in driver._merge's order, and only each
+   seed's draw, pending increments, updates, coefficients and finiteness
+   tests are its own.  A seed that stops writes its record at the event, a
+   fine stop before the coarse leg fires, as pair_event's FINE_STOP, and
+   its element idles; the next generation starts when every seed of this
+   one is over. */
+LANE_CLONES static void run_fixed(const struct pair *p, struct block *b)
 {
     struct fixed_lanes lanes[VECTORS], *live[VECTORS], first;
-    double m, s, q;
-    long long next = 0;
+    double m, s, q, x0 = p->fine.x;
     int n_live, k, e, j;
     tm_propose_d(p->model, x0, &m, &s, &q);
     first = (struct fixed_lanes){.x = {{x0, x0}, {x0, x0}},
                                  .m = {{m, m}, {m, m}}, .s = {{s, s}, {s, s}},
                                  .q = {{q, q}, {q, q}}};
-    while (next < n) {
+    while (b->next < b->n) {
         struct tick c[2] = {
-            {delta_fine, 0.0, due_d(0.0, delta_fine, p->t_end), 0},
-            {delta_coarse, 0.0, due_d(0.0, delta_coarse, p->t_end), 0}};
+            {p->fine.delta, 0.0, due_d(0.0, p->fine.delta, p->t_end), 0},
+            {p->coarse.delta, 0.0, due_d(0.0, p->coarse.delta, p->t_end), 0}};
         double t = 0.0;
-        for (n_live = 0; n_live < VECTORS && next < n; n_live++) {
+        for (n_live = 0; n_live < VECTORS && b->next < b->n; n_live++) {
             struct fixed_lanes *l = live[n_live] = &lanes[n_live];
             *l = first;
             for (e = 0; e < 2; e++)
-                seat(&l->k, e, seed, &n_words, next < n ? next++ : -1);
+                l->k.i[e] = take(b, &l->k.rng[e]);
         }
         while (n_live > 0) {
             double t_next = c[0].due < c[1].due ? c[0].due : c[1].due;
@@ -1079,10 +1041,13 @@ LANE_CLONES static void run_fixed(const struct pair *p, double delta_fine,
                                      &l->q[j]);
                     }
                     for (e = 0; e < 2; e++)
-                        if (over >> e & 1 && l->k.i[e] >= 0)
-                            fixed_record(l, e, t_next, c, going ? FINE_STOP + j
-                                         : pair_end(l->x[0][e], l->x[1][e]),
-                                         out, steps, status);
+                        if (over >> e & 1 && l->k.i[e] >= 0) {
+                            record(b, l->k.i[e], l->x[0][e], l->x[1][e],
+                                   c[0].steps, c[1].steps, t_next,
+                                   going ? FINE_STOP + j
+                                   : pair_end(l->x[0][e], l->x[1][e]));
+                            l->k.i[e] = -1;  /* the element idles */
+                        }
                     if (l->k.i[0] < 0 && l->k.i[1] < 0)  /* as in run_pairs */
                         live[k--] = live[--n_live];
                 }
@@ -1103,30 +1068,29 @@ LANE_CLONES static void run_fixed(const struct pair *p, double delta_fine,
    status[i] DONE, or FINE_STOP or COARSE_STOP for the leg that stopped
    it.  Returns how many seeds stopped, so a caller reads status only
    when some did.  seed is stepped to the integer after the block's last
-   seed, so it needs room for one more word (next_seed). */
+   seed, so it needs room for one more word (take). */
 long long tamsde_block(int legs, int model, int adaptive, double delta_fine,
                        double delta_coarse, double h0, double l0, double x0,
                        double t_end, long long max_steps, unsigned char *seed,
                        size_t n_words, long long n, double *out,
                        long long *steps, int *status)
 {
-    struct pair p = {.h0 = h0, .l0 = l0, .t_end = t_end,
-                     .max_steps = max_steps, .model = model};
-    long long i, stopped = 0;
+    struct pair p = {.fine = {.delta = delta_fine, .x = x0},
+                     .coarse = {.delta = delta_coarse, .x = x0}, .h0 = h0,
+                     .l0 = l0, .t_end = t_end, .max_steps = max_steps,
+                     .model = model};
+    struct block b = {seed, n_words, 0, n, legs, out, steps, status, 0};
     if (legs == 2 && !adaptive)
-        run_fixed(&p, delta_fine, delta_coarse, x0, seed, n_words, n, out,
-                  steps, status);
+        run_fixed(&p, &b);
     else if (legs == 1) {
-        arm(&p, &p.fine, delta_fine, x0);
-        run_paths(&p, seed, n_words, n, out, steps, status);
+        arm(&p, &p.fine);
+        run_paths(&p, &b);
     } else {
-        arm(&p, &p.fine, delta_fine, x0);
-        arm(&p, &p.coarse, delta_coarse, x0);
-        run_pairs(&p, seed, n_words, n, out, steps, status);
+        arm(&p, &p.fine);
+        arm(&p, &p.coarse);
+        run_pairs(&p, &b);
     }
-    for (i = 0; i < n; i++)
-        stopped += status[i] != DONE;
-    return stopped;
+    return b.stopped;
 }
 
 /* The build of the vector runners the loader picked for this host:

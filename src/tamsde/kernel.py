@@ -394,7 +394,7 @@ def run_block(model, config, seeds, pair=None):
     steps = (ctypes.c_longlong * (legs * n))()
     status = (ctypes.c_int * n)()
     words, n_words = _words(seeds.start)
-    # room for the one word a carry past the top word adds (next_seed)
+    # room for the one word a carry past the top word adds (take, in _pair.c)
     seed = ctypes.create_string_buffer(words, len(words) + 4)
     adaptive, delta_coarse = pair or (True, 0.0)
     stopped = lib.tamsde_block(legs, number, int(adaptive), config.delta,

@@ -146,12 +146,12 @@ def _run_cell(name, head, options, n_paths, base_seed, n_jobs):
     # more workers than CPUs cannot speed up a CPU-bound cell, and a pool
     # under fork starts all of them at its first submit
     n_jobs = min(_integer(n_jobs, "n_jobs", 1), os.cpu_count() or 1)
-    # checked here as well as in each block, so a malformed argument stops
-    # the cell before any worker starts
-    _kernel_args(name, head, options)
     seeds = range(base_seed, base_seed + n_paths)
     if n_jobs <= 1 or n_paths < 2 * n_jobs:
         return _run_block((name, head, options, seeds))
+    # checked here as well as in each block, so a malformed argument stops
+    # the cell before any worker starts
+    _kernel_args(name, head, options)
     # imported by the first pooled cell only, so a serial run never loads
     # the pool machinery
     import pickle

@@ -786,6 +786,85 @@ def one_by_one(run, seeds):
         [(i, exc) for i, b in enumerate(blocks) for _, exc in b.failures])
 
 
+# sentinel items on each side of an array tamsde_block writes, and the
+# byte every one of their bytes holds
+BORDER = 4
+SENTINEL = 0xA5
+
+
+def bordered(ctype, n):
+    """n items of ctype between BORDER sentinel items on each side, every
+    byte SENTINEL, and the address of the first of the n."""
+    array = (ctype * (n + 2 * BORDER))()
+    ctypes.memset(array, SENTINEL, ctypes.sizeof(array))
+    return array, ctypes.addressof(array) + BORDER * ctypes.sizeof(ctype)
+
+
+# each runner unbudgeted, and on the budgets at k=2, T=5 that stop some of
+# seeds 1..7: gbm's first, model2's last adaptive pair, every fixed-step
+# pair, and model2's last two paths
+@pytest.mark.parametrize("size", [1, 3, 7])
+@pytest.mark.parametrize("name, clock, max_steps", [
+    ("model1", (1.0, 2.0), 10 ** 8), ("gbm", (1.0, 2.0), 300),
+    ("model2", (1.0, 2.0), 110),
+    ("model1", None, 10 ** 8), ("gbm", None, 7), ("model2", None, 30),
+    ("model1", "path", 10 ** 8), ("gbm", "path", 150),
+    ("model2", "path", 45),
+], ids=["adaptive", "adaptive-budget-gbm", "adaptive-budget-model2",
+        "fixed", "fixed-budget-gbm", "fixed-budget-model2",
+        "path", "path-budget-gbm", "path-budget-model2"])
+def test_block_writes_only_its_records(lib, name, clock, max_steps, size):
+    # tamsde_block writes each seed's record into the caller's out, steps
+    # and status and nothing beside them: the sentinels around each array
+    # stay, every inner item, a sentinel before the call, holds what
+    # kernel.run_block reads into its columns and failures, and the
+    # return is the count of seeds that stopped
+    model, seeds = get_model(name), range(1, 1 + size)
+    if clock == "path":
+        config, pair, legs = path_config(2, 5.0, max_steps=max_steps), None, 1
+    else:
+        config = SchemeConfig(0.125, 5.0, *(clock or ()), max_steps=max_steps)
+        pair, legs = (clock is not None, 0.25), 2
+    want = (path_block(model, config, seeds) if pair is None
+            else block(model, clock, 2, 5.0, seeds, max_steps))
+    arrays = [bordered(ctypes.c_double, (legs + 1) * size),
+              bordered(ctypes.c_longlong, legs * size),
+              bordered(ctypes.c_int, size)]
+    words, n_words = kernel._words(seeds.start)
+    seed = ctypes.create_string_buffer(words, len(words) + 4)
+    adaptive, delta_coarse = pair or (True, 0.0)
+    stopped = lib.tamsde_block(
+        legs, kernel._MODELS.index(name), int(adaptive), config.delta,
+        delta_coarse, config.h0, config.l0, model.x0, config.t_end,
+        config.max_steps, seed, n_words, size,
+        *(address for _, address in arrays))
+    for array, _ in arrays:
+        border = BORDER * ctypes.sizeof(array._type_)
+        assert bytes(array)[:border] == bytes([SENTINEL]) * border
+        assert bytes(array)[-border:] == bytes([SENTINEL]) * border
+    out, steps, status = (array[BORDER:-BORDER] for array, _ in arrays)
+    assert stopped == sum(code != 0 for code in status) == len(want.failures)
+    if size == 7:  # every budget stops some seed of 1..7
+        assert (stopped > 0) == (max_steps < 10 ** 8)
+    states = [out[j::legs + 1] for j in range(legs)]
+    counts = [steps[j::legs] for j in range(legs)]
+    failures = []
+    for i, code in enumerate(status):
+        t = out[(legs + 1) * i + legs]
+        if code == 0:  # DONE: the stop time is t_end
+            assert t == config.t_end
+            continue
+        leg = code - 1  # FINE_STOP (1) or COARSE_STOP (2)
+        failures.append((i, ("fine", "coarse")[leg] if pair else None,
+                         t.hex(), states[leg][i].hex(), counts[leg][i]))
+        for j in range(legs):
+            states[j][i], counts[j][i] = math.nan, 0
+    assert hexed(kernel.Block(states, counts, [])) == hexed(
+        want._replace(failures=[]))
+    assert failures == [(i, exc.leg, exc.time.hex(), exc.state.hex(),
+                         exc.steps) for i, exc in want.failures]
+
+
 def ramp(theta, jump):
     """Unit drift and no noise from 0, so a leg's state is its time; past
     theta, |mu'| = jump shrinks the adaptive step by a factor ~jump**2."""

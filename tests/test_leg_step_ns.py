@@ -76,8 +76,6 @@ def test_path_lanes_named():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert leg_step_ns.lanes(kernel.library()) in ("avx2", "baseline")
-    # a kernel from before the vector path lanes has no report
-    assert leg_step_ns.lanes(object()) == "scalar"
 
 
 def test_against_a_source_without_the_kernel(tmp_path, capsys):
@@ -89,24 +87,5 @@ def test_against_a_source_without_the_kernel(tmp_path, capsys):
         leg_step_ns.main(["--rounds", "2", "--against", str(source)])
     assert exit.value.code == 2
     assert capsys.readouterr().err == (
-        f"{source} lacks tamsde_seed, tamsde_normals\n")
-
-
-def test_against_a_source_without_the_stop_count(tmp_path):
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler on PATH")
-    # a kernel from before tamsde_block returned how many seeds stopped:
-    # every block's status is read, so its failures are kept.  gbm at k=2,
-    # T=5 spends a budget of 300 steps on seeds 1 and 9 of 0..11
-    with open(kernel._SOURCE) as fh:
-        text = fh.read()
-    source = tmp_path / "void.c"
-    source.write_text(text.replace("long long tamsde_block(",
-                                   "void tamsde_block(")
-                      .replace("    return stopped;\n", ""))
-    other = leg_step_ns.other_kernel(str(source), str(tmp_path))
-    config = SchemeConfig(0.125, 5.0, max_steps=300)
-    with leg_step_ns.using(other):
-        block = kernel.run_block(get_model("gbm"), config, range(12),
-                                 (True, 0.25))
-    assert [i for i, _ in block.failures] == [1, 9]
+        f"{source} lacks tamsde_init, tamsde_lanes, tamsde_seed, "
+        "tamsde_normals\n")

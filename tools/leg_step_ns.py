@@ -37,19 +37,16 @@ on the same recorded calls, within each round one after the other,
 taking turns at going first.  The host's speed drifts between runs by
 more than many changes move a row, so this is the comparison to trust.
 Every recorded call and fill must give the same columns and failures,
-bit for bit, on both kernels, or the tool stops with status 1.  A source
-whose tamsde_block returns nothing, from before it returned how many
-seeds stopped, has every block's status read, as kernel.run_block then
-did.  It prints each row's medians on both kernels and the median over
-the rounds of this kernel's time over the other's, its interquartile
-range and the rounds this kernel was faster in.  It exits 2 when the
-source does not build or its build lacks a function the rows call.
---rounds sets the rounds (default 7).
+bit for bit, on both kernels, or the tool stops with status 1.  It
+prints each row's medians on both kernels and the median over the rounds
+of this kernel's time over the other's, its interquartile range and the
+rounds this kernel was faster in.  It exits 2 when the source does not
+build or its build lacks a function that kernel.py loads or the rows
+call.  --rounds sets the rounds (default 7).
 
 The first line names the build of the vector runners (a block's paths
 and fixed-step pairs) each kernel runs on this host (kernel.lanes):
-"avx2", the AVX2 clone, or "baseline", or "scalar" for a kernel from
-before the vector path lanes.
+"avx2", the AVX2 clone, or "baseline".
 """
 
 import argparse
@@ -68,6 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from tamsde import PathExplosion, cli, kernel
+from tamsde.kernel import lanes
 
 _WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 SEED = 3
@@ -79,9 +77,8 @@ DRAWS = 16
 # room for the kernel's struct philox (88 bytes), which tamsde_seed sets
 # whole; the draw runs on it without reading its fields here
 PHILOX_ROOM = 256
-# the functions of a kernel the rows call; a build from before the probed
-# tables of the draw has no tamsde_init and draws through numpy's normal
-CALLED = ("tamsde_block", "tamsde_seed", "tamsde_normals")
+# the functions of a kernel that kernel.py loads and the rows call
+CALLED = kernel._EXPORTS + ("tamsde_seed", "tamsde_normals")
 
 
 class Mismatch(Exception):
@@ -177,12 +174,6 @@ def using(lib):
         kernel.library = library
 
 
-def lanes(lib):
-    """The build of its vector runners lib runs here, as kernel.lanes gives
-    it, or "scalar" for a kernel without that report."""
-    return kernel.lanes(lib) if hasattr(lib, "tamsde_lanes") else "scalar"
-
-
 def bits(value):
     """value with each float as its .hex(), each numpy array as its bytes
     and each PathExplosion as its fields, so that equal means bit for bit;
@@ -208,10 +199,8 @@ def refuse(line):
 def other_kernel(source, directory):
     """The kernel source built with this checkout's build line in
     directory and loaded, its block function declared and its draw's
-    tables filled when it has them; exits with status 2 when it
-    does not build or load, or lacks a function the rows call.  A block
-    function that returns nothing is given a stop count of 1, so every
-    block's status is read."""
+    tables filled; exits with status 2 when it does not build or load, or
+    lacks a function that kernel.py loads or the rows call."""
     target = os.path.join(directory, "other.so")
     proc = subprocess.run(kernel._command("cc", source, target),
                           stdin=subprocess.DEVNULL, capture_output=True,
@@ -227,12 +216,7 @@ def other_kernel(source, directory):
     if missing:
         refuse(f"{source} lacks {', '.join(missing)}")
     kernel._declare(lib)
-    with open(source, "rb") as fh:
-        if b"void tamsde_block(" in fh.read():
-            lib.tamsde_block.restype = None
-            lib.tamsde_block.errcheck = lambda result, func, args: 1
-    if hasattr(lib, "tamsde_init"):
-        lib.tamsde_init()
+    lib.tamsde_init()
     return lib
 
 
