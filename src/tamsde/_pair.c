@@ -21,11 +21,13 @@
  *     on a replay of the output (normal(), below).
  *
  * The scheme's formulas (the coefficients of the three models, the
- * tamed product, the step rule of propose, scheme._due, both schemes'
- * updates and propose and the Kahan sum of a pending increment) are
+ * tamed product, the step rule of propose, scheme._due, the
+ * tamed-adaptive update and the Kahan sum of a pending increment) are
  * written once, in FORMULAS, over a lane type: instantiated on a double
  * for the legs of a tamed-adaptive pair, and on a vector of two doubles
- * for two paths or two fixed-step pairs at once.  A tamed-adaptive pair
+ * for two paths or two fixed-step pairs at once.  Only vectors step
+ * fixed-step legs, so the fixed-step update and propose (tm_advance_v,
+ * tm_propose_v) are written for the vector alone.  A tamed-adaptive pair
  * is two legs (struct leg) on a merged timeline, and pair_event is one
  * event of driver._merge's loop; two paths are one leg each, in a struct
  * path_v, and path_step_v is one step of scheme._path_loop for both.  A
@@ -56,8 +58,9 @@
  * path included.  The three runners share one block protocol (struct
  * block): take is the one cursor, which hands out the block's next seed,
  * seeding its Philox and stepping the seed's 32-bit words by one, and
- * record is the one writer of the caller's arrays, which writes a seed's
- * states, stop time, step counts and return code and counts the stops.  A
+ * record is the one writer of the caller's columns, one array for each of
+ * the legs' states, the stop time, the legs' step counts and the return
+ * code, into which it writes seed i's item i, and counts the stops.  A
  * pass gives every live lane or vector one event or step, and a seed that
  * is over is recorded.  A lane or a path's element then takes the block's
  * next seed; a fixed-step pair's element idles, drawing nothing, until its
@@ -331,35 +334,15 @@ void tamsde_normals(struct philox *rng, double *out, long long n)
         out[i] = normal(philox_next(rng), rng);
 }
 
-/* A probe of numpy's normal: a bit generator whose first output is
-   first, and which counts every draw after it.  Those draws give an
-   output on strip 0 at rabs 0 and the double 0.5, on which numpy's
-   function ends within a few draws whatever its tables hold. */
-struct probe {
-    uint64_t first;
-    int draws;
-};
-
-static uint64_t probe_next(void *st)
-{
-    struct probe *p = st;
-    return p->draws++ == 0 ? p->first : 0;
-}
-
-static double probe_double(void *st)
-{
-    ((struct probe *)st)->draws++;
-    return 0.5;
-}
-
-/* numpy's normal of the output with strip idx, sign bit 0 and rabs;
-   *fast is 1 when it took the fast path, that is, drew nothing more */
+/* numpy's normal of the output with strip idx, sign bit 0 and rabs, on a
+   replay whose later draws are a zero-keyed Philox's; *fast is 1 when it
+   took the fast path, that is, drew nothing more, as any further draw
+   steps the Philox's counter */
 static double probe(unsigned idx, uint64_t rabs, int *fast)
 {
-    struct probe p = {rabs << 9 | idx, 0};
-    bitgen_t g = {&p, probe_next, philox_abort32, probe_double, probe_next};
-    double x = random_standard_normal(&g);
-    *fast = p.draws == 1;
+    struct philox rng = {{0}, {0}, {0}, 4};
+    double x = replay(rabs << 9 | idx, &rng);
+    *fast = rng.counter[0] == 0;
     return x;
 }
 
@@ -434,7 +417,8 @@ int tamsde_init(void)
    of all ones or all zeros in each element; a vector of two long longs
    holds the two paths' step counts.  The helpers below, suffixed _d for a
    double and _v for a vector, are what the two types spell differently;
-   FORMULAS is written in them, and the vector's alone in path_step_v. */
+   FORMULAS is written in them, and the vector's alone in path_step_v and
+   the fixed-step formulas. */
 typedef double vec __attribute__((vector_size(16)));
 typedef long long vmask __attribute__((vector_size(16)));
 
@@ -571,12 +555,7 @@ struct pair {
        and *qo and returns the step the leg wants.
      due_V: scheme._due.
      advance_V: the tamed-adaptive update of scheme._tam_leg.
-     pend_V: adds dz to the Kahan pair (*pw, *pc) of a pending increment.
-     tm_propose_V: propose of scheme._tm_leg, whose step is the base step
-       itself: keeps mu, sigma and sigma sigma' at x.
-     tm_advance_V: the fixed-step update of scheme._tm_leg, over the
-       duration dt, which is a generation's, one for every element.  Only
-       the vectors step fixed-step legs, so the double's copy is unused. */
+     pend_V: adds dz to the Kahan pair (*pw, *pc) of a pending increment. */
 #define FORMULAS(T, V)                                                       \
 static inline T sign_##V(T x)                                                \
 {                                                                            \
@@ -663,23 +642,28 @@ static inline void pend_##V(T *pw, T *pc, T dz)                              \
     T y = dz - *pc, s = *pw + y;                                             \
     *pc = (s - *pw) - y;                                                     \
     *pw = s;                                                                 \
-}                                                                            \
-static inline void tm_propose_##V(int model, T x, T *m, T *s, T *q)          \
-{                                                                            \
-    T mp, sp;                                                                \
-    coefficients_##V(model, x, m, &mp, s, &sp);                              \
-    *q = product_##V(*s, sp);                                                \
-}                                                                            \
-__attribute__((unused))                                                      \
-static inline T tm_advance_##V(T x, T m, T s, T q, double dt, T dw,          \
-                               double delta)                                 \
-{                                                                            \
-    return x + (m * dt + s * dw + 0.5 * q * (dw * dw - dt))                  \
-               / (1.0 + delta * (x * x));                                    \
 }
 
 FORMULAS(double, d)
 FORMULAS(vec, v)
+
+/* propose of scheme._tm_leg, whose step is the base step itself: keeps
+   mu, sigma and sigma sigma' at x */
+static inline void tm_propose_v(int model, vec x, vec *m, vec *s, vec *q)
+{
+    vec mp, sp;
+    coefficients_v(model, x, m, &mp, s, &sp);
+    *q = product_v(*s, sp);
+}
+
+/* the fixed-step update of scheme._tm_leg, over the duration dt, which is
+   a generation's, one for every element */
+static inline vec tm_advance_v(vec x, vec m, vec s, vec q, double dt, vec dw,
+                               double delta)
+{
+    return x + (m * dt + s * dw + 0.5 * q * (dw * dw - dt))
+               / (1.0 + delta * (x * x));
+}
 
 /* Two paths' fine legs, as in struct leg (the base step is the pair's
    fine leg's, and nothing is pending between steps), and their step
@@ -792,16 +776,14 @@ static __attribute__((flatten)) int pair_event(struct lane *l)
 /* --- blocks of seeds ----------------------------------------------------- */
 
 /* A block of consecutive seeds, as tamsde_block takes it: the words of the
-   next seed to start and its index, next, of n; the legs of a seed's
-   record and the caller's arrays it goes to; and how many seeds
-   stopped. */
+   next seed to start and its index, next, of n; the caller's columns a
+   seed's record goes to; and how many seeds stopped. */
 struct block {
     unsigned char *seed;
     size_t n_words;
     long long next, n;
-    int legs;
-    double *out;
-    long long *steps;
+    double *x_f, *x_c, *t;
+    long long *n_f, *n_c;
     int *status;
     long long stopped;
 };
@@ -826,19 +808,18 @@ static long long take(struct block *b, struct philox *rng)
     return b->next++;
 }
 
-/* Seed i's record: its legs' states x_f and x_c (x_c is x_f for a path)
-   and their step counts n_f and n_c, its stop time t and its return
-   code, which counts a stop unless DONE. */
+/* Seed i's record, item i of each column: its legs' states x_f and x_c
+   and their step counts n_f and n_c (a path's x_c and n_c are its x_f and
+   n_f, into the same columns), its stop time t and its return code, which
+   counts a stop unless DONE. */
 static void record(struct block *b, long long i, double x_f, double x_c,
                    long long n_f, long long n_c, double t, int code)
 {
-    double *out = b->out + (b->legs + 1) * i;
-    long long *steps = b->steps + b->legs * i;
-    out[0] = x_f;
-    out[b->legs - 1] = x_c;
-    out[b->legs] = t;
-    steps[0] = n_f;
-    steps[b->legs - 1] = n_c;
+    b->x_f[i] = x_f;
+    b->x_c[i] = x_c;
+    b->t[i] = t;
+    b->n_f[i] = n_f;
+    b->n_c[i] = n_c;
     b->status[i] = code;
     b->stopped += code != DONE;
 }
@@ -988,12 +969,11 @@ struct fixed_lanes {
 LANE_CLONES static void run_fixed(const struct pair *p, struct block *b)
 {
     struct fixed_lanes lanes[VECTORS], *live[VECTORS], first;
-    double m, s, q, x0 = p->fine.x;
+    vec m, s, q, x0 = splat_v(p->fine.x);
     int n_live, k, e, j;
-    tm_propose_d(p->model, x0, &m, &s, &q);
-    first = (struct fixed_lanes){.x = {{x0, x0}, {x0, x0}},
-                                 .m = {{m, m}, {m, m}}, .s = {{s, s}, {s, s}},
-                                 .q = {{q, q}, {q, q}}};
+    tm_propose_v(p->model, x0, &m, &s, &q);
+    first = (struct fixed_lanes){.x = {x0, x0}, .m = {m, m}, .s = {s, s},
+                                 .q = {q, q}};
     while (b->next < b->n) {
         struct tick c[2] = {
             {p->fine.delta, 0.0, due_d(0.0, p->fine.delta, p->t_end), 0},
@@ -1057,32 +1037,35 @@ LANE_CLONES static void run_fixed(const struct pair *p, struct block *b)
     }
 }
 
+/* the runner codes of tamsde_block */
+enum { PATHS, PAIRS, FIXED };
+
 /* For each of the n seeds from the integer whose n_words 32-bit words
-   seed holds (as tamsde_seed takes them), on that seed's own Philox: the
-   pair of driver._merge when legs is 2 (two tamed-adaptive legs when
-   adaptive is 1, two fixed-step legs when it is 0), and
-   scheme._path_loop storing nothing when it is 1 (then adaptive is 1
-   and delta_coarse is not read).  out[(legs + 1)i + j] is leg j's state
-   (fine, then coarse) and out[(legs + 1)i + legs] the stop time (t_end
-   when the seed is DONE), steps[legs i + j] leg j's step count, and
-   status[i] DONE, or FINE_STOP or COARSE_STOP for the leg that stopped
-   it.  Returns how many seeds stopped, so a caller reads status only
-   when some did.  seed is stepped to the integer after the block's last
-   seed, so it needs room for one more word (take). */
-long long tamsde_block(int legs, int model, int adaptive, double delta_fine,
+   seed holds (as tamsde_seed takes them), on that seed's own Philox, by
+   runner: scheme._path_loop storing nothing (PATHS; delta_coarse is not
+   read), or the pair of driver._merge of two tamed-adaptive legs (PAIRS)
+   or two fixed-step legs (FIXED).  Item i of each of the caller's n-item
+   columns is seed i's: x_f and x_c the fine and coarse leg's states, t
+   the stop time (t_end when the seed is DONE), n_f and n_c the legs' step
+   counts, and status DONE, or FINE_STOP or COARSE_STOP for the leg that
+   stopped it.  A path has one leg: x_c and n_c are x_f and n_f, and get
+   the same items.  Returns how many seeds stopped, so a caller reads
+   status only when some did.  seed is stepped to the integer after the
+   block's last seed, so it needs room for one more word (take). */
+long long tamsde_block(int runner, int model, double delta_fine,
                        double delta_coarse, double h0, double l0, double x0,
                        double t_end, long long max_steps, unsigned char *seed,
-                       size_t n_words, long long n, double *out,
-                       long long *steps, int *status)
+                       size_t n_words, long long n, double *x_f, double *x_c,
+                       double *t, long long *n_f, long long *n_c, int *status)
 {
     struct pair p = {.fine = {.delta = delta_fine, .x = x0},
                      .coarse = {.delta = delta_coarse, .x = x0}, .h0 = h0,
                      .l0 = l0, .t_end = t_end, .max_steps = max_steps,
                      .model = model};
-    struct block b = {seed, n_words, 0, n, legs, out, steps, status, 0};
-    if (legs == 2 && !adaptive)
+    struct block b = {seed, n_words, 0, n, x_f, x_c, t, n_f, n_c, status, 0};
+    if (runner == FIXED)
         run_fixed(&p, &b);
-    else if (legs == 1) {
+    else if (runner == PATHS) {
         arm(&p, &p.fine);
         run_paths(&p, &b);
     } else {

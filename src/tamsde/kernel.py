@@ -9,12 +9,16 @@ run_block runs a block of consecutive seeds of any size in one call
 port of numpy's SeedSequence and Philox, so each seed draws the normals a
 fresh NoiseSource(seed) draws (the port has no 32-bit output, which
 numpy's normal never draws: that slot of its bitgen_t aborts); it runs
-that seed's pair or path and returns what a caller keeps of it, the
-block as columns (Block: each leg's terminal states and step counts, as
-views of the arrays C wrote, and each failed seed's index and the
-PathExplosion its own run raises), so no NoiseSource, sample, trajectory
-or tuple is built per seed.  tamsde_block returns how many seeds
-stopped, so a block in which none did reads no per-seed status.  The kernel keeps several seeds of a
+that seed's pair or path, by the runner its code names (paths, adaptive
+pairs or fixed-step pairs), and returns what a caller keeps of it, the
+block as columns (Block: each leg's terminal states and step counts, the
+arrays C wrote in place, item i seed i's, and each failed seed's index
+and the PathExplosion its own run raises), so no NoiseSource, sample,
+trajectory or tuple is built per seed.  tamsde_block returns how many
+seeds stopped, so a block in which none did reads no per-seed status.
+A path's one leg is written as both legs, into the same arrays.  Every
+route of a block gives its columns as arrays, which a pool sends back
+as they are.  The kernel keeps several seeds of a
 block in flight, each with its own Philox: a block's tamed-adaptive
 pairs in four lanes, its paths and its fixed-step pairs two to a SIMD
 vector of two doubles, in three vectors whose packed operations step
@@ -92,6 +96,7 @@ import os
 import shutil
 import tempfile
 import time
+from array import array
 
 from . import driver, scheme
 from .driver import NoiseSource
@@ -130,11 +135,17 @@ _MODELS = ("model1", "model2", "gbm")
 # either and is passed to C as this
 _INT64_MAX = 2 ** 63 - 1
 _NAN = float("nan")
+# tamsde_block's runner codes (enum in _pair.c)
+_PATHS, _PAIRS, _FIXED = range(3)
+# one zero item of each column type, repeated into a block's columns: a
+# state or stop time (double), a step count (long long), a status (int)
+_DOUBLE, _STEPS, _STATUS = array("d", [0.0]), array("q", [0]), array("i", [0])
 
-# A block's outcome as columns, in seed order: states holds each leg's
-# terminal states (fine, then coarse; a path has one leg), steps each leg's
-# step counts, and failures an (index in the block, PathExplosion) pair for
-# each seed that stopped, whose entries in the columns are nan and 0.
+# A block's outcome as columns, in seed order, each an array: states holds
+# each leg's terminal states (fine, then coarse; a path has one leg), steps
+# each leg's step counts, and failures an (index in the block,
+# PathExplosion) pair for each seed that stopped, whose entries in the
+# columns are nan and 0.
 Block = collections.namedtuple("Block", "states steps failures")
 
 
@@ -205,10 +216,10 @@ def _open(directory, name):
 
 def _declare(lib):
     """Declare the argument and result types of lib's block function."""
-    lib.tamsde_block.argtypes = ([ctypes.c_int] * 3 + [ctypes.c_double] * 6
+    lib.tamsde_block.argtypes = ([ctypes.c_int] * 2 + [ctypes.c_double] * 6
                                  + [ctypes.c_longlong, ctypes.c_char_p,
                                     ctypes.c_size_t, ctypes.c_longlong]
-                                 + [ctypes.c_void_p] * 3)
+                                 + [ctypes.c_void_p] * 6)
     lib.tamsde_block.restype = ctypes.c_longlong
 
 
@@ -333,7 +344,6 @@ def _seeded(seeds, run, legs):
     each of the legs' states then each leg's step count, across the
     columns, or the PathExplosion it raised as a failure.  The one per-seed
     loop of a block that does not run in C."""
-    from array import array  # imported by a block C does not run only
     columns = [array(code) for code in "d" * legs + "q" * legs]
     failures = []
     for i, seed in enumerate(seeds):
@@ -379,7 +389,7 @@ def run_block(model, config, seeds, pair=None):
     counts, a path's terminal state and step count, or the PathExplosion
     that run raises, built by the same _stop.  The kernel takes a block of
     a built-in model, and a path of its block stores no trajectory; its
-    columns are views of the arrays it wrote.
+    columns are the arrays it wrote.
     """
     if not (isinstance(seeds, range) and seeds.step == 1
             and seeds.start >= 0):
@@ -390,29 +400,27 @@ def run_block(model, config, seeds, pair=None):
         return _reference_block(model, config, seeds, pair)
     n = len(seeds)
     legs = 1 if pair is None else 2
-    out = (ctypes.c_double * ((legs + 1) * n))()
-    steps = (ctypes.c_longlong * (legs * n))()
-    status = (ctypes.c_int * n)()
+    x_f, t, n_f, status = _DOUBLE * n, _DOUBLE * n, _STEPS * n, _STATUS * n
+    # a path's one leg is written as both legs
+    x_c, n_c = (x_f, n_f) if pair is None else (_DOUBLE * n, _STEPS * n)
+    block = Block((x_f, x_c)[:legs], (n_f, n_c)[:legs], [])
+    adaptive, delta_coarse = pair or (True, 0.0)
+    runner = _PATHS if pair is None else _PAIRS if adaptive else _FIXED
     words, n_words = _words(seeds.start)
     # room for the one word a carry past the top word adds (take, in _pair.c)
     seed = ctypes.create_string_buffer(words, len(words) + 4)
-    adaptive, delta_coarse = pair or (True, 0.0)
-    stopped = lib.tamsde_block(legs, number, int(adaptive), config.delta,
-                               delta_coarse, config.h0, config.l0, model.x0,
-                               config.t_end, min(config.max_steps, _INT64_MAX),
-                               seed, n_words, n, out, steps, status)
-    # a seed's states and stop time, then its step counts, side by side
-    out = memoryview(out).cast("B").cast("d")
-    block = Block(tuple(out[j::legs + 1] for j in range(legs)),
-                  tuple(memoryview(steps).cast("B").cast("q")[j::legs]
-                        for j in range(legs)), [])
+    stopped = lib.tamsde_block(
+        runner, number, config.delta, delta_coarse, config.h0, config.l0,
+        model.x0, config.t_end, min(config.max_steps, _INT64_MAX), seed,
+        n_words, n, x_f.buffer_info()[0], x_c.buffer_info()[0],
+        t.buffer_info()[0], n_f.buffer_info()[0], n_c.buffer_info()[0],
+        status.buffer_info()[0])
     for i, code in enumerate(status if stopped else ()):
         if code:  # FINE_STOP (1) or COARSE_STOP (2): that leg stopped
             leg = code - 1
             block.failures.append((i, _stop(
-                ("fine", "coarse")[leg] if pair else None,
-                out[(legs + 1) * i + legs], block.states[leg][i],
-                block.steps[leg][i], config.max_steps)))
+                ("fine", "coarse")[leg] if pair else None, t[i],
+                block.states[leg][i], block.steps[leg][i], config.max_steps)))
             for j in range(legs):
                 block.states[j][i], block.steps[j][i] = _NAN, 0
     return block

@@ -14,9 +14,10 @@ module at call time: a caller that rebinds one (a tracer, a test forcing
 an explosion) has it called once per seed, through the kernel's one
 per-seed loop (kernel._seeded).  Either way a cell yields the kernel's
 columns (kernel.Block): each leg's terminal states and step counts in
-seed order, a failed seed's nan and 0, and the PathExplosion that ended
-each failed seed, with its leg, time, state and steps.  A pooled cell
-joins its blocks' columns in seed order.
+seed order, as arrays, a failed seed's nan and 0, and the PathExplosion
+that ended each failed seed, with its leg, time, state and steps.  A
+pooled cell's workers send their blocks back as they are, and the cell
+joins their columns in seed order.
 
 All reductions go through math.fsum (exact summation), which makes every
 aggregate independent of chunking and scheduling order; a worker pool can
@@ -128,15 +129,6 @@ def _run_block(args):
     return kernel._seeded(seeds, run, 1 if path else 2)
 
 
-def _pooled_block(args):
-    """Worker of a pooled cell: _run_block's Block with its columns copied
-    into arrays, which a pool can send back."""
-    from array import array  # imported by a pooled cell only
-    states, steps, failures = _run_block(args)
-    return (tuple(array("d", c) for c in states),
-            tuple(array("q", c) for c in steps), failures)
-
-
 def _run_cell(name, head, options, n_paths, base_seed, n_jobs):
     """The kernel.Block of seeds base_seed..base_seed+n_paths-1: a pooled
     cell's blocks' columns joined in seed order, and each failure's index
@@ -172,8 +164,8 @@ def _run_cell(name, head, options, n_paths, base_seed, n_jobs):
     try:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             (states, steps, failures), *rest = pool.map(
-                _pooled_block, [(name, head, options, seeds[i:i + chunk])
-                                for i in range(0, n_paths, chunk)])
+                _run_block, [(name, head, options, seeds[i:i + chunk])
+                             for i in range(0, n_paths, chunk)])
     except BrokenProcessPool as exc:
         raise EstimationError(
             f"a worker process died before the cell finished ({exc})") from None

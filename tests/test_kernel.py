@@ -814,49 +814,54 @@ def bordered(ctype, n):
         "fixed", "fixed-budget-gbm", "fixed-budget-model2",
         "path", "path-budget-gbm", "path-budget-model2"])
 def test_block_writes_only_its_records(lib, name, clock, max_steps, size):
-    # tamsde_block writes each seed's record into the caller's out, steps
-    # and status and nothing beside them: the sentinels around each array
-    # stay, every inner item, a sentinel before the call, holds what
-    # kernel.run_block reads into its columns and failures, and the
-    # return is the count of seeds that stopped
+    # tamsde_block writes each seed's record into the caller's columns x_f,
+    # x_c, t, n_f, n_c and status and nothing beside them: the sentinels
+    # around each column stay, every inner item, a sentinel before the
+    # call, holds what kernel.run_block reads into its columns and
+    # failures, and the return is the count of seeds that stopped.  A path
+    # passes its x_f and n_f columns as x_c and n_c too.
     model, seeds = get_model(name), range(1, 1 + size)
     if clock == "path":
         config, pair, legs = path_config(2, 5.0, max_steps=max_steps), None, 1
+        runner, delta_coarse = 0, 0.0  # PATHS
     else:
         config = SchemeConfig(0.125, 5.0, *(clock or ()), max_steps=max_steps)
         pair, legs = (clock is not None, 0.25), 2
+        runner, delta_coarse = (1 if clock else 2), 0.25  # PAIRS or FIXED
     want = (path_block(model, config, seeds) if pair is None
             else block(model, clock, 2, 5.0, seeds, max_steps))
-    arrays = [bordered(ctypes.c_double, (legs + 1) * size),
-              bordered(ctypes.c_longlong, legs * size),
-              bordered(ctypes.c_int, size)]
+    x_f, t, n_f, status = (bordered(ctypes.c_double, size),
+                           bordered(ctypes.c_double, size),
+                           bordered(ctypes.c_longlong, size),
+                           bordered(ctypes.c_int, size))
+    x_c, n_c = ((x_f, n_f) if legs == 1 else
+                (bordered(ctypes.c_double, size),
+                 bordered(ctypes.c_longlong, size)))
+    columns = [x_f, x_c, t, n_f, n_c, status]
     words, n_words = kernel._words(seeds.start)
     seed = ctypes.create_string_buffer(words, len(words) + 4)
-    adaptive, delta_coarse = pair or (True, 0.0)
     stopped = lib.tamsde_block(
-        legs, kernel._MODELS.index(name), int(adaptive), config.delta,
-        delta_coarse, config.h0, config.l0, model.x0, config.t_end,
-        config.max_steps, seed, n_words, size,
-        *(address for _, address in arrays))
-    for array, _ in arrays:
+        runner, kernel._MODELS.index(name), config.delta, delta_coarse,
+        config.h0, config.l0, model.x0, config.t_end, config.max_steps, seed,
+        n_words, size, *(address for _, address in columns))
+    for array, _ in columns:
         border = BORDER * ctypes.sizeof(array._type_)
         assert bytes(array)[:border] == bytes([SENTINEL]) * border
         assert bytes(array)[-border:] == bytes([SENTINEL]) * border
-    out, steps, status = (array[BORDER:-BORDER] for array, _ in arrays)
+    x_f, x_c, t, n_f, n_c, status = (array[BORDER:-BORDER]
+                                     for array, _ in columns)
     assert stopped == sum(code != 0 for code in status) == len(want.failures)
     if size == 7:  # every budget stops some seed of 1..7
         assert (stopped > 0) == (max_steps < 10 ** 8)
-    states = [out[j::legs + 1] for j in range(legs)]
-    counts = [steps[j::legs] for j in range(legs)]
+    states, counts = [x_f, x_c][:legs], [n_f, n_c][:legs]
     failures = []
     for i, code in enumerate(status):
-        t = out[(legs + 1) * i + legs]
         if code == 0:  # DONE: the stop time is t_end
-            assert t == config.t_end
+            assert t[i] == config.t_end
             continue
         leg = code - 1  # FINE_STOP (1) or COARSE_STOP (2)
         failures.append((i, ("fine", "coarse")[leg] if pair else None,
-                         t.hex(), states[leg][i].hex(), counts[leg][i]))
+                         t[i].hex(), states[leg][i].hex(), counts[leg][i]))
         for j in range(legs):
             states[j][i], counts[j][i] = math.nan, 0
     assert hexed(kernel.Block(states, counts, [])) == hexed(

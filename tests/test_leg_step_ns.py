@@ -89,3 +89,23 @@ def test_against_a_source_without_the_kernel(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"{source} lacks tamsde_init, tamsde_lanes, tamsde_seed, "
         "tamsde_normals\n")
+
+
+def test_against_a_source_with_other_block_parameters(tmp_path, capsys):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    # the kernel with one parameter of tamsde_block of another type builds
+    # and has every function, but this checkout's declaration would pass it
+    # the wrong arguments: refused before any call
+    text = Path(kernel._SOURCE).read_text()
+    assert text.count("long long n, double *x_f") == 1
+    source = tmp_path / "other.c"
+    source.write_text(text.replace("long long n, double *x_f",
+                                   "int n, double *x_f"))
+    ours = leg_step_ns.block_parameters(kernel._SOURCE)
+    theirs = ours.replace("long long n,", "int n,")
+    with pytest.raises(SystemExit) as exit:
+        leg_step_ns.main(["--rounds", "2", "--against", str(source)])
+    assert exit.value.code == 2
+    assert capsys.readouterr().err == (
+        f"{source}'s tamsde_block takes ({theirs}), not ({ours})\n")

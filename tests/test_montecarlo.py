@@ -1,5 +1,6 @@
 """Monte Carlo aggregation: MSE rows, moments, step counts, failures."""
 
+import array
 import concurrent.futures
 import dataclasses
 import math
@@ -298,6 +299,26 @@ class TestRecords:
         pooled = _run_cell(name, head, options, 30, 40, 2)
         assert block_key(pooled) == block_key(serial)
         assert len(pooled.failures) == n_stopped
+
+    @pytest.mark.parametrize("name, head, options, n_stopped", RECORD_BLOCKS,
+                             ids=RECORD_IDS)
+    def test_every_route_gives_array_columns(self, monkeypatch, two_cpus,
+                                             name, head, options, n_stopped):
+        # a C block of each runner, a declined block, a 2-worker pooled
+        # cell and the rebound per-seed route all give each column as an
+        # array: 'd' for states and 'q' for step counts
+        block = (name, head, options, range(40, 70))
+        routes = [_run_block(block), _run_cell(name, head, options, 30, 40, 2)]
+        rebind(monkeypatch, name)
+        routes.append(_run_block(block))
+        for states, steps, failures in routes:
+            assert len(failures) == n_stopped
+            assert [(type(c), c.typecode) for c in states] == (
+                [(array.array, "d")] * len(states))
+            assert [(type(c), c.typecode) for c in steps] == (
+                [(array.array, "q")] * len(steps))
+            assert len(states) == len(steps) == (
+                1 if name == "simulate_path" else 2)
 
 
     def test_declined_cells_pooled_equal_serial(self, tmp_path):

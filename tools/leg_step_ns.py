@@ -41,8 +41,12 @@ bit for bit, on both kernels, or the tool stops with status 1.  It
 prints each row's medians on both kernels and the median over the rounds
 of this kernel's time over the other's, its interquartile range and the
 rounds this kernel was faster in.  It exits 2 when the source does not
-build or its build lacks a function that kernel.py loads or the rows
-call.  --rounds sets the rounds (default 7).
+build, its build lacks a function that kernel.py loads or the rows call,
+or its tamsde_block's parameter list differs from this checkout's (white
+space aside): the tool calls both kernels with this checkout's
+arguments, which another list would read wrongly, so time a kernel with
+other arguments by separate runs of the tool in each checkout.
+--rounds sets the rounds (default 7).
 
 The first line names the build of the vector runners (a block's paths
 and fixed-step pairs) each kernel runs on this host (kernel.lanes):
@@ -54,12 +58,14 @@ import contextlib
 import ctypes
 import io
 import os
+import re
 import runpy
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -177,8 +183,8 @@ def using(lib):
 def bits(value):
     """value with each float as its .hex(), each numpy array as its bytes
     and each PathExplosion as its fields, so that equal means bit for bit;
-    a column, a view of the kernel's array, is read as a list."""
-    if isinstance(value, (list, tuple, memoryview)):
+    a column, an array, is read as a list, as its nan items are unequal."""
+    if isinstance(value, (list, tuple, array)):
         return [bits(v) for v in value]
     if isinstance(value, float):
         return value.hex()
@@ -196,11 +202,21 @@ def refuse(line):
     raise SystemExit(2)
 
 
+def block_parameters(source):
+    """The parameter list of the definition of tamsde_block in the C
+    source file, white space collapsed; None when there is none."""
+    found = re.search(r"\btamsde_block\s*\(([^)]*)\)\s*\{",
+                      Path(source).read_text())
+    return found and " ".join(found.group(1).split())
+
+
 def other_kernel(source, directory):
     """The kernel source built with this checkout's build line in
     directory and loaded, its block function declared and its draw's
-    tables filled; exits with status 2 when it does not build or load, or
-    lacks a function that kernel.py loads or the rows call."""
+    tables filled; exits with status 2 when it does not build or load,
+    lacks a function that kernel.py loads or the rows call, or its
+    tamsde_block takes other parameters than this checkout's, which the
+    block function's declaration would pass it wrongly."""
     target = os.path.join(directory, "other.so")
     proc = subprocess.run(kernel._command("cc", source, target),
                           stdin=subprocess.DEVNULL, capture_output=True,
@@ -215,6 +231,9 @@ def other_kernel(source, directory):
     missing = [f for f in CALLED if not hasattr(lib, f)]
     if missing:
         refuse(f"{source} lacks {', '.join(missing)}")
+    theirs, ours = block_parameters(source), block_parameters(kernel._SOURCE)
+    if theirs != ours:
+        refuse(f"{source}'s tamsde_block takes ({theirs}), not ({ours})")
     kernel._declare(lib)
     lib.tamsde_init()
     return lib
