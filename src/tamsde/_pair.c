@@ -49,13 +49,14 @@
  * handed to numpy's normal aborts (philox_abort32).  Each step of a
  * seed is one chain of dependent operations, so one seed alone leaves
  * most of the processor idle; the seeds' chains overlap.  A block's
- * tamed-adaptive pairs run in LANES scalar lanes (struct lane), its paths
- * and its fixed-step pairs in VECTORS vectors of two (struct path_lanes,
- * struct fixed_lanes), whose packed operations step two seeds at once;
- * each seed's draw, its pow calls, its step count and its record stay its
- * own.  Of the draw's state a lane or an element holds only its seed's
- * Philox, which every draw reads, the rare one off the ziggurat's fast
- * path included.  The three runners share one block protocol (struct
+ * tamed-adaptive pairs run in LANES scalar lanes (struct lane), or
+ * MODEL2_LANES for model2, its paths and its fixed-step pairs in VECTORS
+ * vectors of two (struct path_lanes, struct fixed_lanes), whose packed
+ * operations step two seeds at once; each seed's draw, its pow calls, its
+ * step count and its record stay its own.  Of the draw's state a lane or
+ * an element holds only its seed's Philox, which every draw reads, the
+ * rare one off the ziggurat's fast path included.  The three runners
+ * share one block protocol (struct
  * block): take is the one cursor, which hands out the block's next seed,
  * seeding its Philox and stepping the seed's 32-bit words by one, and
  * record is the one writer of the caller's columns, one array for each of
@@ -79,10 +80,16 @@
  * the one baseline build is portable GNU C vector code.  Neither moves a
  * bit: each element's operations are the scalar ones.
  *
- * tamsde_seed and tamsde_normals, the lanes' draw, are exported for the
- * tests that check the port against numpy; the structs are known only to
- * this file (and to that test's mirror of struct philox).
+ * A Monte Carlo cell's columns are reduced here too (tamsde_sums), to
+ * the sums montecarlo's Python reduction takes, on a port of CPython's
+ * math.fsum, so the row's bits are the same.
+ *
+ * tamsde_seed and tamsde_normals, the lanes' draw, and tamsde_fsum, the
+ * port of math.fsum, are exported for the tests that check the ports
+ * against numpy and Python; the structs are known only to this file (and
+ * to that test's mirror of struct philox).
  */
+#include <errno.h>
 #include <float.h>
 #include <math.h>
 #include <pthread.h>
@@ -462,13 +469,34 @@ static inline unsigned bits_v(vmask m)
 }
 #endif
 
+/* e, hidden from the compiler by an empty asm that may change it, so
+   every pow of a constant exponent stays a call of libm's pow: gcc 12 at
+   -O3 compiles two pow(x, 0.5) of a vector's elements to one square
+   root, and pow(x, 2.0) to a multiply, and glibc's pow is not always
+   either (ROADMAP, Rejected).  The asm takes e in its floating-point
+   register where the constraint is known: with e in memory on x86-64,
+   tools/leg_step_ns.py read rate-rough and compare-smooth/tam ~1.5%
+   slower (2-core AMD EPYC, gcc 12). */
+#if defined(__x86_64__)
+#define OPAQUE(e) __asm__("" : "+x"(e))
+#elif defined(__aarch64__)
+#define OPAQUE(e) __asm__("" : "+w"(e))
+#else
+#define OPAQUE(e) __asm__("" : "+m"(e))
+#endif
+
 /* a double's helpers are C's own; its comparisons give an int, 0 or 1 */
 #define splat_d(x) (x)
 #define select_d(c, a, b) ((c) ? (a) : (b))
 #define abs_d fabs
 #define isinf_d isinf
 #define copysign_d copysign
-#define powabs_d(x, e) pow(fabs(x), e)
+
+static inline double powabs_d(double x, double e)
+{
+    OPAQUE(e);
+    return pow(fabs(x), e);
+}
 
 static inline vec splat_v(double x)
 {
@@ -508,7 +536,10 @@ static inline vec copysign_v(double a, vec b)
 /* libm pow of |x| for each element, as pow(fabs(x), e) */
 static inline vec powabs_v(vec x, double e)
 {
-    vec a = abs_v(x), r = {pow(a[0], e), pow(a[1], e)};
+    vec a = abs_v(x), r;
+    OPAQUE(e);
+    r[0] = pow(a[0], e);
+    r[1] = pow(a[1], e);
     return r;
 }
 
@@ -824,9 +855,15 @@ static void record(struct block *b, long long i, double x_f, double x_c,
     b->stopped += code != DONE;
 }
 
-/* the seeds a block keeps in flight: LANES adaptive pairs, or VECTORS
-   vectors of two paths or two fixed-step pairs */
-#define LANES 4
+/* the seeds a block keeps in flight: adaptive pairs in LANES lanes of
+   model1 or gbm and MODEL2_LANES of model2, or VECTORS vectors of two
+   paths or two fixed-step pairs.  model2's three pow calls a leg-step
+   keep the processor busy with fewer lanes than the other models' plain
+   arithmetic: with 4 lanes for every model, tools/leg_step_ns.py read
+   rate-rough (model2) at 1.04 and compare-smooth/tam (model1) at 1.05
+   of these counts' time (15 rounds, 2-core AMD EPYC, gcc 12). */
+#define LANES 3
+#define MODEL2_LANES 2
 #define VECTORS 3
 
 /* Start lane l on the block's next seed, with the pair as every seed
@@ -838,18 +875,18 @@ static int begin(struct lane *l, const struct pair *start, struct block *b)
     return (l->i = take(b, &l->rng)) >= 0;
 }
 
-/* Each of the block's tamed-adaptive pairs, from start.  LANES seeds are
-   in flight, each on its own Philox; a pass gives every live lane one
-   event, a lane left alone (the one lane of a block of one) included, and
-   a lane whose seed is over writes its record and starts the block's next
-   seed.  Each seed runs the same operations in the same order as it would
-   alone, so only the order of the work across seeds depends on the
-   lanes. */
+/* Each of the block's tamed-adaptive pairs, from start.  LANES seeds, or
+   MODEL2_LANES of model2, are in flight, each on its own Philox; a pass
+   gives every live lane one event, a lane left alone (the one lane of a
+   block of one) included, and a lane whose seed is over writes its
+   record and starts the block's next seed.  Each seed runs the same
+   operations in the same order as it would alone, so only the order of
+   the work across seeds depends on the lanes. */
 static void run_pairs(const struct pair *start, struct block *b)
 {
     struct lane lanes[LANES], *live[LANES];
-    int n_live = 0, k;
-    for (; n_live < LANES && begin(&lanes[n_live], start, b); n_live++)
+    int n_live = 0, k, width = start->model == MODEL2 ? MODEL2_LANES : LANES;
+    for (; n_live < width && begin(&lanes[n_live], start, b); n_live++)
         live[n_live] = &lanes[n_live];
     while (n_live > 0)
         for (k = 0; k < n_live; k++) {
@@ -1087,4 +1124,164 @@ const char *tamsde_lanes(void)
         return "avx2";
 #endif
     return "baseline";
+}
+
+/* --- a Monte Carlo cell's sums ------------------------------------------- */
+
+/* The errors of tamsde_fsum and tamsde_sums: math.fsum's two, CPython's
+   float ** overflowing, and no memory for a cell's values (kernel.py
+   raises each as Python does). */
+enum { SUM_OK, SUM_OVERFLOW, SUM_INF_MINUS_INF, POW_OVERFLOW, NO_MEMORY };
+
+/* A sum's partials never overlap (Shewchuk, "Adaptive precision
+   floating-point arithmetic and fast robust geometric predicates",
+   Discrete Comput. Geom. 1997): each holds bits of its own, of the 2098
+   bit positions of a finite double, 2**-1074 to 2**1023. */
+#define PARTIALS 2098
+
+/* CPython's math.fsum (Modules/mathmodule.c), ported statement for
+   statement: *sum = the sum of the n values v, or of the n step counts c
+   when v is NULL, as math.fsum of an array of them.  The summands are
+   kept exactly as the partials p[0..m), in increasing magnitude, and
+   rounded once at the end, with CPython's half-even correction across
+   partials; a nan or infinite summand is set aside in special (an
+   infinite one in inf too) and empties the partials.  Returns SUM_OK,
+   or the error math.fsum raises: SUM_OVERFLOW at the first finite
+   summand whose partials overflow, SUM_INF_MINUS_INF at the end. */
+static int fsum_of(const double *v, const long long *c, long long n,
+                   double *sum)
+{
+    double p[PARTIALS], x, y, t, xsave, special = 0.0, inf = 0.0, hi, yr,
+           lo = 0.0;
+    long long k;
+    int i, j, m = 0;
+    for (k = 0; k < n; k++) {  /* for x in iterable */
+        x = xsave = v != NULL ? v[k] : (double)c[k];
+        for (i = j = 0; j < m; j++) {  /* for y in partials */
+            y = p[j];
+            if (fabs(x) < fabs(y)) {
+                t = x;
+                x = y;
+                y = t;
+            }
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                p[i++] = lo;
+            x = hi;
+        }
+        m = i;  /* p[i:] = [x] */
+        if (x == 0.0)
+            continue;
+        if (isfinite(x))
+            p[m++] = x;
+        else if (isfinite(xsave))
+            return SUM_OVERFLOW;  /* an intermediate overflow */
+        else {
+            if (isinf(xsave))
+                inf += xsave;
+            special += xsave;
+            m = 0;
+        }
+    }
+    if (special != 0.0) {
+        *sum = special;
+        return isnan(inf) ? SUM_INF_MINUS_INF : SUM_OK;
+    }
+    hi = 0.0;
+    if (m > 0) {
+        hi = p[--m];
+        /* from the top, until the sum becomes inexact */
+        while (m > 0) {
+            x = hi;
+            y = p[--m];
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                break;
+        }
+        /* half-even rounding across the partials left */
+        if (m > 0 && ((lo < 0.0 && p[m - 1] < 0.0)
+                      || (lo > 0.0 && p[m - 1] > 0.0))) {
+            y = lo * 2.0;
+            x = hi + y;
+            yr = x - hi;
+            if (y == yr)
+                hi = x;
+        }
+    }
+    *sum = hi;
+    return SUM_OK;
+}
+
+/* math.fsum of the n values v, for the tests */
+int tamsde_fsum(const double *v, long long n, double *sum)
+{
+    return fsum_of(v, NULL, n, sum);
+}
+
+/* *r = a ** e as CPython's float ** gives it for a base a >= 0 or nan
+   and an exponent e > 0; 1 when it raises OverflowError.  A nan or
+   infinite base is its own power, before pow is called; else pow's
+   result overflows when it is infinite or pow set errno and did not
+   underflow to 0 (_Py_ADJUST_ERANGE1). */
+static int py_pow(double a, double e, double *r)
+{
+    if (!isfinite(a)) {
+        *r = a;
+        return 0;
+    }
+    OPAQUE(e);
+    errno = 0;
+    *r = pow(a, e);
+    return isinf(*r) || (errno != 0 && *r != 0.0);
+}
+
+/* The sums montecarlo builds a cell's row from, as its Python reduction
+   takes them from the cell's n seeds.  A seed's value is a pair cell's
+   squared difference d * d, d = x_f[i] - x_c[i], kept unless nan (a
+   failed seed's), when p is 0, else a path cell's |x_f[i]| ** p, kept if
+   finite (an overflow fails the seed), and x_c is not read.  *kept is
+   the count of kept values, sums[0] their fsum and sums[1], when two or
+   more are kept, the fsum of pow(|v - mean|, 2.0) over them, mean =
+   sums[0] / *kept, as (v - mean) ** 2 in Python; then sums[2] and
+   sums[3] the fsums of the step columns n_f and n_c, unless NULL.  A
+   sum not taken is 0.0.  Returns the first error in that order, which
+   ends the sums, as Python raises it; *kept is set in any case. */
+int tamsde_sums(long long n, const double *x_f, const double *x_c, double p,
+                const long long *n_f, const long long *n_c, long long *kept,
+                double *sums)
+{
+    double *v = calloc(n > 0 ? (size_t)n : 1, sizeof *v), d, mean;
+    long long i, k = 0;
+    int error;
+    if (v == NULL)
+        return NO_MEMORY;
+    for (i = 0; i < n; i++)
+        if (p == 0.0) {
+            d = x_f[i] - x_c[i];
+            v[k] = d * d;
+            k += v[k] == v[k];
+        } else
+            k += !py_pow(fabs(x_f[i]), p, &v[k]) && isfinite(v[k]);
+    *kept = k;
+    sums[0] = sums[1] = sums[2] = sums[3] = 0.0;
+    error = fsum_of(v, NULL, k, &sums[0]);
+    if (!error && k > 1) {
+        /* the squares up to the first that overflows, each in place */
+        mean = sums[0] / (double)k;
+        for (i = 0; i < k && !py_pow(fabs(v[i] - mean), 2.0, &v[i]); i++)
+            continue;
+        error = fsum_of(v, NULL, i, &sums[1]);
+        if (!error && i < k)
+            error = POW_OVERFLOW;
+    }
+    free(v);
+    if (!error && n_f != NULL)
+        error = fsum_of(NULL, n_f, n, &sums[2]);
+    if (!error && n_c != NULL)
+        error = fsum_of(NULL, n_c, n, &sums[3]);
+    return error;
 }

@@ -20,7 +20,8 @@ A path's one leg is written as both legs, into the same arrays.  Every
 route of a block gives its columns as arrays, which a pool sends back
 as they are.  The kernel keeps several seeds of a
 block in flight, each with its own Philox: a block's tamed-adaptive
-pairs in four lanes, its paths and its fixed-step pairs two to a SIMD
+pairs in three lanes (two for model2, whose pow calls keep the processor
+busy with fewer), its paths and its fixed-step pairs two to a SIMD
 vector of two doubles, in three vectors whose packed operations step
 both seeds at once.  A pass gives every lane one event of its pair, or
 every vector one step of its paths, and a seed that is over is replaced
@@ -47,19 +48,25 @@ tables are not copied from numpy but probed off numpy's function
 block runs; the probe checks them on a fixed stream of normals against
 numpy's function and, should one bit differ, leaves every draw to it.
 
-run_block is the one entry point into C, and the one place that chooses
-between C and the reference loops, driver._merge and scheme._path_loop,
-which the tests compare the kernel against.  A path whose trajectory is
-kept (scheme.simulate_path) never comes here: it runs _path_loop on the
-caller's source.  One rule, _library_for, says which models C runs: the
-three built-ins.  The reference loops run a block of any other model
-(JSON term models and library callables), which neither loads nor builds
-the kernel, and every block when the kernel cannot be built; a declined
-block runs each seed on NoiseSource(seed) and gives the columns C gives.
-_seeded is the one loop that runs a block seed by seed, keeping each
-seed's record in the columns or its PathExplosion: the declined
-block's, and montecarlo's for a rebound path function.  The loops are called through
-their modules, so a caller that rebinds one there sees every call.
+cell_sums reduces a Monte Carlo cell's columns in C, on a port of
+CPython's math.fsum (tamsde_sums), to the sums montecarlo's Python
+reduction takes, bit for bit, raising the same errors; montecarlo calls
+it for a cell of a model C runs, with the library _library_for gives.
+
+run_block is the one entry point into C for a block, and the one place
+that chooses between C and the reference loops, driver._merge and
+scheme._path_loop, which the tests compare the kernel against.  A path
+whose trajectory is kept (scheme.simulate_path) never comes here: it
+runs _path_loop on the caller's source.  One rule, _library_for, says
+which models C runs: the three built-ins.  The reference loops run a
+block of any other model (JSON term models and library callables), which
+neither loads nor builds the kernel, and every block when the kernel
+cannot be built; a declined block runs each seed on NoiseSource(seed)
+and gives the columns C gives.  _seeded is the one loop that runs a
+block seed by seed, keeping each seed's record in the columns or its
+PathExplosion: the declined block's, and montecarlo's for a rebound path
+function.  The loops are called through their modules, so a caller that
+rebinds one there sees every call.
 
 The kernel is built with the host's `cc` against numpy's bitgen.h and
 libnpyrandom.a when a process first runs a built-in model, never at
@@ -89,6 +96,7 @@ run fails as a compiler that fails does.
 import collections
 import contextlib
 import ctypes
+import errno
 import functools
 import hashlib
 import importlib.util
@@ -127,7 +135,7 @@ _BUILD_TIMEOUT_S = 120
 # when a build is loaded from its directory; builds in use, such as two
 # versions run side by side, are kept
 _STALE_S = 30 * 24 * 3600
-_EXPORTS = ("tamsde_block", "tamsde_init", "tamsde_lanes")
+_EXPORTS = ("tamsde_block", "tamsde_init", "tamsde_lanes", "tamsde_sums")
 
 # C model numbers are positions in this tuple (enum in _pair.c)
 _MODELS = ("model1", "model2", "gbm")
@@ -137,6 +145,13 @@ _INT64_MAX = 2 ** 63 - 1
 _NAN = float("nan")
 # tamsde_block's runner codes (enum in _pair.c)
 _PATHS, _PAIRS, _FIXED = range(3)
+# the errors of tamsde_sums and tamsde_fsum by code (enum in _pair.c), as
+# Python raises them: math.fsum's two, float ** overflowing (errno ERANGE)
+# and a failed allocation
+_ERRORS = (None, lambda: OverflowError("intermediate overflow in fsum"),
+           lambda: ValueError("-inf + inf in fsum"),
+           lambda: OverflowError(errno.ERANGE, os.strerror(errno.ERANGE)),
+           MemoryError)
 # one zero item of each column type, repeated into a block's columns: a
 # state or stop time (double), a step count (long long), a status (int)
 _DOUBLE, _STEPS, _STATUS = array("d", [0.0]), array("q", [0]), array("i", [0])
@@ -215,12 +230,16 @@ def _open(directory, name):
 
 
 def _declare(lib):
-    """Declare the argument and result types of lib's block function."""
+    """Declare the argument and result types of lib's block and sums
+    functions."""
     lib.tamsde_block.argtypes = ([ctypes.c_int] * 2 + [ctypes.c_double] * 6
                                  + [ctypes.c_longlong, ctypes.c_char_p,
                                     ctypes.c_size_t, ctypes.c_longlong]
                                  + [ctypes.c_void_p] * 6)
     lib.tamsde_block.restype = ctypes.c_longlong
+    lib.tamsde_sums.argtypes = ([ctypes.c_longlong] + [ctypes.c_void_p] * 2
+                                + [ctypes.c_double] + [ctypes.c_void_p] * 4)
+    lib.tamsde_sums.restype = ctypes.c_int
 
 
 def lanes(lib):
@@ -424,3 +443,23 @@ def run_block(model, config, seeds, pair=None):
             for j in range(legs):
                 block.states[j][i], block.steps[j][i] = _NAN, 0
     return block
+
+
+def cell_sums(lib, states, steps, p=None):
+    """A Monte Carlo cell's sums, in C on the kernel library lib, as
+    montecarlo's Python reduction takes them from its columns (arrays of
+    equal length): (n_ok, sums, error).  A pair cell, with two state
+    columns and p None, keeps each seed's squared difference unless nan; a
+    path cell, with one, keeps |x| ** p if finite.  n_ok is the count of
+    kept values and sums their fsum, the fsum of their squared deviations
+    from its mean (0.0 when fewer than two are kept) and the fsum of each
+    step column of steps.  error is None, or the exception the Python
+    reduction raises, for the caller to raise once it has gated n_ok."""
+    x_f, x_c = states[0], states[-1]
+    n_f, n_c = [column.buffer_info()[0] for column in steps] or [None, None]
+    kept, sums = ctypes.c_longlong(), (ctypes.c_double * 4)()
+    code = lib.tamsde_sums(len(x_f), x_f.buffer_info()[0],
+                           x_c.buffer_info()[0], p or 0.0, n_f, n_c,
+                           ctypes.byref(kept), sums)
+    return (kept.value, tuple(sums[:2 + len(steps)]),
+            None if code == 0 else _ERRORS[code]())

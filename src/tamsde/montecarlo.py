@@ -21,7 +21,10 @@ joins their columns in seed order.
 
 All reductions go through math.fsum (exact summation), which makes every
 aggregate independent of chunking and scheduling order; a worker pool can
-only change how fast the answer arrives, never its bytes.
+only change how fast the answer arrives, never its bytes.  A cell of a
+model the kernel runs is reduced in C (kernel.cell_sums), on a port of
+math.fsum and of float **, to the same bits and errors as the Python
+reduction (_reduce), which reduces every other cell.
 
 A failure is a seed whose path raised PathExplosion, or whose |X_T|**p
 leaves the float range.  Failures are excluded from the averages and
@@ -186,31 +189,68 @@ def _gate(n_failures, n_paths, what):
     return n_failures
 
 
-def _mean_and_stderr(values, n_ok):
-    mean = math.fsum(values) / n_ok
+def _library(model):
+    """The kernel library that reduces a cell of the model in C: the one
+    that runs its blocks (kernel._library_for), so a cell of any other
+    model neither loads nor builds the kernel; None reduces in Python."""
+    from . import kernel
+    return kernel._library_for(model)[1]
+
+
+def _reduce(lib, states, steps, p, gate):
+    """A cell's sums: (n_ok, total, spread, *step sums), from its state
+    and step columns (kernel.Block).  A pair cell's values (two state
+    columns, p None) are its squared differences d * d, d = x_f - x_c, the
+    bits of CoupledSample.squared_diff, kept unless nan (a failed seed's);
+    a path cell's are |x| ** p, kept if finite (_abs_power).  n_ok counts
+    the kept values, total is their fsum, spread the fsum of (v - mean)
+    ** 2 over them, mean = total / n_ok, or 0.0 when n_ok < 2, and each
+    step sum a step column's fsum; a failed seed's step counts are 0, so
+    the sums are the survivors'.  gate(n_ok) is called before any sum can
+    raise.  In C on the kernel library lib (kernel.cell_sums), else in
+    Python, the reference the C reduction is tested against."""
+    if lib is not None:
+        from . import kernel
+        n_ok, sums, error = kernel.cell_sums(lib, states, steps, p)
+        gate(n_ok)
+        if error is not None:
+            raise error
+        return (n_ok, *sums)
+    if p is None:
+        values = [v for f, c in zip(*states) if (v := (d := f - c) * d) == v]
+    else:
+        values = [v for x in states[0] if (v := _abs_power(x, p)) < math.inf]
+    n_ok = len(values)
+    gate(n_ok)
+    total = math.fsum(values)
+    mean = total / n_ok
+    spread = (math.fsum((v - mean) ** 2 for v in values) if n_ok > 1
+              else 0.0)
+    return (n_ok, total, spread, *map(math.fsum, steps))
+
+
+def _mean_and_stderr(n_ok, total, spread):
+    """The mean of n_ok values whose fsum is total, and its standard
+    error, from spread, the fsum of their squared deviations from it."""
+    mean = total / n_ok
     if n_ok < 2:
         return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in values) / (n_ok - 1)
-    return mean, math.sqrt(var / n_ok)
+    return mean, math.sqrt(spread / (n_ok - 1) / n_ok)
 
 
-def _aggregate_mse(k, delta, n_paths, block):
-    (x_f, x_c), (steps_f, steps_c), failures = block
-    n_failures = _gate(len(failures), n_paths, f"estimate at level k={k}")
-    # d = x_f - x_c; d * d, the bits of CoupledSample.squared_diff
-    squares = [(d := f - c) * d for f, c in zip(x_f, x_c)]
-    if failures:  # a failed seed's nan states square to nan, left out
-        squares = [v for v in squares if v == v]
-    n_ok = len(squares)
-    mse, std_error = _mean_and_stderr(squares, n_ok)
-    # a failed seed's step counts are 0, so the sums are the survivors'
-    mean_fine = math.fsum(steps_f) / n_ok
-    mean_coarse = math.fsum(steps_c) / n_ok
+def _aggregate_mse(k, delta, n_paths, block, lib=None):
+    """The MseRow of a pair cell's Block, reduced on lib (_reduce)."""
+    states, steps, failures = block
+    what = f"estimate at level k={k}"
+    n_ok, total, spread, fine, coarse = _reduce(
+        lib, states, steps, None,
+        lambda n_ok: _gate(len(failures), n_paths, what))
+    mse, std_error = _mean_and_stderr(n_ok, total, spread)
     log2_mse = math.log2(mse) if mse > 0.0 else float("-inf")
     return MseRow(k=k, delta=delta, n_paths=n_paths, mse=mse,
                   log2_mse=log2_mse, std_error=std_error,
-                  mean_fine_steps=mean_fine, mean_coarse_steps=mean_coarse,
-                  n_failures=n_failures)
+                  mean_fine_steps=fine / n_ok, mean_coarse_steps=coarse / n_ok,
+                  n_failures=len(failures))
 
 
 def estimate_mse(model, h0, l0, k, n_paths, t_end, base_seed, n_jobs=1,
@@ -222,7 +262,7 @@ def estimate_mse(model, h0, l0, k, n_paths, t_end, base_seed, n_jobs=1,
     """
     block = _run_cell("simulate_coupled_pair", (model, h0, l0, k, t_end),
                       {"max_steps": max_steps}, n_paths, base_seed, n_jobs)
-    return _aggregate_mse(k, 2.0 ** (-k), n_paths, block)
+    return _aggregate_mse(k, 2.0 ** (-k), n_paths, block, _library(model))
 
 
 def estimate_tm_mse(model, k, n_paths, t_end, base_seed, n_jobs=1,
@@ -230,7 +270,7 @@ def estimate_tm_mse(model, k, n_paths, t_end, base_seed, n_jobs=1,
     """Strong-error row at level k for the fixed-step baseline."""
     block = _run_cell("simulate_coupled_tm_pair", (model, k, t_end),
                       {"max_steps": max_steps}, n_paths, base_seed, n_jobs)
-    return _aggregate_mse(k, 2.0 ** (-k), n_paths, block)
+    return _aggregate_mse(k, 2.0 ** (-k), n_paths, block, _library(model))
 
 
 def _abs_power(x, p):
@@ -253,13 +293,14 @@ def _moment_order(p):
 def estimate_moment(model, config, p, n_paths, base_seed, n_jobs=1):
     """Monte Carlo estimate of E|X_{t_end}|**p under the adaptive scheme."""
     p = _moment_order(p)
-    (states,), _, _ = _run_cell("simulate_path", (model, config), {},
-                                n_paths, base_seed, n_jobs)
-    vals = [v for x in states if (v := _abs_power(x, p)) < math.inf]
-    n_failures = _gate(n_paths - len(vals), n_paths, "moment estimate")
-    mean, std_error = _mean_and_stderr(vals, len(vals))
+    states, _, _ = _run_cell("simulate_path", (model, config), {}, n_paths,
+                             base_seed, n_jobs)
+    n_ok, total, spread = _reduce(
+        _library(model), states, (), p,
+        lambda n_ok: _gate(n_paths - n_ok, n_paths, "moment estimate"))
+    mean, std_error = _mean_and_stderr(n_ok, total, spread)
     return MomentEstimate(mean_abs_p=mean, std_error=std_error,
-                          n_failures=n_failures)
+                          n_failures=n_paths - n_ok)
 
 
 def mean_step_count(model, config, n_paths, base_seed, n_jobs=1):

@@ -32,7 +32,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tamsde
@@ -577,13 +577,13 @@ class TestBlockParity:
             with pytest.raises(InputError, match="range of step 1"):
                 kernel.run_block(get_model("model1"), config, seeds, pair)
 
-    # a block keeps LANES adaptive pairs in flight and refills a lane as
-    # its seed ends, and 2 * VECTORS paths, refilled alike, or fixed-step
-    # pairs, run in generations of that many; so these sizes run no lane
-    # (an empty block is []), leave lanes or elements empty, fill them
-    # once, refill one, start a second generation, and refill or start
-    # many times over
-    @pytest.mark.parametrize("size", [0, 1, 3, 4, 5, 6, 7, 9, 100])
+    # a block keeps LANES adaptive pairs in flight (MODEL2_LANES of
+    # model2) and refills a lane as its seed ends, and 2 * VECTORS paths,
+    # refilled alike, or fixed-step pairs, run in generations of that
+    # many; so these sizes run no lane (an empty block is []), leave lanes
+    # or elements empty, fill them once, refill one, start a second
+    # generation, and refill or start many times over, for each count
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 5, 6, 7, 9, 100])
     @pytest.mark.parametrize("clock", [(1.0, 2.0), None, "path"],
                              ids=["adaptive", "fixed", "path"])
     def test_block_is_its_blocks_of_one(self, lib, clock, size):
@@ -592,17 +592,23 @@ class TestBlockParity:
             run = lanes_run(get_model(name), clock, 5.0, 10 ** 8)
             assert hexed(run(seeds)) == hexed(one_by_one(run, seeds))
 
-    @pytest.mark.parametrize("clock, max_steps, stops", [
-        ((1.0, 2.0), 300, [1, 9]), ("path", 150, [1, 9])],
-        ids=["pairs", "paths"])
-    def test_stops_in_inner_lanes(self, lib, clock, max_steps, stops):
-        # gbm at k=2, T=5: the budget stops seeds 1 and 9, so seed 1's lane
-        # refills while the lanes on either side of it run on
-        model, seeds = get_model("gbm"), range(12)
+    @pytest.mark.parametrize("name, clock, first, max_steps, stops", [
+        ("gbm", (1.0, 2.0), 0, 300, [1, 9]),
+        ("model2", (1.0, 2.0), 19, 250, [1, 9]),
+        ("gbm", "path", 0, 150, [1, 9])],
+        ids=["pairs", "model2-pairs", "paths"])
+    def test_stops_in_inner_lanes(self, lib, name, clock, first, max_steps,
+                                  stops):
+        # k=2, T=5: the budget stops the block's seeds 1 and 9, so seed
+        # 1's lane refills while the lanes beside it run on: lane 0 and,
+        # with more than two lanes, lane 2
+        model, seeds = get_model(name), range(first, first + 12)
         run = lanes_run(model, clock, 5.0, max_steps)
         got = run(seeds)
         assert [i for i, _ in got.failures] == stops
-        assert 0 < stops[0] < LANES - 1
+        width = (2 * VECTORS if clock == "path"
+                 else MODEL2_LANES if name == "model2" else LANES)
+        assert 0 < stops[0] < width
         assert hexed(got) == hexed(one_by_one(run, seeds))
         if clock == "path":
             want = path_seeded(_path_loop, model,
@@ -710,6 +716,22 @@ class TestBlockParity:
                                max_steps)) == hexed(want)
 
 
+    # model2 seeds on which glibc's pow(|x|, 0.5), the vector runners' mu
+    # and mu', and a square root of |x| differ in some state: paths at
+    # k=3 and fixed-step pairs at k=2, T=5; each seed as a block of one
+    @pytest.mark.parametrize("pair, seeds", [
+        (None, [1299, 2725]), ((False, 0.25), [2231, 7118, 8388, 13445])],
+        ids=["paths", "fixed"])
+    def test_vectors_take_libms_pow(self, lib, pair, seeds):
+        model, config = get_model("model2"), SchemeConfig(0.125, 5.0)
+        for seed in seeds:
+            with in_c():
+                got = kernel.run_block(model, config, range(seed, seed + 1),
+                                       pair)
+            assert hexed(got) == hexed(kernel._reference_block(
+                model, config, range(seed, seed + 1), pair)), seed
+
+
 # start values from signed zeros and subnormals to near the float limit
 START_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-310, -1e-310]),
@@ -759,11 +781,13 @@ def test_declined_block_paths_store_no_grid(tmp_path):
     assert peak < 2 ** 20
 
 
-# the seeds a block keeps in flight, in _pair.c: LANES adaptive pairs, or
-# VECTORS vectors of two paths or fixed-step pairs
+# the seeds a block keeps in flight, in _pair.c: LANES adaptive pairs
+# (MODEL2_LANES of model2), or VECTORS vectors of two paths or fixed-step
+# pairs
 with open(kernel._SOURCE) as _source:
     _text = _source.read()
 LANES = int(re.search(r"#define LANES (\d+)", _text).group(1))
+MODEL2_LANES = int(re.search(r"#define MODEL2_LANES (\d+)", _text).group(1))
 VECTORS = int(re.search(r"#define VECTORS (\d+)", _text).group(1))
 
 
@@ -1239,6 +1263,53 @@ class TestRareDraws:
         assert tails > 100 and wedges > 1000, (tails, wedges)
 
 
+def c_fsum(built, values):
+    """math.fsum of values by the kernel's port (tamsde_fsum), raising its
+    error as kernel.py does."""
+    column, total = np.array(values, dtype=float), ctypes.c_double()
+    code = built.tamsde_fsum(ctypes.c_void_p(column.ctypes.data),
+                             ctypes.c_longlong(len(column)),
+                             ctypes.byref(total))
+    if code:
+        raise kernel._ERRORS[code]()
+    return total.value
+
+
+def fsum_outcome(fsum, values):
+    """fsum(values) as its .hex(), or the type and arguments of the error
+    it raises."""
+    try:
+        return fsum(values).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc), exc.args
+
+
+# summands from signed zeros and subnormals to near the float limit, the
+# infinities and nan, and values in one binade, which sum exactly
+SUMMANDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, math.inf,
+                     -math.inf, math.nan, sys.float_info.max,
+                     -sys.float_info.max]),
+    st.floats(), st.floats(1e307, sys.float_info.max).map(lambda x: -x),
+    st.floats(1e307, sys.float_info.max), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=2000, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(SUMMANDS, max_size=30))
+@example(values=[1.7e308, 1.7e308])  # intermediate overflow
+@example(values=[math.inf, -math.inf])
+@example(values=[math.inf, 1.7e308, 1.7e308, math.nan])  # overflow first
+@example(values=[1e-16, 1.0, 1e16])  # half-even across partials
+@example(values=[2.0 ** (60 * k) for k in range(-17, 17)])  # 34 partials
+@example(values=[-0.0])
+def test_fsum_port_is_math_fsum(lib, values):
+    # the kernel's port of math.fsum sums any floats to math.fsum's bits,
+    # and raises its errors, type and message alike
+    assert fsum_outcome(functools.partial(c_fsum, lib), values) == (
+        fsum_outcome(math.fsum, values))
+
+
 # The builds the strict tests make of the kernel's own build line: as it
 # is; with the 32-bit halves the product falls back to without the
 # compiler's 128-bit integer; and with neither the AVX2 clone of the path
@@ -1278,7 +1349,7 @@ def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):
     if cc is None:
         pytest.skip("no C compiler on PATH")
     assert set(kernel._EXPORTS) == {"tamsde_block", "tamsde_init",
-                                    "tamsde_lanes"}
+                                    "tamsde_lanes", "tamsde_sums"}
     for name, undefined, lanes in BUILDS:
         command = kernel._command(cc, kernel._SOURCE, str(tmp_path / name))
         proc = subprocess.run(

@@ -78,6 +78,25 @@ def test_path_lanes_named():
     assert leg_step_ns.lanes(kernel.library()) in ("avx2", "baseline")
 
 
+def test_prints_ns_with_two_decimals(monkeypatch, capsys):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    # the fastest rows take ~3-5 ns a unit, so one decimal would resolve
+    # them only to 2-3%
+    monkeypatch.setattr(leg_step_ns, "measure", lambda jobs, rounds: {
+        "draw/port": (3.2549, 1048576, 16)})
+    monkeypatch.setattr(leg_step_ns, "other_kernel",
+                        lambda source, directory: kernel.library())
+    monkeypatch.setattr(leg_step_ns, "compare", lambda jobs, rounds, other: {
+        "draw/port": (3.2549, 3.3051, 0.98481, 0.0123, 5)})
+    assert leg_step_ns.main(["--rounds", "7"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == [
+        "draw/port", "3.25", "1048576", "16"]
+    assert leg_step_ns.main(["--rounds", "7", "--against", "other.c"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == [
+        "draw/port", "3.25", "3.31", "0.985", "0.012", "5/7"]
+
+
 def test_against_a_source_without_the_kernel(tmp_path, capsys):
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
@@ -87,8 +106,8 @@ def test_against_a_source_without_the_kernel(tmp_path, capsys):
         leg_step_ns.main(["--rounds", "2", "--against", str(source)])
     assert exit.value.code == 2
     assert capsys.readouterr().err == (
-        f"{source} lacks tamsde_init, tamsde_lanes, tamsde_seed, "
-        "tamsde_normals\n")
+        f"{source} lacks tamsde_init, tamsde_lanes, tamsde_sums, "
+        "tamsde_seed, tamsde_normals\n")
 
 
 def test_against_a_source_with_other_block_parameters(tmp_path, capsys):

@@ -11,6 +11,8 @@ import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tamsde.montecarlo
 from tamsde import (EstimationError, InputError, MseRow, PathExplosion,
@@ -19,7 +21,7 @@ from tamsde import (EstimationError, InputError, MseRow, PathExplosion,
                     simulate_coupled_pair, tm_step_count)
 from tamsde.montecarlo import _aggregate_mse, _run_block, _run_cell
 
-from test_kernel import as_block, model1_as_json
+from test_kernel import as_block, lib, model1_as_json  # lib: a fixture
 from test_scheme import make_term_model
 
 M1 = get_model("model1")
@@ -379,23 +381,25 @@ class TestAggregation:
 
 
 # the paths of the cells of the memory test, and the bytes a path each may
-# hold at its peak: its block's columns and one value a path for the mean
+# hold at its peak, reduced in C and in Python: its block's columns, and
+# in Python one value a path for the mean
 MEMORY_PATHS = 2 * 10 ** 4
 MEMORY_CELLS = {
-    "adaptive": (lambda n: estimate_mse(M1, 1.0, 2.0, 1, n, 1.0, 0), 96),
-    "fixed": (lambda n: estimate_tm_mse(M1, 1, n, 1.0, 0), 96),
+    "adaptive": (lambda n: estimate_mse(M1, 1.0, 2.0, 1, n, 1.0, 0), 46, 72),
+    "fixed": (lambda n: estimate_tm_mse(M1, 1, n, 1.0, 0), 46, 72),
     "path": (lambda n: estimate_moment(M1, SchemeConfig(0.25, 1.0), 2.0, n,
-                                       0), 64),
+                                       0), 30, 48),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MEMORY_CELLS))
 def test_cell_memory_per_path(name):
     # a cell's outcome is columns, not a tuple a seed: a pair path holds
-    # its two states, two step counts, stop time and status, and its
-    # squared difference
-    cell, per_path = MEMORY_CELLS[name]
+    # its two states, two step counts, stop time and status, and, reduced
+    # in Python, its squared difference
+    cell, in_c, in_python = MEMORY_CELLS[name]
     cell(100)  # the kernel is loaded, or its build tried, before counting
+    per_path = in_python if kernel.library() is None else in_c
     tracemalloc.start()
     try:
         cell(MEMORY_PATHS)
@@ -403,6 +407,92 @@ def test_cell_memory_per_path(name):
     finally:
         tracemalloc.stop()
     assert peak <= per_path * MEMORY_PATHS
+
+
+def reduced(states, steps, p):
+    """_reduce's outcome on states and steps as arrays, in C and in
+    Python: the n_ok each gated, and its sums, each float as its .hex(),
+    or the type and arguments of the error it raised.  The gate refuses
+    only a cell with no value kept, as _gate does any cell."""
+    states = tuple(array.array("d", column) for column in states)
+    steps = tuple(array.array("q", column) for column in steps)
+    out = []
+    for lib in (kernel.library(), None):
+        gated = []
+
+        def gate(n_ok):
+            gated.append(n_ok)
+            if n_ok == 0:
+                raise EstimationError("no value kept")
+        try:
+            sums = tamsde.montecarlo._reduce(lib, states, steps, p, gate)
+        except (EstimationError, OverflowError, ValueError) as exc:
+            out.append((gated, type(exc), exc.args))
+        else:
+            out.append((gated, [v.hex() if isinstance(v, float) else v
+                                for v in sums]))
+    return out
+
+
+# a seed's outcome in a pair cell: a failed seed's nan states and 0 steps,
+# or finite states, from equal ones to ones whose difference squares past
+# the float range, and step counts
+PAIR_SEEDS = st.one_of(
+    st.just((math.nan, math.nan, 0, 0)),
+    st.tuples(st.floats(-1e200, 1e200), st.floats(-1e200, 1e200),
+              st.integers(0, 2 ** 40), st.integers(0, 2 ** 40)),
+    st.floats(-10.0, 10.0).map(lambda x: (x, x, 7, 3)))
+
+
+class TestReductionInC:
+    # a cell of a model C runs is reduced in C (kernel.cell_sums), with
+    # the Python reduction's bits, gate and errors
+
+    @pytest.fixture(autouse=True)
+    def _kernel(self, lib):
+        pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(seeds=st.lists(PAIR_SEEDS, min_size=1, max_size=30))
+    @example(seeds=[(math.nan, math.nan, 0, 0), (1.0, 0.5, 3, 2)])  # n_ok 1
+    @example(seeds=[(2.0, 1.0, 10, 5), (-1.0, 2.0, 12, 6)])  # n_ok 2
+    @example(seeds=[(0.3, 0.3, 5, 3)] * 3)  # zero variance
+    @example(seeds=[(1e100, 0.0, 1, 1), (0.0, 0.0, 1, 1)])  # ** overflows
+    @example(seeds=[(math.sqrt(1.7e308), 0.0, 1, 1)] * 2)  # fsum overflows
+    def test_pair_cells(self, seeds):
+        x_f, x_c, n_f, n_c = zip(*seeds)
+        c, python = reduced((x_f, x_c), (n_f, n_c), None)
+        assert c == python
+
+    @settings(max_examples=300, deadline=None)
+    @given(states=st.lists(st.one_of(st.just(math.nan), st.floats()),
+                           min_size=1, max_size=30),
+           p=st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5, 200.0]))
+    @example(states=[math.nan, 2.0], p=2.0)  # n_ok 1
+    @example(states=[1e200, 0.0], p=1.0)  # ** overflows
+    @example(states=[1.7e308, 1.7e308], p=1.0)  # fsum overflows
+    @example(states=[1e200, 0.5, -3.0], p=2.0)  # a power overflows
+    def test_path_cells(self, states, p):
+        c, python = reduced((states,), (), p)
+        assert c == python
+
+    def test_cells_of_built_in_models_reduce_in_c(self, monkeypatch):
+        calls = []
+
+        def recorded(lib, states, steps, p=None):
+            calls.append(p)
+            return cell_sums(lib, states, steps, p)
+
+        cell_sums = kernel.cell_sums
+        monkeypatch.setattr(kernel, "cell_sums", recorded)
+        row = estimate_mse(M2, 1.0, 2.0, 2, 40, 1.0, 3)
+        assert row == _aggregate_mse(
+            2, 0.25, 40, _run_cell("simulate_coupled_pair",
+                                   (M2, 1.0, 2.0, 2, 1.0),
+                                   {"max_steps": 10 ** 8}, 40, 3, 1))
+        estimate_tm_mse(M1, 2, 40, 1.0, 3)
+        estimate_moment(GBM, SchemeConfig(0.25, 1.0), 3.0, 40, 3)
+        assert calls == [None, None, 3.0]
 
 
 class TestTmMse:

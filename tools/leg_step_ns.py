@@ -45,8 +45,10 @@ build, its build lacks a function that kernel.py loads or the rows call,
 or its tamsde_block's parameter list differs from this checkout's (white
 space aside): the tool calls both kernels with this checkout's
 arguments, which another list would read wrongly, so time a kernel with
-other arguments by separate runs of the tool in each checkout.
---rounds sets the rounds (default 7).
+other arguments by separate runs of the tool in each checkout.  An
+older kernel, which lacks a function a newer kernel.py loads, is timed
+from the older checkout, --against the newer source.  --rounds sets the
+rounds (default 7).  Times are printed in ns a unit with two decimals.
 
 The first line names the build of the vector runners (a block's paths
 and fixed-step pairs) each kernel runs on this host (kernel.lanes):
@@ -340,7 +342,7 @@ def main(argv=None):
         # a unit is a workload's leg-step or a normal
         print(f"{'row':<20} {'ns/unit':>11} {'units':>10} {'calls':>6}")
         for name, (ns, units, calls) in measure(JOBS, args.rounds).items():
-            print(f"{name:<20} {ns:>11.1f} {units:>10} {calls:>6}")
+            print(f"{name:<20} {ns:>11.2f} {units:>10} {calls:>6}")
         return 0
     with tempfile.TemporaryDirectory(prefix="leg-step-ns-") as directory:
         other = other_kernel(args.against, directory)
@@ -355,7 +357,7 @@ def main(argv=None):
     print(f"{'row':<20} {'ns/unit':>9} {'other':>9} {'ratio':>7} "
           f"{'iqr':>7} {'wins':>7}")
     for name, (ns, other_ns, ratio, iqr, wins) in table.items():
-        print(f"{name:<20} {ns:>9.1f} {other_ns:>9.1f} {ratio:>7.3f} "
+        print(f"{name:<20} {ns:>9.2f} {other_ns:>9.2f} {ratio:>7.3f} "
               f"{iqr:>7.3f} {wins:>3}/{args.rounds}")
     return 0
 
