@@ -64,9 +64,10 @@ neither loads nor builds the kernel, and every block when the kernel
 cannot be built; a declined block runs each seed on NoiseSource(seed)
 and gives the columns C gives.  _seeded is the one loop that runs a
 block seed by seed, keeping each seed's record in the columns or its
-PathExplosion: the declined block's, and montecarlo's for a rebound path
-function.  The loops are called through their modules, so a caller that
-rebinds one there sees every call.
+PathExplosion: the declined block's, and, in the calling process,
+montecarlo._run_cell's for a rebound path function.  The loops are
+called through their modules, so a caller that rebinds one there sees
+every call.
 
 The kernel is built with the host's `cc` against numpy's bitgen.h and
 libnpyrandom.a when a process first runs a built-in model, never at
@@ -362,7 +363,10 @@ def _seeded(seeds, run, legs):
     """The Block of run(seed) for each seed, in seed order: its record,
     each of the legs' states then each leg's step count, across the
     columns, or the PathExplosion it raised as a failure.  The one per-seed
-    loop of a block that does not run in C."""
+    loop of a block that does not run in C: a declined block's
+    (_reference_block), and a cell's whose path function a caller has
+    rebound, which montecarlo._run_cell settles and runs serially in the
+    calling process, where the rebinding lives."""
     columns = [array(code) for code in "d" * legs + "q" * legs]
     failures = []
     for i, seed in enumerate(seeds):

@@ -6,17 +6,20 @@ difference.  Path m always uses seed base_seed + m, so results are
 reproducible, independent of worker count, and unaffected by adding more
 paths or more levels elsewhere.
 
-A block of consecutive seeds, however large the seeds, goes to the kernel
-in one call (kernel.run_block), which runs a block of a built-in model in
-C, stores no path's trajectory, and runs any other block by the
-reference loops.  The path functions are looked up by name in this
-module at call time: a caller that rebinds one (a tracer, a test forcing
-an explosion) has it called once per seed, through the kernel's one
-per-seed loop (kernel._seeded).  Either way a cell yields the kernel's
-columns (kernel.Block): each leg's terminal states and step counts in
-seed order, as arrays, a failed seed's nan and 0, and the PathExplosion
-that ended each failed seed, with its leg, time, state and steps.  A
-pooled cell's workers send their blocks back as they are, and the cell
+A cell's route, arguments and engine are settled once, in the calling
+process (_run_cell).  A block of consecutive seeds, however large the
+seeds, goes to the kernel in one call (kernel.run_block), which runs a
+block of a built-in model in C, stores no path's trajectory, and runs any
+other block by the reference loops.  The path functions are looked up by
+name in this module when a cell starts: a caller that rebinds one (a
+tracer, a test forcing an explosion) has it called once per seed,
+serially in the calling process at any worker count, through the
+kernel's one per-seed loop (kernel._seeded).  Either way a cell yields
+the kernel's columns (kernel.Block): each leg's terminal states and step
+counts in seed order, as arrays, a failed seed's nan and 0, and the
+PathExplosion that ended each failed seed, with its leg, time, state and
+steps.  A pooled cell's workers run chunks of its seeds on
+kernel.run_block and send their blocks back as they are, and the cell
 joins their columns in seed order.
 
 All reductions go through math.fsum (exact summation), which makes every
@@ -35,8 +38,9 @@ refused (EstimationError) rather than silently biased.
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
-# the three path functions are looked up by name in _run_block
+# the three path functions are looked up by name in _run_cell
 from .driver import (NoiseSource, _pair_config, simulate_coupled_pair,
                      simulate_coupled_tm_pair)
 from .errors import EstimationError, InputError
@@ -77,8 +81,8 @@ class MomentEstimate:
     n_failures: int = 0
 
 
-# the library's own path functions, by name: a block of one of these runs
-# in one kernel call while its name in this module is still bound to it
+# the library's own path functions, by name: a cell of one of these runs
+# on kernel.run_block while its name in this module is still bound to it
 _OWN = {f.__name__: f for f in (simulate_coupled_pair,
                                 simulate_coupled_tm_pair, simulate_path)}
 
@@ -100,75 +104,77 @@ def _kernel_args(name, head, options):
                                  **options))
 
 
-def _run_block(args):
-    """Worker: the kernel.Block of a block of seeds, its columns in seed
-    order.
-
-    The path function `name` is looked up at call time.  While it is
-    still the library's own, the whole block goes to the kernel in one
-    call, on _kernel_args, and its Block is returned as it comes; a
-    rebound name is called once per seed as name(*head, seed, **options),
-    with NoiseSource(seed) for simulate_path, so its caller sees every
-    seed, and each result is read into the same columns by
-    kernel._seeded, the per-seed loop of a block the kernel declines.
-    """
-    name, head, options, seeds = args
-    simulate = globals()[name]
-    # imported by the first block, not by import tamsde, which loads
-    # neither the kernel nor numpy
+def _block(model, config, seeds, pair):
+    # a pool's task: kernel.run_block, sent to the workers by this
+    # function's name, so it pickles even while run_block is rebound
     from . import kernel
-    if simulate is _OWN[name]:
-        model, config, pair = _kernel_args(name, head, options)
-        return kernel.run_block(model, config, seeds, pair)
-    path = name == "simulate_path"
-
-    def run(seed):
-        if path:
-            traj = simulate(*head, NoiseSource(seed), **options)
-            return float(traj.values[-1]), traj.step_count
-        cs = simulate(*head, seed, **options)
-        return (cs.fine_terminal, cs.coarse_terminal, cs.fine_steps,
-                cs.coarse_steps)
-    return kernel._seeded(seeds, run, 1 if path else 2)
+    return kernel.run_block(model, config, seeds, pair)
 
 
 def _run_cell(name, head, options, n_paths, base_seed, n_jobs):
-    """The kernel.Block of seeds base_seed..base_seed+n_paths-1: a pooled
-    cell's blocks' columns joined in seed order, and each failure's index
-    in its block shifted to its index in the cell."""
+    """The kernel.Block of seeds base_seed..base_seed+n_paths-1 of the path
+    function `name`, and the kernel library that reduces the cell, None to
+    reduce it in Python: the library that runs the model's blocks
+    (kernel._library_for), so a cell of any other model neither loads nor
+    builds the kernel.
+
+    The cell's route, arguments and engine are settled here, once, in the
+    calling process, where the name is looked up in this module.  A
+    rebound name is called once per seed, serially in this process at any
+    n_jobs, since the rebinding lives here: as name(*head, seed,
+    **options), with NoiseSource(seed) for simulate_path, each result read
+    into the columns by kernel._seeded.  Otherwise the arguments are
+    checked once (_kernel_args) and the seeds run as kernel.run_block, in
+    one call, or as a pool's chunks, whose columns are joined in seed
+    order, each failure's index in its chunk shifted to its index in the
+    cell.
+    """
     _integer(n_paths, "n_paths", 1)
     _integer(base_seed, "base_seed", 0)
     # more workers than CPUs cannot speed up a CPU-bound cell, and a pool
     # under fork starts all of them at its first submit
     n_jobs = min(_integer(n_jobs, "n_jobs", 1), os.cpu_count() or 1)
     seeds = range(base_seed, base_seed + n_paths)
+    simulate = globals()[name]
+    # imported by the first cell, not by import tamsde, which loads
+    # neither the kernel nor numpy
+    from . import kernel
+    if simulate is not _OWN[name]:
+        path = name == "simulate_path"
+
+        def run(seed):
+            if path:
+                traj = simulate(*head, NoiseSource(seed), **options)
+                return float(traj.values[-1]), traj.step_count
+            cs = simulate(*head, seed, **options)
+            return (cs.fine_terminal, cs.coarse_terminal, cs.fine_steps,
+                    cs.coarse_steps)
+        block = kernel._seeded(seeds, run, 1 if path else 2)
+        return block, kernel._library_for(head[0])[1]
+    model, config, pair = _kernel_args(name, head, options)
+    # loaded, or its build tried, once here for a model C runs, before a
+    # pool forks: forked workers inherit the result instead of each
+    # loading the kernel, or running cc, again
+    lib = kernel._library_for(model)[1]
     if n_jobs <= 1 or n_paths < 2 * n_jobs:
-        return _run_block((name, head, options, seeds))
-    # checked here as well as in each block, so a malformed argument stops
-    # the cell before any worker starts
-    _kernel_args(name, head, options)
+        return kernel.run_block(model, config, seeds, pair), lib
     # imported by the first pooled cell only, so a serial run never loads
     # the pool machinery
     import pickle
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     try:
-        pickle.dumps(head)
+        pickle.dumps(model)
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
         raise InputError(
             f"the model cannot be sent to {n_jobs} worker processes ({exc}); "
             "use module-level coefficient functions or n_jobs=1") from None
-    # loaded, or its build tried, once here for a model C runs: forked
-    # workers inherit the result instead of each loading the kernel, or
-    # running cc, again; any other model neither loads nor builds it
-    from . import kernel
-    kernel._library_for(head[0])
     chunk = max(1, -(-n_paths // (4 * n_jobs)))
+    chunks = [seeds[i:i + chunk] for i in range(0, n_paths, chunk)]
     try:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             (states, steps, failures), *rest = pool.map(
-                _run_block, [(name, head, options, seeds[i:i + chunk])
-                             for i in range(0, n_paths, chunk)])
+                _block, repeat(model), repeat(config), chunks, repeat(pair))
     except BrokenProcessPool as exc:
         raise EstimationError(
             f"a worker process died before the cell finished ({exc})") from None
@@ -176,7 +182,7 @@ def _run_cell(name, head, options, n_paths, base_seed, n_jobs):
         failures += [(i * chunk + j, exc) for j, exc in block[2]]
         for column, more in zip(states + steps, block[0] + block[1]):
             column.extend(more)
-    return kernel.Block(states, steps, failures)
+    return kernel.Block(states, steps, failures), lib
 
 
 def _gate(n_failures, n_paths, what):
@@ -187,14 +193,6 @@ def _gate(n_failures, n_paths, what):
             f"{n_failures} of {n_paths} paths exploded; the {what} would "
             "not be trustworthy")
     return n_failures
-
-
-def _library(model):
-    """The kernel library that reduces a cell of the model in C: the one
-    that runs its blocks (kernel._library_for), so a cell of any other
-    model neither loads nor builds the kernel; None reduces in Python."""
-    from . import kernel
-    return kernel._library_for(model)[1]
 
 
 def _reduce(lib, states, steps, p, gate):
@@ -260,17 +258,17 @@ def estimate_mse(model, h0, l0, k, n_paths, t_end, base_seed, n_jobs=1,
     Couples base steps 2**-(k+1) and 2**-k on one Brownian path per
     sample, using seeds base_seed..base_seed+n_paths-1.
     """
-    block = _run_cell("simulate_coupled_pair", (model, h0, l0, k, t_end),
-                      {"max_steps": max_steps}, n_paths, base_seed, n_jobs)
-    return _aggregate_mse(k, 2.0 ** (-k), n_paths, block, _library(model))
+    return _aggregate_mse(k, 2.0 ** (-k), n_paths, *_run_cell(
+        "simulate_coupled_pair", (model, h0, l0, k, t_end),
+        {"max_steps": max_steps}, n_paths, base_seed, n_jobs))
 
 
 def estimate_tm_mse(model, k, n_paths, t_end, base_seed, n_jobs=1,
                     max_steps=DEFAULT_MAX_STEPS):
     """Strong-error row at level k for the fixed-step baseline."""
-    block = _run_cell("simulate_coupled_tm_pair", (model, k, t_end),
-                      {"max_steps": max_steps}, n_paths, base_seed, n_jobs)
-    return _aggregate_mse(k, 2.0 ** (-k), n_paths, block, _library(model))
+    return _aggregate_mse(k, 2.0 ** (-k), n_paths, *_run_cell(
+        "simulate_coupled_tm_pair", (model, k, t_end),
+        {"max_steps": max_steps}, n_paths, base_seed, n_jobs))
 
 
 def _abs_power(x, p):
@@ -293,10 +291,10 @@ def _moment_order(p):
 def estimate_moment(model, config, p, n_paths, base_seed, n_jobs=1):
     """Monte Carlo estimate of E|X_{t_end}|**p under the adaptive scheme."""
     p = _moment_order(p)
-    states, _, _ = _run_cell("simulate_path", (model, config), {}, n_paths,
-                             base_seed, n_jobs)
+    (states, _, _), lib = _run_cell("simulate_path", (model, config), {},
+                                    n_paths, base_seed, n_jobs)
     n_ok, total, spread = _reduce(
-        _library(model), states, (), p,
+        lib, states, (), p,
         lambda n_ok: _gate(n_paths - n_ok, n_paths, "moment estimate"))
     mean, std_error = _mean_and_stderr(n_ok, total, spread)
     return MomentEstimate(mean_abs_p=mean, std_error=std_error,
@@ -305,8 +303,8 @@ def estimate_moment(model, config, p, n_paths, base_seed, n_jobs=1):
 
 def mean_step_count(model, config, n_paths, base_seed, n_jobs=1):
     """Monte Carlo mean of the adaptive scheme's step count on [0, t_end]."""
-    _, (steps,), failures = _run_cell("simulate_path", (model, config), {},
-                                      n_paths, base_seed, n_jobs)
+    (_, (steps,), failures), _ = _run_cell("simulate_path", (model, config),
+                                           {}, n_paths, base_seed, n_jobs)
     # a failed seed's step count is 0, so the sum is the survivors'
     n_ok = n_paths - _gate(len(failures), n_paths, "step-count mean")
     return math.fsum(steps) / n_ok

@@ -12,6 +12,7 @@ when no C compiler is on PATH; with one, a kernel that fails to build or
 load fails them.
 """
 
+import concurrent.futures
 import contextlib
 import ctypes
 import dataclasses
@@ -827,16 +828,20 @@ def bordered(ctype, n):
 # each runner unbudgeted, and on the budgets at k=2, T=5 that stop some of
 # seeds 1..7: gbm's first, model2's last adaptive pair, every fixed-step
 # pair, and model2's last two paths
-@pytest.mark.parametrize("size", [1, 3, 7])
-@pytest.mark.parametrize("name, clock, max_steps", [
+RUNS = [
     ("model1", (1.0, 2.0), 10 ** 8), ("gbm", (1.0, 2.0), 300),
     ("model2", (1.0, 2.0), 110),
     ("model1", None, 10 ** 8), ("gbm", None, 7), ("model2", None, 30),
     ("model1", "path", 10 ** 8), ("gbm", "path", 150),
     ("model2", "path", 45),
-], ids=["adaptive", "adaptive-budget-gbm", "adaptive-budget-model2",
-        "fixed", "fixed-budget-gbm", "fixed-budget-model2",
-        "path", "path-budget-gbm", "path-budget-model2"])
+]
+RUN_IDS = ["adaptive", "adaptive-budget-gbm", "adaptive-budget-model2",
+           "fixed", "fixed-budget-gbm", "fixed-budget-model2",
+           "path", "path-budget-gbm", "path-budget-model2"]
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+@pytest.mark.parametrize("name, clock, max_steps", RUNS, ids=RUN_IDS)
 def test_block_writes_only_its_records(lib, name, clock, max_steps, size):
     # tamsde_block writes each seed's record into the caller's columns x_f,
     # x_c, t, n_f, n_c and status and nothing beside them: the sentinels
@@ -892,6 +897,29 @@ def test_block_writes_only_its_records(lib, name, clock, max_steps, size):
         want._replace(failures=[]))
     assert failures == [(i, exc.leg, exc.time.hex(), exc.state.hex(),
                          exc.steps) for i, exc in want.failures]
+
+
+@pytest.mark.parametrize("name, clock, max_steps", RUNS, ids=RUN_IDS)
+def test_block_halves_on_two_threads_equal_the_block(lib, name, clock,
+                                                     max_steps):
+    # ctypes releases the GIL for each kernel call, and the only tables
+    # the kernel shares between calls are filled once, under pthread_once,
+    # so two threads may run the halves of a block at once: each half
+    # equals its part of the block run whole, bit for bit, failures and
+    # all
+    model, seeds = get_model(name), range(2000)
+    if clock == "path":
+        config, pair = path_config(2, 5.0, max_steps=max_steps), None
+    else:
+        config = SchemeConfig(0.125, 5.0, *(clock or ()), max_steps=max_steps)
+        pair = (clock is not None, 0.25)
+    with in_c(), concurrent.futures.ThreadPoolExecutor(2) as pool:
+        whole = kernel.run_block(model, config, seeds, pair)
+        halves = pool.map(kernel.run_block, [model] * 2, [config] * 2,
+                          [seeds[:1000], seeds[1000:]], [pair] * 2)
+        for start, half in zip((0, 1000), halves):
+            assert hexed(half) == hexed(part(whole, start, start + 1000))
+    assert bool(whole.failures) == (max_steps < 10 ** 8)
 
 
 def ramp(theta, jump):
@@ -1379,9 +1407,13 @@ def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):
 
 UNDEFINED_BEHAVIOUR_RUNS = """
 import dataclasses
+import functools
+import math
 import sys
+from array import array
 
 from tamsde import get_model, kernel
+from tamsde.montecarlo import _reduce
 from tamsde.scheme import _path_loop
 
 import test_kernel as t
@@ -1416,6 +1448,36 @@ for name in t.MODELS:
                     t.reference, model, clock, 2, 1.0, seeds, max_steps))
             assert t.hexed(t.path_block(model, config, seeds)) == t.hexed(
                 t.path_seeded(_path_loop, model, config, seeds))
+
+
+def reduced(lib, states, steps, p):
+    # a cell's sums, each as its .hex(), or the error raised
+    try:
+        out = _reduce(lib, tuple(array("d", c) for c in states),
+                      tuple(array("q", c) for c in steps), p, lambda n: None)
+    except (OverflowError, ValueError) as exc:
+        return type(exc), exc.args
+    return [v.hex() if isinstance(v, float) else v for v in out]
+
+
+# the cell reductions (tamsde_sums) as Python's: a pair cell with failed
+# seeds' nan states, one whose squares keep 34 partials (and whose spread
+# overflows), a path cell whose |x| ** p overflows and one whose spread's
+# square does
+nan = float("nan")
+for states, steps, p in (
+        (([nan, 2.0, -1.0, nan], [nan, 1.0, 2.0, nan]),
+         ([0, 10, 12, 0], [0, 5, 6, 0]), None),
+        (([2.0 ** (30 * k) for k in range(-17, 17)], [0.0] * 34),
+         ([1] * 34, [1] * 34), None),
+        (([1e200, 0.5, -3.0, nan],), (), 2.0),
+        (([1e200, 0.0],), (), 1.0)):
+    assert reduced(built, states, steps, p) == reduced(None, states, steps, p)
+# math.fsum's port (tamsde_fsum) on -inf + inf, an overflow and 34 partials
+for values in ([-math.inf, math.inf], [1.7e308, 1.7e308],
+               [2.0 ** (60 * k) for k in range(-17, 17)]):
+    assert t.fsum_outcome(functools.partial(t.c_fsum, built), values) == (
+        t.fsum_outcome(math.fsum, values))
 print("clean")
 """
 

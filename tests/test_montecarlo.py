@@ -4,8 +4,11 @@ import array
 import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -19,9 +22,9 @@ from tamsde import (EstimationError, InputError, MseRow, PathExplosion,
                     PowerTerm, SchemeConfig, estimate_moment, estimate_mse,
                     estimate_tm_mse, get_model, kernel, mean_step_count,
                     simulate_coupled_pair, tm_step_count)
-from tamsde.montecarlo import _aggregate_mse, _run_block, _run_cell
+from tamsde.montecarlo import _aggregate_mse, _run_cell
 
-from test_kernel import as_block, lib, model1_as_json  # lib: a fixture
+from test_kernel import SRC, as_block, lib, model1_as_json  # lib: a fixture
 from test_scheme import make_term_model
 
 M1 = get_model("model1")
@@ -235,6 +238,12 @@ class TestBlockRoute:
         estimate_tm_mse(M1, 2, 10, 1.0, 0, n_jobs=2)
         assert started == [{"max_workers": 2}]
 
+    def test_pooled_cell_while_run_block_is_rebound(self, blocks, two_cpus):
+        # the pool's task is sent to the workers by its name in montecarlo,
+        # not as the current kernel.run_block, which a caller may rebind
+        assert estimate_tm_mse(M1, 2, 40, 1.0, 3, n_jobs=2) == (
+            estimate_tm_mse(M1, 2, 40, 1.0, 3))
+
     def test_seeds_past_two_to_the_64_run_in_one_block(self, monkeypatch,
                                                        blocks):
         # the kernel steps a block's first seed word by word, so a cell
@@ -245,6 +254,54 @@ class TestBlockRoute:
         seeds = rebind(monkeypatch, "simulate_coupled_pair")
         assert estimate_mse(M1, 1.0, 2.0, 2, 6, 1.0, base) == unbound
         assert seeds == list(range(base, base + 6))
+
+
+# a cell whose simulate_coupled_pair is rebound to force two of its 400
+# seeds to explode, run serially and on two workers in a fresh interpreter
+# that starts pools by the method argv[1] names; it prints whether the
+# rows are equal, the failures, and whether the wrapper in this process saw
+# every seed of both cells
+REBOUND_CELL = """
+import multiprocessing
+import os
+import sys
+
+import tamsde.montecarlo
+from tamsde import PathExplosion, estimate_mse, get_model
+
+os.cpu_count = lambda: 2
+multiprocessing.set_start_method(sys.argv[1])
+original = tamsde.montecarlo.simulate_coupled_pair
+seen = []
+
+
+def forced(*args, **kwargs):
+    seen.append(args[-1])
+    if args[-1] in (7, 300):
+        raise PathExplosion("forced")
+    return original(*args, **kwargs)
+
+
+tamsde.montecarlo.simulate_coupled_pair = forced
+serial, pooled = (estimate_mse(get_model("model1"), 1.0, 2.0, 2, 400, 1.0, 0,
+                               n_jobs) for n_jobs in (1, 2))
+print(pooled == serial, serial.n_failures, seen == [*range(400)] * 2)
+"""
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_rebound_cell_is_the_serial_cell_under_every_start_method(method):
+    # the rebinding lives in the calling process, so a rebound name runs
+    # there at any n_jobs: workers that a pool starts by forkserver or
+    # spawn import a fresh tamsde and would never see it, and forked ones
+    # would call it where the caller cannot count
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    proc = subprocess.run([sys.executable, "-c", REBOUND_CELL, method],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert (proc.returncode, proc.stdout.split()) == (
+        0, ["True", "2", "True"]), proc.stderr
 
 
 def block_key(block):
@@ -278,17 +335,16 @@ RECORD_IDS = ["pair", "tm-pair-stopped", "tm-pair-finished", "path",
 
 
 class TestRecords:
-    # both routes of _run_block give the kernel's columns, and a failure
+    # both routes of _run_cell give the kernel's columns, and a failure
     # keeps its seed's index and its PathExplosion, also across the
     # process pool, whose blocks' columns are joined in seed order
     @pytest.mark.parametrize("name, head, options, n_stopped", RECORD_BLOCKS,
                              ids=RECORD_IDS)
     def test_both_routes_give_equal_records(self, monkeypatch, name, head,
                                             options, n_stopped):
-        block = (name, head, options, range(40, 70))
-        unbound = _run_block(block)
+        unbound, _ = _run_cell(name, head, options, 30, 40, 1)
         seeds = rebind(monkeypatch, name)
-        rebound = _run_block(block)
+        rebound, _ = _run_cell(name, head, options, 30, 40, 1)
         assert seeds == list(range(40, 70))
         assert block_key(rebound) == block_key(unbound)
         assert len(unbound.failures) == n_stopped
@@ -297,8 +353,8 @@ class TestRecords:
                              ids=RECORD_IDS)
     def test_pooled_records_equal_serial(self, name, head, options,
                                          n_stopped):
-        serial = _run_cell(name, head, options, 30, 40, 1)
-        pooled = _run_cell(name, head, options, 30, 40, 2)
+        serial, _ = _run_cell(name, head, options, 30, 40, 1)
+        pooled, _ = _run_cell(name, head, options, 30, 40, 2)
         assert block_key(pooled) == block_key(serial)
         assert len(pooled.failures) == n_stopped
 
@@ -309,10 +365,10 @@ class TestRecords:
         # a C block of each runner, a declined block, a 2-worker pooled
         # cell and the rebound per-seed route all give each column as an
         # array: 'd' for states and 'q' for step counts
-        block = (name, head, options, range(40, 70))
-        routes = [_run_block(block), _run_cell(name, head, options, 30, 40, 2)]
+        routes = [_run_cell(name, head, options, 30, 40, n_jobs)[0]
+                  for n_jobs in (1, 2)]
         rebind(monkeypatch, name)
-        routes.append(_run_block(block))
+        routes.append(_run_cell(name, head, options, 30, 40, 1)[0])
         for states, steps, failures in routes:
             assert len(failures) == n_stopped
             assert [(type(c), c.typecode) for c in states] == (
@@ -489,7 +545,7 @@ class TestReductionInC:
         assert row == _aggregate_mse(
             2, 0.25, 40, _run_cell("simulate_coupled_pair",
                                    (M2, 1.0, 2.0, 2, 1.0),
-                                   {"max_steps": 10 ** 8}, 40, 3, 1))
+                                   {"max_steps": 10 ** 8}, 40, 3, 1)[0])
         estimate_tm_mse(M1, 2, 40, 1.0, 3)
         estimate_moment(GBM, SchemeConfig(0.25, 1.0), 3.0, 40, 3)
         assert calls == [None, None, 3.0]
@@ -532,8 +588,8 @@ class TestTmMse:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, blocks):
-                return map(fn, blocks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Fake)
