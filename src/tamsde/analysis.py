@@ -12,10 +12,9 @@ scheme buys more accuracy per unit of work".
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import InputError, RegressionError
-from .model import _integer
+from .model import _Record, _integer
 from .montecarlo import estimate_mse, estimate_tm_mse, tm_step_count
 from .scheme import DEFAULT_MAX_STEPS
 
@@ -33,8 +32,7 @@ SEED_STRIDE_T = 2 ** 40
 SEED_STRIDE_SCHEME = 2 ** 50
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(_Record):
     """Least-squares line through (k, log2_mse) and derived exponents."""
 
     slope: float
@@ -45,8 +43,7 @@ class RateFit:
     n_points: int
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(_Record):
     """One point of a work-versus-accuracy curve."""
 
     scheme: str

@@ -28,21 +28,19 @@ import math
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass
 
 from .analysis import (_comparison_cells, cell_seed, compare_schemes,
                        fit_convergence_rate)
 from .errors import Error, EstimationError, InputError
-from .model import (_integer, check_dissipativity, check_one_sided_lipschitz,
-                    get_model)
+from .model import (_Record, _integer, check_dissipativity,
+                    check_one_sided_lipschitz, get_model)
 from .montecarlo import _moment_order, estimate_moment, estimate_mse
 from .scheme import SchemeConfig, _check_horizon, _require_l0
 
 __all__ = ["ExperimentConfig", "run_experiment", "main"]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """Validated experiment description, one per CLI invocation."""
 
     kind: str
@@ -283,8 +281,8 @@ def _run_verify_assumptions(config, model):
     report = {
         "model": model.name,
         "grid": {"lo": lo, "hi": hi, "n": n},
-        "dissipativity": asdict(diss),
-        "one_sided_lipschitz": asdict(osl),
+        "dissipativity": diss._asdict(),
+        "one_sided_lipschitz": osl._asdict(),
     }
     _write_json(os.path.join(config.out_dir, "assumptions.json"), report)
     print(f"[verify-assumptions] dissipativity holds={diss.holds} "

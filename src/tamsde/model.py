@@ -15,10 +15,8 @@ sums of terms ``coeff * x**power * |x|**abs_power``; derivatives are built
 analytically from that description, never by finite differences.
 """
 
-import json
 import math
 import numbers
-from dataclasses import dataclass, fields
 
 from .errors import InputError
 
@@ -74,12 +72,118 @@ def _integer(value, what, least=None):
     return value
 
 
-@dataclass(frozen=True)
-class RegularityConstants:
+_assign = object.__setattr__  # past a record's own __setattr__
+
+
+class _Record:
+    """Base of the package's frozen records, in place of a frozen dataclass.
+
+    A subclass lists its fields as annotations, in order, with any default
+    as a class attribute, and may define __post_init__ to check and
+    normalise them (through object.__setattr__).  It gets what
+    @dataclass(frozen=True) generated: an __init__ taking the fields by
+    position or keyword, with the generated method's TypeError messages;
+    a repr of the fields; == and hash over the fields, or identity with
+    eq=False; and AttributeError on assigning or deleting an attribute.
+    Instances pickle and copy through their __dict__.  Nothing is
+    generated, so a record class costs no exec and no import to define.
+    A record that every pair builds writes its __init__ out instead:
+    _assign each field in order, then call __post_init__.
+    """
+
+    def __init_subclass__(cls, eq=True):
+        super().__init_subclass__()
+        cls._fields = names = tuple(cls.__annotations__)
+        cls._names = frozenset(names)
+        cls._defaults = {n: cls.__dict__[n] for n in names
+                         if n in cls.__dict__}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        # a call with every field by position skips the binding
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        # one attribute at a time: reading self.__dict__ would give the
+        # instance a dict of its own, and every later attribute read a
+        # slower lookup
+        for name, value in zip(names, args):
+            _assign(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        # the field values in order, or the TypeError CPython raises for
+        # the same call of a function with the fields as parameters
+        names, given = cls._fields, len(args)
+        values = {**cls._defaults, **dict(zip(names, args)), **kwargs}
+        if (values.keys() == cls._names and given <= len(names)
+                and kwargs.keys().isdisjoint(names[:given])):
+            return [values[name] for name in names]
+        for name in kwargs:
+            if name not in names:
+                cls._refuse(f"got an unexpected keyword argument {name!r}")
+            if name in names[:given]:
+                cls._refuse(f"got multiple values for argument {name!r}")
+        if given > len(names):
+            required = len(names) - len(cls._defaults)
+            takes = (f"from {required + 1} to {len(names) + 1} positional "
+                     "arguments" if cls._defaults else
+                     f"{len(names) + 1} positional arguments")
+            cls._refuse(f"takes {takes} but {given + 1} were given")
+        missing = [repr(n) for n in names if n not in values]
+        listed = (" and ".join(missing) if len(missing) < 3 else
+                  ", ".join(missing[:-1]) + ", and " + missing[-1])
+        plural = "s" if len(missing) > 1 else ""
+        cls._refuse(f"missing {len(missing)} required positional "
+                    f"argument{plural}: {listed}")
+
+    @classmethod
+    def _refuse(cls, message):
+        raise TypeError(f"{cls.__qualname__}.__init__() {message}")
+
+    def __post_init__(self):
+        pass
+
+    def _asdict(self):
+        return {name: getattr(self, name) for name in self._fields}
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, built through the
+        constructor, so every check runs again (as datetime.replace)."""
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RegularityConstants(_Record):
     """Constants quantifying coefficient regularity and dissipativity.
 
-    alpha      Holder exponent of the diffusion derivative, in (0, 1].
-    l          polynomial growth degree of the drift derivative, >= 0.
+    alpha      local Holder exponent of the first derivatives mu' and
+               sigma', in (0, 1].
+    l          growth exponent of their local alpha-Holder constant, >= 0:
+               |f'(x) - f'(y)| <= C * (1 + |x| + |y|)**l * |x - y|**alpha
+               for f = mu, sigma.
     gamma, eta dissipativity: x*mu(x) + ((p0-1)/2) * sigma(x)**2
                <= gamma*x**2 + eta for all x.
     lambda_os  one-sided Lipschitz constant: (x-y)*(mu(x)-mu(y))
@@ -113,11 +217,10 @@ class RegularityConstants:
 
 
 # the constants' names, which a model file's 'regularity' object must hold
-_REGULARITY = tuple(f.name for f in fields(RegularityConstants))
+_REGULARITY = RegularityConstants._fields
 
 
-@dataclass(frozen=True)
-class SdeModel:
+class SdeModel(_Record):
     """A scalar SDE with differentiable coefficients.
 
     drift, diffusion, drift_prime and diffusion_prime are callables
@@ -138,15 +241,13 @@ class SdeModel:
         object.__setattr__(self, "x0", _finite(self.x0, "model field 'x0'"))
 
 
-@dataclass(frozen=True)
-class DissipativityReport:
+class DissipativityReport(_Record):
     holds: bool
     worst_x: float
     worst_margin: float
 
 
-@dataclass(frozen=True)
-class OneSidedLipschitzReport:
+class OneSidedLipschitzReport(_Record):
     holds: bool
     worst_pair: tuple
     worst_margin: float
@@ -295,8 +396,7 @@ def _times(a, b):
     return 0.0 if v != v and (a == 0.0 or b == 0.0) else v
 
 
-@dataclass(frozen=True)
-class PowerTerm:
+class PowerTerm(_Record):
     """One monomial term coeff * x**power * |x|**abs_power."""
 
     coeff: float
@@ -350,8 +450,7 @@ def _total(values):
         return sum(values)
 
 
-@dataclass(frozen=True)
-class PowerSum:
+class PowerSum(_Record):
     """Callable sum of PowerTerm values."""
 
     terms: tuple
@@ -360,8 +459,7 @@ class PowerSum:
         return _total([t.value(x) for t in self.terms])
 
 
-@dataclass(frozen=True)
-class PowerSumDerivative:
+class PowerSumDerivative(_Record):
     """Callable sum of PowerTerm derivatives."""
 
     terms: tuple
@@ -494,6 +592,8 @@ def load_model_file(path):
     Each term means coeff * x**power * |x|**abs_power; derivatives are
     derived analytically from the terms.
     """
+    # imported here, its one use, so a built-in model loads no JSON parser
+    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

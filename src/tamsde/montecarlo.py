@@ -37,14 +37,13 @@ refused (EstimationError) rather than silently biased.
 
 import math
 import os
-from dataclasses import dataclass
 from itertools import repeat
 
 # the three path functions are looked up by name in _run_cell
 from .driver import (NoiseSource, _pair_config, simulate_coupled_pair,
                      simulate_coupled_tm_pair)
 from .errors import EstimationError, InputError
-from .model import _finite, _integer
+from .model import _Record, _finite, _integer
 from .scheme import (DEFAULT_MAX_STEPS, _check_delta, _check_horizon,
                      _require_l0, simulate_path)
 
@@ -59,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MseRow:
+class MseRow(_Record):
     """One level of the strong-error table."""
 
     k: int
@@ -74,8 +72,7 @@ class MseRow:
     n_failures: int = 0
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
+class MomentEstimate(_Record):
     mean_abs_p: float
     std_error: float
     n_failures: int = 0

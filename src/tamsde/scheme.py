@@ -41,10 +41,10 @@ tests/test_kernel.py checks that the two give identical bytes.
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 
 from .errors import InputError, PathExplosion
-from .model import _finite, _real, _rpow, minimum_step_exponent
+from .model import (_Record, _assign, _finite, _real, _rpow,
+                    minimum_step_exponent)
 
 __all__ = [
     "SchemeConfig",
@@ -64,8 +64,7 @@ _TINY_STEP = sys.float_info.min
 DEFAULT_MAX_STEPS = 100_000_000
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
+class SchemeConfig(_Record):
     """Knobs of one scheme run.
 
     delta      base step parameter, in (0, 1); experiments use 2**-k.
@@ -87,6 +86,16 @@ class SchemeConfig:
     h0: float = 1.0
     l0: float = 2.0
     max_steps: int = DEFAULT_MAX_STEPS
+
+    # written out, as every pair builds one: ~0.2 us under _Record's; the
+    # defaults are the class attributes above
+    def __init__(self, delta, t_end, h0=h0, l0=l0, max_steps=max_steps):
+        _assign(self, "delta", delta)
+        _assign(self, "t_end", t_end)
+        _assign(self, "h0", h0)
+        _assign(self, "l0", l0)
+        _assign(self, "max_steps", max_steps)
+        self.__post_init__()
 
     def __post_init__(self):
         for name in ("delta", "t_end", "h0", "l0"):
@@ -119,8 +128,7 @@ def _whole(value, what):
     return int(value)
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(_Record, eq=False):
     """An adaptive grid with states and the Brownian increments that drove it.
 
     times, values have length step_count + 1; increments has length

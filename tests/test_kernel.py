@@ -15,7 +15,6 @@ load fails them.
 import concurrent.futures
 import contextlib
 import ctypes
-import dataclasses
 import functools
 import itertools
 import json
@@ -159,7 +158,7 @@ class TestParity:
                                   max_steps):
         model = get_model(name)
         if x0 is not None:
-            model = dataclasses.replace(model, x0=x0)
+            model = model.replace(x0=x0)
         for seed in range(5):
             got = outcome(pair, model, clock, 2, t_end, seed, max_steps)
             assert isinstance(got, tuple)
@@ -251,7 +250,7 @@ class TestPathParity:
     def test_explosions_identical(self, name, x0, k, t_end, max_steps):
         model = get_model(name)
         if x0 is not None:
-            model = dataclasses.replace(model, x0=x0)
+            model = model.replace(x0=x0)
         config = path_config(k, t_end, max_steps=max_steps)
         for seed in range(5):
             got = path_outcome(simulate_path, model, config,
@@ -313,8 +312,8 @@ def model1_as_json(tmp_path):
 class TestDispatch:
     def test_json_and_lambda_models_take_the_python_loop(self, tmp_path,
                                                         merges):
-        lam = dataclasses.replace(get_model("model1"),
-                                  drift=lambda x: 0.1 * (x - x * x * x))
+        lam = get_model("model1").replace(
+            drift=lambda x: 0.1 * (x - x * x * x))
         for model in (model1_as_json(tmp_path), lam):
             for clock in ((1.0, 2.0), None):
                 assert (outcome(pair, model, clock, 2, 1.0, 3)
@@ -332,8 +331,7 @@ class TestDispatch:
         # turn every real argument into the float or int the kernel takes
         args = dict(h0=1.0, t_end=1.0, max_steps=10 ** 8)
         args.update(change)
-        model = dataclasses.replace(get_model("model2"),
-                                    x0=args.pop("x0", 0.1))
+        model = get_model("model2").replace(x0=args.pop("x0", 0.1))
         clock = (args.pop("h0"), 2.0)
         got = outcome(pair, model, clock, 2, args["t_end"], 7,
                       args["max_steps"])
@@ -492,7 +490,7 @@ class TestBlockParity:
                                        max_steps):
         model = get_model(name)
         if x0 is not None:
-            model = dataclasses.replace(model, x0=x0)
+            model = model.replace(x0=x0)
         seeds = range(40)
         got = block(model, clock, 2, t_end, seeds, max_steps)
         assert failed(got)
@@ -515,7 +513,7 @@ class TestBlockParity:
                                        max_steps):
         model = get_model(name)
         if x0 is not None:
-            model = dataclasses.replace(model, x0=x0)
+            model = model.replace(x0=x0)
         config, seeds = path_config(k, t_end, max_steps=max_steps), range(40)
         got = path_block(model, config, seeds)
         assert failed(got)
@@ -543,7 +541,7 @@ class TestBlockParity:
         # runs on the Python loops, each seed on NoiseSource(seed), and
         # gives the records those loops give seed by seed.  gbm at k=2, T=5
         # spends these budgets on some seeds, so stops are covered too.
-        lam = dataclasses.replace(get_model("gbm"), drift=lambda x: 0.05 * x)
+        lam = get_model("gbm").replace(drift=lambda x: 0.05 * x)
         cases = [(model1_as_json(tmp_path), False), (lam, False),
                  (get_model("gbm"), True)]
         all_seeds = range(12), range(2 ** 64 - 6, 2 ** 64 + 6)
@@ -642,7 +640,7 @@ class TestBlockParity:
     def test_path_vectors(self, lib, name, x0, k, t_end, max_steps):
         model = get_model(name)
         if x0 is not None:
-            model = dataclasses.replace(model, x0=x0)
+            model = model.replace(x0=x0)
         config = path_config(k, t_end, max_steps=max_steps)
         want = path_seeded(_path_loop, model, config, range(60))
         stop = next(i for i, _ in want.failures if i >= 3)
@@ -680,7 +678,7 @@ class TestBlockParity:
     def test_fixed_vectors(self, lib, name, x0, k, max_steps):
         model = get_model(name)
         if x0 is not None:
-            model = dataclasses.replace(model, x0=x0)
+            model = model.replace(x0=x0)
         want = seeded(reference, model, None, k, 5.0, range(20), max_steps)
         if x0 == 1e180:
             assert list(want.states) == [[x0] * 20] * 2
@@ -755,7 +753,7 @@ def test_blocks_equal_the_reference_loops(lib, name, x0, kind, h0, l0, k,
     # and off the legs' grids: the columns C gives equal the Python loops',
     # floats bit for bit, and so do the failures, each seed's explosion by
     # leg, time, state, steps and message
-    model = dataclasses.replace(get_model(name), x0=x0)
+    model = get_model(name).replace(x0=x0)
     config = SchemeConfig(2.0 ** -(k + 1), t_end, h0, l0, max_steps)
     pair = None if kind == "path" else (kind == "adaptive", 2.0 ** -k)
     seeds = range(first, first + size)
@@ -925,8 +923,8 @@ def test_block_halves_on_two_threads_equal_the_block(lib, name, clock,
 def ramp(theta, jump):
     """Unit drift and no noise from 0, so a leg's state is its time; past
     theta, |mu'| = jump shrinks the adaptive step by a factor ~jump**2."""
-    return dataclasses.replace(
-        get_model("gbm"), name="ramp", x0=0.0, drift=lambda x: 1.0,
+    return get_model("gbm").replace(
+        name="ramp", x0=0.0, drift=lambda x: 1.0,
         diffusion=lambda x: 0.0,
         drift_prime=lambda x: jump if x > theta else 0.0,
         diffusion_prime=lambda x: 0.0)
@@ -936,8 +934,8 @@ def overshoot():
     """No noise, and a drift toward 1 that a fixed step of 1/2 from 0
     overshoots to 1.5, while steps of 1/4 stay below 1.2, above which the
     drift is infinite."""
-    return dataclasses.replace(
-        get_model("gbm"), name="overshoot", x0=0.0,
+    return get_model("gbm").replace(
+        name="overshoot", x0=0.0,
         drift=lambda x: 3.0 * (1.0 - x) if x <= 1.2 else math.inf,
         diffusion=lambda x: 0.0, drift_prime=lambda x: -3.0,
         diffusion_prime=lambda x: 0.0)
@@ -1406,7 +1404,6 @@ def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):
 
 
 UNDEFINED_BEHAVIOUR_RUNS = """
-import dataclasses
 import functools
 import math
 import sys
@@ -1430,7 +1427,7 @@ for name in t.MODELS:
     for x0, max_steps in ((None, 10 ** 8), (None, 5), (1e200, 1000)):
         model = get_model(name)
         if x0 is not None:
-            model = dataclasses.replace(model, x0=x0)
+            model = model.replace(x0=x0)
         config = t.path_config(2, 1.0, max_steps=max_steps)
         for seed in range(3):
             for clock in t.CLOCKS:
@@ -1671,6 +1668,21 @@ class TestCache:
                 "for name in ('subprocess', 'platform')))")
         assert isolated(fake_cc=True, code=code) == ["True", "False", "False"]
         assert isolated.calls() == 0
+
+    def test_import_generates_no_code(self, isolated):
+        # the records are built on model._Record, not on dataclasses, which
+        # imports inspect and execs the methods it generates; and json is
+        # imported only to read a model file
+        code = ("import sys\n"
+                "before = set(sys.modules)\n"
+                "{}\n"
+                "print(*(name in set(sys.modules) - before for name in {}))")
+        assert isolated(code=code.format(
+            "import tamsde, tamsde.cli",
+            "('dataclasses', 'inspect')")) == ["False", "False"]
+        assert isolated(code=code.format(
+            "import tamsde; tamsde.get_model('model1')",
+            "('json',)")) == ["False"]
 
     def test_cached_load_asks_for_no_temporary_directory(self, lib, isolated):
         # the cache directories are tried one at a time, so a build cached

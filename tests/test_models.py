@@ -1,6 +1,5 @@
 """Model definitions, assumption checkers, and the model file format."""
 
-import dataclasses
 import json
 import math
 
@@ -73,11 +72,11 @@ class TestBuiltinCoefficients:
         pytest.param(10 ** 400, id="10**400")])
     def test_malformed_x0_rejected(self, x0):
         with pytest.raises(InputError, match="x0"):
-            dataclasses.replace(M1, x0=x0)
+            M1.replace(x0=x0)
 
     def test_x0_stored_as_float(self):
         for x0 in (1, np.float64(0.25), np.int64(3)):
-            got = dataclasses.replace(M1, x0=x0).x0
+            got = M1.replace(x0=x0).x0
             assert type(got) is float and got == x0
 
     def test_nonfinite_x_rejected(self):
@@ -214,8 +213,8 @@ class TestDissipativity:
 
     def test_nan_margin_fails(self):
         # a NaN margin is not skipped: it fails and is reported as worst
-        model = dataclasses.replace(
-            M1, drift=lambda x: math.nan if x == 2.0 else M1.drift(x))
+        model = M1.replace(
+            drift=lambda x: math.nan if x == 2.0 else M1.drift(x))
         rep = check_dissipativity(model, [0.0, 2.0, 3.0])
         assert not rep.holds and rep.worst_x == 2.0
         assert math.isnan(rep.worst_margin)
@@ -264,8 +263,8 @@ class TestOneSidedLipschitz:
             check_one_sided_lipschitz(M1, [])
 
     def test_nan_margin_fails(self):
-        model = dataclasses.replace(
-            M1, drift=lambda x: math.nan if x == 2.0 else M1.drift(x))
+        model = M1.replace(
+            drift=lambda x: math.nan if x == 2.0 else M1.drift(x))
         rep = check_one_sided_lipschitz(model, [(1.0, 0.0), (2.0, 1.0),
                                                 (3.0, 1.0)])
         assert not rep.holds and rep.worst_pair == (2.0, 1.0)
@@ -280,8 +279,8 @@ class TestOneSidedLipschitz:
         pairs = list(zip(xs, reversed(xs))) + list(zip(xs, xs[1:]))
         reports = []
         for drift in (terms, terms + (PowerTerm(coeff=0.0, power=400),)):
-            model = dataclasses.replace(M1, drift=PowerSum(drift),
-                                        drift_prime=PowerSumDerivative(drift))
+            model = M1.replace(drift=PowerSum(drift),
+                               drift_prime=PowerSumDerivative(drift))
             reports.append((check_dissipativity(model, xs),
                             check_one_sided_lipschitz(model, pairs)))
         assert reports[0] == reports[1]

@@ -2,7 +2,6 @@
 
 import array
 import concurrent.futures
-import dataclasses
 import math
 import multiprocessing
 import os
@@ -99,12 +98,12 @@ class TestEstimateMse:
         assert serial == pooled
 
     def test_unpicklable_model_rejected_before_the_pool(self, two_cpus):
-        lam = dataclasses.replace(M1, drift=lambda x: 0.1 * (x - x * x * x))
+        lam = M1.replace(drift=lambda x: 0.1 * (x - x * x * x))
         with pytest.raises(InputError, match="worker processes"):
             estimate_mse(lam, 1.0, 2.0, 2, 40, 1.0, 11, n_jobs=2)
 
     def test_dead_worker_is_an_estimation_error(self, two_cpus):
-        dying = dataclasses.replace(M1, drift=_exit_process)
+        dying = M1.replace(drift=_exit_process)
         with pytest.raises(EstimationError, match="worker process died"):
             estimate_mse(dying, 1.0, 2.0, 2, 40, 1.0, 11, n_jobs=2)
 
@@ -432,7 +431,7 @@ class TestAggregation:
         want = _aggregate_mse(2, 0.25, 300, as_block(ok, 2))
         for outcomes in ([stop, *ok], [ok[0], stop, ok[1]], [*ok, stop]):
             row = _aggregate_mse(2, 0.25, 300, as_block(outcomes, 2))
-            assert dataclasses.replace(row, n_failures=0) == want
+            assert row.replace(n_failures=0) == want
             assert row.n_failures == 1
 
 
