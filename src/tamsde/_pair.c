@@ -20,65 +20,66 @@
  *     library is loaded (tamsde_init), and hands the rest to the function
  *     on a replay of the output (normal(), below).
  *
- * The scheme's formulas (the coefficients of the three models, the
- * tamed product, the step rule of propose, scheme._due, the
- * tamed-adaptive update and the Kahan sum of a pending increment) are
- * written once, in FORMULAS, over a lane type: instantiated on a double
- * for the legs of a tamed-adaptive pair, and on a vector of two doubles
- * for two paths or two fixed-step pairs at once.  Only vectors step
- * fixed-step legs, so the fixed-step update and propose (tm_advance_v,
- * tm_propose_v) are written for the vector alone.  A tamed-adaptive pair
- * is two legs (struct leg) on a merged timeline, and pair_event is one
- * event of driver._merge's loop; two paths are one leg each, in a struct
- * path_v, and path_step_v is one step of scheme._path_loop for both.  A
- * fixed-step leg's clock does not depend on its state, so fixed-step
- * pairs that start together share one merged timeline: run_fixed works
- * out each event of driver._merge's loop once for a generation of seeds
- * (struct tick, one per leg) and steps the seeds' draws, pending
- * increments, updates and finiteness tests as vectors.  There is no other
- * pair or path loop.  kernel.py builds and loads this file.
+ * The scheme's formulas (the coefficients of the three models, the tamed
+ * product, the step rule of propose, scheme._due, the tamed-adaptive update
+ * and the Kahan sum of a pending increment) are written once, in FORMULAS,
+ * over a lane type: instantiated on a double for the legs of a tamed-adaptive
+ * pair, and on a vector of doubles for paths or fixed-step pairs, one in each
+ * element.  Everything written on vectors, the vector layer, is written once
+ * too, in VECTOR_LAYER, and instantiated once per width of vector.  Only
+ * vectors step fixed-step legs, so the fixed-step update and propose
+ * (tm_advance_V, tm_propose_V) are written for the vector alone.  A
+ * tamed-adaptive pair is two legs (struct leg) on a merged timeline, and
+ * pair_event is one event of driver._merge's loop; a vector's paths are one
+ * leg each, in a struct path_V, and path_step_V is one step of
+ * scheme._path_loop for all of them.  A fixed-step leg's clock does not
+ * depend on its state, so fixed-step pairs that start together share one
+ * merged timeline: run_fixed_V works out each event of driver._merge's loop
+ * once for a generation of seeds (struct tick, one per leg) and steps the
+ * seeds' draws, pending increments, updates and finiteness tests as vectors.
+ * There is no other pair or path loop.  kernel.py builds and loads this file.
  *
- * A Monte Carlo cell's pairs or paths, and a single pair, run as a block
- * of consecutive seeds (tamsde_block), the one entry point that runs
- * them.  A block keeps several seeds in flight, each with a Philox of its
- * own: numpy's SeedSequence and Philox4x64-10 (Salmon et al., "Parallel
- * random numbers: as easy as 1, 2, 3", SC'11), ported below word for
- * word, so tamsde_seed gives the key and the counter numpy's Philox(seed)
- * starts with.  Only the two draws numpy's normal makes, the 64-bit
- * output and the double, are ported; the next_uint32 slot of a bitgen_t
- * handed to numpy's normal aborts (philox_abort32).  Each step of a
- * seed is one chain of dependent operations, so one seed alone leaves
- * most of the processor idle; the seeds' chains overlap.  A block's
- * tamed-adaptive pairs run in LANES scalar lanes (struct lane), or
- * MODEL2_LANES for model2, its paths and its fixed-step pairs in VECTORS
- * vectors of two (struct path_lanes, struct fixed_lanes), whose packed
- * operations step two seeds at once; each seed's draw, its pow calls, its
- * step count and its record stay its own.  Of the draw's state a lane or
- * an element holds only its seed's Philox, which every draw reads, the
- * rare one off the ziggurat's fast path included.  The three runners
- * share one block protocol (struct
- * block): take is the one cursor, which hands out the block's next seed,
- * seeding its Philox and stepping the seed's 32-bit words by one, and
- * record is the one writer of the caller's columns, one array for each of
- * the legs' states, the stop time, the legs' step counts and the return
- * code, into which it writes seed i's item i, and counts the stops.  A
- * pass gives every live lane or vector one event or step, and a seed that
- * is over is recorded.  A lane or a path's element then takes the block's
- * next seed; a fixed-step pair's element idles, drawing nothing, until its
- * generation is over, as a new seed starts at t = 0 on another timeline,
- * and the next generation starts.  A seed runs the same operations in the
- * same order on its own Philox in any lane or element, so its results do
- * not depend on the others.  A path of a block stores no trajectory; a
- * single pair is a block of one: one lane, or one vector of which one
- * element is idle.
+ * A Monte Carlo cell's pairs or paths, and a single pair, run as a block of
+ * consecutive seeds (tamsde_block), the one entry point that runs them.  A
+ * block keeps several seeds in flight, each with a Philox of its own: numpy's
+ * SeedSequence and Philox4x64-10 (Salmon et al., "Parallel random numbers: as
+ * easy as 1, 2, 3", SC'11), ported below word for word, so tamsde_seed gives
+ * the key and the counter numpy's Philox(seed) starts with.  Only the two
+ * draws numpy's normal makes, the 64-bit output and the double, are ported;
+ * the next_uint32 slot of a bitgen_t handed to numpy's normal aborts
+ * (philox_abort32).  Each step of a seed is one chain of dependent
+ * operations, so one seed alone leaves most of the processor idle; the seeds'
+ * chains overlap.  A block's tamed-adaptive pairs run in LANES scalar lanes
+ * (struct lane), or MODEL2_LANES for model2, its paths and its fixed-step
+ * pairs in VECTORS vectors (struct path_lanes_V, struct fixed_lanes_V), whose
+ * packed operations step a seed in each element at once; each seed's draw,
+ * its pow calls, its step count and its record stay its own.  Of the draw's
+ * state a lane or an element holds only its seed's Philox, which every draw
+ * reads, the rare one off the ziggurat's fast path included.  The three
+ * runners share one block protocol (struct block): take is the one cursor,
+ * which hands out the block's next seed, seeding its Philox and stepping the
+ * seed's 32-bit words by one, and record is the one writer of the caller's
+ * columns, one array for each of the legs' states, the stop time, the legs'
+ * step counts and the return code, into which it writes seed i's item i, and
+ * counts the stops.  A pass gives every live lane or vector one event or
+ * step, and a seed that is over is recorded.  A lane or a path's element then
+ * takes the block's next seed; a fixed-step pair's element idles, drawing
+ * nothing, until its generation is over, as a new seed starts at t = 0 on
+ * another timeline, and the next generation starts.  A seed runs the same
+ * operations in the same order on its own Philox in any lane or element, so
+ * its results do not depend on the others.  A path of a block stores no
+ * trajectory; a single pair is a block of one: one lane, or one vector of
+ * which one element is not idle.
  *
- * On x86-64 ELF with glibc the block's two vector runners, run_paths and
- * run_fixed, are compiled twice, for AVX2 and for the baseline
- * instruction set (target_clones, which glibc's loader resolves), and the
- * loader runs the clone the host can; tamsde_lanes says which.
- * Elsewhere (musl, arm64, no ELF, or __ELF__ undefined on the build line)
- * the one baseline build is portable GNU C vector code.  Neither moves a
- * bit: each element's operations are the scalar ones.
+ * Every build has the vector layer on vectors of two doubles.  On x86-64
+ * ELF with glibc it has a second, on vectors of four, compiled for AVX2
+ * (the target attribute), and tamsde_init, which tests the processor once
+ * per process, has tamsde_block run the four-wide runners (run_paths_v4,
+ * run_fixed_v4) on a host with AVX2, and the two-wide ones (run_paths_v2,
+ * run_fixed_v2) elsewhere; tamsde_lanes says which.  Without that target
+ * (musl, arm64, no ELF, or __ELF__ undefined on the build line) the one
+ * two-wide layer is portable GNU C vector code.  No width moves a bit:
+ * each element's operations are the scalar ones.
  *
  * A Monte Carlo cell's columns are reduced here too (tamsde_sums), to
  * the sums montecarlo's Python reduction takes, on a port of CPython's
@@ -177,6 +178,14 @@ static uint64_t philox_next(void *st)
     s->buffer[3] = c3;
     s->buffer_pos = 1;
     return c0;
+}
+
+/* philox_next, with the read of a buffered output inline: the vector
+   lanes' draw and tamsde_normals call philox_next only to refill the
+   buffer, every fourth draw */
+static inline uint64_t philox_read(struct philox *s)
+{
+    return s->buffer_pos < 4 ? s->buffer[s->buffer_pos++] : philox_next(s);
 }
 
 /* the next_uint32 slot, which numpy's normal never calls: a numpy that
@@ -326,7 +335,8 @@ static inline int ziggurat(uint64_t r, double *x)
 
 /* numpy's normal on Philox rng when rng's next output is r, which is
    drawn already: r's normal on the fast path, else a replay of r; a
-   block's lane draws r on its own Philox inline (philox_next) */
+   block's lane draws r on its own Philox inline (philox_next, or
+   philox_read in a vector) */
 static inline double normal(uint64_t r, struct philox *rng)
 {
     double x;
@@ -338,7 +348,7 @@ void tamsde_normals(struct philox *rng, double *out, long long n)
 {
     long long i;
     for (i = 0; i < n; i++)
-        out[i] = normal(philox_next(rng), rng);
+        out[i] = normal(philox_read(rng), rng);
 }
 
 /* numpy's normal of the output with strip idx, sign bit 0 and rabs, on a
@@ -406,64 +416,76 @@ static void probe_tables(void)
         memset(ki, 0, sizeof ki);
 }
 
-/* Fill the tables of ziggurat() once per process, before any draw:
-   kernel.py calls it when it loads the library.  Returns 1 when the
-   draws take the fast path, 0 when every draw is numpy's function. */
-int tamsde_init(void)
-{
-    static pthread_once_t once = PTHREAD_ONCE_INIT;
-    pthread_once(&once, probe_tables);
-    return fast_path;
-}
-
 /* --- lane types ---------------------------------------------------------- */
 
-/* Two paths share a vector of two doubles (GCC and clang's vector_size
-   type, native on SSE2 and NEON): +, -, *, / and the comparisons act on
-   each element, a scalar operand on both, and a comparison gives a mask
-   of all ones or all zeros in each element; a vector of two long longs
-   holds the two paths' step counts.  The helpers below, suffixed _d for a
-   double and _v for a vector, are what the two types spell differently;
-   FORMULAS is written in them, and the vector's alone in path_step_v and
-   the fixed-step formulas. */
-typedef double vec __attribute__((vector_size(16)));
-typedef long long vmask __attribute__((vector_size(16)));
+/* A vector of doubles (GCC and clang's vector_size type) holds one path or
+   one fixed-step pair in each element: +, -, *, / and the comparisons act
+   on each element, a scalar operand on every one, and a comparison gives
+   a mask of all ones or all zeros in each element; a vector of long longs
+   of the same width holds the paths' step counts.  Every build has the
+   two-wide vector, native on SSE2 and NEON.  On x86-64 ELF with glibc the
+   four-wide vector is built too, in code compiled for AVX2 (the target
+   attribute), which tamsde_block runs when the host has AVX2; there the
+   square root and the masks' bits are one instruction each, else one call
+   or test per element.  Elsewhere (musl, arm64, no ELF, or __ELF__
+   undefined on the build line) the one two-wide build is portable GNU C
+   vector code.  A four-wide vector outside AVX2 code took about twice as
+   long as the two-wide one (ROADMAP, Rejected), so each width has its own
+   instruction set, and its own copy of the vector layer (VECTOR_LAYER,
+   below).  The helpers, suffixed _d for a double and _v2 or _v4 for a
+   vector, are what the types spell differently; FORMULAS is written in
+   them. */
+#define BASELINE_ELEMENTS 2
+#define AVX2_ELEMENTS 4
+/* the initializer of a vector of 2 or 4 whose element e is f(a, e); with
+   SAME as f, every element is a */
+#define EACH2(f, a) {f(a, 0), f(a, 1)}
+#define EACH4(f, a) {f(a, 0), f(a, 1), f(a, 2), f(a, 3)}
+#define SAME(x, e) (x)
+typedef double vec2 __attribute__((vector_size(8 * BASELINE_ELEMENTS)));
+typedef long long vmask2 __attribute__((vector_size(8 * BASELINE_ELEMENTS)));
 
-/* On x86-64 ELF with glibc, the block's vector runners (run_paths and
-   run_fixed) are built for AVX2 and for the baseline, and the loader
-   picks one on the host (an ifunc, which musl's loader has not); the
-   square root and the masks' bits are one SSE2 instruction each there,
-   else one call or test per element. */
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) \
     && defined(__has_attribute)
-#if __has_attribute(target_clones)
-#define CLONED
+#if __has_attribute(target)
+#define WIDE
 #endif
 #endif
 
-#ifdef CLONED
-#include <emmintrin.h>
-#define LANE_CLONES __attribute__((target_clones("avx2", "default")))
+#ifdef WIDE
+#include <immintrin.h>
+#define AVX2 __attribute__((target("avx2")))
+typedef double vec4 __attribute__((vector_size(8 * AVX2_ELEMENTS)));
+typedef long long vmask4 __attribute__((vector_size(8 * AVX2_ELEMENTS)));
 
-static inline vec sqrt_v(vec x)
+static inline vec2 sqrt_v2(vec2 x)
 {
-    return (vec)_mm_sqrt_pd((__m128d)x);
+    return (vec2)_mm_sqrt_pd((__m128d)x);
 }
 
 /* bit e set when element e of m is set */
-static inline unsigned bits_v(vmask m)
+static inline unsigned bits_v2(vmask2 m)
 {
     return (unsigned)_mm_movemask_pd((__m128d)m);
 }
-#else
-#define LANE_CLONES
-static inline vec sqrt_v(vec x)
+
+AVX2 static inline vec4 sqrt_v4(vec4 x)
 {
-    vec r = {sqrt(x[0]), sqrt(x[1])};
+    return (vec4)_mm256_sqrt_pd((__m256d)x);
+}
+
+AVX2 static inline unsigned bits_v4(vmask4 m)
+{
+    return (unsigned)_mm256_movemask_pd((__m256d)m);
+}
+#else
+static inline vec2 sqrt_v2(vec2 x)
+{
+    vec2 r = {sqrt(x[0]), sqrt(x[1])};
     return r;
 }
 
-static inline unsigned bits_v(vmask m)
+static inline unsigned bits_v2(vmask2 m)
 {
     return (unsigned)(m[0] != 0) | (unsigned)(m[1] != 0) << 1;
 }
@@ -498,51 +520,6 @@ static inline double powabs_d(double x, double e)
     return pow(fabs(x), e);
 }
 
-static inline vec splat_v(double x)
-{
-    vec v = {x, x};
-    return v;
-}
-
-/* a where c is set, else b */
-static inline vec select_v(vmask c, vec a, vec b)
-{
-    return (vec)((c & (vmask)a) | (~c & (vmask)b));
-}
-
-static inline vmask not_v(vmask c)
-{
-    return ~c;
-}
-
-#define SIGN_BITS ((vmask){INT64_MIN, INT64_MIN})
-
-static inline vec abs_v(vec x)
-{
-    return (vec)((vmask)x & ~SIGN_BITS);
-}
-
-static inline vmask isinf_v(vec x)
-{
-    return abs_v(x) == INFINITY;
-}
-
-/* |a| with the sign of each element of b */
-static inline vec copysign_v(double a, vec b)
-{
-    return (vec)(((vmask)abs_v(splat_v(a))) | ((vmask)b & SIGN_BITS));
-}
-
-/* libm pow of |x| for each element, as pow(fabs(x), e) */
-static inline vec powabs_v(vec x, double e)
-{
-    vec a = abs_v(x), r;
-    OPAQUE(e);
-    r[0] = pow(a[0], e);
-    r[1] = pow(a[1], e);
-    return r;
-}
-
 /* --- the scheme ---------------------------------------------------------- */
 
 enum { MODEL1, MODEL2, GBM };
@@ -568,9 +545,10 @@ struct pair {
     int model;
 };
 
-/* The scheme's formulas on the lane type T, whose helpers are suffixed V:
-   FORMULAS(double, d) for a tamed-adaptive pair's legs, FORMULAS(vec, v)
-   for two paths or two fixed-step pairs at once.
+/* The scheme's formulas on the lane type T, whose helpers are suffixed V,
+   each function with the attributes A: FORMULAS(double, d, ) for a
+   tamed-adaptive pair's legs, and once in each vector layer for its
+   paths and fixed-step pairs.
      sign_V: model.py's sign.
      product_V: scheme._tamed's product: an exact zero factor gives a
        zero product (the fixed-step legs' q too).
@@ -587,24 +565,24 @@ struct pair {
      due_V: scheme._due.
      advance_V: the tamed-adaptive update of scheme._tam_leg.
      pend_V: adds dz to the Kahan pair (*pw, *pc) of a pending increment. */
-#define FORMULAS(T, V)                                                       \
-static inline T sign_##V(T x)                                                \
+#define FORMULAS(T, V, A)                                                    \
+A static inline T sign_##V(T x)                                              \
 {                                                                            \
     return select_##V(x > 0.0, splat_##V(1.0),                               \
                       select_##V(x < 0.0, splat_##V(-1.0), splat_##V(0.0))); \
 }                                                                            \
-static inline T product_##V(T s, T sp)                                       \
+A static inline T product_##V(T s, T sp)                                     \
 {                                                                            \
     return select_##V((s == 0.0) | (sp == 0.0), splat_##V(0.0), s * sp);     \
 }                                                                            \
-static inline T tamed_##V(T s, T sp, double sqd)                             \
+A static inline T tamed_##V(T s, T sp, double sqd)                           \
 {                                                                            \
     T g = product_##V(s, sp);                                                \
     return select_##V(isinf_##V(g), copysign_##V(1.0 / sqd, g),              \
                       g / (1.0 + sqd * abs_##V(g)));                         \
 }                                                                            \
-static inline void coefficients_##V(int model, T x, T *m, T *mp, T *s,       \
-                                    T *sp)                                   \
+A static inline void coefficients_##V(int model, T x, T *m, T *mp, T *s,     \
+                                      T *sp)                                 \
 {                                                                            \
     T r;                                                                     \
     switch (model) {                                                         \
@@ -630,8 +608,8 @@ static inline void coefficients_##V(int model, T x, T *m, T *mp, T *s,       \
         *sp = splat_##V(0.2);                                                \
     }                                                                        \
 }                                                                            \
-static inline T rule_##V(const struct pair *p, const struct leg *leg, T x,   \
-                         int model, T *mo, T *so, T *qo)                     \
+A static inline T rule_##V(const struct pair *p, const struct leg *leg, T x, \
+                           int model, T *mo, T *so, T *qo)                   \
 {                                                                            \
     T m, s, mp, sp, q, s2, sp2, xl, base, step;                              \
     xl = p->l0 == 2.0 ? x * x : powabs_##V(x, p->l0);                        \
@@ -649,8 +627,8 @@ static inline T rule_##V(const struct pair *p, const struct leg *leg, T x,   \
     return select_##V((step <= 0.0) | (step != step), splat_##V(DBL_MIN),    \
                       step);                                                 \
 }                                                                            \
-static inline T propose_##V(const struct pair *p, const struct leg *leg,     \
-                            T x, T *m, T *s, T *q)                           \
+A static inline T propose_##V(const struct pair *p, const struct leg *leg,   \
+                              T x, T *m, T *s, T *q)                         \
 {                                                                            \
     switch (p->model) {                                                      \
     case MODEL1: return rule_##V(p, leg, x, MODEL1, m, s, q);                \
@@ -658,72 +636,24 @@ static inline T propose_##V(const struct pair *p, const struct leg *leg,     \
     default:     return rule_##V(p, leg, x, GBM, m, s, q);                   \
     }                                                                        \
 }                                                                            \
-static inline T due_##V(T last, T step, double t_end)                        \
+A static inline T due_##V(T last, T step, double t_end)                      \
 {                                                                            \
     T d = last + step;                                                       \
     return select_##V((step >= t_end - last) | (d >= t_end),                 \
                       splat_##V(t_end), d);                                  \
 }                                                                            \
-static inline T advance_##V(T x, T m, T s, T q, T dt, T dw)                  \
+A static inline T advance_##V(T x, T m, T s, T q, T dt, T dw)                \
 {                                                                            \
     return x + m * dt + s * dw + 0.5 * q * (dw * dw - dt);                   \
 }                                                                            \
-static inline void pend_##V(T *pw, T *pc, T dz)                              \
+A static inline void pend_##V(T *pw, T *pc, T dz)                            \
 {                                                                            \
     T y = dz - *pc, s = *pw + y;                                             \
     *pc = (s - *pw) - y;                                                     \
     *pw = s;                                                                 \
 }
 
-FORMULAS(double, d)
-FORMULAS(vec, v)
-
-/* propose of scheme._tm_leg, whose step is the base step itself: keeps
-   mu, sigma and sigma sigma' at x */
-static inline void tm_propose_v(int model, vec x, vec *m, vec *s, vec *q)
-{
-    vec mp, sp;
-    coefficients_v(model, x, m, &mp, s, &sp);
-    *q = product_v(*s, sp);
-}
-
-/* the fixed-step update of scheme._tm_leg, over the duration dt, which is
-   a generation's, one for every element */
-static inline vec tm_advance_v(vec x, vec m, vec s, vec q, double dt, vec dw,
-                               double delta)
-{
-    return x + (m * dt + s * dw + 0.5 * q * (dw * dw - dt))
-               / (1.0 + delta * (x * x));
-}
-
-/* Two paths' fine legs, as in struct leg (the base step is the pair's
-   fine leg's, and nothing is pending between steps), and their step
-   counts. */
-struct path_v {
-    vec x, last, due, m, s, q;
-    vmask steps;
-};
-
-/* One step of scheme._path_loop for both paths, with the normals z.
-   Returns a bit (1 << e) for each element whose path is over: it cannot
-   go on, or it has reached t_end (run_paths says how it ended). */
-static inline unsigned path_step_v(const struct pair *p, struct path_v *v,
-                                   vec z)
-{
-    vec dt = v->due - v->last, x;
-    /* one increment pending onto nothing is the increment itself, signed
-       zero included, which a Kahan sum would turn into +0.0 */
-    x = advance_v(v->x, v->m, v->s, v->q, dt, sqrt_v(dt) * z);
-    v->x = x;
-    v->last = v->due;
-    v->due = due_v(v->last, propose_v(p, &p->fine, x, &v->m, &v->s, &v->q),
-                   p->t_end);
-    v->steps += 1;
-    /* at t_end, or not finite, or a step collapsed to nothing, or the
-       budget spent */
-    return bits_v(not_v(v->last < p->t_end) | not_v(abs_v(x) <= DBL_MAX)
-                  | (v->due <= v->last) | (v->steps >= p->max_steps));
-}
+FORMULAS(double, d, )
 
 static double propose(const struct pair *p, struct leg *leg, double x)
 {
@@ -788,7 +718,7 @@ static int pair_end(double x_f, double x_c)
    adaptive model1 leg-step took 1.15 times as long (2-core AMD EPYC).
    philox_next is also compiled on its own: replay's bit generator, which
    numpy's normal calls through a pointer, and the vector runners call
-   it. */
+   it to refill a Philox's buffer (philox_read). */
 static __attribute__((flatten)) int pair_event(struct lane *l)
 {
     struct pair *p = &l->p;
@@ -856,8 +786,11 @@ static void record(struct block *b, long long i, double x_f, double x_c,
 }
 
 /* the seeds a block keeps in flight: adaptive pairs in LANES lanes of
-   model1 or gbm and MODEL2_LANES of model2, or VECTORS vectors of two
-   paths or two fixed-step pairs.  model2's three pow calls a leg-step
+   model1 or gbm and MODEL2_LANES of model2, or VECTORS vectors of paths
+   or fixed-step pairs, of BASELINE_ELEMENTS or AVX2_ELEMENTS each (with
+   2, 4 or 5 two-wide vectors in place of 3, tools/leg_step_ns.py read
+   moments-long at 1.04, 1.01 and 1.02 of this count's time).  model2's
+   three pow calls a leg-step
    keep the processor busy with fewer lanes than the other models' plain
    arithmetic: with 4 lanes for every model, tools/leg_step_ns.py read
    rate-rough (model2) at 1.04 and compare-smooth/tam (model1) at 1.05
@@ -902,79 +835,6 @@ static void run_pairs(const struct pair *start, struct block *b)
         }
 }
 
-/* The seeds of a vector's two elements: each element's Philox and the
-   index in the block of its seed, or -1 for an element with none, which
-   steps with no noise and is not read. */
-struct seeds {
-    struct philox rng[2];
-    long long i[2];
-};
-
-/* the two elements' normals, each its next on its own Philox, or 0 for an
-   element with no seed */
-static inline vec lane_normals(struct seeds *k)
-{
-    vec z = {k->i[0] >= 0 ? normal(philox_next(&k->rng[0]), &k->rng[0]) : 0.0,
-             k->i[1] >= 0 ? normal(philox_next(&k->rng[1]), &k->rng[1]) : 0.0};
-    return z;
-}
-
-/* Two paths in flight: their seeds and their legs.  In the other order
-   the moments-long row of tools/leg_step_ns.py took ~1.006 times as
-   long (2-core AMD EPYC, gcc 12), for no change in the code it runs. */
-struct path_lanes {
-    struct seeds k;
-    struct path_v v;
-};
-
-/* Start element e of l on the block's next seed, or none, at the leg
-   first as it starts. */
-static void begin_path(struct path_lanes *l, int e, const struct leg *first,
-                       struct block *b)
-{
-    l->v.x[e] = first->x;
-    l->v.last[e] = first->last;
-    l->v.due[e] = first->due;
-    l->v.m[e] = first->m;
-    l->v.s[e] = first->s;
-    l->v.q[e] = first->q;
-    l->v.steps[e] = 0;
-    l->k.i[e] = take(b, &l->k.rng[e]);
-}
-
-/* Each of the block's paths, from start's fine leg, as run_pairs runs
-   pairs: VECTORS vectors of two seeds in flight; a pass steps every
-   vector with a live element, and an element whose seed is over writes
-   its record and starts the block's next seed, or none.  A path stopped
-   before t_end is a FINE_STOP. */
-LANE_CLONES static void run_paths(const struct pair *start, struct block *b)
-{
-    struct path_lanes lanes[VECTORS], *live[VECTORS];
-    int n_live = 0, k, e;
-    for (; n_live < VECTORS && b->next < b->n; n_live++) {
-        live[n_live] = &lanes[n_live];
-        for (e = 0; e < 2; e++)
-            begin_path(live[n_live], e, &start->fine, b);
-    }
-    while (n_live > 0)
-        for (k = 0; k < n_live; k++) {
-            struct path_lanes *l = live[k];
-            unsigned over = path_step_v(start, &l->v, lane_normals(&l->k));
-            if (over == 0)
-                continue;
-            for (e = 0; e < 2; e++) {
-                double x = l->v.x[e], last = l->v.last[e];
-                if (!(over >> e & 1) || l->k.i[e] < 0)
-                    continue;
-                record(b, l->k.i[e], x, x, l->v.steps[e], l->v.steps[e],
-                       last, last < start->t_end ? FINE_STOP : pair_end(x, x));
-                begin_path(l, e, &start->fine, b);
-            }
-            if (l->k.i[0] < 0 && l->k.i[1] < 0)  /* as in run_pairs */
-                live[k--] = live[--n_live];
-        }
-}
-
 /* A fixed-step leg's clock: its base step, the time of its last step,
    the time of its next event and its step count.  No state moves it, so
    every seed of a generation shares it. */
@@ -983,95 +843,315 @@ struct tick {
     long long steps;
 };
 
-/* Two fixed-step pairs in flight: each leg's state, the coefficients
-   tm_propose keeps and the Kahan pair of its pending increment (index 0
-   the fine leg, 1 the coarse), and their seeds; an element whose seed is
-   over has none. */
-struct fixed_lanes {
-    vec x[2], m[2], s[2], q[2], pw[2], pc[2];
-    struct seeds k;
-};
+/* The vector layer on a vector of W doubles, vec, with masks vmask and
+   EACH its initializer (EACH2 or EACH4): each of its functions, suffixed
+   V, carries the attributes A, and its types are suffixed V too.  Only vectors step paths and fixed-step legs, so
+   the fixed-step update and propose are written for the vector alone.
+     splat_V, select_V, not_V, abs_V, isinf_V, copysign_V and powabs_V:
+       the helpers FORMULAS is written in, as a double's are.  select_V
+       gives a where c is set, else b; copysign_V |a| with the sign of each
+       element of b; powabs_V libm's pow of |x| in each element.
+     FORMULAS on the vector.
+     tm_propose_V: propose of scheme._tm_leg, whose step is the base step
+       itself: keeps mu, sigma and sigma sigma' at x.
+     tm_advance_V: the fixed-step update of scheme._tm_leg, over the
+       duration dt, which is a generation's, one for every element.
+     struct path_V: W paths' fine legs, as in struct leg (the base step is
+       the pair's fine leg's, and nothing is pending between steps), and
+       their step counts.
+     path_step_V: one step of scheme._path_loop for the W paths, with the
+       normals z.  Returns a bit (1 << e) for each element whose path is
+       over: it cannot go on, or it has reached t_end (run_paths_V says
+       how it ended).
+     struct seeds_V: the seeds of a vector's elements: each element's
+       Philox and the index in the block of its seed, or -1 for an
+       element with none, which steps with no noise and is not read.
+     idle_V: 1 when no element has a seed.
+     lane_normal_V and lane_normals_V: element e's normal, and the vector
+       of every element's: each its next on its own Philox, the output
+       read straight off its buffer (philox_read), or 0 for an element
+       with no seed.  The vector is built from an initializer: built by
+       a store into each element, the portable two-wide paths took ~1.05
+       times as long.
+     struct path_lanes_V: W paths in flight: their seeds and their legs.
+       In the other order the moments-long row of tools/leg_step_ns.py took
+       ~1.006 times as long (2-core AMD EPYC, gcc 12), for no change in
+       the code it runs.
+     begin_path_V: starts element e of l on the block's next seed, or
+       none, at the leg first as it starts.
+     run_paths_V: each of the block's paths, from start's fine leg, as
+       run_pairs runs pairs: VECTORS vectors of W seeds in flight; a pass
+       steps every vector with a live element, and an element whose seed
+       is over writes its record and starts the block's next seed, or
+       none.  A path stopped before t_end is a FINE_STOP.
+     struct fixed_lanes_V: W fixed-step pairs in flight: each leg's state,
+       the coefficients tm_propose_V keeps and the Kahan pair of its
+       pending increment (index 0 the fine leg, 1 the coarse), and their
+       seeds; an element whose seed is over has none.
+     run_fixed_V: each of the block's fixed-step pairs, from p's legs'
+       states and base steps, in generations of up to W VECTORS seeds, W
+       to a vector, all started at t = 0.  A fixed-step leg's clock does
+       not depend on its state, so a generation has one timeline: each
+       event's time and sqrt of its gap, which legs fire, their clocks and
+       their budget and collapse tests are worked out once, in
+       driver._merge's order, and only each seed's draw, pending
+       increments, updates, coefficients and finiteness tests are its own.
+       A seed that stops writes its record at the event, a fine stop
+       before the coarse leg fires, as pair_event's FINE_STOP, and its
+       element idles; the next generation starts when every seed of this
+       one is over. */
+#define VECTOR_LAYER(vec, vmask, V, W, EACH, A)                              \
+A static inline vec splat_##V(double x)                                      \
+{                                                                            \
+    return (vec)EACH(SAME, x);                                               \
+}                                                                            \
+A static inline vec select_##V(vmask c, vec a, vec b)                        \
+{                                                                            \
+    return (vec)((c & (vmask)a) | (~c & (vmask)b));                          \
+}                                                                            \
+A static inline vmask not_##V(vmask c)                                       \
+{                                                                            \
+    return ~c;                                                               \
+}                                                                            \
+A static inline vec abs_##V(vec x)                                           \
+{                                                                            \
+    return (vec)((vmask)x & ~(vmask)splat_##V(-0.0));                        \
+}                                                                            \
+A static inline vmask isinf_##V(vec x)                                       \
+{                                                                            \
+    return abs_##V(x) == INFINITY;                                           \
+}                                                                            \
+A static inline vec copysign_##V(double a, vec b)                            \
+{                                                                            \
+    return (vec)((vmask)abs_##V(splat_##V(a))                                \
+                 | ((vmask)b & (vmask)splat_##V(-0.0)));                     \
+}                                                                            \
+A static inline vec powabs_##V(vec x, double e)                              \
+{                                                                            \
+    vec a = abs_##V(x), r = a;                                               \
+    int i;                                                                   \
+    OPAQUE(e);                                                               \
+    for (i = 0; i < W; i++)                                                  \
+        r[i] = pow(a[i], e);                                                 \
+    return r;                                                                \
+}                                                                            \
+FORMULAS(vec, V, A)                                                          \
+A static inline void tm_propose_##V(int model, vec x, vec *m, vec *s,        \
+                                    vec *q)                                  \
+{                                                                            \
+    vec mp, sp;                                                              \
+    coefficients_##V(model, x, m, &mp, s, &sp);                              \
+    *q = product_##V(*s, sp);                                                \
+}                                                                            \
+A static inline vec tm_advance_##V(vec x, vec m, vec s, vec q, double dt,    \
+                                   vec dw, double delta)                     \
+{                                                                            \
+    return x + (m * dt + s * dw + 0.5 * q * (dw * dw - dt))                  \
+               / (1.0 + delta * (x * x));                                    \
+}                                                                            \
+struct path_##V {                                                            \
+    vec x, last, due, m, s, q;                                               \
+    vmask steps;                                                             \
+};                                                                           \
+A static inline unsigned path_step_##V(const struct pair *p,                 \
+                                       struct path_##V *v, vec z)            \
+{                                                                            \
+    vec dt = v->due - v->last, x;                                            \
+    /* one increment pending onto nothing is the increment itself, signed    \
+       zero included, which a Kahan sum would turn into +0.0 */              \
+    x = advance_##V(v->x, v->m, v->s, v->q, dt, sqrt_##V(dt) * z);           \
+    v->x = x;                                                                \
+    v->last = v->due;                                                        \
+    v->due = due_##V(v->last, propose_##V(p, &p->fine, x, &v->m, &v->s,      \
+                                          &v->q), p->t_end);                 \
+    v->steps += 1;                                                           \
+    /* at t_end, or not finite, or a step collapsed to nothing, or the       \
+       budget spent */                                                       \
+    return bits_##V(not_##V(v->last < p->t_end)                              \
+                    | not_##V(abs_##V(x) <= DBL_MAX)                         \
+                    | (v->due <= v->last) | (v->steps >= p->max_steps));     \
+}                                                                            \
+struct seeds_##V {                                                           \
+    struct philox rng[W];                                                    \
+    long long i[W];                                                          \
+};                                                                           \
+A static inline int idle_##V(const struct seeds_##V *k)                      \
+{                                                                            \
+    int e;                                                                   \
+    for (e = 0; e < W; e++)                                                  \
+        if (k->i[e] >= 0)                                                    \
+            return 0;                                                        \
+    return 1;                                                                \
+}                                                                            \
+A static inline double lane_normal_##V(struct seeds_##V *k, int e)           \
+{                                                                            \
+    return k->i[e] >= 0 ? normal(philox_read(&k->rng[e]), &k->rng[e]) : 0.0; \
+}                                                                            \
+A static inline vec lane_normals_##V(struct seeds_##V *k)                    \
+{                                                                            \
+    return (vec)EACH(lane_normal_##V, k);                                    \
+}                                                                            \
+struct path_lanes_##V {                                                      \
+    struct seeds_##V k;                                                      \
+    struct path_##V v;                                                       \
+};                                                                           \
+A static void begin_path_##V(struct path_lanes_##V *l, int e,                \
+                             const struct leg *first, struct block *b)       \
+{                                                                            \
+    l->v.x[e] = first->x;                                                    \
+    l->v.last[e] = first->last;                                              \
+    l->v.due[e] = first->due;                                                \
+    l->v.m[e] = first->m;                                                    \
+    l->v.s[e] = first->s;                                                    \
+    l->v.q[e] = first->q;                                                    \
+    l->v.steps[e] = 0;                                                       \
+    l->k.i[e] = take(b, &l->k.rng[e]);                                       \
+}                                                                            \
+A static void run_paths_##V(const struct pair *start, struct block *b)       \
+{                                                                            \
+    struct path_lanes_##V lanes[VECTORS], *live[VECTORS];                    \
+    int n_live = 0, k, e;                                                    \
+    for (; n_live < VECTORS && b->next < b->n; n_live++) {                   \
+        live[n_live] = &lanes[n_live];                                       \
+        for (e = 0; e < W; e++)                                              \
+            begin_path_##V(live[n_live], e, &start->fine, b);                \
+    }                                                                        \
+    while (n_live > 0)                                                       \
+        for (k = 0; k < n_live; k++) {                                       \
+            struct path_lanes_##V *l = live[k];                              \
+            unsigned over = path_step_##V(start, &l->v,                      \
+                                          lane_normals_##V(&l->k));          \
+            if (over == 0)                                                   \
+                continue;                                                    \
+            for (e = 0; e < W; e++) {                                        \
+                double x = l->v.x[e], last = l->v.last[e];                   \
+                if (!(over >> e & 1) || l->k.i[e] < 0)                       \
+                    continue;                                                \
+                record(b, l->k.i[e], x, x, l->v.steps[e], l->v.steps[e],     \
+                       last, last < start->t_end ? FINE_STOP                 \
+                                                 : pair_end(x, x));          \
+                begin_path_##V(l, e, &start->fine, b);                       \
+            }                                                                \
+            if (idle_##V(&l->k))  /* as in run_pairs */                      \
+                live[k--] = live[--n_live];                                  \
+        }                                                                    \
+}                                                                            \
+struct fixed_lanes_##V {                                                     \
+    vec x[2], m[2], s[2], q[2], pw[2], pc[2];                                \
+    struct seeds_##V k;                                                      \
+};                                                                           \
+A static void run_fixed_##V(const struct pair *p, struct block *b)           \
+{                                                                            \
+    struct fixed_lanes_##V lanes[VECTORS], *live[VECTORS], first;            \
+    vec m, s, q, x0 = splat_##V(p->fine.x);                                  \
+    int n_live, k, e, j;                                                     \
+    tm_propose_##V(p->model, x0, &m, &s, &q);                                \
+    first = (struct fixed_lanes_##V){.x = {x0, x0}, .m = {m, m},             \
+                                     .s = {s, s}, .q = {q, q}};              \
+    while (b->next < b->n) {                                                 \
+        struct tick c[2] = {                                                 \
+            {p->fine.delta, 0.0, due_d(0.0, p->fine.delta, p->t_end), 0},    \
+            {p->coarse.delta, 0.0, due_d(0.0, p->coarse.delta, p->t_end),    \
+             0}};                                                            \
+        double t = 0.0;                                                      \
+        for (n_live = 0; n_live < VECTORS && b->next < b->n; n_live++) {     \
+            struct fixed_lanes_##V *l = live[n_live] = &lanes[n_live];       \
+            *l = first;                                                      \
+            for (e = 0; e < W; e++)                                          \
+                l->k.i[e] = take(b, &l->k.rng[e]);                           \
+        }                                                                    \
+        while (n_live > 0) {                                                 \
+            double t_next = c[0].due < c[1].due ? c[0].due : c[1].due;       \
+            vec sq = splat_##V(sqrt(t_next - t));                            \
+            for (k = 0; k < n_live; k++) {                                   \
+                struct fixed_lanes_##V *l = live[k];                         \
+                vec dz = sq * lane_normals_##V(&l->k);                       \
+                pend_##V(&l->pw[0], &l->pc[0], dz);                          \
+                pend_##V(&l->pw[1], &l->pc[1], dz);                          \
+            }                                                                \
+            for (j = 0; j < 2; j++) {                                        \
+                struct tick *leg = &c[j];                                    \
+                double dt = t_next - leg->last;                              \
+                int going = t_next < p->t_end, all = !going && j == 1;       \
+                if (leg->due != t_next)                                      \
+                    continue;                                                \
+                leg->last = t_next;                                          \
+                leg->steps += 1;                                             \
+                if (going) {  /* the budget spent or the step collapsed */   \
+                    leg->due = due_d(t_next, leg->delta, p->t_end);          \
+                    all = leg->steps >= p->max_steps || leg->due <= t_next;  \
+                }                                                            \
+                /* at t_end both legs fire (every due time is clamped to     \
+                   it), and the coarse leg's event ends every seed */        \
+                for (k = 0; k < n_live; k++) {                               \
+                    struct fixed_lanes_##V *l = live[k];                     \
+                    vec x = tm_advance_##V(l->x[j], l->m[j], l->s[j],        \
+                                           l->q[j], dt, l->pw[j],            \
+                                           leg->delta);                      \
+                    unsigned over = all ? (1u << W) - 1 : 0;                 \
+                    l->x[j] = x;                                             \
+                    l->pw[j] = l->pc[j] = splat_##V(0.0);                    \
+                    if (going) {                                             \
+                        over |= bits_##V(not_##V(abs_##V(x) <= DBL_MAX));    \
+                        tm_propose_##V(p->model, x, &l->m[j], &l->s[j],      \
+                                       &l->q[j]);                            \
+                    }                                                        \
+                    for (e = 0; e < W; e++)                                  \
+                        if (over >> e & 1 && l->k.i[e] >= 0) {               \
+                            record(b, l->k.i[e], l->x[0][e], l->x[1][e],     \
+                                   c[0].steps, c[1].steps, t_next,           \
+                                   going ? FINE_STOP + j                     \
+                                   : pair_end(l->x[0][e], l->x[1][e]));      \
+                            l->k.i[e] = -1;  /* the element idles */         \
+                        }                                                    \
+                    if (idle_##V(&l->k))  /* as in run_pairs */              \
+                        live[k--] = live[--n_live];                          \
+                }                                                            \
+            }                                                                \
+            t = t_next;                                                      \
+        }                                                                    \
+    }                                                                        \
+}
 
-/* Each of the block's fixed-step pairs, from p's legs' states and base
-   steps, in generations of up to 2 VECTORS seeds, two to a vector, all
-   started at t = 0.  A fixed-step leg's clock does not depend on its
-   state, so a generation has one timeline: each event's time and sqrt of
-   its gap, which legs fire, their clocks and their budget and collapse
-   tests are worked out once, in driver._merge's order, and only each
-   seed's draw, pending increments, updates, coefficients and finiteness
-   tests are its own.  A seed that stops writes its record at the event, a
-   fine stop before the coarse leg fires, as pair_event's FINE_STOP, and
-   its element idles; the next generation starts when every seed of this
-   one is over. */
-LANE_CLONES static void run_fixed(const struct pair *p, struct block *b)
+VECTOR_LAYER(vec2, vmask2, v2, BASELINE_ELEMENTS, EACH2, )
+#ifdef WIDE
+VECTOR_LAYER(vec4, vmask4, v4, AVX2_ELEMENTS, EACH4, AVX2)
+#endif
+
+/* 1 when tamsde_init found AVX2 on the host, and tamsde_block runs the
+   four-wide layer's runner, else the two-wide layer's.  Each is called
+   directly, so the compiler inlines the two-wide runners into
+   tamsde_block: called through a pointer, the portable two-wide build's
+   paths took ~1.03 times as long (tools/leg_step_ns.py, moments-long). */
+static int avx2;
+
+#ifdef WIDE
+#define RUN_VECTORS(runner, p, b) \
+    (avx2 ? runner##_v4(p, b) : runner##_v2(p, b))
+#else
+#define RUN_VECTORS(runner, p, b) runner##_v2(p, b)
+#endif
+
+/* tamsde_init's work, done once per process: the tables of ziggurat(),
+   and the test of the processor that picks the vector layer */
+static void init(void)
 {
-    struct fixed_lanes lanes[VECTORS], *live[VECTORS], first;
-    vec m, s, q, x0 = splat_v(p->fine.x);
-    int n_live, k, e, j;
-    tm_propose_v(p->model, x0, &m, &s, &q);
-    first = (struct fixed_lanes){.x = {x0, x0}, .m = {m, m}, .s = {s, s},
-                                 .q = {q, q}};
-    while (b->next < b->n) {
-        struct tick c[2] = {
-            {p->fine.delta, 0.0, due_d(0.0, p->fine.delta, p->t_end), 0},
-            {p->coarse.delta, 0.0, due_d(0.0, p->coarse.delta, p->t_end), 0}};
-        double t = 0.0;
-        for (n_live = 0; n_live < VECTORS && b->next < b->n; n_live++) {
-            struct fixed_lanes *l = live[n_live] = &lanes[n_live];
-            *l = first;
-            for (e = 0; e < 2; e++)
-                l->k.i[e] = take(b, &l->k.rng[e]);
-        }
-        while (n_live > 0) {
-            double t_next = c[0].due < c[1].due ? c[0].due : c[1].due;
-            vec sq = splat_v(sqrt(t_next - t));
-            for (k = 0; k < n_live; k++) {
-                struct fixed_lanes *l = live[k];
-                vec dz = sq * lane_normals(&l->k);
-                pend_v(&l->pw[0], &l->pc[0], dz);
-                pend_v(&l->pw[1], &l->pc[1], dz);
-            }
-            for (j = 0; j < 2; j++) {
-                struct tick *leg = &c[j];
-                double dt = t_next - leg->last;
-                int going = t_next < p->t_end, all = !going && j == 1;
-                if (leg->due != t_next)
-                    continue;
-                leg->last = t_next;
-                leg->steps += 1;
-                if (going) {  /* the budget spent or the step collapsed */
-                    leg->due = due_d(t_next, leg->delta, p->t_end);
-                    all = leg->steps >= p->max_steps || leg->due <= t_next;
-                }
-                /* at t_end both legs fire (every due time is clamped to
-                   it), and the coarse leg's event ends every seed */
-                for (k = 0; k < n_live; k++) {
-                    struct fixed_lanes *l = live[k];
-                    vec x = tm_advance_v(l->x[j], l->m[j], l->s[j], l->q[j],
-                                         dt, l->pw[j], leg->delta);
-                    unsigned over = all ? 3 : 0;
-                    l->x[j] = x;
-                    l->pw[j] = l->pc[j] = splat_v(0.0);
-                    if (going) {
-                        over |= bits_v(not_v(abs_v(x) <= DBL_MAX));
-                        tm_propose_v(p->model, x, &l->m[j], &l->s[j],
-                                     &l->q[j]);
-                    }
-                    for (e = 0; e < 2; e++)
-                        if (over >> e & 1 && l->k.i[e] >= 0) {
-                            record(b, l->k.i[e], l->x[0][e], l->x[1][e],
-                                   c[0].steps, c[1].steps, t_next,
-                                   going ? FINE_STOP + j
-                                   : pair_end(l->x[0][e], l->x[1][e]));
-                            l->k.i[e] = -1;  /* the element idles */
-                        }
-                    if (l->k.i[0] < 0 && l->k.i[1] < 0)  /* as in run_pairs */
-                        live[k--] = live[--n_live];
-                }
-            }
-            t = t_next;
-        }
-    }
+    probe_tables();
+#ifdef WIDE
+    __builtin_cpu_init();
+    avx2 = __builtin_cpu_supports("avx2") != 0;
+#endif
+}
+
+/* Fill the tables of ziggurat() and pick the vector runners, once per
+   process, before any draw or block: kernel.py calls it when it loads the
+   library.  Returns 1 when the draws take the fast path, 0 when every
+   draw is numpy's function. */
+int tamsde_init(void)
+{
+    static pthread_once_t once = PTHREAD_ONCE_INIT;
+    pthread_once(&once, init);
+    return fast_path;
 }
 
 /* the runner codes of tamsde_block */
@@ -1101,10 +1181,10 @@ long long tamsde_block(int runner, int model, double delta_fine,
                      .model = model};
     struct block b = {seed, n_words, 0, n, x_f, x_c, t, n_f, n_c, status, 0};
     if (runner == FIXED)
-        run_fixed(&p, &b);
+        RUN_VECTORS(run_fixed, &p, &b);
     else if (runner == PATHS) {
         arm(&p, &p.fine);
-        run_paths(&p, &b);
+        RUN_VECTORS(run_paths, &p, &b);
     } else {
         arm(&p, &p.fine);
         arm(&p, &p.coarse);
@@ -1113,17 +1193,12 @@ long long tamsde_block(int runner, int model, double delta_fine,
     return b.stopped;
 }
 
-/* The build of the vector runners the loader picked for this host:
-   "avx2", the AVX2 clone, or "baseline", the only build where there are
-   no clones.  The loader's choice is the same test of the processor. */
+/* The vector layer tamsde_block runs a block's paths and fixed-step pairs
+   on, as tamsde_init picked it: "avx2", four-wide, or "baseline",
+   two-wide. */
 const char *tamsde_lanes(void)
 {
-#ifdef CLONED
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2"))
-        return "avx2";
-#endif
-    return "baseline";
+    return avx2 ? "avx2" : "baseline";
 }
 
 /* --- a Monte Carlo cell's sums ------------------------------------------- */

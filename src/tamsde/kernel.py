@@ -21,25 +21,29 @@ route of a block gives its columns as arrays, which a pool sends back
 as they are.  The kernel keeps several seeds of a
 block in flight, each with its own Philox: a block's tamed-adaptive
 pairs in three lanes (two for model2, whose pow calls keep the processor
-busy with fewer), its paths and its fixed-step pairs two to a SIMD
-vector of two doubles, in three vectors whose packed operations step
-both seeds at once.  A pass gives every lane one event of its pair, or
-every vector one step of its paths, and a seed that is over is replaced
-by the block's next seed.  Fixed-step pairs run in generations of up to
-six seeds started together: a fixed-step leg's clock does not depend on
-its state, so a generation has one timeline, whose event times, firing
-legs, step counts and budget tests are worked out once per event, and a
-seed that is over idles, drawing nothing, until its generation ends.
-The adaptive pair's event, the path step and the fixed-step event are
-each written once, and the scheme's formulas once for a double and a
-vector alike, so a seed runs the same operations in the same order in
-any lane or element, and its outcome does not depend on the block it
-runs in; the lanes only let the processor overlap the seeds' chains of
-dependent operations.  On x86-64 Linux with glibc both vector runners
-are built twice, for AVX2 and for the baseline, and the loader runs the
-one the host can; lanes(lib) names it.  A Monte Carlo cell runs its
-seeds as blocks, and a single coupled pair is a block of one: one lane,
-or one vector for a fixed-step pair.  Each seed draws numpy's
+busy with fewer), its paths and its fixed-step pairs one to an element
+of a SIMD vector, in three vectors whose packed operations step every
+element's seed at once: vectors of four doubles on an x86-64 host with
+AVX2, of two elsewhere.  A pass gives every lane one event of its pair,
+or every vector one step of its paths, and a seed that is over is
+replaced by the block's next seed.  Fixed-step pairs run in generations
+of up to three vectors' seeds started together: a fixed-step leg's clock
+does not depend on its state, so a generation has one timeline, whose
+event times, firing legs, step counts and budget tests are worked out
+once per event, and a seed that is over idles, drawing nothing, until
+its generation ends.  The adaptive pair's event, the path step and the
+fixed-step event are each written once, the scheme's formulas once for a
+double and a vector alike, and the code on vectors once for both widths,
+so a seed runs the same operations in the same order in any lane or
+element, and its outcome does not depend on the block it runs in or the
+width; the lanes only let the processor overlap the seeds' chains of
+dependent operations.  Every build has the two-wide code; on x86-64
+Linux with glibc the four-wide code is built too, for AVX2, and
+tamsde_init tests the processor once per process and has every block run
+the four-wide code on a host with AVX2; lanes(lib) names the width it
+picked.  A Monte Carlo cell runs its seeds as blocks, and a single
+coupled pair is a block of one: one lane, or one vector for a fixed-step
+pair.  Each seed draws numpy's
 normal on its own Philox: it takes the ziggurat's fast path itself, with
 no branch on the random sign, and hands every other output to numpy's
 random_standard_normal on a bit generator that replays it first.  The fast path's
@@ -244,9 +248,9 @@ def _declare(lib):
 
 
 def lanes(lib):
-    """The build of its vector runners (a block's paths and fixed-step
-    pairs) the kernel library lib runs on this host: "avx2", its AVX2
-    clone, or "baseline"."""
+    """The vector code the kernel library lib runs a block's paths and
+    fixed-step pairs on, as its tamsde_init picked it on this host:
+    "avx2", four doubles to a vector, or "baseline", two."""
     lib.tamsde_lanes.restype = ctypes.c_char_p
     return lib.tamsde_lanes().decode()
 

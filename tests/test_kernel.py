@@ -451,6 +451,29 @@ WORD_RANGES = [range(2 ** 32 - 20, 2 ** 32 + 20), range(2 ** 64 - 20, 2 ** 64),
 WORD_IDS = ["across-2**32", "up-to-2**64", "across-2**64", "across-2**96"]
 
 
+# the seeds a block keeps in flight, in _pair.c: LANES adaptive pairs
+# (MODEL2_LANES of model2), or VECTORS vectors of paths or fixed-step
+# pairs, of as many elements as ELEMENTS gives for the build of the vector
+# layer a kernel runs, by the name kernel.lanes reports: "baseline" and
+# "avx2"
+with open(kernel._SOURCE) as _source:
+    _text = _source.read()
+LANES = int(re.search(r"#define LANES (\d+)", _text).group(1))
+MODEL2_LANES = int(re.search(r"#define MODEL2_LANES (\d+)", _text).group(1))
+VECTORS = int(re.search(r"#define VECTORS (\d+)", _text).group(1))
+ELEMENTS = {name.lower(): int(n) for name, n in
+            re.findall(r"#define (\w+)_ELEMENTS (\d+)", _text)}
+# the block sizes one seed short of a generation of fixed-step pairs, or
+# of a block's first fill of paths, and one seed past it, at each width
+GENERATION_EDGES = sorted({width * VECTORS + d for width in ELEMENTS.values()
+                           for d in (-1, 1)})
+
+
+def elements(lib):
+    """The elements per vector of the vector layer lib runs on this host."""
+    return ELEMENTS[kernel.lanes(lib)]
+
+
 class TestBlockParity:
     # a block runs each seed as a fresh NoiseSource(seed) would, so its
     # outcomes are the Python loops'
@@ -577,12 +600,14 @@ class TestBlockParity:
                 kernel.run_block(get_model("model1"), config, seeds, pair)
 
     # a block keeps LANES adaptive pairs in flight (MODEL2_LANES of
-    # model2) and refills a lane as its seed ends, and 2 * VECTORS paths,
-    # refilled alike, or fixed-step pairs, run in generations of that
-    # many; so these sizes run no lane (an empty block is []), leave lanes
-    # or elements empty, fill them once, refill one, start a second
-    # generation, and refill or start many times over, for each count
-    @pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 5, 6, 7, 9, 100])
+    # model2) and refills a lane as its seed ends, and VECTORS vectors of
+    # paths, refilled alike, or fixed-step pairs, run in generations of
+    # that many; so these sizes run no lane (an empty block is []), leave
+    # lanes or elements empty, fill them once, refill one, start a second
+    # generation, and refill or start many times over, for each count and
+    # each width of vector
+    @pytest.mark.parametrize("size", sorted({0, 1, 2, 3, 4, 5, 6, 7, 9, 100,
+                                             *GENERATION_EDGES}))
     @pytest.mark.parametrize("clock", [(1.0, 2.0), None, "path"],
                              ids=["adaptive", "fixed", "path"])
     def test_block_is_its_blocks_of_one(self, lib, clock, size):
@@ -605,7 +630,7 @@ class TestBlockParity:
         run = lanes_run(model, clock, 5.0, max_steps)
         got = run(seeds)
         assert [i for i, _ in got.failures] == stops
-        width = (2 * VECTORS if clock == "path"
+        width = (elements(lib) * VECTORS if clock == "path"
                  else MODEL2_LANES if name == "model2" else LANES)
         assert 0 < stops[0] < width
         assert hexed(got) == hexed(one_by_one(run, seeds))
@@ -625,11 +650,12 @@ class TestBlockParity:
                 run = lanes_run(get_model(name), clock, 1.0, 10 ** 8)
                 assert hexed(run(seeds)) == hexed(one_by_one(run, seeds))
 
-    # a block's paths run two to a vector: element e of the block's vector
-    # v holds seed index 2v + e until the first refill.  Blocks of one and
-    # of three seeds leave elements empty, seven refill them; a stop at
-    # index j of the first fill lands on element j % 2, with the other
-    # element's path running on, or stopping too
+    # a block's paths run W to a vector, W the elements per vector of the
+    # vector layer the host runs: element e of the block's vector v holds
+    # seed index W v + e until the first refill.  Blocks of one seed and
+    # of one short of the first fill leave elements empty, one past it
+    # refills one; a stop at index j of the first fill lands on element
+    # j % W, with the other elements' paths running on, or stopping too
     @pytest.mark.parametrize("name, x0, k, t_end, max_steps", [
         ("gbm", None, 2, 5.0, 150),
         ("model2", None, 1, 5.0, 25),
@@ -638,34 +664,39 @@ class TestBlockParity:
     ], ids=["budget-gbm", "budget-model2", "non-finite",
             "non-finite-at-horizon"])
     def test_path_vectors(self, lib, name, x0, k, t_end, max_steps):
+        width = elements(lib)
+        fill = width * VECTORS
         model = get_model(name)
         if x0 is not None:
             model = model.replace(x0=x0)
         config = path_config(k, t_end, max_steps=max_steps)
-        want = path_seeded(_path_loop, model, config, range(60))
-        stop = next(i for i, _ in want.failures if i >= 3)
-        elements = set()
-        for size in (1, 3, 7):
-            for j in range(min(size, 4)):
+        want = path_seeded(_path_loop, model, config, range(100))
+        stop = next(i for i, _ in want.failures if i >= 2 * width - 1)
+        assert stop + fill + 1 <= 100
+        elements_hit = set()
+        for size in (1, fill - 1, fill + 1):
+            for j in range(min(size, 2 * width)):
                 seeds = range(stop - j, stop - j + size)
                 got = path_block(model, config, seeds)
                 assert j in [i for i, _ in got.failures]
                 assert hexed(got) == hexed(part(want, seeds.start,
                                                 seeds.stop))
-                elements.add(j % 2)
-        assert elements == {0, 1}
+                elements_hit.add(j % width)
+        assert elements_hit == set(range(width))
 
-    # a block's fixed-step pairs run in generations of 2 * VECTORS seeds,
-    # two to a vector, on one timeline: seed index j of a generation is
-    # element j % 2 of vector j // 2.  Blocks of one and of three seeds
-    # leave elements empty, seven start a second generation.  No built-in
-    # model's fixed-step pairs stop on some seeds and not on others: a
-    # state turns non-finite only at the first event, where the drift at
-    # x0 overflows, and the budget is the timeline's, so each case stops
-    # every seed of a generation, on both elements of each vector, at one
-    # event, with the same record as the Python loop's.  From 1e180, where
-    # 1 + delta x**2 is inf, gbm's and model2's exact moves are below
-    # 1e-250 ulp of x, so every seed ends DONE with both states x0.
+    # a block's fixed-step pairs run in generations of W VECTORS seeds, W
+    # to a vector, W the elements per vector of the vector layer the host
+    # runs, on one timeline: seed index j of a generation is element j % W
+    # of vector j // W.  Blocks of one seed and of one short of a
+    # generation leave elements empty, one past it starts a second
+    # generation.  No built-in model's fixed-step pairs stop on some seeds
+    # and not on others: a state turns non-finite only at the first event,
+    # where the drift at x0 overflows, and the budget is the timeline's, so
+    # each case stops every seed of a generation, on every element of each
+    # vector, at one event, with the same record as the Python loop's.
+    # From 1e180, where 1 + delta x**2 is inf, gbm's and model2's exact
+    # moves are below 1e-250 ulp of x, so every seed ends DONE with both
+    # states x0.
     @pytest.mark.parametrize("name, x0, k, max_steps", [
         ("model1", 1e200, 2, 10 ** 8),
         ("model2", 1e206, 1, 10 ** 8),
@@ -676,18 +707,19 @@ class TestBlockParity:
     ], ids=["non-finite-model1", "non-finite-model2", "budget-gbm",
             "budget-model2", "frozen-gbm", "frozen-model2"])
     def test_fixed_vectors(self, lib, name, x0, k, max_steps):
+        generation = elements(lib) * VECTORS
+        n = 13 + generation + 1
         model = get_model(name)
         if x0 is not None:
             model = model.replace(x0=x0)
-        want = seeded(reference, model, None, k, 5.0, range(20), max_steps)
+        want = seeded(reference, model, None, k, 5.0, range(n), max_steps)
         if x0 == 1e180:
-            assert list(want.states) == [[x0] * 20] * 2
+            assert list(want.states) == [[x0] * n] * 2
         else:
-            assert len(want.failures) == 20
+            assert len(want.failures) == n
             assert len({(o.leg, o.time, o.steps)
                         for _, o in want.failures}) == 1
-        assert 2 * VECTORS < 7
-        for size in (1, 3, 7):
+        for size in (1, generation - 1, generation + 1):
             for first in (0, 5, 13):
                 seeds = range(first, first + size)
                 got = block(model, None, k, 5.0, seeds, max_steps)
@@ -778,16 +810,6 @@ def test_declined_block_paths_store_no_grid(tmp_path):
         tracemalloc.stop()
     assert steps > 4 * 10 ** 4
     assert peak < 2 ** 20
-
-
-# the seeds a block keeps in flight, in _pair.c: LANES adaptive pairs
-# (MODEL2_LANES of model2), or VECTORS vectors of two paths or fixed-step
-# pairs
-with open(kernel._SOURCE) as _source:
-    _text = _source.read()
-LANES = int(re.search(r"#define LANES (\d+)", _text).group(1))
-MODEL2_LANES = int(re.search(r"#define MODEL2_LANES (\d+)", _text).group(1))
-VECTORS = int(re.search(r"#define VECTORS (\d+)", _text).group(1))
 
 
 def lanes_run(model, clock, t_end, max_steps):
@@ -1338,19 +1360,20 @@ def test_fsum_port_is_math_fsum(lib, values):
 
 # The builds the strict tests make of the kernel's own build line: as it
 # is; with the 32-bit halves the product falls back to without the
-# compiler's 128-bit integer; and with neither the AVX2 clone of the path
-# lanes nor the x86 intrinsics, the portable vector code a build for
-# arm64, musl or no ELF target runs.  Each with the path lanes it runs.
+# compiler's 128-bit integer; and with neither the four-wide AVX2 vector
+# code nor the x86 intrinsics, the portable two-wide vector code a build
+# for arm64, musl or no ELF target runs.  Each with the vector code it
+# runs (kernel.lanes).
 BUILDS = (("native.so", [], None),
           ("portable.so", ["-U__SIZEOF_INT128__"], None),
           ("baseline.so", ["-U__ELF__"], "baseline"))
 
 
 def host_lanes():
-    """The path lanes a build with the AVX2 clone runs here: "avx2" on an
-    x86-64 Linux host with glibc whose processor has AVX2, "baseline" on
-    any other host, and None when the processor's features cannot be
-    read."""
+    """The vector code a build with the four-wide AVX2 code runs here:
+    "avx2" on an x86-64 Linux host with glibc whose processor has AVX2,
+    "baseline" on any other host, and None when the processor's features
+    cannot be read."""
     if not (sys.platform.startswith("linux")
             and platform.machine() == "x86_64"
             and platform.libc_ver()[0] == "glibc"):

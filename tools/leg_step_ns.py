@@ -19,7 +19,7 @@ steps of the leg that stopped it, from its PathExplosion.  The time is
 the block route's as a Monte Carlo cell runs it, the ctypes call and the
 columns and failures it returns included.
 
-In the same rounds it times the normal draw the block lanes make,
+In the same rounds it times the normal draw the vector lanes make,
 against numpy's: DRAWS fills of FILL normals from seed 0, by the
 kernel's port of Philox (tamsde_normals, "draw/port") and by
 Generator(Philox(0)).standard_normal(out=) ("draw/numpy"), and prints
@@ -50,9 +50,9 @@ older kernel, which lacks a function a newer kernel.py loads, is timed
 from the older checkout, --against the newer source.  --rounds sets the
 rounds (default 7).  Times are printed in ns a unit with two decimals.
 
-The first line names the build of the vector runners (a block's paths
-and fixed-step pairs) each kernel runs on this host (kernel.lanes):
-"avx2", the AVX2 clone, or "baseline".
+The first line names the vector code (of a block's paths and
+fixed-step pairs) each kernel runs on this host (kernel.lanes): "avx2",
+four-wide, or "baseline", two-wide.
 """
 
 import argparse
