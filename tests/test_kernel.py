@@ -846,8 +846,10 @@ def bordered(ctype, n):
 
 
 # each runner unbudgeted, and on the budgets at k=2, T=5 that stop some of
-# seeds 1..7: gbm's first, model2's last adaptive pair, every fixed-step
-# pair, and model2's last two paths
+# seeds 1..7, so some seed of every block of 7 or more: gbm's first
+# adaptive pair and path, model2's last adaptive pair and last two paths,
+# and every fixed-step pair; of seeds 8..25 they stop some adaptive pairs
+# and paths and let others end
 RUNS = [
     ("model1", (1.0, 2.0), 10 ** 8), ("gbm", (1.0, 2.0), 300),
     ("model2", (1.0, 2.0), 110),
@@ -860,7 +862,9 @@ RUN_IDS = ["adaptive", "adaptive-budget-gbm", "adaptive-budget-model2",
            "path", "path-budget-gbm", "path-budget-model2"]
 
 
-@pytest.mark.parametrize("size", [1, 3, 7])
+# 13 and 25 pass one and two fills of three four-wide vectors, so records
+# come from refilled path elements and later fixed-step generations
+@pytest.mark.parametrize("size", [1, 3, 7, 13, 25])
 @pytest.mark.parametrize("name, clock, max_steps", RUNS, ids=RUN_IDS)
 def test_block_writes_only_its_records(lib, name, clock, max_steps, size):
     # tamsde_block writes each seed's record into the caller's columns x_f,
@@ -900,7 +904,7 @@ def test_block_writes_only_its_records(lib, name, clock, max_steps, size):
     x_f, x_c, t, n_f, n_c, status = (array[BORDER:-BORDER]
                                      for array, _ in columns)
     assert stopped == sum(code != 0 for code in status) == len(want.failures)
-    if size == 7:  # every budget stops some seed of 1..7
+    if size >= 7:  # every budget stops some seed of 1..7
         assert (stopped > 0) == (max_steps < 10 ** 8)
     states, counts = [x_f, x_c][:legs], [n_f, n_c][:legs]
     failures = []
@@ -1706,6 +1710,34 @@ class TestCache:
         assert isolated(code=code.format(
             "import tamsde; tamsde.get_model('model1')",
             "('json',)")) == ["False"]
+
+    def test_import_loads_only_the_layers_it_runs(self, isolated):
+        # the package imports a layer on first use, so a model lookup
+        # compiles errors and model alone and the kernel's import loads no
+        # layer it does not import itself; cli and kernel import by name,
+        # and __all__, a star import and dir() see every layer's names
+        code = ("import sys, tamsde\n"
+                "def loaded(*names):\n"
+                "    print(*(f'tamsde.{n}' in sys.modules for n in names))\n"
+                "tamsde.get_model('model2')\n"
+                "loaded('scheme', 'driver', 'montecarlo', 'analysis', "
+                "'kernel')\n"
+                "from tamsde import kernel\n"
+                "loaded('montecarlo', 'analysis')\n"
+                "from tamsde import cli\n"
+                "print(kernel.__name__, cli.__name__)\n"
+                "names = {}\n"
+                "exec('from tamsde import *', names)\n"
+                "print(all(name in names for name in tamsde.__all__), "
+                "'__all__' in dir(tamsde))\n"
+                "try:\n"
+                "    tamsde.no_such_name\n"
+                "except AttributeError:\n"
+                "    print('AttributeError')")
+        assert isolated(fake_cc=True, code=code) == [
+            *["False"] * 7, "tamsde.kernel", "tamsde.cli", "True", "True",
+            "AttributeError"]
+        assert isolated.calls() == 0
 
     def test_cached_load_asks_for_no_temporary_directory(self, lib, isolated):
         # the cache directories are tried one at a time, so a build cached
