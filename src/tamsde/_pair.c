@@ -24,20 +24,24 @@
  * product, the step rule of propose, scheme._due, the tamed-adaptive update
  * and the Kahan sum of a pending increment) are written once, in FORMULAS,
  * over a lane type: instantiated on a double for the legs of a tamed-adaptive
- * pair, and on a vector of doubles for paths or fixed-step pairs, one in each
- * element.  Everything written on vectors, the vector layer, is written once
- * too, in VECTOR_LAYER, and instantiated once per width of vector.  Only
- * vectors step fixed-step legs, so the fixed-step update and propose
- * (tm_advance_V, tm_propose_V) are written for the vector alone.  A
- * tamed-adaptive pair is two legs (struct leg) on a merged timeline, and
- * pair_event is one event of driver._merge's loop; a vector's paths are one
- * leg each, in a struct path_V, and path_step_V is one step of
- * scheme._path_loop for all of them.  A fixed-step leg's clock does not
- * depend on its state, so fixed-step pairs that start together share one
- * merged timeline: run_fixed_V works out each event of driver._merge's loop
- * once for a generation of seeds (struct tick, one per leg) and steps the
- * seeds' draws, pending increments, updates and finiteness tests as vectors.
- * There is no other pair or path loop.  kernel.py builds and loads this file.
+ * pair in a scalar lane, and on a vector of doubles for paths, fixed-step
+ * pairs or tamed-adaptive pairs, one in each element.  The step rule takes
+ * the leg's sqrt(delta), 1/sqrt(delta) and delta as values of the lane
+ * type, so a vector's elements may each step a leg of their own.
+ * Everything written on vectors, the vector layer, is written once too, in
+ * VECTOR_LAYER, and instantiated once per width of vector.  Only vectors
+ * step fixed-step legs, so the fixed-step update and propose (tm_advance_V,
+ * tm_propose_V) are written for the vector alone.  A tamed-adaptive pair is
+ * two legs (struct leg) on a merged timeline, and pair_event is one event of
+ * driver._merge's loop; on a vector, each element's two legs are in a
+ * struct pair_lanes_V and a pass of run_pairs_V is pair_event for all of
+ * them; a vector's paths are one leg each, in a struct path_V, and
+ * path_step_V is one step of scheme._path_loop for all of them.  A
+ * fixed-step leg's clock does not depend on its state, so fixed-step pairs
+ * that start together share one merged timeline: run_fixed_V works out each
+ * event of driver._merge's loop once for a generation of seeds (struct
+ * tick, one per leg) and steps the seeds' draws, pending increments, updates
+ * and finiteness tests as vectors.  There is no other pair or path loop.  kernel.py builds and loads this file.
  *
  * A Monte Carlo cell's pairs or paths, and a single pair, run as a block of
  * consecutive seeds (tamsde_block), the one entry point that runs them.  A
@@ -53,9 +57,23 @@
  * (struct lane), or MODEL2_LANES for model2, its paths and its fixed-step
  * pairs in VECTORS vectors (struct path_lanes_V, struct fixed_lanes_V), whose
  * packed operations step a seed in each element at once; each seed's draw,
- * its pow calls, its step count and its record stay its own.  Of the draw's
+ * its pow calls, its step count and its record stay its own.  On a host
+ * with AVX2 a block of model1 or gbm pairs of vector_pairs[model] seeds or
+ * more runs on VECTORS four-wide vectors too (struct pair_lanes_V,
+ * run_pairs_V), one seed's pair to an element, each element on its own
+ * merged timeline: a pass gives each element one event of pair_event, in
+ * which only the leg that fires first in that element, picked into one
+ * vector, advances and proposes, and a masked step, taken only in a pass
+ * where some element has both legs due (every seed at t_end), fires the
+ * coarse leg after it.  tools/leg_step_ns.py read its adaptive model1 pairs
+ * at 0.67 of the scalar lanes' time, model2's pairs on the vectors at 1.19
+ * (its pow calls are per element either way) and the pair vectors of the
+ * two-wide build at 1.18, so model2 and that build keep the lanes (2-core
+ * Intel Xeon, gcc 12); a prototype that stepped both legs on every pass
+ * read 0.80 where firing one read 0.66.  Small blocks keep the lanes too: a
+ * lone pair's vector has three elements idle.  Of the draw's
  * state a lane or an element holds only its seed's Philox, which every draw
- * reads, the rare one off the ziggurat's fast path included.  The three
+ * reads, the rare one off the ziggurat's fast path included.  The four
  * runners share one block protocol (struct block): take is the one cursor,
  * which hands out the block's next seed, seeding its Philox and stepping the
  * seed's 32-bit words by one, and record is the one writer of the caller's
@@ -75,8 +93,9 @@
  * ELF with glibc it has a second, on vectors of four, compiled for AVX2
  * (the target attribute), and tamsde_init, which tests the processor once
  * per process, has tamsde_block run the four-wide runners (run_paths_v4,
- * run_fixed_v4) on a host with AVX2, and the two-wide ones (run_paths_v2,
- * run_fixed_v2) elsewhere; tamsde_lanes says which.  Without that target
+ * run_fixed_v4, and run_pairs_v4 as above) on a host with AVX2, and the
+ * two-wide ones (run_paths_v2, run_fixed_v2) elsewhere; tamsde_lanes says
+ * which.  Without that target
  * (musl, arm64, no ELF, or __ELF__ undefined on the build line) the one
  * two-wide layer is portable GNU C vector code.  No width moves a bit:
  * each element's operations are the scalar ones.
@@ -92,6 +111,7 @@
  */
 #include <errno.h>
 #include <float.h>
+#include <limits.h>
 #include <math.h>
 #include <pthread.h>
 #include <stddef.h>
@@ -418,12 +438,12 @@ static void probe_tables(void)
 
 /* --- lane types ---------------------------------------------------------- */
 
-/* A vector of doubles (GCC and clang's vector_size type) holds one path or
-   one fixed-step pair in each element: +, -, *, / and the comparisons act
-   on each element, a scalar operand on every one, and a comparison gives
-   a mask of all ones or all zeros in each element; a vector of long longs
-   of the same width holds the paths' step counts.  Every build has the
-   two-wide vector, native on SSE2 and NEON.  On x86-64 ELF with glibc the
+/* A vector of doubles (GCC and clang's vector_size type) holds one path,
+   one fixed-step pair or one tamed-adaptive pair in each element: +, -,
+   *, / and the comparisons act on each element, a scalar operand on every
+   one, and a comparison gives a mask of all ones or all zeros in each
+   element; a vector of long longs of the same width holds the legs' step
+   counts.  Every build has the two-wide vector, native on SSE2 and NEON.  On x86-64 ELF with glibc the
    four-wide vector is built too, in code compiled for AVX2 (the target
    attribute), which tamsde_block runs when the host has AVX2; there the
    square root and the masks' bits are one instruction each, else one call
@@ -478,6 +498,14 @@ AVX2 static inline unsigned bits_v4(vmask4 m)
 {
     return (unsigned)_mm256_movemask_pd((__m256d)m);
 }
+
+/* 1 when some element of m is set, found without the bits of bits_v4
+   (or bits_v2, below), so a runner's bound on a runaway element does not
+   lean on the same code as its stop bits */
+AVX2 static inline int any_v4(vmask4 m)
+{
+    return !_mm256_testz_si256((__m256i)m, (__m256i)m);
+}
 #else
 static inline vec2 sqrt_v2(vec2 x)
 {
@@ -490,6 +518,11 @@ static inline unsigned bits_v2(vmask2 m)
     return (unsigned)(m[0] != 0) | (unsigned)(m[1] != 0) << 1;
 }
 #endif
+
+static inline int any_v2(vmask2 m)
+{
+    return (m[0] | m[1]) != 0;
+}
 
 /* e, hidden from the compiler by an empty asm that may change it, so
    every pow of a constant exponent stays a call of libm's pow: gcc 12 at
@@ -525,6 +558,9 @@ static inline double powabs_d(double x, double e)
 enum { MODEL1, MODEL2, GBM };
 /* how a seed's run ended; RUNNING while it goes on */
 enum { DONE, FINE_STOP, COARSE_STOP, RUNNING };
+/* what a vector runner returns when an element's step count passed its
+   budget, which no seed's run reaches: a fault of this file */
+enum { RUNAWAY = 1 };
 
 struct leg {
     double delta;    /* base step */
@@ -575,10 +611,10 @@ A static inline T product_##V(T s, T sp)                                     \
 {                                                                            \
     return select_##V((s == 0.0) | (sp == 0.0), splat_##V(0.0), s * sp);     \
 }                                                                            \
-A static inline T tamed_##V(T s, T sp, double sqd)                           \
+A static inline T tamed_##V(T s, T sp, T sqd, T rsqd)                        \
 {                                                                            \
     T g = product_##V(s, sp);                                                \
-    return select_##V(isinf_##V(g), copysign_##V(1.0 / sqd, g),              \
+    return select_##V(isinf_##V(g), copysign_##V(rsqd, g),                   \
                       g / (1.0 + sqd * abs_##V(g)));                         \
 }                                                                            \
 A static inline void coefficients_##V(int model, T x, T *m, T *mp, T *s,     \
@@ -608,32 +644,32 @@ A static inline void coefficients_##V(int model, T x, T *m, T *mp, T *s,     \
         *sp = splat_##V(0.2);                                                \
     }                                                                        \
 }                                                                            \
-A static inline T rule_##V(const struct pair *p, const struct leg *leg, T x, \
-                           int model, T *mo, T *so, T *qo)                   \
+A static inline T rule_##V(const struct pair *p, T sqd, T rsqd, T delta,     \
+                           T x, int model, T *mo, T *so, T *qo)              \
 {                                                                            \
     T m, s, mp, sp, q, s2, sp2, xl, base, step;                              \
     xl = p->l0 == 2.0 ? x * x : powabs_##V(x, p->l0);                        \
     coefficients_##V(model, x, &m, &mp, &s, &sp);                            \
     *mo = m;                                                                 \
     *so = s;                                                                 \
-    q = tamed_##V(s, sp, leg->sqd);                                          \
+    q = tamed_##V(s, sp, sqd, rsqd);                                         \
     *qo = q;                                                                 \
     s2 = s * s;                                                              \
     sp2 = sp * sp;                                                           \
     base = 1.0 + m * m + abs_##V(mp) + s2 * s2 + sp2 * sp2 + abs_##V(q)      \
            + xl;                                                             \
-    step = (p->h0 / (base * base)) * leg->delta;                             \
+    step = (p->h0 / (base * base)) * delta;                                  \
     /* scheme._TINY_STEP */                                                  \
     return select_##V((step <= 0.0) | (step != step), splat_##V(DBL_MIN),    \
                       step);                                                 \
 }                                                                            \
-A static inline T propose_##V(const struct pair *p, const struct leg *leg,   \
+A static inline T propose_##V(const struct pair *p, T sqd, T rsqd, T delta,  \
                               T x, T *m, T *s, T *q)                         \
 {                                                                            \
     switch (p->model) {                                                      \
-    case MODEL1: return rule_##V(p, leg, x, MODEL1, m, s, q);                \
-    case MODEL2: return rule_##V(p, leg, x, MODEL2, m, s, q);                \
-    default:     return rule_##V(p, leg, x, GBM, m, s, q);                   \
+    case MODEL1: return rule_##V(p, sqd, rsqd, delta, x, MODEL1, m, s, q);   \
+    case MODEL2: return rule_##V(p, sqd, rsqd, delta, x, MODEL2, m, s, q);   \
+    default:     return rule_##V(p, sqd, rsqd, delta, x, GBM, m, s, q);      \
     }                                                                        \
 }                                                                            \
 A static inline T due_##V(T last, T step, double t_end)                      \
@@ -657,7 +693,8 @@ FORMULAS(double, d, )
 
 static double propose(const struct pair *p, struct leg *leg, double x)
 {
-    return propose_d(p, leg, x, &leg->m, &leg->s, &leg->q);
+    return propose_d(p, leg->sqd, 1.0 / leg->sqd, leg->delta, x, &leg->m,
+                     &leg->s, &leg->q);
 }
 
 /* A pair's leg's event at t: advance with the pending increment, then
@@ -786,8 +823,9 @@ static void record(struct block *b, long long i, double x_f, double x_c,
 }
 
 /* the seeds a block keeps in flight: adaptive pairs in LANES lanes of
-   model1 or gbm and MODEL2_LANES of model2, or VECTORS vectors of paths
-   or fixed-step pairs, of BASELINE_ELEMENTS or AVX2_ELEMENTS each (with
+   model1 or gbm and MODEL2_LANES of model2, or VECTORS vectors of paths,
+   fixed-step pairs or (four-wide) adaptive pairs, of BASELINE_ELEMENTS or
+   AVX2_ELEMENTS each (with
    2, 4 or 5 two-wide vectors in place of 3, tools/leg_step_ns.py read
    moments-long at 1.04, 1.01 and 1.02 of this count's time).  model2's
    three pow calls a leg-step
@@ -845,12 +883,14 @@ struct tick {
 
 /* The vector layer on a vector of W doubles, vec, with masks vmask and
    EACH its initializer (EACH2 or EACH4): each of its functions, suffixed
-   V, carries the attributes A, and its types are suffixed V too.  Only vectors step paths and fixed-step legs, so
-   the fixed-step update and propose are written for the vector alone.
+   V, carries the attributes A, and its types are suffixed V too.  Only
+   vectors step paths and fixed-step legs, so the fixed-step update and
+   propose are written for the vector alone.
      splat_V, select_V, not_V, abs_V, isinf_V, copysign_V and powabs_V:
        the helpers FORMULAS is written in, as a double's are.  select_V
-       gives a where c is set, else b; copysign_V |a| with the sign of each
-       element of b; powabs_V libm's pow of |x| in each element.
+       gives a where c is set, else b; copysign_V each element of |a| with
+       the sign of that element of b; powabs_V libm's pow of |x| in each
+       element.
      FORMULAS on the vector.
      tm_propose_V: propose of scheme._tm_leg, whose step is the base step
        itself: keeps mu, sigma and sigma sigma' at x.
@@ -883,7 +923,11 @@ struct tick {
        run_pairs runs pairs: VECTORS vectors of W seeds in flight; a pass
        steps every vector with a live element, and an element whose seed
        is over writes its record and starts the block's next seed, or
-       none.  A path stopped before t_end is a FINE_STOP.
+       none.  A path stopped before t_end is a FINE_STOP.  Returns 0, or
+       RUNAWAY as soon as an element's step count passes the budget, a
+       test made apart from the stop bits (any_V, not bits_V), so an
+       element whose stop a fault loses ends the block rather than
+       stepping on at t_end forever.
      struct fixed_lanes_V: W fixed-step pairs in flight: each leg's state,
        the coefficients tm_propose_V keeps and the Kahan pair of its
        pending increment (index 0 the fine leg, 1 the coarse), and their
@@ -899,7 +943,38 @@ struct tick {
        A seed that stops writes its record at the event, a fine stop
        before the coarse leg fires, as pair_event's FINE_STOP, and its
        element idles; the next generation starts when every seed of this
-       one is over. */
+       one is over.  Its timeline's budget test ends every generation, so
+       it needs no RUNAWAY bound.
+     struct leg_V: W tamed-adaptive legs, as in struct leg, and their step
+       counts; the leg's base step and its square root are the runner's.
+     pick_V: the legs of a where c is set, else of b.
+     fire_V: fire on the vector: each element's leg's event at t, with that
+       leg's sqrt(delta), 1/sqrt(delta) and delta.  Returns the mask of the
+       elements whose leg cannot go on.  It proposes in every element, a
+       stopped one and one at t_end included, whose proposal nothing
+       reads.
+     struct pair_lanes_V: W tamed-adaptive pairs in flight: their seeds,
+       their legs (index 0 the fine leg, 1 the coarse) and each element's
+       merged time.
+     begin_pair_V: starts element e of l on the block's next seed, or none,
+       at start's legs, as arm leaves them.
+     run_pairs_V: each of the block's tamed-adaptive pairs, from start, as
+       run_pairs runs them, on VECTORS vectors of W seeds, refilled as
+       run_paths_V refills them; a pass is pair_event for each element: its
+       time t, the earlier of its legs' due times, one normal, pended onto
+       both legs, and the event of the leg due at t, the fine one where
+       both are, picked into one vector (pick_V) for one fire_V; then, in
+       the rare pass where some element that did not stop has its coarse
+       leg due at t too (every seed at t_end), a second fire_V of the
+       coarse legs, kept where so.  A fine stop is recorded before the
+       coarse leg fires, as in pair_event.  An element with no seed is
+       restarted too, so no element's step count passes the budget: the
+       runner returns RUNAWAY if one does, as run_paths_V, else 0.  W = 4
+       only: tamsde_block never runs the two-wide copy, which, with
+       begin_pair_V, is inline so that no unused copy is compiled.  The
+       paths' leg and step stay apart from struct leg_V and fire_V:
+       through them, with a pending increment to store and clear, the
+       paths took ~1.015 times as long. */
 #define VECTOR_LAYER(vec, vmask, V, W, EACH, A)                              \
 A static inline vec splat_##V(double x)                                      \
 {                                                                            \
@@ -921,10 +996,9 @@ A static inline vmask isinf_##V(vec x)                                       \
 {                                                                            \
     return abs_##V(x) == INFINITY;                                           \
 }                                                                            \
-A static inline vec copysign_##V(double a, vec b)                            \
+A static inline vec copysign_##V(vec a, vec b)                               \
 {                                                                            \
-    return (vec)((vmask)abs_##V(splat_##V(a))                                \
-                 | ((vmask)b & (vmask)splat_##V(-0.0)));                     \
+    return (vec)((vmask)abs_##V(a) | ((vmask)b & (vmask)splat_##V(-0.0)));   \
 }                                                                            \
 A static inline vec powabs_##V(vec x, double e)                              \
 {                                                                            \
@@ -962,8 +1036,10 @@ A static inline unsigned path_step_##V(const struct pair *p,                 \
     x = advance_##V(v->x, v->m, v->s, v->q, dt, sqrt_##V(dt) * z);           \
     v->x = x;                                                                \
     v->last = v->due;                                                        \
-    v->due = due_##V(v->last, propose_##V(p, &p->fine, x, &v->m, &v->s,      \
-                                          &v->q), p->t_end);                 \
+    v->due = due_##V(v->last, propose_##V(p, splat_##V(p->fine.sqd),          \
+                                          splat_##V(1.0 / p->fine.sqd),      \
+                                          splat_##V(p->fine.delta), x,       \
+                                          &v->m, &v->s, &v->q), p->t_end);   \
     v->steps += 1;                                                           \
     /* at t_end, or not finite, or a step collapsed to nothing, or the       \
        budget spent */                                                       \
@@ -1007,7 +1083,7 @@ A static void begin_path_##V(struct path_lanes_##V *l, int e,                \
     l->v.steps[e] = 0;                                                       \
     l->k.i[e] = take(b, &l->k.rng[e]);                                       \
 }                                                                            \
-A static void run_paths_##V(const struct pair *start, struct block *b)       \
+A static int run_paths_##V(const struct pair *start, struct block *b)        \
 {                                                                            \
     struct path_lanes_##V lanes[VECTORS], *live[VECTORS];                    \
     int n_live = 0, k, e;                                                    \
@@ -1021,6 +1097,8 @@ A static void run_paths_##V(const struct pair *start, struct block *b)       \
             struct path_lanes_##V *l = live[k];                              \
             unsigned over = path_step_##V(start, &l->v,                      \
                                           lane_normals_##V(&l->k));          \
+            if (any_##V(l->v.steps > start->max_steps))                      \
+                return RUNAWAY;                                              \
             if (over == 0)                                                   \
                 continue;                                                    \
             for (e = 0; e < W; e++) {                                        \
@@ -1035,6 +1113,7 @@ A static void run_paths_##V(const struct pair *start, struct block *b)       \
             if (idle_##V(&l->k))  /* as in run_pairs */                      \
                 live[k--] = live[--n_live];                                  \
         }                                                                    \
+    return 0;                                                                \
 }                                                                            \
 struct fixed_lanes_##V {                                                     \
     vec x[2], m[2], s[2], q[2], pw[2], pc[2];                                \
@@ -1111,6 +1190,133 @@ A static void run_fixed_##V(const struct pair *p, struct block *b)           \
             t = t_next;                                                      \
         }                                                                    \
     }                                                                        \
+}                                                                            \
+struct leg_##V {                                                             \
+    vec x, last, due, m, s, q, pw, pc;                                       \
+    vmask steps;                                                             \
+};                                                                           \
+A static inline struct leg_##V pick_##V(vmask c, const struct leg_##V *a,    \
+                                        const struct leg_##V *b)             \
+{                                                                            \
+    struct leg_##V r;                                                        \
+    r.x = select_##V(c, a->x, b->x);                                         \
+    r.last = select_##V(c, a->last, b->last);                                \
+    r.due = select_##V(c, a->due, b->due);                                   \
+    r.m = select_##V(c, a->m, b->m);                                         \
+    r.s = select_##V(c, a->s, b->s);                                         \
+    r.q = select_##V(c, a->q, b->q);                                         \
+    r.pw = select_##V(c, a->pw, b->pw);                                      \
+    r.pc = select_##V(c, a->pc, b->pc);                                      \
+    r.steps = (c & a->steps) | (~c & b->steps);                              \
+    return r;                                                                \
+}                                                                            \
+A static inline vmask fire_##V(const struct pair *p, struct leg_##V *g,      \
+                               vec t, vec sqd, vec rsqd, vec delta)          \
+{                                                                            \
+    vec x = advance_##V(g->x, g->m, g->s, g->q, t - g->last, g->pw);         \
+    g->x = x;                                                                \
+    g->pw = g->pc = splat_##V(0.0);                                          \
+    g->last = t;                                                             \
+    g->steps += 1;                                                           \
+    g->due = due_##V(t, propose_##V(p, sqd, rsqd, delta, x, &g->m, &g->s,    \
+                                    &g->q), p->t_end);                       \
+    return (t < p->t_end)                                                    \
+           & ((g->steps >= p->max_steps) | not_##V(abs_##V(x) <= DBL_MAX)    \
+              | (g->due <= t));                                              \
+}                                                                            \
+struct pair_lanes_##V {                                                      \
+    struct seeds_##V k;                                                      \
+    struct leg_##V leg[2];                                                   \
+    vec t;                                                                   \
+};                                                                           \
+A static inline void begin_pair_##V(struct pair_lanes_##V *l, int e,         \
+                                    const struct pair *start,                \
+                                    struct block *b)                         \
+{                                                                            \
+    const struct leg *first[2] = {&start->fine, &start->coarse};             \
+    int j;                                                                   \
+    for (j = 0; j < 2; j++) {                                                \
+        struct leg_##V *g = &l->leg[j];                                      \
+        g->x[e] = first[j]->x;                                               \
+        g->last[e] = first[j]->last;                                         \
+        g->due[e] = first[j]->due;                                           \
+        g->m[e] = first[j]->m;                                               \
+        g->s[e] = first[j]->s;                                               \
+        g->q[e] = first[j]->q;                                               \
+        g->pw[e] = first[j]->pw;                                             \
+        g->pc[e] = first[j]->pc;                                             \
+        g->steps[e] = 0;                                                     \
+    }                                                                        \
+    l->t[e] = 0.0;                                                           \
+    l->k.i[e] = take(b, &l->k.rng[e]);                                       \
+}                                                                            \
+A static inline int run_pairs_##V(const struct pair *start, struct block *b) \
+{                                                                            \
+    struct pair_lanes_##V lanes[VECTORS], *live[VECTORS];                    \
+    const struct leg *first[2] = {&start->fine, &start->coarse};             \
+    vec sqd[2], rsqd[2], delta[2];                                           \
+    int n_live = 0, k, e, j;                                                 \
+    for (j = 0; j < 2; j++) {                                                \
+        sqd[j] = splat_##V(first[j]->sqd);                                   \
+        rsqd[j] = splat_##V(1.0 / first[j]->sqd);                            \
+        delta[j] = splat_##V(first[j]->delta);                               \
+    }                                                                        \
+    for (; n_live < VECTORS && b->next < b->n; n_live++) {                   \
+        live[n_live] = &lanes[n_live];                                       \
+        for (e = 0; e < W; e++)                                              \
+            begin_pair_##V(live[n_live], e, start, b);                       \
+    }                                                                        \
+    while (n_live > 0)                                                       \
+        for (k = 0; k < n_live; k++) {                                       \
+            struct pair_lanes_##V *l = live[k];                              \
+            struct leg_##V *f = &l->leg[0], *c = &l->leg[1], g;              \
+            vec t = select_##V(f->due < c->due, f->due, c->due);             \
+            vec dz = sqrt_##V(t - l->t) * lane_normals_##V(&l->k);           \
+            vmask fine, stop, fine_stop, coarse_stop, both;                  \
+            unsigned over;                                                   \
+            pend_##V(&f->pw, &f->pc, dz);                                    \
+            pend_##V(&c->pw, &c->pc, dz);                                    \
+            l->t = t;                                                        \
+            /* the leg that fires first: fine where it is due */             \
+            fine = f->due == t;                                              \
+            g = pick_##V(fine, f, c);                                        \
+            stop = fire_##V(start, &g, t, select_##V(fine, sqd[0], sqd[1]),  \
+                            select_##V(fine, rsqd[0], rsqd[1]),              \
+                            select_##V(fine, delta[0], delta[1]));           \
+            *f = pick_##V(fine, &g, f);                                      \
+            *c = pick_##V(fine, c, &g);                                      \
+            fine_stop = fine & stop;                                         \
+            coarse_stop = not_##V(fine) & stop;                              \
+            /* the coarse leg where both are due, after the fine leg */      \
+            both = fine & not_##V(stop) & (c->due == t);                     \
+            if (any_##V(both)) {                                             \
+                g = *c;                                                      \
+                coarse_stop |= both & fire_##V(start, &g, t, sqd[1],         \
+                                               rsqd[1], delta[1]);           \
+                *c = pick_##V(both, &g, c);                                  \
+            }                                                                \
+            if (any_##V((f->steps > start->max_steps)                        \
+                        | (c->steps > start->max_steps)))                    \
+                return RUNAWAY;                                              \
+            over = bits_##V(fine_stop | coarse_stop                          \
+                            | not_##V(t < start->t_end));                    \
+            if (over == 0)                                                   \
+                continue;                                                    \
+            for (e = 0; e < W; e++) {                                        \
+                if (!(over >> e & 1))                                        \
+                    continue;                                                \
+                if (l->k.i[e] >= 0)                                          \
+                    record(b, l->k.i[e], f->x[e], c->x[e], f->steps[e],      \
+                           c->steps[e], t[e],                                \
+                           fine_stop[e] ? FINE_STOP                          \
+                           : coarse_stop[e] ? COARSE_STOP                    \
+                           : pair_end(f->x[e], c->x[e]));                    \
+                begin_pair_##V(l, e, start, b);                              \
+            }                                                                \
+            if (idle_##V(&l->k))  /* as in run_pairs */                      \
+                live[k--] = live[--n_live];                                  \
+        }                                                                    \
+    return 0;                                                                \
 }
 
 VECTOR_LAYER(vec2, vmask2, v2, BASELINE_ELEMENTS, EACH2, )
@@ -1154,6 +1360,19 @@ int tamsde_init(void)
     return fast_path;
 }
 
+/* the fewest seeds of a block whose tamed-adaptive pairs the four-wide
+   vectors run, by model, and none of model2.  Through kernel.run_block at
+   k=5, T=5, against the scalar lanes, in us a seed (2-core Intel Xeon,
+   gcc 12): model1 at 1, 2, 3, 12 and 200 seeds 47.5 -> 60.1, 27.0 ->
+   30.5, 26.6 -> 22.6, 20.6 -> 13.3 and 19.6 -> 14.7; gbm, whose step
+   counts spread far wider, so a vector waits on its longest seed, took
+   1.07 at 8 seeds, 1.01 at 16, 0.94 at 24 and 0.74 at 200 (and at k=3
+   1.02, 0.99, 0.92 and, at 32, 0.91). */
+#ifdef WIDE
+static const long long vector_pairs[] = {[MODEL1] = 3, [MODEL2] = LLONG_MAX,
+                                         [GBM] = 24};
+#endif
+
 /* the runner codes of tamsde_block */
 enum { PATHS, PAIRS, FIXED };
 
@@ -1167,8 +1386,13 @@ enum { PATHS, PAIRS, FIXED };
    counts, and status DONE, or FINE_STOP or COARSE_STOP for the leg that
    stopped it.  A path has one leg: x_c and n_c are x_f and n_f, and get
    the same items.  Returns how many seeds stopped, so a caller reads
-   status only when some did.  seed is stepped to the integer after the
-   block's last seed, so it needs room for one more word (take). */
+   status only when some did, or -1 when a vector runner's element ran
+   past its step budget (RUNAWAY), a fault of this file, which leaves
+   the columns part written.  seed is stepped to the integer after the
+   block's last seed, so it needs room for one more word (take).  A
+   block's tamed-adaptive pairs run on the four-wide vectors on a host
+   with AVX2 when it has vector_pairs[model] seeds or more, else in the
+   scalar lanes. */
 long long tamsde_block(int runner, int model, double delta_fine,
                        double delta_coarse, double h0, double l0, double x0,
                        double t_end, long long max_steps, unsigned char *seed,
@@ -1180,22 +1404,28 @@ long long tamsde_block(int runner, int model, double delta_fine,
                      .l0 = l0, .t_end = t_end, .max_steps = max_steps,
                      .model = model};
     struct block b = {seed, n_words, 0, n, x_f, x_c, t, n_f, n_c, status, 0};
+    int runaway = 0;
     if (runner == FIXED)
         RUN_VECTORS(run_fixed, &p, &b);
     else if (runner == PATHS) {
         arm(&p, &p.fine);
-        RUN_VECTORS(run_paths, &p, &b);
+        runaway = RUN_VECTORS(run_paths, &p, &b);
     } else {
         arm(&p, &p.fine);
         arm(&p, &p.coarse);
-        run_pairs(&p, &b);
+#ifdef WIDE
+        if (avx2 && n >= vector_pairs[model])
+            runaway = run_pairs_v4(&p, &b);
+        else
+#endif
+            run_pairs(&p, &b);
     }
-    return b.stopped;
+    return runaway ? -1 : b.stopped;
 }
 
 /* The vector layer tamsde_block runs a block's paths and fixed-step pairs
-   on, as tamsde_init picked it: "avx2", four-wide, or "baseline",
-   two-wide. */
+   on, and large blocks of model1 and gbm pairs, as tamsde_init picked it:
+   "avx2", four-wide, or "baseline", two-wide, which runs no pairs. */
 const char *tamsde_lanes(void)
 {
     return avx2 ? "avx2" : "baseline";

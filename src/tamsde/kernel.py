@@ -24,16 +24,27 @@ pairs in three lanes (two for model2, whose pow calls keep the processor
 busy with fewer), its paths and its fixed-step pairs one to an element
 of a SIMD vector, in three vectors whose packed operations step every
 element's seed at once: vectors of four doubles on an x86-64 host with
-AVX2, of two elsewhere.  A pass gives every lane one event of its pair,
-or every vector one step of its paths, and a seed that is over is
+AVX2, of two elsewhere.  On a host with AVX2 a block of model1 or gbm
+adaptive pairs runs one pair to an element of three four-wide vectors too,
+once it has a few seeds (3 of model1, 24 of gbm, whose spread of step
+counts keeps a small block's vectors waiting on their longest seed): in
+each element a pass advances and proposes only the leg that fires first,
+and a rarely taken masked step fires the coarse leg where both are due.
+tools/leg_step_ns.py read model1's adaptive pairs there at 0.67 of the
+lanes' time; model2's pairs on those vectors read 1.19, since its pow
+calls stay one per element, and pair vectors in the two-wide build 1.18,
+so those keep the lanes, as do small blocks, a lone pair's vector being
+three-quarters idle.  A pass gives every lane one event of its pair, or every vector one
+step of its paths or one event of its pairs, and a seed that is over is
 replaced by the block's next seed.  Fixed-step pairs run in generations
 of up to three vectors' seeds started together: a fixed-step leg's clock
 does not depend on its state, so a generation has one timeline, whose
 event times, firing legs, step counts and budget tests are worked out
 once per event, and a seed that is over idles, drawing nothing, until
-its generation ends.  The adaptive pair's event, the path step and the
-fixed-step event are each written once, the scheme's formulas once for a
-double and a vector alike, and the code on vectors once for both widths,
+its generation ends.  The adaptive pair's event is written once for a
+lane and once for a vector, the path step and the fixed-step event once
+each, the scheme's formulas (the step rule among them) once for a double
+and a vector alike, and the code on vectors once for both widths,
 so a seed runs the same operations in the same order in any lane or
 element, and its outcome does not depend on the block it runs in or the
 width; the lanes only let the processor overlap the seeds' chains of
@@ -43,8 +54,11 @@ tamsde_init tests the processor once per process and has every block run
 the four-wide code on a host with AVX2; lanes(lib) names the width it
 picked.  A Monte Carlo cell runs its seeds as blocks, and a single
 coupled pair is a block of one: one lane, or one vector for a fixed-step
-pair.  Each seed draws numpy's
-normal on its own Philox: it takes the ziggurat's fast path itself, with
+pair.  A vector runner whose element ran past its step budget, which no
+seed's run does, ends the block: tamsde_block returns -1 and run_block
+raises RuntimeError, a bug of the kernel, rather than looping on.  Each
+seed draws numpy's normal on its own Philox: it takes the ziggurat's fast
+path itself, with
 no branch on the random sign, and hands every other output to numpy's
 random_standard_normal on a bit generator that replays it first.  The fast path's
 tables are not copied from numpy but probed off numpy's function
@@ -250,7 +264,8 @@ def _declare(lib):
 def lanes(lib):
     """The vector code the kernel library lib runs a block's paths and
     fixed-step pairs on, as its tamsde_init picked it on this host:
-    "avx2", four doubles to a vector, or "baseline", two."""
+    "avx2", four doubles to a vector, which runs larger blocks of model1
+    and gbm adaptive pairs too, or "baseline", two."""
     lib.tamsde_lanes.restype = ctypes.c_char_p
     return lib.tamsde_lanes().decode()
 
@@ -442,6 +457,9 @@ def run_block(model, config, seeds, pair=None):
         n_words, n, x_f.buffer_info()[0], x_c.buffer_info()[0],
         t.buffer_info()[0], n_f.buffer_info()[0], n_c.buffer_info()[0],
         status.buffer_info()[0])
+    if stopped < 0:
+        raise RuntimeError("tamsde kernel bug: a seed ran past its step "
+                           "budget in _pair.c's vector runner")
     for i, code in enumerate(status if stopped else ()):
         if code:  # FINE_STOP (1) or COARSE_STOP (2): that leg stopped
             leg = code - 1

@@ -41,7 +41,7 @@ from tamsde import (InputError, NoiseSource, PathExplosion, get_model, kernel,
                     simulate_coupled_tm_pair, simulate_path)
 from tamsde.analysis import cell_seed
 from tamsde.driver import _merge, _sample
-from tamsde.scheme import SchemeConfig, _path_loop, _tam_leg, _tm_leg
+from tamsde.scheme import SchemeConfig, _due, _path_loop, _tam_leg, _tm_leg
 
 MODELS = ("model1", "model2", "gbm")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tamsde.__file__)))
@@ -455,7 +455,8 @@ WORD_IDS = ["across-2**32", "up-to-2**64", "across-2**64", "across-2**96"]
 # (MODEL2_LANES of model2), or VECTORS vectors of paths or fixed-step
 # pairs, of as many elements as ELEMENTS gives for the build of the vector
 # layer a kernel runs, by the name kernel.lanes reports: "baseline" and
-# "avx2"
+# "avx2".  On "avx2" a block of adaptive pairs of a model runs on VECTORS
+# four-wide vectors too once it has VECTOR_PAIRS[name] seeds (None: never).
 with open(kernel._SOURCE) as _source:
     _text = _source.read()
 LANES = int(re.search(r"#define LANES (\d+)", _text).group(1))
@@ -463,15 +464,34 @@ MODEL2_LANES = int(re.search(r"#define MODEL2_LANES (\d+)", _text).group(1))
 VECTORS = int(re.search(r"#define VECTORS (\d+)", _text).group(1))
 ELEMENTS = {name.lower(): int(n) for name, n in
             re.findall(r"#define (\w+)_ELEMENTS (\d+)", _text)}
+VECTOR_PAIRS = {name.lower(): None if n == "LLONG_MAX" else int(n)
+                for name, n in re.findall(
+                    r"\[(MODEL1|MODEL2|GBM)\] = (\w+)",
+                    re.search(r"vector_pairs\[\] = \{([^}]*)\}",
+                              _text).group(1))}
 # the block sizes one seed short of a generation of fixed-step pairs, or
 # of a block's first fill of paths, and one seed past it, at each width
 GENERATION_EDGES = sorted({width * VECTORS + d for width in ELEMENTS.values()
                            for d in (-1, 1)})
+# the block sizes one seed short of the vectors' adaptive pairs of a model
+# and the least they take
+PAIR_EDGES = sorted({n + d for n in VECTOR_PAIRS.values() if n
+                     for d in (-1, 0)})
 
 
 def elements(lib):
     """The elements per vector of the vector layer lib runs on this host."""
     return ELEMENTS[kernel.lanes(lib)]
+
+
+def pair_width(lib, name, size):
+    """The adaptive pairs of the model name that a block of size seeds
+    keeps in flight on this host: VECTORS four-wide vectors' seeds, or
+    its scalar lanes."""
+    least = VECTOR_PAIRS[name]
+    if kernel.lanes(lib) == "avx2" and least is not None and size >= least:
+        return elements(lib) * VECTORS
+    return MODEL2_LANES if name == "model2" else LANES
 
 
 class TestBlockParity:
@@ -599,15 +619,33 @@ class TestBlockParity:
             with pytest.raises(InputError, match="range of step 1"):
                 kernel.run_block(get_model("model1"), config, seeds, pair)
 
+    def test_runaway_is_a_kernel_bug(self, monkeypatch):
+        # tamsde_block returns -1 when a vector runner's element ran past
+        # its step budget, which no seed's run does: run_block raises that
+        # as a fault of the kernel, not as a seed's PathExplosion
+        class Runaway:
+            def tamsde_block(self, *args):
+                return -1
+
+        monkeypatch.setattr(kernel, "library", Runaway)
+        with pytest.raises(RuntimeError, match="kernel bug"):
+            kernel.run_block(get_model("model1"), SchemeConfig(0.25, 1.0),
+                             range(3), (True, 0.5))
+
     # a block keeps LANES adaptive pairs in flight (MODEL2_LANES of
     # model2) and refills a lane as its seed ends, and VECTORS vectors of
     # paths, refilled alike, or fixed-step pairs, run in generations of
     # that many; so these sizes run no lane (an empty block is []), leave
     # lanes or elements empty, fill them once, refill one, start a second
     # generation, and refill or start many times over, for each count and
-    # each width of vector
+    # each width of vector.  On a host with AVX2 a block of model1 or gbm
+    # pairs of VECTOR_PAIRS[name] seeds or more runs on VECTORS four-wide
+    # vectors, refilled as paths are, and a block of one on a scalar lane,
+    # so there this compares the vector runner with the scalar lanes seed
+    # by seed; PAIR_EDGES are the sizes on either side of that switch.
     @pytest.mark.parametrize("size", sorted({0, 1, 2, 3, 4, 5, 6, 7, 9, 100,
-                                             *GENERATION_EDGES}))
+                                             *GENERATION_EDGES,
+                                             *PAIR_EDGES}))
     @pytest.mark.parametrize("clock", [(1.0, 2.0), None, "path"],
                              ids=["adaptive", "fixed", "path"])
     def test_block_is_its_blocks_of_one(self, lib, clock, size):
@@ -624,14 +662,15 @@ class TestBlockParity:
     def test_stops_in_inner_lanes(self, lib, name, clock, first, max_steps,
                                   stops):
         # k=2, T=5: the budget stops the block's seeds 1 and 9, so seed
-        # 1's lane refills while the lanes beside it run on: lane 0 and,
-        # with more than two lanes, lane 2
+        # 1's lane or element refills while those beside it run on: lane
+        # or element 0 and, with more than two, 2; the width is the seeds
+        # in flight of the runner that this block takes on this host
         model, seeds = get_model(name), range(first, first + 12)
         run = lanes_run(model, clock, 5.0, max_steps)
         got = run(seeds)
         assert [i for i, _ in got.failures] == stops
         width = (elements(lib) * VECTORS if clock == "path"
-                 else MODEL2_LANES if name == "model2" else LANES)
+                 else pair_width(lib, name, len(seeds)))
         assert 0 < stops[0] < width
         assert hexed(got) == hexed(one_by_one(run, seeds))
         if clock == "path":
@@ -683,6 +722,78 @@ class TestBlockParity:
                                                 seeds.stop))
                 elements_hit.add(j % width)
         assert elements_hit == set(range(width))
+
+    # on a host with AVX2 a block of VECTOR_PAIRS[name] or more adaptive
+    # pairs of model1 or gbm runs W to a vector, W = 4, as paths do:
+    # element e of vector v holds seed index W v + e until the first
+    # refill.  A stop at index j of the first fill lands on element j % W.
+    # A fine leg spends its budget (model1 at k=1, whose fine leg takes 25
+    # or 26 steps; gbm), or both legs turn non-finite at the first event,
+    # before t_end or at it, where both legs fire and pair_end reports the
+    # fine leg.  A coarse leg stops none of these models' pairs in C: it
+    # takes fewer steps than the fine leg, and from the same state.  Blocks
+    # of 1 take a scalar lane; elsewhere, and on the two-wide build, these
+    # blocks check the lanes.
+    @pytest.mark.parametrize("name, x0, k, t_end, max_steps", [
+        ("model1", None, 1, 5.0, 25),
+        ("gbm", None, 2, 5.0, 300),
+        ("model1", 1e200, 2, 5.0, 10 ** 8),
+        ("model1", 1e200, 2, 1e-310, 10 ** 8),
+    ], ids=["budget-model1", "budget-gbm", "non-finite",
+            "non-finite-at-horizon"])
+    def test_pair_vectors(self, lib, name, x0, k, t_end, max_steps):
+        width = elements(lib)
+        fill = width * VECTORS
+        model = get_model(name)
+        if x0 is not None:
+            model = model.replace(x0=x0)
+        want = seeded(reference, model, (1.0, 2.0), k, t_end, range(100),
+                      max_steps)
+        assert {o.leg for _, o in want.failures} == {"fine"}
+        assert ({o.time == t_end for _, o in want.failures}
+                == {x0 is not None and t_end < 1.0})
+        stop = next(i for i, _ in want.failures if i >= 2 * width - 1)
+        assert stop + 2 * fill + 1 <= 100
+        elements_hit = set()
+        for size in (1, fill - 1, fill + 1, 2 * fill + 1):
+            for j in range(min(size, 2 * width)):
+                seeds = range(stop - j, stop - j + size)
+                got = block(model, (1.0, 2.0), k, t_end, seeds, max_steps)
+                assert j in [i for i, _ in got.failures]
+                assert hexed(got) == hexed(part(want, seeds.start,
+                                                seeds.stop))
+                if pair_width(lib, name, size) == fill:
+                    elements_hit.add(j % width)
+        assert elements_hit == (set(range(width)) if width == 4 else set())
+
+    # gbm from x0 = 0 stays at 0, so each leg's adaptive step is constant,
+    # the coarse one twice the fine one, and some coarse due times fall on
+    # fine ones before t_end: at such an event the fine leg fires first,
+    # then the coarse leg.  A budget that the fine leg spends there stops
+    # the pair before its coarse leg fires; every seed runs alike
+    def test_coincident_events(self, lib):
+        model = get_model("gbm").replace(x0=0.0)
+        k, t_end, size = 2, 5.0, 2 * elements(lib) * VECTORS + 1
+        times = []
+        for delta in (2.0 ** -(k + 1), 2.0 ** -k):
+            propose, _ = _tam_leg(model, delta, 1.0, 2.0)
+            step, due = propose(0.0), [0.0]
+            while due[-1] < t_end:
+                due.append(_due(due[-1], step, t_end))
+            times.append(due[1:])
+        fine, coarse = times
+        shared = [t for t in coarse[:-1] if t in fine]
+        assert len(shared) >= 5
+        budgets = range(1, len(fine))
+        stopped_there = 0
+        for max_steps in budgets:
+            want = seeded(reference, model, (1.0, 2.0), k, t_end,
+                          range(size), max_steps)
+            assert hexed(block(model, (1.0, 2.0), k, t_end, range(size),
+                               max_steps)) == hexed(want)
+            assert [o.leg for _, o in want.failures] == ["fine"] * size
+            stopped_there += want.failures[0][1].time in shared
+        assert stopped_there == len(shared)
 
     # a block's fixed-step pairs run in generations of W VECTORS seeds, W
     # to a vector, W the elements per vector of the vector layer the host
@@ -1396,8 +1507,8 @@ def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):
     # each build of BUILDS under strict pedantic C99 warnings must load
     # with every symbol resolved, export the kernel's functions, report
     # its path lanes, seed and draw numpy's normals on its port, and run
-    # blocks of paths and of fixed-step pairs, the vector runners, as the
-    # Python loops do
+    # blocks of paths, of fixed-step pairs and of adaptive pairs, large
+    # enough for the vector runners, as the Python loops do
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
@@ -1428,6 +1539,9 @@ def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):
                 path_seeded(_path_loop, model, config, seeds)), name
             assert hexed(block(model, None, 2, 5.0, seeds, 30)) == hexed(
                 seeded(reference, model, None, 2, 5.0, seeds, 30)), name
+            seeds = range(max(filter(None, VECTOR_PAIRS.values())))
+            assert hexed(block(model, (1.0, 2.0), 2, 1.0, seeds)) == hexed(
+                seeded(reference, model, (1.0, 2.0), 2, 1.0, seeds)), name
 
 
 UNDEFINED_BEHAVIOUR_RUNS = """
@@ -1463,9 +1577,14 @@ for name in t.MODELS:
                     t.reference, model, clock, 2, 1.0, seed, max_steps)
         # blocks of pairs and of paths, on seeds of one and of two words
         # and on seeds whose words carry into a third, of more seeds than
-        # twice the lanes, so lanes refill
-        for seeds in (range(2 ** 32 - 5, 2 ** 32 + 6),
-                      range(2 ** 64 - 5, 2 ** 64 + 6)):
+        # twice the lanes or the vectors' seeds at this host's width, so
+        # lanes and elements refill and fixed-step pairs start a second
+        # generation, and, on a host with AVX2, enough that model1 and gbm
+        # adaptive pairs run on the vectors
+        size = max(2 * t.elements(built) * t.VECTORS + 1,
+                   *filter(None, t.VECTOR_PAIRS.values()))
+        for seeds in (range(2 ** 32 - size // 2, 2 ** 32 + size // 2 + 1),
+                      range(2 ** 64 - size // 2, 2 ** 64 + size // 2 + 1)):
             for clock in t.CLOCKS:
                 assert t.hexed(t.block(model, clock, 2, 1.0, seeds,
                                        max_steps)) == t.hexed(t.seeded(
