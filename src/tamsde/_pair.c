@@ -22,26 +22,31 @@
  *
  * The scheme's formulas (the coefficients of the three models, the tamed
  * product, the step rule of propose, scheme._due, the tamed-adaptive update
- * and the Kahan sum of a pending increment) are written once, in FORMULAS,
- * over a lane type: instantiated on a double for the legs of a tamed-adaptive
- * pair in a scalar lane, and on a vector of doubles for paths, fixed-step
- * pairs or tamed-adaptive pairs, one in each element.  The step rule takes
- * the leg's sqrt(delta), 1/sqrt(delta) and delta as values of the lane
- * type, so a vector's elements may each step a leg of their own.
- * Everything written on vectors, the vector layer, is written once too, in
- * VECTOR_LAYER, and instantiated once per width of vector.  Only vectors
- * step fixed-step legs, so the fixed-step update and propose (tm_advance_V,
- * tm_propose_V) are written for the vector alone.  A tamed-adaptive pair is
- * two legs (struct leg) on a merged timeline, and pair_event is one event of
- * driver._merge's loop; on a vector, each element's two legs are in a
- * struct pair_lanes_V and a pass of run_pairs_V is pair_event for all of
- * them; a vector's paths are one leg each, in a struct path_V, and
- * path_step_V is one step of scheme._path_loop for all of them.  A
+ * and the Kahan sum of a pending increment) and the tamed-adaptive leg they
+ * step are written once, in FORMULAS, over a lane type: instantiated on a
+ * double for the legs of a tamed-adaptive pair in a scalar lane, and on a
+ * vector of doubles for paths, fixed-step pairs or tamed-adaptive pairs,
+ * one in each element.  The leg (struct leg_V) and its event (fire_V:
+ * advance with the increment it is given, clear the pending increment and
+ * propose the next step) are the one tamed-adaptive step of every runner.
+ * A tamed-adaptive pair is two legs on a merged timeline: pair_event is one
+ * event of driver._merge's loop, which fires each leg due with its pending
+ * increment, and a pass of run_pairs_V is pair_event for each element of a
+ * vector, firing the leg due first in each, picked into one vector.  A path
+ * is one leg: a pass of run_paths_V is one step of scheme._path_loop for
+ * each element, firing its leg with its own increment, which nothing pends.
+ * The step rule takes the leg's sqrt(delta), 1/sqrt(delta) and delta as
+ * values of the lane type, so a vector's elements may each step a leg of
+ * their own.  Everything written on vectors, the vector layer, is written
+ * once too, in VECTOR_LAYER, and instantiated once per width of vector.
+ * Only vectors step fixed-step legs, so the fixed-step update and propose
+ * (tm_advance_V, tm_propose_V) are written for the vector alone.  A
  * fixed-step leg's clock does not depend on its state, so fixed-step pairs
  * that start together share one merged timeline: run_fixed_V works out each
  * event of driver._merge's loop once for a generation of seeds (struct
- * tick, one per leg) and steps the seeds' draws, pending increments, updates
- * and finiteness tests as vectors.  There is no other pair or path loop.  kernel.py builds and loads this file.
+ * tick, one per leg) and steps the seeds' draws, pending increments,
+ * updates and finiteness tests as vectors.  There is no other pair or path
+ * loop.  kernel.py builds and loads this file.
  *
  * A Monte Carlo cell's pairs or paths, and a single pair, run as a block of
  * consecutive seeds (tamsde_block), the one entry point that runs them.  A
@@ -65,13 +70,8 @@
  * which only the leg that fires first in that element, picked into one
  * vector, advances and proposes, and a masked step, taken only in a pass
  * where some element has both legs due (every seed at t_end), fires the
- * coarse leg after it.  tools/leg_step_ns.py read its adaptive model1 pairs
- * at 0.67 of the scalar lanes' time, model2's pairs on the vectors at 1.19
- * (its pow calls are per element either way) and the pair vectors of the
- * two-wide build at 1.18, so model2 and that build keep the lanes (2-core
- * Intel Xeon, gcc 12); a prototype that stepped both legs on every pass
- * read 0.80 where firing one read 0.66.  Small blocks keep the lanes too: a
- * lone pair's vector has three elements idle.  Of the draw's
+ * coarse leg after it.  model2, the two-wide build and small blocks keep
+ * the lanes (vector_pairs says why).  Of the draw's
  * state a lane or an element holds only its seed's Philox, which every draw
  * reads, the rare one off the ziggurat's fast path included.  The four
  * runners share one block protocol (struct block): take is the one cursor,
@@ -543,6 +543,7 @@ static inline int any_v2(vmask2 m)
 /* a double's helpers are C's own; its comparisons give an int, 0 or 1 */
 #define splat_d(x) (x)
 #define select_d(c, a, b) ((c) ? (a) : (b))
+#define not_d(c) (!(c))
 #define abs_d fabs
 #define isinf_d isinf
 #define copysign_d copysign
@@ -559,32 +560,27 @@ enum { MODEL1, MODEL2, GBM };
 /* how a seed's run ended; RUNNING while it goes on */
 enum { DONE, FINE_STOP, COARSE_STOP, RUNNING };
 /* what a vector runner returns when an element's step count passed its
-   budget, which no seed's run reaches: a fault of this file */
+   budget, which no seed's run reaches, or an element's stop at t_end was
+   lost: a fault of this file */
 enum { RUNAWAY = 1 };
 
-struct leg {
-    double delta;    /* base step */
-    double sqd;      /* sqrt(delta) */
-    double x;        /* state */
-    double last;     /* time of the leg's last step */
-    double due;      /* time of its next event */
-    double m, s, q;  /* mu, sigma and the tamed q kept by propose */
-    double pw, pc;   /* Kahan pair of the increment pending since last */
-    long long steps;
-};
-
+/* A block's scheme, which every seed's pair or path shares: each leg's
+   base step (index 0 the fine leg, 1 the coarse; a path has the fine leg
+   only), its square root and that root's reciprocal, the legs' start x0,
+   the step rule's h0 and l0, the end time, the step budget and the
+   model. */
 struct pair {
-    struct leg fine, coarse;
-    double h0, l0;
+    double delta[2], sqd[2], rsqd[2];
+    double x0, h0, l0;
     double t_end;
     long long max_steps;
     int model;
 };
 
 /* The scheme's formulas on the lane type T, whose helpers are suffixed V,
-   each function with the attributes A: FORMULAS(double, d, ) for a
-   tamed-adaptive pair's legs, and once in each vector layer for its
-   paths and fixed-step pairs.
+   with masks and step counts of type M, each function with the attributes
+   A: FORMULAS(double, d, long long, ) for the scalar lanes' legs, and
+   once in each vector layer.
      sign_V: model.py's sign.
      product_V: scheme._tamed's product: an exact zero factor gives a
        zero product (the fixed-step legs' q too).
@@ -600,8 +596,21 @@ struct pair {
        and *qo and returns the step the leg wants.
      due_V: scheme._due.
      advance_V: the tamed-adaptive update of scheme._tam_leg.
-     pend_V: adds dz to the Kahan pair (*pw, *pc) of a pending increment. */
-#define FORMULAS(T, V, A)                                                    \
+     pend_V: adds dz to the Kahan pair (*pw, *pc) of a pending increment.
+     struct leg_V: a tamed-adaptive leg: its state, the times of its last
+       step and of its next event, the mu, sigma and q propose_V kept at
+       its state, the Kahan pair of the increment pending since its last
+       step, and its step count.  Its base step is the block's.
+     step_V: the leg's step to t: advance with the increment dw, clear
+       the pending pair and count the step; returns the new state.
+     fire_V: the leg's event at t, the one tamed-adaptive step of every
+       runner: step_V, then propose the next step with the leg's
+       sqrt(delta), 1/sqrt(delta) and delta.  Returns the mask of the
+       elements whose leg cannot go on (the checks of driver._merge, before
+       t_end: the budget spent, not finite, or a step collapsed to
+       nothing); the caller reports it.  It proposes in every element, one
+       that stops or is at t_end included, whose proposal nothing reads. */
+#define FORMULAS(T, V, M, A)                                                 \
 A static inline T sign_##V(T x)                                              \
 {                                                                            \
     return select_##V(x > 0.0, splat_##V(1.0),                               \
@@ -687,50 +696,39 @@ A static inline void pend_##V(T *pw, T *pc, T dz)                            \
     T y = dz - *pc, s = *pw + y;                                             \
     *pc = (s - *pw) - y;                                                     \
     *pw = s;                                                                 \
+}                                                                            \
+struct leg_##V {                                                             \
+    T x, last, due, m, s, q, pw, pc;                                         \
+    M steps;                                                                 \
+};                                                                           \
+A static inline T step_##V(struct leg_##V *g, T t, T dw)                     \
+{                                                                            \
+    g->x = advance_##V(g->x, g->m, g->s, g->q, t - g->last, dw);             \
+    g->pw = g->pc = splat_##V(0.0);                                          \
+    g->last = t;                                                             \
+    g->steps += 1;                                                           \
+    return g->x;                                                             \
+}                                                                            \
+A static inline M fire_##V(const struct pair *p, struct leg_##V *g, T t,     \
+                           T dw, T sqd, T rsqd, T delta)                     \
+{                                                                            \
+    T x = step_##V(g, t, dw);                                                \
+    g->due = due_##V(t, propose_##V(p, sqd, rsqd, delta, x, &g->m, &g->s,    \
+                                    &g->q), p->t_end);                       \
+    return (t < p->t_end)                                                    \
+           & ((g->steps >= p->max_steps) | not_##V(abs_##V(x) <= DBL_MAX)    \
+              | (g->due <= t));                                              \
 }
 
-FORMULAS(double, d, )
-
-static double propose(const struct pair *p, struct leg *leg, double x)
-{
-    return propose_d(p, leg->sqd, 1.0 / leg->sqd, leg->delta, x, &leg->m,
-                     &leg->s, &leg->q);
-}
-
-/* A pair's leg's event at t: advance with the pending increment, then
-   propose the next step.  Nonzero when the leg cannot go on (the checks
-   of driver._merge); the caller reports it. */
-static int fire(const struct pair *p, struct leg *leg, double t)
-{
-    double x = advance_d(leg->x, leg->m, leg->s, leg->q, t - leg->last,
-                         leg->pw);
-    leg->x = x;
-    leg->pw = leg->pc = 0.0;
-    leg->last = t;
-    leg->steps += 1;
-    if (t < p->t_end) {
-        if (leg->steps >= p->max_steps || !isfinite(x))
-            return 1;
-        leg->due = due_d(t, propose(p, leg, x), p->t_end);
-        if (leg->due <= t)
-            return 1;
-    }
-    return 0;
-}
-
-/* the leg, at its state and base step, with its first step proposed */
-static void arm(const struct pair *p, struct leg *leg)
-{
-    leg->sqd = sqrt(leg->delta);
-    leg->due = due_d(0.0, propose(p, leg, leg->x), p->t_end);
-}
+FORMULAS(double, d, long long, )
 
 /* --- one adaptive pair in flight: a lane --------------------------------- */
 
-/* A tamed-adaptive pair's run: its pair, its own Philox, t, the merged
-   timeline's time, and the seed's index in its block. */
+/* A tamed-adaptive pair's run: its legs (index 0 the fine leg, 1 the
+   coarse), its own Philox, t, the merged timeline's time, and the seed's
+   index in its block. */
 struct lane {
-    struct pair p;
+    struct leg_d leg[2];
     struct philox rng;
     double t;
     long long i;
@@ -744,31 +742,40 @@ static int pair_end(double x_f, double x_c)
 }
 
 /* One event of driver._merge's loop: one normal, pended onto both legs,
-   and the event of each leg due at the next time.  Returns RUNNING while
-   the pair goes on; else DONE, or FINE_STOP or COARSE_STOP for the leg
-   that cannot go on or ends non-finite.  A pair starts with t = 0 before
-   t_end, so its first event is always run.  It is compiled in one piece
-   (flatten): the lane's Philox step and both calls of fire are inlined,
-   so each copy of fire works on its leg at a fixed offset in the pair,
-   and only pow and numpy's normal off its fast path are called.  With
-   fire and philox_next called out of line, as gcc 12 left them, an
-   adaptive model1 leg-step took 1.15 times as long (2-core AMD EPYC).
-   philox_next is also compiled on its own: replay's bit generator, which
-   numpy's normal calls through a pointer, and the vector runners call
-   it to refill a Philox's buffer (philox_read). */
-static __attribute__((flatten)) int pair_event(struct lane *l)
+   and the event of each leg due at the next time, fired with its pending
+   increment; at t_end, where both legs are due, each only steps, as no
+   step follows (firing them there, as the vectors do, made rate-rough
+   ~2.5% slower in tools/leg_step_ns.py, 2-core Intel Xeon, gcc 12).
+   Returns RUNNING while the pair goes on; else DONE, or FINE_STOP or
+   COARSE_STOP for the leg that cannot go on or ends non-finite.  A pair
+   starts with t = 0 before t_end, so its first event is always run.  It
+   is compiled in one piece (flatten): the lane's Philox step and both
+   calls of fire_d are inlined, so each copy of fire_d works on its leg at
+   a fixed offset in the lane, and only pow and numpy's normal off its
+   fast path are called.  With fire and philox_next called out of line,
+   as gcc 12 left them, an adaptive model1 leg-step took 1.15 times as
+   long (2-core AMD EPYC).  philox_next is also compiled on its own:
+   replay's bit generator, which numpy's normal calls through a pointer,
+   and the vector runners call it to refill a Philox's buffer
+   (philox_read). */
+static __attribute__((flatten)) int pair_event(const struct pair *p,
+                                               struct lane *l)
 {
-    struct pair *p = &l->p;
-    double t = p->fine.due < p->coarse.due ? p->fine.due : p->coarse.due;
+    struct leg_d *f = &l->leg[0], *c = &l->leg[1];
+    double t = f->due < c->due ? f->due : c->due;
     double dz = sqrt(t - l->t) * normal(philox_next(&l->rng), &l->rng);
-    pend_d(&p->fine.pw, &p->fine.pc, dz);
-    pend_d(&p->coarse.pw, &p->coarse.pc, dz);
+    pend_d(&f->pw, &f->pc, dz);
+    pend_d(&c->pw, &c->pc, dz);
     l->t = t;
-    if (p->fine.due == t && fire(p, &p->fine, t))
+    if (!(t < p->t_end))  /* both legs are due, and neither proposes */
+        return pair_end(step_d(f, t, f->pw), step_d(c, t, c->pw));
+    if (f->due == t
+            && fire_d(p, f, t, f->pw, p->sqd[0], p->rsqd[0], p->delta[0]))
         return FINE_STOP;
-    if (p->coarse.due == t && fire(p, &p->coarse, t))
+    if (c->due == t
+            && fire_d(p, c, t, c->pw, p->sqd[1], p->rsqd[1], p->delta[1]))
         return COARSE_STOP;
-    return t < p->t_end ? RUNNING : pair_end(p->fine.x, p->coarse.x);
+    return RUNNING;
 }
 
 /* --- blocks of seeds ----------------------------------------------------- */
@@ -837,38 +844,39 @@ static void record(struct block *b, long long i, double x_f, double x_c,
 #define MODEL2_LANES 2
 #define VECTORS 3
 
-/* Start lane l on the block's next seed, with the pair as every seed
-   starts it; 0 when every seed has started. */
-static int begin(struct lane *l, const struct pair *start, struct block *b)
+/* Start lane l on the block's next seed, with its legs as first[0] and
+   first[1], as every seed starts them; 0 when every seed has started. */
+static int begin(struct lane *l, const struct leg_d *first, struct block *b)
 {
-    l->p = *start;
+    memcpy(l->leg, first, sizeof l->leg);
     l->t = 0.0;
     return (l->i = take(b, &l->rng)) >= 0;
 }
 
-/* Each of the block's tamed-adaptive pairs, from start.  LANES seeds, or
-   MODEL2_LANES of model2, are in flight, each on its own Philox; a pass
-   gives every live lane one event, a lane left alone (the one lane of a
-   block of one) included, and a lane whose seed is over writes its
-   record and starts the block's next seed.  Each seed runs the same
-   operations in the same order as it would alone, so only the order of
-   the work across seeds depends on the lanes. */
-static void run_pairs(const struct pair *start, struct block *b)
+/* Each of the block's tamed-adaptive pairs of p, from the legs first.
+   LANES seeds, or MODEL2_LANES of model2, are in flight, each on its own
+   Philox; a pass gives every live lane one event, a lane left alone (the
+   one lane of a block of one) included, and a lane whose seed is over
+   writes its record and starts the block's next seed.  Each seed runs the
+   same operations in the same order as it would alone, so only the order
+   of the work across seeds depends on the lanes. */
+static void run_pairs(const struct pair *p, const struct leg_d *first,
+                      struct block *b)
 {
     struct lane lanes[LANES], *live[LANES];
-    int n_live = 0, k, width = start->model == MODEL2 ? MODEL2_LANES : LANES;
-    for (; n_live < width && begin(&lanes[n_live], start, b); n_live++)
+    int n_live = 0, k, width = p->model == MODEL2 ? MODEL2_LANES : LANES;
+    for (; n_live < width && begin(&lanes[n_live], first, b); n_live++)
         live[n_live] = &lanes[n_live];
     while (n_live > 0)
         for (k = 0; k < n_live; k++) {
             struct lane *l = live[k];
-            int code = pair_event(l);
+            int code = pair_event(p, l);
             if (code == RUNNING)
                 continue;
             /* t is the merged timeline's stop time */
-            record(b, l->i, l->p.fine.x, l->p.coarse.x, l->p.fine.steps,
-                   l->p.coarse.steps, l->t, code);
-            if (!begin(l, start, b))  /* the last lane takes its place */
+            record(b, l->i, l->leg[0].x, l->leg[1].x, l->leg[0].steps,
+                   l->leg[1].steps, l->t, code);
+            if (!begin(l, first, b))  /* the last lane takes its place */
                 live[k--] = live[--n_live];
         }
 }
@@ -884,8 +892,10 @@ struct tick {
 /* The vector layer on a vector of W doubles, vec, with masks vmask and
    EACH its initializer (EACH2 or EACH4): each of its functions, suffixed
    V, carries the attributes A, and its types are suffixed V too.  Only
-   vectors step paths and fixed-step legs, so the fixed-step update and
-   propose are written for the vector alone.
+   vectors step fixed-step legs, so the fixed-step update and propose are
+   written for the vector alone.  A tamed-adaptive leg's step is FORMULAS'
+   fire_V, the one the scalar lanes' pair_event fires too: here a path's
+   leg and each leg of a pair are a struct leg_V, one leg to an element.
      splat_V, select_V, not_V, abs_V, isinf_V, copysign_V and powabs_V:
        the helpers FORMULAS is written in, as a double's are.  select_V
        gives a where c is set, else b; copysign_V each element of |a| with
@@ -896,13 +906,7 @@ struct tick {
        itself: keeps mu, sigma and sigma sigma' at x.
      tm_advance_V: the fixed-step update of scheme._tm_leg, over the
        duration dt, which is a generation's, one for every element.
-     struct path_V: W paths' fine legs, as in struct leg (the base step is
-       the pair's fine leg's, and nothing is pending between steps), and
-       their step counts.
-     path_step_V: one step of scheme._path_loop for the W paths, with the
-       normals z.  Returns a bit (1 << e) for each element whose path is
-       over: it cannot go on, or it has reached t_end (run_paths_V says
-       how it ended).
+     begin_leg_V: element e of the legs g, as first is.
      struct seeds_V: the seeds of a vector's elements: each element's
        Philox and the index in the block of its seed, or -1 for an
        element with none, which steps with no noise and is not read.
@@ -918,47 +922,37 @@ struct tick {
        ~1.006 times as long (2-core AMD EPYC, gcc 12), for no change in
        the code it runs.
      begin_path_V: starts element e of l on the block's next seed, or
-       none, at the leg first as it starts.
-     run_paths_V: each of the block's paths, from start's fine leg, as
+       none, at the leg first.
+     run_paths_V: each of the block's paths, from the fine leg first, as
        run_pairs runs pairs: VECTORS vectors of W seeds in flight; a pass
-       steps every vector with a live element, and an element whose seed
-       is over writes its record and starts the block's next seed, or
-       none.  A path stopped before t_end is a FINE_STOP.  Returns 0, or
-       RUNAWAY as soon as an element's step count passes the budget, a
-       test made apart from the stop bits (any_V, not bits_V), so an
-       element whose stop a fault loses ends the block rather than
-       stepping on at t_end forever.
+       is one step of scheme._path_loop for every vector with a live
+       element, one fire_V of its legs at their due times, and an element
+       whose path is over (it cannot go on, or it has reached t_end)
+       writes its record and starts the block's next seed, or none.  A
+       path stopped before t_end is a FINE_STOP.
      struct fixed_lanes_V: W fixed-step pairs in flight: each leg's state,
        the coefficients tm_propose_V keeps and the Kahan pair of its
        pending increment (index 0 the fine leg, 1 the coarse), and their
        seeds; an element whose seed is over has none.
-     run_fixed_V: each of the block's fixed-step pairs, from p's legs'
-       states and base steps, in generations of up to W VECTORS seeds, W
-       to a vector, all started at t = 0.  A fixed-step leg's clock does
-       not depend on its state, so a generation has one timeline: each
-       event's time and sqrt of its gap, which legs fire, their clocks and
-       their budget and collapse tests are worked out once, in
-       driver._merge's order, and only each seed's draw, pending
-       increments, updates, coefficients and finiteness tests are its own.
-       A seed that stops writes its record at the event, a fine stop
-       before the coarse leg fires, as pair_event's FINE_STOP, and its
-       element idles; the next generation starts when every seed of this
-       one is over.  Its timeline's budget test ends every generation, so
-       it needs no RUNAWAY bound.
-     struct leg_V: W tamed-adaptive legs, as in struct leg, and their step
-       counts; the leg's base step and its square root are the runner's.
+     run_fixed_V: each of the block's fixed-step pairs, from p's x0 and
+       base steps, in generations of up to W VECTORS seeds, W to a vector,
+       all started at t = 0.  A fixed-step leg's clock does not depend on
+       its state, so a generation has one timeline: each event's time and
+       sqrt of its gap, which legs fire, their clocks and their budget and
+       collapse tests are worked out once, in driver._merge's order, and
+       only each seed's draw, pending increments, updates, coefficients
+       and finiteness tests are its own.  A seed that stops writes its
+       record at the event, a fine stop before the coarse leg fires, as
+       pair_event's FINE_STOP, and its element idles; the next generation
+       starts when every seed of this one is over.  Its timeline's budget
+       test ends every generation, so it needs no RUNAWAY bound.
      pick_V: the legs of a where c is set, else of b.
-     fire_V: fire on the vector: each element's leg's event at t, with that
-       leg's sqrt(delta), 1/sqrt(delta) and delta.  Returns the mask of the
-       elements whose leg cannot go on.  It proposes in every element, a
-       stopped one and one at t_end included, whose proposal nothing
-       reads.
      struct pair_lanes_V: W tamed-adaptive pairs in flight: their seeds,
        their legs (index 0 the fine leg, 1 the coarse) and each element's
        merged time.
      begin_pair_V: starts element e of l on the block's next seed, or none,
-       at start's legs, as arm leaves them.
-     run_pairs_V: each of the block's tamed-adaptive pairs, from start, as
+       at the legs first[0] and first[1].
+     run_pairs_V: each of the block's tamed-adaptive pairs, from first, as
        run_pairs runs them, on VECTORS vectors of W seeds, refilled as
        run_paths_V refills them; a pass is pair_event for each element: its
        time t, the earlier of its legs' due times, one normal, pended onto
@@ -967,14 +961,20 @@ struct tick {
        the rare pass where some element that did not stop has its coarse
        leg due at t too (every seed at t_end), a second fire_V of the
        coarse legs, kept where so.  A fine stop is recorded before the
-       coarse leg fires, as in pair_event.  An element with no seed is
-       restarted too, so no element's step count passes the budget: the
-       runner returns RUNAWAY if one does, as run_paths_V, else 0.  W = 4
-       only: tamsde_block never runs the two-wide copy, which, with
-       begin_pair_V, is inline so that no unused copy is compiled.  The
-       paths' leg and step stay apart from struct leg_V and fire_V:
-       through them, with a pending increment to store and clear, the
-       paths took ~1.015 times as long. */
+       coarse leg fires, as in pair_event.  W = 4 only: tamsde_block never
+       runs the two-wide copy, which, with begin_pair_V, is inline so that
+       no unused copy is compiled.
+   Both adaptive runners restart every element that is over, one with no
+   seed included, so an element is at t_end only in the pass it gets
+   there, and that pass is over for it.  Each returns 0, or RUNAWAY, a
+   fault of this file, in two tests made apart from the stop bits (any_V,
+   not bits_V): in every pass, when an element's step count has passed
+   the budget; in a pass in which some element is over, once the records
+   and restarts are made, when an element is still at t_end, its stop
+   lost.  So a lost stop ends the block rather than stepping on at t_end
+   forever, at any budget.  Testing t_end in every pass made
+   moments-long and compare-smooth/tam 1.5-2% slower on a sizing
+   prototype. */
 #define VECTOR_LAYER(vec, vmask, V, W, EACH, A)                              \
 A static inline vec splat_##V(double x)                                      \
 {                                                                            \
@@ -1009,7 +1009,7 @@ A static inline vec powabs_##V(vec x, double e)                              \
         r[i] = pow(a[i], e);                                                 \
     return r;                                                                \
 }                                                                            \
-FORMULAS(vec, V, A)                                                          \
+FORMULAS(vec, V, vmask, A)                                                   \
 A static inline void tm_propose_##V(int model, vec x, vec *m, vec *s,        \
                                     vec *q)                                  \
 {                                                                            \
@@ -1023,29 +1023,18 @@ A static inline vec tm_advance_##V(vec x, vec m, vec s, vec q, double dt,    \
     return x + (m * dt + s * dw + 0.5 * q * (dw * dw - dt))                  \
                / (1.0 + delta * (x * x));                                    \
 }                                                                            \
-struct path_##V {                                                            \
-    vec x, last, due, m, s, q;                                               \
-    vmask steps;                                                             \
-};                                                                           \
-A static inline unsigned path_step_##V(const struct pair *p,                 \
-                                       struct path_##V *v, vec z)            \
+A static inline void begin_leg_##V(struct leg_##V *g, int e,                 \
+                                   const struct leg_d *first)                \
 {                                                                            \
-    vec dt = v->due - v->last, x;                                            \
-    /* one increment pending onto nothing is the increment itself, signed    \
-       zero included, which a Kahan sum would turn into +0.0 */              \
-    x = advance_##V(v->x, v->m, v->s, v->q, dt, sqrt_##V(dt) * z);           \
-    v->x = x;                                                                \
-    v->last = v->due;                                                        \
-    v->due = due_##V(v->last, propose_##V(p, splat_##V(p->fine.sqd),          \
-                                          splat_##V(1.0 / p->fine.sqd),      \
-                                          splat_##V(p->fine.delta), x,       \
-                                          &v->m, &v->s, &v->q), p->t_end);   \
-    v->steps += 1;                                                           \
-    /* at t_end, or not finite, or a step collapsed to nothing, or the       \
-       budget spent */                                                       \
-    return bits_##V(not_##V(v->last < p->t_end)                              \
-                    | not_##V(abs_##V(x) <= DBL_MAX)                         \
-                    | (v->due <= v->last) | (v->steps >= p->max_steps));     \
+    g->x[e] = first->x;                                                      \
+    g->last[e] = first->last;                                                \
+    g->due[e] = first->due;                                                  \
+    g->m[e] = first->m;                                                      \
+    g->s[e] = first->s;                                                      \
+    g->q[e] = first->q;                                                      \
+    g->pw[e] = first->pw;                                                    \
+    g->pc[e] = first->pc;                                                    \
+    g->steps[e] = first->steps;                                              \
 }                                                                            \
 struct seeds_##V {                                                           \
     struct philox rng[W];                                                    \
@@ -1069,47 +1058,53 @@ A static inline vec lane_normals_##V(struct seeds_##V *k)                    \
 }                                                                            \
 struct path_lanes_##V {                                                      \
     struct seeds_##V k;                                                      \
-    struct path_##V v;                                                       \
+    struct leg_##V g;                                                        \
 };                                                                           \
 A static void begin_path_##V(struct path_lanes_##V *l, int e,                \
-                             const struct leg *first, struct block *b)       \
+                             const struct leg_d *first, struct block *b)     \
 {                                                                            \
-    l->v.x[e] = first->x;                                                    \
-    l->v.last[e] = first->last;                                              \
-    l->v.due[e] = first->due;                                                \
-    l->v.m[e] = first->m;                                                    \
-    l->v.s[e] = first->s;                                                    \
-    l->v.q[e] = first->q;                                                    \
-    l->v.steps[e] = 0;                                                       \
+    begin_leg_##V(&l->g, e, first);                                          \
     l->k.i[e] = take(b, &l->k.rng[e]);                                       \
 }                                                                            \
-A static int run_paths_##V(const struct pair *start, struct block *b)        \
+A static int run_paths_##V(const struct pair *p, const struct leg_d *first,  \
+                           struct block *b)                                  \
 {                                                                            \
     struct path_lanes_##V lanes[VECTORS], *live[VECTORS];                    \
+    vec sqd = splat_##V(p->sqd[0]), rsqd = splat_##V(p->rsqd[0]),            \
+        delta = splat_##V(p->delta[0]);                                      \
     int n_live = 0, k, e;                                                    \
     for (; n_live < VECTORS && b->next < b->n; n_live++) {                   \
         live[n_live] = &lanes[n_live];                                       \
         for (e = 0; e < W; e++)                                              \
-            begin_path_##V(live[n_live], e, &start->fine, b);                \
+            begin_path_##V(live[n_live], e, first, b);                       \
     }                                                                        \
     while (n_live > 0)                                                       \
         for (k = 0; k < n_live; k++) {                                       \
             struct path_lanes_##V *l = live[k];                              \
-            unsigned over = path_step_##V(start, &l->v,                      \
-                                          lane_normals_##V(&l->k));          \
-            if (any_##V(l->v.steps > start->max_steps))                      \
+            struct leg_##V *g = &l->g;                                       \
+            vec t = g->due;                                                  \
+            vec dw = sqrt_##V(t - g->last) * lane_normals_##V(&l->k);        \
+            /* the increment itself, not pended: one increment pending onto  \
+               nothing is the increment, signed zero included, which a       \
+               Kahan sum would turn into +0.0 */                             \
+            unsigned over = bits_##V(fire_##V(p, g, t, dw, sqd, rsqd, delta) \
+                                     | not_##V(t < p->t_end));               \
+            if (any_##V(g->steps > p->max_steps))                            \
                 return RUNAWAY;                                              \
             if (over == 0)                                                   \
                 continue;                                                    \
             for (e = 0; e < W; e++) {                                        \
-                double x = l->v.x[e], last = l->v.last[e];                   \
-                if (!(over >> e & 1) || l->k.i[e] < 0)                       \
+                double x = g->x[e], last = g->last[e];                       \
+                if (!(over >> e & 1))                                        \
                     continue;                                                \
-                record(b, l->k.i[e], x, x, l->v.steps[e], l->v.steps[e],     \
-                       last, last < start->t_end ? FINE_STOP                 \
+                if (l->k.i[e] >= 0)                                          \
+                    record(b, l->k.i[e], x, x, g->steps[e], g->steps[e],     \
+                           last, last < p->t_end ? FINE_STOP                 \
                                                  : pair_end(x, x));          \
-                begin_path_##V(l, e, &start->fine, b);                       \
+                begin_path_##V(l, e, first, b);                              \
             }                                                                \
+            if (any_##V(not_##V(g->last < p->t_end)))                        \
+                return RUNAWAY;                                              \
             if (idle_##V(&l->k))  /* as in run_pairs */                      \
                 live[k--] = live[--n_live];                                  \
         }                                                                    \
@@ -1122,16 +1117,15 @@ struct fixed_lanes_##V {                                                     \
 A static void run_fixed_##V(const struct pair *p, struct block *b)           \
 {                                                                            \
     struct fixed_lanes_##V lanes[VECTORS], *live[VECTORS], first;            \
-    vec m, s, q, x0 = splat_##V(p->fine.x);                                  \
+    vec m, s, q, x0 = splat_##V(p->x0);                                      \
     int n_live, k, e, j;                                                     \
     tm_propose_##V(p->model, x0, &m, &s, &q);                                \
     first = (struct fixed_lanes_##V){.x = {x0, x0}, .m = {m, m},             \
                                      .s = {s, s}, .q = {q, q}};              \
     while (b->next < b->n) {                                                 \
         struct tick c[2] = {                                                 \
-            {p->fine.delta, 0.0, due_d(0.0, p->fine.delta, p->t_end), 0},    \
-            {p->coarse.delta, 0.0, due_d(0.0, p->coarse.delta, p->t_end),    \
-             0}};                                                            \
+            {p->delta[0], 0.0, due_d(0.0, p->delta[0], p->t_end), 0},        \
+            {p->delta[1], 0.0, due_d(0.0, p->delta[1], p->t_end), 0}};       \
         double t = 0.0;                                                      \
         for (n_live = 0; n_live < VECTORS && b->next < b->n; n_live++) {     \
             struct fixed_lanes_##V *l = live[n_live] = &lanes[n_live];       \
@@ -1191,10 +1185,6 @@ A static void run_fixed_##V(const struct pair *p, struct block *b)           \
         }                                                                    \
     }                                                                        \
 }                                                                            \
-struct leg_##V {                                                             \
-    vec x, last, due, m, s, q, pw, pc;                                       \
-    vmask steps;                                                             \
-};                                                                           \
 A static inline struct leg_##V pick_##V(vmask c, const struct leg_##V *a,    \
                                         const struct leg_##V *b)             \
 {                                                                            \
@@ -1210,61 +1200,36 @@ A static inline struct leg_##V pick_##V(vmask c, const struct leg_##V *a,    \
     r.steps = (c & a->steps) | (~c & b->steps);                              \
     return r;                                                                \
 }                                                                            \
-A static inline vmask fire_##V(const struct pair *p, struct leg_##V *g,      \
-                               vec t, vec sqd, vec rsqd, vec delta)          \
-{                                                                            \
-    vec x = advance_##V(g->x, g->m, g->s, g->q, t - g->last, g->pw);         \
-    g->x = x;                                                                \
-    g->pw = g->pc = splat_##V(0.0);                                          \
-    g->last = t;                                                             \
-    g->steps += 1;                                                           \
-    g->due = due_##V(t, propose_##V(p, sqd, rsqd, delta, x, &g->m, &g->s,    \
-                                    &g->q), p->t_end);                       \
-    return (t < p->t_end)                                                    \
-           & ((g->steps >= p->max_steps) | not_##V(abs_##V(x) <= DBL_MAX)    \
-              | (g->due <= t));                                              \
-}                                                                            \
 struct pair_lanes_##V {                                                      \
     struct seeds_##V k;                                                      \
     struct leg_##V leg[2];                                                   \
     vec t;                                                                   \
 };                                                                           \
 A static inline void begin_pair_##V(struct pair_lanes_##V *l, int e,         \
-                                    const struct pair *start,                \
+                                    const struct leg_d *first,               \
                                     struct block *b)                         \
 {                                                                            \
-    const struct leg *first[2] = {&start->fine, &start->coarse};             \
-    int j;                                                                   \
-    for (j = 0; j < 2; j++) {                                                \
-        struct leg_##V *g = &l->leg[j];                                      \
-        g->x[e] = first[j]->x;                                               \
-        g->last[e] = first[j]->last;                                         \
-        g->due[e] = first[j]->due;                                           \
-        g->m[e] = first[j]->m;                                               \
-        g->s[e] = first[j]->s;                                               \
-        g->q[e] = first[j]->q;                                               \
-        g->pw[e] = first[j]->pw;                                             \
-        g->pc[e] = first[j]->pc;                                             \
-        g->steps[e] = 0;                                                     \
-    }                                                                        \
+    begin_leg_##V(&l->leg[0], e, &first[0]);                                 \
+    begin_leg_##V(&l->leg[1], e, &first[1]);                                 \
     l->t[e] = 0.0;                                                           \
     l->k.i[e] = take(b, &l->k.rng[e]);                                       \
 }                                                                            \
-A static inline int run_pairs_##V(const struct pair *start, struct block *b) \
+A static inline int run_pairs_##V(const struct pair *p,                      \
+                                  const struct leg_d *first,                 \
+                                  struct block *b)                           \
 {                                                                            \
     struct pair_lanes_##V lanes[VECTORS], *live[VECTORS];                    \
-    const struct leg *first[2] = {&start->fine, &start->coarse};             \
     vec sqd[2], rsqd[2], delta[2];                                           \
     int n_live = 0, k, e, j;                                                 \
     for (j = 0; j < 2; j++) {                                                \
-        sqd[j] = splat_##V(first[j]->sqd);                                   \
-        rsqd[j] = splat_##V(1.0 / first[j]->sqd);                            \
-        delta[j] = splat_##V(first[j]->delta);                               \
+        sqd[j] = splat_##V(p->sqd[j]);                                       \
+        rsqd[j] = splat_##V(p->rsqd[j]);                                     \
+        delta[j] = splat_##V(p->delta[j]);                                   \
     }                                                                        \
     for (; n_live < VECTORS && b->next < b->n; n_live++) {                   \
         live[n_live] = &lanes[n_live];                                       \
         for (e = 0; e < W; e++)                                              \
-            begin_pair_##V(live[n_live], e, start, b);                       \
+            begin_pair_##V(live[n_live], e, first, b);                       \
     }                                                                        \
     while (n_live > 0)                                                       \
         for (k = 0; k < n_live; k++) {                                       \
@@ -1280,7 +1245,8 @@ A static inline int run_pairs_##V(const struct pair *start, struct block *b) \
             /* the leg that fires first: fine where it is due */             \
             fine = f->due == t;                                              \
             g = pick_##V(fine, f, c);                                        \
-            stop = fire_##V(start, &g, t, select_##V(fine, sqd[0], sqd[1]),  \
+            stop = fire_##V(p, &g, t, g.pw,                                  \
+                            select_##V(fine, sqd[0], sqd[1]),                \
                             select_##V(fine, rsqd[0], rsqd[1]),              \
                             select_##V(fine, delta[0], delta[1]));           \
             *f = pick_##V(fine, &g, f);                                      \
@@ -1291,15 +1257,15 @@ A static inline int run_pairs_##V(const struct pair *start, struct block *b) \
             both = fine & not_##V(stop) & (c->due == t);                     \
             if (any_##V(both)) {                                             \
                 g = *c;                                                      \
-                coarse_stop |= both & fire_##V(start, &g, t, sqd[1],         \
+                coarse_stop |= both & fire_##V(p, &g, t, g.pw, sqd[1],       \
                                                rsqd[1], delta[1]);           \
                 *c = pick_##V(both, &g, c);                                  \
             }                                                                \
-            if (any_##V((f->steps > start->max_steps)                        \
-                        | (c->steps > start->max_steps)))                    \
+            if (any_##V((f->steps > p->max_steps)                            \
+                        | (c->steps > p->max_steps)))                        \
                 return RUNAWAY;                                              \
             over = bits_##V(fine_stop | coarse_stop                          \
-                            | not_##V(t < start->t_end));                    \
+                            | not_##V(t < p->t_end));                        \
             if (over == 0)                                                   \
                 continue;                                                    \
             for (e = 0; e < W; e++) {                                        \
@@ -1311,8 +1277,10 @@ A static inline int run_pairs_##V(const struct pair *start, struct block *b) \
                            fine_stop[e] ? FINE_STOP                          \
                            : coarse_stop[e] ? COARSE_STOP                    \
                            : pair_end(f->x[e], c->x[e]));                    \
-                begin_pair_##V(l, e, start, b);                              \
+                begin_pair_##V(l, e, first, b);                              \
             }                                                                \
+            if (any_##V(not_##V(l->t < p->t_end)))                           \
+                return RUNAWAY;                                              \
             if (idle_##V(&l->k))  /* as in run_pairs */                      \
                 live[k--] = live[--n_live];                                  \
         }                                                                    \
@@ -1332,10 +1300,10 @@ VECTOR_LAYER(vec4, vmask4, v4, AVX2_ELEMENTS, EACH4, AVX2)
 static int avx2;
 
 #ifdef WIDE
-#define RUN_VECTORS(runner, p, b) \
-    (avx2 ? runner##_v4(p, b) : runner##_v2(p, b))
+#define RUN_VECTORS(runner, ...) \
+    (avx2 ? runner##_v4(__VA_ARGS__) : runner##_v2(__VA_ARGS__))
 #else
-#define RUN_VECTORS(runner, p, b) runner##_v2(p, b)
+#define RUN_VECTORS(runner, ...) runner##_v2(__VA_ARGS__)
 #endif
 
 /* tamsde_init's work, done once per process: the tables of ziggurat(),
@@ -1361,13 +1329,19 @@ int tamsde_init(void)
 }
 
 /* the fewest seeds of a block whose tamed-adaptive pairs the four-wide
-   vectors run, by model, and none of model2.  Through kernel.run_block at
-   k=5, T=5, against the scalar lanes, in us a seed (2-core Intel Xeon,
-   gcc 12): model1 at 1, 2, 3, 12 and 200 seeds 47.5 -> 60.1, 27.0 ->
-   30.5, 26.6 -> 22.6, 20.6 -> 13.3 and 19.6 -> 14.7; gbm, whose step
-   counts spread far wider, so a vector waits on its longest seed, took
-   1.07 at 8 seeds, 1.01 at 16, 0.94 at 24 and 0.74 at 200 (and at k=3
-   1.02, 0.99, 0.92 and, at 32, 0.91). */
+   vectors run, by model, and none of model2.  tools/leg_step_ns.py read
+   the adaptive model1 pairs on these vectors at 0.67 of the scalar lanes'
+   time, model2's at 1.19 (its pow calls are per element either way) and
+   the pair vectors of the two-wide build at 1.18, so model2 and that
+   build keep the lanes (2-core Intel Xeon, gcc 12); a prototype that
+   stepped both legs on every pass read 0.80 where firing one read 0.66.
+   Small blocks keep the lanes too, a lone pair's vector having three
+   elements idle.  Through kernel.run_block at k=5, T=5, against the
+   scalar lanes, in us a seed: model1 at 1, 2, 3, 12 and 200 seeds 47.5
+   -> 60.1, 27.0 -> 30.5, 26.6 -> 22.6, 20.6 -> 13.3 and 19.6 -> 14.7;
+   gbm, whose step counts spread far wider, so a vector waits on its
+   longest seed, took 1.07 at 8 seeds, 1.01 at 16, 0.94 at 24 and 0.74 at
+   200 (and at k=3 1.02, 0.99, 0.92 and, at 32, 0.91). */
 #ifdef WIDE
 static const long long vector_pairs[] = {[MODEL1] = 3, [MODEL2] = LLONG_MAX,
                                          [GBM] = 24};
@@ -1379,7 +1353,7 @@ enum { PATHS, PAIRS, FIXED };
 /* For each of the n seeds from the integer whose n_words 32-bit words
    seed holds (as tamsde_seed takes them), on that seed's own Philox, by
    runner: scheme._path_loop storing nothing (PATHS; delta_coarse is not
-   read), or the pair of driver._merge of two tamed-adaptive legs (PAIRS)
+   used), or the pair of driver._merge of two tamed-adaptive legs (PAIRS)
    or two fixed-step legs (FIXED).  Item i of each of the caller's n-item
    columns is seed i's: x_f and x_c the fine and coarse leg's states, t
    the stop time (t_end when the seed is DONE), n_f and n_c the legs' step
@@ -1387,39 +1361,43 @@ enum { PATHS, PAIRS, FIXED };
    stopped it.  A path has one leg: x_c and n_c are x_f and n_f, and get
    the same items.  Returns how many seeds stopped, so a caller reads
    status only when some did, or -1 when a vector runner's element ran
-   past its step budget (RUNAWAY), a fault of this file, which leaves
-   the columns part written.  seed is stepped to the integer after the
-   block's last seed, so it needs room for one more word (take).  A
-   block's tamed-adaptive pairs run on the four-wide vectors on a host
-   with AVX2 when it has vector_pairs[model] seeds or more, else in the
-   scalar lanes. */
+   past its step budget or lost its stop at t_end (RUNAWAY), a fault of
+   this file, which leaves the columns part written.  seed is stepped to
+   the integer after the block's last seed, so it needs room for one more
+   word (take).  A block's tamed-adaptive pairs run on the four-wide
+   vectors on a host with AVX2 when it has vector_pairs[model] seeds or
+   more, else in the scalar lanes. */
 long long tamsde_block(int runner, int model, double delta_fine,
                        double delta_coarse, double h0, double l0, double x0,
                        double t_end, long long max_steps, unsigned char *seed,
                        size_t n_words, long long n, double *x_f, double *x_c,
                        double *t, long long *n_f, long long *n_c, int *status)
 {
-    struct pair p = {.fine = {.delta = delta_fine, .x = x0},
-                     .coarse = {.delta = delta_coarse, .x = x0}, .h0 = h0,
+    struct pair p = {.delta = {delta_fine, delta_coarse}, .x0 = x0, .h0 = h0,
                      .l0 = l0, .t_end = t_end, .max_steps = max_steps,
                      .model = model};
     struct block b = {seed, n_words, 0, n, x_f, x_c, t, n_f, n_c, status, 0};
-    int runaway = 0;
+    struct leg_d first[2] = {{.x = x0}, {.x = x0}};
+    int runaway = 0, j;
+    /* each leg as every seed starts it, its first step proposed (a path's
+       coarse leg and a fixed-step pair's legs are not read) */
+    for (j = 0; j < 2; j++) {
+        p.sqd[j] = sqrt(p.delta[j]);
+        p.rsqd[j] = 1.0 / p.sqd[j];
+        first[j].due = due_d(0.0, propose_d(&p, p.sqd[j], p.rsqd[j],
+                                            p.delta[j], x0, &first[j].m,
+                                            &first[j].s, &first[j].q), t_end);
+    }
     if (runner == FIXED)
         RUN_VECTORS(run_fixed, &p, &b);
-    else if (runner == PATHS) {
-        arm(&p, &p.fine);
-        runaway = RUN_VECTORS(run_paths, &p, &b);
-    } else {
-        arm(&p, &p.fine);
-        arm(&p, &p.coarse);
+    else if (runner == PATHS)
+        runaway = RUN_VECTORS(run_paths, &p, first, &b);
 #ifdef WIDE
-        if (avx2 && n >= vector_pairs[model])
-            runaway = run_pairs_v4(&p, &b);
-        else
+    else if (avx2 && n >= vector_pairs[model])
+        runaway = run_pairs_v4(&p, first, &b);
 #endif
-            run_pairs(&p, &b);
-    }
+    else
+        run_pairs(&p, first, &b);
     return runaway ? -1 : b.stopped;
 }
 

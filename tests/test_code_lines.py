@@ -40,6 +40,17 @@ double f(double x) { /* trailing */
 const char *s = "/* not a comment */";
 '''
 
+# 3 code lines: the #define and the two lines of the sum; the macro's blank
+# line and its two comment lines, each ended by the backslash that
+# continues the macro, are not code
+MACRO = r'''#define TWICE(x)  \
+                   \
+    /* a comment, \
+       over two lines */ \
+    ((x) +         \
+     (x))
+'''
+
 
 def test_python_sample():
     assert code_lines.python_lines(PYTHON) == 6
@@ -47,6 +58,10 @@ def test_python_sample():
 
 def test_c_sample():
     assert code_lines.c_lines(C) == 5
+
+
+def test_c_macro_continuations_are_white_space():
+    assert code_lines.c_lines(MACRO) == 3
 
 
 def test_prints_each_file_and_the_total(tmp_path, capsys):

@@ -1652,6 +1652,59 @@ def test_no_undefined_behaviour(tmp_path):
         assert (proc.returncode, proc.stdout) == (0, "clean\n"), proc.stderr
 
 
+LOST_STOP_RUNS = """
+import sys
+
+from tamsde import get_model, kernel
+
+import test_kernel as t
+
+built = kernel._open(sys.argv[1], sys.argv[2])
+assert built is not None
+kernel.library = lambda: built
+model = get_model("model1")
+runs = [lambda: t.path_block(model, t.path_config(2, 1.0, max_steps=2 ** 70),
+                             range(25))]
+if kernel.lanes(built) == "avx2":
+    runs.append(lambda: t.block(model, (1.0, 2.0), 2, 1.0, range(25),
+                                2 ** 70))
+for run in runs:
+    try:
+        run()
+    except RuntimeError as exc:
+        assert "kernel bug" in str(exc), exc
+    else:
+        raise AssertionError("a block with a lost stop ended without error")
+print("bounded")
+"""
+
+
+def test_a_lost_stop_ends_the_block(lib, tmp_path):
+    # a build whose stop bits drop each vector's top element, at the width
+    # of the vector layer this host runs: that element's path or pair
+    # never ends, and stays at t_end.  In a fresh interpreter a block of
+    # paths, and on "avx2" one of model1 adaptive pairs, must end with the
+    # kernel-bug RuntimeError in seconds, at a budget (2**70, passed as
+    # 2**63 - 1) no element could spend first, rather than run on
+    width = elements(lib)
+    bits = rf"(unsigned bits_v{width}\(vmask{width} m\)\s*\{{\s*return )"
+    source, n = re.subn(bits + r"([^;]*);",
+                        rf"\1(\2) & {(1 << (width - 1)) - 1}u;", _text)
+    assert n >= 1
+    src, so = tmp_path / "lost_stop.c", tmp_path / "lost_stop.so"
+    src.write_text(source)
+    command = kernel._command(shutil.which("cc"), str(src), str(so))
+    proc = subprocess.run(command, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    tests = os.path.dirname(os.path.abspath(__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOST_STOP_RUNS, str(tmp_path), "lost_stop.so"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, tests))))
+    assert (proc.returncode, proc.stdout) == (0, "bounded\n"), proc.stderr
+
+
 # --- the build cache, each case in fresh processes --------------------------
 
 PAIRS = """

@@ -7,7 +7,9 @@ Prints each .py and .c file under the given files and directories
 counts when it holds a token other than a comment or a docstring (a
 statement that is only a string literal); a line of a token that spans
 lines, such as a multi-line string, counts too.  A C line counts when it
-holds anything but white space outside /* */ and // comments.
+holds anything but white space outside /* */ and // comments; the
+backslash that ends a line of a macro is white space, so a macro's blank
+or comment-only line does not count.
 """
 
 import io
@@ -42,6 +44,9 @@ def c_lines(text):
     count = 0
     in_comment = False
     for line in text.splitlines():
+        line = line.rstrip()
+        if line.endswith("\\"):  # a macro's line continues
+            line = line[:-1]
         code = False
         quote = None
         i = 0
