@@ -31,10 +31,11 @@
  * propose the next step) are the one tamed-adaptive step of every runner.
  * A tamed-adaptive pair is two legs on a merged timeline: pair_event is one
  * event of driver._merge's loop, which fires each leg due with its pending
- * increment, and a pass of run_pairs_V is pair_event for each element of a
- * vector, firing the leg due first in each, picked into one vector.  A path
- * is one leg: a pass of run_paths_V is one step of scheme._path_loop for
- * each element, firing its leg with its own increment, which nothing pends.
+ * increment.  A path is one leg, fired with its own increment, which
+ * nothing pends, as in scheme._path_loop.  One vector runner, run_legs_V,
+ * runs both, given the number of legs: a pass gives each element one step
+ * of its path, or pair_event, firing the leg due first, picked into one
+ * vector.
  * The step rule takes the leg's sqrt(delta), 1/sqrt(delta) and delta as
  * values of the lane type, so a vector's elements may each step a leg of
  * their own.  Everything written on vectors, the vector layer, is written
@@ -60,28 +61,28 @@
  * operations, so one seed alone leaves most of the processor idle; the seeds'
  * chains overlap.  A block's tamed-adaptive pairs run in LANES scalar lanes
  * (struct lane), or MODEL2_LANES for model2, its paths and its fixed-step
- * pairs in VECTORS vectors (struct path_lanes_V, struct fixed_lanes_V), whose
+ * pairs in VECTORS vectors (struct leg_lanes_V, struct fixed_lanes_V), whose
  * packed operations step a seed in each element at once; each seed's draw,
  * its pow calls, its step count and its record stay its own.  On a host
  * with AVX2 a block of model1 or gbm pairs of vector_pairs[model] seeds or
- * more runs on VECTORS four-wide vectors too (struct pair_lanes_V,
- * run_pairs_V), one seed's pair to an element, each element on its own
- * merged timeline: a pass gives each element one event of pair_event, in
- * which only the leg that fires first in that element, picked into one
- * vector, advances and proposes, and a masked step, taken only in a pass
- * where some element has both legs due (every seed at t_end), fires the
- * coarse leg after it.  model2, the two-wide build and small blocks keep
- * the lanes (vector_pairs says why).  Of the draw's
- * state a lane or an element holds only its seed's Philox, which every draw
- * reads, the rare one off the ziggurat's fast path included.  The four
- * runners share one block protocol (struct block): take is the one cursor,
- * which hands out the block's next seed, seeding its Philox and stepping the
- * seed's 32-bit words by one, and record is the one writer of the caller's
- * columns, one array for each of the legs' states, the stop time, the legs'
- * step counts and the return code, into which it writes seed i's item i, and
- * counts the stops.  A pass gives every live lane or vector one event or
- * step, and a seed that is over is recorded.  A lane or a path's element then
- * takes the block's next seed; a fixed-step pair's element idles, drawing
+ * more runs on VECTORS four-wide vectors too (run_legs_V with two legs),
+ * one seed's pair to an element, each element on its own merged timeline:
+ * a pass gives each element one event of pair_event, in which only the leg
+ * that fires first in that element, picked into one vector, advances and
+ * proposes, and a masked step, taken only in a pass where some element has
+ * both legs due (every seed at t_end), fires the coarse leg after it.
+ * model2, the two-wide build and small blocks keep the lanes (vector_pairs
+ * says why).  Of the draw's state a lane or an element holds only its
+ * seed's Philox, which every draw reads, the rare one off the ziggurat's
+ * fast path included.  The three runners share one block protocol (struct
+ * block): take is the one cursor, which hands out the block's next seed,
+ * seeding its Philox and stepping the seed's 32-bit words by one, and
+ * record is the one writer of the caller's columns, one array for each of
+ * the legs' states, the stop time, the legs' step counts and the return
+ * code, into which it writes seed i's item i, and counts the stops.  A pass
+ * gives every live lane or vector one event or step, and a seed that is
+ * over is recorded.  A lane or an element of run_legs_V then takes the
+ * block's next seed; a fixed-step pair's element idles, drawing
  * nothing, until its generation is over, as a new seed starts at t = 0 on
  * another timeline, and the next generation starts.  A seed runs the same
  * operations in the same order on its own Philox in any lane or element, so
@@ -92,10 +93,10 @@
  * Every build has the vector layer on vectors of two doubles.  On x86-64
  * ELF with glibc it has a second, on vectors of four, compiled for AVX2
  * (the target attribute), and tamsde_init, which tests the processor once
- * per process, has tamsde_block run the four-wide runners (run_paths_v4,
- * run_fixed_v4, and run_pairs_v4 as above) on a host with AVX2, and the
- * two-wide ones (run_paths_v2, run_fixed_v2) elsewhere; tamsde_lanes says
- * which.  Without that target
+ * per process, has tamsde_block run the four-wide runners (run_legs_v4,
+ * for paths and, as above, adaptive pairs, and run_fixed_v4) on a host with
+ * AVX2, and the two-wide ones (run_legs_v2, for paths only, and
+ * run_fixed_v2) elsewhere; tamsde_lanes says which.  Without that target
  * (musl, arm64, no ELF, or __ELF__ undefined on the build line) the one
  * two-wide layer is portable GNU C vector code.  No width moves a bit:
  * each element's operations are the scalar ones.
@@ -559,9 +560,9 @@ static inline double powabs_d(double x, double e)
 enum { MODEL1, MODEL2, GBM };
 /* how a seed's run ended; RUNNING while it goes on */
 enum { DONE, FINE_STOP, COARSE_STOP, RUNNING };
-/* what a vector runner returns when an element's step count passed its
-   budget, which no seed's run reaches, or an element's stop at t_end was
-   lost: a fault of this file */
+/* what run_legs_V returns when an element's step count passed its budget,
+   which no seed's run reaches, or an element's stop at t_end was lost: a
+   fault of this file */
 enum { RUNAWAY = 1 };
 
 /* A block's scheme, which every seed's pair or path shares: each leg's
@@ -917,19 +918,6 @@ struct tick {
        with no seed.  The vector is built from an initializer: built by
        a store into each element, the portable two-wide paths took ~1.05
        times as long.
-     struct path_lanes_V: W paths in flight: their seeds and their legs.
-       In the other order the moments-long row of tools/leg_step_ns.py took
-       ~1.006 times as long (2-core AMD EPYC, gcc 12), for no change in
-       the code it runs.
-     begin_path_V: starts element e of l on the block's next seed, or
-       none, at the leg first.
-     run_paths_V: each of the block's paths, from the fine leg first, as
-       run_pairs runs pairs: VECTORS vectors of W seeds in flight; a pass
-       is one step of scheme._path_loop for every vector with a live
-       element, one fire_V of its legs at their due times, and an element
-       whose path is over (it cannot go on, or it has reached t_end)
-       writes its record and starts the block's next seed, or none.  A
-       path stopped before t_end is a FINE_STOP.
      struct fixed_lanes_V: W fixed-step pairs in flight: each leg's state,
        the coefficients tm_propose_V keeps and the Kahan pair of its
        pending increment (index 0 the fine leg, 1 the coarse), and their
@@ -947,34 +935,46 @@ struct tick {
        starts when every seed of this one is over.  Its timeline's budget
        test ends every generation, so it needs no RUNAWAY bound.
      pick_V: the legs of a where c is set, else of b.
-     struct pair_lanes_V: W tamed-adaptive pairs in flight: their seeds,
-       their legs (index 0 the fine leg, 1 the coarse) and each element's
-       merged time.
-     begin_pair_V: starts element e of l on the block's next seed, or none,
-       at the legs first[0] and first[1].
-     run_pairs_V: each of the block's tamed-adaptive pairs, from first, as
-       run_pairs runs them, on VECTORS vectors of W seeds, refilled as
-       run_paths_V refills them; a pass is pair_event for each element: its
-       time t, the earlier of its legs' due times, one normal, pended onto
-       both legs, and the event of the leg due at t, the fine one where
-       both are, picked into one vector (pick_V) for one fire_V; then, in
-       the rare pass where some element that did not stop has its coarse
-       leg due at t too (every seed at t_end), a second fire_V of the
-       coarse legs, kept where so.  A fine stop is recorded before the
-       coarse leg fires, as in pair_event.  W = 4 only: tamsde_block never
-       runs the two-wide copy, which, with begin_pair_V, is inline so that
-       no unused copy is compiled.
-   Both adaptive runners restart every element that is over, one with no
-   seed included, so an element is at t_end only in the pass it gets
-   there, and that pass is over for it.  Each returns 0, or RUNAWAY, a
-   fault of this file, in two tests made apart from the stop bits (any_V,
-   not bits_V): in every pass, when an element's step count has passed
-   the budget; in a pass in which some element is over, once the records
-   and restarts are made, when an element is still at t_end, its stop
-   lost.  So a lost stop ends the block rather than stepping on at t_end
-   forever, at any budget.  Testing t_end in every pass made
-   moments-long and compare-smooth/tam 1.5-2% slower on a sizing
-   prototype. */
+     struct leg_lanes_V: W tamed-adaptive paths or pairs in flight: their
+       seeds, their legs (index 0 the fine leg, 1 the coarse; a path has
+       the fine leg only) and each element's time, of its pair's merged
+       timeline or its path's last step.  With the seeds after the legs,
+       the moments-long row of tools/leg_step_ns.py took ~1.006 times as
+       long (2-core AMD EPYC, gcc 12), for no change in the code it runs.
+     begin_legs_V: starts element e of l on the block's next seed, or
+       none, at time 0 with its legs as first[0] up to first[legs - 1].
+     run_legs_V: each of the block's tamed-adaptive paths (legs 1) or pairs
+       (legs 2), from first, as run_pairs runs pairs: VECTORS vectors of W
+       seeds in flight, and an element whose seed is over (it cannot go on,
+       or it has reached t_end) writes its record and starts the block's
+       next seed, or none.  tamsde_block passes legs as a constant, so the
+       compiler makes a copy for each count (the two-wide layer runs paths
+       only).  A pass gives each element of a vector with a live element
+       one step of scheme._path_loop, its leg fired at its due time with
+       its own increment, or one pair_event: its time t, the earlier of its
+       legs' due times, one normal, pended onto both legs, and the event of
+       the leg due at t, the fine one where both are, picked into one
+       vector (pick_V) for one fire_V; then, in the rare pass where some
+       element that did not stop has its coarse leg due at t too (every
+       seed at t_end), a second fire_V of the coarse legs, kept where so.
+       A fine stop is recorded before the coarse leg fires, as in
+       pair_event.  The record reads x_c and n_c off leg legs - 1, so a
+       path's one leg is written as both, into the one array of each that
+       kernel.run_block hands a block of paths; it reads the stop time off
+       the lanes' t and tells a stop's leg by coarse_stop alone: reading
+       the pass's t and fine_stop, which gcc 12 then kept on the stack in
+       every pass, model1 path blocks took ~1.04 times as long (2-core
+       Intel Xeon).  It restarts every element that is over, one with no
+       seed included, so an element is at t_end only in the pass it gets
+       there, and that pass is over for it.  It returns 0, or RUNAWAY, a
+       fault of this file, in two tests made apart from the stop bits
+       (any_V, not bits_V): in every pass, when an element's step count has
+       passed the budget; in a pass in which some element is over, once the
+       records and restarts are made, when an element is still at t_end,
+       its stop lost.  So a lost stop ends the block rather than stepping
+       on at t_end forever, at any budget.  Testing t_end in every pass
+       made moments-long and compare-smooth/tam 1.5-2% slower on a sizing
+       prototype. */
 #define VECTOR_LAYER(vec, vmask, V, W, EACH, A)                              \
 A static inline vec splat_##V(double x)                                      \
 {                                                                            \
@@ -1055,60 +1055,6 @@ A static inline double lane_normal_##V(struct seeds_##V *k, int e)           \
 A static inline vec lane_normals_##V(struct seeds_##V *k)                    \
 {                                                                            \
     return (vec)EACH(lane_normal_##V, k);                                    \
-}                                                                            \
-struct path_lanes_##V {                                                      \
-    struct seeds_##V k;                                                      \
-    struct leg_##V g;                                                        \
-};                                                                           \
-A static void begin_path_##V(struct path_lanes_##V *l, int e,                \
-                             const struct leg_d *first, struct block *b)     \
-{                                                                            \
-    begin_leg_##V(&l->g, e, first);                                          \
-    l->k.i[e] = take(b, &l->k.rng[e]);                                       \
-}                                                                            \
-A static int run_paths_##V(const struct pair *p, const struct leg_d *first,  \
-                           struct block *b)                                  \
-{                                                                            \
-    struct path_lanes_##V lanes[VECTORS], *live[VECTORS];                    \
-    vec sqd = splat_##V(p->sqd[0]), rsqd = splat_##V(p->rsqd[0]),            \
-        delta = splat_##V(p->delta[0]);                                      \
-    int n_live = 0, k, e;                                                    \
-    for (; n_live < VECTORS && b->next < b->n; n_live++) {                   \
-        live[n_live] = &lanes[n_live];                                       \
-        for (e = 0; e < W; e++)                                              \
-            begin_path_##V(live[n_live], e, first, b);                       \
-    }                                                                        \
-    while (n_live > 0)                                                       \
-        for (k = 0; k < n_live; k++) {                                       \
-            struct path_lanes_##V *l = live[k];                              \
-            struct leg_##V *g = &l->g;                                       \
-            vec t = g->due;                                                  \
-            vec dw = sqrt_##V(t - g->last) * lane_normals_##V(&l->k);        \
-            /* the increment itself, not pended: one increment pending onto  \
-               nothing is the increment, signed zero included, which a       \
-               Kahan sum would turn into +0.0 */                             \
-            unsigned over = bits_##V(fire_##V(p, g, t, dw, sqd, rsqd, delta) \
-                                     | not_##V(t < p->t_end));               \
-            if (any_##V(g->steps > p->max_steps))                            \
-                return RUNAWAY;                                              \
-            if (over == 0)                                                   \
-                continue;                                                    \
-            for (e = 0; e < W; e++) {                                        \
-                double x = g->x[e], last = g->last[e];                       \
-                if (!(over >> e & 1))                                        \
-                    continue;                                                \
-                if (l->k.i[e] >= 0)                                          \
-                    record(b, l->k.i[e], x, x, g->steps[e], g->steps[e],     \
-                           last, last < p->t_end ? FINE_STOP                 \
-                                                 : pair_end(x, x));          \
-                begin_path_##V(l, e, first, b);                              \
-            }                                                                \
-            if (any_##V(not_##V(g->last < p->t_end)))                        \
-                return RUNAWAY;                                              \
-            if (idle_##V(&l->k))  /* as in run_pairs */                      \
-                live[k--] = live[--n_live];                                  \
-        }                                                                    \
-    return 0;                                                                \
 }                                                                            \
 struct fixed_lanes_##V {                                                     \
     vec x[2], m[2], s[2], q[2], pw[2], pc[2];                                \
@@ -1200,25 +1146,25 @@ A static inline struct leg_##V pick_##V(vmask c, const struct leg_##V *a,    \
     r.steps = (c & a->steps) | (~c & b->steps);                              \
     return r;                                                                \
 }                                                                            \
-struct pair_lanes_##V {                                                      \
+struct leg_lanes_##V {                                                       \
     struct seeds_##V k;                                                      \
     struct leg_##V leg[2];                                                   \
     vec t;                                                                   \
 };                                                                           \
-A static inline void begin_pair_##V(struct pair_lanes_##V *l, int e,         \
-                                    const struct leg_d *first,               \
+A static inline void begin_legs_##V(struct leg_lanes_##V *l, int e,          \
+                                    int legs, const struct leg_d *first,     \
                                     struct block *b)                         \
 {                                                                            \
-    begin_leg_##V(&l->leg[0], e, &first[0]);                                 \
-    begin_leg_##V(&l->leg[1], e, &first[1]);                                 \
+    int j;                                                                   \
+    for (j = 0; j < legs; j++)                                               \
+        begin_leg_##V(&l->leg[j], e, &first[j]);                             \
     l->t[e] = 0.0;                                                           \
     l->k.i[e] = take(b, &l->k.rng[e]);                                       \
 }                                                                            \
-A static inline int run_pairs_##V(const struct pair *p,                      \
-                                  const struct leg_d *first,                 \
-                                  struct block *b)                           \
+A static int run_legs_##V(const struct pair *p, const struct leg_d *first,   \
+                          struct block *b, int legs)                         \
 {                                                                            \
-    struct pair_lanes_##V lanes[VECTORS], *live[VECTORS];                    \
+    struct leg_lanes_##V lanes[VECTORS], *live[VECTORS];                     \
     vec sqd[2], rsqd[2], delta[2];                                           \
     int n_live = 0, k, e, j;                                                 \
     for (j = 0; j < 2; j++) {                                                \
@@ -1229,37 +1175,48 @@ A static inline int run_pairs_##V(const struct pair *p,                      \
     for (; n_live < VECTORS && b->next < b->n; n_live++) {                   \
         live[n_live] = &lanes[n_live];                                       \
         for (e = 0; e < W; e++)                                              \
-            begin_pair_##V(live[n_live], e, first, b);                       \
+            begin_legs_##V(live[n_live], e, legs, first, b);                 \
     }                                                                        \
     while (n_live > 0)                                                       \
         for (k = 0; k < n_live; k++) {                                       \
-            struct pair_lanes_##V *l = live[k];                              \
-            struct leg_##V *f = &l->leg[0], *c = &l->leg[1], g;              \
-            vec t = select_##V(f->due < c->due, f->due, c->due);             \
+            struct leg_lanes_##V *l = live[k];                               \
+            struct leg_##V *f = &l->leg[0], *c = &l->leg[legs - 1];          \
+            vec t = legs == 1 ? f->due                                       \
+                              : select_##V(f->due < c->due, f->due, c->due); \
             vec dz = sqrt_##V(t - l->t) * lane_normals_##V(&l->k);           \
-            vmask fine, stop, fine_stop, coarse_stop, both;                  \
+            vmask fine_stop, coarse_stop = {0};                              \
             unsigned over;                                                   \
-            pend_##V(&f->pw, &f->pc, dz);                                    \
-            pend_##V(&c->pw, &c->pc, dz);                                    \
             l->t = t;                                                        \
-            /* the leg that fires first: fine where it is due */             \
-            fine = f->due == t;                                              \
-            g = pick_##V(fine, f, c);                                        \
-            stop = fire_##V(p, &g, t, g.pw,                                  \
-                            select_##V(fine, sqd[0], sqd[1]),                \
-                            select_##V(fine, rsqd[0], rsqd[1]),              \
-                            select_##V(fine, delta[0], delta[1]));           \
-            *f = pick_##V(fine, &g, f);                                      \
-            *c = pick_##V(fine, c, &g);                                      \
-            fine_stop = fine & stop;                                         \
-            coarse_stop = not_##V(fine) & stop;                              \
-            /* the coarse leg where both are due, after the fine leg */      \
-            both = fine & not_##V(stop) & (c->due == t);                     \
-            if (any_##V(both)) {                                             \
-                g = *c;                                                      \
-                coarse_stop |= both & fire_##V(p, &g, t, g.pw, sqd[1],       \
-                                               rsqd[1], delta[1]);           \
-                *c = pick_##V(both, &g, c);                                  \
+            if (legs == 1)                                                   \
+                /* the increment itself, not pended: one increment pending   \
+                   onto nothing is the increment, signed zero included,      \
+                   which a Kahan sum would turn into +0.0 */                 \
+                fine_stop = fire_##V(p, f, t, dz, sqd[0], rsqd[0],           \
+                                     delta[0]);                              \
+            else {                                                           \
+                struct leg_##V g;                                            \
+                vmask fine, stop, both;                                      \
+                pend_##V(&f->pw, &f->pc, dz);                                \
+                pend_##V(&c->pw, &c->pc, dz);                                \
+                /* the leg that fires first: fine where it is due */         \
+                fine = f->due == t;                                          \
+                g = pick_##V(fine, f, c);                                    \
+                stop = fire_##V(p, &g, t, g.pw,                              \
+                                select_##V(fine, sqd[0], sqd[1]),            \
+                                select_##V(fine, rsqd[0], rsqd[1]),          \
+                                select_##V(fine, delta[0], delta[1]));       \
+                *f = pick_##V(fine, &g, f);                                  \
+                *c = pick_##V(fine, c, &g);                                  \
+                fine_stop = fine & stop;                                     \
+                coarse_stop = not_##V(fine) & stop;                          \
+                /* the coarse leg where both are due, after the fine leg */  \
+                both = fine & not_##V(stop) & (c->due == t);                 \
+                if (any_##V(both)) {                                         \
+                    g = *c;                                                  \
+                    coarse_stop |= both & fire_##V(p, &g, t, g.pw, sqd[1],   \
+                                                   rsqd[1], delta[1]);       \
+                    *c = pick_##V(both, &g, c);                              \
+                }                                                            \
             }                                                                \
             if (any_##V((f->steps > p->max_steps)                            \
                         | (c->steps > p->max_steps)))                        \
@@ -1273,11 +1230,11 @@ A static inline int run_pairs_##V(const struct pair *p,                      \
                     continue;                                                \
                 if (l->k.i[e] >= 0)                                          \
                     record(b, l->k.i[e], f->x[e], c->x[e], f->steps[e],      \
-                           c->steps[e], t[e],                                \
-                           fine_stop[e] ? FINE_STOP                          \
-                           : coarse_stop[e] ? COARSE_STOP                    \
+                           c->steps[e], l->t[e],                             \
+                           l->t[e] < p->t_end                                \
+                           ? (coarse_stop[e] ? COARSE_STOP : FINE_STOP)      \
                            : pair_end(f->x[e], c->x[e]));                    \
-                begin_pair_##V(l, e, first, b);                              \
+                begin_legs_##V(l, e, legs, first, b);                        \
             }                                                                \
             if (any_##V(not_##V(l->t < p->t_end)))                           \
                 return RUNAWAY;                                              \
@@ -1360,7 +1317,7 @@ enum { PATHS, PAIRS, FIXED };
    counts, and status DONE, or FINE_STOP or COARSE_STOP for the leg that
    stopped it.  A path has one leg: x_c and n_c are x_f and n_f, and get
    the same items.  Returns how many seeds stopped, so a caller reads
-   status only when some did, or -1 when a vector runner's element ran
+   status only when some did, or -1 when an element of run_legs_V ran
    past its step budget or lost its stop at t_end (RUNAWAY), a fault of
    this file, which leaves the columns part written.  seed is stepped to
    the integer after the block's last seed, so it needs room for one more
@@ -1391,10 +1348,10 @@ long long tamsde_block(int runner, int model, double delta_fine,
     if (runner == FIXED)
         RUN_VECTORS(run_fixed, &p, &b);
     else if (runner == PATHS)
-        runaway = RUN_VECTORS(run_paths, &p, first, &b);
+        runaway = RUN_VECTORS(run_legs, &p, first, &b, 1);
 #ifdef WIDE
     else if (avx2 && n >= vector_pairs[model])
-        runaway = run_pairs_v4(&p, first, &b);
+        runaway = run_legs_v4(&p, first, &b, 2);
 #endif
     else
         run_pairs(&p, first, &b);
@@ -1403,7 +1360,8 @@ long long tamsde_block(int runner, int model, double delta_fine,
 
 /* The vector layer tamsde_block runs a block's paths and fixed-step pairs
    on, and large blocks of model1 and gbm pairs, as tamsde_init picked it:
-   "avx2", four-wide, or "baseline", two-wide, which runs no pairs. */
+   "avx2", four-wide, or "baseline", two-wide, which runs no adaptive
+   pairs. */
 const char *tamsde_lanes(void)
 {
     return avx2 ? "avx2" : "baseline";

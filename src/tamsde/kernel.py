@@ -27,7 +27,8 @@ element's seed at once: vectors of four doubles on an x86-64 host with
 AVX2, of two elsewhere.  On a host with AVX2 a block of model1 or gbm
 adaptive pairs runs one pair to an element of three four-wide vectors too,
 once it has the seeds _pair.c's vector_pairs names for its model (where
-the timings that set them are): in each element a pass advances and
+the timings that set them are), on the runner that runs paths: a path is
+a pair of one leg, and in each element of a pair a pass advances and
 proposes only the leg that fires first, and a rarely taken masked step
 fires the coarse leg where both are due.  model2's pairs, the two-wide
 build's and small blocks' keep the lanes.  A pass gives every lane one
@@ -40,8 +41,8 @@ event times, firing legs, step counts and budget tests are worked out
 once per event, and a seed that is over idles, drawing nothing, until
 its generation ends.  The tamed-adaptive leg and its step are written
 once, for a double and a vector alike, with the scheme's formulas (the
-step rule among them), and every adaptive runner fires it: a lane's pair
-event, a vector's pair event and a vector's path step; the fixed-step
+step rule among them), and both adaptive runners fire it: a lane's pair
+event, and the vector runner's path step and pair event; the fixed-step
 event is written once, and the code on vectors once for both widths,
 so a seed runs the same operations in the same order in any lane or
 element, and its outcome does not depend on the block it runs in or the
@@ -52,15 +53,15 @@ tamsde_init tests the processor once per process and has every block run
 the four-wide code on a host with AVX2; lanes(lib) names the width it
 picked.  A Monte Carlo cell runs its seeds as blocks, and a single
 coupled pair is a block of one: one lane, or one vector for a fixed-step
-pair.  A vector runner whose element ran past its step budget, which no
-seed's run does, or stayed at t_end with its stop lost, ends the block:
-tamsde_block returns -1 and run_block raises RuntimeError, a bug of the
-kernel, rather than looping on.  Each
-seed draws numpy's normal on its own Philox: it takes the ziggurat's fast
-path itself, with
-no branch on the random sign, and hands every other output to numpy's
-random_standard_normal on a bit generator that replays it first.  The fast path's
-tables are not copied from numpy but probed off numpy's function
+pair.  The adaptive vector runner, when an element ran past its step
+budget, which no seed's run does, or stayed at t_end with its stop lost,
+ends the block: tamsde_block returns -1 and run_block raises
+RuntimeError, a bug of the kernel, naming both causes, rather than
+looping on.  Each seed draws numpy's normal on its own Philox: it takes
+the ziggurat's fast path itself, with no branch on the random sign, and
+hands every other output to numpy's random_standard_normal on a bit
+generator that replays it first.  The fast path's tables are not copied
+from numpy but probed off numpy's function
 (tamsde_init), once per process, when _open loads a build and before any
 block runs; the probe checks them on a fixed stream of normals against
 numpy's function and, should one bit differ, leaves every draw to it.
@@ -457,8 +458,9 @@ def run_block(model, config, seeds, pair=None):
         t.buffer_info()[0], n_f.buffer_info()[0], n_c.buffer_info()[0],
         status.buffer_info()[0])
     if stopped < 0:
-        raise RuntimeError("tamsde kernel bug: a seed ran past its step "
-                           "budget in _pair.c's vector runner")
+        raise RuntimeError("tamsde kernel bug: in _pair.c's adaptive vector "
+                           "runner a seed ran past its step budget or lost "
+                           "its stop at t_end")
     for i, code in enumerate(status if stopped else ()):
         if code:  # FINE_STOP (1) or COARSE_STOP (2): that leg stopped
             leg = code - 1

@@ -620,9 +620,10 @@ class TestBlockParity:
                 kernel.run_block(get_model("model1"), config, seeds, pair)
 
     def test_runaway_is_a_kernel_bug(self, monkeypatch):
-        # tamsde_block returns -1 when a vector runner's element ran past
-        # its step budget, which no seed's run does: run_block raises that
-        # as a fault of the kernel, not as a seed's PathExplosion
+        # tamsde_block returns -1 when an element of the adaptive vector
+        # runner ran past its step budget, which no seed's run does, or
+        # lost its stop at t_end: run_block raises either as a fault of the
+        # kernel, not as a seed's PathExplosion
         class Runaway:
             def tamsde_block(self, *args):
                 return -1
@@ -1475,12 +1476,16 @@ def test_fsum_port_is_math_fsum(lib, values):
 
 # The builds the strict tests make of the kernel's own build line: as it
 # is; with the 32-bit halves the product falls back to without the
-# compiler's 128-bit integer; and with neither the four-wide AVX2 vector
-# code nor the x86 intrinsics, the portable two-wide vector code a build
-# for arm64, musl or no ELF target runs.  Each with the vector code it
-# runs (kernel.lanes).
+# compiler's 128-bit integer; with a processor test that finds no AVX2
+# (NO_AVX2), so an x86-64 build runs its two-wide layer on SSE2
+# intrinsics, as a host without AVX2 does; and with neither the four-wide
+# AVX2 vector code nor the x86 intrinsics, the portable two-wide vector
+# code a build for arm64, musl or no ELF target runs.  Each with the
+# vector code it runs (kernel.lanes).
+NO_AVX2 = "-D__builtin_cpu_supports(f)=0"
 BUILDS = (("native.so", [], None),
           ("portable.so", ["-U__SIZEOF_INT128__"], None),
+          ("no-avx2.so", [NO_AVX2], "baseline"),
           ("baseline.so", ["-U__ELF__"], "baseline"))
 
 
@@ -1681,28 +1686,35 @@ print("bounded")
 
 def test_a_lost_stop_ends_the_block(lib, tmp_path):
     # a build whose stop bits drop each vector's top element, at the width
-    # of the vector layer this host runs: that element's path or pair
-    # never ends, and stays at t_end.  In a fresh interpreter a block of
-    # paths, and on "avx2" one of model1 adaptive pairs, must end with the
-    # kernel-bug RuntimeError in seconds, at a budget (2**70, passed as
-    # 2**63 - 1) no element could spend first, rather than run on
+    # of the vector layer this host runs, and on "avx2" at the two-wide
+    # width too, built as NO_AVX2 so that it runs it: that element's path
+    # or pair never ends, and stays at t_end.  In a fresh interpreter a
+    # block of paths, and on "avx2" one of model1 adaptive pairs, must end
+    # with the kernel-bug RuntimeError in seconds, at a budget (2**70,
+    # passed as 2**63 - 1) no element could spend first, rather than run on
     width = elements(lib)
-    bits = rf"(unsigned bits_v{width}\(vmask{width} m\)\s*\{{\s*return )"
-    source, n = re.subn(bits + r"([^;]*);",
-                        rf"\1(\2) & {(1 << (width - 1)) - 1}u;", _text)
-    assert n >= 1
-    src, so = tmp_path / "lost_stop.c", tmp_path / "lost_stop.so"
-    src.write_text(source)
-    command = kernel._command(shutil.which("cc"), str(src), str(so))
-    proc = subprocess.run(command, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    mutants = [(width, [])]
+    if kernel.lanes(lib) == "avx2":
+        mutants.append((ELEMENTS["baseline"], [NO_AVX2]))
     tests = os.path.dirname(os.path.abspath(__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", LOST_STOP_RUNS, str(tmp_path), "lost_stop.so"],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, tests))))
-    assert (proc.returncode, proc.stdout) == (0, "bounded\n"), proc.stderr
+    for width, defined in mutants:
+        bits = rf"(unsigned bits_v{width}\(vmask{width} m\)\s*\{{\s*return )"
+        source, n = re.subn(bits + r"([^;]*);",
+                            rf"\1(\2) & {(1 << (width - 1)) - 1}u;", _text)
+        assert n >= 1
+        name = f"lost_stop_v{width}"
+        src, so = tmp_path / f"{name}.c", tmp_path / f"{name}.so"
+        src.write_text(source)
+        command = kernel._command(shutil.which("cc"), str(src), str(so))
+        proc = subprocess.run([command[0], *defined, *command[1:]],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        proc = subprocess.run(
+            [sys.executable, "-c", LOST_STOP_RUNS, str(tmp_path), so.name],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, tests))))
+        assert (proc.returncode, proc.stdout) == (0, "bounded\n"), (
+            width, proc.stderr)
 
 
 # --- the build cache, each case in fresh processes --------------------------
