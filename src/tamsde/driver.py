@@ -32,7 +32,7 @@ which _run_pair raises.
 import math
 
 from .errors import InputError
-from .model import _Record, _assign, _integer, _real
+from .model import _Record, _integer, _real
 from .scheme import DEFAULT_MAX_STEPS, SchemeConfig, _due, _require_l0, _stop
 
 __all__ = ["NoiseSource", "CoupledSample", "simulate_coupled_pair",
@@ -91,15 +91,6 @@ class CoupledSample(_Record):
     fine_steps: int
     coarse_steps: int
     squared_diff: float
-
-    # written out, as every pair builds one: ~0.2 us under _Record's
-    def __init__(self, fine_terminal, coarse_terminal, fine_steps,
-                 coarse_steps, squared_diff):
-        _assign(self, "fine_terminal", fine_terminal)
-        _assign(self, "coarse_terminal", coarse_terminal)
-        _assign(self, "fine_steps", fine_steps)
-        _assign(self, "coarse_steps", coarse_steps)
-        _assign(self, "squared_diff", squared_diff)
 
 
 def _sample(x_f, x_c, steps_f, steps_c):

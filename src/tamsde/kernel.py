@@ -249,8 +249,8 @@ def _open(directory, name):
 
 
 def _declare(lib):
-    """Declare the argument and result types of lib's block and sums
-    functions."""
+    """Declare the argument and result types of lib's block, sums and
+    lanes functions."""
     lib.tamsde_block.argtypes = ([ctypes.c_int] * 2 + [ctypes.c_double] * 6
                                  + [ctypes.c_longlong, ctypes.c_char_p,
                                     ctypes.c_size_t, ctypes.c_longlong]
@@ -259,6 +259,7 @@ def _declare(lib):
     lib.tamsde_sums.argtypes = ([ctypes.c_longlong] + [ctypes.c_void_p] * 2
                                 + [ctypes.c_double] + [ctypes.c_void_p] * 4)
     lib.tamsde_sums.restype = ctypes.c_int
+    lib.tamsde_lanes.restype = ctypes.c_char_p
 
 
 def lanes(lib):
@@ -266,7 +267,6 @@ def lanes(lib):
     fixed-step pairs on, as its tamsde_init picked it on this host:
     "avx2", four doubles to a vector, which runs larger blocks of model1
     and gbm adaptive pairs too, or "baseline", two."""
-    lib.tamsde_lanes.restype = ctypes.c_char_p
     return lib.tamsde_lanes().decode()
 
 

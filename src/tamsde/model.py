@@ -82,66 +82,42 @@ class _Record:
     as a class attribute, and may define __post_init__ to check and
     normalise them (through object.__setattr__).  It gets what
     @dataclass(frozen=True) generated: an __init__ taking the fields by
-    position or keyword, with the generated method's TypeError messages;
-    a repr of the fields; == and hash over the fields, or identity with
-    eq=False; and AttributeError on assigning or deleting an attribute.
-    Instances pickle and copy through their __dict__.  Nothing is
-    generated, so a record class costs no exec and no import to define.
-    A record that every pair builds writes its __init__ out instead:
-    _assign each field in order, then call __post_init__.
+    position or keyword, which sets each field in order and then calls the
+    class's __post_init__, if it has one; a repr of the fields; == and hash
+    over the fields, or identity with eq=False; and AttributeError on
+    assigning or deleting an attribute.  Instances pickle and copy through
+    their __dict__.  The __init__ is generated once, when the class is
+    defined, as dataclasses and namedtuple generate theirs, so CPython
+    binds every call and words every TypeError itself; its source holds
+    only the names of the class's own annotations, and no module is
+    imported to make it.
     """
 
     def __init_subclass__(cls, eq=True):
         super().__init_subclass__()
         cls._fields = names = tuple(cls.__annotations__)
-        cls._names = frozenset(names)
-        cls._defaults = {n: cls.__dict__[n] for n in names
-                         if n in cls.__dict__}
-        if not eq:
-            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, *args, **kwargs):
-        names = self._fields
-        # a call with every field by position skips the binding
-        if kwargs or len(args) != len(names):
-            args = self._bind(args, kwargs)
+        cls._defaults = defaults = {n: cls.__dict__[n] for n in names
+                                    if n in cls.__dict__}
+        params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults
+                         else f", {n}" for n in names)
         # one attribute at a time: reading self.__dict__ would give the
         # instance a dict of its own, and every later attribute read a
         # slower lookup
-        for name, value in zip(names, args):
-            _assign(self, name, value)
-        self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args, kwargs):
-        # the field values in order, or the TypeError CPython raises for
-        # the same call of a function with the fields as parameters
-        names, given = cls._fields, len(args)
-        values = {**cls._defaults, **dict(zip(names, args)), **kwargs}
-        if (values.keys() == cls._names and given <= len(names)
-                and kwargs.keys().isdisjoint(names[:given])):
-            return [values[name] for name in names]
-        for name in kwargs:
-            if name not in names:
-                cls._refuse(f"got an unexpected keyword argument {name!r}")
-            if name in names[:given]:
-                cls._refuse(f"got multiple values for argument {name!r}")
-        if given > len(names):
-            required = len(names) - len(cls._defaults)
-            takes = (f"from {required + 1} to {len(names) + 1} positional "
-                     "arguments" if cls._defaults else
-                     f"{len(names) + 1} positional arguments")
-            cls._refuse(f"takes {takes} but {given + 1} were given")
-        missing = [repr(n) for n in names if n not in values]
-        listed = (" and ".join(missing) if len(missing) < 3 else
-                  ", ".join(missing[:-1]) + ", and " + missing[-1])
-        plural = "s" if len(missing) > 1 else ""
-        cls._refuse(f"missing {len(missing)} required positional "
-                    f"argument{plural}: {listed}")
-
-    @classmethod
-    def _refuse(cls, message):
-        raise TypeError(f"{cls.__qualname__}.__init__() {message}")
+        body = "".join(f"    _assign(self, {n!r}, {n})\n" for n in names)
+        # as dataclasses do, only a class with a __post_init__ calls it:
+        # a call of the base's costs CoupledSample, which every pair
+        # builds, ~40 ns
+        if cls.__post_init__ is not _Record.__post_init__:
+            body += "    self.__post_init__()\n"
+        made = {}
+        exec(f"def __init__(self{params}):\n{body}",
+             {"_assign": _assign, "_defaults": defaults}, made)
+        init = made["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+        cls.__init__ = init
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self):
         pass

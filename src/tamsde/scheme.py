@@ -43,8 +43,7 @@ import numbers
 import sys
 
 from .errors import InputError, PathExplosion
-from .model import (_Record, _assign, _finite, _real, _rpow,
-                    minimum_step_exponent)
+from .model import _Record, _finite, _real, _rpow, minimum_step_exponent
 
 __all__ = [
     "SchemeConfig",
@@ -86,16 +85,6 @@ class SchemeConfig(_Record):
     h0: float = 1.0
     l0: float = 2.0
     max_steps: int = DEFAULT_MAX_STEPS
-
-    # written out, as every pair builds one: ~0.2 us under _Record's; the
-    # defaults are the class attributes above
-    def __init__(self, delta, t_end, h0=h0, l0=l0, max_steps=max_steps):
-        _assign(self, "delta", delta)
-        _assign(self, "t_end", t_end)
-        _assign(self, "h0", h0)
-        _assign(self, "l0", l0)
-        _assign(self, "max_steps", max_steps)
-        self.__post_init__()
 
     def __post_init__(self):
         for name in ("delta", "t_end", "h0", "l0"):

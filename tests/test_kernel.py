@@ -1880,9 +1880,10 @@ class TestCache:
         assert isolated(fake_cc=True, code=code) == ["True", "False", "False"]
         assert isolated.calls() == 0
 
-    def test_import_generates_no_code(self, isolated):
-        # the records are built on model._Record, not on dataclasses, which
-        # imports inspect and execs the methods it generates; and json is
+    def test_import_loads_no_dataclasses_inspect_or_json(self, isolated):
+        # the records are built on model._Record, not on dataclasses: each
+        # record's __init__ is generated by one exec of its field names,
+        # with no import, where dataclasses imports inspect; and json is
         # imported only to read a model file
         code = ("import sys\n"
                 "before = set(sys.modules)\n"

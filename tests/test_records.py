@@ -1,9 +1,10 @@
 """The package's frozen records against frozen dataclasses of the same
-fields: what @dataclass(frozen=True) gave each record, model._Record (or
-the record's own __init__) must still give."""
+fields: what @dataclass(frozen=True) gave each record, model._Record and
+the __init__ it generates for the record must still give."""
 
 import copy
 import dataclasses
+import inspect
 import pickle
 
 import pytest
@@ -89,6 +90,12 @@ def outcome(make):
         return type(exc).__name__, str(exc)
 
 
+def parameters(cls):
+    """The name, kind and default of each parameter of cls's signature."""
+    return [(p.name, p.kind, p.default)
+            for p in inspect.signature(cls).parameters.values()]
+
+
 def attribute_error(action, obj):
     with pytest.raises(AttributeError) as exc:
         action(obj)
@@ -107,6 +114,11 @@ class TestParity:
                     if f.default is dataclasses.MISSING]
         assert repr(cls(*kwargs.values())) == repr(data(*kwargs.values()))
         assert repr(cls(*required)) == repr(data(*required))
+
+    def test_signature(self, record):
+        # what help() and inspect read off the class, parameter by parameter
+        cls, data, _ = both(record)
+        assert parameters(cls) == parameters(data)
 
     def test_repr(self, record):
         cls, data, kwargs = both(record)
@@ -127,14 +139,15 @@ class TestParity:
     def test_type_errors(self, record):
         cls, data, kwargs = both(record)
         first, *_ = kwargs
-        # 'zzzz' is near no field's name, so no Python suggests one (3.13
-        # adds "Did you mean" to a misspelt keyword's TypeError; the
-        # records' own binding does not)
+        # 'zzzz' is near no field's name, so no Python suggests one; the
+        # first field's name with its last letter doubled is one edit away
+        # from it, and 3.13 adds "Did you mean" to that keyword's TypeError
         calls = [
             ((), {}),                                         # missing
             ((kwargs[first],), {}),
             ((*kwargs.values(), None), {}),                   # extra
             ((), {**kwargs, "zzzz": None}),
+            ((), {**kwargs, first + first[-1]: None}),        # misspelt
             ((*kwargs.values(), None), {"zzzz": None}),
             ((kwargs[first],), kwargs),                       # repeated
             ((*kwargs.values(), None), {first: None}),
