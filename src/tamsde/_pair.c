@@ -8,10 +8,12 @@
  * the Python loops only because:
  *   - it is built with -ffp-contract=off, so no a*b+c is fused into one
  *     rounding, and without -ffast-math, so nothing is reassociated;
- *   - every real power goes through libm pow, which CPython's float **
- *     calls (the special cases CPython handles before calling pow give the
- *     same values as pow for a non-negative base; an overflow, which
- *     model._rpow turns into inf, is inf here too);
+ *   - every real power is libm pow's, which CPython's float ** calls (the
+ *     special cases CPython handles before calling pow give the same
+ *     values as pow for a non-negative base; an overflow, which
+ *     model._rpow turns into inf, is inf here too): a call of pow, or, for
+ *     model2's powers on four-wide vectors, a double that a rounding test
+ *     proves is the one glibc's pow returns (prove_v4);
  *   - the noise is NoiseSource's stream, numpy's Philox(seed), and each
  *     normal is numpy's random_standard_normal, linked from numpy's
  *     libnpyrandom.a: the function Generator.standard_normal calls.  Every
@@ -63,26 +65,30 @@
  * (struct lane), or MODEL2_LANES for model2, its paths and its fixed-step
  * pairs in VECTORS vectors (struct leg_lanes_V, struct fixed_lanes_V), whose
  * packed operations step a seed in each element at once; each seed's draw,
- * its pow calls, its step count and its record stay its own.  On a host
- * with AVX2 a block of model1 or gbm pairs of vector_pairs[model] seeds or
- * more runs on VECTORS four-wide vectors too (run_legs_V with two legs),
- * one seed's pair to an element, each element on its own merged timeline:
- * a pass gives each element one event of pair_event, in which only the leg
- * that fires first in that element, picked into one vector, advances and
- * proposes, and a masked step, taken only in a pass where some element has
- * both legs due (every seed at t_end), fires the coarse leg after it.
- * model2, the two-wide build and small blocks keep the lanes (vector_pairs
- * says why).  Of the draw's state a lane or an element holds only its
- * seed's Philox, which every draw reads, the rare one off the ziggurat's
- * fast path included.  The three runners share one block protocol (struct
- * block): take is the one cursor, which hands out the block's next seed,
- * seeding its Philox and stepping the seed's 32-bit words by one, and
- * record is the one writer of the caller's columns, one array for each of
- * the legs' states, the stop time, the legs' step counts and the return
- * code, into which it writes seed i's item i, and counts the stops.  A pass
- * gives every live lane or vector one event or step, and a seed that is
- * over is recorded.  A lane or an element of run_legs_V then takes the
- * block's next seed; a fixed-step pair's element idles, drawing
+ * its powers, its step count and its record stay its own.  On a host with
+ * AVX2 and FMA a block of pairs of vector_pairs[model] seeds or more runs
+ * on VECTORS four-wide vectors too (run_legs_V with two legs), model2's
+ * only where its proven powers are on, one seed's pair to an element,
+ * each element on its own merged timeline: a pass gives each element one
+ * event of pair_event, in which only the leg that fires first in that
+ * element, picked into one vector, advances and proposes, and a masked
+ * step, taken only in a pass where some element has both legs due (every
+ * seed at t_end), fires the coarse leg after it.  Once every seed of a
+ * block has started, run_legs_V packs the seeds under way into the fewest
+ * vectors after each pass in which a seed ended, and hands a pair block's
+ * last three or fewer, each before t_end, to scalar lanes, so a long seed
+ * does not keep a vector of idle elements stepping.  The two-wide build
+ * and small blocks keep the lanes (vector_pairs says why).  Of the draw's
+ * state a lane or an element holds only its seed's Philox, which every draw
+ * reads, the rare one off the ziggurat's fast path included.  The three
+ * runners share one block protocol (struct block): take is the one cursor,
+ * which hands out the block's next seed, seeding its Philox and stepping the
+ * seed's 32-bit words by one, and record is the one writer of the caller's
+ * columns, one array for each of the legs' states, the stop time, the legs'
+ * step counts and the return code, into which it writes seed i's item i, and
+ * counts the stops.  A pass gives every live lane or vector one event or step,
+ * and a seed that is over is recorded.  A lane or an element of run_legs_V
+ * then takes the block's next seed; a fixed-step pair's element idles, drawing
  * nothing, until its generation is over, as a new seed starts at t = 0 on
  * another timeline, and the next generation starts.  A seed runs the same
  * operations in the same order on its own Philox in any lane or element, so
@@ -92,23 +98,26 @@
  *
  * Every build has the vector layer on vectors of two doubles.  On x86-64
  * ELF with glibc it has a second, on vectors of four, compiled for AVX2
- * (the target attribute), and tamsde_init, which tests the processor once
- * per process, has tamsde_block run the four-wide runners (run_legs_v4,
- * for paths and, as above, adaptive pairs, and run_fixed_v4) on a host with
- * AVX2, and the two-wide ones (run_legs_v2, for paths only, and
- * run_fixed_v2) elsewhere; tamsde_lanes says which.  Without that target
- * (musl, arm64, no ELF, or __ELF__ undefined on the build line) the one
- * two-wide layer is portable GNU C vector code.  No width moves a bit:
- * each element's operations are the scalar ones.
+ * and FMA (the target attribute), and tamsde_init, which tests the
+ * processor once per process, has tamsde_block run the four-wide runners
+ * (run_legs_v4, for paths and, as above, adaptive pairs, and run_fixed_v4)
+ * on a host with AVX2 and FMA, and the two-wide ones (run_legs_v2, for
+ * paths only, and run_fixed_v2) elsewhere; tamsde_lanes says which.  With
+ * glibc 2.28 or later the four-wide layer takes model2's proven powers when
+ * they agree with pow on tamsde_init's probe (probe_powers).  Without that
+ * target (musl, arm64, no ELF, or __ELF__ undefined on the build line) the one
+ * two-wide layer is portable GNU C vector code.  No width moves a bit: each
+ * element's operations are the scalar ones.
  *
  * A Monte Carlo cell's columns are reduced here too (tamsde_sums), to
  * the sums montecarlo's Python reduction takes, on a port of CPython's
  * math.fsum, so the row's bits are the same.
  *
- * tamsde_seed and tamsde_normals, the lanes' draw, and tamsde_fsum, the
- * port of math.fsum, are exported for the tests that check the ports
- * against numpy and Python; the structs are known only to this file (and
- * to that test's mirror of struct philox).
+ * tamsde_seed and tamsde_normals, the lanes' draw, tamsde_fsum, the port
+ * of math.fsum, and tamsde_powers, model2's powers on four-wide vectors,
+ * are exported for the tests that check them against numpy and Python;
+ * the structs are known only to this file (and to that test's mirror of
+ * struct philox).
  */
 #include <errno.h>
 #include <float.h>
@@ -444,13 +453,14 @@ static void probe_tables(void)
    *, / and the comparisons act on each element, a scalar operand on every
    one, and a comparison gives a mask of all ones or all zeros in each
    element; a vector of long longs of the same width holds the legs' step
-   counts.  Every build has the two-wide vector, native on SSE2 and NEON.  On x86-64 ELF with glibc the
-   four-wide vector is built too, in code compiled for AVX2 (the target
-   attribute), which tamsde_block runs when the host has AVX2; there the
-   square root and the masks' bits are one instruction each, else one call
-   or test per element.  Elsewhere (musl, arm64, no ELF, or __ELF__
-   undefined on the build line) the one two-wide build is portable GNU C
-   vector code.  A four-wide vector outside AVX2 code took about twice as
+   counts.  Every build has the two-wide vector, native on SSE2 and NEON.
+   On x86-64 ELF with glibc the four-wide vector is built too, in code
+   compiled for AVX2 and FMA (the target attribute; under -ffp-contract=off
+   only an explicit fma_v4 fuses), which tamsde_block runs when the host
+   has both; there the square root and the masks' bits are one instruction
+   each, else one call or test per element.  Elsewhere (musl, arm64, no ELF, or
+   __ELF__ undefined on the build line) the one two-wide build is portable GNU
+   C vector code.  A four-wide vector outside AVX2 code took about twice as
    long as the two-wide one (ROADMAP, Rejected), so each width has its own
    instruction set, and its own copy of the vector layer (VECTOR_LAYER,
    below).  The helpers, suffixed _d for a double and _v2 or _v4 for a
@@ -475,7 +485,7 @@ typedef long long vmask2 __attribute__((vector_size(8 * BASELINE_ELEMENTS)));
 
 #ifdef WIDE
 #include <immintrin.h>
-#define AVX2 __attribute__((target("avx2")))
+#define AVX2 __attribute__((target("avx2,fma")))
 typedef double vec4 __attribute__((vector_size(8 * AVX2_ELEMENTS)));
 typedef long long vmask4 __attribute__((vector_size(8 * AVX2_ELEMENTS)));
 
@@ -507,6 +517,11 @@ AVX2 static inline int any_v4(vmask4 m)
 {
     return !_mm256_testz_si256((__m256i)m, (__m256i)m);
 }
+
+AVX2 static inline vec4 fma_v4(vec4 a, vec4 b, vec4 c)
+{
+    return (vec4)_mm256_fmadd_pd((__m256d)a, (__m256d)b, (__m256d)c);
+}
 #else
 static inline vec2 sqrt_v2(vec2 x)
 {
@@ -524,6 +539,31 @@ static inline int any_v2(vmask2 m)
 {
     return (m[0] | m[1]) != 0;
 }
+
+/* 1 when tamsde_init found AVX2 and FMA on the host, and tamsde_block runs
+   the four-wide layer's runners, else the two-wide layer's */
+static int avx2;
+
+/* The proven powers of model2 (prove_v4, below) are built on x86-64 ELF
+   with glibc 2.28 or later, whose pow they are proven against, and taken
+   when tamsde_init found AVX2 and FMA and they agreed with pow on its
+   probe (proven); elsewhere every power of a vector is libm's pow
+   (NO_PROOF). */
+#define NO_PROOF(a, half, p12, p02) 0u
+#ifdef WIDE
+#if __GLIBC_PREREQ(2, 28)
+#define PROVEN_POWERS
+#endif
+static int proven;
+#endif
+#ifdef PROVEN_POWERS
+AVX2 static inline unsigned prove_v4(vec4 a, vec4 *half, vec4 *p12,
+                                     vec4 *p02);
+#define PROVE_V4(a, half, p12, p02) \
+    (proven ? prove_v4(a, half, p12, p02) : 0u)
+#else
+#define PROVE_V4 NO_PROOF
+#endif
 
 /* e, hidden from the compiler by an empty asm that may change it, so
    every pow of a constant exponent stays a call of libm's pow: gcc 12 at
@@ -553,6 +593,16 @@ static inline double powabs_d(double x, double e)
 {
     OPAQUE(e);
     return pow(fabs(x), e);
+}
+
+/* model2's powers of |x|: *half = |x| ** 0.5, which mu and mu' share (the
+   compiler does not merge two calls of pow on the same argument, as pow
+   may set errno), *p12 = |x| ** 1.2 and *p02 = |x| ** 0.2 */
+static inline void powers_d(double x, double *half, double *p12, double *p02)
+{
+    *half = powabs_d(x, 0.5);
+    *p12 = powabs_d(x, 1.2);
+    *p02 = powabs_d(x, 0.2);
 }
 
 /* --- the scheme ---------------------------------------------------------- */
@@ -630,7 +680,7 @@ A static inline T tamed_##V(T s, T sp, T sqd, T rsqd)                        \
 A static inline void coefficients_##V(int model, T x, T *m, T *mp, T *s,     \
                                       T *sp)                                 \
 {                                                                            \
-    T r;                                                                     \
+    T half, p12, p02;                                                        \
     switch (model) {                                                         \
     case MODEL1:                                                             \
         *m = 0.1 * (x - x * x * x);                                          \
@@ -639,13 +689,11 @@ A static inline void coefficients_##V(int model, T x, T *m, T *mp, T *s,     \
         *sp = splat_##V(0.1);                                                \
         break;                                                               \
     case MODEL2:                                                             \
-        /* one pow for mu and mu': the same call on the same argument,       \
-           which the compiler does not merge itself, as pow may set errno */ \
-        r = powabs_##V(x, 0.5);                                              \
-        *m = -0.1 * (1.0 + 3.0 * x + x * r);                                 \
-        *mp = -0.3 - 0.15 * r;                                               \
-        *s = 0.3 * (1.0 + powabs_##V(x, 1.2));                               \
-        *sp = 0.36 * sign_##V(x) * powabs_##V(x, 0.2);                       \
+        powers_##V(x, &half, &p12, &p02);                                    \
+        *m = -0.1 * (1.0 + 3.0 * x + x * half);                              \
+        *mp = -0.3 - 0.15 * half;                                            \
+        *s = 0.3 * (1.0 + p12);                                              \
+        *sp = 0.36 * sign_##V(x) * p02;                                      \
         break;                                                               \
     default:                                                                 \
         *m = 0.05 * x;                                                       \
@@ -854,18 +902,21 @@ static int begin(struct lane *l, const struct leg_d *first, struct block *b)
     return (l->i = take(b, &l->rng)) >= 0;
 }
 
-/* Each of the block's tamed-adaptive pairs of p, from the legs first.
-   LANES seeds, or MODEL2_LANES of model2, are in flight, each on its own
-   Philox; a pass gives every live lane one event, a lane left alone (the
-   one lane of a block of one) included, and a lane whose seed is over
-   writes its record and starts the block's next seed.  Each seed runs the
-   same operations in the same order as it would alone, so only the order
-   of the work across seeds depends on the lanes. */
+/* Each of the block's tamed-adaptive pairs of p, from the legs first, in
+   LANES lanes, or MODEL2_LANES of model2, each seed on its own Philox, the
+   first n_live of lanes with a seed under way already (a vector's last
+   pairs, handed off).  A pass gives every live lane one event, a lane left
+   alone (the one lane of a block of one) included, and a lane whose seed
+   is over writes its record and starts the block's next seed.  Each seed
+   runs the same operations in the same order as it would alone, so only
+   the order of the work across seeds depends on the lanes. */
 static void run_pairs(const struct pair *p, const struct leg_d *first,
-                      struct block *b)
+                      struct block *b, struct lane *lanes, int n_live)
 {
-    struct lane lanes[LANES], *live[LANES];
-    int n_live = 0, k, width = p->model == MODEL2 ? MODEL2_LANES : LANES;
+    struct lane *live[LANES];
+    int k, width = p->model == MODEL2 ? MODEL2_LANES : LANES;
+    for (k = 0; k < n_live; k++)
+        live[k] = &lanes[k];
     for (; n_live < width && begin(&lanes[n_live], first, b); n_live++)
         live[n_live] = &lanes[n_live];
     while (n_live > 0)
@@ -897,11 +948,19 @@ struct tick {
    written for the vector alone.  A tamed-adaptive leg's step is FORMULAS'
    fire_V, the one the scalar lanes' pair_event fires too: here a path's
    leg and each leg of a pair are a struct leg_V, one leg to an element.
-     splat_V, select_V, not_V, abs_V, isinf_V, copysign_V and powabs_V:
-       the helpers FORMULAS is written in, as a double's are.  select_V
-       gives a where c is set, else b; copysign_V each element of |a| with
-       the sign of that element of b; powabs_V libm's pow of |x| in each
-       element.
+     splat_V, select_V, not_V, abs_V, isinf_V, copysign_V, powabs_V and
+       powers_V: the helpers FORMULAS is written in, as a double's are.
+       select_V gives a where c is set, else b; copysign_V each element of
+       |a| with the sign of that element of b; powabs_V libm's pow of |x|
+       in each element.  powers_V gives model2's powers as powers_d does,
+       each where PROVE proves it (prove_v4 on four-wide vectors while
+       proven is set, else none), and pow's elsewhere; it returns the bits
+       of the proven ones, bit e for element e of |x| ** 0.5, W + e of 1.2
+       and 2 W + e of 0.2.  Testing each bit on its own, rather than first
+       whether every power was proven, read rate-rough at 1/1.049 of that
+       (tools/leg_step_ns.py, 7 rounds); the three powers' loops written as
+       one over an array of their pointers made model1 path blocks ~1.05
+       times as slow (2-core Intel Xeon, gcc 12).
      FORMULAS on the vector.
      tm_propose_V: propose of scheme._tm_leg, whose step is the base step
        itself: keeps mu, sigma and sigma sigma' at x.
@@ -941,16 +1000,25 @@ struct tick {
        timeline or its path's last step.  With the seeds after the legs,
        the moments-long row of tools/leg_step_ns.py took ~1.006 times as
        long (2-core AMD EPYC, gcc 12), for no change in the code it runs.
+     lane_of_V and set_lane_V: element e of l as a scalar lane, its legs,
+       Philox, time and seed's index, and back, so a seed moves between
+       elements and lanes with its operations unchanged.
      begin_legs_V: starts element e of l on the block's next seed, or
-       none, at time 0 with its legs as first[0] up to first[legs - 1].
+       none, at time 0 with its legs as first (a path's second leg is not
+       read, but is set, so lane_of_V reads no unset element).
+     pack_V: once every seed has started, the seeds under way of the
+       *n_live vectors of live moved into the fewest vectors, live[0] up
+       to the new *n_live; returns how many seeds are under way.
      run_legs_V: each of the block's tamed-adaptive paths (legs 1) or pairs
        (legs 2), from first, as run_pairs runs pairs: VECTORS vectors of W
        seeds in flight, and an element whose seed is over (it cannot go on,
        or it has reached t_end) writes its record and starts the block's
-       next seed, or none.  tamsde_block passes legs as a constant, so the
-       compiler makes a copy for each count (the two-wide layer runs paths
-       only).  A pass gives each element of a vector with a live element
-       one step of scheme._path_loop, its leg fired at its due time with
+       next seed, or none.  Its body, legs_V, is inlined into it once for each
+       count of legs, so each has a copy of its own: left to gcc 12, which
+       stopped making them once the runner grew, model1 path blocks took ~1.05
+       times as long (2-core Intel Xeon).  The two-wide layer runs paths only.
+       A pass gives each element of a vector with a live element one step of
+       scheme._path_loop, its leg fired at its due time with
        its own increment, or one pair_event: its time t, the earlier of its
        legs' due times, one normal, pended onto both legs, and the event of
        the leg due at t, the fine one where both are, picked into one
@@ -974,8 +1042,18 @@ struct tick {
        its stop lost.  So a lost stop ends the block rather than stepping
        on at t_end forever, at any budget.  Testing t_end in every pass
        made moments-long and compare-smooth/tam 1.5-2% slower on a sizing
-       prototype. */
-#define VECTOR_LAYER(vec, vmask, V, W, EACH, A)                              \
+       prototype.  Once every seed has started, after each pass in which a
+       seed ended, it packs the seeds under way into the fewest vectors
+       (pack_V), and when three or fewer pairs are left, none at t_end (a
+       stop lost there stays in its vector, to end the block), hands them
+       to run_pairs' scalar lanes and returns: a vector steps every
+       element, so a long seed alone in it costs four seeds' steps.  On
+       rate-rough (model2, with its proven powers) tools/leg_step_ns.py
+       read packing and the hand-off at 0.85 of neither and 0.88 of packing
+       alone (21 and 11 rounds), and handing off three pairs at 0.97 of
+       handing off two, and 0.99 of one (7 rounds each; 2-core Intel Xeon,
+       gcc 12). */
+#define VECTOR_LAYER(vec, vmask, V, W, EACH, A, PROVE)                       \
 A static inline vec splat_##V(double x)                                      \
 {                                                                            \
     return (vec)EACH(SAME, x);                                               \
@@ -1008,6 +1086,27 @@ A static inline vec powabs_##V(vec x, double e)                              \
     for (i = 0; i < W; i++)                                                  \
         r[i] = pow(a[i], e);                                                 \
     return r;                                                                \
+}                                                                            \
+A static inline unsigned powers_##V(vec x, vec *half, vec *p12, vec *p02)    \
+{                                                                            \
+    vec a = abs_##V(x);                                                      \
+    double e05 = 0.5, e12 = 1.2, e02 = 0.2;                                  \
+    unsigned done;                                                           \
+    int i;                                                                   \
+    *half = *p12 = *p02 = a;                                                 \
+    done = PROVE(a, half, p12, p02);                                         \
+    OPAQUE(e05);                                                             \
+    OPAQUE(e12);                                                             \
+    OPAQUE(e02);                                                             \
+    for (i = 0; i < W; i++) {                                                \
+        if (!(done >> i & 1))                                                \
+            (*half)[i] = pow(a[i], e05);                                     \
+        if (!(done >> (W + i) & 1))                                          \
+            (*p12)[i] = pow(a[i], e12);                                      \
+        if (!(done >> (2 * W + i) & 1))                                      \
+            (*p02)[i] = pow(a[i], e02);                                      \
+    }                                                                        \
+    return done;                                                             \
 }                                                                            \
 FORMULAS(vec, V, vmask, A)                                                   \
 A static inline void tm_propose_##V(int model, vec x, vec *m, vec *s,        \
@@ -1151,18 +1250,60 @@ struct leg_lanes_##V {                                                       \
     struct leg_##V leg[2];                                                   \
     vec t;                                                                   \
 };                                                                           \
+A static inline struct lane lane_of_##V(const struct leg_lanes_##V *l, int e) \
+{                                                                            \
+    struct lane n;                                                           \
+    int j;                                                                   \
+    for (j = 0; j < 2; j++) {                                                \
+        const struct leg_##V *g = &l->leg[j];                                \
+        struct leg_d d = {g->x[e], g->last[e], g->due[e], g->m[e], g->s[e],  \
+                          g->q[e], g->pw[e], g->pc[e], g->steps[e]};         \
+        n.leg[j] = d;                                                        \
+    }                                                                        \
+    n.rng = l->k.rng[e];                                                     \
+    n.t = l->t[e];                                                           \
+    n.i = l->k.i[e];                                                         \
+    return n;                                                                \
+}                                                                            \
+A static inline void set_lane_##V(struct leg_lanes_##V *l, int e,            \
+                                  const struct lane *n)                      \
+{                                                                            \
+    begin_leg_##V(&l->leg[0], e, &n->leg[0]);                                \
+    begin_leg_##V(&l->leg[1], e, &n->leg[1]);                                \
+    l->k.rng[e] = n->rng;                                                    \
+    l->t[e] = n->t;                                                          \
+    l->k.i[e] = n->i;                                                        \
+}                                                                            \
 A static inline void begin_legs_##V(struct leg_lanes_##V *l, int e,          \
-                                    int legs, const struct leg_d *first,     \
+                                    const struct leg_d *first,               \
                                     struct block *b)                         \
 {                                                                            \
-    int j;                                                                   \
-    for (j = 0; j < legs; j++)                                               \
-        begin_leg_##V(&l->leg[j], e, &first[j]);                             \
+    begin_leg_##V(&l->leg[0], e, &first[0]);                                 \
+    begin_leg_##V(&l->leg[1], e, &first[1]);                                 \
     l->t[e] = 0.0;                                                           \
     l->k.i[e] = take(b, &l->k.rng[e]);                                       \
 }                                                                            \
-A static int run_legs_##V(const struct pair *p, const struct leg_d *first,   \
-                          struct block *b, int legs)                         \
+A static int pack_##V(struct leg_lanes_##V **live, int *n_live)              \
+{                                                                            \
+    int seeds = 0, k, e, to = 0;                                             \
+    for (k = 0; k < *n_live; k++)                                            \
+        for (e = 0; e < W; e++)                                              \
+            seeds += live[k]->k.i[e] >= 0;                                   \
+    /* element to % W of vector to / W is the next one free to take a seed */\
+    for (k = (seeds + W - 1) / W; k < *n_live; k++)                          \
+        for (e = 0; e < W; e++)                                              \
+            if (live[k]->k.i[e] >= 0) {                                      \
+                struct lane n = lane_of_##V(live[k], e);                     \
+                while (live[to / W]->k.i[to % W] >= 0)                       \
+                    to++;                                                    \
+                set_lane_##V(live[to / W], to % W, &n);                      \
+            }                                                                \
+    *n_live = (seeds + W - 1) / W;                                           \
+    return seeds;                                                            \
+}                                                                            \
+A static inline __attribute__((always_inline)) int                          \
+legs_##V(const struct pair *p, const struct leg_d *first, struct block *b,   \
+         int legs)                                                           \
 {                                                                            \
     struct leg_lanes_##V lanes[VECTORS], *live[VECTORS];                     \
     vec sqd[2], rsqd[2], delta[2];                                           \
@@ -1175,9 +1316,10 @@ A static int run_legs_##V(const struct pair *p, const struct leg_d *first,   \
     for (; n_live < VECTORS && b->next < b->n; n_live++) {                   \
         live[n_live] = &lanes[n_live];                                       \
         for (e = 0; e < W; e++)                                              \
-            begin_legs_##V(live[n_live], e, legs, first, b);                 \
+            begin_legs_##V(live[n_live], e, first, b);                       \
     }                                                                        \
-    while (n_live > 0)                                                       \
+    while (n_live > 0) {                                                     \
+        int ended = 0, seeds;                                                \
         for (k = 0; k < n_live; k++) {                                       \
             struct leg_lanes_##V *l = live[k];                               \
             struct leg_##V *f = &l->leg[0], *c = &l->leg[legs - 1];          \
@@ -1228,34 +1370,206 @@ A static int run_legs_##V(const struct pair *p, const struct leg_d *first,   \
             for (e = 0; e < W; e++) {                                        \
                 if (!(over >> e & 1))                                        \
                     continue;                                                \
-                if (l->k.i[e] >= 0)                                          \
+                if (l->k.i[e] >= 0) {                                        \
                     record(b, l->k.i[e], f->x[e], c->x[e], f->steps[e],      \
                            c->steps[e], l->t[e],                             \
                            l->t[e] < p->t_end                                \
                            ? (coarse_stop[e] ? COARSE_STOP : FINE_STOP)      \
                            : pair_end(f->x[e], c->x[e]));                    \
-                begin_legs_##V(l, e, legs, first, b);                        \
+                    ended = 1;                                               \
+                }                                                            \
+                begin_legs_##V(l, e, first, b);                              \
             }                                                                \
             if (any_##V(not_##V(l->t < p->t_end)))                           \
                 return RUNAWAY;                                              \
             if (idle_##V(&l->k))  /* as in run_pairs */                      \
                 live[k--] = live[--n_live];                                  \
         }                                                                    \
+        if (!ended || b->next < b->n)                                        \
+            continue;                                                        \
+        seeds = pack_##V(live, &n_live);                                     \
+        if (legs == 2 && seeds < W && n_live == 1                            \
+                && !any_##V(not_##V(live[0]->t < p->t_end))) {               \
+            struct lane under_way[LANES];                                    \
+            for (k = e = 0; e < W; e++)                                      \
+                if (live[0]->k.i[e] >= 0)                                    \
+                    under_way[k++] = lane_of_##V(live[0], e);                \
+            run_pairs(p, first, b, under_way, k);                            \
+            return 0;                                                        \
+        }                                                                    \
+    }                                                                        \
     return 0;                                                                \
+}                                                                            \
+A static int run_legs_##V(const struct pair *p, const struct leg_d *first,   \
+                          struct block *b, int legs)                         \
+{                                                                            \
+    return legs == 1 ? legs_##V(p, first, b, 1) : legs_##V(p, first, b, 2);  \
 }
 
-VECTOR_LAYER(vec2, vmask2, v2, BASELINE_ELEMENTS, EACH2, )
+VECTOR_LAYER(vec2, vmask2, v2, BASELINE_ELEMENTS, EACH2, , NO_PROOF)
 #ifdef WIDE
-VECTOR_LAYER(vec4, vmask4, v4, AVX2_ELEMENTS, EACH4, AVX2)
+VECTOR_LAYER(vec4, vmask4, v4, AVX2_ELEMENTS, EACH4, AVX2, PROVE_V4)
 #endif
 
-/* 1 when tamsde_init found AVX2 on the host, and tamsde_block runs the
-   four-wide layer's runner, else the two-wide layer's.  Each is called
-   directly, so the compiler inlines the two-wide runners into
-   tamsde_block: called through a pointer, the portable two-wide build's
-   paths took ~1.03 times as long (tools/leg_step_ns.py, moments-long). */
-static int avx2;
+/* --- model2's powers, proven on four-wide vectors ------------------------ */
 
+/* model2's coefficients take |x| ** 0.5, 1.2 and 0.2, and the Python loops'
+   bits are libm pow's, which took 43% of a model2 leg-step (ROADMAP,
+   Baseline).  prove_v4 gives each power of a = |x| as a double c that a
+   rounding test proves is the double glibc's pow returns, with no table
+   and no call; powers_v4 calls pow for each power it does not prove.
+
+   Why a proven c is pow's: glibc's pow (sysdeps/ieee754/dbl-64/e_pow.c,
+   glibc 2.28 and later) is within ulperr_exp + |y ln a| relerr_log 2**53
+   ULP of the exact a ** y, with ulperr_exp <= 0.511 and relerr_log <= 1.5
+   * 2**-68 (0.509 and 1.3 * 2**-68 in its FMA build).  For a in [2**-100,
+   2**100] and y <= 1.2, |y ln a| <= 84, so pow is within 0.515 ULP of the
+   exact power.  Where the exact power lies within 0.48 ULP of a double c
+   that is not a power of two, c's neighbours are each one ULP of c away,
+   so more than 0.52 ULP from the power, and pow returns c.  prove_v4 keeps
+   c only there, and only for a in that range.
+
+   The candidates c, each with d, an estimate of (exact power - c):
+     - a ** 0.5: c = sqrt(a), correctly rounded, and r = a - c c exactly,
+       by one FMA.  The root is c + r / (root + c), and root + c >= 2 c -
+       u / 2 (u = c's ULP), so |r| <= 0.9598 c u puts it within 0.48 u.
+     - a ** 0.2: 0.2 as a double is 1/5 + 2**-54/5, so the power is a **
+       (1/5) exp(w), w = 2**-54/5 ln a.  A seed y, a ** (1/5) to 2e-7 from
+       a log and an exp polynomial, gives rho = y**5 / a - 1 to 1e-21, y**4
+       in double-double and y**5 - a by one FMA.  Where |rho| <= 2e-6 (else
+       nothing is kept), a ** (1/5) = y (1 + s), s = -rho/5 + 3 rho**2/25 -
+       11 rho**3/125 up to 1e-24, and the power is y (1 + k), k = s + w + s
+       w: c is y (1 + k) rounded, and d = (y - c) + y k.
+     - a ** 1.2: 1.2 as a double is 6/5 - 2**-52/5, so the power is a (c +
+       d) exp(-2**-54 ln a), with the fifth root's c and d: its c is that
+       rounded, from a c exactly as a product and its FMA error.
+   Each d is off by less than 1e-4 ULP, so a power is kept where |d| <=
+   0.4799 ULP of its c.  Against glibc 2.36's pow, over 80 million inputs
+   (log-uniform in [2**-100, 2**100] and over every double, uniform in [0,
+   10] and in [0.5, 2], and near-midpoint constructions), every power was
+   pow's and ~96% of each in range were proven; the same test at 0.499 ULP
+   (and 0.998 for the root) found 8259 mismatches in 10 million inputs, at
+   0.5 ULP 24550, and probe_powers turned either build's proven powers
+   off. */
+#ifdef PROVEN_POWERS
+/* the elements where c is not a power of two and |d| <= tol * c's ULP */
+AVX2 static inline vmask4 near_v4(vec4 c, vec4 d, vec4 tol)
+{
+    vmask4 exponent = (vmask4)c & 0x7ff0000000000000;
+    return ((vmask4)c != exponent) & (abs_v4(d) <= tol * (vec4)exponent
+                                                  * 0x1p-52);
+}
+
+/* c[0] + x (c[1] + x (... + x c[n - 1])) */
+AVX2 static inline vec4 horner_v4(vec4 x, const double *c, int n)
+{
+    vec4 r = splat_v4(c[n - 1]);
+    while (--n > 0)
+        r = fma_v4(r, x, splat_v4(c[n - 1]));
+    return r;
+}
+
+AVX2 static inline unsigned prove_v4(vec4 a, vec4 *half, vec4 *p12,
+                                     vec4 *p02)
+{
+    static const double atanh2[] = {2.0, 2.0 / 3.0, 2.0 / 5.0, 2.0 / 7.0},
+                        taylor[] = {1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0,
+                                    1.0 / 24.0, 1.0 / 120.0, 1.0 / 720.0};
+    const double ln2 = 0.6931471805599453;
+    vmask4 in = (a >= 0x1p-100) & (a <= 0x1p100), big, ok05, ok12;
+    vec4 inv = 1.0 / a, tol = splat_v4(0.4799), e, m, t, lna, q, n, y, h2,
+         h4, l4, rho, k, c, d, pr;
+    /* a ** 0.5 */
+    *half = sqrt_v4(a);
+    ok05 = in & near_v4(*half, fma_v4(-*half, *half, a), 0.9598 * *half);
+    /* the seed y of a ** (1/5): ln a = e ln 2 + 2 atanh(t), t = (m - 1) /
+       (m + 1), a = 2**e m with m in [sqrt(1/2), sqrt(2)) */
+    e = (vec4)((vmask4)_mm256_srli_epi64((__m256i)a, 52)
+               | 0x4330000000000000) - (0x1p52 + 1023.0);
+    m = (vec4)(((vmask4)a & 0x000fffffffffffff) | 0x3ff0000000000000);
+    big = m > 1.4142135623730951;
+    m = select_v4(big, 0.5 * m, m);
+    e = e + select_v4(big, splat_v4(1.0), splat_v4(0.0));
+    t = (m - 1.0) / (m + 1.0);
+    lna = fma_v4(e, splat_v4(ln2), t * horner_v4(t * t, atanh2, 4));
+    q = lna * (0.2 / ln2);
+    n = (vec4)_mm256_round_pd((__m256d)q, _MM_FROUND_TO_NEAREST_INT
+                                          | _MM_FROUND_NO_EXC);
+    y = horner_v4((q - n) * ln2, taylor, 7)
+        * (vec4)_mm256_slli_epi64((__m256i)(n + (0x1p52 + 1023.0)), 52);
+    /* rho = y**5 / a - 1, y**4 in double-double (its l2 * l2 is below
+       2**-104 of it), with 1 / a taken first, off the chain of y */
+    h2 = y * y;
+    h4 = h2 * h2;
+    l4 = fma_v4(h2, h2, -h4) + (h2 + h2) * fma_v4(y, y, -h2);
+    rho = (fma_v4(h4, y, -a) + l4 * y) * inv;
+    in &= abs_v4(rho) <= 2e-6;
+    /* a ** 0.2 = y (1 + k), k = s + w + s w */
+    k = rho * (-0.2 + rho * (3.0 / 25.0 - rho * (11.0 / 125.0)));
+    k = fma_v4(lna * (0x1p-54 / 5.0), k, k + lna * (0x1p-54 / 5.0));
+    *p02 = c = fma_v4(y, k, y);
+    d = fma_v4(y, k, y - c);
+    /* a ** 1.2 = a (c + d) (1 - 2**-54 ln a) */
+    pr = a * c;
+    k = fma_v4(pr, lna * -0x1p-54, fma_v4(a, d, fma_v4(a, c, -pr)));
+    *p12 = pr + k;
+    ok12 = in & near_v4(*p12, (pr - *p12) + k, tol);
+    return bits_v4(ok05) | bits_v4(ok12) << 4
+           | bits_v4(in & near_v4(c, d, tol)) << 8;
+}
+
+/* out[i], out[n + i] and out[2 n + i] = |x[i]| ** 0.5, 1.2 and 0.2 by
+   powers_v4, for i < n, a multiple of 4; returns how many of the 3 n
+   powers it proved */
+AVX2 static long long powers_of(const double *x, long long n, double *out)
+{
+    long long i, proved = 0;
+    vec4 a, r[3];
+    int j;
+    for (i = 0; i < n; i += AVX2_ELEMENTS) {
+        memcpy(&a, x + i, sizeof a);
+        proved += __builtin_popcount(powers_v4(a, &r[0], &r[1], &r[2]));
+        for (j = 0; j < 3; j++)
+            memcpy(out + j * n + i, &r[j], sizeof a);
+    }
+    return proved;
+}
+
+/* the inputs of probe_powers */
+#define PROBES 4096
+
+/* 1 when powers_v4, with proven set, gives pow's bits on PROBES inputs,
+   |x| log-uniform from 2**-110 to 2**110, of either sign */
+static int probe_powers(void)
+{
+    static double x[PROBES], got[3 * PROBES];
+    double e[3] = {0.5, 1.2, 0.2}, want;
+    uint64_t z = 0x9E3779B97F4A7C15u;
+    int i, j;
+    for (i = 0; i < PROBES; i++) {
+        z ^= z << 13;
+        z ^= z >> 7;
+        z ^= z << 17;
+        x[i] = ldexp(i % 2 ? -1.0 : 1.0, (int)(z % 221) - 110)
+               * (1.0 + (double)(z >> 12) * 0x1p-52);
+    }
+    proven = 1;
+    powers_of(x, PROBES, got);
+    for (i = 0; i < PROBES; i++)
+        for (j = 0; j < 3; j++) {
+            OPAQUE(e[j]);
+            want = pow(fabs(x[i]), e[j]);
+            if (memcmp(&want, &got[j * PROBES + i], sizeof want) != 0)
+                return 0;
+        }
+    return 1;
+}
+#endif
+
+/* tamsde_block calls each layer's runner directly, so the compiler inlines
+   the two-wide runners into it: called through a pointer, the portable
+   two-wide build's paths took ~1.03 times as long (tools/leg_step_ns.py,
+   moments-long). */
 #ifdef WIDE
 #define RUN_VECTORS(runner, ...) \
     (avx2 ? runner##_v4(__VA_ARGS__) : runner##_v2(__VA_ARGS__))
@@ -1270,7 +1584,10 @@ static void init(void)
     probe_tables();
 #ifdef WIDE
     __builtin_cpu_init();
-    avx2 = __builtin_cpu_supports("avx2") != 0;
+    avx2 = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#endif
+#ifdef PROVEN_POWERS
+    proven = avx2 && probe_powers();
 #endif
 }
 
@@ -1286,22 +1603,28 @@ int tamsde_init(void)
 }
 
 /* the fewest seeds of a block whose tamed-adaptive pairs the four-wide
-   vectors run, by model, and none of model2.  tools/leg_step_ns.py read
-   the adaptive model1 pairs on these vectors at 0.67 of the scalar lanes'
-   time, model2's at 1.19 (its pow calls are per element either way) and
-   the pair vectors of the two-wide build at 1.18, so model2 and that
-   build keep the lanes (2-core Intel Xeon, gcc 12); a prototype that
-   stepped both legs on every pass read 0.80 where firing one read 0.66.
-   Small blocks keep the lanes too, a lone pair's vector having three
-   elements idle.  Through kernel.run_block at k=5, T=5, against the
-   scalar lanes, in us a seed: model1 at 1, 2, 3, 12 and 200 seeds 47.5
-   -> 60.1, 27.0 -> 30.5, 26.6 -> 22.6, 20.6 -> 13.3 and 19.6 -> 14.7;
-   gbm, whose step counts spread far wider, so a vector waits on its
-   longest seed, took 1.07 at 8 seeds, 1.01 at 16, 0.94 at 24 and 0.74 at
-   200 (and at k=3 1.02, 0.99, 0.92 and, at 32, 0.91). */
+   vectors run, by model; model2's only where its proven powers are on.
+   tools/leg_step_ns.py read the adaptive model1 pairs on these vectors at
+   0.67 of the scalar lanes' time and the pair vectors of the two-wide
+   build at 1.18, so that build keeps the lanes (2-core Intel Xeon, gcc
+   12); model2's read 1.19 while each element called pow three times a
+   leg-step, and 0.61 (rate-rough) with its proven powers and packed tails.
+   A prototype that stepped both legs on every pass read 0.80 where firing
+   one read 0.66.  Small blocks keep the lanes, a lone pair's vector having
+   three elements idle.  Through kernel.run_block at k=5, T=5, against the
+   scalar lanes, in us a seed (1200 seeds a size, median of 5 alternated
+   rounds), with the tails packed: model1 at 1, 2, 3, 4 and 12 seeds 33.9
+   -> 42.0, 19.3 -> 21.9, 16.7 -> 15.6, 19.8 -> 12.5 and 15.6 -> 11.6;
+   model2 at 1, 2, 3, 12, 24 and 100 seeds 157 -> 224, 124 -> 129, 124 ->
+   105, 115 -> 72, 115 -> 66 and 112 -> 61 (2 and 3 seeds at k=1 0.96 and
+   0.84, at k=3 1.01 and 0.79); gbm, whose step counts spread far wider,
+   at 2, 3, 4, 8 and 24 seeds 1.11, 1.00, 0.92, 0.87 and 0.79 (at k=3 1.10,
+   0.97, 0.90, 0.87 and 0.80), where before the tails were packed it took
+   1.07 at 8 seeds, 1.01 at 16 and 0.94 at 24, a vector waiting on its
+   longest seed. */
 #ifdef WIDE
-static const long long vector_pairs[] = {[MODEL1] = 3, [MODEL2] = LLONG_MAX,
-                                         [GBM] = 24};
+static const long long vector_pairs[] = {[MODEL1] = 3, [MODEL2] = 3,
+                                         [GBM] = 4};
 #endif
 
 /* the runner codes of tamsde_block */
@@ -1322,8 +1645,9 @@ enum { PATHS, PAIRS, FIXED };
    this file, which leaves the columns part written.  seed is stepped to
    the integer after the block's last seed, so it needs room for one more
    word (take).  A block's tamed-adaptive pairs run on the four-wide
-   vectors on a host with AVX2 when it has vector_pairs[model] seeds or
-   more, else in the scalar lanes. */
+   vectors on a host with AVX2 and FMA when it has vector_pairs[model]
+   seeds or more (model2's while its proven powers are on), else in the
+   scalar lanes. */
 long long tamsde_block(int runner, int model, double delta_fine,
                        double delta_coarse, double h0, double l0, double x0,
                        double t_end, long long max_steps, unsigned char *seed,
@@ -1335,6 +1659,7 @@ long long tamsde_block(int runner, int model, double delta_fine,
                      .model = model};
     struct block b = {seed, n_words, 0, n, x_f, x_c, t, n_f, n_c, status, 0};
     struct leg_d first[2] = {{.x = x0}, {.x = x0}};
+    struct lane lanes[LANES];
     int runaway = 0, j;
     /* each leg as every seed starts it, its first step proposed (a path's
        coarse leg and a fixed-step pair's legs are not read) */
@@ -1350,21 +1675,39 @@ long long tamsde_block(int runner, int model, double delta_fine,
     else if (runner == PATHS)
         runaway = RUN_VECTORS(run_legs, &p, first, &b, 1);
 #ifdef WIDE
-    else if (avx2 && n >= vector_pairs[model])
+    else if (avx2 && n >= vector_pairs[model]
+             && (model != MODEL2 || proven))
         runaway = run_legs_v4(&p, first, &b, 2);
 #endif
     else
-        run_pairs(&p, first, &b);
+        run_pairs(&p, first, &b, lanes, 0);
     return runaway ? -1 : b.stopped;
 }
 
 /* The vector layer tamsde_block runs a block's paths and fixed-step pairs
-   on, and large blocks of model1 and gbm pairs, as tamsde_init picked it:
+   on, and larger blocks of adaptive pairs, as tamsde_init picked it:
    "avx2", four-wide, or "baseline", two-wide, which runs no adaptive
    pairs. */
 const char *tamsde_lanes(void)
 {
     return avx2 ? "avx2" : "baseline";
+}
+
+/* For the tests: out[i], out[n + i] and out[2 n + i] = |x[i]| ** 0.5, 1.2
+   and 0.2 as model2's coefficients take them on four-wide vectors, for i <
+   n, a multiple of 4; returns how many of the 3 n powers were proven
+   rather than pow's, or -1, writing nothing, when the proven powers are
+   off. */
+long long tamsde_powers(const double *x, long long n, double *out)
+{
+#ifdef PROVEN_POWERS
+    if (proven)
+        return powers_of(x, n, out);
+#endif
+    (void)x;
+    (void)n;
+    (void)out;
+    return -1;
 }
 
 /* --- a Monte Carlo cell's sums ------------------------------------------- */

@@ -41,6 +41,7 @@ from tamsde import (InputError, NoiseSource, PathExplosion, get_model, kernel,
                     simulate_coupled_tm_pair, simulate_path)
 from tamsde.analysis import cell_seed
 from tamsde.driver import _merge, _sample
+from tamsde.model import _rpow
 from tamsde.scheme import SchemeConfig, _due, _path_loop, _tam_leg, _tm_leg
 
 MODELS = ("model1", "model2", "gbm")
@@ -456,7 +457,8 @@ WORD_IDS = ["across-2**32", "up-to-2**64", "across-2**64", "across-2**96"]
 # pairs, of as many elements as ELEMENTS gives for the build of the vector
 # layer a kernel runs, by the name kernel.lanes reports: "baseline" and
 # "avx2".  On "avx2" a block of adaptive pairs of a model runs on VECTORS
-# four-wide vectors too once it has VECTOR_PAIRS[name] seeds (None: never).
+# four-wide vectors too once it has VECTOR_PAIRS[name] seeds (None: never),
+# model2's only where the kernel's proven powers are on (proves).
 with open(kernel._SOURCE) as _source:
     _text = _source.read()
 LANES = int(re.search(r"#define LANES (\d+)", _text).group(1))
@@ -484,12 +486,21 @@ def elements(lib):
     return ELEMENTS[kernel.lanes(lib)]
 
 
+def proves(built):
+    """True when the kernel library built takes model2's proven powers on
+    its four-wide vectors (tamsde_powers answers), False when it takes
+    libm's pow there too."""
+    built.tamsde_powers.restype = ctypes.c_longlong
+    return built.tamsde_powers(None, 0, None) == 0
+
+
 def pair_width(lib, name, size):
     """The adaptive pairs of the model name that a block of size seeds
-    keeps in flight on this host: VECTORS four-wide vectors' seeds, or
-    its scalar lanes."""
+    keeps in flight on this host at first: VECTORS four-wide vectors'
+    seeds, or its scalar lanes."""
     least = VECTOR_PAIRS[name]
-    if kernel.lanes(lib) == "avx2" and least is not None and size >= least:
+    if (kernel.lanes(lib) == "avx2" and least is not None and size >= least
+            and (name != "model2" or proves(lib))):
         return elements(lib) * VECTORS
     return MODEL2_LANES if name == "model2" else LANES
 
@@ -639,13 +650,14 @@ class TestBlockParity:
     # that many; so these sizes run no lane (an empty block is []), leave
     # lanes or elements empty, fill them once, refill one, start a second
     # generation, and refill or start many times over, for each count and
-    # each width of vector.  On a host with AVX2 a block of model1 or gbm
-    # pairs of VECTOR_PAIRS[name] seeds or more runs on VECTORS four-wide
-    # vectors, refilled as paths are, and a block of one on a scalar lane,
-    # so there this compares the vector runner with the scalar lanes seed
-    # by seed; PAIR_EDGES are the sizes on either side of that switch.
-    @pytest.mark.parametrize("size", sorted({0, 1, 2, 3, 4, 5, 6, 7, 9, 100,
-                                             *GENERATION_EDGES,
+    # each width of vector.  On a host with AVX2 and FMA a block of pairs
+    # of VECTOR_PAIRS[name] seeds or more (model2's where its proven powers
+    # are on) runs on VECTORS four-wide vectors, refilled as paths are, and
+    # a block of one on a scalar lane, so there this compares the vector
+    # runner with the scalar lanes seed by seed; PAIR_EDGES are the sizes
+    # on either side of that switch.
+    @pytest.mark.parametrize("size", sorted({0, 1, 2, 3, 4, 5, 6, 7, 9, 23,
+                                             24, 100, *GENERATION_EDGES,
                                              *PAIR_EDGES}))
     @pytest.mark.parametrize("clock", [(1.0, 2.0), None, "path"],
                              ids=["adaptive", "fixed", "path"])
@@ -873,6 +885,42 @@ class TestBlockParity:
                                        pair)
             assert hexed(got) == hexed(kernel._reference_block(
                 model, config, range(seed, seed + 1), pair)), seed
+
+    # once every seed of a block has started, the vector runner packs its
+    # live seeds into the fewest vectors after each pass in which one
+    # ended, and hands a pair block's last three or fewer, each before
+    # t_end, to scalar lanes.  Blocks of 1 to 40 seeds from two starts, so
+    # each seed ends in the first fill, in the packed tail and in the
+    # lanes in one block or another; with a budget that stops about a
+    # third of them, the long seeds of the tail among them, and without;
+    # and under a coarse leg eight times the fine one, which has several
+    # increments pended, and so a Kahan term, when it moves.  Every block
+    # must give the reference loops' columns, and so must its blocks of one.
+    @pytest.mark.parametrize("name, fine, coarse, max_steps", [
+        ("model2", 2.0 ** -3, 0.25, 10 ** 8), ("model2", 2.0 ** -3, 0.25, 140),
+        ("model2", 2.0 ** -4, 0.5, 10 ** 8),
+        ("gbm", 2.0 ** -3, 0.25, 10 ** 8), ("gbm", 2.0 ** -3, 0.25, 300),
+        ("model2", 2.0 ** -2, None, 10 ** 8), ("model2", 2.0 ** -2, None, 55)],
+        ids=["model2-pairs", "model2-pairs-budget", "model2-pairs-far",
+             "gbm-pairs", "gbm-pairs-budget", "model2-paths",
+             "model2-paths-budget"])
+    def test_vector_tails(self, lib, name, fine, coarse, max_steps):
+        model, seeds = get_model(name), range(40)
+        config = SchemeConfig(fine, 5.0, max_steps=max_steps)
+        pair = None if coarse is None else (True, coarse)
+
+        def run(seeds):
+            with in_c():
+                return kernel.run_block(model, config, seeds, pair)
+
+        want = kernel._reference_block(model, config, seeds, pair)
+        stopped = [i for i, _ in want.failures]
+        assert (len(stopped) > 5) == (max_steps < 10 ** 8)
+        assert hexed(one_by_one(run, seeds)) == hexed(want)
+        for size in range(1, 41):
+            for first in {0, 40 - size}:
+                assert hexed(run(range(first, first + size))) == hexed(
+                    part(want, first, first + size)), (size, first)
 
 
 # start values from signed zeros and subnormals to near the float limit
@@ -1491,9 +1539,9 @@ BUILDS = (("native.so", [], None),
 
 def host_lanes():
     """The vector code a build with the four-wide AVX2 code runs here:
-    "avx2" on an x86-64 Linux host with glibc whose processor has AVX2,
-    "baseline" on any other host, and None when the processor's features
-    cannot be read."""
+    "avx2" on an x86-64 Linux host with glibc whose processor has AVX2 and
+    FMA, "baseline" on any other host, and None when the processor's
+    features cannot be read."""
     if not (sys.platform.startswith("linux")
             and platform.machine() == "x86_64"
             and platform.libc_ver()[0] == "glibc"):
@@ -1505,7 +1553,123 @@ def host_lanes():
         return None
     flags = re.search(r"^flags\s*:(.*)$", info, re.M)
     return None if flags is None else (
-        "avx2" if "avx2" in flags.group(1).split() else "baseline")
+        "avx2" if {"avx2", "fma"} <= set(flags.group(1).split())
+        else "baseline")
+
+
+def host_proves():
+    """Whether a build of the kernel takes model2's proven powers here: on
+    a host whose build runs "avx2" (host_lanes) with glibc 2.28 or later;
+    None when the processor's features cannot be read."""
+    lanes = host_lanes()
+    version = platform.libc_ver()[1].split(".")
+    return None if lanes is None else (
+        lanes == "avx2" and tuple(map(int, version[:2])) >= (2, 28))
+
+
+def c_powers(built, values):
+    """|x| ** 0.5, 1.2 and 0.2 of each x of values, a multiple of 4 of
+    them, by the kernel's four-wide helper (tamsde_powers), an array of n
+    rows of the three, and how many of the 3 n it proved rather than took
+    from pow."""
+    x = np.array(values, dtype=float)
+    assert len(x) % 4 == 0
+    out = np.empty((3, len(x)))
+    built.tamsde_powers.restype = ctypes.c_longlong
+    proved = built.tamsde_powers(ctypes.c_void_p(x.ctypes.data),
+                                 ctypes.c_longlong(len(x)),
+                                 ctypes.c_void_p(out.ctypes.data))
+    assert proved >= 0, "the proven powers are off"
+    return out.T, proved
+
+
+def midpoints(rng, n, low, high):
+    """n midpoints between adjacent doubles, log-uniform from 2**low to
+    2**high, each as (m, e), the midpoint m * 2**e with m odd."""
+    for y in np.exp2(rng.uniform(low, high, n)).tolist():
+        fraction, exponent = math.frexp(y)
+        yield 2 * int(fraction * 2 ** 53) + 1, exponent - 54
+
+
+def near_midpoints(rng, n):
+    """Inputs a whose power lies near a midpoint between two doubles, where
+    pow's rounding is hardest to prove: fl(mid**2), whose a ** 0.5 is within
+    0.5 ULP of mid, and fl(mid**5 (1 - 5 * 2**-54 ln mid)), whose a ** 0.2,
+    with 0.2 the double 1/5 + 2**-54/5, is within 0.2 ULP of mid."""
+    squares = [math.ldexp(float(m * m), 2 * e)
+               for m, e in midpoints(rng, n, -50, 50)]
+    fifths = []
+    for m, e in midpoints(rng, n, -20, 20):
+        num, den = (5 * (math.log(m) + e * math.log(2.0))
+                    * 2.0 ** -54).as_integer_ratio()
+        fifths.append(math.ldexp(m ** 5 * (den - num) / den, 5 * e))
+    return squares + fifths
+
+
+def test_proven_powers_are_pows(lib):
+    # model2's powers on four-wide vectors must be Python's abs(x) ** e,
+    # libm's pow, bit for bit (inf where ** overflows, as model2's
+    # coefficients take it, model._rpow), on 10**6 inputs: log-uniform over
+    # the range where they are proven, 2**-100 to 2**100, of either sign
+    # (of which 90% or more must be proven), model2's usual states,
+    # near-midpoint constructions, and the range's ends and their
+    # neighbours, zeros, subnormals, the whole double range, the infinities
+    # and nan, which take pow.  A kernel built here takes them exactly
+    # where host_proves says so, and elsewhere this checks only that it
+    # does not.
+    assert proves(lib) == bool(host_proves())
+    if not host_proves():
+        pytest.skip("no proven powers on this host")
+    rng = np.random.default_rng(43)
+    fast = (np.exp2(rng.uniform(-100, 100, 600_000))
+            * rng.choice([-1.0, 1.0], 600_000)).tolist()
+    edges = [v * s for b in (2.0 ** -100, 2.0 ** 100, 2.0 ** -1022, 5e-324)
+             for v in (b, math.nextafter(b, 0.0), math.nextafter(b, math.inf))
+             for s in (1.0, -1.0)]
+    rest = (rng.uniform(0.0, 10.0, 100_000).tolist() + near_midpoints(
+        rng, 100_000) + edges + [0.0, -0.0, math.inf, -math.inf, math.nan,
+                                 -math.nan, 1.0, -1.0]
+            + (np.exp2(rng.uniform(-1074, 1024, 100_000))
+               * rng.choice([-1.0, 1.0], 100_000)).tolist())
+    got, proved = c_powers(lib, fast)
+    assert proved >= 0.9 * 3 * len(fast)
+    got = np.concatenate([got, c_powers(lib, rest)[0]])
+    values = fast + rest
+    assert len(values) >= 10 ** 6
+    for j, e in enumerate((0.5, 1.2, 0.2)):
+        want = np.array([_rpow(abs(v), e) for v in values])
+        differ = np.flatnonzero(want.view(np.int64)
+                                != got[:, j].view(np.int64))
+        assert differ.size == 0, (e, [values[i] for i in differ[:5]])
+
+
+def test_forced_off_probe_keeps_model2s_columns(lib, tmp_path, monkeypatch):
+    # a build whose probe of the proven powers fails takes libm's pow on
+    # every vector, and runs model2's adaptive pairs in the scalar lanes:
+    # its model2 blocks of pairs of either scheme and of paths must give
+    # the columns this host's kernel gives, and the reference loops give
+    on = "proven = avx2 && probe_powers();"
+    assert _text.count(on) == 1
+    src, so = tmp_path / "no_proof.c", tmp_path / "no_proof.so"
+    src.write_text(_text.replace(on, "proven = 0 && probe_powers();"))
+    proc = subprocess.run(kernel._command(shutil.which("cc"), str(src),
+                                          str(so)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    built = kernel._open(str(tmp_path), so.name)
+    assert built is not None and not proves(built)
+    assert kernel.lanes(built) == kernel.lanes(lib)
+    model, seeds = get_model("model2"), range(5, 5 + 2 * 4 * VECTORS + 3)
+    config = path_config(2, 5.0)
+    runs = [lambda: block(model, (1.0, 2.0), 2, 5.0, seeds),
+            lambda: block(model, (1.0, 2.0), 3, 5.0, seeds, 150),
+            lambda: block(model, None, 2, 5.0, seeds),
+            lambda: path_block(model, config, seeds)]
+    mine = [hexed(run()) for run in runs]
+    assert mine[0] == hexed(seeded(reference, model, (1.0, 2.0), 2, 5.0,
+                                   seeds))
+    monkeypatch.setattr(kernel, "library", lambda: built)
+    assert [hexed(run()) for run in runs] == mine
 
 
 def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):
@@ -1513,7 +1677,8 @@ def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):
     # with every symbol resolved, export the kernel's functions, report
     # its path lanes, seed and draw numpy's normals on its port, and run
     # blocks of paths, of fixed-step pairs and of adaptive pairs, large
-    # enough for the vector runners, as the Python loops do
+    # enough for the vector runners to refill and pack, as the Python loops
+    # do
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
@@ -1544,7 +1709,8 @@ def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):
                 path_seeded(_path_loop, model, config, seeds)), name
             assert hexed(block(model, None, 2, 5.0, seeds, 30)) == hexed(
                 seeded(reference, model, None, 2, 5.0, seeds, 30)), name
-            seeds = range(max(filter(None, VECTOR_PAIRS.values())))
+            seeds = range(max(2 * ELEMENTS["avx2"] * VECTORS + 1,
+                              *filter(None, VECTOR_PAIRS.values())))
             assert hexed(block(model, (1.0, 2.0), 2, 1.0, seeds)) == hexed(
                 seeded(reference, model, (1.0, 2.0), 2, 1.0, seeds)), name
 
@@ -1584,8 +1750,8 @@ for name in t.MODELS:
         # and on seeds whose words carry into a third, of more seeds than
         # twice the lanes or the vectors' seeds at this host's width, so
         # lanes and elements refill and fixed-step pairs start a second
-        # generation, and, on a host with AVX2, enough that model1 and gbm
-        # adaptive pairs run on the vectors
+        # generation, and, on a host with AVX2 and FMA, enough that
+        # adaptive pairs run on the vectors, refill and pack their tails
         size = max(2 * t.elements(built) * t.VECTORS + 1,
                    *filter(None, t.VECTOR_PAIRS.values()))
         for seeds in (range(2 ** 32 - size // 2, 2 ** 32 + size // 2 + 1),

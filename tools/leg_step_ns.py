@@ -51,9 +51,9 @@ from the older checkout, --against the newer source.  --rounds sets the
 rounds (default 7).  Times are printed in ns a unit with two decimals.
 
 The first line names the vector code (of a block's paths and
-fixed-step pairs, and on "avx2" of its larger blocks of model1 and gbm
-adaptive pairs) each kernel runs on this host (kernel.lanes): "avx2",
-four-wide, or "baseline", two-wide.
+fixed-step pairs, and on "avx2" of its larger blocks of adaptive pairs)
+each kernel runs on this host (kernel.lanes): "avx2", four-wide, or
+"baseline", two-wide.
 """
 
 import argparse
