@@ -62,23 +62,21 @@
  * (philox_abort32).  Each step of a seed is one chain of dependent
  * operations, so one seed alone leaves most of the processor idle; the seeds'
  * chains overlap.  A block's tamed-adaptive pairs run in LANES scalar lanes
- * (struct lane), or MODEL2_LANES for model2, its paths and its fixed-step
+ * (struct lane) or, by the rule tamsde_block states, on VECTORS four-wide
+ * vectors (run_legs_V with two legs), and its paths and its fixed-step
  * pairs in VECTORS vectors (struct leg_lanes_V, struct fixed_lanes_V), whose
  * packed operations step a seed in each element at once; each seed's draw,
- * its powers, its step count and its record stay its own.  On a host with
- * AVX2 and FMA a block of pairs of vector_pairs[model] seeds or more runs
- * on VECTORS four-wide vectors too (run_legs_V with two legs), model2's
- * only where its proven powers are on, one seed's pair to an element,
- * each element on its own merged timeline: a pass gives each element one
- * event of pair_event, in which only the leg that fires first in that
- * element, picked into one vector, advances and proposes, and a masked
- * step, taken only in a pass where some element has both legs due (every
- * seed at t_end), fires the coarse leg after it.  Once every seed of a
- * block has started, run_legs_V packs the seeds under way into the fewest
- * vectors after each pass in which a seed ended, and hands a pair block's
- * last three or fewer, each before t_end, to scalar lanes, so a long seed
- * does not keep a vector of idle elements stepping.  The two-wide build
- * and small blocks keep the lanes (vector_pairs says why).  Of the draw's
+ * its powers, its step count and its record stay its own.  A pair vector
+ * holds one seed's pair to an element, each element on its own merged
+ * timeline: a pass gives each element one event of pair_event, in which
+ * only the leg that fires first in that element, picked into one vector,
+ * advances and proposes, and a masked step, taken only in a pass where
+ * some element has both legs due (every seed at t_end), fires the coarse
+ * leg after it.  Once every seed of a block has started, run_legs_V packs
+ * the seeds under way into the fewest vectors after each pass in which a
+ * seed ended, and hands a pair block's last pairs, fewer than LANES and
+ * each before t_end, to scalar lanes, so a long seed does not keep a
+ * vector of idle elements stepping.  Of the draw's
  * state a lane or an element holds only its seed's Philox, which every draw
  * reads, the rare one off the ziggurat's fast path included.  The three
  * runners share one block protocol (struct block): take is the one cursor,
@@ -100,14 +98,15 @@
  * ELF with glibc it has a second, on vectors of four, compiled for AVX2
  * and FMA (the target attribute), and tamsde_init, which tests the
  * processor once per process, has tamsde_block run the four-wide runners
- * (run_legs_v4, for paths and, as above, adaptive pairs, and run_fixed_v4)
- * on a host with AVX2 and FMA, and the two-wide ones (run_legs_v2, for
- * paths only, and run_fixed_v2) elsewhere; tamsde_lanes says which.  With
- * glibc 2.28 or later the four-wide layer takes model2's proven powers when
- * they agree with pow on tamsde_init's probe (probe_powers).  Without that
- * target (musl, arm64, no ELF, or __ELF__ undefined on the build line) the one
- * two-wide layer is portable GNU C vector code.  No width moves a bit: each
- * element's operations are the scalar ones.
+ * (run_legs_v4, for paths and adaptive pairs, and run_fixed_v4) on a host
+ * with AVX2 and FMA, and the two-wide ones (run_legs_v2, for paths only,
+ * and run_fixed_v2) elsewhere; tamsde_lanes says which.  With glibc 2.28
+ * or later the four-wide layer takes model2's proven powers when they
+ * agree with pow on tamsde_init's probe (probe_powers), and pow's
+ * otherwise; they pick no runner.  Without that target (musl, arm64, no
+ * ELF, or __ELF__ undefined on the build line) the one two-wide layer is
+ * portable GNU C vector code.  No width moves a bit: each element's
+ * operations are the scalar ones.
  *
  * A Monte Carlo cell's columns are reduced here too (tamsde_sums), to
  * the sums montecarlo's Python reduction takes, on a port of CPython's
@@ -121,7 +120,6 @@
  */
 #include <errno.h>
 #include <float.h>
-#include <limits.h>
 #include <math.h>
 #include <pthread.h>
 #include <stddef.h>
@@ -554,9 +552,9 @@ static int avx2;
 #if __GLIBC_PREREQ(2, 28)
 #define PROVEN_POWERS
 #endif
-static int proven;
 #endif
 #ifdef PROVEN_POWERS
+static int proven;
 AVX2 static inline unsigned prove_v4(vec4 a, vec4 *half, vec4 *p12,
                                      vec4 *p02);
 #define PROVE_V4(a, half, p12, p02) \
@@ -878,19 +876,17 @@ static void record(struct block *b, long long i, double x_f, double x_c,
     b->stopped += code != DONE;
 }
 
-/* the seeds a block keeps in flight: adaptive pairs in LANES lanes of
-   model1 or gbm and MODEL2_LANES of model2, or VECTORS vectors of paths,
-   fixed-step pairs or (four-wide) adaptive pairs, of BASELINE_ELEMENTS or
-   AVX2_ELEMENTS each (with
-   2, 4 or 5 two-wide vectors in place of 3, tools/leg_step_ns.py read
-   moments-long at 1.04, 1.01 and 1.02 of this count's time).  model2's
-   three pow calls a leg-step
-   keep the processor busy with fewer lanes than the other models' plain
-   arithmetic: with 4 lanes for every model, tools/leg_step_ns.py read
-   rate-rough (model2) at 1.04 and compare-smooth/tam (model1) at 1.05
-   of these counts' time (15 rounds, 2-core AMD EPYC, gcc 12). */
+/* the seeds a block keeps in flight: adaptive pairs in LANES lanes, or
+   VECTORS vectors of paths, fixed-step pairs or, by the rule at
+   tamsde_block, adaptive pairs, of BASELINE_ELEMENTS or AVX2_ELEMENTS each
+   (with 2, 4 or 5 two-wide vectors in place of 3, tools/leg_step_ns.py
+   read moments-long at 1.04, 1.01 and 1.02 of this count's time).  With 4
+   lanes, tools/leg_step_ns.py read compare-smooth/tam (model1) at 1.05 of
+   these counts' time (15 rounds, 2-core AMD EPYC, gcc 12), and model2's
+   pair blocks, whose pow calls leave the processor less idle, read
+   0.99-1.02 of 2 lanes' time at 3, 100 and 200 seeds (a build without
+   AVX2, 21 rounds, 2-core Intel Xeon, gcc 12). */
 #define LANES 3
-#define MODEL2_LANES 2
 #define VECTORS 3
 
 /* Start lane l on the block's next seed, with its legs as first[0] and
@@ -903,21 +899,21 @@ static int begin(struct lane *l, const struct leg_d *first, struct block *b)
 }
 
 /* Each of the block's tamed-adaptive pairs of p, from the legs first, in
-   LANES lanes, or MODEL2_LANES of model2, each seed on its own Philox, the
-   first n_live of lanes with a seed under way already (a vector's last
-   pairs, handed off).  A pass gives every live lane one event, a lane left
-   alone (the one lane of a block of one) included, and a lane whose seed
-   is over writes its record and starts the block's next seed.  Each seed
-   runs the same operations in the same order as it would alone, so only
-   the order of the work across seeds depends on the lanes. */
+   LANES lanes, each seed on its own Philox, the first n_live of lanes with
+   a seed under way already (a vector's last pairs, handed off).  A pass
+   gives every live lane one event, a lane left alone (the one lane of a
+   block of one) included, and a lane whose seed is over writes its record
+   and starts the block's next seed.  Each seed runs the same operations
+   in the same order as it would alone, so only the order of the work
+   across seeds depends on the lanes. */
 static void run_pairs(const struct pair *p, const struct leg_d *first,
                       struct block *b, struct lane *lanes, int n_live)
 {
     struct lane *live[LANES];
-    int k, width = p->model == MODEL2 ? MODEL2_LANES : LANES;
+    int k;
     for (k = 0; k < n_live; k++)
         live[k] = &lanes[k];
-    for (; n_live < width && begin(&lanes[n_live], first, b); n_live++)
+    for (; n_live < LANES && begin(&lanes[n_live], first, b); n_live++)
         live[n_live] = &lanes[n_live];
     while (n_live > 0)
         for (k = 0; k < n_live; k++) {
@@ -1044,15 +1040,15 @@ struct tick {
        made moments-long and compare-smooth/tam 1.5-2% slower on a sizing
        prototype.  Once every seed has started, after each pass in which a
        seed ended, it packs the seeds under way into the fewest vectors
-       (pack_V), and when three or fewer pairs are left, none at t_end (a
+       (pack_V), and when fewer pairs than LANES are left, none at t_end (a
        stop lost there stays in its vector, to end the block), hands them
        to run_pairs' scalar lanes and returns: a vector steps every
        element, so a long seed alone in it costs four seeds' steps.  On
        rate-rough (model2, with its proven powers) tools/leg_step_ns.py
        read packing and the hand-off at 0.85 of neither and 0.88 of packing
-       alone (21 and 11 rounds), and handing off three pairs at 0.97 of
-       handing off two, and 0.99 of one (7 rounds each; 2-core Intel Xeon,
-       gcc 12). */
+       alone (21 and 11 rounds), and handing off at most two pairs at
+       0.99 and 1.02 of at most three (two runs of 21 rounds, each within
+       its IQR; 2-core Intel Xeon, gcc 12). */
 #define VECTOR_LAYER(vec, vmask, V, W, EACH, A, PROVE)                       \
 A static inline vec splat_##V(double x)                                      \
 {                                                                            \
@@ -1388,7 +1384,7 @@ legs_##V(const struct pair *p, const struct leg_d *first, struct block *b,   \
         if (!ended || b->next < b->n)                                        \
             continue;                                                        \
         seeds = pack_##V(live, &n_live);                                     \
-        if (legs == 2 && seeds < W && n_live == 1                            \
+        if (legs == 2 && seeds < LANES && n_live == 1                        \
                 && !any_##V(not_##V(live[0]->t < p->t_end))) {               \
             struct lane under_way[LANES];                                    \
             for (k = e = 0; e < W; e++)                                      \
@@ -1602,31 +1598,6 @@ int tamsde_init(void)
     return fast_path;
 }
 
-/* the fewest seeds of a block whose tamed-adaptive pairs the four-wide
-   vectors run, by model; model2's only where its proven powers are on.
-   tools/leg_step_ns.py read the adaptive model1 pairs on these vectors at
-   0.67 of the scalar lanes' time and the pair vectors of the two-wide
-   build at 1.18, so that build keeps the lanes (2-core Intel Xeon, gcc
-   12); model2's read 1.19 while each element called pow three times a
-   leg-step, and 0.61 (rate-rough) with its proven powers and packed tails.
-   A prototype that stepped both legs on every pass read 0.80 where firing
-   one read 0.66.  Small blocks keep the lanes, a lone pair's vector having
-   three elements idle.  Through kernel.run_block at k=5, T=5, against the
-   scalar lanes, in us a seed (1200 seeds a size, median of 5 alternated
-   rounds), with the tails packed: model1 at 1, 2, 3, 4 and 12 seeds 33.9
-   -> 42.0, 19.3 -> 21.9, 16.7 -> 15.6, 19.8 -> 12.5 and 15.6 -> 11.6;
-   model2 at 1, 2, 3, 12, 24 and 100 seeds 157 -> 224, 124 -> 129, 124 ->
-   105, 115 -> 72, 115 -> 66 and 112 -> 61 (2 and 3 seeds at k=1 0.96 and
-   0.84, at k=3 1.01 and 0.79); gbm, whose step counts spread far wider,
-   at 2, 3, 4, 8 and 24 seeds 1.11, 1.00, 0.92, 0.87 and 0.79 (at k=3 1.10,
-   0.97, 0.90, 0.87 and 0.80), where before the tails were packed it took
-   1.07 at 8 seeds, 1.01 at 16 and 0.94 at 24, a vector waiting on its
-   longest seed. */
-#ifdef WIDE
-static const long long vector_pairs[] = {[MODEL1] = 3, [MODEL2] = 3,
-                                         [GBM] = 4};
-#endif
-
 /* the runner codes of tamsde_block */
 enum { PATHS, PAIRS, FIXED };
 
@@ -1644,10 +1615,17 @@ enum { PATHS, PAIRS, FIXED };
    past its step budget or lost its stop at t_end (RUNAWAY), a fault of
    this file, which leaves the columns part written.  seed is stepped to
    the integer after the block's last seed, so it needs room for one more
-   word (take).  A block's tamed-adaptive pairs run on the four-wide
-   vectors on a host with AVX2 and FMA when it has vector_pairs[model]
-   seeds or more (model2's while its proven powers are on), else in the
-   scalar lanes. */
+   word (take).
+
+   The runner rule, for every model: a block's tamed-adaptive pairs run on
+   the four-wide vectors on a host with AVX2 and FMA once it has LANES
+   seeds or more, and in the scalar lanes otherwise.  Against the lanes
+   (2-core Intel Xeon, gcc 12), the adaptive model1 pairs read 0.67 on
+   these vectors and 1.18 on the two-wide build's, so that build keeps the
+   lanes; model2's read 0.61 (rate-rough) with its proven powers and
+   0.82-0.86 with pow on every element (blocks of 100 and 200 seeds, k=5),
+   with packed tails both.  A block of fewer seeds fills only some of the
+   lanes, and a lone pair's vector would have three elements idle. */
 long long tamsde_block(int runner, int model, double delta_fine,
                        double delta_coarse, double h0, double l0, double x0,
                        double t_end, long long max_steps, unsigned char *seed,
@@ -1675,8 +1653,7 @@ long long tamsde_block(int runner, int model, double delta_fine,
     else if (runner == PATHS)
         runaway = RUN_VECTORS(run_legs, &p, first, &b, 1);
 #ifdef WIDE
-    else if (avx2 && n >= vector_pairs[model]
-             && (model != MODEL2 || proven))
+    else if (avx2 && n >= LANES)
         runaway = run_legs_v4(&p, first, &b, 2);
 #endif
     else
@@ -1685,9 +1662,8 @@ long long tamsde_block(int runner, int model, double delta_fine,
 }
 
 /* The vector layer tamsde_block runs a block's paths and fixed-step pairs
-   on, and larger blocks of adaptive pairs, as tamsde_init picked it:
-   "avx2", four-wide, or "baseline", two-wide, which runs no adaptive
-   pairs. */
+   on, as tamsde_init picked it: "avx2", four-wide, or "baseline",
+   two-wide; which adaptive pairs it runs, tamsde_block's rule says. */
 const char *tamsde_lanes(void)
 {
     return avx2 ? "avx2" : "baseline";

@@ -20,25 +20,23 @@ A path's one leg is written as both legs, into the same arrays.  Every
 route of a block gives its columns as arrays, which a pool sends back
 as they are.  The kernel keeps several seeds of a
 block in flight, each with its own Philox: a block's tamed-adaptive
-pairs in three lanes (two for model2, whose pow calls keep the processor
-busy with fewer), its paths and its fixed-step pairs one to an element
-of a SIMD vector, in three vectors whose packed operations step every
-element's seed at once: vectors of four doubles on an x86-64 host with
-AVX2 and FMA, of two elsewhere.  On such a host a block of adaptive pairs
-runs one pair to an element of three four-wide vectors too, once it has
-the seeds _pair.c's vector_pairs names for its model (where the timings
-that set them are), model2's while its proven powers (below) are on, on
-the runner that runs paths: a path is a pair of one leg, and in each
+pairs in three lanes, its paths and its fixed-step pairs one to an
+element of a SIMD vector, in three vectors whose packed operations step
+every element's seed at once: vectors of four doubles on an x86-64 host
+with AVX2 and FMA, of two elsewhere.  On such a host a block of adaptive
+pairs runs one pair to an element of three four-wide vectors too, by the
+rule _pair.c states at tamsde_block (where the timings that set it are),
+on the runner that runs paths: a path is a pair of one leg, and in each
 element of a pair a pass advances and proposes only the leg that fires
 first, and a rarely taken masked step fires the coarse leg where both are
-due.  The two-wide build's pairs and small blocks' keep the lanes.  A
-pass gives every lane one event of its pair, or every vector one step of
-its paths or one event of its pairs, and a seed that is over is replaced
-by the block's next seed.  Once every seed has started, the vector runner
-packs the seeds under way into the fewest vectors after each pass in
-which one ended, and hands a pair block's last three or fewer to scalar
-lanes, each with its state, Philox and time, so a long seed of a heavy
-step tail does not keep a vector of idle elements stepping.  Fixed-step
+due.  A pass gives every lane one event of its pair, or every vector one
+step of its paths or one event of its pairs, and a seed that is over is
+replaced by the block's next seed.  Once every seed has started, the
+vector runner packs the seeds under way into the fewest vectors after
+each pass in which one ended, and hands a pair block's last few, fewer
+than the lanes, to scalar lanes, each with its state, Philox and time, so
+a long seed of a heavy step tail does not keep a vector of idle elements
+stepping.  Fixed-step
 pairs run in generations of up to three vectors' seeds started together:
 a fixed-step leg's clock does not depend on its state, so a generation
 has one timeline, whose event times, firing legs, step counts and budget
@@ -281,8 +279,8 @@ def _declare(lib):
 def lanes(lib):
     """The vector code the kernel library lib runs a block's paths and
     fixed-step pairs on, as its tamsde_init picked it on this host:
-    "avx2", four doubles to a vector, which runs larger blocks of adaptive
-    pairs too, or "baseline", two."""
+    "avx2", four doubles to a vector, or "baseline", two; which adaptive
+    pairs it runs, _pair.c's tamsde_block says."""
     return lib.tamsde_lanes().decode()
 
 

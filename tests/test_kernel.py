@@ -452,33 +452,25 @@ WORD_RANGES = [range(2 ** 32 - 20, 2 ** 32 + 20), range(2 ** 64 - 20, 2 ** 64),
 WORD_IDS = ["across-2**32", "up-to-2**64", "across-2**64", "across-2**96"]
 
 
-# the seeds a block keeps in flight, in _pair.c: LANES adaptive pairs
-# (MODEL2_LANES of model2), or VECTORS vectors of paths or fixed-step
-# pairs, of as many elements as ELEMENTS gives for the build of the vector
-# layer a kernel runs, by the name kernel.lanes reports: "baseline" and
-# "avx2".  On "avx2" a block of adaptive pairs of a model runs on VECTORS
-# four-wide vectors too once it has VECTOR_PAIRS[name] seeds (None: never),
-# model2's only where the kernel's proven powers are on (proves).
+# the seeds a block keeps in flight, in _pair.c: LANES adaptive pairs, or
+# VECTORS vectors of paths or fixed-step pairs, of as many elements as
+# ELEMENTS gives for the build of the vector layer a kernel runs, by the
+# name kernel.lanes reports: "baseline" and "avx2".  On "avx2" a block of
+# LANES or more adaptive pairs of any model runs on VECTORS four-wide
+# vectors too (tamsde_block's rule).
 with open(kernel._SOURCE) as _source:
     _text = _source.read()
 LANES = int(re.search(r"#define LANES (\d+)", _text).group(1))
-MODEL2_LANES = int(re.search(r"#define MODEL2_LANES (\d+)", _text).group(1))
 VECTORS = int(re.search(r"#define VECTORS (\d+)", _text).group(1))
 ELEMENTS = {name.lower(): int(n) for name, n in
             re.findall(r"#define (\w+)_ELEMENTS (\d+)", _text)}
-VECTOR_PAIRS = {name.lower(): None if n == "LLONG_MAX" else int(n)
-                for name, n in re.findall(
-                    r"\[(MODEL1|MODEL2|GBM)\] = (\w+)",
-                    re.search(r"vector_pairs\[\] = \{([^}]*)\}",
-                              _text).group(1))}
 # the block sizes one seed short of a generation of fixed-step pairs, or
 # of a block's first fill of paths, and one seed past it, at each width
 GENERATION_EDGES = sorted({width * VECTORS + d for width in ELEMENTS.values()
                            for d in (-1, 1)})
-# the block sizes one seed short of the vectors' adaptive pairs of a model
-# and the least they take
-PAIR_EDGES = sorted({n + d for n in VECTOR_PAIRS.values() if n
-                     for d in (-1, 0)})
+# the block sizes one seed short of the vectors' adaptive pairs and the
+# least they take
+PAIR_EDGES = [LANES - 1, LANES]
 
 
 def elements(lib):
@@ -494,15 +486,13 @@ def proves(built):
     return built.tamsde_powers(None, 0, None) == 0
 
 
-def pair_width(lib, name, size):
-    """The adaptive pairs of the model name that a block of size seeds
-    keeps in flight on this host at first: VECTORS four-wide vectors'
-    seeds, or its scalar lanes."""
-    least = VECTOR_PAIRS[name]
-    if (kernel.lanes(lib) == "avx2" and least is not None and size >= least
-            and (name != "model2" or proves(lib))):
+def pair_width(lib, size):
+    """The adaptive pairs that a block of size seeds keeps in flight on
+    this host at first: VECTORS four-wide vectors' seeds, or its scalar
+    lanes."""
+    if kernel.lanes(lib) == "avx2" and size >= LANES:
         return elements(lib) * VECTORS
-    return MODEL2_LANES if name == "model2" else LANES
+    return LANES
 
 
 class TestBlockParity:
@@ -644,18 +634,17 @@ class TestBlockParity:
             kernel.run_block(get_model("model1"), SchemeConfig(0.25, 1.0),
                              range(3), (True, 0.5))
 
-    # a block keeps LANES adaptive pairs in flight (MODEL2_LANES of
-    # model2) and refills a lane as its seed ends, and VECTORS vectors of
-    # paths, refilled alike, or fixed-step pairs, run in generations of
-    # that many; so these sizes run no lane (an empty block is []), leave
-    # lanes or elements empty, fill them once, refill one, start a second
-    # generation, and refill or start many times over, for each count and
-    # each width of vector.  On a host with AVX2 and FMA a block of pairs
-    # of VECTOR_PAIRS[name] seeds or more (model2's where its proven powers
-    # are on) runs on VECTORS four-wide vectors, refilled as paths are, and
-    # a block of one on a scalar lane, so there this compares the vector
-    # runner with the scalar lanes seed by seed; PAIR_EDGES are the sizes
-    # on either side of that switch.
+    # a block keeps LANES adaptive pairs in flight and refills a lane as
+    # its seed ends, and VECTORS vectors of paths, refilled alike, or
+    # fixed-step pairs, run in generations of that many; so these sizes run
+    # no lane (an empty block is []), leave lanes or elements empty, fill
+    # them once, refill one, start a second generation, and refill or
+    # start many times over, for each count and each width of vector.  On
+    # a host with AVX2 and FMA a block of LANES pairs or more runs on
+    # VECTORS four-wide vectors, refilled as paths are, and a block of one
+    # on a scalar lane, so there this compares the vector runner with the
+    # scalar lanes seed by seed; PAIR_EDGES are the sizes on either side of
+    # that switch.
     @pytest.mark.parametrize("size", sorted({0, 1, 2, 3, 4, 5, 6, 7, 9, 23,
                                              24, 100, *GENERATION_EDGES,
                                              *PAIR_EDGES}))
@@ -683,7 +672,7 @@ class TestBlockParity:
         got = run(seeds)
         assert [i for i, _ in got.failures] == stops
         width = (elements(lib) * VECTORS if clock == "path"
-                 else pair_width(lib, name, len(seeds)))
+                 else pair_width(lib, len(seeds)))
         assert 0 < stops[0] < width
         assert hexed(got) == hexed(one_by_one(run, seeds))
         if clock == "path":
@@ -736,8 +725,8 @@ class TestBlockParity:
                 elements_hit.add(j % width)
         assert elements_hit == set(range(width))
 
-    # on a host with AVX2 a block of VECTOR_PAIRS[name] or more adaptive
-    # pairs of model1 or gbm runs W to a vector, W = 4, as paths do:
+    # on a host with AVX2 a block of LANES or more adaptive pairs runs W
+    # to a vector, W = 4, as paths do:
     # element e of vector v holds seed index W v + e until the first
     # refill.  A stop at index j of the first fill lands on element j % W.
     # A fine leg spends its budget (model1 at k=1, whose fine leg takes 25
@@ -775,7 +764,7 @@ class TestBlockParity:
                 assert j in [i for i, _ in got.failures]
                 assert hexed(got) == hexed(part(want, seeds.start,
                                                 seeds.stop))
-                if pair_width(lib, name, size) == fill:
+                if pair_width(lib, size) == fill:
                     elements_hit.add(j % width)
         assert elements_hit == (set(range(width)) if width == 4 else set())
 
@@ -1645,9 +1634,13 @@ def test_proven_powers_are_pows(lib):
 
 def test_forced_off_probe_keeps_model2s_columns(lib, tmp_path, monkeypatch):
     # a build whose probe of the proven powers fails takes libm's pow on
-    # every vector, and runs model2's adaptive pairs in the scalar lanes:
-    # its model2 blocks of pairs of either scheme and of paths must give
-    # the columns this host's kernel gives, and the reference loops give
+    # every vector, and runs model2's adaptive pairs where this host's
+    # kernel runs them (tamsde_block's rule): on four-wide vectors with a
+    # pow call for every element on a host with AVX2 and FMA.  Its model2
+    # blocks of pairs of either scheme and of paths, and blocks of
+    # adaptive pairs one seed short of the vectors and the least they
+    # take, must give the columns this host's kernel gives, and the
+    # reference loops give
     on = "proven = avx2 && probe_powers();"
     assert _text.count(on) == 1
     src, so = tmp_path / "no_proof.c", tmp_path / "no_proof.so"
@@ -1661,13 +1654,18 @@ def test_forced_off_probe_keeps_model2s_columns(lib, tmp_path, monkeypatch):
     assert kernel.lanes(built) == kernel.lanes(lib)
     model, seeds = get_model("model2"), range(5, 5 + 2 * 4 * VECTORS + 3)
     config = path_config(2, 5.0)
-    runs = [lambda: block(model, (1.0, 2.0), 2, 5.0, seeds),
-            lambda: block(model, (1.0, 2.0), 3, 5.0, seeds, 150),
-            lambda: block(model, None, 2, 5.0, seeds),
-            lambda: path_block(model, config, seeds)]
+    cases = [((1.0, 2.0), 2, seeds, 10 ** 8), ((1.0, 2.0), 3, seeds, 150),
+             (None, 2, seeds, 10 ** 8)]
+    cases += [((1.0, 2.0), 2, range(5, 5 + size), 10 ** 8)
+              for size in PAIR_EDGES]
+    runs = [functools.partial(block, model, clock, k, 5.0, group, max_steps)
+            for clock, k, group, max_steps in cases]
+    runs.append(functools.partial(path_block, model, config, seeds))
     mine = [hexed(run()) for run in runs]
-    assert mine[0] == hexed(seeded(reference, model, (1.0, 2.0), 2, 5.0,
-                                   seeds))
+    assert mine == [hexed(seeded(reference, model, clock, k, 5.0, group,
+                                 max_steps))
+                    for clock, k, group, max_steps in cases] + [
+        hexed(path_seeded(_path_loop, model, config, seeds))]
     monkeypatch.setattr(kernel, "library", lambda: built)
     assert [hexed(run()) for run in runs] == mine
 
@@ -1709,8 +1707,7 @@ def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):
                 path_seeded(_path_loop, model, config, seeds)), name
             assert hexed(block(model, None, 2, 5.0, seeds, 30)) == hexed(
                 seeded(reference, model, None, 2, 5.0, seeds, 30)), name
-            seeds = range(max(2 * ELEMENTS["avx2"] * VECTORS + 1,
-                              *filter(None, VECTOR_PAIRS.values())))
+            seeds = range(max(2 * ELEMENTS["avx2"] * VECTORS + 1, LANES))
             assert hexed(block(model, (1.0, 2.0), 2, 1.0, seeds)) == hexed(
                 seeded(reference, model, (1.0, 2.0), 2, 1.0, seeds)), name
 
@@ -1752,8 +1749,7 @@ for name in t.MODELS:
         # lanes and elements refill and fixed-step pairs start a second
         # generation, and, on a host with AVX2 and FMA, enough that
         # adaptive pairs run on the vectors, refill and pack their tails
-        size = max(2 * t.elements(built) * t.VECTORS + 1,
-                   *filter(None, t.VECTOR_PAIRS.values()))
+        size = max(2 * t.elements(built) * t.VECTORS + 1, t.LANES)
         for seeds in (range(2 ** 32 - size // 2, 2 ** 32 + size // 2 + 1),
                       range(2 ** 64 - size // 2, 2 ** 64 + size // 2 + 1)):
             for clock in t.CLOCKS:
