@@ -12,8 +12,8 @@
  *     special cases CPython handles before calling pow give the same
  *     values as pow for a non-negative base; an overflow, which
  *     model._rpow turns into inf, is inf here too): a call of pow, or, for
- *     model2's powers on four-wide vectors, a double that a rounding test
- *     proves is the one glibc's pow returns (prove_v4);
+ *     model2's powers on four- and eight-wide vectors, a double that a
+ *     rounding test proves is the one glibc's pow returns (prove_V);
  *   - the noise is NoiseSource's stream, numpy's Philox(seed), and each
  *     normal is numpy's random_standard_normal, linked from numpy's
  *     libnpyrandom.a: the function Generator.standard_normal calls.  Every
@@ -62,11 +62,12 @@
  * (philox_abort32).  Each step of a seed is one chain of dependent
  * operations, so one seed alone leaves most of the processor idle; the seeds'
  * chains overlap.  A block's tamed-adaptive pairs run in LANES scalar lanes
- * (struct lane) or, by the rule tamsde_block states, on VECTORS four-wide
- * vectors (run_legs_V with two legs), and its paths and its fixed-step
- * pairs in VECTORS vectors (struct leg_lanes_V, struct fixed_lanes_V), whose
- * packed operations step a seed in each element at once; each seed's draw,
- * its powers, its step count and its record stay its own.  A pair vector
+ * (struct lane) or, by the rule tamsde_block states, on VECTORS four- or
+ * eight-wide vectors (run_legs_V with two legs), and its paths and its
+ * fixed-step pairs in VECTORS vectors (struct leg_lanes_V, struct
+ * fixed_lanes_V), whose packed operations step a seed in each element at
+ * once; each seed's draw, its powers, its step count and its record stay
+ * its own.  A pair vector
  * holds one seed's pair to an element, each element on its own merged
  * timeline: a pass gives each element one event of pair_event, in which
  * only the leg that fires first in that element, picked into one vector,
@@ -95,28 +96,30 @@
  * which one element is not idle.
  *
  * Every build has the vector layer on vectors of two doubles.  On x86-64
- * ELF with glibc it has a second, on vectors of four, compiled for AVX2
- * and FMA (the target attribute), and tamsde_init, which tests the
- * processor once per process, has tamsde_block run the four-wide runners
- * (run_legs_v4, for paths and adaptive pairs, and run_fixed_v4) on a host
- * with AVX2 and FMA, and the two-wide ones (run_legs_v2, for paths only,
- * and run_fixed_v2) elsewhere; tamsde_lanes says which.  With glibc 2.28
- * or later the four-wide layer takes model2's proven powers when they
- * agree with pow on tamsde_init's probe (probe_powers), and pow's
- * otherwise; they pick no runner.  Without that target (musl, arm64, no
- * ELF, or __ELF__ undefined on the build line) the one two-wide layer is
- * portable GNU C vector code.  No width moves a bit: each element's
- * operations are the scalar ones.
+ * ELF with glibc it has two more, on vectors of four, compiled for AVX2
+ * and FMA, and on vectors of eight, compiled for AVX-512F, DQ and VL
+ * beside them (the target attribute), and tamsde_init, which tests the
+ * processor once per process, has tamsde_block run the eight-wide runners
+ * (run_legs_v8, for paths and adaptive pairs, and run_fixed_v8) on a host
+ * with all five, the four-wide ones (run_legs_v4 and run_fixed_v4) on a
+ * host with AVX2 and FMA alone, and the two-wide ones (run_legs_v2, for
+ * paths only, and run_fixed_v2) elsewhere; tamsde_lanes says which.  With
+ * glibc 2.28 or later the four- and eight-wide layers take model2's
+ * proven powers when they agree with pow on tamsde_init's probe
+ * (probe_powers), and pow's otherwise; they pick no runner.  Without that
+ * target (musl, arm64, no ELF, or __ELF__ undefined on the build line) the
+ * one two-wide layer is portable GNU C vector code.  No width moves a bit:
+ * each element's operations are the scalar ones.
  *
  * A Monte Carlo cell's columns are reduced here too (tamsde_sums), to
  * the sums montecarlo's Python reduction takes, on a port of CPython's
  * math.fsum, so the row's bits are the same.
  *
  * tamsde_seed and tamsde_normals, the lanes' draw, tamsde_fsum, the port
- * of math.fsum, and tamsde_powers, model2's powers on four-wide vectors,
- * are exported for the tests that check them against numpy and Python;
- * the structs are known only to this file (and to that test's mirror of
- * struct philox).
+ * of math.fsum, and tamsde_powers, model2's powers on the widest vectors
+ * the host runs, are exported for the tests that check them against numpy
+ * and Python; the structs are known only to this file (and to that test's
+ * mirror of struct philox).
  */
 #include <errno.h>
 #include <float.h>
@@ -455,21 +458,26 @@ static void probe_tables(void)
    On x86-64 ELF with glibc the four-wide vector is built too, in code
    compiled for AVX2 and FMA (the target attribute; under -ffp-contract=off
    only an explicit fma_v4 fuses), which tamsde_block runs when the host
-   has both; there the square root and the masks' bits are one instruction
-   each, else one call or test per element.  Elsewhere (musl, arm64, no ELF, or
-   __ELF__ undefined on the build line) the one two-wide build is portable GNU
-   C vector code.  A four-wide vector outside AVX2 code took about twice as
+   has both, and the eight-wide vector, in code compiled for AVX-512F, DQ
+   and VL beside them, which it runs when the host has all five; there the
+   square root and the masks' bits are one instruction each, else one call
+   or test per element.  Elsewhere (musl, arm64, no ELF, or __ELF__
+   undefined on the build line) the one two-wide build is portable GNU C
+   vector code.  A four-wide vector outside AVX2 code took about twice as
    long as the two-wide one (ROADMAP, Rejected), so each width has its own
    instruction set, and its own copy of the vector layer (VECTOR_LAYER,
-   below).  The helpers, suffixed _d for a double and _v2 or _v4 for a
+   below).  The helpers, suffixed _d for a double and _v2, _v4 or _v8 for a
    vector, are what the types spell differently; FORMULAS is written in
    them. */
 #define BASELINE_ELEMENTS 2
 #define AVX2_ELEMENTS 4
-/* the initializer of a vector of 2 or 4 whose element e is f(a, e); with
-   SAME as f, every element is a */
+#define AVX512_ELEMENTS 8
+/* the initializer of a vector of 2, 4 or 8 whose element e is f(a, e);
+   with SAME as f, every element is a */
 #define EACH2(f, a) {f(a, 0), f(a, 1)}
 #define EACH4(f, a) {f(a, 0), f(a, 1), f(a, 2), f(a, 3)}
+#define EACH8(f, a) \
+    {f(a, 0), f(a, 1), f(a, 2), f(a, 3), f(a, 4), f(a, 5), f(a, 6), f(a, 7)}
 #define SAME(x, e) (x)
 typedef double vec2 __attribute__((vector_size(8 * BASELINE_ELEMENTS)));
 typedef long long vmask2 __attribute__((vector_size(8 * BASELINE_ELEMENTS)));
@@ -484,8 +492,11 @@ typedef long long vmask2 __attribute__((vector_size(8 * BASELINE_ELEMENTS)));
 #ifdef WIDE
 #include <immintrin.h>
 #define AVX2 __attribute__((target("avx2,fma")))
+#define AVX512 __attribute__((target("avx512f,avx512dq,avx512vl,avx2,fma")))
 typedef double vec4 __attribute__((vector_size(8 * AVX2_ELEMENTS)));
 typedef long long vmask4 __attribute__((vector_size(8 * AVX2_ELEMENTS)));
+typedef double vec8 __attribute__((vector_size(8 * AVX512_ELEMENTS)));
+typedef long long vmask8 __attribute__((vector_size(8 * AVX512_ELEMENTS)));
 
 static inline vec2 sqrt_v2(vec2 x)
 {
@@ -509,8 +520,8 @@ AVX2 static inline unsigned bits_v4(vmask4 m)
 }
 
 /* 1 when some element of m is set, found without the bits of bits_v4
-   (or bits_v2, below), so a runner's bound on a runaway element does not
-   lean on the same code as its stop bits */
+   (as any_v8 and any_v2, below, without theirs), so a runner's bound on a
+   runaway element does not lean on the same code as its stop bits */
 AVX2 static inline int any_v4(vmask4 m)
 {
     return !_mm256_testz_si256((__m256i)m, (__m256i)m);
@@ -519,6 +530,26 @@ AVX2 static inline int any_v4(vmask4 m)
 AVX2 static inline vec4 fma_v4(vec4 a, vec4 b, vec4 c)
 {
     return (vec4)_mm256_fmadd_pd((__m256d)a, (__m256d)b, (__m256d)c);
+}
+
+AVX512 static inline vec8 sqrt_v8(vec8 x)
+{
+    return (vec8)_mm512_sqrt_pd((__m512d)x);
+}
+
+AVX512 static inline unsigned bits_v8(vmask8 m)
+{
+    return (unsigned)_mm512_movepi64_mask((__m512i)m);
+}
+
+AVX512 static inline int any_v8(vmask8 m)
+{
+    return _mm512_test_epi64_mask((__m512i)m, (__m512i)m) != 0;
+}
+
+AVX512 static inline vec8 fma_v8(vec8 a, vec8 b, vec8 c)
+{
+    return (vec8)_mm512_fmadd_pd((__m512d)a, (__m512d)b, (__m512d)c);
 }
 #else
 static inline vec2 sqrt_v2(vec2 x)
@@ -538,15 +569,16 @@ static inline int any_v2(vmask2 m)
     return (m[0] | m[1]) != 0;
 }
 
-/* 1 when tamsde_init found AVX2 and FMA on the host, and tamsde_block runs
-   the four-wide layer's runners, else the two-wide layer's */
-static int avx2;
+/* 1 when tamsde_init found AVX2 and FMA on the host, and avx512 when it
+   found AVX-512F, DQ and VL beside them: tamsde_block runs the eight-wide
+   layer's runners where avx512 is set, else the four-wide layer's where
+   avx2 is, else the two-wide layer's */
+static int avx2, avx512;
 
-/* The proven powers of model2 (prove_v4, below) are built on x86-64 ELF
-   with glibc 2.28 or later, whose pow they are proven against, and taken
-   when tamsde_init found AVX2 and FMA and they agreed with pow on its
-   probe (proven); elsewhere every power of a vector is libm's pow
-   (NO_PROOF). */
+/* The proven powers of model2 (prove_V, below, on four- and eight-wide
+   vectors) are built on x86-64 ELF with glibc 2.28 or later, whose pow they are proven against, and taken when
+   tamsde_init found AVX2 and FMA and they agreed with pow on its probe
+   (proven); elsewhere every power of a vector is libm's pow (NO_PROOF). */
 #define NO_PROOF(a, half, p12, p02) 0u
 #ifdef WIDE
 #if __GLIBC_PREREQ(2, 28)
@@ -557,10 +589,15 @@ static int avx2;
 static int proven;
 AVX2 static inline unsigned prove_v4(vec4 a, vec4 *half, vec4 *p12,
                                      vec4 *p02);
+AVX512 static inline unsigned prove_v8(vec8 a, vec8 *half, vec8 *p12,
+                                       vec8 *p02);
 #define PROVE_V4(a, half, p12, p02) \
     (proven ? prove_v4(a, half, p12, p02) : 0u)
+#define PROVE_V8(a, half, p12, p02) \
+    (proven ? prove_v8(a, half, p12, p02) : 0u)
 #else
 #define PROVE_V4 NO_PROOF
+#define PROVE_V8 NO_PROOF
 #endif
 
 /* e, hidden from the compiler by an empty asm that may change it, so
@@ -878,9 +915,11 @@ static void record(struct block *b, long long i, double x_f, double x_c,
 
 /* the seeds a block keeps in flight: adaptive pairs in LANES lanes, or
    VECTORS vectors of paths, fixed-step pairs or, by the rule at
-   tamsde_block, adaptive pairs, of BASELINE_ELEMENTS or AVX2_ELEMENTS each
-   (with 2, 4 or 5 two-wide vectors in place of 3, tools/leg_step_ns.py
-   read moments-long at 1.04, 1.01 and 1.02 of this count's time).  With 4
+   tamsde_block, adaptive pairs, of BASELINE_ELEMENTS, AVX2_ELEMENTS or
+   AVX512_ELEMENTS each (with 2, 4 or 5 two-wide vectors in place of 3,
+   tools/leg_step_ns.py read moments-long at 1.04, 1.01 and 1.02 of this
+   count's time; with 1, 2 or 4 eight-wide vectors no row gained on 3 by
+   more than its IQR, 15 rounds, 2-core Intel Xeon, gcc 12).  With 4
    lanes, tools/leg_step_ns.py read compare-smooth/tam (model1) at 1.05 of
    these counts' time (15 rounds, 2-core AMD EPYC, gcc 12), and model2's
    pair blocks, whose pow calls leave the processor less idle, read
@@ -938,10 +977,10 @@ struct tick {
 };
 
 /* The vector layer on a vector of W doubles, vec, with masks vmask and
-   EACH its initializer (EACH2 or EACH4): each of its functions, suffixed
-   V, carries the attributes A, and its types are suffixed V too.  Only
-   vectors step fixed-step legs, so the fixed-step update and propose are
-   written for the vector alone.  A tamed-adaptive leg's step is FORMULAS'
+   EACH its initializer (EACH2, EACH4 or EACH8): each of its functions,
+   suffixed V, carries the attributes A, and its types are suffixed V too.
+   Only vectors step fixed-step legs, so the fixed-step update and propose
+   are written for the vector alone.  A tamed-adaptive leg's step is FORMULAS'
    fire_V, the one the scalar lanes' pair_event fires too: here a path's
    leg and each leg of a pair are a struct leg_V, one leg to an element.
      splat_V, select_V, not_V, abs_V, isinf_V, copysign_V, powabs_V and
@@ -949,14 +988,15 @@ struct tick {
        select_V gives a where c is set, else b; copysign_V each element of
        |a| with the sign of that element of b; powabs_V libm's pow of |x|
        in each element.  powers_V gives model2's powers as powers_d does,
-       each where PROVE proves it (prove_v4 on four-wide vectors while
-       proven is set, else none), and pow's elsewhere; it returns the bits
-       of the proven ones, bit e for element e of |x| ** 0.5, W + e of 1.2
-       and 2 W + e of 0.2.  Testing each bit on its own, rather than first
-       whether every power was proven, read rate-rough at 1/1.049 of that
-       (tools/leg_step_ns.py, 7 rounds); the three powers' loops written as
-       one over an array of their pointers made model1 path blocks ~1.05
-       times as slow (2-core Intel Xeon, gcc 12).
+       each where PROVE proves it (prove_v4 or prove_v8 on four- or
+       eight-wide vectors while proven is set, else none), and pow's
+       elsewhere; it returns the bits of the proven ones, bit e for element
+       e of |x| ** 0.5, W + e of 1.2 and 2 W + e of 0.2.  Testing each bit
+       on its own, rather than first whether every power was proven, read
+       rate-rough at 1/1.049 of that (tools/leg_step_ns.py, 7 rounds); the
+       three powers' loops written as one over an array of their pointers
+       made model1 path blocks ~1.05 times as slow (2-core Intel Xeon, gcc
+       12).
      FORMULAS on the vector.
      tm_propose_V: propose of scheme._tm_leg, whose step is the base step
        itself: keeps mu, sigma and sigma sigma' at x.
@@ -1043,7 +1083,7 @@ struct tick {
        (pack_V), and when fewer pairs than LANES are left, none at t_end (a
        stop lost there stays in its vector, to end the block), hands them
        to run_pairs' scalar lanes and returns: a vector steps every
-       element, so a long seed alone in it costs four seeds' steps.  On
+       element, so a long seed alone in it costs W seeds' steps.  On
        rate-rough (model2, with its proven powers) tools/leg_step_ns.py
        read packing and the hand-off at 0.85 of neither and 0.88 of packing
        alone (21 and 11 rounds), and handing off at most two pairs at
@@ -1405,15 +1445,27 @@ A static int run_legs_##V(const struct pair *p, const struct leg_d *first,   \
 VECTOR_LAYER(vec2, vmask2, v2, BASELINE_ELEMENTS, EACH2, , NO_PROOF)
 #ifdef WIDE
 VECTOR_LAYER(vec4, vmask4, v4, AVX2_ELEMENTS, EACH4, AVX2, PROVE_V4)
+VECTOR_LAYER(vec8, vmask8, v8, AVX512_ELEMENTS, EACH8, AVX512, PROVE_V8)
+
+/* tamsde_block calls each layer's runner directly, so the compiler inlines
+   the two-wide runners into it: called through a pointer, the portable
+   two-wide build's paths took ~1.03 times as long (tools/leg_step_ns.py,
+   moments-long).  RUN_WIDE runs the eight- or the four-wide one. */
+#define RUN_WIDE(runner, ...) \
+    (avx512 ? runner##_v8(__VA_ARGS__) : runner##_v4(__VA_ARGS__))
+#define RUN_VECTORS(runner, ...) \
+    (avx2 ? RUN_WIDE(runner, __VA_ARGS__) : runner##_v2(__VA_ARGS__))
+#else
+#define RUN_VECTORS(runner, ...) runner##_v2(__VA_ARGS__)
 #endif
 
-/* --- model2's powers, proven on four-wide vectors ------------------------ */
+/* --- model2's powers, proven on four- and eight-wide vectors ------------- */
 
 /* model2's coefficients take |x| ** 0.5, 1.2 and 0.2, and the Python loops'
    bits are libm pow's, which took 43% of a model2 leg-step (ROADMAP,
-   Baseline).  prove_v4 gives each power of a = |x| as a double c that a
+   Baseline).  prove_V gives each power of a = |x| as a double c that a
    rounding test proves is the double glibc's pow returns, with no table
-   and no call; powers_v4 calls pow for each power it does not prove.
+   and no call; powers_V calls pow for each power it does not prove.
 
    Why a proven c is pow's: glibc's pow (sysdeps/ieee754/dbl-64/e_pow.c,
    glibc 2.28 and later) is within ulperr_exp + |y ln a| relerr_log 2**53
@@ -1422,7 +1474,7 @@ VECTOR_LAYER(vec4, vmask4, v4, AVX2_ELEMENTS, EACH4, AVX2, PROVE_V4)
    2**100] and y <= 1.2, |y ln a| <= 84, so pow is within 0.515 ULP of the
    exact power.  Where the exact power lies within 0.48 ULP of a double c
    that is not a power of two, c's neighbours are each one ULP of c away,
-   so more than 0.52 ULP from the power, and pow returns c.  prove_v4 keeps
+   so more than 0.52 ULP from the power, and pow returns c.  prove_V keeps
    c only there, and only for a in that range.
 
    The candidates c, each with d, an estimate of (exact power - c):
@@ -1448,94 +1500,138 @@ VECTOR_LAYER(vec4, vmask4, v4, AVX2_ELEMENTS, EACH4, AVX2, PROVE_V4)
    0.5 ULP 24550, and probe_powers turned either build's proven powers
    off. */
 #ifdef PROVEN_POWERS
-/* the elements where c is not a power of two and |d| <= tol * c's ULP */
-AVX2 static inline vmask4 near_v4(vec4 c, vec4 d, vec4 tol)
+/* a's elements rounded to the nearest integer, and the exponent field of
+   each element of m's words moved to their foot, or a word's foot to its
+   exponent field, on four- and eight-wide vectors */
+AVX2 static inline vec4 round_v4(vec4 a)
 {
-    vmask4 exponent = (vmask4)c & 0x7ff0000000000000;
-    return ((vmask4)c != exponent) & (abs_v4(d) <= tol * (vec4)exponent
-                                                  * 0x1p-52);
+    return (vec4)_mm256_round_pd((__m256d)a, _MM_FROUND_TO_NEAREST_INT
+                                             | _MM_FROUND_NO_EXC);
 }
 
-/* c[0] + x (c[1] + x (... + x c[n - 1])) */
-AVX2 static inline vec4 horner_v4(vec4 x, const double *c, int n)
+AVX2 static inline vmask4 down52_v4(vmask4 m)
 {
-    vec4 r = splat_v4(c[n - 1]);
-    while (--n > 0)
-        r = fma_v4(r, x, splat_v4(c[n - 1]));
-    return r;
+    return (vmask4)_mm256_srli_epi64((__m256i)m, 52);
 }
 
-AVX2 static inline unsigned prove_v4(vec4 a, vec4 *half, vec4 *p12,
-                                     vec4 *p02)
+AVX2 static inline vmask4 up52_v4(vmask4 m)
 {
-    static const double atanh2[] = {2.0, 2.0 / 3.0, 2.0 / 5.0, 2.0 / 7.0},
-                        taylor[] = {1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0,
-                                    1.0 / 24.0, 1.0 / 120.0, 1.0 / 720.0};
-    const double ln2 = 0.6931471805599453;
-    vmask4 in = (a >= 0x1p-100) & (a <= 0x1p100), big, ok05, ok12;
-    vec4 inv = 1.0 / a, tol = splat_v4(0.4799), e, m, t, lna, q, n, y, h2,
-         h4, l4, rho, k, c, d, pr;
-    /* a ** 0.5 */
-    *half = sqrt_v4(a);
-    ok05 = in & near_v4(*half, fma_v4(-*half, *half, a), 0.9598 * *half);
-    /* the seed y of a ** (1/5): ln a = e ln 2 + 2 atanh(t), t = (m - 1) /
-       (m + 1), a = 2**e m with m in [sqrt(1/2), sqrt(2)) */
-    e = (vec4)((vmask4)_mm256_srli_epi64((__m256i)a, 52)
-               | 0x4330000000000000) - (0x1p52 + 1023.0);
-    m = (vec4)(((vmask4)a & 0x000fffffffffffff) | 0x3ff0000000000000);
-    big = m > 1.4142135623730951;
-    m = select_v4(big, 0.5 * m, m);
-    e = e + select_v4(big, splat_v4(1.0), splat_v4(0.0));
-    t = (m - 1.0) / (m + 1.0);
-    lna = fma_v4(e, splat_v4(ln2), t * horner_v4(t * t, atanh2, 4));
-    q = lna * (0.2 / ln2);
-    n = (vec4)_mm256_round_pd((__m256d)q, _MM_FROUND_TO_NEAREST_INT
-                                          | _MM_FROUND_NO_EXC);
-    y = horner_v4((q - n) * ln2, taylor, 7)
-        * (vec4)_mm256_slli_epi64((__m256i)(n + (0x1p52 + 1023.0)), 52);
-    /* rho = y**5 / a - 1, y**4 in double-double (its l2 * l2 is below
-       2**-104 of it), with 1 / a taken first, off the chain of y */
-    h2 = y * y;
-    h4 = h2 * h2;
-    l4 = fma_v4(h2, h2, -h4) + (h2 + h2) * fma_v4(y, y, -h2);
-    rho = (fma_v4(h4, y, -a) + l4 * y) * inv;
-    in &= abs_v4(rho) <= 2e-6;
-    /* a ** 0.2 = y (1 + k), k = s + w + s w */
-    k = rho * (-0.2 + rho * (3.0 / 25.0 - rho * (11.0 / 125.0)));
-    k = fma_v4(lna * (0x1p-54 / 5.0), k, k + lna * (0x1p-54 / 5.0));
-    *p02 = c = fma_v4(y, k, y);
-    d = fma_v4(y, k, y - c);
-    /* a ** 1.2 = a (c + d) (1 - 2**-54 ln a) */
-    pr = a * c;
-    k = fma_v4(pr, lna * -0x1p-54, fma_v4(a, d, fma_v4(a, c, -pr)));
-    *p12 = pr + k;
-    ok12 = in & near_v4(*p12, (pr - *p12) + k, tol);
-    return bits_v4(ok05) | bits_v4(ok12) << 4
-           | bits_v4(in & near_v4(c, d, tol)) << 8;
+    return (vmask4)_mm256_slli_epi64((__m256i)m, 52);
 }
 
-/* out[i], out[n + i] and out[2 n + i] = |x[i]| ** 0.5, 1.2 and 0.2 by
-   powers_v4, for i < n, a multiple of 4; returns how many of the 3 n
-   powers it proved */
-AVX2 static long long powers_of(const double *x, long long n, double *out)
+AVX512 static inline vec8 round_v8(vec8 a)
 {
-    long long i, proved = 0;
-    vec4 a, r[3];
-    int j;
-    for (i = 0; i < n; i += AVX2_ELEMENTS) {
-        memcpy(&a, x + i, sizeof a);
-        proved += __builtin_popcount(powers_v4(a, &r[0], &r[1], &r[2]));
-        for (j = 0; j < 3; j++)
-            memcpy(out + j * n + i, &r[j], sizeof a);
-    }
-    return proved;
+    return (vec8)_mm512_roundscale_pd((__m512d)a, _MM_FROUND_TO_NEAREST_INT
+                                                  | _MM_FROUND_NO_EXC);
 }
+
+AVX512 static inline vmask8 down52_v8(vmask8 m)
+{
+    return (vmask8)_mm512_srli_epi64((__m512i)m, 52);
+}
+
+AVX512 static inline vmask8 up52_v8(vmask8 m)
+{
+    return (vmask8)_mm512_slli_epi64((__m512i)m, 52);
+}
+
+/* The proof on a vector of W doubles, vec, with masks vmask, each function
+   with the attributes A, instantiated for the four- and eight-wide
+   layers, so it is written once and each width runs it on its own
+   vectors (run on the halves of an eight-wide vector, it took ~1.35
+   times as long an input: its 256-bit operations lose a port while
+   512-bit ones are in flight).
+     near_V: the elements where c is not a power of two and |d| <= tol *
+       c's ULP.
+     horner_V: c[0] + x (c[1] + x (... + x c[n - 1])).
+     prove_V: each power of a = |x| that the test proves, bit e of its
+       result set for element e of |x| ** 0.5, W + e of 1.2 and 2 W + e of
+       0.2, as powers_V reads them.
+     powers_of_V: out[i], out[n + i] and out[2 n + i] = |x[i]| ** 0.5, 1.2
+       and 0.2 by powers_V, for i < n, a multiple of W; returns how many of
+       the 3 n powers it proved. */
+#define PROOF(vec, vmask, V, W, A)                                           \
+A static inline vmask near_##V(vec c, vec d, vec tol)                        \
+{                                                                            \
+    vmask exponent = (vmask)c & 0x7ff0000000000000;                          \
+    return ((vmask)c != exponent) & (abs_##V(d) <= tol * (vec)exponent       \
+                                                    * 0x1p-52);              \
+}                                                                            \
+A static inline vec horner_##V(vec x, const double *c, int n)                \
+{                                                                            \
+    vec r = splat_##V(c[n - 1]);                                             \
+    while (--n > 0)                                                          \
+        r = fma_##V(r, x, splat_##V(c[n - 1]));                              \
+    return r;                                                                \
+}                                                                            \
+A static inline unsigned prove_##V(vec a, vec *half, vec *p12, vec *p02)     \
+{                                                                            \
+    static const double atanh2[] = {2.0, 2.0 / 3.0, 2.0 / 5.0, 2.0 / 7.0},   \
+                        taylor[] = {1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0,          \
+                                    1.0 / 24.0, 1.0 / 120.0, 1.0 / 720.0};   \
+    const double ln2 = 0.6931471805599453;                                   \
+    vmask in = (a >= 0x1p-100) & (a <= 0x1p100), big, ok05, ok12;            \
+    vec inv = 1.0 / a, tol = splat_##V(0.4799), e, m, t, lna, q, n, y, h2,   \
+        h4, l4, rho, k, c, d, pr;                                            \
+    /* a ** 0.5 */                                                           \
+    *half = sqrt_##V(a);                                                     \
+    ok05 = in & near_##V(*half, fma_##V(-*half, *half, a), 0.9598 * *half);  \
+    /* the seed y of a ** (1/5): ln a = e ln 2 + 2 atanh(t), t = (m - 1) /   \
+       (m + 1), a = 2**e m with m in [sqrt(1/2), sqrt(2)) */                 \
+    e = (vec)(down52_##V((vmask)a) | 0x4330000000000000) - (0x1p52 + 1023.0); \
+    m = (vec)(((vmask)a & 0x000fffffffffffff) | 0x3ff0000000000000);         \
+    big = m > 1.4142135623730951;                                            \
+    m = select_##V(big, 0.5 * m, m);                                         \
+    e = e + select_##V(big, splat_##V(1.0), splat_##V(0.0));                 \
+    t = (m - 1.0) / (m + 1.0);                                               \
+    lna = fma_##V(e, splat_##V(ln2), t * horner_##V(t * t, atanh2, 4));      \
+    q = lna * (0.2 / ln2);                                                   \
+    n = round_##V(q);                                                        \
+    y = horner_##V((q - n) * ln2, taylor, 7)                                 \
+        * (vec)up52_##V((vmask)(n + (0x1p52 + 1023.0)));                     \
+    /* rho = y**5 / a - 1, y**4 in double-double (its l2 * l2 is below       \
+       2**-104 of it), with 1 / a taken first, off the chain of y */         \
+    h2 = y * y;                                                              \
+    h4 = h2 * h2;                                                            \
+    l4 = fma_##V(h2, h2, -h4) + (h2 + h2) * fma_##V(y, y, -h2);              \
+    rho = (fma_##V(h4, y, -a) + l4 * y) * inv;                               \
+    in &= abs_##V(rho) <= 2e-6;                                              \
+    /* a ** 0.2 = y (1 + k), k = s + w + s w */                              \
+    k = rho * (-0.2 + rho * (3.0 / 25.0 - rho * (11.0 / 125.0)));            \
+    k = fma_##V(lna * (0x1p-54 / 5.0), k, k + lna * (0x1p-54 / 5.0));        \
+    *p02 = c = fma_##V(y, k, y);                                             \
+    d = fma_##V(y, k, y - c);                                                \
+    /* a ** 1.2 = a (c + d) (1 - 2**-54 ln a) */                             \
+    pr = a * c;                                                              \
+    k = fma_##V(pr, lna * -0x1p-54, fma_##V(a, d, fma_##V(a, c, -pr)));      \
+    *p12 = pr + k;                                                           \
+    ok12 = in & near_##V(*p12, (pr - *p12) + k, tol);                        \
+    return bits_##V(ok05) | bits_##V(ok12) << W                              \
+           | bits_##V(in & near_##V(c, d, tol)) << 2 * W;                    \
+}                                                                            \
+A static long long powers_of_##V(const double *x, long long n, double *out)  \
+{                                                                            \
+    long long i, proved = 0;                                                 \
+    vec a, r[3];                                                             \
+    int j;                                                                   \
+    for (i = 0; i < n; i += W) {                                             \
+        memcpy(&a, x + i, sizeof a);                                         \
+        proved += __builtin_popcount(powers_##V(a, &r[0], &r[1], &r[2]));    \
+        for (j = 0; j < 3; j++)                                              \
+            memcpy(out + j * n + i, &r[j], sizeof a);                        \
+    }                                                                        \
+    return proved;                                                           \
+}
+
+PROOF(vec4, vmask4, v4, AVX2_ELEMENTS, AVX2)
+PROOF(vec8, vmask8, v8, AVX512_ELEMENTS, AVX512)
 
 /* the inputs of probe_powers */
 #define PROBES 4096
 
-/* 1 when powers_v4, with proven set, gives pow's bits on PROBES inputs,
-   |x| log-uniform from 2**-110 to 2**110, of either sign */
+/* 1 when the powers of the widest layer the host runs (powers_v8 or
+   powers_v4), with proven set, give pow's bits on PROBES inputs, |x|
+   log-uniform from 2**-110 to 2**110, of either sign */
 static int probe_powers(void)
 {
     static double x[PROBES], got[3 * PROBES];
@@ -1550,7 +1646,7 @@ static int probe_powers(void)
                * (1.0 + (double)(z >> 12) * 0x1p-52);
     }
     proven = 1;
-    powers_of(x, PROBES, got);
+    RUN_WIDE(powers_of, x, PROBES, got);
     for (i = 0; i < PROBES; i++)
         for (j = 0; j < 3; j++) {
             OPAQUE(e[j]);
@@ -1562,17 +1658,6 @@ static int probe_powers(void)
 }
 #endif
 
-/* tamsde_block calls each layer's runner directly, so the compiler inlines
-   the two-wide runners into it: called through a pointer, the portable
-   two-wide build's paths took ~1.03 times as long (tools/leg_step_ns.py,
-   moments-long). */
-#ifdef WIDE
-#define RUN_VECTORS(runner, ...) \
-    (avx2 ? runner##_v4(__VA_ARGS__) : runner##_v2(__VA_ARGS__))
-#else
-#define RUN_VECTORS(runner, ...) runner##_v2(__VA_ARGS__)
-#endif
-
 /* tamsde_init's work, done once per process: the tables of ziggurat(),
    and the test of the processor that picks the vector layer */
 static void init(void)
@@ -1581,6 +1666,9 @@ static void init(void)
 #ifdef WIDE
     __builtin_cpu_init();
     avx2 = __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+    avx512 = avx2 && __builtin_cpu_supports("avx512f")
+             && __builtin_cpu_supports("avx512dq")
+             && __builtin_cpu_supports("avx512vl");
 #endif
 #ifdef PROVEN_POWERS
     proven = avx2 && probe_powers();
@@ -1618,14 +1706,19 @@ enum { PATHS, PAIRS, FIXED };
    word (take).
 
    The runner rule, for every model: a block's tamed-adaptive pairs run on
-   the four-wide vectors on a host with AVX2 and FMA once it has LANES
-   seeds or more, and in the scalar lanes otherwise.  Against the lanes
-   (2-core Intel Xeon, gcc 12), the adaptive model1 pairs read 0.67 on
-   these vectors and 1.18 on the two-wide build's, so that build keeps the
-   lanes; model2's read 0.61 (rate-rough) with its proven powers and
-   0.82-0.86 with pow on every element (blocks of 100 and 200 seeds, k=5),
-   with packed tails both.  A block of fewer seeds fills only some of the
-   lanes, and a lone pair's vector would have three elements idle. */
+   the eight-wide vectors on a host with AVX-512F, DQ and VL, AVX2 and
+   FMA, else on the four-wide vectors on a host with AVX2 and FMA, once it
+   has LANES seeds or more, and in the scalar lanes otherwise.  Against the
+   lanes (2-core Intel Xeon, gcc 12), the adaptive model1 pairs read 0.67
+   on the four-wide vectors and 1.18 on the two-wide build's, so that build
+   keeps the lanes; model2's read 0.61 (rate-rough) with its proven powers
+   and 0.82-0.86 with pow on every element (blocks of 100 and 200 seeds,
+   k=5), with packed tails both.  Against the four-wide vectors, the
+   eight-wide ones read compare-smooth/tam (model1) at 0.81 and rate-rough
+   at 0.87 (tools/leg_step_ns.py, 21 rounds, 2-core Intel Xeon with
+   AVX-512, gcc 12).
+   A block of fewer seeds fills only some of the lanes, and a lone pair's
+   vector would have all but one element idle. */
 long long tamsde_block(int runner, int model, double delta_fine,
                        double delta_coarse, double h0, double l0, double x0,
                        double t_end, long long max_steps, unsigned char *seed,
@@ -1654,7 +1747,7 @@ long long tamsde_block(int runner, int model, double delta_fine,
         runaway = RUN_VECTORS(run_legs, &p, first, &b, 1);
 #ifdef WIDE
     else if (avx2 && n >= LANES)
-        runaway = run_legs_v4(&p, first, &b, 2);
+        runaway = RUN_WIDE(run_legs, &p, first, &b, 2);
 #endif
     else
         run_pairs(&p, first, &b, lanes, 0);
@@ -1662,23 +1755,24 @@ long long tamsde_block(int runner, int model, double delta_fine,
 }
 
 /* The vector layer tamsde_block runs a block's paths and fixed-step pairs
-   on, as tamsde_init picked it: "avx2", four-wide, or "baseline",
-   two-wide; which adaptive pairs it runs, tamsde_block's rule says. */
+   on, as tamsde_init picked it: "avx512", eight-wide, "avx2", four-wide,
+   or "baseline", two-wide; which adaptive pairs it runs, tamsde_block's
+   rule says. */
 const char *tamsde_lanes(void)
 {
-    return avx2 ? "avx2" : "baseline";
+    return avx512 ? "avx512" : avx2 ? "avx2" : "baseline";
 }
 
 /* For the tests: out[i], out[n + i] and out[2 n + i] = |x[i]| ** 0.5, 1.2
-   and 0.2 as model2's coefficients take them on four-wide vectors, for i <
-   n, a multiple of 4; returns how many of the 3 n powers were proven
-   rather than pow's, or -1, writing nothing, when the proven powers are
-   off. */
+   and 0.2 as model2's coefficients take them on the widest vectors the
+   host runs, eight- or four-wide, for i < n, a multiple of 8; returns how
+   many of the 3 n powers were proven rather than pow's, or -1, writing
+   nothing, when the proven powers are off. */
 long long tamsde_powers(const double *x, long long n, double *out)
 {
 #ifdef PROVEN_POWERS
     if (proven)
-        return powers_of(x, n, out);
+        return RUN_WIDE(powers_of, x, n, out);
 #endif
     (void)x;
     (void)n;

@@ -22,11 +22,12 @@ as they are.  The kernel keeps several seeds of a
 block in flight, each with its own Philox: a block's tamed-adaptive
 pairs in three lanes, its paths and its fixed-step pairs one to an
 element of a SIMD vector, in three vectors whose packed operations step
-every element's seed at once: vectors of four doubles on an x86-64 host
-with AVX2 and FMA, of two elsewhere.  On such a host a block of adaptive
-pairs runs one pair to an element of three four-wide vectors too, by the
-rule _pair.c states at tamsde_block (where the timings that set it are),
-on the runner that runs paths: a path is a pair of one leg, and in each
+every element's seed at once: vectors of eight doubles on an x86-64 host
+with AVX-512 (F, DQ and VL), AVX2 and FMA, of four on one with AVX2 and
+FMA alone, of two elsewhere.  On an AVX2 host a block of adaptive pairs
+runs one pair to an element of three eight- or four-wide vectors too, by
+the rule _pair.c states at tamsde_block (where the timings that set it
+are), on the runner that runs paths: a path is a pair of one leg, and in each
 element of a pair a pass advances and proposes only the leg that fires
 first, and a rarely taken masked step fires the coarse leg where both are
 due.  A pass gives every lane one event of its pair, or every vector one
@@ -46,36 +47,37 @@ its step are written once, for a double and a vector alike, with the
 scheme's formulas (the step rule among them), and both adaptive runners
 fire it: a lane's pair event, and the vector runner's path step and pair
 event; the fixed-step event is written once, and the code on vectors
-once for both widths, so a seed runs the same operations in the same
+once for every width, so a seed runs the same operations in the same
 order in any lane or element, and its outcome does not depend on the
 block it runs in or the width; the lanes only let the processor overlap
 the seeds' chains of dependent operations.  Every build has the two-wide
 code; on x86-64 Linux with glibc the four-wide code is built too, for
-AVX2 and FMA, and tamsde_init tests the processor once per process and
-has every block run the four-wide code on a host with both; lanes(lib)
-names the width it picked.  A Monte Carlo cell runs its seeds as blocks, and a
-single coupled pair is a block of one: one lane, or one vector for a
-fixed-step pair.  The adaptive vector runner, when an element ran past
-its step budget, which no seed's run does, or stayed at t_end with its
-stop lost, ends the block: tamsde_block returns -1 and run_block raises
-RuntimeError, a bug of the kernel, naming both causes, rather than
-looping on.  Each seed draws numpy's normal on its own Philox: it takes
-the ziggurat's fast path itself, with no branch on the random sign, and
-hands every other output to numpy's random_standard_normal on a bit
-generator that replays it first.  The fast path's tables are not copied
-from numpy but probed off numpy's function (tamsde_init), once per
-process, when _open loads a build and before any block runs; the probe
-checks them on a fixed stream of normals against numpy's function and,
-should one bit differ, leaves every draw to it.
+AVX2 and FMA, and the eight-wide code, for AVX-512 beside them, and
+tamsde_init tests the processor once per process and has every block run
+the widest code the host has; lanes(lib) names the width it picked.  A
+Monte Carlo cell runs its seeds as blocks, and a single coupled pair is
+a block of one: one lane, or one vector for a fixed-step pair.  The
+adaptive vector runner, when an element ran past its step budget, which
+no seed's run does, or stayed at t_end with its stop lost, ends the
+block: tamsde_block returns -1 and run_block raises RuntimeError, a bug
+of the kernel, naming both causes, rather than looping on.  Each seed
+draws numpy's normal on its own Philox: it takes the ziggurat's fast
+path itself, with no branch on the random sign, and hands every other
+output to numpy's random_standard_normal on a bit generator that replays
+it first.  The fast path's tables are not copied from numpy but probed
+off numpy's function (tamsde_init), once per process, when _open loads a
+build and before any block runs; the probe checks them on a fixed stream
+of normals against numpy's function and, should one bit differ, leaves
+every draw to it.
 
 model2's coefficients take |x| ** 0.5, 1.2 and 0.2, which CPython's **
-and the lanes take from libm's pow.  On the four-wide vectors, in a build
-against glibc 2.28 or later, each is instead a double that a rounding
-test proves is the one glibc's pow returns, and pow's own result where
-the test fails (about 4% of each): the exact power within 0.48 ULP of a
-double that is no power of two, for |x| in [2**-100, 2**100], where
-glibc's pow errs by at most 0.515 ULP (the proof is written at
-_pair.c's prove_v4).  tamsde_init takes them only on a processor with
+and the lanes take from libm's pow.  On the four- and eight-wide vectors,
+in a build against glibc 2.28 or later, each is instead a double that a
+rounding test proves is the one glibc's pow returns, and pow's own result
+where the test fails (about 4% of each): the exact power within 0.48 ULP
+of a double that is no power of two, for |x| in [2**-100, 2**100], where
+glibc's pow errs by at most 0.515 ULP (the proof is written once, at
+_pair.c's prove_V, for both widths).  tamsde_init takes them only on a processor with
 AVX2 and FMA and after a probe of them against pow on fixed inputs;
 should one bit differ, every vector calls pow.  Either way the bits are
 the Python loops'.
@@ -279,8 +281,8 @@ def _declare(lib):
 def lanes(lib):
     """The vector code the kernel library lib runs a block's paths and
     fixed-step pairs on, as its tamsde_init picked it on this host:
-    "avx2", four doubles to a vector, or "baseline", two; which adaptive
-    pairs it runs, _pair.c's tamsde_block says."""
+    "avx512", eight doubles to a vector, "avx2", four, or "baseline", two;
+    which adaptive pairs it runs, _pair.c's tamsde_block says."""
     return lib.tamsde_lanes().decode()
 
 

@@ -455,9 +455,9 @@ WORD_IDS = ["across-2**32", "up-to-2**64", "across-2**64", "across-2**96"]
 # the seeds a block keeps in flight, in _pair.c: LANES adaptive pairs, or
 # VECTORS vectors of paths or fixed-step pairs, of as many elements as
 # ELEMENTS gives for the build of the vector layer a kernel runs, by the
-# name kernel.lanes reports: "baseline" and "avx2".  On "avx2" a block of
-# LANES or more adaptive pairs of any model runs on VECTORS four-wide
-# vectors too (tamsde_block's rule).
+# name kernel.lanes reports: "baseline", "avx2" and "avx512".  On "avx2"
+# and "avx512" a block of LANES or more adaptive pairs of any model runs
+# on VECTORS four- or eight-wide vectors too (tamsde_block's rule).
 with open(kernel._SOURCE) as _source:
     _text = _source.read()
 LANES = int(re.search(r"#define LANES (\d+)", _text).group(1))
@@ -480,17 +480,17 @@ def elements(lib):
 
 def proves(built):
     """True when the kernel library built takes model2's proven powers on
-    its four-wide vectors (tamsde_powers answers), False when it takes
-    libm's pow there too."""
+    its four- or eight-wide vectors (tamsde_powers answers), False when it
+    takes libm's pow there too."""
     built.tamsde_powers.restype = ctypes.c_longlong
     return built.tamsde_powers(None, 0, None) == 0
 
 
 def pair_width(lib, size):
     """The adaptive pairs that a block of size seeds keeps in flight on
-    this host at first: VECTORS four-wide vectors' seeds, or its scalar
-    lanes."""
-    if kernel.lanes(lib) == "avx2" and size >= LANES:
+    this host at first: VECTORS four- or eight-wide vectors' seeds, or its
+    scalar lanes."""
+    if kernel.lanes(lib) in ("avx2", "avx512") and size >= LANES:
         return elements(lib) * VECTORS
     return LANES
 
@@ -641,10 +641,10 @@ class TestBlockParity:
     # them once, refill one, start a second generation, and refill or
     # start many times over, for each count and each width of vector.  On
     # a host with AVX2 and FMA a block of LANES pairs or more runs on
-    # VECTORS four-wide vectors, refilled as paths are, and a block of one
-    # on a scalar lane, so there this compares the vector runner with the
-    # scalar lanes seed by seed; PAIR_EDGES are the sizes on either side of
-    # that switch.
+    # VECTORS four-wide vectors, or eight-wide ones with AVX-512, refilled
+    # as paths are, and a block of one on a scalar lane, so there this
+    # compares the vector runner with the scalar lanes seed by seed;
+    # PAIR_EDGES are the sizes on either side of that switch.
     @pytest.mark.parametrize("size", sorted({0, 1, 2, 3, 4, 5, 6, 7, 9, 23,
                                              24, 100, *GENERATION_EDGES,
                                              *PAIR_EDGES}))
@@ -726,7 +726,7 @@ class TestBlockParity:
         assert elements_hit == set(range(width))
 
     # on a host with AVX2 a block of LANES or more adaptive pairs runs W
-    # to a vector, W = 4, as paths do:
+    # to a vector, W = 4, or 8 with AVX-512, as paths do:
     # element e of vector v holds seed index W v + e until the first
     # refill.  A stop at index j of the first fill lands on element j % W.
     # A fine leg spends its budget (model1 at k=1, whose fine leg takes 25
@@ -766,7 +766,8 @@ class TestBlockParity:
                                                 seeds.stop))
                 if pair_width(lib, size) == fill:
                     elements_hit.add(j % width)
-        assert elements_hit == (set(range(width)) if width == 4 else set())
+        assert elements_hit == (set(range(width))
+                                if kernel.lanes(lib) != "baseline" else set())
 
     # gbm from x0 = 0 stays at 0, so each leg's adaptive step is constant,
     # the coarse one twice the fine one, and some coarse due times fall on
@@ -1011,9 +1012,10 @@ RUN_IDS = ["adaptive", "adaptive-budget-gbm", "adaptive-budget-model2",
            "path", "path-budget-gbm", "path-budget-model2"]
 
 
-# 13 and 25 pass one and two fills of three four-wide vectors, so records
-# come from refilled path elements and later fixed-step generations
-@pytest.mark.parametrize("size", [1, 3, 7, 13, 25])
+# 13 and 25 pass one and two fills of three four-wide vectors, and 25 and
+# 49 of three eight-wide ones, so records come from refilled path elements
+# and later fixed-step generations
+@pytest.mark.parametrize("size", [1, 3, 7, 13, 25, 49])
 @pytest.mark.parametrize("name, clock, max_steps", RUNS, ids=RUN_IDS)
 def test_block_writes_only_its_records(lib, name, clock, max_steps, size):
     # tamsde_block writes each seed's record into the caller's columns x_f,
@@ -1511,25 +1513,22 @@ def test_fsum_port_is_math_fsum(lib, values):
         fsum_outcome(math.fsum, values))
 
 
-# The builds the strict tests make of the kernel's own build line: as it
-# is; with the 32-bit halves the product falls back to without the
-# compiler's 128-bit integer; with a processor test that finds no AVX2
-# (NO_AVX2), so an x86-64 build runs its two-wide layer on SSE2
-# intrinsics, as a host without AVX2 does; and with neither the four-wide
-# AVX2 vector code nor the x86 intrinsics, the portable two-wide vector
-# code a build for arm64, musl or no ELF target runs.  Each with the
-# vector code it runs (kernel.lanes).
+# processor tests for a build line: one that finds no AVX2 (NO_AVX2), so
+# an x86-64 build runs its two-wide layer on SSE2 intrinsics, as a host
+# without AVX2 does, and one that finds every feature but AVX-512's
+# (NO_AVX512), so it runs its four-wide layer, as a host with AVX2 and FMA
+# alone does; that one finds AVX2 and FMA on any processor, so only a host
+# with AVX-512 runs its build
 NO_AVX2 = "-D__builtin_cpu_supports(f)=0"
-BUILDS = (("native.so", [], None),
-          ("portable.so", ["-U__SIZEOF_INT128__"], None),
-          ("no-avx2.so", [NO_AVX2], "baseline"),
-          ("baseline.so", ["-U__ELF__"], "baseline"))
+NO_AVX512 = ('-D__builtin_cpu_supports(f)='
+             '(__builtin_strncmp(f, "avx512", 6) != 0)')
 
 
 def host_lanes():
-    """The vector code a build with the four-wide AVX2 code runs here:
-    "avx2" on an x86-64 Linux host with glibc whose processor has AVX2 and
-    FMA, "baseline" on any other host, and None when the processor's
+    """The vector code a build with the four- and eight-wide code runs
+    here: "avx512" on an x86-64 Linux host with glibc whose processor has
+    AVX2, FMA and AVX-512F, DQ and VL, "avx2" on one with AVX2 and FMA
+    alone, "baseline" on any other host, and None when the processor's
     features cannot be read."""
     if not (sys.platform.startswith("linux")
             and platform.machine() == "x86_64"
@@ -1541,28 +1540,47 @@ def host_lanes():
     except OSError:
         return None
     flags = re.search(r"^flags\s*:(.*)$", info, re.M)
-    return None if flags is None else (
-        "avx2" if {"avx2", "fma"} <= set(flags.group(1).split())
-        else "baseline")
+    if flags is None:
+        return None
+    flags = set(flags.group(1).split())
+    if not {"avx2", "fma"} <= flags:
+        return "baseline"
+    return "avx512" if {"avx512f", "avx512dq", "avx512vl"} <= flags else "avx2"
 
 
 def host_proves():
     """Whether a build of the kernel takes model2's proven powers here: on
-    a host whose build runs "avx2" (host_lanes) with glibc 2.28 or later;
-    None when the processor's features cannot be read."""
+    a host whose build runs "avx2" or "avx512" (host_lanes) with glibc 2.28
+    or later; None when the processor's features cannot be read."""
     lanes = host_lanes()
     version = platform.libc_ver()[1].split(".")
     return None if lanes is None else (
-        lanes == "avx2" and tuple(map(int, version[:2])) >= (2, 28))
+        lanes in ("avx2", "avx512")
+        and tuple(map(int, version[:2])) >= (2, 28))
+
+
+# The builds the strict tests make of the kernel's own build line: as it
+# is; with the 32-bit halves the product falls back to without the
+# compiler's 128-bit integer; with NO_AVX2; with neither the four- and
+# eight-wide vector code nor the x86 intrinsics, the portable two-wide
+# vector code a build for arm64, musl or no ELF target runs; and, on a
+# host with AVX-512, with NO_AVX512.  Each with the vector code it runs
+# (kernel.lanes).
+BUILDS = (("native.so", [], None),
+          ("portable.so", ["-U__SIZEOF_INT128__"], None),
+          ("no-avx2.so", [NO_AVX2], "baseline"),
+          ("baseline.so", ["-U__ELF__"], "baseline"),
+          *([("no-avx512.so", [NO_AVX512], "avx2")]
+            if host_lanes() == "avx512" else []))
 
 
 def c_powers(built, values):
-    """|x| ** 0.5, 1.2 and 0.2 of each x of values, a multiple of 4 of
-    them, by the kernel's four-wide helper (tamsde_powers), an array of n
-    rows of the three, and how many of the 3 n it proved rather than took
-    from pow."""
+    """|x| ** 0.5, 1.2 and 0.2 of each x of values, a multiple of 8 of
+    them, by the helper of the widest vector layer the kernel runs here
+    (tamsde_powers), an array of n rows of the three, and how many of the
+    3 n it proved rather than took from pow."""
     x = np.array(values, dtype=float)
-    assert len(x) % 4 == 0
+    assert len(x) % ELEMENTS["avx512"] == 0
     out = np.empty((3, len(x)))
     built.tamsde_powers.restype = ctypes.c_longlong
     proved = built.tamsde_powers(ctypes.c_void_p(x.ctypes.data),
@@ -1707,7 +1725,7 @@ def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):
                 path_seeded(_path_loop, model, config, seeds)), name
             assert hexed(block(model, None, 2, 5.0, seeds, 30)) == hexed(
                 seeded(reference, model, None, 2, 5.0, seeds, 30)), name
-            seeds = range(max(2 * ELEMENTS["avx2"] * VECTORS + 1, LANES))
+            seeds = range(max(2 * elements(built) * VECTORS + 1, LANES))
             assert hexed(block(model, (1.0, 2.0), 2, 1.0, seeds)) == hexed(
                 seeded(reference, model, (1.0, 2.0), 2, 1.0, seeds)), name
 
@@ -1832,7 +1850,7 @@ kernel.library = lambda: built
 model = get_model("model1")
 runs = [lambda: t.path_block(model, t.path_config(2, 1.0, max_steps=2 ** 70),
                              range(25))]
-if kernel.lanes(built) == "avx2":
+if kernel.lanes(built) != "baseline":
     runs.append(lambda: t.block(model, (1.0, 2.0), 2, 1.0, range(25),
                                 2 ** 70))
 for run in runs:
@@ -1848,15 +1866,17 @@ print("bounded")
 
 def test_a_lost_stop_ends_the_block(lib, tmp_path):
     # a build whose stop bits drop each vector's top element, at the width
-    # of the vector layer this host runs, and on "avx2" at the two-wide
-    # width too, built as NO_AVX2 so that it runs it: that element's path
+    # of the vector layer this host runs, and at each narrower width too,
+    # built as NO_AVX512 or NO_AVX2 so that it runs it: that element's path
     # or pair never ends, and stays at t_end.  In a fresh interpreter a
-    # block of paths, and on "avx2" one of model1 adaptive pairs, must end
-    # with the kernel-bug RuntimeError in seconds, at a budget (2**70,
-    # passed as 2**63 - 1) no element could spend first, rather than run on
-    width = elements(lib)
-    mutants = [(width, [])]
-    if kernel.lanes(lib) == "avx2":
+    # block of paths, and on "avx2" and "avx512" one of model1 adaptive
+    # pairs, must end with the kernel-bug RuntimeError in seconds, at a
+    # budget (2**70, passed as 2**63 - 1) no element could spend first,
+    # rather than run on
+    mutants = [(elements(lib), [])]
+    if kernel.lanes(lib) == "avx512":
+        mutants.append((ELEMENTS["avx2"], [NO_AVX512]))
+    if kernel.lanes(lib) != "baseline":
         mutants.append((ELEMENTS["baseline"], [NO_AVX2]))
     tests = os.path.dirname(os.path.abspath(__file__))
     for width, defined in mutants:

@@ -75,7 +75,7 @@ def test_against_its_own_source(tmp_path):
 def test_path_lanes_named():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    assert leg_step_ns.lanes(kernel.library()) in ("avx2", "baseline")
+    assert leg_step_ns.lanes(kernel.library()) in ("avx512", "avx2", "baseline")
 
 
 def test_prints_ns_with_two_decimals(monkeypatch, capsys):

@@ -51,9 +51,9 @@ from the older checkout, --against the newer source.  --rounds sets the
 rounds (default 7).  Times are printed in ns a unit with two decimals.
 
 The first line names the vector code of a block's paths and fixed-step
-pairs each kernel runs on this host (kernel.lanes): "avx2", four-wide,
-or "baseline", two-wide; which adaptive pairs it runs, the rule at
-_pair.c's tamsde_block says.
+pairs each kernel runs on this host (kernel.lanes): "avx512",
+eight-wide, "avx2", four-wide, or "baseline", two-wide; which adaptive
+pairs it runs, the rule at _pair.c's tamsde_block says.
 """
 
 import argparse
