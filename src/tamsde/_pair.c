@@ -1767,11 +1767,11 @@ const char *tamsde_lanes(void)
    and 0.2 as model2's coefficients take them on the widest vectors the
    host runs, eight- or four-wide, for i < n, a multiple of 8; returns how
    many of the 3 n powers were proven rather than pow's, or -1, writing
-   nothing, when the proven powers are off. */
+   nothing, when the proven powers are off or n is not such a multiple. */
 long long tamsde_powers(const double *x, long long n, double *out)
 {
 #ifdef PROVEN_POWERS
-    if (proven)
+    if (proven && n % AVX512_ELEMENTS == 0)
         return RUN_WIDE(powers_of, x, n, out);
 #endif
     (void)x;

@@ -1670,7 +1670,8 @@ def test_forced_off_probe_keeps_model2s_columns(lib, tmp_path, monkeypatch):
     built = kernel._open(str(tmp_path), so.name)
     assert built is not None and not proves(built)
     assert kernel.lanes(built) == kernel.lanes(lib)
-    model, seeds = get_model("model2"), range(5, 5 + 2 * 4 * VECTORS + 3)
+    model = get_model("model2")
+    seeds = range(5, 5 + 2 * elements(lib) * VECTORS + 3)
     config = path_config(2, 5.0)
     cases = [((1.0, 2.0), 2, seeds, 10 ** 8), ((1.0, 2.0), 3, seeds, 150),
              (None, 2, seeds, 10 ** 8)]
@@ -1725,7 +1726,8 @@ def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):
                 path_seeded(_path_loop, model, config, seeds)), name
             assert hexed(block(model, None, 2, 5.0, seeds, 30)) == hexed(
                 seeded(reference, model, None, 2, 5.0, seeds, 30)), name
-            seeds = range(max(2 * elements(built) * VECTORS + 1, LANES))
+            seeds = range(max(2 * max(ELEMENTS.values()) * VECTORS + 1,
+                              LANES))
             assert hexed(block(model, (1.0, 2.0), 2, 1.0, seeds)) == hexed(
                 seeded(reference, model, (1.0, 2.0), 2, 1.0, seeds)), name
 
