@@ -20,7 +20,7 @@
  *     draw takes its fast path, about 99% of draws, itself, with no branch
  *     on the random sign, on tables probed off numpy's function when the
  *     library is loaded (tamsde_init), and hands the rest to the function
- *     on a replay of the output (normal(), below).
+ *     on a replay of the outputs (batch() and normal(), below).
  *
  * The scheme's formulas (the coefficients of the three models, the tamed
  * product, the step rule of propose, scheme._due, the tamed-adaptive update
@@ -77,11 +77,13 @@
  * the seeds under way into the fewest vectors after each pass in which a
  * seed ended, and hands a pair block's last pairs, fewer than LANES and
  * each before t_end, to scalar lanes, so a long seed does not keep a
- * vector of idle elements stepping.  Of the draw's
- * state a lane or an element holds only its seed's Philox, which every draw
- * reads, the rare one off the ziggurat's fast path included.  The three
+ * vector of idle elements stepping.  A lane or an element reads its
+ * seed's normals off the seed's stream (struct stream): its Philox and the
+ * normals drawn ahead on it, in batches of its next blocks, which the
+ * eight-wide layer makes on one vector, the fast path of each output taken
+ * on vectors too.  The three
  * runners share one block protocol (struct block): take is the one cursor,
- * which hands out the block's next seed, seeding its Philox and stepping the
+ * which hands out the block's next seed, seeding its stream and stepping the
  * seed's 32-bit words by one, and record is the one writer of the caller's
  * columns, one array for each of the legs' states, the stop time, the legs'
  * step counts and the return code, into which it writes seed i's item i, and
@@ -115,7 +117,7 @@
  * the sums montecarlo's Python reduction takes, on a port of CPython's
  * math.fsum, so the row's bits are the same.
  *
- * tamsde_seed and tamsde_normals, the lanes' draw, tamsde_fsum, the port
+ * tamsde_seed and tamsde_normals, the streams' draw, tamsde_fsum, the port
  * of math.fsum, and tamsde_powers, model2's powers on the widest vectors
  * the host runs, are exported for the tests that check them against numpy
  * and Python; the structs are known only to this file (and to that test's
@@ -168,22 +170,17 @@ static uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
 }
 #endif
 
-/* numpy's philox_next: the next 64-bit output; a new block is the 10-round
-   Philox of the counter, which is incremented first, carrying word by word
-   as numpy does.  Each counter word is read back at the width it was
-   stored, one 64-bit word: a wider load of words just stored (a memcpy of
-   the counter compiles to 16-byte loads) cannot be forwarded from the
-   store buffer, so it waits for the stores to reach the cache, and every
-   fourth draw stalled on it.  The rounds run on four local words, written
-   to the buffer one at a time. */
-static uint64_t philox_next(void *st)
+/* numpy's next block of s: the counter incremented, carrying word by word
+   as numpy does, and its 10-round Philox, written to out.  Each counter
+   word is read back at the width it was stored, one 64-bit word: a wider
+   load of words just stored (a memcpy of the counter compiles to 16-byte
+   loads) cannot be forwarded from the store buffer, so it waits for the
+   stores to reach the cache.  The rounds run on four local words. */
+static void philox_block(struct philox *s, uint64_t *out)
 {
-    struct philox *s = st;
     uint64_t c0, c1, c2, c3, k0 = s->key[0], k1 = s->key[1], hi0, hi1, lo0,
              lo1;
     int i;
-    if (s->buffer_pos < 4)
-        return s->buffer[s->buffer_pos++];
     c0 = ++s->counter[0];
     c1 = s->counter[1];
     c2 = s->counter[2];
@@ -203,20 +200,22 @@ static uint64_t philox_next(void *st)
         c1 = lo1;
         c3 = lo0;
     }
-    s->buffer[0] = c0;
-    s->buffer[1] = c1;
-    s->buffer[2] = c2;
-    s->buffer[3] = c3;
-    s->buffer_pos = 1;
-    return c0;
+    out[0] = c0;
+    out[1] = c1;
+    out[2] = c2;
+    out[3] = c3;
 }
 
-/* philox_next, with the read of a buffered output inline: the vector
-   lanes' draw and tamsde_normals call philox_next only to refill the
-   buffer, every fourth draw */
-static inline uint64_t philox_read(struct philox *s)
+/* numpy's philox_next: the next 64-bit output, off the buffer, which a
+   new block refills when every output of it is read */
+static uint64_t philox_next(void *st)
 {
-    return s->buffer_pos < 4 ? s->buffer[s->buffer_pos++] : philox_next(s);
+    struct philox *s = st;
+    if (s->buffer_pos == 4) {
+        philox_block(s, s->buffer);
+        s->buffer_pos = 0;
+    }
+    return s->buffer[s->buffer_pos++];
 }
 
 /* the next_uint32 slot, which numpy's normal never calls: a numpy that
@@ -313,36 +312,30 @@ void tamsde_seed(struct philox *rng, const unsigned char *seed, size_t n_words)
 static uint64_t ki[256];
 static double wi[256];
 
-/* A bit generator whose first output is first, already drawn on rng, and
-   which draws every later output and double on rng itself */
+/* A bit generator that reads the outputs from next up to end, drawn
+   already on rng and not yet used, and then draws on rng itself */
 struct replay {
-    uint64_t first;
-    int drawn;
+    const uint64_t *next, *end;
     struct philox *rng;
 };
 
 static uint64_t replay_next(void *st)
 {
     struct replay *p = st;
-    if (!p->drawn) {
-        p->drawn = 1;
-        return p->first;
-    }
-    return philox_next(p->rng);
+    return p->next < p->end ? *p->next++ : philox_next(p->rng);
 }
 
 static double replay_double(void *st)
 {
-    return philox_double(((struct replay *)st)->rng);
+    return (double)(replay_next(st) >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/* numpy's function on a replay of r, rng's output drawn last: the draws
-   after r are rng's, as numpy's would be, and rng is left as numpy's
-   draws leave it */
-static double replay(uint64_t r, struct philox *rng)
+/* numpy's function on the replay p: the draws after its outputs are
+   rng's, as numpy's would be, and rng is left as numpy's draws leave it;
+   p->next is left at the first output it did not read */
+static double replay(struct replay *p)
 {
-    struct replay p = {r, 0, rng};
-    bitgen_t again = {&p, replay_next, philox_abort32, replay_double,
+    bitgen_t again = {p, replay_next, philox_abort32, replay_double,
                       replay_next};
     return random_standard_normal(&again);
 }
@@ -365,21 +358,12 @@ static inline int ziggurat(uint64_t r, double *x)
 }
 
 /* numpy's normal on Philox rng when rng's next output is r, which is
-   drawn already: r's normal on the fast path, else a replay of r; a
-   block's lane draws r on its own Philox inline (philox_next, or
-   philox_read in a vector) */
-static inline double normal(uint64_t r, struct philox *rng)
+   drawn already: r's normal on the fast path, else a replay of r */
+static double normal(uint64_t r, struct philox *rng)
 {
+    struct replay p = {&r, &r + 1, rng};
     double x;
-    return ziggurat(r, &x) ? x : replay(r, rng);
-}
-
-/* out = the next n normals of rng, as Generator.standard_normal(n) */
-void tamsde_normals(struct philox *rng, double *out, long long n)
-{
-    long long i;
-    for (i = 0; i < n; i++)
-        out[i] = normal(philox_read(rng), rng);
+    return ziggurat(r, &x) ? x : replay(&p);
 }
 
 /* numpy's normal of the output with strip idx, sign bit 0 and rabs, on a
@@ -389,7 +373,9 @@ void tamsde_normals(struct philox *rng, double *out, long long n)
 static double probe(unsigned idx, uint64_t rabs, int *fast)
 {
     struct philox rng = {{0}, {0}, {0}, 4};
-    double x = replay(rabs << 9 | idx, &rng);
+    uint64_t r = rabs << 9 | idx;
+    struct replay p = {&r, &r + 1, &rng};
+    double x = replay(&p);
     *fast = rng.counter[0] == 0;
     return x;
 }
@@ -640,6 +626,254 @@ static inline void powers_d(double x, double *half, double *p12, double *p02)
     *p02 = powabs_d(x, 0.2);
 }
 
+/* --- a seed's normals, drawn ahead -------------------------------------- */
+
+/* Every runner reads a seed's normals off its stream (struct stream): the
+   seed's Philox, the normals drawn ahead on it, up to BATCH of them, and
+   the next one to read.  An empty stream draws a batch, out of line
+   (refill): the outputs left in the Philox's buffer, then its next
+   BATCH_BLOCKS blocks (blocks), each output's normal taken on numpy's fast
+   path where it is, and every other output handed to numpy's function on
+   a replay of the batch's outputs not yet used, then of the Philox; so
+   the stream's normals, and its Philox's state, are numpy's, in order.
+   Philox is counter-based: the blocks of one key at consecutive counters
+   are independent, so the eight-wide layer makes a batch's blocks, as
+   many as its elements, as one vector, one block to an element, each 64 x
+   64-bit product made of four 32 x 32-bit ones (_mm512_mul_epu32); every
+   other build makes them one at a time (philox_block), as does any build
+   for a counter whose low word is within BATCH_BLOCKS of its wrap, whose
+   carry numpy takes word by word.  On the four- and eight-wide layers the
+   fast path (ziggurat()'s) is a gather of ki and wi, a compare and a
+   multiply of four or eight outputs at once.  A seed that starts has an
+   empty stream (take), so its first normal draws a whole batch.
+   Against normals drawn one at a time (philox_next and ziggurat() inline
+   in each draw), tools/leg_step_ns.py read moments-long at 0.71 of the
+   time a leg-step, compare-smooth/tam at 0.74, compare-smooth/tm at 0.84
+   and rate-rough at 0.91 on the eight-wide layer, 0.85, 0.94, 0.86 and
+   0.95 on the four-wide one, and every row of the two-wide build within
+   its IQR of 1.00 (21 rounds, 2-core Intel Xeon with AVX-512, gcc 12); a
+   buffer filled one draw at a time gains little (ROADMAP, Rejected). */
+#define BATCH_BLOCKS 8
+#define BATCH (4 + 4 * BATCH_BLOCKS)
+
+struct stream {
+    struct philox rng;
+    double normal[BATCH];
+    int next, n;
+};
+
+#ifdef WIDE
+typedef unsigned long long vu4 __attribute__((vector_size(8 * AVX2_ELEMENTS)));
+typedef unsigned long long vu8
+    __attribute__((vector_size(8 * AVX512_ELEMENTS)));
+
+/* ki and wi at each element's strip, on four- and eight-wide vectors */
+AVX2 static inline vmask4 ki_v4(vu4 strip)
+{
+    return (vmask4)_mm256_i64gather_epi64((const long long *)ki,
+                                          (__m256i)strip, 8);
+}
+
+AVX2 static inline vec4 wi_v4(vu4 strip)
+{
+    return (vec4)_mm256_i64gather_pd(wi, (__m256i)strip, 8);
+}
+
+AVX512 static inline vmask8 ki_v8(vu8 strip)
+{
+    return (vmask8)_mm512_i64gather_epi64((__m512i)strip, ki, 8);
+}
+
+AVX512 static inline vec8 wi_v8(vu8 strip)
+{
+    return (vec8)_mm512_i64gather_pd((__m512i)strip, wi, 8);
+}
+
+/* ziggurat() of each of the W outputs r[0..W) into x[0..W), every one of
+   them written, on a vector of W words, vu, of doubles, vec, and of masks,
+   vmask, with the attributes A; returns the bits of those on the fast
+   path, bit e for r[e].  rabs < 2**52 converts exactly as 2**52 + rabs,
+   its bits beside the exponent of 2**52, less 2**52, so no 64-bit integer
+   conversion is needed, which AVX2 lacks. */
+#define FAST(vu, vec, vmask, V, A)                                            \
+A static inline unsigned fast_##V(const uint64_t *r, double *x)              \
+{                                                                             \
+    vu o, rabs, strip;                                                        \
+    vec v;                                                                    \
+    memcpy(&o, r, sizeof o);                                                  \
+    rabs = o >> 9 & 0xfffffffffffffu;                                         \
+    strip = o & 0xff;                                                         \
+    v = ((vec)(rabs | 0x4330000000000000u) - 0x1p52) * wi_##V(strip);         \
+    v = (vec)((vu)v ^ (o << 55 & 0x8000000000000000u));                       \
+    memcpy(x, &v, sizeof v);                                                  \
+    return bits_##V((vmask)rabs < ki_##V(strip));                             \
+}
+
+FAST(vu4, vec4, vmask4, v4, AVX2)
+FAST(vu8, vec8, vmask8, v8, AVX512)
+
+/* the 64-bit product of the low 32 bits of each element of a and b */
+AVX512 static inline vu8 mul32_v8(vu8 a, vu8 b)
+{
+    return (vu8)_mm512_mul_epu32((__m512i)a, (__m512i)b);
+}
+
+/* mulhilo in each element of b, by a: its four 32 x 32-bit products */
+AVX512 static inline vu8 mulhilo_v8(uint64_t a, vu8 b, vu8 *hi)
+{
+    vu8 a0 = (vu8)EACH8(SAME, a), a1 = a0 >> 32, b1 = b >> 32,
+        p00 = mul32_v8(a0, b), t = mul32_v8(a1, b) + (p00 >> 32),
+        u = mul32_v8(a0, b1) + (t & 0xffffffffu);
+    *hi = mul32_v8(a1, b1) + (t >> 32) + (u >> 32);
+    return u << 32 | (p00 & 0xffffffffu);
+}
+
+/* element e of the vector of the counters after a */
+#define AFTER(a, e) ((a) + (e) + 1)
+
+/* The eight blocks of s after its counter, as philox_block makes them, one
+   to an element, their outputs into r[0..32) in order and their fast_v8
+   into x; returns the bits of the fast ones, bit i for r[i].  The
+   counter's low word must not wrap. */
+AVX512 static uint64_t blocks_v8(struct philox *s, uint64_t *r, double *x)
+{
+    /* elements 0-3 and 4-7 of two words interleaved, then the words of two
+       blocks at a time */
+    const __m512i low = _mm512_set_epi64(11, 3, 10, 2, 9, 1, 8, 0),
+                  high = _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4),
+                  first = _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0),
+                  second = _mm512_set_epi64(15, 14, 7, 6, 13, 12, 5, 4);
+    vu8 c0 = (vu8)EACH8(AFTER, s->counter[0]),
+        c1 = (vu8)EACH8(SAME, s->counter[1]),
+        c2 = (vu8)EACH8(SAME, s->counter[2]),
+        c3 = (vu8)EACH8(SAME, s->counter[3]), hi0, hi1, lo0, lo1;
+    __m512i a, b, c, d, w[4];
+    uint64_t k0 = s->key[0], k1 = s->key[1], fast = 0;
+    int i;
+    for (i = 0; i < 10; i++) {
+        if (i > 0) {  /* bump the key */
+            k0 += 0x9E3779B97F4A7C15u;
+            k1 += 0xBB67AE8584CAA73Bu;
+        }
+        lo0 = mulhilo_v8(0xD2E7470EE14C6C93u, c0, &hi0);
+        lo1 = mulhilo_v8(0xCA5A826395121157u, c2, &hi1);
+        c0 = hi1 ^ c1 ^ k0;
+        c2 = hi0 ^ c3 ^ k1;
+        c1 = lo1;
+        c3 = lo0;
+    }
+    a = _mm512_permutex2var_epi64((__m512i)c0, low, (__m512i)c1);
+    b = _mm512_permutex2var_epi64((__m512i)c2, low, (__m512i)c3);
+    c = _mm512_permutex2var_epi64((__m512i)c0, high, (__m512i)c1);
+    d = _mm512_permutex2var_epi64((__m512i)c2, high, (__m512i)c3);
+    w[0] = _mm512_permutex2var_epi64(a, first, b);
+    w[1] = _mm512_permutex2var_epi64(a, second, b);
+    w[2] = _mm512_permutex2var_epi64(c, first, d);
+    w[3] = _mm512_permutex2var_epi64(c, second, d);
+    memcpy(r, w, sizeof w);
+    for (i = 0; i < 4; i++)
+        fast |= (uint64_t)fast_v8(r + 8 * i, x + 8 * i) << 8 * i;
+    s->counter[0] += 8;
+    memcpy(s->buffer, r + 28, sizeof s->buffer);
+    return fast;
+}
+
+/* fast_v4 of each of the 4 BATCH_BLOCKS outputs r, into x, and the bits of
+   the fast ones */
+AVX2 static uint64_t fasts_v4(const uint64_t *r, double *x)
+{
+    uint64_t fast = 0;
+    int i;
+    for (i = 0; i < 4 * BATCH_BLOCKS; i += AVX2_ELEMENTS)
+        fast |= (uint64_t)fast_v4(r + i, x + i) << i;
+    return fast;
+}
+#endif
+
+/* The next BATCH_BLOCKS blocks of s, as philox_block makes them, their
+   outputs into r and ziggurat() of each into x; returns the bits of those
+   on the fast path, bit i for r[i].  s's buffer is left holding the last
+   block, every output of it read, as numpy's is.  The eight-wide layer
+   makes the blocks on one vector, unless the counter's low word would
+   wrap; the four-wide one takes the fast path on vectors of the blocks
+   made one at a time: its Philox on two four-wide passes read 5.2-5.4 ns
+   an output in a C microbenchmark, against 3.6-3.7 for this and 4.4-4.5
+   for one block and one output at a time (the eight-wide vector 3.1-3.2;
+   2-core Intel Xeon with AVX-512, gcc 12). */
+static uint64_t blocks(struct philox *s, uint64_t *r, double *x)
+{
+    uint64_t fast = 0;
+    int i;
+#ifdef WIDE
+    if (avx512 && s->counter[0] <= UINT64_MAX - BATCH_BLOCKS)
+        return blocks_v8(s, r, x);
+#endif
+    for (i = 0; i < BATCH_BLOCKS; i++)
+        philox_block(s, r + 4 * i);
+    memcpy(s->buffer, r + 4 * BATCH_BLOCKS - 4, sizeof s->buffer);
+#ifdef WIDE
+    if (avx2)
+        return fasts_v4(r, x);
+#endif
+    for (i = 0; i < 4 * BATCH_BLOCKS; i++)
+        fast |= (uint64_t)ziggurat(r[i], &x[i]) << i;
+    return fast;
+}
+
+/* The next normals of s, as numpy's normal draws them, into normal: one
+   for each output left in s's buffer and of its next BATCH_BLOCKS blocks,
+   or fewer where numpy's function, off the fast path, reads more than one
+   output (reading on into s past the batch's last); returns how many, at
+   most BATCH.  s is left as numpy's draws leave it. */
+static int batch(struct philox *s, double *normal)
+{
+    uint64_t r[BATCH], fast = 0;
+    int left = 4 - s->buffer_pos, n = left + 4 * BATCH_BLOCKS, i, k;
+    for (i = 0; i < left; i++) {
+        r[i] = s->buffer[s->buffer_pos++];
+        fast |= (uint64_t)ziggurat(r[i], &normal[i]) << i;
+    }
+    fast |= blocks(s, r + left, normal + left) << left;
+    if (fast == ((uint64_t)1 << n) - 1)
+        return n;
+    /* from the first output off the fast path on, numpy's function on each
+       such, and the fast ones after the outputs it read moved up */
+    for (i = k = __builtin_ctzll(~fast); i < n;) {
+        struct replay p = {r + i, r + n, s};
+        normal[k++] = replay(&p);
+        for (i = (int)(p.next - r); i < n && fast >> i & 1; i++)
+            normal[k++] = normal[i];
+    }
+    return k;
+}
+
+/* s's next batch, which empties it; out of line, so the runners'
+   passes hold only the read */
+static __attribute__((noinline)) void refill(struct stream *s)
+{
+    s->n = batch(&s->rng, s->normal);
+    s->next = 0;
+}
+
+/* numpy's next normal on s's Philox */
+static inline double draw(struct stream *s)
+{
+    if (s->next == s->n)
+        refill(s);
+    return s->normal[s->next++];
+}
+
+/* out = the next n normals of rng, as Generator.standard_normal(n): in
+   batches, then one at a time, so rng ends where numpy's does */
+void tamsde_normals(struct philox *rng, double *out, long long n)
+{
+    long long i = 0;
+    while (n - i >= BATCH)
+        i += batch(rng, out + i);
+    for (; i < n; i++)
+        out[i] = normal(philox_next(rng), rng);
+}
+
 /* --- the scheme ---------------------------------------------------------- */
 
 enum { MODEL1, MODEL2, GBM };
@@ -809,11 +1043,11 @@ FORMULAS(double, d, long long, )
 /* --- one adaptive pair in flight: a lane --------------------------------- */
 
 /* A tamed-adaptive pair's run: its legs (index 0 the fine leg, 1 the
-   coarse), its own Philox, t, the merged timeline's time, and the seed's
-   index in its block. */
+   coarse), its own stream of normals, t, the merged timeline's time, and
+   the seed's index in its block. */
 struct lane {
     struct leg_d leg[2];
-    struct philox rng;
+    struct stream s;
     double t;
     long long i;
 };
@@ -833,21 +1067,18 @@ static int pair_end(double x_f, double x_c)
    Returns RUNNING while the pair goes on; else DONE, or FINE_STOP or
    COARSE_STOP for the leg that cannot go on or ends non-finite.  A pair
    starts with t = 0 before t_end, so its first event is always run.  It
-   is compiled in one piece (flatten): the lane's Philox step and both
-   calls of fire_d are inlined, so each copy of fire_d works on its leg at
-   a fixed offset in the lane, and only pow and numpy's normal off its
-   fast path are called.  With fire and philox_next called out of line,
-   as gcc 12 left them, an adaptive model1 leg-step took 1.15 times as
-   long (2-core AMD EPYC).  philox_next is also compiled on its own:
-   replay's bit generator, which numpy's normal calls through a pointer,
-   and the vector runners call it to refill a Philox's buffer
-   (philox_read). */
+   is compiled in one piece (flatten): the read of the lane's stream and
+   both calls of fire_d are inlined, so each copy of fire_d works on its
+   leg at a fixed offset in the lane, and only pow and the stream's refill
+   are called.  With fire and the draw called out of line, as gcc 12 left
+   them, an adaptive model1 leg-step took 1.15 times as long (2-core AMD
+   EPYC). */
 static __attribute__((flatten)) int pair_event(const struct pair *p,
                                                struct lane *l)
 {
     struct leg_d *f = &l->leg[0], *c = &l->leg[1];
     double t = f->due < c->due ? f->due : c->due;
-    double dz = sqrt(t - l->t) * normal(philox_next(&l->rng), &l->rng);
+    double dz = sqrt(t - l->t) * draw(&l->s);
     pend_d(&f->pw, &f->pc, dz);
     pend_d(&c->pw, &c->pc, dz);
     l->t = t;
@@ -877,18 +1108,19 @@ struct block {
     long long stopped;
 };
 
-/* The index of the block's next seed, with rng that seed's Philox, and
-   the seed's words stepped to the next integer; -1, and rng untouched,
-   when every seed has started.  A carry out of the top word makes the
+/* The index of the block's next seed, with s that seed's stream, its
+   Philox seeded and no normal drawn, and the seed's words stepped to the
+   next integer; -1, and s untouched, when every seed has started.  A carry out of the top word makes the
    words one longer, so seed has room for one more word, zeroed; stepping
    from a block's first seed to the integer after its last carries out of
    the top word at most once, as a block has fewer than 2**63 seeds. */
-static long long take(struct block *b, struct philox *rng)
+static long long take(struct block *b, struct stream *s)
 {
     size_t i;
     if (b->next == b->n)
         return -1;
-    tamsde_seed(rng, b->seed, b->n_words);
+    tamsde_seed(&s->rng, b->seed, b->n_words);
+    s->next = s->n = 0;
     for (i = 0; i < 4 * b->n_words; i++)
         if (++b->seed[i] != 0)
             return b->next++;
@@ -934,7 +1166,7 @@ static int begin(struct lane *l, const struct leg_d *first, struct block *b)
 {
     memcpy(l->leg, first, sizeof l->leg);
     l->t = 0.0;
-    return (l->i = take(b, &l->rng)) >= 0;
+    return (l->i = take(b, &l->s)) >= 0;
 }
 
 /* Each of the block's tamed-adaptive pairs of p, from the legs first, in
@@ -1004,19 +1236,21 @@ struct tick {
        duration dt, which is a generation's, one for every element.
      begin_leg_V: element e of the legs g, as first is.
      struct seeds_V: the seeds of a vector's elements: each element's
-       Philox and the index in the block of its seed, or -1 for an
+       stream and the index in the block of its seed, or -1 for an
        element with none, which steps with no noise and is not read.
      idle_V: 1 when no element has a seed.
      lane_normal_V and lane_normals_V: element e's normal, and the vector
-       of every element's: each its next on its own Philox, the output
-       read straight off its buffer (philox_read), or 0 for an element
-       with no seed.  The vector is built from an initializer: built by
+       of every element's: each the next off its own stream (draw), or 0
+       for an element with no seed.  The vector is built from an
+       initializer: built by
        a store into each element, the portable two-wide paths took ~1.05
        times as long.
      struct fixed_lanes_V: W fixed-step pairs in flight: each leg's state,
        the coefficients tm_propose_V keeps and the Kahan pair of its
        pending increment (index 0 the fine leg, 1 the coarse), and their
-       seeds; an element whose seed is over has none.
+       seeds; an element whose seed is over has none.  A generation's
+       vectors start as the legs of first, copied without its seeds, as
+       each element's stream is its own.
      run_fixed_V: each of the block's fixed-step pairs, from p's x0 and
        base steps, in generations of up to W VECTORS seeds, W to a vector,
        all started at t = 0.  A fixed-step leg's clock does not depend on
@@ -1037,7 +1271,7 @@ struct tick {
        the moments-long row of tools/leg_step_ns.py took ~1.006 times as
        long (2-core AMD EPYC, gcc 12), for no change in the code it runs.
      lane_of_V and set_lane_V: element e of l as a scalar lane, its legs,
-       Philox, time and seed's index, and back, so a seed moves between
+       stream, time and seed's index, and back, so a seed moves between
        elements and lanes with its operations unchanged.
      begin_legs_V: starts element e of l on the block's next seed, or
        none, at time 0 with its legs as first (a path's second leg is not
@@ -1172,7 +1406,7 @@ A static inline void begin_leg_##V(struct leg_##V *g, int e,                 \
     g->steps[e] = first->steps;                                              \
 }                                                                            \
 struct seeds_##V {                                                           \
-    struct philox rng[W];                                                    \
+    struct stream s[W];                                                      \
     long long i[W];                                                          \
 };                                                                           \
 A static inline int idle_##V(const struct seeds_##V *k)                      \
@@ -1185,7 +1419,7 @@ A static inline int idle_##V(const struct seeds_##V *k)                      \
 }                                                                            \
 A static inline double lane_normal_##V(struct seeds_##V *k, int e)           \
 {                                                                            \
-    return k->i[e] >= 0 ? normal(philox_read(&k->rng[e]), &k->rng[e]) : 0.0; \
+    return k->i[e] >= 0 ? draw(&k->s[e]) : 0.0;                              \
 }                                                                            \
 A static inline vec lane_normals_##V(struct seeds_##V *k)                    \
 {                                                                            \
@@ -1201,8 +1435,13 @@ A static void run_fixed_##V(const struct pair *p, struct block *b)           \
     vec m, s, q, x0 = splat_##V(p->x0);                                      \
     int n_live, k, e, j;                                                     \
     tm_propose_##V(p->model, x0, &m, &s, &q);                                \
-    first = (struct fixed_lanes_##V){.x = {x0, x0}, .m = {m, m},             \
-                                     .s = {s, s}, .q = {q, q}};              \
+    for (j = 0; j < 2; j++) {  /* the legs; the seeds are each its own */    \
+        first.x[j] = x0;                                                     \
+        first.m[j] = m;                                                      \
+        first.s[j] = s;                                                      \
+        first.q[j] = q;                                                      \
+        first.pw[j] = first.pc[j] = splat_##V(0.0);                          \
+    }                                                                        \
     while (b->next < b->n) {                                                 \
         struct tick c[2] = {                                                 \
             {p->delta[0], 0.0, due_d(0.0, p->delta[0], p->t_end), 0},        \
@@ -1210,9 +1449,9 @@ A static void run_fixed_##V(const struct pair *p, struct block *b)           \
         double t = 0.0;                                                      \
         for (n_live = 0; n_live < VECTORS && b->next < b->n; n_live++) {     \
             struct fixed_lanes_##V *l = live[n_live] = &lanes[n_live];       \
-            *l = first;                                                      \
+            memcpy(l, &first, offsetof(struct fixed_lanes_##V, k));          \
             for (e = 0; e < W; e++)                                          \
-                l->k.i[e] = take(b, &l->k.rng[e]);                           \
+                l->k.i[e] = take(b, &l->k.s[e]);                             \
         }                                                                    \
         while (n_live > 0) {                                                 \
             double t_next = c[0].due < c[1].due ? c[0].due : c[1].due;       \
@@ -1296,7 +1535,7 @@ A static inline struct lane lane_of_##V(const struct leg_lanes_##V *l, int e) \
                           g->q[e], g->pw[e], g->pc[e], g->steps[e]};         \
         n.leg[j] = d;                                                        \
     }                                                                        \
-    n.rng = l->k.rng[e];                                                     \
+    n.s = l->k.s[e];                                                         \
     n.t = l->t[e];                                                           \
     n.i = l->k.i[e];                                                         \
     return n;                                                                \
@@ -1306,7 +1545,7 @@ A static inline void set_lane_##V(struct leg_lanes_##V *l, int e,            \
 {                                                                            \
     begin_leg_##V(&l->leg[0], e, &n->leg[0]);                                \
     begin_leg_##V(&l->leg[1], e, &n->leg[1]);                                \
-    l->k.rng[e] = n->rng;                                                    \
+    l->k.s[e] = n->s;                                                        \
     l->t[e] = n->t;                                                          \
     l->k.i[e] = n->i;                                                        \
 }                                                                            \
@@ -1317,7 +1556,7 @@ A static inline void begin_legs_##V(struct leg_lanes_##V *l, int e,          \
     begin_leg_##V(&l->leg[0], e, &first[0]);                                 \
     begin_leg_##V(&l->leg[1], e, &first[1]);                                 \
     l->t[e] = 0.0;                                                           \
-    l->k.i[e] = take(b, &l->k.rng[e]);                                       \
+    l->k.i[e] = take(b, &l->k.s[e]);                                         \
 }                                                                            \
 A static int pack_##V(struct leg_lanes_##V **live, int *n_live)              \
 {                                                                            \

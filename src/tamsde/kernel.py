@@ -35,7 +35,7 @@ step of its paths or one event of its pairs, and a seed that is over is
 replaced by the block's next seed.  Once every seed has started, the
 vector runner packs the seeds under way into the fewest vectors after
 each pass in which one ended, and hands a pair block's last few, fewer
-than the lanes, to scalar lanes, each with its state, Philox and time, so
+than the lanes, to scalar lanes, each with its state, stream and time, so
 a long seed of a heavy step tail does not keep a vector of idle elements
 stepping.  Fixed-step
 pairs run in generations of up to three vectors' seeds started together:
@@ -61,14 +61,20 @@ adaptive vector runner, when an element ran past its step budget, which
 no seed's run does, or stayed at t_end with its stop lost, ends the
 block: tamsde_block returns -1 and run_block raises RuntimeError, a bug
 of the kernel, naming both causes, rather than looping on.  Each seed
-draws numpy's normal on its own Philox: it takes the ziggurat's fast
-path itself, with no branch on the random sign, and hands every other
-output to numpy's random_standard_normal on a bit generator that replays
-it first.  The fast path's tables are not copied from numpy but probed
-off numpy's function (tamsde_init), once per process, when _open loads a
-build and before any block runs; the probe checks them on a fixed stream
-of normals against numpy's function and, should one bit differ, leaves
-every draw to it.
+reads numpy's normals off a stream of its own, drawn ahead on its Philox
+in batches: the outputs left in the Philox's buffer and its next eight
+blocks, made as one eight-wide vector on an AVX-512 host (Philox is
+counter-based, so consecutive blocks are independent) and one at a time
+elsewhere, and the normal of each output, on the ziggurat's fast path
+taken by the kernel itself on vectors of four or eight outputs on an
+AVX2 host, with no branch on the random sign, and by numpy's
+random_standard_normal for every other output, on a bit generator that
+replays the batch's outputs not yet used and then draws on the Philox,
+so the stream's normals and the Philox's state are numpy's.  The fast
+path's tables are not copied from numpy but probed off numpy's function
+(tamsde_init), once per process, when _open loads a build and before any
+block runs; the probe checks them on a fixed stream of normals against
+numpy's function and, should one bit differ, leaves every draw to it.
 
 model2's coefficients take |x| ** 0.5, 1.2 and 0.2, which CPython's **
 and the lanes take from libm's pow.  On the four- and eight-wide vectors,

@@ -1282,6 +1282,25 @@ def generator_mismatches(built, seeds, n):
     return bad
 
 
+def counter_carries(built, words):
+    """Check built's normals, three batches' worth, and the Philox's state
+    they leave against numpy's, from counters 1, 2, BATCH_BLOCKS and
+    BATCH_BLOCKS + 1 short of a carry out of the low words."""
+    key = 2 ** 100 + 9
+    for short in (1, 2, BATCH_BLOCKS, BATCH_BLOCKS + 1):
+        counter = 2 ** (64 * words) - short
+        want = np.random.Philox(key=key, counter=counter)
+        rng = Philox(counter=uint64_words(counter, 4),
+                     key=uint64_words(key, 2), buffer_pos=4)
+        got = c_normals(built, rng, 3 * BATCH)
+        assert got.tobytes() == np.random.Generator(want).standard_normal(
+            3 * BATCH).tobytes(), short
+        state = want.state
+        assert (tuple(rng.counter), tuple(rng.buffer), rng.buffer_pos) == (
+            tuple(state["state"]["counter"].tolist()),
+            tuple(state["buffer"].tolist()), state["buffer_pos"]), short
+
+
 class TestGenerator:
     def test_seeds_and_normals_match_numpy(self, lib):
         seeds = generator_seeds()
@@ -1294,16 +1313,11 @@ class TestGenerator:
     @pytest.mark.parametrize("words", [1, 2, 3, 4])
     def test_counter_carries(self, lib, words):
         # a counter whose low words are all ones carries into the next word
-        # when the next block is made
-        counter, key = 2 ** (64 * words) - 1, 2 ** 100 + 9
-        want = np.random.Philox(key=key, counter=counter)
-        rng = Philox(counter=uint64_words(counter, 4),
-                     key=uint64_words(key, 2), buffer_pos=4)
-        got = c_normals(lib, rng, 40)
-        assert got.tobytes() == np.random.Generator(want).standard_normal(
-            40).tobytes()
-        assert tuple(rng.counter) == tuple(
-            want.state["state"]["counter"].tolist())
+        # when the next block is made; one within BATCH_BLOCKS of that
+        # carry makes a batch's blocks one at a time, one just short of it
+        # on the vector, and either way each draw and the Philox's state are
+        # numpy's
+        counter_carries(lib, words)
 
 
 # --- the kernel's draw on numpy's rare paths --------------------------------
@@ -1464,6 +1478,72 @@ class TestRareDraws:
             tails += int(np.count_nonzero(np.abs(z) > TAIL))
             wedges += int(np.count_nonzero(np.isin(z, x[off])))
         assert tails > 100 and wedges > 1000, (tails, wedges)
+
+
+# --- the kernel's batches of normals ----------------------------------------
+
+# A seed's stream draws its normals ahead in batches (_pair.c's batch): the
+# outputs left in its Philox's buffer, up to 4, then the Philox's next
+# BATCH_BLOCKS blocks, made on one vector on "avx512", each output's fast
+# path taken on vectors of 4 or 8 outputs on "avx2" and "avx512", and every
+# other output handed to numpy's function on a replay of the batch's
+# outputs not yet used, which reads on into the Philox past the batch's
+# last.  tamsde_normals, which these tests call, runs batches while BATCH
+# or more normals are wanted, then draws one at a time.
+BATCH_BLOCKS = int(re.search(r"#define BATCH_BLOCKS (\d+)", _text).group(1))
+BATCH = 4 + 4 * BATCH_BLOCKS
+
+
+@functools.lru_cache(maxsize=None)
+def rare_in_blocks():
+    """{(case, word): i} for each case off numpy's fast path ("tail" or
+    "wedge", with its sign bit) and each word of a block: the index i of
+    such an output among those of a Philox at DRAW_KEY from counter 0, in
+    a block after the first BATCH_BLOCKS, so that a batch from counter
+    i // 4 - j, for j < BATCH_BLOCKS, reads it at position i % 4 + 4 j of
+    its blocks' outputs."""
+    ki = numpy_tables()[0]
+    raw = np.random.Philox(key=DRAW_KEY, counter=0).random_raw(2 ** 20)
+    strip, sign = raw & 0xff, raw >> 8 & 1
+    found = {}
+    for i in np.flatnonzero((raw >> 9 & RABS) >= ki[strip]).tolist():
+        case = "tail" if strip[i] == 0 else "wedge"
+        if i >= 4 * BATCH_BLOCKS:
+            found.setdefault((f"{case}, sign {sign[i]}", i % 4), i)
+    return found
+
+
+def check_batches(built):
+    """Check built's normals and the Philox's state they leave against
+    numpy's (same_draws): at lengths across the batches' edges, from each
+    buffer position; with each case off the fast path (a tail and a wedge
+    of either sign) at every position of a batch's blocks, so at every
+    element of a vector of outputs of either width, the last position, whose
+    replay reads on into the Philox, included; with each of rare_outputs()
+    left in the buffer, read first, before a batch's blocks; and from
+    counters near a carry (counter_carries)."""
+    rest = np.random.Philox(5).random_raw(4).tolist()
+    for buffer_pos in range(5):
+        for n in (0, 1, BATCH - 1, *range(BATCH, 2 * BATCH + 2), 5 * BATCH):
+            same_draws(built, DRAW_COUNTER, rest, buffer_pos, n)
+    found, positions = rare_in_blocks(), set()
+    assert len(found) == 2 * 2 * 4
+    for (case, word), i in found.items():
+        for j in range(BATCH_BLOCKS):
+            same_draws(built, i // 4 - j, rest, 4, BATCH + 4)
+            positions.add(word + 4 * j)
+    assert positions == set(range(4 * BATCH_BLOCKS))
+    for buffer_pos in (1, 2, 3):
+        for case, r, fast in rare_outputs():
+            buffer = list(rest)
+            buffer[buffer_pos] = r
+            same_draws(built, DRAW_COUNTER, buffer, buffer_pos, BATCH + 4)
+    for words in (1, 2, 3, 4):
+        counter_carries(built, words)
+
+
+def test_batches_are_numpys_draws(lib):
+    check_batches(lib)
 
 
 def c_fsum(built, values):
@@ -1692,10 +1772,10 @@ def test_forced_off_probe_keeps_model2s_columns(lib, tmp_path, monkeypatch):
 def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):
     # each build of BUILDS under strict pedantic C99 warnings must load
     # with every symbol resolved, export the kernel's functions, report
-    # its path lanes, seed and draw numpy's normals on its port, and run
-    # blocks of paths, of fixed-step pairs and of adaptive pairs, large
-    # enough for the vector runners to refill and pack, as the Python loops
-    # do
+    # its path lanes, seed and draw numpy's normals on its port, its
+    # batches included, and run blocks of paths, of fixed-step pairs and
+    # of adaptive pairs, large enough for the vector runners to refill and
+    # pack, as the Python loops do
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
@@ -1719,6 +1799,7 @@ def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):
                      "tamsde_path", "tamsde_free"):
             assert not hasattr(built, gone)
         assert generator_mismatches(built, generator_seeds()[::20], 1030) == []
+        check_batches(built)
         monkeypatch.setattr(kernel, "library", lambda: built)
         for model in map(get_model, MODELS):
             config, seeds = path_config(2, 5.0, max_steps=150), range(7)
@@ -1749,6 +1830,7 @@ assert built is not None
 assert built.tamsde_init() == 1
 kernel.library = lambda: built
 assert t.generator_mismatches(built, t.generator_seeds()[::10], 1030) == []
+t.check_batches(built)
 for name in t.MODELS:
     # finished runs, runs stopped by their budget, and runs from a start
     # that overflows at once (with a budget: the steps of model2 and gbm
@@ -1812,20 +1894,21 @@ print("clean")
 """
 
 
-def test_no_undefined_behaviour(tmp_path):
-    # each build of BUILDS with the undefined-behaviour sanitizer,
-    # aborting at the first report; in a fresh interpreter each build must
-    # draw numpy's normals and run pairs and paths as the Python loops do
+def sanitized_runs(tmp_path, sanitize, env):
+    """Build each of BUILDS with the sanitizer flags sanitize and, in a
+    fresh interpreter with env beside the environment, run
+    UNDEFINED_BEHAVIOUR_RUNS on it: each build must draw numpy's normals
+    and run pairs and paths as the Python loops do.  Skips where cc cannot
+    link the sanitizer."""
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler on PATH")
-    sanitize = ["-fsanitize=undefined", "-fno-sanitize-recover=all"]
     probe = tmp_path / "probe.c"
     probe.write_text("int probe(int a, int b) { return a + b; }\n")
     if subprocess.run([cc, *sanitize, "-fPIC", "-shared", "-o",
                        str(tmp_path / "probe.so"), str(probe)],
                       capture_output=True, timeout=120).returncode:
-        pytest.skip("cc cannot link the undefined-behaviour sanitizer")
+        pytest.skip(f"cc cannot link {' '.join(sanitize)}")
     tests = os.path.dirname(os.path.abspath(__file__))
     for name, undefined, _ in BUILDS:
         command = kernel._command(cc, kernel._SOURCE, str(tmp_path / name))
@@ -1835,8 +1918,37 @@ def test_no_undefined_behaviour(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-c", UNDEFINED_BEHAVIOUR_RUNS, str(tmp_path),
              name], capture_output=True, text=True, timeout=300,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, tests))))
-        assert (proc.returncode, proc.stdout) == (0, "clean\n"), proc.stderr
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, tests)),
+                     **env))
+        assert (proc.returncode, proc.stdout) == (0, "clean\n"), (
+            name, proc.stderr)
+
+
+def test_no_undefined_behaviour(tmp_path):
+    # each build of BUILDS with the undefined-behaviour sanitizer,
+    # aborting at the first report
+    sanitized_runs(tmp_path, ["-fsanitize=undefined",
+                              "-fno-sanitize-recover=all"], {})
+
+
+def test_no_memory_errors(tmp_path):
+    # each build of BUILDS with the address sanitizer, which sees the
+    # vector stores of a batch's normals and outputs past their arrays (the
+    # undefined-behaviour sanitizer does not see intrinsics' stores), in
+    # an interpreter with the compiler's libasan loaded first, as a
+    # sanitized library needs, and no leak report, as the interpreter keeps
+    # its memory at exit
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    runtime = subprocess.run([cc, "-print-file-name=libasan.so"],
+                             capture_output=True, text=True,
+                             timeout=60).stdout.strip()
+    if not os.path.isabs(runtime) or not os.path.exists(runtime):
+        pytest.skip("cc has no libasan to preload")
+    sanitized_runs(tmp_path, ["-fsanitize=address", "-fno-omit-frame-pointer"],
+                   {"LD_PRELOAD": runtime,
+                    "ASAN_OPTIONS": "detect_leaks=0:abort_on_error=1"})
 
 
 LOST_STOP_RUNS = """

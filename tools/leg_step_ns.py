@@ -19,9 +19,11 @@ steps of the leg that stopped it, from its PathExplosion.  The time is
 the block route's as a Monte Carlo cell runs it, the ctypes call and the
 columns and failures it returns included.
 
-In the same rounds it times the normal draw the vector lanes make,
-against numpy's: DRAWS fills of FILL normals from seed 0, by the
-kernel's port of Philox (tamsde_normals, "draw/port") and by
+In the same rounds it times the normal draw every runner makes, against
+numpy's: DRAWS fills of FILL normals from seed 0, by the kernel's port
+of Philox and numpy's normal (tamsde_normals, "draw/port"), which draws
+them in the batches a seed's stream refills with (the Philox's next
+blocks, on vectors where the host has them, and their normals), and by
 Generator(Philox(0)).standard_normal(out=) ("draw/numpy"), and prints
 each one's median time per normal.  Each round seeds its generators
 afresh and every fill goes to one array, so "draw/numpy", which runs
@@ -84,7 +86,8 @@ ROUNDS = 7
 FILL = 65536
 DRAWS = 16
 # room for the kernel's struct philox (88 bytes), which tamsde_seed sets
-# whole; the draw runs on it without reading its fields here
+# whole and tamsde_normals draws its batches on, as a stream's refill
+# does; its fields are not read here
 PHILOX_ROOM = 256
 # the functions of a kernel that kernel.py loads and the rows call
 CALLED = kernel._EXPORTS + ("tamsde_seed", "tamsde_normals")
