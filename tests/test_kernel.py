@@ -1946,9 +1946,13 @@ def test_no_memory_errors(tmp_path):
                              timeout=60).stdout.strip()
     if not os.path.isabs(runtime) or not os.path.exists(runtime):
         pytest.skip("cc has no libasan to preload")
+    env = {"LD_PRELOAD": runtime,
+           "ASAN_OPTIONS": "detect_leaks=0:abort_on_error=1"}
+    if subprocess.run([sys.executable, "-c", "pass"], capture_output=True,
+                      timeout=60, env=dict(os.environ, **env)).returncode:
+        pytest.skip("the interpreter does not start with libasan preloaded")
     sanitized_runs(tmp_path, ["-fsanitize=address", "-fno-omit-frame-pointer"],
-                   {"LD_PRELOAD": runtime,
-                    "ASAN_OPTIONS": "detect_leaks=0:abort_on_error=1"})
+                   env)
 
 
 LOST_STOP_RUNS = """
