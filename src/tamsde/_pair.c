@@ -17,10 +17,11 @@
  *   - the noise is NoiseSource's stream, numpy's Philox(seed), and each
  *     normal is numpy's random_standard_normal, linked from numpy's
  *     libnpyrandom.a: the function Generator.standard_normal calls.  Every
- *     draw takes its fast path, about 99% of draws, itself, with no branch
- *     on the random sign, on tables probed off numpy's function when the
- *     library is loaded (tamsde_init), and hands the rest to the function
- *     on a replay of the outputs (batch() and normal(), below).
+ *     normal comes off one route, batch(), below, which takes the fast
+ *     path, about 99% of draws, itself, with no branch on the random sign,
+ *     on tables probed off numpy's function when the library is loaded
+ *     (tamsde_init), and hands the rest to the function on a replay of
+ *     the outputs.
  *
  * The scheme's formulas (the coefficients of the three models, the tamed
  * product, the step rule of propose, scheme._due, the tamed-adaptive update
@@ -170,40 +171,52 @@ static uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
 }
 #endif
 
+/* Philox's ten rounds, keyed by k0 and k1, on the four words c of a
+   counter, of type T, by the product mul (mulhilo, or mulhilo_v8 on eight
+   counters at once), as the function name with the attributes A */
+#define ROUNDS(T, mul, name, A)                                               \
+A static inline void name(T *c, uint64_t k0, uint64_t k1)                     \
+{                                                                             \
+    T hi0, hi1, lo0, lo1;                                                     \
+    int i;                                                                    \
+    for (i = 0; i < 10; i++) {                                                \
+        if (i > 0) {  /* bump the key */                                      \
+            k0 += 0x9E3779B97F4A7C15u;                                        \
+            k1 += 0xBB67AE8584CAA73Bu;                                        \
+        }                                                                     \
+        lo0 = mul(0xD2E7470EE14C6C93u, c[0], &hi0);                           \
+        lo1 = mul(0xCA5A826395121157u, c[2], &hi1);                           \
+        c[0] = hi1 ^ c[1] ^ k0;                                               \
+        c[2] = hi0 ^ c[3] ^ k1;                                               \
+        c[1] = lo1;                                                           \
+        c[3] = lo0;                                                           \
+    }                                                                         \
+}
+
+ROUNDS(uint64_t, mulhilo, rounds, )
+
 /* numpy's next block of s: the counter incremented, carrying word by word
    as numpy does, and its 10-round Philox, written to out.  Each counter
    word is read back at the width it was stored, one 64-bit word: a wider
    load of words just stored (a memcpy of the counter compiles to 16-byte
    loads) cannot be forwarded from the store buffer, so it waits for the
-   stores to reach the cache.  The rounds run on four local words. */
-static void philox_block(struct philox *s, uint64_t *out)
+   stores to reach the cache.  The rounds run on four local words.  It is
+   inline: left out of line, as gcc 12 left it once its rounds were
+   ROUNDS', tools/leg_step_ns.py read draw/port at 1.20 and 1.24 of the
+   inlined block's time on the two- and four-wide layers (15 rounds,
+   2-core Intel Xeon with AVX-512, gcc 12). */
+static inline void philox_block(struct philox *s, uint64_t *out)
 {
-    uint64_t c0, c1, c2, c3, k0 = s->key[0], k1 = s->key[1], hi0, hi1, lo0,
-             lo1;
-    int i;
-    c0 = ++s->counter[0];
-    c1 = s->counter[1];
-    c2 = s->counter[2];
-    c3 = s->counter[3];
-    if (c0 == 0 && (s->counter[1] = ++c1) == 0
-            && (s->counter[2] = ++c2) == 0)
-        s->counter[3] = ++c3;  /* carry */
-    for (i = 0; i < 10; i++) {
-        if (i > 0) {  /* bump the key */
-            k0 += 0x9E3779B97F4A7C15u;
-            k1 += 0xBB67AE8584CAA73Bu;
-        }
-        lo0 = mulhilo(0xD2E7470EE14C6C93u, c0, &hi0);
-        lo1 = mulhilo(0xCA5A826395121157u, c2, &hi1);
-        c0 = hi1 ^ c1 ^ k0;
-        c2 = hi0 ^ c3 ^ k1;
-        c1 = lo1;
-        c3 = lo0;
-    }
-    out[0] = c0;
-    out[1] = c1;
-    out[2] = c2;
-    out[3] = c3;
+    uint64_t c[4];
+    c[0] = ++s->counter[0];
+    c[1] = s->counter[1];
+    c[2] = s->counter[2];
+    c[3] = s->counter[3];
+    if (c[0] == 0 && (s->counter[1] = ++c[1]) == 0
+            && (s->counter[2] = ++c[2]) == 0)
+        s->counter[3] = ++c[3];  /* carry */
+    rounds(c, s->key[0], s->key[1]);
+    memcpy(out, c, sizeof c);
 }
 
 /* numpy's philox_next: the next 64-bit output, off the buffer, which a
@@ -225,11 +238,6 @@ static uint32_t philox_abort32(void *st)
 {
     (void)st;
     abort();
-}
-
-static double philox_double(void *st)
-{
-    return (double)(philox_next(st) >> 11) * (1.0 / 9007199254740992.0);
 }
 
 /* SeedSequence's hash constants */
@@ -302,18 +310,19 @@ void tamsde_seed(struct philox *rng, const unsigned char *seed, size_t n_words)
    rabs * wi[idx], negated when the sign bit is set, and about 99% of
    draws end there.  numpy's compiled function negates with a branch on
    that random bit, which the processor mispredicts on half of all draws.
-   ziggurat() takes the same fast path itself and flips the double's sign
-   bit by XOR, with no branch; every other draw, on a wedge or the tail,
-   is numpy's own function.  The tables are not copied from numpy (they
-   are local symbols of libnpyrandom.a): tamsde_init probes them off its
-   function.  They start zeroed, and stay so if the probe's check fails,
-   and with ki all 0 every draw is numpy's function: the same bits, only
-   slower. */
+   ziggurat(), and fasts_V on vectors of outputs, take the same fast path
+   themselves and flip the double's sign bit by XOR, with no branch; every
+   other draw, on a wedge or the tail, is numpy's own function.  The tables
+   are not copied from numpy (they are local symbols of libnpyrandom.a):
+   tamsde_init probes them off its function.  They start zeroed, and stay so
+   if the probe's check fails, and with ki all 0 every draw is numpy's
+   function: the same bits, only slower. */
 static uint64_t ki[256];
 static double wi[256];
 
 /* A bit generator that reads the outputs from next up to end, drawn
-   already on rng and not yet used, and then draws on rng itself */
+   already on rng and not yet used, and then draws on rng itself; an empty
+   replay, next == end, is numpy's Philox rng */
 struct replay {
     const uint64_t *next, *end;
     struct philox *rng;
@@ -322,7 +331,7 @@ struct replay {
 static uint64_t replay_next(void *st)
 {
     struct replay *p = st;
-    return p->next < p->end ? *p->next++ : philox_next(p->rng);
+    return p->next != p->end ? *p->next++ : philox_next(p->rng);
 }
 
 static double replay_double(void *st)
@@ -355,82 +364,6 @@ static inline int ziggurat(uint64_t r, double *x)
     bits ^= (r >> 8 & 1) << 63;  /* numpy's -x when the sign bit is set */
     memcpy(x, &bits, sizeof bits);
     return 1;
-}
-
-/* numpy's normal on Philox rng when rng's next output is r, which is
-   drawn already: r's normal on the fast path, else a replay of r */
-static double normal(uint64_t r, struct philox *rng)
-{
-    struct replay p = {&r, &r + 1, rng};
-    double x;
-    return ziggurat(r, &x) ? x : replay(&p);
-}
-
-/* numpy's normal of the output with strip idx, sign bit 0 and rabs, on a
-   replay whose later draws are a zero-keyed Philox's; *fast is 1 when it
-   took the fast path, that is, drew nothing more, as any further draw
-   steps the Philox's counter */
-static double probe(unsigned idx, uint64_t rabs, int *fast)
-{
-    struct philox rng = {{0}, {0}, {0}, 4};
-    uint64_t r = rabs << 9 | idx;
-    struct replay p = {&r, &r + 1, &rng};
-    double x = replay(&p);
-    *fast = rng.counter[0] == 0;
-    return x;
-}
-
-/* the normals the probed tables are checked on */
-#define CHECK_DRAWS 16384
-
-/* 1 when normal() and numpy's function draw the same CHECK_DRAWS normals,
-   bit for bit, from a fixed key, and leave the same Philox state */
-static int check(void)
-{
-    struct philox a = {{0}, {0x243F6A8885A308D3u, 0x13198A2E03707344u}, {0},
-                       4}, b = a;
-    bitgen_t gb = {&b, philox_next, philox_abort32, philox_double,
-                   philox_next};
-    double x, y;
-    long i;
-    for (i = 0; i < CHECK_DRAWS; i++) {
-        x = normal(philox_next(&a), &a);
-        y = random_standard_normal(&gb);
-        if (memcmp(&x, &y, sizeof x) != 0)
-            return 0;
-    }
-    return memcmp(a.counter, b.counter, sizeof a.counter) == 0
-           && a.buffer_pos == b.buffer_pos;
-}
-
-static int fast_path;
-
-/* ki[idx], the least rabs off numpy's fast path (2**52 when there is
-   none), found by bisection, and wi[idx], the normal at rabs 1, which is
-   1 * wi[idx] exactly (0 when ki[idx] <= 1, where the fast path's normal
-   is 0 * wi[idx] or none); then the check, which zeroes ki if it fails */
-static void probe_tables(void)
-{
-    uint64_t lo, hi, mid;
-    unsigned idx;
-    int fast;
-    for (idx = 0; idx < 256; idx++) {
-        lo = 0;
-        hi = (uint64_t)1 << 52;
-        while (lo < hi) {
-            mid = lo + (hi - lo) / 2;
-            probe(idx, mid, &fast);
-            if (fast)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        wi[idx] = lo > 1 ? probe(idx, 1, &fast) : 0.0;
-        ki[idx] = lo;
-    }
-    fast_path = check();
-    if (!fast_path)
-        memset(ki, 0, sizeof ki);
 }
 
 /* --- lane types ---------------------------------------------------------- */
@@ -636,19 +569,24 @@ static inline void powers_d(double x, double *half, double *p12, double *p02)
    path where it is, and every other output handed to numpy's function on
    a replay of the batch's outputs not yet used, then of the Philox; so
    the stream's normals, and its Philox's state, are numpy's, in order.
-   Philox is counter-based: the blocks of one key at consecutive counters
-   are independent, so the eight-wide layer makes a batch's blocks, as
-   many as its elements, as one vector, one block to an element, each 64 x
-   64-bit product made of four 32 x 32-bit ones (_mm512_mul_epu32); every
-   other build makes them one at a time (philox_block), as does any build
-   for a counter whose low word is within BATCH_BLOCKS of its wrap, whose
-   carry numpy takes word by word.  On the four- and eight-wide layers the
-   fast path (ziggurat()'s) is a gather of ki and wi, a compare and a
-   multiply of four or eight outputs at once.  A seed that starts has an
-   empty stream (take), so its first normal draws a whole batch.
-   Against normals drawn one at a time (philox_next and ziggurat() inline
-   in each draw), tools/leg_step_ns.py read moments-long at 0.71 of the
-   time a leg-step, compare-smooth/tam at 0.74, compare-smooth/tm at 0.84
+   batch() is the one route of the kernel's normals: tamsde_normals runs it
+   too, and tamsde_init's check() tests it against numpy's function, which
+   draws only off the fast path and for the check and the tail of
+   tamsde_normals.  Philox is counter-based: the blocks of one key at
+   consecutive counters are independent, so the eight-wide layer makes a
+   batch's blocks, as many as its elements, as one vector, one block to an
+   element, each 64 x 64-bit product made of four 32 x 32-bit ones
+   (_mm512_mul_epu32); every other build makes them one at a time
+   (philox_block), as does any build for a counter whose low word is within
+   BATCH_BLOCKS of its wrap, whose carry numpy takes word by word.  Philox's
+   ten rounds are written once (ROUNDS), for a block's words and for a
+   vector of eight blocks'.  On the four- and eight-wide layers the fast
+   path (fasts_V, ziggurat()'s on vectors) is a gather of ki and wi, a
+   compare and a multiply of four or eight outputs at once.  A seed that
+   starts has an empty stream (take), so its first normal draws a whole
+   batch.  Against normals drawn one at a time (philox_next and ziggurat()
+   inline in each draw), tools/leg_step_ns.py read moments-long at 0.71 of
+   the time a leg-step, compare-smooth/tam at 0.74, compare-smooth/tm at 0.84
    and rate-rough at 0.91 on the eight-wide layer, 0.85, 0.94, 0.86 and
    0.95 on the four-wide one, and every row of the two-wide build within
    its IQR of 1.00 (21 rounds, 2-core Intel Xeon with AVX-512, gcc 12); a
@@ -691,11 +629,12 @@ AVX512 static inline vec8 wi_v8(vu8 strip)
 
 /* ziggurat() of each of the W outputs r[0..W) into x[0..W), every one of
    them written, on a vector of W words, vu, of doubles, vec, and of masks,
-   vmask, with the attributes A; returns the bits of those on the fast
-   path, bit e for r[e].  rabs < 2**52 converts exactly as 2**52 + rabs,
-   its bits beside the exponent of 2**52, less 2**52, so no 64-bit integer
-   conversion is needed, which AVX2 lacks. */
-#define FAST(vu, vec, vmask, V, A)                                            \
+   vmask, each function with the attributes A (fast_V); returns the bits of
+   those on the fast path, bit e for r[e].  rabs < 2**52 converts exactly
+   as 2**52 + rabs, its bits beside the exponent of 2**52, less 2**52, so
+   no 64-bit integer conversion is needed, which AVX2 lacks.  fasts_V does
+   the same for the 4 BATCH_BLOCKS outputs of a batch's blocks. */
+#define FAST(vu, vec, vmask, V, W, A)                                         \
 A static inline unsigned fast_##V(const uint64_t *r, double *x)              \
 {                                                                             \
     vu o, rabs, strip;                                                        \
@@ -707,10 +646,18 @@ A static inline unsigned fast_##V(const uint64_t *r, double *x)              \
     v = (vec)((vu)v ^ (o << 55 & 0x8000000000000000u));                       \
     memcpy(x, &v, sizeof v);                                                  \
     return bits_##V((vmask)rabs < ki_##V(strip));                             \
+}                                                                             \
+A static uint64_t fasts_##V(const uint64_t *r, double *x)                     \
+{                                                                             \
+    uint64_t fast = 0;                                                        \
+    int i;                                                                    \
+    for (i = 0; i < 4 * BATCH_BLOCKS; i += W)                                 \
+        fast |= (uint64_t)fast_##V(r + i, x + i) << i;                        \
+    return fast;                                                              \
 }
 
-FAST(vu4, vec4, vmask4, v4, AVX2)
-FAST(vu8, vec8, vmask8, v8, AVX512)
+FAST(vu4, vec4, vmask4, v4, AVX2_ELEMENTS, AVX2)
+FAST(vu8, vec8, vmask8, v8, AVX512_ELEMENTS, AVX512)
 
 /* the 64-bit product of the low 32 bits of each element of a and b */
 AVX512 static inline vu8 mul32_v8(vu8 a, vu8 b)
@@ -728,14 +675,15 @@ AVX512 static inline vu8 mulhilo_v8(uint64_t a, vu8 b, vu8 *hi)
     return u << 32 | (p00 & 0xffffffffu);
 }
 
+ROUNDS(vu8, mulhilo_v8, rounds_v8, AVX512)
+
 /* element e of the vector of the counters after a */
 #define AFTER(a, e) ((a) + (e) + 1)
 
 /* The eight blocks of s after its counter, as philox_block makes them, one
-   to an element, their outputs into r[0..32) in order and their fast_v8
-   into x; returns the bits of the fast ones, bit i for r[i].  The
-   counter's low word must not wrap. */
-AVX512 static uint64_t blocks_v8(struct philox *s, uint64_t *r, double *x)
+   to an element, their outputs into r[0..32) in order.  The counter's low
+   word must not wrap. */
+AVX512 static void blocks_v8(struct philox *s, uint64_t *r)
 {
     /* elements 0-3 and 4-7 of two words interleaved, then the words of two
        blocks at a time */
@@ -743,50 +691,23 @@ AVX512 static uint64_t blocks_v8(struct philox *s, uint64_t *r, double *x)
                   high = _mm512_set_epi64(15, 7, 14, 6, 13, 5, 12, 4),
                   first = _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0),
                   second = _mm512_set_epi64(15, 14, 7, 6, 13, 12, 5, 4);
-    vu8 c0 = (vu8)EACH8(AFTER, s->counter[0]),
-        c1 = (vu8)EACH8(SAME, s->counter[1]),
-        c2 = (vu8)EACH8(SAME, s->counter[2]),
-        c3 = (vu8)EACH8(SAME, s->counter[3]), hi0, hi1, lo0, lo1;
-    __m512i a, b, c, d, w[4];
-    uint64_t k0 = s->key[0], k1 = s->key[1], fast = 0;
-    int i;
-    for (i = 0; i < 10; i++) {
-        if (i > 0) {  /* bump the key */
-            k0 += 0x9E3779B97F4A7C15u;
-            k1 += 0xBB67AE8584CAA73Bu;
-        }
-        lo0 = mulhilo_v8(0xD2E7470EE14C6C93u, c0, &hi0);
-        lo1 = mulhilo_v8(0xCA5A826395121157u, c2, &hi1);
-        c0 = hi1 ^ c1 ^ k0;
-        c2 = hi0 ^ c3 ^ k1;
-        c1 = lo1;
-        c3 = lo0;
-    }
-    a = _mm512_permutex2var_epi64((__m512i)c0, low, (__m512i)c1);
-    b = _mm512_permutex2var_epi64((__m512i)c2, low, (__m512i)c3);
-    c = _mm512_permutex2var_epi64((__m512i)c0, high, (__m512i)c1);
-    d = _mm512_permutex2var_epi64((__m512i)c2, high, (__m512i)c3);
-    w[0] = _mm512_permutex2var_epi64(a, first, b);
-    w[1] = _mm512_permutex2var_epi64(a, second, b);
-    w[2] = _mm512_permutex2var_epi64(c, first, d);
-    w[3] = _mm512_permutex2var_epi64(c, second, d);
+    vu8 c[4] = {(vu8)EACH8(AFTER, s->counter[0]),
+                (vu8)EACH8(SAME, s->counter[1]),
+                (vu8)EACH8(SAME, s->counter[2]),
+                (vu8)EACH8(SAME, s->counter[3])};
+    __m512i p[4], w[4];
+    rounds_v8(c, s->key[0], s->key[1]);
+    p[0] = _mm512_permutex2var_epi64((__m512i)c[0], low, (__m512i)c[1]);
+    p[1] = _mm512_permutex2var_epi64((__m512i)c[2], low, (__m512i)c[3]);
+    p[2] = _mm512_permutex2var_epi64((__m512i)c[0], high, (__m512i)c[1]);
+    p[3] = _mm512_permutex2var_epi64((__m512i)c[2], high, (__m512i)c[3]);
+    w[0] = _mm512_permutex2var_epi64(p[0], first, p[1]);
+    w[1] = _mm512_permutex2var_epi64(p[0], second, p[1]);
+    w[2] = _mm512_permutex2var_epi64(p[2], first, p[3]);
+    w[3] = _mm512_permutex2var_epi64(p[2], second, p[3]);
     memcpy(r, w, sizeof w);
-    for (i = 0; i < 4; i++)
-        fast |= (uint64_t)fast_v8(r + 8 * i, x + 8 * i) << 8 * i;
     s->counter[0] += 8;
     memcpy(s->buffer, r + 28, sizeof s->buffer);
-    return fast;
-}
-
-/* fast_v4 of each of the 4 BATCH_BLOCKS outputs r, into x, and the bits of
-   the fast ones */
-AVX2 static uint64_t fasts_v4(const uint64_t *r, double *x)
-{
-    uint64_t fast = 0;
-    int i;
-    for (i = 0; i < 4 * BATCH_BLOCKS; i += AVX2_ELEMENTS)
-        fast |= (uint64_t)fast_v4(r + i, x + i) << i;
-    return fast;
 }
 #endif
 
@@ -795,18 +716,21 @@ AVX2 static uint64_t fasts_v4(const uint64_t *r, double *x)
    on the fast path, bit i for r[i].  s's buffer is left holding the last
    block, every output of it read, as numpy's is.  The eight-wide layer
    makes the blocks on one vector, unless the counter's low word would
-   wrap; the four-wide one takes the fast path on vectors of the blocks
-   made one at a time: its Philox on two four-wide passes read 5.2-5.4 ns
-   an output in a C microbenchmark, against 3.6-3.7 for this and 4.4-4.5
-   for one block and one output at a time (the eight-wide vector 3.1-3.2;
-   2-core Intel Xeon with AVX-512, gcc 12). */
+   wrap, and takes their fast path on eight-wide vectors; the four-wide
+   one takes it on four-wide vectors of the blocks made one at a time: its
+   Philox on two four-wide passes read 5.2-5.4 ns an output in a C
+   microbenchmark, against 3.6-3.7 for this and 4.4-4.5 for one block and
+   one output at a time (the eight-wide vector 3.1-3.2; 2-core Intel Xeon
+   with AVX-512, gcc 12). */
 static uint64_t blocks(struct philox *s, uint64_t *r, double *x)
 {
     uint64_t fast = 0;
     int i;
 #ifdef WIDE
-    if (avx512 && s->counter[0] <= UINT64_MAX - BATCH_BLOCKS)
-        return blocks_v8(s, r, x);
+    if (avx512 && s->counter[0] <= UINT64_MAX - BATCH_BLOCKS) {
+        blocks_v8(s, r);
+        return fasts_v8(r, x);
+    }
 #endif
     for (i = 0; i < BATCH_BLOCKS; i++)
         philox_block(s, r + 4 * i);
@@ -864,14 +788,91 @@ static inline double draw(struct stream *s)
 }
 
 /* out = the next n normals of rng, as Generator.standard_normal(n): in
-   batches, then one at a time, so rng ends where numpy's does */
+   batches, then, for the last fewer than BATCH, numpy's function on rng
+   itself (an empty replay), so rng ends where numpy's does */
 void tamsde_normals(struct philox *rng, double *out, long long n)
 {
+    struct replay p = {NULL, NULL, rng};
     long long i = 0;
     while (n - i >= BATCH)
         i += batch(rng, out + i);
     for (; i < n; i++)
-        out[i] = normal(philox_next(rng), rng);
+        out[i] = replay(&p);
+}
+
+/* --- the fast path's tables ---------------------------------------------- */
+
+/* numpy's normal of the output with strip idx, sign bit 0 and rabs, on a
+   replay whose later draws are a zero-keyed Philox's; *fast is 1 when it
+   took the fast path, that is, drew nothing more, as any further draw
+   steps the Philox's counter */
+static double probe(unsigned idx, uint64_t rabs, int *fast)
+{
+    struct philox rng = {{0}, {0}, {0}, 4};
+    uint64_t r = rabs << 9 | idx;
+    struct replay p = {&r, &r + 1, &rng};
+    double x = replay(&p);
+    *fast = rng.counter[0] == 0;
+    return x;
+}
+
+/* the normals the probed tables are checked on */
+#define CHECK_DRAWS 16384
+
+/* 1 when batch() and numpy's function, run on a Philox of its own (an
+   empty replay), draw the same normals, bit for bit, at least CHECK_DRAWS
+   of them from a fixed key, and leave the same Philox state.  It runs
+   before tamsde_init tests the processor, so batch() makes its blocks and
+   their fast path one at a time, as the two-wide layer does; the tests
+   check the vector layers' batches. */
+static int check(void)
+{
+    struct philox a = {{0}, {0x243F6A8885A308D3u, 0x13198A2E03707344u}, {0},
+                       4}, b = a;
+    struct replay p = {NULL, NULL, &b};
+    double x[BATCH], y;
+    long drawn;
+    int i, n;
+    for (drawn = 0; drawn < CHECK_DRAWS; drawn += n) {
+        n = batch(&a, x);
+        for (i = 0; i < n; i++) {
+            y = replay(&p);
+            if (memcmp(&x[i], &y, sizeof y) != 0)
+                return 0;
+        }
+    }
+    return memcmp(a.counter, b.counter, sizeof a.counter) == 0
+           && a.buffer_pos == b.buffer_pos;
+}
+
+static int fast_path;
+
+/* ki[idx], the least rabs off numpy's fast path (2**52 when there is
+   none), found by bisection, and wi[idx], the normal at rabs 1, which is
+   1 * wi[idx] exactly (0 when ki[idx] <= 1, where the fast path's normal
+   is 0 * wi[idx] or none); then the check, which zeroes ki if it fails */
+static void probe_tables(void)
+{
+    uint64_t lo, hi, mid;
+    unsigned idx;
+    int fast;
+    for (idx = 0; idx < 256; idx++) {
+        lo = 0;
+        hi = (uint64_t)1 << 52;
+        while (lo < hi) {
+            mid = lo + (hi - lo) / 2;
+            probe(idx, mid, &fast);
+            if (fast)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        wi[idx] = lo > 1 ? probe(idx, 1, &fast) : 0.0;
+        ki[idx] = lo;
+    }
+    fast_path = check();
+    if (!fast_path)
+        memset(ki, 0, sizeof ki);
 }
 
 /* --- the scheme ---------------------------------------------------------- */
@@ -1739,23 +1740,12 @@ VECTOR_LAYER(vec8, vmask8, v8, AVX512_ELEMENTS, EACH8, AVX512, PROVE_V8)
    0.5 ULP 24550, and probe_powers turned either build's proven powers
    off. */
 #ifdef PROVEN_POWERS
-/* a's elements rounded to the nearest integer, and the exponent field of
-   each element of m's words moved to their foot, or a word's foot to its
-   exponent field, on four- and eight-wide vectors */
+/* a's elements rounded to the nearest integer, on four- and eight-wide
+   vectors */
 AVX2 static inline vec4 round_v4(vec4 a)
 {
     return (vec4)_mm256_round_pd((__m256d)a, _MM_FROUND_TO_NEAREST_INT
                                              | _MM_FROUND_NO_EXC);
-}
-
-AVX2 static inline vmask4 down52_v4(vmask4 m)
-{
-    return (vmask4)_mm256_srli_epi64((__m256i)m, 52);
-}
-
-AVX2 static inline vmask4 up52_v4(vmask4 m)
-{
-    return (vmask4)_mm256_slli_epi64((__m256i)m, 52);
 }
 
 AVX512 static inline vec8 round_v8(vec8 a)
@@ -1764,20 +1754,11 @@ AVX512 static inline vec8 round_v8(vec8 a)
                                                   | _MM_FROUND_NO_EXC);
 }
 
-AVX512 static inline vmask8 down52_v8(vmask8 m)
-{
-    return (vmask8)_mm512_srli_epi64((__m512i)m, 52);
-}
-
-AVX512 static inline vmask8 up52_v8(vmask8 m)
-{
-    return (vmask8)_mm512_slli_epi64((__m512i)m, 52);
-}
-
-/* The proof on a vector of W doubles, vec, with masks vmask, each function
-   with the attributes A, instantiated for the four- and eight-wide
-   layers, so it is written once and each width runs it on its own
-   vectors (run on the halves of an eight-wide vector, it took ~1.35
+/* The proof on a vector of W doubles, vec, with masks vmask and words
+   vu, whose shifts move an exponent field (vpsrlq and vpsllq), each
+   function with the attributes A, instantiated for the four- and
+   eight-wide layers, so it is written once and each width runs it on its
+   own vectors (run on the halves of an eight-wide vector, it took ~1.35
    times as long an input: its 256-bit operations lose a port while
    512-bit ones are in flight).
      near_V: the elements where c is not a power of two and |d| <= tol *
@@ -1789,7 +1770,7 @@ AVX512 static inline vmask8 up52_v8(vmask8 m)
      powers_of_V: out[i], out[n + i] and out[2 n + i] = |x[i]| ** 0.5, 1.2
        and 0.2 by powers_V, for i < n, a multiple of W; returns how many of
        the 3 n powers it proved. */
-#define PROOF(vec, vmask, V, W, A)                                           \
+#define PROOF(vec, vmask, vu, V, W, A)                                       \
 A static inline vmask near_##V(vec c, vec d, vec tol)                        \
 {                                                                            \
     vmask exponent = (vmask)c & 0x7ff0000000000000;                          \
@@ -1817,7 +1798,7 @@ A static inline unsigned prove_##V(vec a, vec *half, vec *p12, vec *p02)     \
     ok05 = in & near_##V(*half, fma_##V(-*half, *half, a), 0.9598 * *half);  \
     /* the seed y of a ** (1/5): ln a = e ln 2 + 2 atanh(t), t = (m - 1) /   \
        (m + 1), a = 2**e m with m in [sqrt(1/2), sqrt(2)) */                 \
-    e = (vec)(down52_##V((vmask)a) | 0x4330000000000000) - (0x1p52 + 1023.0); \
+    e = (vec)((vu)a >> 52 | 0x4330000000000000u) - (0x1p52 + 1023.0);        \
     m = (vec)(((vmask)a & 0x000fffffffffffff) | 0x3ff0000000000000);         \
     big = m > 1.4142135623730951;                                            \
     m = select_##V(big, 0.5 * m, m);                                         \
@@ -1827,7 +1808,7 @@ A static inline unsigned prove_##V(vec a, vec *half, vec *p12, vec *p02)     \
     q = lna * (0.2 / ln2);                                                   \
     n = round_##V(q);                                                        \
     y = horner_##V((q - n) * ln2, taylor, 7)                                 \
-        * (vec)up52_##V((vmask)(n + (0x1p52 + 1023.0)));                     \
+        * (vec)((vu)(n + (0x1p52 + 1023.0)) << 52);                          \
     /* rho = y**5 / a - 1, y**4 in double-double (its l2 * l2 is below       \
        2**-104 of it), with 1 / a taken first, off the chain of y */         \
     h2 = y * y;                                                              \
@@ -1862,8 +1843,8 @@ A static long long powers_of_##V(const double *x, long long n, double *out)  \
     return proved;                                                           \
 }
 
-PROOF(vec4, vmask4, v4, AVX2_ELEMENTS, AVX2)
-PROOF(vec8, vmask8, v8, AVX512_ELEMENTS, AVX512)
+PROOF(vec4, vmask4, vu4, v4, AVX2_ELEMENTS, AVX2)
+PROOF(vec8, vmask8, vu8, v8, AVX512_ELEMENTS, AVX512)
 
 /* the inputs of probe_powers */
 #define PROBES 4096
@@ -1897,8 +1878,10 @@ static int probe_powers(void)
 }
 #endif
 
-/* tamsde_init's work, done once per process: the tables of ziggurat(),
-   and the test of the processor that picks the vector layer */
+/* tamsde_init's work, done once per process: the fast path's tables,
+   probed and checked (probe_tables), before the test of the processor
+   that picks the vector layer, so the check's batches make their blocks
+   and fast path one at a time */
 static void init(void)
 {
     probe_tables();
@@ -1914,10 +1897,11 @@ static void init(void)
 #endif
 }
 
-/* Fill the tables of ziggurat() and pick the vector runners, once per
-   process, before any draw or block: kernel.py calls it when it loads the
-   library.  Returns 1 when the draws take the fast path, 0 when every
-   draw is numpy's function. */
+/* Fill the fast path's tables, check them on batch() against numpy's
+   function, and pick the vector runners, once per process, before any
+   draw or block: kernel.py calls it when it loads the library.  Returns 1
+   when the check passed and the draws take the fast path, 0 when it
+   failed and every draw is numpy's function. */
 int tamsde_init(void)
 {
     static pthread_once_t once = PTHREAD_ONCE_INIT;

@@ -70,11 +70,13 @@ taken by the kernel itself on vectors of four or eight outputs on an
 AVX2 host, with no branch on the random sign, and by numpy's
 random_standard_normal for every other output, on a bit generator that
 replays the batch's outputs not yet used and then draws on the Philox,
-so the stream's normals and the Philox's state are numpy's.  The fast
-path's tables are not copied from numpy but probed off numpy's function
-(tamsde_init), once per process, when _open loads a build and before any
-block runs; the probe checks them on a fixed stream of normals against
-numpy's function and, should one bit differ, leaves every draw to it.
+so the stream's normals and the Philox's state are numpy's.  That batch
+is the one route of the kernel's normals.  The fast path's tables are
+not copied from numpy but probed off numpy's function (tamsde_init),
+once per process, when _open loads a build and before any block runs;
+the probe checks them by drawing batches of a fixed stream of normals
+against numpy's function and, should one bit differ, leaves every draw
+to it, and tamsde_init returns 0.
 
 model2's coefficients take |x| ** 0.5, 1.2 and 0.2, which CPython's **
 and the lanes take from libm's pow.  On the four- and eight-wide vectors,

@@ -1489,7 +1489,8 @@ class TestRareDraws:
 # other output handed to numpy's function on a replay of the batch's
 # outputs not yet used, which reads on into the Philox past the batch's
 # last.  tamsde_normals, which these tests call, runs batches while BATCH
-# or more normals are wanted, then draws one at a time.
+# or more normals are wanted, then draws the rest by numpy's function on
+# the Philox itself.
 BATCH_BLOCKS = int(re.search(r"#define BATCH_BLOCKS (\d+)", _text).group(1))
 BATCH = 4 + 4 * BATCH_BLOCKS
 
@@ -1767,6 +1768,38 @@ def test_forced_off_probe_keeps_model2s_columns(lib, tmp_path, monkeypatch):
         hexed(path_seeded(_path_loop, model, config, seeds))]
     monkeypatch.setattr(kernel, "library", lambda: built)
     assert [hexed(run()) for run in runs] == mine
+
+
+def test_failed_draw_check_leaves_every_normal_to_numpy(lib, tmp_path,
+                                                       monkeypatch):
+    # a build whose probed wi is twice numpy's fails its draw check:
+    # tamsde_init returns 0 and zeroes ki, so no output is on the kernel's
+    # fast path and numpy's function draws every normal, on a replay of the
+    # batch's outputs.  Its batches must still be numpy's draws, and its
+    # blocks of paths and of pairs of either scheme, for model1 and model2,
+    # large enough for the vector runners, the reference loops' columns
+    probed = "wi[idx] = lo > 1 ? probe(idx, 1, &fast) : 0.0;"
+    assert _text.count(probed) == 1
+    src, so = tmp_path / "no_fast_path.c", tmp_path / "no_fast_path.so"
+    src.write_text(_text.replace(
+        probed, "wi[idx] = lo > 1 ? 2.0 * probe(idx, 1, &fast) : 0.0;"))
+    proc = subprocess.run(kernel._command(shutil.which("cc"), str(src),
+                                          str(so)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    built = kernel._open(str(tmp_path), so.name)
+    assert built is not None and built.tamsde_init() == 0
+    assert kernel.lanes(built) == kernel.lanes(lib)
+    check_batches(built)
+    monkeypatch.setattr(kernel, "library", lambda: built)
+    seeds = range(5, 5 + 2 * elements(lib) * VECTORS + 3)
+    config = path_config(2, 5.0)
+    for model in map(get_model, ("model1", "model2")):
+        for clock in ((1.0, 2.0), None):
+            assert hexed(block(model, clock, 2, 5.0, seeds)) == hexed(
+                seeded(reference, model, clock, 2, 5.0, seeds))
+        assert hexed(path_block(model, config, seeds)) == hexed(
+            path_seeded(_path_loop, model, config, seeds))
 
 
 def test_source_compiles_cleanly_as_c99(tmp_path, monkeypatch):

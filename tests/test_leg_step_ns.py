@@ -3,6 +3,7 @@ and the normal draws' ns per normal."""
 
 import importlib.util
 import shutil
+import types
 from pathlib import Path
 
 import pytest
@@ -72,10 +73,25 @@ def test_against_its_own_source(tmp_path):
         assert 0 <= wins <= 2
 
 
-def test_path_lanes_named():
+def test_path_lanes_named(monkeypatch, capsys):
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    assert leg_step_ns.lanes(kernel.library()) in ("avx512", "avx2", "baseline")
+    lib = kernel.library()
+    assert leg_step_ns.lanes(lib) in ("avx512", "avx2", "baseline")
+    assert leg_step_ns.named(lib) == f"{kernel.lanes(lib)}, draw check passed"
+    # a kernel whose draw check failed, which draws every normal by numpy's
+    # function, says so on the first line
+    failed = types.SimpleNamespace(tamsde_init=lambda: 0,
+                                   tamsde_lanes=lambda: b"avx2")
+    assert leg_step_ns.named(failed) == "avx2, draw check failed"
+    monkeypatch.setattr(leg_step_ns, "other_kernel",
+                        lambda source, directory: failed)
+    monkeypatch.setattr(leg_step_ns, "compare",
+                        lambda jobs, rounds, other: {})
+    assert leg_step_ns.main(["--against", "other.c"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"vector lanes: {leg_step_ns.named(lib)}; "
+        "other: avx2, draw check failed")
 
 
 def test_prints_ns_with_two_decimals(monkeypatch, capsys):

@@ -55,7 +55,10 @@ rounds (default 7).  Times are printed in ns a unit with two decimals.
 The first line names the vector code of a block's paths and fixed-step
 pairs each kernel runs on this host (kernel.lanes): "avx512",
 eight-wide, "avx2", four-wide, or "baseline", two-wide; which adaptive
-pairs it runs, the rule at _pair.c's tamsde_block says.
+pairs it runs, the rule at _pair.c's tamsde_block says.  Beside it, it
+says whether each kernel's draw check passed (tamsde_init's return): a
+kernel whose check failed leaves every normal to numpy's function, the
+same bits at another speed, so its times are not its fast path's.
 """
 
 import argparse
@@ -184,6 +187,13 @@ def using(lib):
         yield
     finally:
         kernel.library = library
+
+
+def named(lib):
+    """The first line's words for the kernel library lib: its vector lanes
+    and whether its draw check passed, "avx512, draw check passed"."""
+    check = "passed" if lib.tamsde_init() else "failed"
+    return f"{lanes(lib)}, draw check {check}"
 
 
 def bits(value):
@@ -342,7 +352,7 @@ def main(argv=None):
         print("the kernel cannot be built here", file=sys.stderr)
         return 2
     if args.against is None:
-        print(f"vector lanes: {lanes(kernel.library())}")
+        print(f"vector lanes: {named(kernel.library())}")
         # a unit is a workload's leg-step or a normal
         print(f"{'row':<20} {'ns/unit':>11} {'units':>10} {'calls':>6}")
         for name, (ns, units, calls) in measure(JOBS, args.rounds).items():
@@ -355,8 +365,8 @@ def main(argv=None):
         except Mismatch as exc:
             print(exc, file=sys.stderr)
             return 1
-        print(f"vector lanes: {lanes(kernel.library())}, "
-              f"other: {lanes(other)}")
+        print(f"vector lanes: {named(kernel.library())}; "
+              f"other: {named(other)}")
     # ratio: this kernel's time over the other's; wins: rounds it was faster
     print(f"{'row':<20} {'ns/unit':>9} {'other':>9} {'ratio':>7} "
           f"{'iqr':>7} {'wins':>7}")
