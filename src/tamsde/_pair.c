@@ -25,11 +25,11 @@
  *
  * The scheme's formulas (the coefficients of the three models, the tamed
  * product, the step rule of propose, scheme._due, the tamed-adaptive update
- * and the Kahan sum of a pending increment) and the tamed-adaptive leg they
- * step are written once, in FORMULAS, over a lane type: instantiated on a
- * double for the legs of a tamed-adaptive pair in a scalar lane, and on a
- * vector of doubles for paths, fixed-step pairs or tamed-adaptive pairs,
- * one in each element.  The leg (struct leg_V) and its event (fire_V:
+ * and the Kahan sum of a pending increment) and the leg they step are
+ * written once, in FORMULAS, over a lane type: instantiated on a double
+ * for the legs of a tamed-adaptive pair in a scalar lane, and on a vector
+ * of doubles for paths, fixed-step pairs or tamed-adaptive pairs, one in
+ * each element.  The leg (struct leg_V) and its event (fire_V:
  * advance with the increment it is given, clear the pending increment and
  * propose the next step) are the one tamed-adaptive step of every runner.
  * A tamed-adaptive pair is two legs on a merged timeline: pair_event is one
@@ -44,13 +44,14 @@
  * their own.  Everything written on vectors, the vector layer, is written
  * once too, in VECTOR_LAYER, and instantiated once per width of vector.
  * Only vectors step fixed-step legs, so the fixed-step update and propose
- * (tm_advance_V, tm_propose_V) are written for the vector alone.  A
- * fixed-step leg's clock does not depend on its state, so fixed-step pairs
- * that start together share one merged timeline: run_fixed_V works out each
- * event of driver._merge's loop once for a generation of seeds (struct
- * tick, one per leg) and steps the seeds' draws, pending increments,
- * updates and finiteness tests as vectors.  There is no other pair or path
- * loop.  kernel.py builds and loads this file.
+ * (tm_step_V, tm_propose_V) are written for the vector alone, on the same
+ * leg, struct leg_V.  A fixed-step leg's clock does not depend on its
+ * state, so fixed-step pairs that start together share one merged
+ * timeline: run_fixed_V works out each event of driver._merge's loop once
+ * for a generation of seeds (each leg's clock a struct leg_d: its last,
+ * due and steps) and steps the seeds' draws, pending increments, updates
+ * and finiteness tests as vectors.  There is no other pair or path loop.
+ * kernel.py builds and loads this file.
  *
  * A Monte Carlo cell's pairs or paths, and a single pair, run as a block of
  * consecutive seeds (tamsde_block), the one entry point that runs them.  A
@@ -65,10 +66,9 @@
  * chains overlap.  A block's tamed-adaptive pairs run in LANES scalar lanes
  * (struct lane) or, by the rule tamsde_block states, on VECTORS four- or
  * eight-wide vectors (run_legs_V with two legs), and its paths and its
- * fixed-step pairs in VECTORS vectors (struct leg_lanes_V, struct
- * fixed_lanes_V), whose packed operations step a seed in each element at
- * once; each seed's draw, its powers, its step count and its record stay
- * its own.  A pair vector
+ * fixed-step pairs in VECTORS vectors (struct leg_lanes_V), whose packed
+ * operations step a seed in each element at once; each seed's draw, its
+ * powers, its step count and its record stay its own.  A pair vector
  * holds one seed's pair to an element, each element on its own merged
  * timeline: a pass gives each element one event of pair_event, in which
  * only the leg that fires first in that element, picked into one vector,
@@ -128,7 +128,6 @@
 #include <float.h>
 #include <math.h>
 #include <pthread.h>
-#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -918,10 +917,12 @@ struct pair {
      due_V: scheme._due.
      advance_V: the tamed-adaptive update of scheme._tam_leg.
      pend_V: adds dz to the Kahan pair (*pw, *pc) of a pending increment.
-     struct leg_V: a tamed-adaptive leg: its state, the times of its last
-       step and of its next event, the mu, sigma and q propose_V kept at
-       its state, the Kahan pair of the increment pending since its last
-       step, and its step count.  Its base step is the block's.
+     struct leg_V: a leg: its state, the times of its last step and of
+       its next event, the mu, sigma and q propose_V kept at its state,
+       the Kahan pair of the increment pending since its last step, and
+       its step count.  Its base step is the block's.  A fixed-step leg
+       (the vector layer's tm_step_V) shares its clock, the times and the
+       count, with its generation, and leaves its own unread.
      step_V: the leg's step to t: advance with the increment dw, clear
        the pending pair and count the step; returns the new state.
      fire_V: the leg's event at t, the one tamed-adaptive step of every
@@ -1201,21 +1202,14 @@ static void run_pairs(const struct pair *p, const struct leg_d *first,
         }
 }
 
-/* A fixed-step leg's clock: its base step, the time of its last step,
-   the time of its next event and its step count.  No state moves it, so
-   every seed of a generation shares it. */
-struct tick {
-    double delta, last, due;
-    long long steps;
-};
-
 /* The vector layer on a vector of W doubles, vec, with masks vmask and
    EACH its initializer (EACH2, EACH4 or EACH8): each of its functions,
    suffixed V, carries the attributes A, and its types are suffixed V too.
    Only vectors step fixed-step legs, so the fixed-step update and propose
    are written for the vector alone.  A tamed-adaptive leg's step is FORMULAS'
    fire_V, the one the scalar lanes' pair_event fires too: here a path's
-   leg and each leg of a pair are a struct leg_V, one leg to an element.
+   leg and each leg of a pair, fixed-step or tamed-adaptive, are a struct
+   leg_V, one leg to an element.
      splat_V, select_V, not_V, abs_V, isinf_V, copysign_V, powabs_V and
        powers_V: the helpers FORMULAS is written in, as a double's are.
        select_V gives a where c is set, else b; copysign_V each element of
@@ -1232,9 +1226,12 @@ struct tick {
        12).
      FORMULAS on the vector.
      tm_propose_V: propose of scheme._tm_leg, whose step is the base step
-       itself: keeps mu, sigma and sigma sigma' at x.
-     tm_advance_V: the fixed-step update of scheme._tm_leg, over the
-       duration dt, which is a generation's, one for every element.
+       itself: keeps mu, sigma and sigma sigma' at the leg's state in its
+       m, s and q.
+     tm_step_V: the fixed-step update of scheme._tm_leg with the leg's
+       pending increment, over the duration dt, which is a generation's,
+       one for every element, then clears the pending pair, as step_V
+       does.
      begin_leg_V: element e of the legs g, as first is.
      struct seeds_V: the seeds of a vector's elements: each element's
        stream and the index in the block of its seed, or -1 for an
@@ -1246,31 +1243,30 @@ struct tick {
        initializer: built by
        a store into each element, the portable two-wide paths took ~1.05
        times as long.
-     struct fixed_lanes_V: W fixed-step pairs in flight: each leg's state,
-       the coefficients tm_propose_V keeps and the Kahan pair of its
-       pending increment (index 0 the fine leg, 1 the coarse), and their
-       seeds; an element whose seed is over has none.  A generation's
-       vectors start as the legs of first, copied without its seeds, as
-       each element's stream is its own.
+     struct leg_lanes_V: W paths or pairs in flight: their seeds, their
+       legs (index 0 the fine leg, 1 the coarse; a path has the fine leg
+       only) and each element's time, of its pair's merged timeline or its
+       path's last step.  An element whose seed is over has none.  A
+       fixed-step generation's time and clocks are its own, one for all
+       its elements, so run_fixed_V reads neither t nor its legs' last,
+       due and steps.  With the seeds after the legs, the moments-long
+       row of tools/leg_step_ns.py took ~1.006 times as long (2-core AMD
+       EPYC, gcc 12), for no change in the code it runs.
      run_fixed_V: each of the block's fixed-step pairs, from p's x0 and
        base steps, in generations of up to W VECTORS seeds, W to a vector,
-       all started at t = 0.  A fixed-step leg's clock does not depend on
-       its state, so a generation has one timeline: each event's time and
-       sqrt of its gap, which legs fire, their clocks and their budget and
-       collapse tests are worked out once, in driver._merge's order, and
-       only each seed's draw, pending increments, updates, coefficients
-       and finiteness tests are its own.  A seed that stops writes its
-       record at the event, a fine stop before the coarse leg fires, as
+       all started at t = 0 with both legs as first, proposed at x0 (each
+       element's stream is its own).  A fixed-step leg's clock does not
+       depend on its state, so a generation has one timeline: each
+       event's time and sqrt of its gap, which legs fire, their clocks
+       (struct leg_d, base step p->delta[j]) and their budget and collapse
+       tests are worked out once, in driver._merge's order, and only each
+       seed's draw, pending increments, updates, coefficients and
+       finiteness tests are its own.  A seed that stops writes its record
+       at the event, a fine stop before the coarse leg fires, as
        pair_event's FINE_STOP, and its element idles; the next generation
        starts when every seed of this one is over.  Its timeline's budget
        test ends every generation, so it needs no RUNAWAY bound.
      pick_V: the legs of a where c is set, else of b.
-     struct leg_lanes_V: W tamed-adaptive paths or pairs in flight: their
-       seeds, their legs (index 0 the fine leg, 1 the coarse; a path has
-       the fine leg only) and each element's time, of its pair's merged
-       timeline or its path's last step.  With the seeds after the legs,
-       the moments-long row of tools/leg_step_ns.py took ~1.006 times as
-       long (2-core AMD EPYC, gcc 12), for no change in the code it runs.
      lane_of_V and set_lane_V: element e of l as a scalar lane, its legs,
        stream, time and seed's index, and back, so a seed moves between
        elements and lanes with its operations unchanged.
@@ -1380,18 +1376,18 @@ A static inline unsigned powers_##V(vec x, vec *half, vec *p12, vec *p02)    \
     return done;                                                             \
 }                                                                            \
 FORMULAS(vec, V, vmask, A)                                                   \
-A static inline void tm_propose_##V(int model, vec x, vec *m, vec *s,        \
-                                    vec *q)                                  \
+A static inline void tm_propose_##V(int model, struct leg_##V *g)            \
 {                                                                            \
     vec mp, sp;                                                              \
-    coefficients_##V(model, x, m, &mp, s, &sp);                              \
-    *q = product_##V(*s, sp);                                                \
+    coefficients_##V(model, g->x, &g->m, &mp, &g->s, &sp);                   \
+    g->q = product_##V(g->s, sp);                                            \
 }                                                                            \
-A static inline vec tm_advance_##V(vec x, vec m, vec s, vec q, double dt,    \
-                                   vec dw, double delta)                     \
+A static inline void tm_step_##V(struct leg_##V *g, double dt, double delta) \
 {                                                                            \
-    return x + (m * dt + s * dw + 0.5 * q * (dw * dw - dt))                  \
-               / (1.0 + delta * (x * x));                                    \
+    g->x = g->x + (g->m * dt + g->s * g->pw                                  \
+                   + 0.5 * g->q * (g->pw * g->pw - dt))                      \
+                  / (1.0 + delta * (g->x * g->x));                           \
+    g->pw = g->pc = splat_##V(0.0);                                          \
 }                                                                            \
 A static inline void begin_leg_##V(struct leg_##V *g, int e,                 \
                                    const struct leg_d *first)                \
@@ -1426,31 +1422,24 @@ A static inline vec lane_normals_##V(struct seeds_##V *k)                    \
 {                                                                            \
     return (vec)EACH(lane_normal_##V, k);                                    \
 }                                                                            \
-struct fixed_lanes_##V {                                                     \
-    vec x[2], m[2], s[2], q[2], pw[2], pc[2];                                \
+struct leg_lanes_##V {                                                       \
     struct seeds_##V k;                                                      \
+    struct leg_##V leg[2];                                                   \
+    vec t;                                                                   \
 };                                                                           \
 A static void run_fixed_##V(const struct pair *p, struct block *b)           \
 {                                                                            \
-    struct fixed_lanes_##V lanes[VECTORS], *live[VECTORS], first;            \
-    vec m, s, q, x0 = splat_##V(p->x0);                                      \
+    struct leg_lanes_##V lanes[VECTORS], *live[VECTORS];                     \
+    struct leg_##V first = {.x = splat_##V(p->x0)};                          \
     int n_live, k, e, j;                                                     \
-    tm_propose_##V(p->model, x0, &m, &s, &q);                                \
-    for (j = 0; j < 2; j++) {  /* the legs; the seeds are each its own */    \
-        first.x[j] = x0;                                                     \
-        first.m[j] = m;                                                      \
-        first.s[j] = s;                                                      \
-        first.q[j] = q;                                                      \
-        first.pw[j] = first.pc[j] = splat_##V(0.0);                          \
-    }                                                                        \
+    tm_propose_##V(p->model, &first);                                        \
     while (b->next < b->n) {                                                 \
-        struct tick c[2] = {                                                 \
-            {p->delta[0], 0.0, due_d(0.0, p->delta[0], p->t_end), 0},        \
-            {p->delta[1], 0.0, due_d(0.0, p->delta[1], p->t_end), 0}};       \
+        struct leg_d c[2] = {{.due = due_d(0.0, p->delta[0], p->t_end)},     \
+                             {.due = due_d(0.0, p->delta[1], p->t_end)}};    \
         double t = 0.0;                                                      \
         for (n_live = 0; n_live < VECTORS && b->next < b->n; n_live++) {     \
-            struct fixed_lanes_##V *l = live[n_live] = &lanes[n_live];       \
-            memcpy(l, &first, offsetof(struct fixed_lanes_##V, k));          \
+            struct leg_lanes_##V *l = live[n_live] = &lanes[n_live];         \
+            l->leg[0] = l->leg[1] = first;                                   \
             for (e = 0; e < W; e++)                                          \
                 l->k.i[e] = take(b, &l->k.s[e]);                             \
         }                                                                    \
@@ -1458,44 +1447,42 @@ A static void run_fixed_##V(const struct pair *p, struct block *b)           \
             double t_next = c[0].due < c[1].due ? c[0].due : c[1].due;       \
             vec sq = splat_##V(sqrt(t_next - t));                            \
             for (k = 0; k < n_live; k++) {                                   \
-                struct fixed_lanes_##V *l = live[k];                         \
-                vec dz = sq * lane_normals_##V(&l->k);                       \
-                pend_##V(&l->pw[0], &l->pc[0], dz);                          \
-                pend_##V(&l->pw[1], &l->pc[1], dz);                          \
+                struct leg_##V *g = live[k]->leg;                            \
+                vec dz = sq * lane_normals_##V(&live[k]->k);                 \
+                pend_##V(&g[0].pw, &g[0].pc, dz);                            \
+                pend_##V(&g[1].pw, &g[1].pc, dz);                            \
             }                                                                \
             for (j = 0; j < 2; j++) {                                        \
-                struct tick *leg = &c[j];                                    \
-                double dt = t_next - leg->last;                              \
+                struct leg_d *clock = &c[j];                                 \
+                double dt = t_next - clock->last;                            \
                 int going = t_next < p->t_end, all = !going && j == 1;       \
-                if (leg->due != t_next)                                      \
+                if (clock->due != t_next)                                    \
                     continue;                                                \
-                leg->last = t_next;                                          \
-                leg->steps += 1;                                             \
+                clock->last = t_next;                                        \
+                clock->steps += 1;                                           \
                 if (going) {  /* the budget spent or the step collapsed */   \
-                    leg->due = due_d(t_next, leg->delta, p->t_end);          \
-                    all = leg->steps >= p->max_steps || leg->due <= t_next;  \
+                    clock->due = due_d(t_next, p->delta[j], p->t_end);       \
+                    all = clock->steps >= p->max_steps                       \
+                          || clock->due <= t_next;                           \
                 }                                                            \
                 /* at t_end both legs fire (every due time is clamped to     \
                    it), and the coarse leg's event ends every seed */        \
                 for (k = 0; k < n_live; k++) {                               \
-                    struct fixed_lanes_##V *l = live[k];                     \
-                    vec x = tm_advance_##V(l->x[j], l->m[j], l->s[j],        \
-                                           l->q[j], dt, l->pw[j],            \
-                                           leg->delta);                      \
+                    struct leg_lanes_##V *l = live[k];                       \
+                    struct leg_##V *g = &l->leg[j];                          \
                     unsigned over = all ? (1u << W) - 1 : 0;                 \
-                    l->x[j] = x;                                             \
-                    l->pw[j] = l->pc[j] = splat_##V(0.0);                    \
+                    tm_step_##V(g, dt, p->delta[j]);                         \
                     if (going) {                                             \
-                        over |= bits_##V(not_##V(abs_##V(x) <= DBL_MAX));    \
-                        tm_propose_##V(p->model, x, &l->m[j], &l->s[j],      \
-                                       &l->q[j]);                            \
+                        over |= bits_##V(not_##V(abs_##V(g->x) <= DBL_MAX)); \
+                        tm_propose_##V(p->model, g);                         \
                     }                                                        \
                     for (e = 0; e < W; e++)                                  \
                         if (over >> e & 1 && l->k.i[e] >= 0) {               \
-                            record(b, l->k.i[e], l->x[0][e], l->x[1][e],     \
-                                   c[0].steps, c[1].steps, t_next,           \
-                                   going ? FINE_STOP + j                     \
-                                   : pair_end(l->x[0][e], l->x[1][e]));      \
+                            record(b, l->k.i[e], l->leg[0].x[e],             \
+                                   l->leg[1].x[e], c[0].steps, c[1].steps,   \
+                                   t_next, going ? FINE_STOP + j             \
+                                   : pair_end(l->leg[0].x[e],                \
+                                              l->leg[1].x[e]));              \
                             l->k.i[e] = -1;  /* the element idles */         \
                         }                                                    \
                     if (idle_##V(&l->k))  /* as in run_pairs */              \
@@ -1521,11 +1508,6 @@ A static inline struct leg_##V pick_##V(vmask c, const struct leg_##V *a,    \
     r.steps = (c & a->steps) | (~c & b->steps);                              \
     return r;                                                                \
 }                                                                            \
-struct leg_lanes_##V {                                                       \
-    struct seeds_##V k;                                                      \
-    struct leg_##V leg[2];                                                   \
-    vec t;                                                                   \
-};                                                                           \
 A static inline struct lane lane_of_##V(const struct leg_lanes_##V *l, int e) \
 {                                                                            \
     struct lane n;                                                           \

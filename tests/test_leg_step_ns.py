@@ -16,8 +16,10 @@ leg_step_ns = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(leg_step_ns)
 
 
-# compare runs both pair runners, so it has a row for each
+# compare runs both pair runners, so it has a row for each; each pair
+# runner's row has a second, its seeds as blocks of one
 ROWS = {"rate-rough", "compare-smooth/tam", "compare-smooth/tm",
+        "rate-rough/1", "compare-smooth/tam/1", "compare-smooth/tm/1",
         "moments-long", "draw/port", "draw/numpy"}
 
 
@@ -49,10 +51,12 @@ def test_small_run():
     assert kernel.run_block is run_block
     assert set(rows) == ROWS
     # one cell per level of rate; per level of compare, for each of its
-    # schemes; per horizon of moments; one per fill of normals
+    # schemes; per horizon of moments; one per fill of normals; and one a
+    # seed in a one-seed row, 2 paths of rate's cells and 4 of compare's
     assert {name: row[2] for name, row in rows.items()} == {
         "rate-rough": 5, "compare-smooth/tam": 5, "compare-smooth/tm": 5,
-        "moments-long": 3,
+        "rate-rough/1": 10, "compare-smooth/tam/1": 20,
+        "compare-smooth/tm/1": 20, "moments-long": 3,
         "draw/port": leg_step_ns.DRAWS, "draw/numpy": leg_step_ns.DRAWS}
     assert all(ns > 0.0 and steps > 0 for ns, steps, _ in rows.values())
 

@@ -12,12 +12,20 @@ workloads, and prints for each workload the median over the rounds of its
 calls' time per leg-step.  A workload whose calls run more than one of
 the kernel's runners gets a row for each, named after it:
 "compare-smooth/tam" times its tamed-adaptive pairs and
-"compare-smooth/tm" its fixed-step pairs.  A leg-step is one step of one
-leg, counted from the columns a call returns (kernel.Block): a pair
-counts its fine and coarse steps, a path its steps and a failed seed the
-steps of the leg that stopped it, from its PathExplosion.  The time is
-the block route's as a Monte Carlo cell runs it, the ctypes call and the
-columns and failures it returns included.
+"compare-smooth/tm" its fixed-step pairs.  Each pair runner's row has a
+second, "<row>/1" ("rate-rough/1", "compare-smooth/tam/1" and
+"compare-smooth/tm/1"), which times the same seeds as blocks of one seed,
+a call each: a lone pair's cost, its call and its seeding included, per
+leg-step (a seed's columns do not depend on its block, so the leg-steps
+are the row's).  With a call a seed, the one-seed rows take longer than
+all the others together: on a 2-core Intel Xeon with AVX-512 they add
+~12 s to a run's ~5 s and ~23 s to an --against run's ~11 s, at 7
+rounds.  A leg-step is one step of one leg, counted from the columns a
+call returns (kernel.Block): a pair counts its fine and coarse steps, a
+path its steps and a failed seed the steps of the leg that stopped it,
+from its PathExplosion.  The time is the block route's as a Monte Carlo
+cell runs it, the ctypes call and the columns and failures it returns
+included.
 
 In the same rounds it times the normal draw every runner makes, against
 numpy's: DRAWS fills of FILL normals from seed 0, by the kernel's port
@@ -259,7 +267,8 @@ def rows(jobs, scale, libs):
     """The rows, by name, each as a runner, its units and its calls: each
     workload's cells' recorded calls for jobs 0..jobs-1 at scale times its
     path count, and their leg-steps, one row a runner when its calls run
-    more than one ("<workload>/<runner>"); and the normal draws,
+    more than one ("<workload>/<runner>"), and for a pair runner's the
+    same seeds as blocks of one seed ("<row>/1"); and the normal draws,
     "draw/port", on each kernel of libs, the one in use, and
     "draw/numpy", and their normals, all into one array."""
     workloads = runpy.run_path(str(_WORKLOADS))["WORKLOADS"]
@@ -269,6 +278,10 @@ def rows(jobs, scale, libs):
         for kind, (calls, steps) in by_runner.items():
             row = name if len(by_runner) == 1 else f"{name}/{kind}"
             runs[row] = block_calls(calls), steps, len(calls)
+            if kind != "path":
+                alone = [call[:2] + (range(seed, seed + 1),) + call[3:]
+                         for call in calls for seed in call[2]]
+                runs[f"{row}/1"] = block_calls(alone), steps, len(alone)
     out = np.empty(FILL)
     ports = {lib: port_draws(lib, out) for lib in libs}
     runs["draw/port"] = (lambda: ports[kernel.library()](), DRAWS * FILL,
